@@ -140,7 +140,7 @@ type LearnReport struct {
 
 // ServeBench is one decision-service measurement: concurrent clients
 // hammering batched lookups at a dejavud server over loopback —
-// HTTP in one wire encoding, or the raw-TCP decision plane.
+// over HTTP, or the raw-TCP decision plane.
 type ServeBench struct {
 	Encoding        string  `json:"encoding"`
 	Transport       string  `json:"transport"`
@@ -158,15 +158,13 @@ type ServeBench struct {
 }
 
 // ServeReport is the BENCH_serve.json schema: the same loopback load
-// measured once per wire encoding over HTTP, once over the raw-TCP
-// stream transport at one core, and once over TCP with all cores
-// (sharded accept loops, GOMAXPROCS = NumCPU). The binary/JSON and
-// TCP/binary-HTTP decisions-per-sec ratios are CI-gated (see
-// serveCheck).
+// measured once over HTTP, once over the raw-TCP stream transport at
+// one core, and once over TCP with all cores (sharded accept loops,
+// GOMAXPROCS = NumCPU). The TCP/binary-HTTP decisions-per-sec ratio
+// is CI-gated (see serveCheck).
 type ServeReport struct {
 	GoVersion         string     `json:"go_version"`
 	GOMAXPROCS        int        `json:"gomaxprocs"`
-	ServeJSON         ServeBench `json:"serve_json"`
 	ServeBin          ServeBench `json:"serve_binary"`
 	ServeTCP          ServeBench `json:"serve_tcp"`
 	ServeTCPMulticore ServeBench `json:"serve_tcp_multicore"`
@@ -176,14 +174,14 @@ type ServeReport struct {
 // benchServe learns a small repository, serves it through the real
 // internal/server stack on loopback, and drives `clients` concurrent
 // connections issuing `requests` batched lookups through the
-// internal/client library — once per wire encoding over HTTP, once
-// over the raw-TCP stream transport, all three pinned to one core so
-// the committed baseline is scheduling-stable; then once more over
+// internal/client library — once over HTTP, once over the raw-TCP
+// stream transport, both pinned to one core so the committed
+// baseline is scheduling-stable; then once more over
 // TCP with GOMAXPROCS = NumCPU and one sharded accept loop per core.
 // The decision path's 0 allocs/op is pinned separately by the server
 // and client zero-alloc tests; this measures end-to-end serving
-// throughput and tail latency, the codec tax separating the two
-// encodings, and the HTTP framing tax the stream transport deletes.
+// throughput and tail latency, and the HTTP framing tax the stream
+// transport deletes.
 func benchServe(rep *ServeReport, clients, batch, requests int) error {
 	svc := services.NewCassandra()
 	learnRng := rand.New(rand.NewSource(17))
@@ -254,11 +252,7 @@ func benchServe(rep *ServeReport, clients, batch, requests int) error {
 	// so the committed numbers compare across machines with different
 	// core counts.
 	prev := runtime.GOMAXPROCS(1)
-	if rep.ServeJSON, err = benchServeEncoding(addr, sig.Values, wire.EncodingJSON, clients, batch, requests); err != nil {
-		runtime.GOMAXPROCS(prev)
-		return err
-	}
-	if rep.ServeBin, err = benchServeEncoding(addr, sig.Values, wire.EncodingBinary, clients, batch, requests); err != nil {
+	if rep.ServeBin, err = benchServeEncoding(addr, sig.Values, clients, batch, requests); err != nil {
 		runtime.GOMAXPROCS(prev)
 		return err
 	}
@@ -281,7 +275,6 @@ func benchServe(rep *ServeReport, clients, batch, requests int) error {
 	}
 
 	hitPct := 100 * repo.HitRate()
-	rep.ServeJSON.HitPct = hitPct
 	rep.ServeBin.HitPct = hitPct
 	rep.ServeTCP.HitPct = hitPct
 	rep.ServeTCPMulticore.HitPct = hitPct
@@ -333,7 +326,7 @@ func benchServeReplicated(repo *core.Repository, vals []float64, clients, batch,
 		})
 	}
 
-	reg, err := replica.New(replica.Config{Replicas: specs, Encoding: wire.EncodingBinary})
+	reg, err := replica.New(replica.Config{Replicas: specs})
 	if err != nil {
 		return sb, err
 	}
@@ -359,25 +352,21 @@ func benchServeReplicated(repo *core.Repository, vals []float64, clients, batch,
 	go func() { _ = fhs.Serve(frontLn) }()
 	defer fhs.Close()
 
-	cl, err := client.New(client.Config{Addr: frontLn.Addr().String(), Encoding: wire.EncodingBinary, MaxIdleConns: clients})
+	cl, err := client.New(client.Config{Addr: frontLn.Addr().String(), MaxIdleConns: clients})
 	if err != nil {
 		return sb, err
 	}
 	return driveServeLoad(cl, sb, vals)
 }
 
-// benchServeEncoding drives one HTTP encoding's load: `clients`
+// benchServeEncoding drives the binary-over-HTTP load: `clients`
 // workers over one pooled client, best of three passes (loopback
 // throughput on a small shared runner is noisy, and the gate compares
 // against the best the machine can do).
-func benchServeEncoding(addr string, vals []float64, enc wire.Encoding, clients, batch, requests int) (ServeBench, error) {
-	name := "json"
-	if enc == wire.EncodingBinary {
-		name = "binary"
-	}
-	sb := ServeBench{Encoding: name, Transport: "http", Clients: clients, Batch: batch,
+func benchServeEncoding(addr string, vals []float64, clients, batch, requests int) (ServeBench, error) {
+	sb := ServeBench{Encoding: "binary", Transport: "http", Clients: clients, Batch: batch,
 		Requests: requests, Cores: runtime.GOMAXPROCS(0)}
-	cl, err := client.New(client.Config{Addr: addr, Encoding: enc, MaxIdleConns: clients})
+	cl, err := client.New(client.Config{Addr: addr, MaxIdleConns: clients})
 	if err != nil {
 		return sb, err
 	}
@@ -483,7 +472,7 @@ func benchServeTCP(tcpAddr string, vals []float64, clients, batch, requests int)
 						errs[w] = fmt.Errorf("daemon error: %s", body)
 						return
 					}
-					if err := resp.Decode(wire.EncodingBinary, body); err != nil {
+					if err := resp.DecodeBinary(body); err != nil {
 						errs[w] = err
 						return
 					}
@@ -674,7 +663,7 @@ func scenariosCheck(current, baseline *ScenarioReport, tolerance float64) error 
 	return nil
 }
 
-func serveCheck(current, baseline *ServeReport, tolerance, binaryFloor, tcpFloor float64) error {
+func serveCheck(current, baseline *ServeReport, tolerance, tcpFloor float64) error {
 	// Absolute decisions/s on the multicore row only compares like with
 	// like: a baseline recorded on an N-core runner says nothing about a
 	// 1-core box (and vice versa), so the regression compare is skipped
@@ -687,7 +676,6 @@ func serveCheck(current, baseline *ServeReport, tolerance, binaryFloor, tcpFloor
 		cur, bas float64
 		skip     bool
 	}{
-		{name: "serve_json", cur: current.ServeJSON.DecisionsPerSec, bas: baseline.ServeJSON.DecisionsPerSec},
 		{name: "serve_binary", cur: current.ServeBin.DecisionsPerSec, bas: baseline.ServeBin.DecisionsPerSec},
 		{name: "serve_tcp", cur: current.ServeTCP.DecisionsPerSec, bas: baseline.ServeTCP.DecisionsPerSec},
 		{name: "serve_tcp_multicore", cur: current.ServeTCPMulticore.DecisionsPerSec, bas: baseline.ServeTCPMulticore.DecisionsPerSec, skip: !multicoreComparable},
@@ -702,18 +690,9 @@ func serveCheck(current, baseline *ServeReport, tolerance, binaryFloor, tcpFloor
 				axis.name, axis.cur, floor, axis.bas, int(tolerance*100))
 		}
 	}
-	// The hardware-independent parts of the gate: the binary columnar
-	// encoding must beat JSON by the configured factor on the same
-	// load (the point of the wire refactor), and the raw-TCP stream
+	// The hardware-independent part of the gate: the raw-TCP stream
 	// transport must beat binary-over-HTTP by its factor on the same
 	// single-core load (the point of the transport refactor).
-	if current.ServeJSON.DecisionsPerSec > 0 {
-		ratio := current.ServeBin.DecisionsPerSec / current.ServeJSON.DecisionsPerSec
-		if ratio < binaryFloor {
-			return fmt.Errorf("binary/json decisions/s ratio fell below floor: %.2fx < %.2fx (binary %.0f, json %.0f)",
-				ratio, binaryFloor, current.ServeBin.DecisionsPerSec, current.ServeJSON.DecisionsPerSec)
-		}
-	}
 	if current.ServeBin.DecisionsPerSec > 0 && current.ServeTCP.DecisionsPerSec > 0 {
 		ratio := current.ServeTCP.DecisionsPerSec / current.ServeBin.DecisionsPerSec
 		if ratio < tcpFloor {
@@ -1073,8 +1052,7 @@ func main() {
 	serveCheckPath := flag.String("serve-check", "", "compare the decision service against this baseline JSON and fail on regression")
 	serveClients := flag.Int("serve-clients", 8, "concurrent load-generator clients for the serve benchmark")
 	serveBatch := flag.Int("serve-batch", 16, "signatures per batched lookup in the serve benchmark")
-	serveRequests := flag.Int("serve-requests", 8000, "total requests issued by the serve benchmark per encoding")
-	serveBinaryFloor := flag.Float64("serve-binary-floor", 1.5, "minimum binary/json decisions/s ratio with -serve-check")
+	serveRequests := flag.Int("serve-requests", 8000, "total requests issued by the serve benchmark per row")
 	serveTCPFloor := flag.Float64("serve-tcp-floor", 2.0, "minimum tcp/binary-http decisions/s ratio with -serve-check")
 	scenariosOut := flag.String("scenarios-out", "", "write adversarial scenario claims to this JSON file")
 	scenariosCheckPath := flag.String("scenarios-check", "", "compare scenario claims against this baseline JSON and fail on drift")
@@ -1151,11 +1129,11 @@ func main() {
 		}
 		emitReport(*serveOut, serveRep)
 		if serveBaseline != nil {
-			if err := serveCheck(serveRep, serveBaseline, *tolerance, *serveBinaryFloor, *serveTCPFloor); err != nil {
+			if err := serveCheck(serveRep, serveBaseline, *tolerance, *serveTCPFloor); err != nil {
 				fatalf("REGRESSION: %v", err)
 			}
-			fmt.Fprintf(os.Stderr, "dejavu-bench: serve ok vs %s (json %.0f, binary %.0f, tcp %.0f decisions/s, tcp %.1fx binary, multicore %.0f @ %d cores, replicated %.0f @ %d replicas, tcp p99 %.2fms)\n",
-				*serveCheckPath, serveRep.ServeJSON.DecisionsPerSec, serveRep.ServeBin.DecisionsPerSec,
+			fmt.Fprintf(os.Stderr, "dejavu-bench: serve ok vs %s (binary %.0f, tcp %.0f decisions/s, tcp %.1fx binary, multicore %.0f @ %d cores, replicated %.0f @ %d replicas, tcp p99 %.2fms)\n",
+				*serveCheckPath, serveRep.ServeBin.DecisionsPerSec,
 				serveRep.ServeTCP.DecisionsPerSec, serveRep.ServeTCP.DecisionsPerSec/serveRep.ServeBin.DecisionsPerSec,
 				serveRep.ServeTCPMulticore.DecisionsPerSec, serveRep.ServeTCPMulticore.Cores,
 				serveRep.ServeReplicated.DecisionsPerSec, serveRep.ServeReplicated.Replicas, serveRep.ServeTCP.P99Ms)

@@ -8,16 +8,15 @@
 //
 // Decision mode (-decision) lifts the same pattern to the decision
 // plane on the unified protocol stack: it accepts wire-protocol
-// decision requests (JSON or binary, negotiated per caller), forwards
-// them to an upstream dejavud through the internal/client library,
-// answers in each caller's encoding, and optionally mirrors sampled
-// batches to a clone daemon — fronting a dejavud replica without
-// touching clients.
+// decision requests (binary batch frames), forwards them to an
+// upstream dejavud through the internal/client library, and
+// optionally mirrors sampled batches to a clone daemon — fronting a
+// dejavud replica without touching clients.
 //
 // Usage:
 //
 //	dejavu-proxy -listen :8080 -production host:port [-clone host:port] [-sample N]
-//	dejavu-proxy -decision -listen :8080 -upstream host:port [-clone host:port] [-sample N] [-upstream-json]
+//	dejavu-proxy -decision -listen :8080 -upstream host:port [-clone host:port] [-sample N]
 //	            [-upstream-tcp host:port] [-clone-tcp host:port]
 //
 // In decision mode, -upstream-tcp (and -clone-tcp for the mirror)
@@ -57,7 +56,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/proxy"
 	"repro/internal/replica"
-	"repro/internal/wire"
 )
 
 func main() {
@@ -68,7 +66,6 @@ func main() {
 	statsEvery := flag.Duration("stats", 10*time.Second, "stats reporting interval")
 	decision := flag.Bool("decision", false, "decision mode: front a dejavud on the wire protocol")
 	upstream := flag.String("upstream", "", "decision mode: upstream dejavud host:port (required)")
-	upstreamJSON := flag.Bool("upstream-json", false, "decision mode: talk JSON to the upstream instead of binary")
 	upstreamTCP := flag.String("upstream-tcp", "", "decision mode: upstream dejavud raw-TCP decision address")
 	cloneTCP := flag.String("clone-tcp", "", "decision mode: clone dejavud raw-TCP decision address")
 	replicas := flag.String("replicas", "", "decision mode: comma-separated replica HTTP addresses (replicated tier instead of -upstream)")
@@ -81,9 +78,9 @@ func main() {
 	var err error
 	switch {
 	case *decision && *replicas != "":
-		err = runReplicated(*listen, *replicas, *replicasTCP, *statsEvery, *upstreamJSON, *probeInterval, *probeFails, *pprofFlag)
+		err = runReplicated(*listen, *replicas, *replicasTCP, *statsEvery, *probeInterval, *probeFails, *pprofFlag)
 	case *decision:
-		err = runDecision(*listen, *upstream, *upstreamTCP, *clone, *cloneTCP, *sample, *statsEvery, *upstreamJSON, *pprofFlag)
+		err = runDecision(*listen, *upstream, *upstreamTCP, *clone, *cloneTCP, *sample, *statsEvery, *pprofFlag)
 	default:
 		err = runByteStream(*listen, *production, *clone, *sample, *statsEvery)
 	}
@@ -95,7 +92,7 @@ func main() {
 
 // runReplicated serves the decision front over a replicated dejavud
 // tier until SIGINT/SIGTERM.
-func runReplicated(listen, replicas, replicasTCP string, statsEvery time.Duration, upstreamJSON bool, probeInterval time.Duration, probeFails int, pprofOn bool) error {
+func runReplicated(listen, replicas, replicasTCP string, statsEvery time.Duration, probeInterval time.Duration, probeFails int, pprofOn bool) error {
 	addrs := splitAddrs(replicas)
 	if len(addrs) == 0 {
 		return errors.New("-replicas needs at least one host:port")
@@ -103,10 +100,6 @@ func runReplicated(listen, replicas, replicasTCP string, statsEvery time.Duratio
 	tcpAddrs := splitAddrs(replicasTCP)
 	if len(tcpAddrs) != 0 && len(tcpAddrs) != len(addrs) {
 		return fmt.Errorf("-replicas-tcp lists %d addresses for %d replicas", len(tcpAddrs), len(addrs))
-	}
-	enc := wire.EncodingBinary
-	if upstreamJSON {
-		enc = wire.EncodingJSON
 	}
 	specs := make([]replica.Spec, len(addrs))
 	for i, a := range addrs {
@@ -117,7 +110,6 @@ func runReplicated(listen, replicas, replicasTCP string, statsEvery time.Duratio
 	}
 	reg, err := replica.New(replica.Config{
 		Replicas: specs,
-		Encoding: enc,
 		Probe:    replica.ProbeConfig{Interval: probeInterval, FailAfter: probeFails},
 		Logf: func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, format+"\n", args...)
@@ -190,15 +182,11 @@ func splitAddrs(s string) []string {
 }
 
 // runDecision serves the decision front until SIGINT/SIGTERM.
-func runDecision(listen, upstream, upstreamTCP, clone, cloneTCP string, sample int, statsEvery time.Duration, upstreamJSON, pprofOn bool) error {
+func runDecision(listen, upstream, upstreamTCP, clone, cloneTCP string, sample int, statsEvery time.Duration, pprofOn bool) error {
 	if upstream == "" && upstreamTCP == "" {
 		return errors.New("-decision needs -upstream host:port (or -upstream-tcp)")
 	}
-	enc := wire.EncodingBinary
-	if upstreamJSON {
-		enc = wire.EncodingJSON
-	}
-	up, err := client.New(client.Config{Addr: upstream, TCPAddr: upstreamTCP, Encoding: enc})
+	up, err := client.New(client.Config{Addr: upstream, TCPAddr: upstreamTCP})
 	if err != nil {
 		return err
 	}
@@ -211,7 +199,7 @@ func runDecision(listen, upstream, upstreamTCP, clone, cloneTCP string, sample i
 		},
 	}
 	if clone != "" || cloneTCP != "" {
-		cl, err := client.New(client.Config{Addr: clone, TCPAddr: cloneTCP, Encoding: enc})
+		cl, err := client.New(client.Config{Addr: clone, TCPAddr: cloneTCP})
 		if err != nil {
 			return err
 		}

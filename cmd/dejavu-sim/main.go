@@ -10,7 +10,7 @@
 //	           [-days D] [-seed N] [-calm MINUTES] [-interference]
 //	dejavu-sim -fleet N [-scenario KIND] [-workers W] [-days D] [-seed N]
 //	           [-interference] [-hetero]
-//	           [-remote ADDR [-remote-json] [-remote-tcp ADDR]]
+//	           [-remote ADDR [-remote-tcp ADDR]]
 //
 // With -replay, the single-VM load comes from a recorded cluster
 // trace CSV ("offset_hours,load" rows, irregular timestamps allowed)
@@ -20,7 +20,7 @@
 //
 // With -remote, the fleet installs each template's learned repository
 // into the dejavud daemon at ADDR and drives every runtime decision
-// over the wire (binary columnar encoding by default) instead of an
+// over the wire (binary columnar encoding) instead of an
 // in-process repository — same seeds, byte-identical decisions.
 // Adding -remote-tcp moves the decision path onto the daemon's
 // raw-TCP plane (dejavud -tcp-addr) while installs and stats stay on
@@ -43,7 +43,6 @@ import (
 	"repro/internal/services"
 	"repro/internal/sim"
 	"repro/internal/trace"
-	"repro/internal/wire"
 )
 
 func main() {
@@ -59,7 +58,6 @@ func main() {
 	hetero := flag.Bool("hetero", false, "fleet mode: mix cassandra/specweb/rubis templates instead of all-cassandra")
 	scenario := flag.String("scenario", "baseline", "fleet mode: scenario kind (baseline, flash-crowd, churn, workload-shift, hardware-gen, trace-replay)")
 	remote := flag.String("remote", "", "fleet mode: drive a remote dejavud at this host:port instead of in-process repositories")
-	remoteJSON := flag.Bool("remote-json", false, "use the JSON compatibility encoding on the remote decision path (default binary)")
 	remoteTCP := flag.String("remote-tcp", "", "fleet mode: dejavud raw-TCP decision address (requires -remote for the admin plane)")
 	flag.Parse()
 
@@ -67,7 +65,7 @@ func main() {
 	if *fleetN < 0 {
 		err = fmt.Errorf("-fleet %d: fleet size cannot be negative", *fleetN)
 	} else if *fleetN > 0 {
-		err = runFleet(os.Stdout, *fleetN, *workers, *days, *seed, *scenario, *interference, *hetero, *remote, *remoteJSON, *remoteTCP)
+		err = runFleet(os.Stdout, *fleetN, *workers, *days, *seed, *scenario, *interference, *hetero, *remote, *remoteTCP)
 	} else if *remote != "" || *remoteTCP != "" {
 		err = fmt.Errorf("-remote needs -fleet N")
 	} else if *scenario != "baseline" {
@@ -84,7 +82,7 @@ func main() {
 // runFleet generates an N-VM scenario and runs the fleet control
 // plane over it — against in-process repositories, or against a
 // remote dejavud when remoteAddr is set.
-func runFleet(w io.Writer, vms, workers, days int, seed int64, scenario string, interference, hetero bool, remoteAddr string, remoteJSON bool, remoteTCP string) error {
+func runFleet(w io.Writer, vms, workers, days int, seed int64, scenario string, interference, hetero bool, remoteAddr, remoteTCP string) error {
 	if days < 2 || days > 7 {
 		days = 2
 	}
@@ -115,22 +113,16 @@ func runFleet(w io.Writer, vms, workers, days int, seed int64, scenario string, 
 		return fmt.Errorf("-remote-tcp needs -remote ADDR: repository installs ride the HTTP admin plane")
 	}
 	if remoteAddr != "" {
-		enc := wire.EncodingBinary
-		if remoteJSON {
-			enc = wire.EncodingJSON
-		}
-		cl, err := client.New(client.Config{Addr: remoteAddr, Encoding: enc, TCPAddr: remoteTCP})
+		cl, err := client.New(client.Config{Addr: remoteAddr, TCPAddr: remoteTCP})
 		if err != nil {
 			return err
 		}
 		defer cl.Close()
 		fcfg.Remote = cl
 		if remoteTCP != "" {
-			fmt.Fprintf(w, "fleet: decisions served by dejavud over raw TCP at %s (%s encoding, admin via %s)\n",
-				remoteTCP, map[bool]string{true: "json", false: "binary"}[remoteJSON], remoteAddr)
+			fmt.Fprintf(w, "fleet: decisions served by dejavud over raw TCP at %s (admin via %s)\n", remoteTCP, remoteAddr)
 		} else {
-			fmt.Fprintf(w, "fleet: decisions served by dejavud at %s (%s encoding)\n",
-				remoteAddr, map[bool]string{true: "json", false: "binary"}[remoteJSON])
+			fmt.Fprintf(w, "fleet: decisions served by dejavud at %s\n", remoteAddr)
 		}
 	}
 	res, err := fleet.Run(fcfg)

@@ -79,7 +79,7 @@ func TestRunReplay(t *testing.T) {
 
 func TestRunFleet(t *testing.T) {
 	var out bytes.Buffer
-	if err := runFleet(&out, 4, 2, 2, 1, "baseline", false, false, "", false, ""); err != nil {
+	if err := runFleet(&out, 4, 2, 2, 1, "baseline", false, false, "", ""); err != nil {
 		t.Fatal(err)
 	}
 	report := out.String()
@@ -92,20 +92,20 @@ func TestRunFleet(t *testing.T) {
 
 func TestRunFleetScenario(t *testing.T) {
 	var out bytes.Buffer
-	if err := runFleet(&out, 4, 2, 2, 1, "flash-crowd", false, false, "", false, ""); err != nil {
+	if err := runFleet(&out, 4, 2, 2, 1, "flash-crowd", false, false, "", ""); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(out.String(), "fleet scenario: flash-crowd") {
 		t.Errorf("fleet report missing scenario banner:\n%s", out.String())
 	}
-	if err := runFleet(io.Discard, 4, 2, 2, 1, "nope", false, false, "", false, ""); err == nil {
+	if err := runFleet(io.Discard, 4, 2, 2, 1, "nope", false, false, "", ""); err == nil {
 		t.Error("unknown scenario kind should error")
 	}
 }
 
 func TestRunFleetHeteroInterference(t *testing.T) {
 	var out bytes.Buffer
-	if err := runFleet(&out, 5, 0, 2, 1, "baseline", true, true, "", false, ""); err != nil {
+	if err := runFleet(&out, 5, 0, 2, 1, "baseline", true, true, "", ""); err != nil {
 		t.Fatal(err)
 	}
 	report := out.String()

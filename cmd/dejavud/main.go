@@ -1,8 +1,8 @@
 // Command dejavud is the DejaVu decision daemon: a long-running
 // network service that owns learned signature repositories — one per
 // service template — and serves classify/lookup decisions over the
-// shared wire protocol (JSON or binary columnar, negotiated via
-// Content-Type) to a fleet of controllers, completing the
+// shared wire protocol (binary columnar batch frames, over HTTP or the
+// raw-TCP stream plane) to a fleet of controllers, completing the
 // reproduction's path from in-process library to deployable
 // control-plane service.
 //
@@ -15,7 +15,7 @@
 //     waits for a control plane to POST /v1/install learned
 //     repositories (the fleet's remote mode does exactly this).
 //   - At runtime it serves POST /v1/classify, POST /v1/lookup
-//     (single or batched, JSON or binary), POST /v1/put, POST
+//     (binary batch frames), POST /v1/put, POST
 //     /v1/get, POST /v1/install, GET /v1/stats, GET /v1/templates,
 //     GET /metrics, and POST /v1/snapshot. The decision path is
 //     allocation-free; every repository sits behind a versioned

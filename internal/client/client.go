@@ -1,7 +1,7 @@
 // Package client is the dejavu decision-plane client library: the
 // one way commands and control planes talk to a dejavud daemon.
 // It owns a pool of persistent connections, speaks the shared wire
-// protocol (internal/wire) in either encoding, retries transport
+// protocol (internal/wire), retries transport
 // failures with exponential backoff, and exposes each remote template
 // as a core.DecisionSource so the same controller code that drives an
 // in-process repository drives a remote daemon.
@@ -63,9 +63,12 @@ type Config struct {
 	// an optional tcp:// prefix. Decisions use it when Transport is
 	// TransportTCP; the admin plane stays on Addr.
 	TCPAddr string
-	// Encoding selects the decision-path codec (default
-	// wire.EncodingBinary; the JSON compatibility path is for old
-	// daemons and debugging).
+	// Encoding is the decision codec's protocol tag. There is one
+	// codec: the zero value and wire.EncodingBinary both mean binary,
+	// anything else fails New.
+	//
+	// Deprecated: leave it unset. The field goes once benchmark/ (frozen
+	// against this API) stops setting it.
 	Encoding wire.Encoding
 	// MaxIdleConns bounds the connection pool (default 8). More
 	// concurrent requests than this still proceed — each dials its
@@ -131,6 +134,9 @@ func (c *Config) defaults() error {
 		}
 	default:
 		return fmt.Errorf("client: unknown transport %q", c.Transport)
+	}
+	if c.Encoding > wire.EncodingBinary {
+		return fmt.Errorf("client: unknown Config.Encoding %d (the only decision encoding is binary)", c.Encoding)
 	}
 	if c.MaxIdleConns <= 0 {
 		c.MaxIdleConns = 8
@@ -663,13 +669,12 @@ func readChunked(br *bufio.Reader, dst []byte) ([]byte, error) {
 	}
 }
 
-// Decide sends one decision batch and decodes the reply, both in the
-// client's configured encoding. req must carry the target template
-// (empty routes to the daemon's sole template). Transport failures
-// are retried on fresh connections with exponential backoff
-// (roundTrip owns that policy); HTTP-level rejections are returned as
-// *APIError without retry. The steady-state binary path performs zero
-// heap allocations once the payload pool and connection scratch have
+// Decide sends one decision batch and decodes the reply. req must
+// carry the target template (empty routes to the daemon's sole
+// template). Transport failures are retried on fresh connections with
+// exponential backoff (roundTrip owns that policy); HTTP-level
+// rejections are returned as *APIError without retry. The
+// steady-state path performs zero heap allocations once the payload pool and connection scratch have
 // warmed up (pinned by TestClientLookupZeroAlloc).
 func (c *Client) Decide(lookup bool, req *wire.Request, resp *wire.Response) error {
 	return c.DecideTraced(lookup, req, resp, c.sampleTrace())
@@ -697,7 +702,7 @@ func (c *Client) DecideTraced(lookup bool, req *wire.Request, resp *wire.Respons
 	if bufp == nil {
 		bufp = new([]byte)
 	}
-	payload, err := req.Append(c.cfg.Encoding, (*bufp)[:0])
+	payload, err := req.AppendBinary((*bufp)[:0])
 	*bufp = payload
 	if err != nil {
 		c.payloads.Put(bufp)
@@ -739,11 +744,11 @@ func (c *Client) decideHTTP(lookup bool, payload []byte, resp *wire.Response, tc
 	if lookup {
 		path = "/v1/lookup"
 	}
-	cn, body, err := c.roundTripCtx("POST", path, c.cfg.Encoding.ContentType(), payload, tc)
+	cn, body, err := c.roundTripCtx("POST", path, wire.ContentTypeBinary, payload, tc)
 	if err != nil {
 		return err
 	}
-	err = resp.Decode(c.cfg.Encoding, body)
+	err = resp.DecodeBinary(body)
 	c.release(cn, err == nil)
 	return err
 }

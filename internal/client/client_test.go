@@ -89,14 +89,15 @@ func newClient(t testing.TB, addr string, enc wire.Encoding) *Client {
 }
 
 // TestClientEndToEnd drives every client call against a live daemon
-// in both encodings: lookups (single and batched), classify, put/get,
+// under both spellings of the one encoding tag (unset and
+// EncodingBinary): lookups (single and batched), classify, put/get,
 // install, stats, templates, snapshotless admin errors.
 func TestClientEndToEnd(t *testing.T) {
 	repo := learnRepo(t, 61)
 	addr, _ := startDaemon(t, map[string]*core.Repository{"cassandra": repo}, server.Config{})
 	vals := foreseen(t, repo, 62, 300)
 
-	for _, enc := range []wire.Encoding{wire.EncodingBinary, wire.EncodingJSON} {
+	for _, enc := range []wire.Encoding{0, wire.EncodingBinary} {
 		c := newClient(t, addr, enc)
 		src, err := c.Source("cassandra", repo.EventsRef())
 		if err != nil {
@@ -161,6 +162,9 @@ func TestClientEndToEnd(t *testing.T) {
 		}
 	}
 
+	if _, err := New(Config{Addr: addr, Encoding: 2}); err == nil || !strings.Contains(err.Error(), "Encoding") {
+		t.Fatalf("New with an unknown encoding tag: %v", err)
+	}
 	c := newClient(t, addr, wire.EncodingBinary)
 
 	// Stats and templates.

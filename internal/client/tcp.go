@@ -12,8 +12,8 @@ import (
 
 // Raw-TCP decision transport. Decisions travel as wire envelopes
 // over persistent connections (see internal/wire stream framing):
-// one hello exchange per connection negotiating the encoding, then
-// request envelopes answered by id. The admin plane (install, stats,
+// one hello exchange per connection, then request envelopes answered
+// by id. The admin plane (install, stats,
 // snapshot) stays on HTTP — this transport exists purely to strip
 // HTTP overhead from the hot path. Retry policy matches the HTTP
 // plane: transport failures retry on fresh connections with capped,
@@ -24,7 +24,7 @@ import (
 // server's default request-body limit.
 const maxTCPResponseBytes = 8 << 20
 
-// tcpConn is one pooled raw-TCP decision connection: the negotiated
+// tcpConn is one pooled raw-TCP decision connection: the handshaken
 // stream plus a connection-local request-id counter. The Stream owns
 // the read/write scratch, so steady-state traffic on a pooled
 // connection allocates nothing.
@@ -49,18 +49,13 @@ func (c *Client) dialTCP() (*tcpConn, error) {
 		return nil, err
 	}
 	st := wire.NewStream(nc)
-	if err := st.WriteClientHello(c.cfg.Encoding); err != nil {
+	if err := st.WriteClientHello(wire.EncodingBinary); err != nil {
 		nc.Close()
 		return nil, fmt.Errorf("client: tcp hello: %w", err)
 	}
-	enc, err := st.ReadServerHello()
-	if err != nil {
+	if _, err := st.ReadServerHello(); err != nil {
 		nc.Close()
 		return nil, fmt.Errorf("client: tcp hello: %w", err)
-	}
-	if enc != c.cfg.Encoding {
-		nc.Close()
-		return nil, fmt.Errorf("client: server negotiated encoding %d, want %d", enc, c.cfg.Encoding)
 	}
 	return &tcpConn{nc: nc, st: st}, nil
 }
@@ -200,7 +195,7 @@ func (c *Client) exchangeTCP(cn *tcpConn, lookup bool, payload []byte, resp *wir
 	if gotFlags&wire.StreamFlagError != 0 {
 		return &APIError{Status: 400, Body: string(body)}, nil
 	}
-	if err := resp.Decode(c.cfg.Encoding, body); err != nil {
+	if err := resp.DecodeBinary(body); err != nil {
 		return nil, err
 	}
 	return nil, nil

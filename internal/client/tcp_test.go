@@ -33,14 +33,15 @@ func startTCPDaemon(t testing.TB, templates map[string]*core.Repository, cfg ser
 }
 
 // TestClientTCPEndToEnd pins the TCP transport against a live
-// daemon: decisions in both encodings, server rejections surfaced as
-// *APIError without retry, and the admin plane still riding HTTP.
+// daemon: decisions under both spellings of the encoding tag, server
+// rejections surfaced as *APIError without retry, and the admin plane
+// still riding HTTP.
 func TestClientTCPEndToEnd(t *testing.T) {
 	repo := learnRepo(t, 1)
 	httpAddr, tcpAddr, _ := startTCPDaemon(t, map[string]*core.Repository{"cassandra": repo}, server.Config{})
 	sig := foreseen(t, repo, 2, 220)
 
-	for _, enc := range []wire.Encoding{wire.EncodingBinary, wire.EncodingJSON} {
+	for _, enc := range []wire.Encoding{0, wire.EncodingBinary} {
 		c, err := New(Config{Addr: httpAddr, TCPAddr: tcpAddr, Encoding: enc})
 		if err != nil {
 			t.Fatal(err)

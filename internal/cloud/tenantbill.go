@@ -52,13 +52,20 @@ func (b *FleetBill) Post(u TenantUsage) {
 	b.posted++
 }
 
-// Total returns the fleet-wide bill total in USD.
+// Total returns the fleet-wide bill total in USD. Costs are summed in
+// tenant-id order: float addition is not associative, so summing in
+// map-iteration order would change the last bits from run to run.
 func (b *FleetBill) Total() float64 {
 	b.mu.Lock()
 	defer b.mu.Unlock()
+	ids := make([]string, 0, len(b.usage))
+	for id := range b.usage {
+		ids = append(ids, id)
+	}
+	sort.Strings(ids)
 	sum := 0.0
-	for _, u := range b.usage {
-		sum += u.Cost
+	for _, id := range ids {
+		sum += b.usage[id].Cost
 	}
 	return sum
 }

@@ -96,3 +96,28 @@ func TestFleetBillWrite(t *testing.T) {
 		}
 	}
 }
+
+// TestFleetBillTotalOrderIndependent pins that Total sums in a fixed
+// (tenant-id) order: in float64 these costs add to 2, 1 or 0
+// depending on where the large terms cancel, so a map-iteration-order
+// sum changes between calls.
+func TestFleetBillTotalOrderIndependent(t *testing.T) {
+	b := NewFleetBill()
+	for _, u := range []TenantUsage{
+		{Tenant: "vm-a", Cost: 1e16},
+		{Tenant: "vm-b", Cost: 1},
+		{Tenant: "vm-c", Cost: -1e16},
+		{Tenant: "vm-d", Cost: 1},
+	} {
+		b.Post(u)
+	}
+	want := 0.0 // id order, in float64 rather than exact constant arithmetic
+	for _, c := range []float64{1e16, 1, -1e16, 1} {
+		want += c
+	}
+	for i := 0; i < 64; i++ {
+		if got := b.Total(); got != want {
+			t.Fatalf("call %d: Total() = %v, want the id-order sum %v", i, got, want)
+		}
+	}
+}

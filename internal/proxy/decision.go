@@ -19,21 +19,19 @@ import (
 
 // DecisionFront is the duplicating proxy lifted from the byte-stream
 // layer to the decision layer, built entirely on the unified protocol
-// stack: it accepts wire-protocol decision requests over HTTP in
-// either encoding, forwards them to an upstream dejavud through the
-// internal/client library (pooled connections, binary encoding,
-// retry/backoff), and re-encodes the reply in each caller's own
-// encoding. It keeps the paper's §3.2.1 duplicate-and-discard trick:
+// stack: it accepts wire-protocol decision requests over HTTP,
+// forwards them to an upstream dejavud through the internal/client
+// library (pooled connections, retry/backoff), and relays the reply.
+// It keeps the paper's §3.2.1 duplicate-and-discard trick:
 // a sampled subset of decision batches is mirrored to a profiling
 // clone daemon on a bounded asynchronous queue whose replies are
 // dropped, so profiling a candidate repository build can never
 // backpressure production decisions.
 //
-// The front is the horizontal-scaling seam: old JSON-only clients
-// keep their encoding at the edge while every upstream hop speaks
-// binary, and swapping Upstream for a replica.Registry turns it into
-// a dejavud load balancer — health-checked round-robin with failover
-// — without touching clients. In replicated mode the front also
+// The front is the horizontal-scaling seam: swapping Upstream for a
+// replica.Registry turns it into a dejavud load balancer —
+// health-checked round-robin with failover — without touching
+// clients. In replicated mode the front also
 // exposes the tier's control plane: installs fan out with the
 // registry's publish-then-flip protocol, puts fan to every replica,
 // and /v1/health reports per-replica states.
@@ -183,17 +181,20 @@ func (f *DecisionFront) fail(w http.ResponseWriter, status int, err error) {
 	_ = json.NewEncoder(w).Encode(map[string]string{"error": err.Error()})
 }
 
-// handleDecision decodes in the caller's encoding, forwards upstream
-// through the client library (which re-encodes in its own transport
-// encoding), and answers in the caller's encoding — the front is an
-// encoding-translating hop.
+// handleDecision decodes the batch (the mirror and the registry route
+// on its header), forwards it upstream through the client library, and
+// re-encodes the reply. Like dejavud it answers 415 to any Content-Type
+// but the binary one.
 func (f *DecisionFront) handleDecision(w http.ResponseWriter, r *http.Request, lookup bool) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
 		f.fail(w, http.StatusMethodNotAllowed, errors.New("proxy: method not allowed"))
 		return
 	}
-	enc := wire.EncodingForContentType(r.Header.Get("Content-Type"))
+	if _, err := wire.EncodingForContentType(r.Header.Get("Content-Type")); err != nil {
+		f.fail(w, http.StatusUnsupportedMediaType, err)
+		return
+	}
 	sc := f.pool.Get().(*frontScratch)
 	defer f.pool.Put(sc)
 	sc.body = sc.body[:0]
@@ -212,17 +213,8 @@ func (f *DecisionFront) handleDecision(w http.ResponseWriter, r *http.Request, l
 			return
 		}
 	}
-	if err := sc.req.Decode(enc, sc.body); err != nil {
+	if err := sc.req.DecodeBinary(sc.body); err != nil {
 		f.fail(w, http.StatusBadRequest, err)
-		return
-	}
-	// The JSON vocabulary permits ragged batches (the daemon rejects
-	// them against its repository width); the binary upstream hop
-	// cannot express them. Reject here as the client error it is —
-	// otherwise the encode failure inside the upstream call would
-	// surface as a 502.
-	if _, rect := sc.req.Rectangular(); !rect {
-		f.fail(w, http.StatusBadRequest, errors.New("proxy: signatures must all have the same width"))
 		return
 	}
 
@@ -263,9 +255,9 @@ func (f *DecisionFront) handleDecision(w http.ResponseWriter, r *http.Request, l
 		return
 	}
 	f.decisions.Add(int64(len(sc.resp.Results)))
-	sc.out = sc.resp.Append(enc, sc.out[:0])
+	sc.out = sc.resp.AppendBinary(sc.out[:0])
 	h := w.Header()
-	h.Set("Content-Type", enc.ContentType())
+	h.Set("Content-Type", wire.ContentTypeBinary)
 	h.Set("Content-Length", strconv.Itoa(len(sc.out)))
 	_, _ = w.Write(sc.out)
 }
@@ -280,11 +272,11 @@ func (f *DecisionFront) mirror(req *wire.Request, lookup bool) {
 	}
 	width := len(req.Row(0))
 	if width == 0 {
-		// A zero-width batch (JSON permits `"signatures":[[],[]]`)
-		// must never reach drainMirror: its flattened rows carry no
-		// row boundaries, and the drain loop's `i += width` would spin
-		// forever, wedging the mirror goroutine. The daemon will
-		// reject the request anyway — count the mirror as a drop.
+		// A zero-width batch must never reach drainMirror: its
+		// flattened rows carry no row boundaries, and the drain loop's
+		// `i += width` would spin forever, wedging the mirror
+		// goroutine. wire's decoder rejects zero-width frames, so this
+		// is defense in depth — count the mirror as a drop.
 		f.mirrorDrops.Add(1)
 		return
 	}

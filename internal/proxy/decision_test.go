@@ -2,6 +2,7 @@ package proxy
 
 import (
 	"bytes"
+	"encoding/json"
 	"io"
 	"math/rand"
 	"net/http"
@@ -57,8 +58,7 @@ func startDejavud(t testing.TB, repo *core.Repository) (string, *server.Server) 
 	return strings.TrimPrefix(ts.URL, "http://"), s
 }
 
-// TestDecisionFront pins the decision-layer proxy: JSON and binary
-// callers are translated onto the binary upstream hop, replies match
+// TestDecisionFront pins the decision-layer proxy: replies match
 // direct daemon answers decision for decision, and sampled batches
 // are mirrored to the clone with replies dropped.
 func TestDecisionFront(t *testing.T) {
@@ -66,7 +66,7 @@ func TestDecisionFront(t *testing.T) {
 	prodAddr, prodSrv := startDejavud(t, repo)
 	cloneAddr, cloneSrv := startDejavud(t, learnFrontRepo(t, 71))
 
-	up, err := client.New(client.Config{Addr: prodAddr}) // binary upstream hop
+	up, err := client.New(client.Config{Addr: prodAddr})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,36 +105,34 @@ func TestDecisionFront(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	payload, err := req.AppendBinary(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	const batches = 6
-	for _, enc := range []wire.Encoding{wire.EncodingJSON, wire.EncodingBinary} {
-		for i := 0; i < batches/2; i++ {
-			payload, err := req.Append(enc, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			resp, err := http.Post(fts.URL+"/v1/lookup", enc.ContentType(), bytes.NewReader(payload))
-			if err != nil {
-				t.Fatal(err)
-			}
-			body, _ := io.ReadAll(resp.Body)
-			resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				t.Fatalf("front lookup (%v): %d %s", enc, resp.StatusCode, body)
-			}
-			if ct := resp.Header.Get("Content-Type"); ct != enc.ContentType() {
-				t.Fatalf("front answered %q to a %q caller", ct, enc.ContentType())
-			}
-			var got wire.Response
-			if err := got.Decode(enc, body); err != nil {
-				t.Fatal(err)
-			}
-			if len(got.Results) != 2 {
-				t.Fatalf("front results: %+v", got)
-			}
-			for j := range got.Results {
-				if got.Results[j] != direct.Results[j] {
-					t.Fatalf("front decision %d diverged: %+v != %+v", j, got.Results[j], direct.Results[j])
-				}
+	for i := 0; i < batches; i++ {
+		resp, err := http.Post(fts.URL+"/v1/lookup", wire.ContentTypeBinary, bytes.NewReader(payload))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("front lookup: %d %s", resp.StatusCode, body)
+		}
+		if ct := resp.Header.Get("Content-Type"); ct != wire.ContentTypeBinary {
+			t.Fatalf("front answered with Content-Type %q", ct)
+		}
+		var got wire.Response
+		if err := got.DecodeBinary(body); err != nil {
+			t.Fatal(err)
+		}
+		if len(got.Results) != 2 {
+			t.Fatalf("front results: %+v", got)
+		}
+		for j := range got.Results {
+			if got.Results[j] != direct.Results[j] {
+				t.Fatalf("front decision %d diverged: %+v != %+v", j, got.Results[j], direct.Results[j])
 			}
 		}
 	}
@@ -144,8 +142,10 @@ func TestDecisionFront(t *testing.T) {
 	var bad wire.Request
 	bad.SetTemplate("nope")
 	bad.AppendRow(sig.Values)
-	payload := bad.AppendJSON(nil)
-	resp, err := http.Post(fts.URL+"/v1/lookup", wire.ContentTypeJSON, bytes.NewReader(payload))
+	if payload, err = bad.AppendBinary(nil); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(fts.URL+"/v1/lookup", wire.ContentTypeBinary, bytes.NewReader(payload))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,13 +179,95 @@ func TestDecisionFront(t *testing.T) {
 	}
 }
 
+// TestDecisionFrontContentTypeGuard pins the front's half of the
+// one-encoding contract, identical to dejavud's: any Content-Type but
+// application/x-dejavu-batch is answered 415 with a JSON error body
+// naming the accepted type, counts as an error, and never reaches the
+// upstream or the mirror.
+func TestDecisionFrontContentTypeGuard(t *testing.T) {
+	repo := learnFrontRepo(t, 71)
+	prodAddr, prodSrv := startDejavud(t, repo)
+	up, err := client.New(client.Config{Addr: prodAddr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer up.Close()
+	front, err := NewDecisionFront(DecisionFrontConfig{Upstream: up})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer front.Close()
+	fts := httptest.NewServer(front.Handler())
+	defer fts.Close()
+
+	var req wire.Request
+	req.SetTemplate("cassandra")
+	req.AppendRow(make([]float64, len(repo.EventsRef())))
+	good, err := req.AppendBinary(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		contentType string
+		body        []byte
+		want        int
+	}{
+		{wire.ContentTypeBinary, good, http.StatusOK},
+		{wire.ContentTypeBinary + "; v=1", good, http.StatusOK},
+		{"application/json", []byte(`{"template":"cassandra","signature":[1,2,3]}`), http.StatusUnsupportedMediaType},
+		{"application/json", good, http.StatusUnsupportedMediaType},
+		{"", good, http.StatusUnsupportedMediaType},
+		{"text/plain", good, http.StatusUnsupportedMediaType},
+	} {
+		for _, path := range []string{"/v1/classify", "/v1/lookup"} {
+			before := front.Stats()
+			hreq, err := http.NewRequest(http.MethodPost, fts.URL+path, bytes.NewReader(tc.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.contentType != "" {
+				hreq.Header.Set("Content-Type", tc.contentType)
+			}
+			resp, err := http.DefaultClient.Do(hreq)
+			if err != nil {
+				t.Fatal(err)
+			}
+			body, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != tc.want {
+				t.Errorf("%s with Content-Type %q: %d %s, want %d", path, tc.contentType, resp.StatusCode, body, tc.want)
+				continue
+			}
+			after := front.Stats()
+			if tc.want == http.StatusOK {
+				if after.Errors != before.Errors {
+					t.Errorf("%s with Content-Type %q counted as an error", path, tc.contentType)
+				}
+				continue
+			}
+			var doc struct {
+				Error string `json:"error"`
+			}
+			if err := json.Unmarshal(body, &doc); err != nil || !strings.Contains(doc.Error, wire.ContentTypeBinary) {
+				t.Errorf("415 body %q does not name the accepted type (%v)", body, err)
+			}
+			if after.Errors != before.Errors+1 || after.Batches != before.Batches {
+				t.Errorf("%s with Content-Type %q: stats %+v -> %+v, want one error and no batch", path, tc.contentType, before, after)
+			}
+		}
+	}
+	if st := prodSrv.StatsSnapshot(); st.BadRequests != 0 {
+		t.Errorf("rejected requests reached the upstream: %+v", st)
+	}
+}
+
 // TestDecisionFrontZeroWidthMirror is the regression test for the
-// mirror wedge: a crafted zero-width batch (JSON permits
-// `"signatures":[[],[]]`) must be counted as a mirror drop at
-// enqueue, never handed to drainMirror — whose row-reassembly loop
-// advances by the row width and would spin forever on zero. The
-// pre-fix code enqueued the job and wedged the mirror goroutine for
-// the life of the front.
+// mirror wedge: a zero-width batch must never be handed to drainMirror
+// — whose row-reassembly loop advances by the row width and would spin
+// forever on zero, wedging the mirror goroutine for the life of the
+// front. A crafted zero-width frame is refused by the decoder before
+// the sampler sees it, and one that reaches the sampler anyway is
+// counted as a mirror drop at enqueue.
 func TestDecisionFrontZeroWidthMirror(t *testing.T) {
 	repo := learnFrontRepo(t, 71)
 	prodAddr, _ := startDejavud(t, repo)
@@ -208,17 +290,28 @@ func TestDecisionFrontZeroWidthMirror(t *testing.T) {
 	fts := httptest.NewServer(front.Handler())
 	defer fts.Close()
 
-	// Zero-width rows are rectangular, so they pass the ragged-batch
-	// guard and reach the mirror sampler.
-	crafted := `{"template":"cassandra","bucket":0,"signatures":[[],[]]}`
-	resp, err := http.Post(fts.URL+"/v1/lookup", wire.ContentTypeJSON, strings.NewReader(crafted))
+	// Two zero-width rows are rectangular, so the encoder emits the
+	// frame (rows=2, width=0).
+	var crafted wire.Request
+	crafted.SetTemplate("cassandra")
+	crafted.AppendRow(nil)
+	crafted.AppendRow(nil)
+	payload, err := crafted.AppendBinary(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(fts.URL+"/v1/lookup", wire.ContentTypeBinary, bytes.NewReader(payload))
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("zero-width batch answered %d, want 400 from the daemon", resp.StatusCode)
+		t.Errorf("zero-width batch answered %d, want 400", resp.StatusCode)
 	}
+	if st := front.Stats(); st.Batches != 0 || st.Mirrored != 0 {
+		t.Fatalf("zero-width frame got past the decoder: %+v", st)
+	}
+	front.mirror(&crafted, true)
 	if st := front.Stats(); st.MirrorDrops != 1 {
 		t.Fatalf("zero-width batch not dropped at mirror enqueue: %+v", st)
 	}
@@ -237,8 +330,10 @@ func TestDecisionFrontZeroWidthMirror(t *testing.T) {
 	var req wire.Request
 	req.SetTemplate("cassandra")
 	req.AppendRow(sig.Values)
-	payload := req.AppendJSON(nil)
-	resp, err = http.Post(fts.URL+"/v1/lookup", wire.ContentTypeJSON, bytes.NewReader(payload))
+	if payload, err = req.AppendBinary(nil); err != nil {
+		t.Fatal(err)
+	}
+	resp, err = http.Post(fts.URL+"/v1/lookup", wire.ContentTypeBinary, bytes.NewReader(payload))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -86,10 +86,13 @@ func TestDecisionFrontMetrics(t *testing.T) {
 	req.SetTemplate("cassandra")
 	req.AppendRow(vals)
 	req.AppendRow(vals)
-	payload := req.AppendJSON(nil)
+	payload, err := req.AppendBinary(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	const batches = 4
 	for i := 0; i < batches; i++ {
-		resp, err := http.Post(fts.URL+"/v1/lookup", wire.ContentTypeJSON, bytes.NewReader(payload))
+		resp, err := http.Post(fts.URL+"/v1/lookup", wire.ContentTypeBinary, bytes.NewReader(payload))
 		if err != nil {
 			t.Fatal(err)
 		}

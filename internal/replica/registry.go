@@ -115,9 +115,12 @@ func (p *ProbeConfig) defaults() {
 type Config struct {
 	// Replicas is the initial membership; at least one.
 	Replicas []Spec
-	// Encoding is the decision-path codec toward replicas
-	// (wire.EncodingJSON zero value; pass wire.EncodingBinary for the
-	// fast path).
+	// Encoding is the decision codec's protocol tag toward replicas.
+	// There is one codec: the zero value and wire.EncodingBinary both
+	// mean binary, anything else fails New.
+	//
+	// Deprecated: leave it unset. The field goes once benchmark/ (frozen
+	// against this API) stops setting it.
 	Encoding wire.Encoding
 	// Probe tunes health checking.
 	Probe ProbeConfig

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -9,8 +8,8 @@ import (
 )
 
 // benchSetup builds a server plus a warmed scratch and request body
-// for the decision path in the given encoding.
-func benchSetup(b *testing.B, batch int, enc wire.Encoding) (*Server, *scratch) {
+// for the decision path.
+func benchSetup(b *testing.B, batch int) (*Server, *scratch) {
 	repo := testRepository(b, 12)
 	h, err := core.NewHandle(repo)
 	if err != nil {
@@ -22,18 +21,18 @@ func benchSetup(b *testing.B, batch int, enc wire.Encoding) (*Server, *scratch) 
 	}
 	vals := foreseenSignature(b, repo, 13, 300)
 	sc := s.pool.Get().(*scratch)
-	sc.body = decisionBody(b, enc, vals, batch)
+	sc.body = decisionBody(b, vals, batch)
 	return s, sc
 }
 
 // decisionBody encodes a bucket-0 batch of identical signatures.
-func decisionBody(tb testing.TB, enc wire.Encoding, vals []float64, batch int) []byte {
+func decisionBody(tb testing.TB, vals []float64, batch int) []byte {
 	tb.Helper()
 	var req wire.Request
 	for i := 0; i < batch; i++ {
 		req.AppendRow(vals)
 	}
-	body, err := req.Append(enc, nil)
+	body, err := req.AppendBinary(nil)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -42,8 +41,7 @@ func decisionBody(tb testing.TB, enc wire.Encoding, vals []float64, batch int) [
 
 // TestDecideZeroAlloc pins the ISSUE acceptance criterion: the
 // steady-state batched decision path (parse → route → classify/lookup
-// → encode) performs zero heap allocations per request, in both the
-// JSON and the binary encoding.
+// → encode) performs zero heap allocations per request.
 func TestDecideZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector degrades sync.Pool caching and distorts allocation counts; the CI bench job runs this gate without -race")
@@ -58,31 +56,26 @@ func TestDecideZeroAlloc(t *testing.T) {
 		t.Fatal(err)
 	}
 	vals := foreseenSignature(t, repo, 13, 300)
-	for _, enc := range []struct {
-		name string
-		enc  wire.Encoding
-	}{{"json", wire.EncodingJSON}, {"binary", wire.EncodingBinary}} {
-		sc := s.pool.Get().(*scratch)
-		sc.body = decisionBody(t, enc.enc, vals, 4)
-		for _, mode := range []struct {
-			name   string
-			lookup bool
-		}{{"lookup", true}, {"classify", false}} {
-			// Warm the scratch buffers, then measure.
-			if _, err := s.decide(enc.enc, sc, mode.lookup, transportForEncoding(enc.enc)); err != nil {
+	sc := s.pool.Get().(*scratch)
+	sc.body = decisionBody(t, vals, 4)
+	for _, mode := range []struct {
+		name   string
+		lookup bool
+	}{{"lookup", true}, {"classify", false}} {
+		// Warm the scratch buffers, then measure.
+		if _, err := s.decide(sc, mode.lookup, transportBinary); err != nil {
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(200, func() {
+			if _, err := s.decide(sc, mode.lookup, transportBinary); err != nil {
 				t.Fatal(err)
 			}
-			allocs := testing.AllocsPerRun(200, func() {
-				if _, err := s.decide(enc.enc, sc, mode.lookup, transportForEncoding(enc.enc)); err != nil {
-					t.Fatal(err)
-				}
-			})
-			if allocs != 0 {
-				t.Errorf("%s %s decision path allocates %.1f times per batch, want 0", enc.name, mode.name, allocs)
-			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s decision path allocates %.1f times per batch, want 0", mode.name, allocs)
 		}
-		s.pool.Put(sc)
 	}
+	s.pool.Put(sc)
 }
 
 // TestDecideZeroAllocInstrumented pins the observability PR's
@@ -110,14 +103,14 @@ func TestDecideZeroAllocInstrumented(t *testing.T) {
 		tr   transport
 	}{{"http-binary", transportBinary}, {"tcp", transportTCP}} {
 		sc := s.pool.Get().(*scratch)
-		sc.body = decisionBody(t, wire.EncodingBinary, vals, 16)
-		if _, err := s.decide(wire.EncodingBinary, sc, true, tc.tr); err != nil {
+		sc.body = decisionBody(t, vals, 16)
+		if _, err := s.decide(sc, true, tc.tr); err != nil {
 			t.Fatal(err)
 		}
 		tpl := s.templates.Load().def
 		before := tpl.lat[tc.tr].Snapshot().Count
 		allocs := testing.AllocsPerRun(200, func() {
-			if _, err := s.decide(wire.EncodingBinary, sc, true, tc.tr); err != nil {
+			if _, err := s.decide(sc, true, tc.tr); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -136,34 +129,28 @@ func TestDecideZeroAllocInstrumented(t *testing.T) {
 }
 
 // BenchmarkDecide measures the raw decision path (no HTTP): one op is
-// one batched request. allocs/op must stay 0 for both encodings — the
-// serve bench gate records throughput in BENCH_serve.json.
+// one batched request. allocs/op must stay 0 — the serve bench gate
+// records throughput in BENCH_serve.json.
 func BenchmarkDecide(b *testing.B) {
 	for _, tc := range []struct {
 		name   string
 		batch  int
-		enc    wire.Encoding
 		lookup bool
 	}{
-		{"lookup/batch1", 1, wire.EncodingJSON, true},
-		{"lookup/batch16", 16, wire.EncodingJSON, true},
-		{"lookup/batch64", 64, wire.EncodingJSON, true},
-		{"classify/batch16", 16, wire.EncodingJSON, false},
-		{"lookup-binary/batch1", 1, wire.EncodingBinary, true},
-		{"lookup-binary/batch16", 16, wire.EncodingBinary, true},
-		{"lookup-binary/batch64", 64, wire.EncodingBinary, true},
-		{"classify-binary/batch16", 16, wire.EncodingBinary, false},
+		{"lookup-binary/batch1", 1, true},
+		{"lookup-binary/batch16", 16, true},
+		{"lookup-binary/batch64", 64, true},
+		{"classify-binary/batch16", 16, false},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
-			s, sc := benchSetup(b, tc.batch, tc.enc)
-			tr := transportForEncoding(tc.enc)
-			if _, err := s.decide(tc.enc, sc, tc.lookup, tr); err != nil {
+			s, sc := benchSetup(b, tc.batch)
+			if _, err := s.decide(sc, tc.lookup, transportBinary); err != nil {
 				b.Fatal(err)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := s.decide(tc.enc, sc, tc.lookup, tr); err != nil {
+				if _, err := s.decide(sc, tc.lookup, transportBinary); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -180,15 +167,14 @@ func BenchmarkServeHTTP(b *testing.B) {
 	repo := testRepository(b, 12)
 	_, ts := newTestServer(b, repo, Config{})
 	vals := foreseenSignature(b, repo, 13, 300)
-	rows := make([]string, 16)
-	for i := range rows {
-		rows[i] = sigJSON(vals)
+	var req wire.Request
+	for i := 0; i < 16; i++ {
+		req.AppendRow(vals)
 	}
-	body := `{"bucket":0,"signatures":[` + strings.Join(rows, ",") + `]}`
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		code, resp := post(b, ts.URL+"/v1/lookup", body)
+		code, resp := postBinary(b, ts.URL+"/v1/lookup", &req)
 		if code != 200 {
 			b.Fatalf("%d %s", code, resp)
 		}

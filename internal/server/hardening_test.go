@@ -49,7 +49,7 @@ func TestTCPIdleTimeoutReapsQuietConn(t *testing.T) {
 	repo := testRepository(t, 1)
 	s, _ := newTestServer(t, repo, Config{})
 	_, addr := startTCP(t, s, TCPConfig{IdleTimeout: 50 * time.Millisecond})
-	nc, st := dialStream(t, addr, wire.EncodingBinary)
+	nc, st := dialStream(t, addr)
 
 	// The hello completed; now go idle and wait to be hung up on.
 	nc.SetReadDeadline(time.Now().Add(5 * time.Second))
@@ -67,8 +67,8 @@ func TestTCPMaxConnsRefusesFlood(t *testing.T) {
 	ts, addr := startTCP(t, s, TCPConfig{MaxConns: 2})
 
 	// Fill the cap with two real sessions.
-	nc1, _ := dialStream(t, addr, wire.EncodingBinary)
-	_, st2 := dialStream(t, addr, wire.EncodingBinary)
+	nc1, _ := dialStream(t, addr)
+	_, st2 := dialStream(t, addr)
 
 	// The flood: connections beyond the cap are closed before any
 	// hello. Observing the close proves refusal; the Refused counter
@@ -98,7 +98,7 @@ func TestTCPMaxConnsRefusesFlood(t *testing.T) {
 	var req wire.Request
 	req.AppendRow(sig)
 	var resp wire.Response
-	roundTripTCP(t, st2, wire.EncodingBinary, 1, &req, true, &resp)
+	roundTripTCP(t, st2, 1, &req, true, &resp)
 	if len(resp.Results) != 1 || !resp.Results[0].Hit {
 		t.Fatalf("capped server stopped serving admitted conns: %+v", resp.Results)
 	}
@@ -133,7 +133,7 @@ func TestTCPPingEnvelope(t *testing.T) {
 	repo := testRepository(t, 1)
 	s, _ := newTestServer(t, repo, Config{})
 	_, addr := startTCP(t, s, TCPConfig{})
-	_, st := dialStream(t, addr, wire.EncodingBinary)
+	_, st := dialStream(t, addr)
 
 	if err := st.WriteEnvelope(7, wire.StreamFlagPing, nil); err != nil {
 		t.Fatal(err)
@@ -155,7 +155,7 @@ func TestTCPPingEnvelope(t *testing.T) {
 	var req wire.Request
 	req.AppendRow(sig)
 	var resp wire.Response
-	roundTripTCP(t, st, wire.EncodingBinary, 8, &req, true, &resp)
+	roundTripTCP(t, st, 8, &req, true, &resp)
 	if len(resp.Results) != 1 {
 		t.Fatalf("post-ping lookup: %+v", resp.Results)
 	}
@@ -250,18 +250,9 @@ func TestDumpInstallAtVersionRoundTrip(t *testing.T) {
 	// Both daemons now answer the donor's signature, the joiner at the
 	// forced version.
 	sig := foreseenSignature(t, repo, 3, 250)
-	code, body = post(t, joiner.URL+"/v1/lookup", `{"template":"cassandra","signature":`+sigJSON(sig)+`}`)
+	code, body, lr := decision(t, joiner.URL+"/v1/lookup", "cassandra", 0, sig)
 	if code != http.StatusOK {
 		t.Fatalf("joiner lookup: %d %s", code, body)
-	}
-	var lr struct {
-		Version uint64 `json:"version"`
-		Results []struct {
-			Hit bool `json:"hit"`
-		} `json:"results"`
-	}
-	if err := json.Unmarshal([]byte(body), &lr); err != nil {
-		t.Fatal(err)
 	}
 	if lr.Version != 7 {
 		t.Fatalf("joiner serves version %d, want 7", lr.Version)

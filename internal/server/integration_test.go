@@ -1,11 +1,11 @@
 package server
 
 import (
+	"bytes"
 	"math/rand"
 	"net/http"
 	"os"
 	"path/filepath"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/metrics"
+	"repro/internal/wire"
 )
 
 // TestKillRestartIdenticalDecisions is the dejavud durability story:
@@ -27,25 +28,22 @@ func TestKillRestartIdenticalDecisions(t *testing.T) {
 
 	// Traffic: batched lookups plus runtime Puts filling interference
 	// buckets, like fleet controllers would.
-	var requests []string
+	var requests []*wire.Request
 	for _, clients := range []float64{120, 200, 300, 420} {
 		vals := foreseenSignature(t, repo, int64(clients), clients)
-		requests = append(requests,
-			`{"signature":`+sigJSON(vals)+`}`,
-			`{"bucket":2,"signatures":[`+sigJSON(vals)+`,`+sigJSON(vals)+`]}`,
-		)
+		requests = append(requests, batch("", 0, vals), batch("", 2, vals, vals))
 	}
 	for _, r := range requests {
-		if code, body := post(t, ts1.URL+"/v1/lookup", r); code != http.StatusOK {
+		if code, body := postBinary(t, ts1.URL+"/v1/lookup", r); code != http.StatusOK {
 			t.Fatalf("lookup: %d %s", code, body)
 		}
 	}
 	if code, body := post(t, ts1.URL+"/v1/put", `{"class":0,"bucket":2,"type":"large","count":5}`); code != http.StatusOK {
 		t.Fatalf("put: %d %s", code, body)
 	}
-	firstRun := make([]string, len(requests))
+	firstRun := make([][]byte, len(requests))
 	for i, r := range requests {
-		code, body := post(t, ts1.URL+"/v1/lookup", r)
+		code, body := postBinary(t, ts1.URL+"/v1/lookup", r)
 		if code != http.StatusOK {
 			t.Fatalf("lookup: %d %s", code, body)
 		}
@@ -70,12 +68,12 @@ func TestKillRestartIdenticalDecisions(t *testing.T) {
 	}
 	_, ts2 := newTestServer(t, restored, Config{SnapshotPath: snapPath})
 	for i, r := range requests {
-		code, body := post(t, ts2.URL+"/v1/lookup", r)
+		code, body := postBinary(t, ts2.URL+"/v1/lookup", r)
 		if code != http.StatusOK {
 			t.Fatalf("restarted lookup: %d %s", code, body)
 		}
-		if body != firstRun[i] {
-			t.Errorf("request %d decision diverged after restart:\nbefore: %s\nafter:  %s", i, firstRun[i], body)
+		if !bytes.Equal(body, firstRun[i]) {
+			t.Errorf("request %d decision diverged after restart:\nbefore: %x\nafter:  %x", i, firstRun[i], body)
 		}
 	}
 }
@@ -115,7 +113,7 @@ func TestDriftRelearnUnderLiveLoad(t *testing.T) {
 	})
 
 	// Drifted traffic: two new blobs far outside the learned classes.
-	drifted := make([]string, 8)
+	drifted := make([]*wire.Request, 8)
 	for i := range drifted {
 		row := make([]float64, width)
 		base := 5e4
@@ -125,7 +123,7 @@ func TestDriftRelearnUnderLiveLoad(t *testing.T) {
 		for j := range row {
 			row[j] = base * float64(j+1) * (1 + 0.01*float64(i))
 		}
-		drifted[i] = `{"signatures":[` + sigJSON(row) + `,` + sigJSON(row) + `]}`
+		drifted[i] = batch("", 0, row, row)
 	}
 
 	var (
@@ -144,8 +142,9 @@ func TestDriftRelearnUnderLiveLoad(t *testing.T) {
 			defer clientWg.Done()
 			i := worker
 			for !stop.Load() {
-				code, body := post(t, ts.URL+"/v1/lookup", drifted[i%len(drifted)])
-				if code != http.StatusOK {
+				code, body := postBinary(t, ts.URL+"/v1/lookup", drifted[i%len(drifted)])
+				var resp wire.Response
+				if code != http.StatusOK || resp.DecodeBinary(body) != nil {
 					t.Errorf("live request rejected during relearn: %d %s", code, body)
 					failures.Add(1)
 				}
@@ -153,7 +152,7 @@ func TestDriftRelearnUnderLiveLoad(t *testing.T) {
 				if s.Relearning() {
 					duringRelearn.Add(1)
 				}
-				if strings.Contains(body, `"version":`+versionString(initialVersion+1)) {
+				if resp.Version == initialVersion+1 {
 					closeOnce.Do(func() { close(versionBumped) })
 				}
 				i++
@@ -194,16 +193,4 @@ func TestDriftRelearnUnderLiveLoad(t *testing.T) {
 	if st.DriftTriggers < 1 || st.LastDriftRate <= 0 {
 		t.Errorf("drift stats: %+v", st)
 	}
-}
-
-func versionString(v uint64) string {
-	b := make([]byte, 0, 8)
-	for v > 0 {
-		b = append([]byte{byte('0' + v%10)}, b...)
-		v /= 10
-	}
-	if len(b) == 0 {
-		b = []byte{'0'}
-	}
-	return string(b)
 }

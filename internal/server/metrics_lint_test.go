@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/wire"
 )
 
 // promLint is a strict Prometheus text-format (0.0.4) checker. It
@@ -313,26 +312,22 @@ func TestMetricsTextFormatLint(t *testing.T) {
 	defer ts.Close()
 
 	vals := foreseenSignature(t, repoA, 13, 300)
-	body := fmt.Sprintf(`{"template":"cassandra","bucket":0,"signatures":[%s]}`, sigJSON(vals))
-	if code, resp := post(t, ts.URL+"/v1/lookup", body); code != 200 {
-		t.Fatalf("lookup: %d %s", code, resp)
-	}
 	// The awkward template id rides the binary codec (length-prefixed
-	// bytes, no string escaping to trip over) and populates a second
-	// transport series at the same time.
+	// bytes, no string escaping to trip over). Each template is served
+	// once over HTTP and once through the TCP plane's histogram slot, so
+	// both transport series exist.
 	valsB := foreseenSignature(t, repoB, 13, 300)
 	for tpl, tv := range map[string][]float64{"cassandra": vals, awkward: valsB} {
-		var breq wire.Request
-		breq.SetTemplate(tpl)
-		breq.AppendRow(tv)
-		bbody, err := breq.Append(wire.EncodingBinary, nil)
-		if err != nil {
-			t.Fatal(err)
+		if code, body, _ := decision(t, ts.URL+"/v1/lookup", tpl, 0, tv); code != 200 {
+			t.Fatalf("lookup on %q: %d %s", tpl, code, body)
 		}
 		sc := s.pool.Get().(*scratch)
-		sc.body = bbody
-		if _, err := s.decide(wire.EncodingBinary, sc, true, transportBinary); err != nil {
-			t.Fatalf("binary decide on %q: %v", tpl, err)
+		var err error
+		if sc.body, err = batch(tpl, 0, tv).AppendBinary(sc.body[:0]); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.decide(sc, true, transportTCP); err != nil {
+			t.Fatalf("tcp-slot decide on %q: %v", tpl, err)
 		}
 		s.pool.Put(sc)
 	}
@@ -351,11 +346,13 @@ func TestMetricsTextFormatLint(t *testing.T) {
 	if !strings.Contains(text, `template="cassandra \"eu\\west\"\n2"`) {
 		t.Errorf("escaped template label missing from exposition:\n%s", grepLines(text, "dejavud_repo_version"))
 	}
-	if !strings.Contains(text, `dejavud_decide_latency_seconds_bucket{template="cassandra",transport="json"`) {
-		t.Error("per-template decide latency histogram missing json transport series")
+	for _, tr := range []string{"binary", "tcp"} {
+		if !strings.Contains(text, `dejavud_decide_latency_seconds_bucket{template="cassandra",transport="`+tr+`"`) {
+			t.Errorf("per-template decide latency histogram missing %s transport series", tr)
+		}
 	}
-	if !strings.Contains(text, `transport="binary"`) {
-		t.Error("per-template decide latency histogram missing binary transport series")
+	if strings.Contains(text, `transport="json"`) {
+		t.Error(`the retired transport="json" series is still exposed`)
 	}
 }
 

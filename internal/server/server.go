@@ -10,12 +10,12 @@
 //
 //   - The steady-state decision path (decode → route → classify/lookup
 //     → encode) performs zero heap allocations: pooled request
-//     scratch, the wire package's allocation-free JSON and binary
-//     codecs, a copy-on-write template table read with one atomic
-//     load, and the repository's own pooled classify scratch (PR 2).
-//   - The encoding is negotiated per request via Content-Type:
-//     application/json (compatibility) or application/x-dejavu-batch
-//     (binary columnar). The response mirrors the request's encoding.
+//     scratch, the wire package's allocation-free binary codec, a
+//     copy-on-write template table read with one atomic load, and the
+//     repository's own pooled classify scratch (PR 2).
+//   - Decisions have one encoding, the binary columnar frame
+//     (application/x-dejavu-batch). The Content-Type is a guard, not a
+//     negotiation: anything else is answered 415.
 //   - Requests route by template id — the wire header's template
 //     field — so one daemon serves many service templates with
 //     independent snapshots, drift monitors, and relearn
@@ -33,8 +33,8 @@
 //     freshly learned repository into a running daemon — the fleet's
 //     remote mode uses this to ship each template's learning result.
 //
-// Endpoints: POST /v1/classify, POST /v1/lookup (single "signature"
-// or batched "signatures"), POST /v1/put, POST /v1/get,
+// Endpoints: POST /v1/classify, POST /v1/lookup (binary batch
+// frames), POST /v1/put, POST /v1/get,
 // POST /v1/install[?version=N], GET /v1/stats[?template=x],
 // GET /v1/templates, GET /v1/health, GET /v1/dump?template=x,
 // GET /metrics (Prometheus text format), POST /v1/snapshot.
@@ -64,27 +64,17 @@ import (
 )
 
 // transport indexes the per-template decide-latency histograms: the
-// three ways a decision reaches the daemon.
+// two ways a decision reaches the daemon.
 type transport uint8
 
 const (
-	transportJSON   transport = iota // HTTP, application/json
-	transportBinary                  // HTTP, binary columnar
-	transportTCP                     // raw-TCP stream plane (either encoding)
+	transportBinary transport = iota // HTTP
+	transportTCP                     // raw-TCP stream plane
 	numTransports
 )
 
 // transportNames are the Prometheus label values.
-var transportNames = [numTransports]string{"json", "binary", "tcp"}
-
-// transportForEncoding maps an HTTP Content-Type negotiation to its
-// histogram slot.
-func transportForEncoding(enc wire.Encoding) transport {
-	if enc == wire.EncodingBinary {
-		return transportBinary
-	}
-	return transportJSON
-}
+var transportNames = [numTransports]string{"binary", "tcp"}
 
 // DefaultTemplate is the template id a single-template Config.Handle
 // registers under, and the id an empty wire template field resolves
@@ -316,9 +306,14 @@ func (s *Server) methodGuard(method string, h http.HandlerFunc) http.HandlerFunc
 }
 
 func (s *Server) badRequest(w http.ResponseWriter, err error) {
+	s.reject(w, http.StatusBadRequest, err)
+}
+
+// reject answers a client error with a JSON error body and counts it.
+func (s *Server) reject(w http.ResponseWriter, status int, err error) {
 	s.badRequests.Add(1)
 	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusBadRequest)
+	w.WriteHeader(status)
 	_ = json.NewEncoder(w).Encode(map[string]string{"error": err.Error()})
 }
 
@@ -354,7 +349,10 @@ func readBody(r *http.Request, buf []byte, limit int64) ([]byte, error) {
 // handleDecision is the hot-path HTTP adapter: everything between
 // body-read and response-write is the allocation-free decide().
 func (s *Server) handleDecision(w http.ResponseWriter, r *http.Request, lookup bool) {
-	enc := wire.EncodingForContentType(r.Header.Get("Content-Type"))
+	if _, err := wire.EncodingForContentType(r.Header.Get("Content-Type")); err != nil {
+		s.reject(w, http.StatusUnsupportedMediaType, err)
+		return
+	}
 	sc := s.pool.Get().(*scratch)
 	defer s.pool.Put(sc)
 	var err error
@@ -374,7 +372,7 @@ func (s *Server) handleDecision(w http.ResponseWriter, r *http.Request, lookup b
 			spanStart = time.Now()
 		}
 	}
-	out, err := s.decide(enc, sc, lookup, transportForEncoding(enc))
+	out, err := s.decide(sc, lookup, transportBinary)
 	if child.Valid() {
 		s.spans.RecordHop(parent, child, "dejavud", decisionOp(lookup), spanStart, time.Since(spanStart))
 	}
@@ -383,7 +381,7 @@ func (s *Server) handleDecision(w http.ResponseWriter, r *http.Request, lookup b
 		return
 	}
 	h := w.Header()
-	h.Set("Content-Type", enc.ContentType())
+	h.Set("Content-Type", wire.ContentTypeBinary)
 	// An explicit Content-Length keeps large batches out of chunked
 	// encoding, so lean clients can frame responses without a chunked
 	// decoder. (Itoa's small alloc sits outside the pinned decide()
@@ -401,15 +399,14 @@ func decisionOp(lookup bool) string {
 }
 
 // decide parses sc.body, routes it to a template, and serves one
-// decision per signature from a single repository snapshot, encoding
-// the response in the request's own encoding. This is the
-// steady-state decision path: it performs zero heap allocations once
-// the scratch buffers have warmed up (pinned by TestDecideZeroAlloc
-// for both encodings and TestDecideZeroAllocInstrumented), including
-// the latency histogram record — two atomic adds per batch.
-func (s *Server) decide(enc wire.Encoding, sc *scratch, lookup bool, tr transport) ([]byte, error) {
+// decision per signature from a single repository snapshot. This is
+// the steady-state decision path: it performs zero heap allocations
+// once the scratch buffers have warmed up (pinned by TestDecideZeroAlloc
+// and TestDecideZeroAllocInstrumented), including the latency
+// histogram record — two atomic adds per batch.
+func (s *Server) decide(sc *scratch, lookup bool, tr transport) ([]byte, error) {
 	start := time.Now()
-	if err := sc.req.Decode(enc, sc.body); err != nil {
+	if err := sc.req.DecodeBinary(sc.body); err != nil {
 		return nil, err
 	}
 	tpl, err := s.templates.Load().resolve(sc.req.Template)
@@ -467,7 +464,7 @@ func (s *Server) decide(enc wire.Encoding, sc *scratch, lookup bool, tr transpor
 			s.triggerRelearn(tpl)
 		}
 	}
-	sc.out = sc.resp.Append(enc, sc.out[:0])
+	sc.out = sc.resp.AppendBinary(sc.out[:0])
 	tpl.lat[tr].Record(time.Since(start))
 	return sc.out, nil
 }
@@ -893,7 +890,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	}
 
 	// Decide latency: per template × transport, only transports that
-	// have served (so a JSON-only deployment isn't buried in empty TCP
+	// have served (so an HTTP-only deployment isn't buried in empty TCP
 	// series; Prometheus treats appearing series as starting at 0).
 	const latName = "dejavud_decide_latency_seconds"
 	fmt.Fprintf(w, "# HELP %s Decide path latency (decode, route, classify/lookup, encode) per batch.\n# TYPE %s histogram\n", latName, latName)

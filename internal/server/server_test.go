@@ -1,8 +1,8 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
-	"fmt"
 	"io"
 	"math/rand"
 	"net/http"
@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/services"
+	"repro/internal/wire"
 )
 
 // testRepository learns a small Cassandra repository for server tests.
@@ -89,17 +90,29 @@ func post(t testing.TB, url, body string) (int, string) {
 	return resp.StatusCode, string(b)
 }
 
-func sigJSON(vals []float64) string {
-	var sb strings.Builder
-	sb.WriteByte('[')
-	for i, v := range vals {
-		if i > 0 {
-			sb.WriteByte(',')
-		}
-		fmt.Fprintf(&sb, "%g", v)
+// batch builds a decision request.
+func batch(template string, bucket int, rows ...[]float64) *wire.Request {
+	var req wire.Request
+	req.SetTemplate(template)
+	req.Bucket = bucket
+	for _, row := range rows {
+		req.AppendRow(row)
 	}
-	sb.WriteByte(']')
-	return sb.String()
+	return &req
+}
+
+// decision posts a binary batch to a decision endpoint, returning the
+// status, the raw body, and (on 200) the decoded response.
+func decision(t testing.TB, url, template string, bucket int, rows ...[]float64) (int, string, wire.Response) {
+	t.Helper()
+	code, body := postBinary(t, url, batch(template, bucket, rows...))
+	var out wire.Response
+	if code == http.StatusOK {
+		if err := out.DecodeBinary(body); err != nil {
+			t.Fatalf("decision response: %v", err)
+		}
+	}
+	return code, string(body), out
 }
 
 func TestServeClassifyAndLookup(t *testing.T) {
@@ -107,22 +120,11 @@ func TestServeClassifyAndLookup(t *testing.T) {
 	_, ts := newTestServer(t, repo, Config{})
 	vals := foreseenSignature(t, repo, 2, 300)
 
-	code, body := post(t, ts.URL+"/v1/classify", `{"signature":`+sigJSON(vals)+`}`)
+	code, body, cr := decision(t, ts.URL+"/v1/classify", "", 0, vals)
 	if code != http.StatusOK {
 		t.Fatalf("classify: %d %s", code, body)
 	}
-	var cr struct {
-		Version uint64 `json:"version"`
-		Results []struct {
-			Class      int     `json:"class"`
-			Certainty  float64 `json:"certainty"`
-			Unforeseen bool    `json:"unforeseen"`
-		} `json:"results"`
-	}
-	if err := json.Unmarshal([]byte(body), &cr); err != nil {
-		t.Fatalf("classify response %q: %v", body, err)
-	}
-	if cr.Version != 1 || len(cr.Results) != 1 {
+	if cr.Version != 1 || cr.Lookup || len(cr.Results) != 1 {
 		t.Fatalf("classify response: %+v", cr)
 	}
 	if cr.Results[0].Unforeseen || cr.Results[0].Class < 0 {
@@ -130,30 +132,15 @@ func TestServeClassifyAndLookup(t *testing.T) {
 	}
 
 	// Batched lookup on bucket 0 must hit: learning populated it.
-	batch := `{"bucket":0,"signatures":[` + sigJSON(vals) + `,` + sigJSON(vals) + `]}`
-	code, body = post(t, ts.URL+"/v1/lookup", batch)
+	code, body, lr := decision(t, ts.URL+"/v1/lookup", "", 0, vals, vals)
 	if code != http.StatusOK {
 		t.Fatalf("lookup: %d %s", code, body)
 	}
-	var lr struct {
-		Version uint64 `json:"version"`
-		Results []struct {
-			Class      int     `json:"class"`
-			Certainty  float64 `json:"certainty"`
-			Unforeseen bool    `json:"unforeseen"`
-			Hit        bool    `json:"hit"`
-			Type       string  `json:"type"`
-			Count      int     `json:"count"`
-		} `json:"results"`
-	}
-	if err := json.Unmarshal([]byte(body), &lr); err != nil {
-		t.Fatalf("lookup response %q: %v", body, err)
-	}
-	if len(lr.Results) != 2 {
+	if !lr.Lookup || len(lr.Results) != 2 {
 		t.Fatalf("lookup results: %+v", lr)
 	}
 	for i, r := range lr.Results {
-		if !r.Hit || r.Type == "" || r.Count <= 0 {
+		if !r.Hit || r.Type == 0 || r.Count <= 0 {
 			t.Errorf("result %d should be a populated hit: %+v", i, r)
 		}
 	}
@@ -163,12 +150,79 @@ func TestServeClassifyAndLookup(t *testing.T) {
 	for i := range far {
 		far[i] = 1e9
 	}
-	code, body = post(t, ts.URL+"/v1/lookup", `{"signature":`+sigJSON(far)+`}`)
+	code, body, fr := decision(t, ts.URL+"/v1/lookup", "", 0, far)
 	if code != http.StatusOK {
 		t.Fatalf("unforeseen lookup: %d %s", code, body)
 	}
-	if !strings.Contains(body, `"unforeseen":true`) || !strings.Contains(body, `"class":-1`) {
-		t.Errorf("unforeseen lookup response: %s", body)
+	if r := fr.Results[0]; !r.Unforeseen || r.Class != -1 || r.Hit {
+		t.Errorf("unforeseen lookup response: %+v", r)
+	}
+}
+
+// TestDecisionContentTypeGuard pins the one-encoding contract on the
+// HTTP plane: the Content-Type is a guard, not a negotiation. Anything
+// but application/x-dejavu-batch (parameters allowed) is answered 415
+// with a JSON error body naming the accepted type, and counts as a bad
+// request — including a well-formed binary frame under the wrong label.
+func TestDecisionContentTypeGuard(t *testing.T) {
+	repo := testRepository(t, 1)
+	s, ts := newTestServer(t, repo, Config{})
+	good, err := batch("", 0, foreseenSignature(t, repo, 2, 300)).AppendBinary(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		contentType string
+		body        []byte
+		want        int
+	}{
+		{wire.ContentTypeBinary, good, http.StatusOK},
+		{wire.ContentTypeBinary + "; v=1", good, http.StatusOK},
+		{"application/json", []byte(`{"signature":[1,2,3]}`), http.StatusUnsupportedMediaType},
+		{"application/json", good, http.StatusUnsupportedMediaType},
+		{"", good, http.StatusUnsupportedMediaType},
+		{"application/x-www-form-urlencoded", good, http.StatusUnsupportedMediaType},
+		{wire.ContentTypeBinary + "2", good, http.StatusUnsupportedMediaType},
+	} {
+		for _, path := range []string{"/v1/classify", "/v1/lookup"} {
+			before := s.StatsSnapshot().BadRequests
+			req, err := http.NewRequest(http.MethodPost, ts.URL+path, bytes.NewReader(tc.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.contentType != "" {
+				req.Header.Set("Content-Type", tc.contentType)
+			}
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			body, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != tc.want {
+				t.Errorf("%s with Content-Type %q: %d %s, want %d", path, tc.contentType, resp.StatusCode, body, tc.want)
+				continue
+			}
+			rejected := s.StatsSnapshot().BadRequests - before
+			if tc.want == http.StatusOK {
+				if rejected != 0 {
+					t.Errorf("%s with Content-Type %q counted as a bad request", path, tc.contentType)
+				}
+				continue
+			}
+			var doc struct {
+				Error string `json:"error"`
+			}
+			if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
+				t.Errorf("415 Content-Type %q: error bodies are JSON", ct)
+			}
+			if err := json.Unmarshal(body, &doc); err != nil || !strings.Contains(doc.Error, wire.ContentTypeBinary) {
+				t.Errorf("415 body %q does not name the accepted type (%v)", body, err)
+			}
+			if rejected != 1 {
+				t.Errorf("%s with Content-Type %q: bad_requests moved by %d, want 1", path, tc.contentType, rejected)
+			}
+		}
 	}
 }
 
@@ -187,7 +241,7 @@ func TestServePutStatsMetricsAndErrors(t *testing.T) {
 	}
 
 	// Stats reflect traffic.
-	post(t, ts.URL+"/v1/classify", `{"signature":`+sigJSON(vals)+`}`)
+	decision(t, ts.URL+"/v1/classify", "", 0, vals)
 	resp, err := http.Get(ts.URL + "/v1/stats")
 	if err != nil {
 		t.Fatal(err)
@@ -225,10 +279,12 @@ func TestServePutStatsMetricsAndErrors(t *testing.T) {
 	if code, _ := post(t, ts.URL+"/v1/put", `{"class":0,"bucket":0,"type":"petabyte","count":1}`); code != http.StatusBadRequest {
 		t.Errorf("unknown type: %d", code)
 	}
-	if code, _ := post(t, ts.URL+"/v1/classify", `{"oops":true}`); code != http.StatusBadRequest {
-		t.Errorf("missing signature: %d", code)
+	if resp, err := http.Post(ts.URL+"/v1/classify", wire.ContentTypeBinary, strings.NewReader(`{"oops":true}`)); err != nil {
+		t.Fatal(err)
+	} else if resp.Body.Close(); resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("not a frame: %d", resp.StatusCode)
 	}
-	if code, _ := post(t, ts.URL+"/v1/classify", `{"signature":[1,2]}`); code != http.StatusBadRequest {
+	if code, _, _ := decision(t, ts.URL+"/v1/classify", "", 0, []float64{1, 2}); code != http.StatusBadRequest {
 		t.Errorf("width mismatch: %d", code)
 	}
 	resp, err = http.Get(ts.URL + "/v1/classify")
@@ -243,12 +299,11 @@ func TestServePutStatsMetricsAndErrors(t *testing.T) {
 		t.Errorf("405 Content-Type %q: error bodies are JSON on every endpoint", ct)
 	}
 
-	// A rejected batch must not leak its valid prefix rows into the
-	// drift monitor or the relearn corpus.
+	// A rejected batch must not feed the drift monitor or the relearn
+	// corpus.
 	preDecisions := s.StatsSnapshot().Decisions
 	preRows := s.StatsSnapshot().RecentRows
-	mixed := `{"signatures":[` + sigJSON(vals) + `,[1,2,3]]}`
-	if code, _ := post(t, ts.URL+"/v1/lookup", mixed); code != http.StatusBadRequest {
+	if code, _, _ := decision(t, ts.URL+"/v1/lookup", "", 0, []float64{1, 2, 3}, []float64{4, 5, 6}); code != http.StatusBadRequest {
 		t.Errorf("width-mismatched batch: %d", code)
 	}
 	if st := s.StatsSnapshot(); st.Decisions != preDecisions || st.RecentRows != preRows {

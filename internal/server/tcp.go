@@ -16,8 +16,8 @@ import (
 // (install, stats, snapshot, metrics); this listener serves only the
 // hot path — classify and lookup — as wire envelopes over persistent
 // connections, through the same pooled-scratch decide() the HTTP
-// adapter uses. Per connection: one hello exchange negotiating the
-// payload encoding, then a sequence of request envelopes answered in
+// adapter uses. Per connection: one hello exchange guarding protocol
+// version and encoding, then a sequence of request envelopes answered in
 // order (clients match responses by id, so they may pipeline).
 // Request errors are answered with error envelopes and the
 // connection stays up; only framing-level corruption closes it.
@@ -222,12 +222,14 @@ func (t *TCPServer) serveConn(nc net.Conn) {
 	if t.cfg.HelloTimeout > 0 {
 		_ = nc.SetReadDeadline(time.Now().Add(t.cfg.HelloTimeout))
 	}
-	enc, err := st.ReadClientHello()
-	if err != nil {
+	if _, err := st.ReadClientHello(); err != nil {
+		// Foreign magic, another release's version, or an encoding byte
+		// other than 1: count it, log why, and close.
 		t.s.badRequests.Add(1)
+		t.s.logf("dejavud: tcp %s: %v", nc.RemoteAddr(), err)
 		return
 	}
-	if err := st.WriteServerHello(enc); err != nil {
+	if err := st.WriteServerHello(wire.EncodingBinary); err != nil {
 		return
 	}
 	sc := t.s.pool.Get().(*scratch)
@@ -286,7 +288,7 @@ func (t *TCPServer) serveConn(nc net.Conn) {
 		// The payload aliases the Stream's read scratch; decide()
 		// consumes it before the next ReadEnvelope overwrites it.
 		sc.body = payload
-		out, err := t.s.decide(enc, sc, lookup, transportTCP)
+		out, err := t.s.decide(sc, lookup, transportTCP)
 		if child.Valid() {
 			t.s.spans.RecordHop(parent, child, "dejavud", decisionOp(lookup), spanStart, time.Since(spanStart))
 		}

@@ -1,6 +1,9 @@
 package server
 
 import (
+	"errors"
+	"fmt"
+	"io"
 	"net"
 	"strings"
 	"testing"
@@ -30,7 +33,7 @@ func startTCP(t testing.TB, s *Server, cfg TCPConfig) (*TCPServer, string) {
 }
 
 // dialStream dials the TCP plane and completes the hello exchange.
-func dialStream(t testing.TB, addr string, enc wire.Encoding) (net.Conn, *wire.Stream) {
+func dialStream(t testing.TB, addr string) (net.Conn, *wire.Stream) {
 	t.Helper()
 	nc, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -38,23 +41,19 @@ func dialStream(t testing.TB, addr string, enc wire.Encoding) (net.Conn, *wire.S
 	}
 	t.Cleanup(func() { nc.Close() })
 	st := wire.NewStream(nc)
-	if err := st.WriteClientHello(enc); err != nil {
+	if err := st.WriteClientHello(wire.EncodingBinary); err != nil {
 		t.Fatal(err)
 	}
-	got, err := st.ReadServerHello()
-	if err != nil {
+	if _, err := st.ReadServerHello(); err != nil {
 		t.Fatal(err)
-	}
-	if got != enc {
-		t.Fatalf("server negotiated %v, want %v", got, enc)
 	}
 	return nc, st
 }
 
 // roundTripTCP sends one request envelope and decodes the reply.
-func roundTripTCP(t testing.TB, st *wire.Stream, enc wire.Encoding, id uint32, req *wire.Request, lookup bool, resp *wire.Response) {
+func roundTripTCP(t testing.TB, st *wire.Stream, id uint32, req *wire.Request, lookup bool, resp *wire.Response) {
 	t.Helper()
-	frame, err := req.Append(enc, nil)
+	frame, err := req.AppendBinary(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,75 +74,123 @@ func roundTripTCP(t testing.TB, st *wire.Stream, enc wire.Encoding, id uint32, r
 	if gotFlags&wire.StreamFlagError != 0 {
 		t.Fatalf("error envelope: %s", payload)
 	}
-	if err := resp.Decode(enc, payload); err != nil {
+	if err := resp.DecodeBinary(payload); err != nil {
 		t.Fatal(err)
 	}
 }
 
 // TestTCPEndToEnd pins that the TCP plane serves the same decisions
-// as the HTTP plane, in both encodings, with request errors answered
-// as error envelopes that leave the connection usable.
+// as the HTTP plane, with request errors answered as error envelopes
+// that leave the connection usable.
 func TestTCPEndToEnd(t *testing.T) {
 	repo := testRepository(t, 1)
 	s, _ := newTestServer(t, repo, Config{})
 	_, addr := startTCP(t, s, TCPConfig{})
 	sig := foreseenSignature(t, repo, 2, 220)
 
-	for _, enc := range []wire.Encoding{wire.EncodingBinary, wire.EncodingJSON} {
-		_, st := dialStream(t, addr, enc)
-		var req wire.Request
-		var resp wire.Response
+	_, st := dialStream(t, addr)
+	var req wire.Request
+	var resp wire.Response
 
-		// Lookup hit.
-		req.Reset()
-		req.AppendRow(sig)
-		roundTripTCP(t, st, enc, 1, &req, true, &resp)
-		if len(resp.Results) != 1 || !resp.Results[0].Hit {
-			t.Fatalf("enc %v: lookup results %+v, want one hit", enc, resp.Results)
-		}
-		if resp.Version == 0 {
-			t.Fatalf("enc %v: response version 0", enc)
-		}
-
-		// Classify.
-		req.Reset()
-		req.AppendRow(sig)
-		roundTripTCP(t, st, enc, 2, &req, false, &resp)
-		if len(resp.Results) != 1 || resp.Results[0].Class < 0 {
-			t.Fatalf("enc %v: classify results %+v", enc, resp.Results)
-		}
-
-		// Bad request (wrong width) → error envelope, connection stays.
-		req.Reset()
-		req.AppendRow([]float64{1, 2})
-		frame, err := req.Append(enc, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := st.WriteEnvelope(3, wire.StreamFlagLookup, frame); err != nil {
-			t.Fatal(err)
-		}
-		id, flags, payload, err := st.ReadEnvelope(1 << 20)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if id != 3 || flags&wire.StreamFlagError == 0 {
-			t.Fatalf("want error envelope for id 3, got id=%d flags=%d", id, flags)
-		}
-		if !strings.Contains(string(payload), "values") {
-			t.Fatalf("error message %q", payload)
-		}
-
-		// Connection survived the error.
-		req.Reset()
-		req.AppendRow(sig)
-		roundTripTCP(t, st, enc, 4, &req, true, &resp)
-		if len(resp.Results) != 1 {
-			t.Fatalf("enc %v: post-error lookup results %+v", enc, resp.Results)
-		}
+	// Lookup hit.
+	req.Reset()
+	req.AppendRow(sig)
+	roundTripTCP(t, st, 1, &req, true, &resp)
+	if len(resp.Results) != 1 || !resp.Results[0].Hit {
+		t.Fatalf("lookup results %+v, want one hit", resp.Results)
 	}
-	if got := s.badRequests.Load(); got != 2 {
-		t.Errorf("badRequests = %d, want 2 (one bad width per encoding)", got)
+	if resp.Version == 0 {
+		t.Fatal("response version 0")
+	}
+
+	// Classify.
+	req.Reset()
+	req.AppendRow(sig)
+	roundTripTCP(t, st, 2, &req, false, &resp)
+	if len(resp.Results) != 1 || resp.Results[0].Class < 0 {
+		t.Fatalf("classify results %+v", resp.Results)
+	}
+
+	// Bad request (wrong width) → error envelope, connection stays.
+	req.Reset()
+	req.AppendRow([]float64{1, 2})
+	frame, err := req.AppendBinary(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.WriteEnvelope(3, wire.StreamFlagLookup, frame); err != nil {
+		t.Fatal(err)
+	}
+	id, flags, payload, err := st.ReadEnvelope(1 << 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if id != 3 || flags&wire.StreamFlagError == 0 {
+		t.Fatalf("want error envelope for id 3, got id=%d flags=%d", id, flags)
+	}
+	if !strings.Contains(string(payload), "values") {
+		t.Fatalf("error message %q", payload)
+	}
+
+	// Connection survived the error.
+	req.Reset()
+	req.AppendRow(sig)
+	roundTripTCP(t, st, 4, &req, true, &resp)
+	if len(resp.Results) != 1 {
+		t.Fatalf("post-error lookup results %+v", resp.Results)
+	}
+	if got := s.badRequests.Load(); got != 1 {
+		t.Errorf("badRequests = %d, want 1 (the bad width)", got)
+	}
+}
+
+// TestTCPHelloEncodingGuard pins the stream plane's half of the
+// one-encoding contract: the hello's enc byte is reserved at 1. A
+// client naming any other encoding — 0 was the retired JSON codec —
+// gets no server hello and a closed connection, the daemon counts a
+// bad request and logs the specific reason.
+func TestTCPHelloEncodingGuard(t *testing.T) {
+	repo := testRepository(t, 1)
+	logs := make(chan string, 16)
+	s, _ := newTestServer(t, repo, Config{Logf: func(format string, args ...any) {
+		logs <- fmt.Sprintf(format, args...)
+	}})
+	_, addr := startTCP(t, s, TCPConfig{})
+	for _, tc := range []struct {
+		enc    byte
+		served bool
+	}{{1, true}, {0, false}, {2, false}, {255, false}} {
+		before := s.badRequests.Load()
+		nc, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := nc.Write([]byte{'D', 'J', 'V', 'S', wire.StreamVersion, tc.enc}); err != nil {
+			t.Fatal(err)
+		}
+		nc.SetReadDeadline(time.Now().Add(5 * time.Second))
+		_, err = wire.NewStream(nc).ReadServerHello()
+		nc.Close()
+		if tc.served {
+			if err != nil {
+				t.Errorf("enc byte %d: %v, want a server hello", tc.enc, err)
+			}
+			continue
+		}
+		if !errors.Is(err, io.EOF) {
+			t.Errorf("enc byte %d: %v, want the connection closed before any server hello", tc.enc, err)
+		}
+		select {
+		case line := <-logs:
+			if want := fmt.Sprintf("unsupported stream encoding byte %d", tc.enc); !strings.Contains(line, want) {
+				t.Errorf("enc byte %d: logged %q, want mention of %q", tc.enc, line, want)
+			}
+		case <-time.After(5 * time.Second):
+			t.Errorf("enc byte %d: rejection never logged", tc.enc)
+		}
+		if got := s.badRequests.Load() - before; got != 1 {
+			t.Errorf("enc byte %d: badRequests moved by %d, want 1", tc.enc, got)
+		}
 	}
 }
 
@@ -155,13 +202,13 @@ func TestTCPPipelining(t *testing.T) {
 	s, _ := newTestServer(t, repo, Config{})
 	_, addr := startTCP(t, s, TCPConfig{})
 	sig := foreseenSignature(t, repo, 2, 220)
-	_, st := dialStream(t, addr, wire.EncodingBinary)
+	_, st := dialStream(t, addr)
 
 	const n = 16
 	var req wire.Request
 	req.Reset()
 	req.AppendRow(sig)
-	frame, err := req.Append(wire.EncodingBinary, nil)
+	frame, err := req.AppendBinary(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +229,7 @@ func TestTCPPipelining(t *testing.T) {
 		if flags&wire.StreamFlagError != 0 {
 			t.Fatalf("response %d: error envelope %s", i, payload)
 		}
-		if err := resp.Decode(wire.EncodingBinary, payload); err != nil {
+		if err := resp.DecodeBinary(payload); err != nil {
 			t.Fatal(err)
 		}
 		if len(resp.Results) != 1 || !resp.Results[0].Hit {
@@ -227,13 +274,13 @@ func TestTCPAccepters(t *testing.T) {
 	const conns = 8
 	streams := make([]*wire.Stream, conns)
 	for i := range streams {
-		_, streams[i] = dialStream(t, addr, wire.EncodingBinary)
+		_, streams[i] = dialStream(t, addr)
 	}
 	var req wire.Request
 	req.AppendRow(sig)
 	var resp wire.Response
 	for i, st := range streams {
-		roundTripTCP(t, st, wire.EncodingBinary, uint32(i), &req, true, &resp)
+		roundTripTCP(t, st, uint32(i), &req, true, &resp)
 		if len(resp.Results) != 1 {
 			t.Fatalf("conn %d: %+v", i, resp.Results)
 		}
@@ -264,7 +311,7 @@ func TestTCPDecideZeroAlloc(t *testing.T) {
 	s, _ := newTestServer(t, repo, Config{})
 	_, addr := startTCP(t, s, TCPConfig{})
 	sig := foreseenSignature(t, repo, 2, 220)
-	_, st := dialStream(t, addr, wire.EncodingBinary)
+	_, st := dialStream(t, addr)
 
 	var req wire.Request
 	for i := 0; i < 16; i++ {
@@ -276,7 +323,7 @@ func TestTCPDecideZeroAlloc(t *testing.T) {
 	roundTrip := func() {
 		id++
 		var err error
-		frame, err = req.Append(wire.EncodingBinary, frame[:0])
+		frame, err = req.AppendBinary(frame[:0])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -290,7 +337,7 @@ func TestTCPDecideZeroAlloc(t *testing.T) {
 		if gotID != id || flags&wire.StreamFlagError != 0 {
 			t.Fatalf("id=%d flags=%d", gotID, flags)
 		}
-		if err := resp.Decode(wire.EncodingBinary, payload); err != nil {
+		if err := resp.DecodeBinary(payload); err != nil {
 			t.Fatal(err)
 		}
 		if len(resp.Results) != 16 {

@@ -56,17 +56,17 @@ func TestMultiTemplateRouting(t *testing.T) {
 	vals := foreseenSignature(t, repoA, 23, 300)
 
 	// Ambiguous: two templates, no template id.
-	code, body := post(t, ts.URL+"/v1/lookup", `{"signature":`+sigJSON(vals)+`}`)
+	code, body, _ := decision(t, ts.URL+"/v1/lookup", "", 0, vals)
 	if code != http.StatusBadRequest {
 		t.Fatalf("untemplated request on a 2-template server: %d %s", code, body)
 	}
 	// Unknown template.
-	code, _ = post(t, ts.URL+"/v1/lookup", `{"template":"gamma","signature":`+sigJSON(vals)+`}`)
+	code, _, _ = decision(t, ts.URL+"/v1/lookup", "gamma", 0, vals)
 	if code != http.StatusBadRequest {
 		t.Fatalf("unknown template: %d", code)
 	}
-	// Routed JSON and binary requests land on their template.
-	code, body = post(t, ts.URL+"/v1/lookup", `{"template":"alpha","bucket":0,"signatures":[`+sigJSON(vals)+`]}`)
+	// Routed requests land on their template.
+	code, body, _ = decision(t, ts.URL+"/v1/lookup", "alpha", 0, vals)
 	if code != http.StatusOK {
 		t.Fatalf("alpha lookup: %d %s", code, body)
 	}
@@ -152,7 +152,7 @@ func TestInstallAndGet(t *testing.T) {
 	vals := foreseenSignature(t, repo, 32, 300)
 
 	// No templates yet: decisions are rejected, not crashed.
-	code, body := post(t, ts.URL+"/v1/lookup", `{"signature":`+sigJSON(vals)+`}`)
+	code, body, _ := decision(t, ts.URL+"/v1/lookup", "", 0, vals)
 	if code != http.StatusBadRequest {
 		t.Fatalf("decision on empty server: %d %s", code, body)
 	}
@@ -173,8 +173,8 @@ func TestInstallAndGet(t *testing.T) {
 	}
 
 	// The sole template serves untemplated requests too.
-	code, body = post(t, ts.URL+"/v1/lookup", `{"bucket":0,"signatures":[`+sigJSON(vals)+`]}`)
-	if code != http.StatusOK || !strings.Contains(body, `"hit":true`) {
+	code, body, lr := decision(t, ts.URL+"/v1/lookup", "", 0, vals)
+	if code != http.StatusOK || !lr.Results[0].Hit {
 		t.Fatalf("post-install lookup: %d %s", code, body)
 	}
 
@@ -217,95 +217,5 @@ func TestInstallAndGet(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("unnamed install: %d", resp.StatusCode)
-	}
-}
-
-// TestBinaryJSONDecisionEquality pins the negotiation contract at the
-// server boundary: the same batch sent in both encodings yields
-// decisions that are value-identical after decoding.
-func TestBinaryJSONDecisionEquality(t *testing.T) {
-	repo := testRepository(t, 41)
-	_, ts := newTestServer(t, repo, Config{})
-	vals := foreseenSignature(t, repo, 42, 300)
-	far := make([]float64, len(vals))
-	for i := range far {
-		far[i] = 1e9
-	}
-
-	var req wire.Request
-	req.Bucket = 0
-	req.AppendRow(vals)
-	req.AppendRow(far)
-	req.AppendRow(vals)
-
-	jsonBody := req.AppendJSON(nil)
-	resp, err := http.Post(ts.URL+"/v1/lookup", wire.ContentTypeJSON, bytes.NewReader(jsonBody))
-	if err != nil {
-		t.Fatal(err)
-	}
-	jb, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("json lookup: %d %s", resp.StatusCode, jb)
-	}
-	if ct := resp.Header.Get("Content-Type"); ct != wire.ContentTypeJSON {
-		t.Errorf("json request answered with Content-Type %q", ct)
-	}
-	var jsonResp wire.Response
-	if err := jsonResp.DecodeJSON(jb); err != nil {
-		t.Fatal(err)
-	}
-
-	code, bb := postBinary(t, ts.URL+"/v1/lookup", &req)
-	if code != http.StatusOK {
-		t.Fatalf("binary lookup: %d %s", code, bb)
-	}
-	var binResp wire.Response
-	if err := binResp.DecodeBinary(bb); err != nil {
-		t.Fatal(err)
-	}
-
-	if len(jsonResp.Results) != 3 || len(binResp.Results) != 3 {
-		t.Fatalf("results: json %d, binary %d", len(jsonResp.Results), len(binResp.Results))
-	}
-	if jsonResp.Version != binResp.Version {
-		t.Errorf("versions diverged: %d vs %d", jsonResp.Version, binResp.Version)
-	}
-	for i := range jsonResp.Results {
-		if jsonResp.Results[i] != binResp.Results[i] {
-			t.Errorf("row %d: json %+v != binary %+v", i, jsonResp.Results[i], binResp.Results[i])
-		}
-	}
-	if !jsonResp.Results[1].Unforeseen || jsonResp.Results[1].Class != -1 {
-		t.Errorf("far signature should be unforeseen: %+v", jsonResp.Results[1])
-	}
-	if !jsonResp.Results[0].Hit || jsonResp.Results[0].Count <= 0 {
-		t.Errorf("foreseen signature should hit: %+v", jsonResp.Results[0])
-	}
-
-	// Nonstandard content types fall back to the JSON compatibility
-	// path (the pre-wire server never inspected the header, so old
-	// clients send all sorts) ...
-	resp, err = http.Post(ts.URL+"/v1/lookup", "application/x-www-form-urlencoded", bytes.NewReader(jsonBody))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Errorf("JSON body under a nonstandard content type: %d", resp.StatusCode)
-	}
-	// ... while a binary frame mislabeled as JSON fails loudly at the
-	// first scan instead of misparsing.
-	binBody, err := req.AppendBinary(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err = http.Post(ts.URL+"/v1/lookup", wire.ContentTypeJSON, bytes.NewReader(binBody))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("mislabeled binary frame: %d", resp.StatusCode)
 	}
 }

@@ -30,41 +30,25 @@ func benchBatch() (*Request, *Response) {
 	return &req, resp
 }
 
-// BenchmarkCodec compares JSON and binary encode/decode for one
-// 16-signature batch in each direction. The binary codec's allocs/op
-// must be 0 (also pinned hard by TestBinaryCodecZeroAlloc).
+// BenchmarkCodec times encode/decode of one 16-signature batch in each
+// direction. allocs/op must be 0 (also pinned hard by
+// TestBinaryCodecZeroAlloc).
 func BenchmarkCodec(b *testing.B) {
 	req, resp := benchBatch()
-	reqJSON := req.AppendJSON(nil)
 	reqBin, err := req.AppendBinary(nil)
 	if err != nil {
 		b.Fatal(err)
 	}
-	respJSON := resp.AppendJSON(nil)
 	respBin := resp.AppendBinary(nil)
 
 	var scratchReq Request
 	var scratchResp Response
 	var buf []byte
 
-	b.Run("json/encode-request", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			buf = req.AppendJSON(buf[:0])
-		}
-	})
 	b.Run("binary/encode-request", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if buf, err = req.AppendBinary(buf[:0]); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("json/decode-request", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if err := scratchReq.DecodeJSON(reqJSON); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -77,24 +61,10 @@ func BenchmarkCodec(b *testing.B) {
 			}
 		}
 	})
-	b.Run("json/encode-response", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			buf = resp.AppendJSON(buf[:0])
-		}
-	})
 	b.Run("binary/encode-response", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			buf = resp.AppendBinary(buf[:0])
-		}
-	})
-	b.Run("json/decode-response", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if err := scratchResp.DecodeJSON(respJSON); err != nil {
-				b.Fatal(err)
-			}
 		}
 	})
 	b.Run("binary/decode-response", func(b *testing.B) {
@@ -143,20 +113,5 @@ func TestBinaryCodecZeroAlloc(t *testing.T) {
 		}
 	}); allocs != 0 {
 		t.Errorf("binary codec allocates %.1f times per batch round trip, want 0", allocs)
-	}
-
-	// The JSON decode side is allocation-free too once warmed (its
-	// encode side is as well; both feed the serve benchmark's JSON
-	// axis).
-	reqJSON := req.AppendJSON(nil)
-	if err := scratchReq.DecodeJSON(reqJSON); err != nil {
-		t.Fatal(err)
-	}
-	if allocs := testing.AllocsPerRun(200, func() {
-		if err := scratchReq.DecodeJSON(reqJSON); err != nil {
-			t.Fatal(err)
-		}
-	}); allocs != 0 {
-		t.Errorf("JSON request decode allocates %.1f times per batch, want 0", allocs)
 	}
 }

@@ -109,35 +109,48 @@ func TestBinaryDecodeErrors(t *testing.T) {
 	if err := resp.DecodeBinary(frame); err == nil {
 		t.Error("request frame must not decode as a response")
 	}
+	// The deprecated tagged entry point accepts both spellings of the
+	// one encoding and refuses any other tag before looking at the body.
+	okFrame := (&Response{Version: 1}).AppendBinary(nil)
+	for enc, ok := range map[Encoding]bool{0: true, EncodingBinary: true, 2: false} {
+		if err := resp.Decode(enc, okFrame); (err == nil) != ok {
+			t.Errorf("Response.Decode with tag %d: %v", enc, err)
+		}
+	}
 }
 
 // TestBinaryHostileDimensions pins the overflow guard: a hand-built
 // frame whose rows×width wraps uint64 (or exceeds the value budget)
 // must be rejected at decode, not panic the row indexer downstream.
 func TestBinaryHostileDimensions(t *testing.T) {
-	build := func(rows, width uint64) []byte {
-		b := []byte{0, 0, 0, 0, reqMagic, Version}
-		b = appendUvarint(b, 0) // empty template
-		b = appendUvarint(b, 0) // bucket
-		b = appendUvarint(b, rows)
-		b = appendUvarint(b, width)
-		// No values: a dimensions lie should fail before (or while)
-		// reading them regardless.
-		binaryPutLen(b)
-		return b
-	}
-	cases := map[string][2]uint64{
-		"wrapping product":  {1 << 20, 1 << 44}, // rows*width ≡ 0 (mod 2^64)
-		"huge width":        {1, 1 << 30},
-		"huge rows":         {1 << 30, 1},
-		"over value budget": {1 << 20, 1 << 10},
-	}
-	for name, dims := range cases {
+	for name, dims := range hostileDimensions {
 		var req Request
-		if err := req.DecodeBinary(build(dims[0], dims[1])); err == nil {
+		if err := req.DecodeBinary(hostileFrame(dims[0], dims[1])); err == nil {
 			t.Errorf("%s (%d×%d): expected decode error", name, dims[0], dims[1])
 		}
 	}
+}
+
+// hostileDimensions are rows×width claims no frame may get away with
+// (also the fuzz seeds).
+var hostileDimensions = map[string][2]uint64{
+	"wrapping product":  {1 << 20, 1 << 44}, // rows*width ≡ 0 (mod 2^64)
+	"huge width":        {1, 1 << 30},
+	"huge rows":         {1 << 30, 1},
+	"over value budget": {1 << 20, 1 << 10},
+}
+
+// hostileFrame hand-builds a request frame claiming rows×width values
+// and carrying none: a dimensions lie should fail before (or while)
+// reading them regardless.
+func hostileFrame(rows, width uint64) []byte {
+	b := []byte{0, 0, 0, 0, reqMagic, Version}
+	b = appendUvarint(b, 0) // empty template
+	b = appendUvarint(b, 0) // bucket
+	b = appendUvarint(b, rows)
+	b = appendUvarint(b, width)
+	binaryPutLen(b)
+	return b
 }
 
 // binaryPutLen backpatches the u32 length prefix of a hand-built frame.

@@ -18,12 +18,12 @@ import (
 //	server hello := 'D' 'J' 'V' 'S' ver:u8 enc:u8
 //	envelope     := elen:u32 id:u32 flags:u8 payload
 //
-// The hello exchange is the content negotiation the HTTP plane does
-// with Content-Type: the client names the encoding it will send
-// (EncodingJSON or EncodingBinary) plus the protocol version byte,
-// and the server echoes the encoding it accepts — today always the
-// requested one — or closes on a version it does not speak. Both
-// sides fail loudly on a magic or version mismatch, so a stray
+// The hello exchange is the guard the HTTP plane applies with
+// Content-Type: each side names the protocol version byte and the
+// payload encoding, and closes on one it does not speak. The enc byte
+// is reserved: it is always 1 (EncodingBinary), and a peer sending
+// anything else gets a specific error and a closed connection. Both
+// sides fail loudly on a magic or version mismatch too, so a stray
 // HTTP client (or an old peer) never silently misparses.
 //
 // Every envelope after the hello carries a caller-chosen request id.
@@ -113,36 +113,33 @@ func NewStream(rw io.ReadWriter) *Stream {
 	return &Stream{br: bufio.NewReaderSize(rw, 16<<10), w: rw}
 }
 
-// WriteClientHello sends the client half of the handshake, naming
-// the payload encoding this connection will carry.
-func (s *Stream) WriteClientHello(enc Encoding) error {
-	return s.writeHello(enc)
-}
+// WriteClientHello sends the client half of the handshake. enc is the
+// protocol tag: the zero value and EncodingBinary both put 1 on the
+// wire, anything else is an error.
+func (s *Stream) WriteClientHello(enc Encoding) error { return s.writeHello(enc) }
 
-// WriteServerHello sends the server half of the handshake, echoing
-// the encoding the server accepted.
-func (s *Stream) WriteServerHello(enc Encoding) error {
-	return s.writeHello(enc)
-}
+// WriteServerHello sends the server half of the handshake.
+func (s *Stream) WriteServerHello(enc Encoding) error { return s.writeHello(enc) }
 
 func (s *Stream) writeHello(enc Encoding) error {
+	if err := enc.check(); err != nil {
+		return err
+	}
 	var b [helloLen]byte
 	copy(b[:], streamMagic[:])
 	b[4] = StreamVersion
-	b[5] = byte(enc)
+	b[5] = byte(EncodingBinary)
 	_, err := s.w.Write(b[:])
 	return err
 }
 
-// ReadClientHello validates the peer's hello and returns the
-// encoding it negotiated. The errors are deliberately specific: a
-// magic mismatch means a foreign protocol hit the port, a version
-// mismatch means a peer from another release.
+// ReadClientHello validates the peer's hello and returns its encoding
+// tag, always EncodingBinary. The errors are deliberately specific: a
+// magic mismatch means a foreign protocol hit the port, a version or
+// encoding mismatch means a peer from another release.
 func (s *Stream) ReadClientHello() (Encoding, error) { return s.readHello() }
 
-// ReadServerHello validates the server's hello and returns the
-// encoding the server accepted; callers should verify it matches the
-// one they requested.
+// ReadServerHello validates the server's hello.
 func (s *Stream) ReadServerHello() (Encoding, error) { return s.readHello() }
 
 func (s *Stream) readHello() (Encoding, error) {
@@ -156,11 +153,10 @@ func (s *Stream) readHello() (Encoding, error) {
 	if b[4] != StreamVersion {
 		return 0, fmt.Errorf("wire: unsupported stream version %d (this side speaks %d)", b[4], StreamVersion)
 	}
-	switch Encoding(b[5]) {
-	case EncodingJSON, EncodingBinary:
-		return Encoding(b[5]), nil
+	if Encoding(b[5]) != EncodingBinary {
+		return 0, fmt.Errorf("wire: unsupported stream encoding byte %d (the only decision encoding is binary, %d)", b[5], EncodingBinary)
 	}
-	return 0, fmt.Errorf("wire: unknown stream encoding byte %d", b[5])
+	return EncodingBinary, nil
 }
 
 // ReadEnvelope reads one envelope, returning its request id, flags,

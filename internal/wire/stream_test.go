@@ -18,33 +18,40 @@ type pipeBuf struct {
 func (p *pipeBuf) Read(b []byte) (int, error)  { return p.R.Read(b) }
 func (p *pipeBuf) Write(b []byte) (int, error) { return p.W.Write(b) }
 
-// TestStreamHelloRoundTrip pins the handshake: the client names an
-// encoding, the server reads it back, and both hellos are the same
-// six bytes apart from the negotiated encoding.
+// TestStreamHelloRoundTrip pins the handshake bytes: the zero tag and
+// EncodingBinary both put 'D' 'J' 'V' 'S' 1 1 on the wire, the peer
+// reads EncodingBinary back, and any other tag is refused before a
+// byte is written.
 func TestStreamHelloRoundTrip(t *testing.T) {
-	for _, enc := range []Encoding{EncodingJSON, EncodingBinary} {
+	for _, enc := range []Encoding{0, EncodingBinary} {
 		var wireBytes bytes.Buffer
 		cs := NewStream(&pipeBuf{R: &bytes.Buffer{}, W: &wireBytes})
 		if err := cs.WriteClientHello(enc); err != nil {
 			t.Fatal(err)
 		}
-		if wireBytes.Len() != helloLen {
-			t.Fatalf("hello is %d bytes, want %d", wireBytes.Len(), helloLen)
+		if want := []byte{'D', 'J', 'V', 'S', 1, 1}; !bytes.Equal(wireBytes.Bytes(), want) {
+			t.Fatalf("hello bytes %v, want %v", wireBytes.Bytes(), want)
 		}
 		ss := NewStream(&pipeBuf{R: &wireBytes, W: &bytes.Buffer{}})
 		got, err := ss.ReadClientHello()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got != enc {
-			t.Fatalf("negotiated %v, want %v", got, enc)
+		if got != EncodingBinary {
+			t.Fatalf("hello read back %v, want %v", got, EncodingBinary)
 		}
+	}
+	var wireBytes bytes.Buffer
+	cs := NewStream(&pipeBuf{R: &bytes.Buffer{}, W: &wireBytes})
+	if err := cs.WriteClientHello(2); err == nil || wireBytes.Len() != 0 {
+		t.Fatalf("unknown tag: err = %v, %d bytes written", err, wireBytes.Len())
 	}
 }
 
 // TestStreamHelloRejections pins the failure modes: foreign magic
 // (an HTTP request hitting the TCP port), an unknown version byte,
-// and an unknown encoding byte all fail loudly with specific errors.
+// and any encoding byte but 1 — including 0, the retired JSON tag —
+// all fail loudly with specific errors.
 func TestStreamHelloRejections(t *testing.T) {
 	good := func() []byte {
 		var b bytes.Buffer
@@ -61,7 +68,8 @@ func TestStreamHelloRejections(t *testing.T) {
 	}{
 		{"http-on-tcp-port", []byte("POST /v"), "magic"},
 		{"bad-version", func() []byte { b := append([]byte(nil), good...); b[4] = 99; return b }(), "version"},
-		{"bad-encoding", func() []byte { b := append([]byte(nil), good...); b[5] = 7; return b }(), "encoding"},
+		{"bad-encoding", func() []byte { b := append([]byte(nil), good...); b[5] = 7; return b }(), "unsupported stream encoding byte 7"},
+		{"retired-json-encoding", func() []byte { b := append([]byte(nil), good...); b[5] = 0; return b }(), "unsupported stream encoding byte 0"},
 		{"truncated", good[:3], "hello"},
 	}
 	for _, tc := range cases {

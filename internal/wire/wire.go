@@ -6,26 +6,19 @@
 // response carries one classify/lookup decision per signature, tagged
 // with the repository version that served the batch.
 //
-// Two encodings are negotiated via Content-Type:
+// There is one decision encoding on every transport: the binary
+// columnar batch frame (application/x-dejavu-batch over HTTP, the same
+// bytes inside a stream envelope over raw TCP) — a length-prefixed
+// frame holding the signature batch as one dense little-endian float64
+// block (values cross the wire bit-exactly, no parse/format tax) with
+// varint ids for template length, bucket, row/column counts, classes,
+// and allocation types. The HTTP Content-Type is a guard, not a
+// negotiation: decision endpoints answer anything else with 415.
 //
-//   - application/json — the compatibility path: the original
-//     hand-rolled, allocation-free JSON vocabulary ({"template":...,
-//     "bucket":..., "signatures":[[...]]}) kept byte-compatible with
-//     pre-wire dejavud deployments.
-//   - application/x-dejavu-batch — the binary columnar batch
-//     encoding: a length-prefixed frame holding the signature batch
-//     as one dense little-endian float64 block (values cross the
-//     wire bit-exactly, no parse/format tax) with varint ids for
-//     template length, bucket, row/column counts, classes, and
-//     allocation types.
-//
-// Both encodings decode to identical in-memory structures; for every
-// payload the codecs themselves produce, the decoded values are
-// bit-equal across encodings (TestWireJSONBinaryEquivalence). Encoding
-// and decoding are allocation-free at steady state on both the client
-// and the server side of the exchange: all codec state lives in
-// caller-owned scratch that warms up to the workload's batch size
-// (BenchmarkCodec pins 0 allocs/op for the binary codec).
+// Encoding and decoding are allocation-free at steady state on both
+// the client and the server side of the exchange: all codec state
+// lives in caller-owned scratch that warms up to the workload's batch
+// size (TestBinaryCodecZeroAlloc and BenchmarkCodec pin 0 allocs/op).
 //
 // Frame layouts (all multi-byte integers little-endian, "uv" =
 // unsigned LEB128 varint, "zv" = zigzag varint):
@@ -52,17 +45,14 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strings"
 
 	"repro/internal/cloud"
 )
 
-// Content types negotiated on decision endpoints.
-const (
-	// ContentTypeJSON is the compatibility encoding.
-	ContentTypeJSON = "application/json"
-	// ContentTypeBinary is the binary columnar batch encoding.
-	ContentTypeBinary = "application/x-dejavu-batch"
-)
+// ContentTypeBinary is the only Content-Type decision endpoints accept
+// and the one they answer with.
+const ContentTypeBinary = "application/x-dejavu-batch"
 
 // Protocol framing constants.
 const (
@@ -81,49 +71,40 @@ const maxRows = 1 << 20
 // maxValues bounds rows×width.
 const maxValues = 1 << 24
 
-// Encoding selects one of the two negotiated codecs.
+// minRowBytes is the smallest encoding of one response row: flags,
+// a one-byte class varint, and the certainty.
+const minRowBytes = 1 + 1 + 8
+
+// Encoding is the protocol tag of the decision codec: the enc byte of
+// the stream hello. It has one value; the zero value means the same
+// thing, so configurations that never set it are valid.
 type Encoding uint8
 
-const (
-	// EncodingJSON is the compatibility path.
-	EncodingJSON Encoding = iota
-	// EncodingBinary is the columnar batch encoding.
-	EncodingBinary
-)
+// EncodingBinary is the binary columnar batch encoding.
+const EncodingBinary Encoding = 1
 
-// ContentType returns the Content-Type header value for the encoding.
-func (e Encoding) ContentType() string {
-	if e == EncodingBinary {
-		return ContentTypeBinary
+func (e Encoding) check() error {
+	if e > EncodingBinary {
+		return fmt.Errorf("wire: unknown encoding %d (the only decision encoding is binary, %d)", e, EncodingBinary)
 	}
-	return ContentTypeJSON
+	return nil
 }
 
-// EncodingForContentType maps a Content-Type header to an Encoding:
-// exactly ContentTypeBinary selects the binary codec, anything else
-// (including absent or nonstandard types — the pre-wire server never
-// inspected the header, so historical clients send all sorts) is the
-// JSON compatibility path. A binary frame mislabeled as JSON fails
-// loudly at the first scan, never silently misparses. Parameters
-// after ';' are ignored.
-func EncodingForContentType(ct string) Encoding {
-	for i := 0; i < len(ct); i++ {
-		if ct[i] == ';' {
-			ct = ct[:i]
-			break
-		}
+// EncodingForContentType guards a decision endpoint: exactly
+// ContentTypeBinary (parameters after ';' ignored) is accepted, and
+// anything else is an error naming the accepted type — the 415 body.
+func EncodingForContentType(ct string) (Encoding, error) {
+	if base, _, _ := strings.Cut(ct, ";"); base != ContentTypeBinary {
+		return 0, fmt.Errorf("wire: unsupported Content-Type %q: decision endpoints accept only %s", ct, ContentTypeBinary)
 	}
-	if ct == ContentTypeBinary {
-		return EncodingBinary
-	}
-	return EncodingJSON
+	return EncodingBinary, nil
 }
 
 // Request is the decoded form of a decision request, backed entirely
 // by reusable scratch storage: row i of the batch is
-// vals[ends[i-1]:ends[i]] (ends[-1] meaning 0). The JSON encoding
-// permits ragged rows (the server rejects them against the
-// repository width); the binary encoding is structurally rectangular.
+// vals[ends[i-1]:ends[i]] (ends[-1] meaning 0). A decoded request is
+// rectangular with at least one row and one column; a caller-built one
+// is whatever AppendRow made it, and AppendBinary rejects ragged rows.
 type Request struct {
 	// Template routes the batch to one of the server's templates;
 	// empty means the server's sole (or "default") template. The
@@ -132,10 +113,6 @@ type Request struct {
 	Template []byte
 	// Bucket is the interference bucket for lookups.
 	Bucket int
-	// Single records that a JSON request used the "signature" key (a
-	// batch of one). It exists for the empty-request validation and
-	// for tests; the reply envelope is always batched regardless.
-	Single bool
 
 	vals []float64
 	ends []int
@@ -158,7 +135,6 @@ func (r *Request) Row(i int) []float64 {
 func (r *Request) Reset() {
 	r.Template = nil
 	r.Bucket = 0
-	r.Single = false
 	r.vals = r.vals[:0]
 	r.ends = r.ends[:0]
 }
@@ -257,6 +233,12 @@ func (r *Request) DecodeBinary(body []byte) error {
 		return fmt.Errorf("wire: batch of %d×%d values exceeds limits", rows, width)
 	}
 	n := int(rows * width)
+	// The value block is the rest of the frame: check before sizing the
+	// scratch, so a short frame cannot make the decoder allocate more
+	// than the bytes it was handed.
+	if len(d.b)-d.i < 8*n {
+		return errTruncated
+	}
 	if cap(r.vals) < n {
 		r.vals = make([]float64, 0, n)
 	}
@@ -276,22 +258,6 @@ func (r *Request) DecodeBinary(body []byte) error {
 
 // maxTemplateLen bounds a template id on the wire.
 const maxTemplateLen = 256
-
-// Decode dispatches on the encoding.
-func (r *Request) Decode(enc Encoding, body []byte) error {
-	if enc == EncodingBinary {
-		return r.DecodeBinary(body)
-	}
-	return r.DecodeJSON(body)
-}
-
-// Append encodes the request in the given encoding.
-func (r *Request) Append(enc Encoding, dst []byte) ([]byte, error) {
-	if enc == EncodingBinary {
-		return r.AppendBinary(dst)
-	}
-	return r.AppendJSON(dst), nil
-}
 
 // Decision is one classify/lookup result row.
 type Decision struct {
@@ -392,6 +358,11 @@ func (r *Response) DecodeBinary(body []byte) error {
 		return fmt.Errorf("wire: response of %d rows exceeds limit", rows)
 	}
 	n := int(rows)
+	// Every row costs at least minRowBytes of frame; same allocation
+	// bound as the request decoder's.
+	if len(d.b)-d.i < minRowBytes*n {
+		return errTruncated
+	}
 	if cap(r.Results) < n {
 		r.Results = make([]Decision, 0, n)
 	}
@@ -441,20 +412,15 @@ func (r *Response) DecodeBinary(body []byte) error {
 	return d.done()
 }
 
-// Decode dispatches on the encoding.
+// Decode is DecodeBinary behind the protocol tag.
+//
+// Deprecated: call DecodeBinary; this remains for callers that still
+// carry an Encoding value.
 func (r *Response) Decode(enc Encoding, body []byte) error {
-	if enc == EncodingBinary {
-		return r.DecodeBinary(body)
+	if err := enc.check(); err != nil {
+		return err
 	}
-	return r.DecodeJSON(body)
-}
-
-// Append encodes the response in the given encoding.
-func (r *Response) Append(enc Encoding, dst []byte) []byte {
-	if enc == EncodingBinary {
-		return r.AppendBinary(dst)
-	}
-	return r.AppendJSON(dst)
+	return r.DecodeBinary(body)
 }
 
 // --- binary primitives ---
@@ -476,6 +442,11 @@ func appendUvarint(dst []byte, v uint64) []byte {
 func appendZigzag(dst []byte, v int64) []byte {
 	return appendUvarint(dst, uint64(v<<1)^uint64(v>>63))
 }
+
+// catalog bounds the allocation type ids a response may carry.
+var catalog = cloud.Catalog()
+
+var errTruncated = errors.New("wire: truncated body")
 
 // bdecoder walks one binary frame.
 type bdecoder struct {
