@@ -97,14 +97,16 @@ func LoadRepository(rd io.Reader) (*Repository, error) {
 	if err != nil {
 		return nil, err
 	}
-	for _, e := range st.Entries {
+	entries := make([]Entry, len(st.Entries))
+	for i, e := range st.Entries {
 		typ, err := cloud.TypeByName(e.TypeName)
 		if err != nil {
 			return nil, fmt.Errorf("core: entry class %d bucket %d: %w", e.Class, e.Bucket, err)
 		}
-		if err := repo.Put(e.Class, e.Bucket, cloud.Allocation{Type: typ, Count: e.Count}); err != nil {
-			return nil, err
-		}
+		entries[i] = Entry{Class: e.Class, Bucket: e.Bucket, Allocation: cloud.Allocation{Type: typ, Count: e.Count}}
+	}
+	if err := repo.putAll(entries); err != nil {
+		return nil, err
 	}
 	return repo, nil
 }

@@ -6,6 +6,7 @@ import (
 	"math"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/cloud"
 	"repro/internal/metrics"
@@ -39,12 +40,6 @@ func BucketForFraction(fraction float64) int {
 	return b
 }
 
-// repoShards is the number of entry-map shards. Entries are sharded by
-// workload class, so a fleet of controllers whose workloads happen to
-// classify differently contend on different locks; 16 shards cover the
-// paper's 2–6 classes with headroom for larger clusterings.
-const repoShards = 16
-
 // Repository is the DejaVu cache: workload signatures along with their
 // preferred resource allocations, keyed by workload class and
 // interference bucket (paper §3.4, §3.6). Lookups classify the
@@ -56,8 +51,9 @@ const repoShards = 16
 // fleet control plane shares one repository across every VM of a
 // service template): the learned artifacts — standardizer, classifier,
 // centroids, novelty radii — are immutable after construction, so
-// Classify runs lock-free; the allocation entries are sharded by class
-// behind per-shard RWMutexes; and the hit/miss statistics are atomics.
+// Classify runs lock-free; the allocation entries are an immutable map
+// behind an atomic pointer, copied on Put, so Get is one atomic load
+// and a map read; and the hit/miss statistics are sharded atomics.
 type Repository struct {
 	// events is the signature metric tuple (ordered).
 	events []metrics.Event
@@ -72,9 +68,14 @@ type Repository struct {
 	// the centroid, inflated by a tolerance; signatures farther from
 	// every centroid are unforeseen workloads.
 	noveltyRadius []float64
-	// shards hold the (class, interference bucket) -> allocation
-	// entries, sharded by class.
-	shards [repoShards]repoShard
+	// entries points at the current (class, interference bucket) ->
+	// allocation map. A published map is never written again: Put
+	// copies it under putMu and publishes the copy. Entries number
+	// classes × at most 19 buckets and arrive at learn time and on the
+	// first sight of an interference bucket, so copies are small and
+	// rare while reads are every lookup of every controller.
+	entries atomic.Pointer[map[repoKey]cloud.Allocation]
+	putMu   sync.Mutex
 	// certaintyThreshold is the minimum classifier confidence for a
 	// cache hit.
 	certaintyThreshold float64
@@ -89,20 +90,9 @@ type Repository struct {
 	hits, misses obs.Counter
 }
 
-// repoShard is one lock-striped slice of the entry map.
-type repoShard struct {
-	mu      sync.RWMutex
-	entries map[repoKey]cloud.Allocation
-}
-
 type repoKey struct {
 	class  int
 	bucket int
-}
-
-// shardFor returns the shard holding the given class's entries.
-func (r *Repository) shardFor(class int) *repoShard {
-	return &r.shards[class%repoShards]
 }
 
 // LookupResult is the outcome of a repository lookup.
@@ -150,9 +140,7 @@ func NewRepository(events []metrics.Event, std *ml.Standardizer, clf ml.Classifi
 		row := make([]float64, width)
 		return &row
 	}
-	for i := range r.shards {
-		r.shards[i].entries = make(map[repoKey]cloud.Allocation)
-	}
+	r.entries.Store(&map[repoKey]cloud.Allocation{})
 	return r, nil
 }
 
@@ -174,32 +162,41 @@ func (r *Repository) Classes() int { return len(r.centroids) }
 // bucket) pair; the Tuner populates bucket 0 during learning and the
 // runtime controller adds interference buckets on demand.
 func (r *Repository) Put(class, bucket int, alloc cloud.Allocation) error {
-	if class < 0 || class >= len(r.centroids) {
-		return fmt.Errorf("core: class %d out of range", class)
+	return r.putAll([]Entry{{Class: class, Bucket: bucket, Allocation: alloc}})
+}
+
+// putAll validates and stores a set of entries as one copy of the map
+// and one publish: all of them or, on the first invalid one, none.
+func (r *Repository) putAll(entries []Entry) error {
+	for _, e := range entries {
+		if e.Class < 0 || e.Class >= len(r.centroids) {
+			return fmt.Errorf("core: class %d out of range", e.Class)
+		}
+		if e.Bucket < 0 {
+			return fmt.Errorf("core: negative interference bucket %d", e.Bucket)
+		}
+		if err := e.Allocation.Validate(); err != nil {
+			return err
+		}
 	}
-	if bucket < 0 {
-		return fmt.Errorf("core: negative interference bucket %d", bucket)
+	r.putMu.Lock()
+	defer r.putMu.Unlock()
+	old := *r.entries.Load()
+	next := make(map[repoKey]cloud.Allocation, len(old)+len(entries))
+	for k, v := range old {
+		next[k] = v
 	}
-	if err := alloc.Validate(); err != nil {
-		return err
+	for _, e := range entries {
+		next[repoKey{e.Class, e.Bucket}] = e.Allocation
 	}
-	s := r.shardFor(class)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.entries[repoKey{class, bucket}] = alloc
+	r.entries.Store(&next)
 	return nil
 }
 
 // Get returns the cached allocation for (class, bucket) without
 // classification.
 func (r *Repository) Get(class, bucket int) (cloud.Allocation, bool) {
-	if class < 0 {
-		return cloud.Allocation{}, false
-	}
-	s := r.shardFor(class)
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	a, ok := s.entries[repoKey{class, bucket}]
+	a, ok := (*r.entries.Load())[repoKey{class, bucket}]
 	return a, ok
 }
 
@@ -295,29 +292,15 @@ type Entry struct {
 }
 
 // Len returns the number of cached allocations.
-func (r *Repository) Len() int {
-	n := 0
-	for i := range r.shards {
-		s := &r.shards[i]
-		s.mu.RLock()
-		n += len(s.entries)
-		s.mu.RUnlock()
-	}
-	return n
-}
+func (r *Repository) Len() int { return len(*r.entries.Load()) }
 
-// Snapshot returns all entries sorted by (class, bucket). Each shard is
-// copied under its own read lock, so a snapshot taken under concurrent
-// Puts is a consistent view per shard (not across shards).
+// Snapshot returns all entries sorted by (class, bucket): one
+// consistent view, whatever Puts run beside it.
 func (r *Repository) Snapshot() []Entry {
-	var out []Entry
-	for i := range r.shards {
-		s := &r.shards[i]
-		s.mu.RLock()
-		for k, v := range s.entries {
-			out = append(out, Entry{Class: k.class, Bucket: k.bucket, Allocation: v})
-		}
-		s.mu.RUnlock()
+	entries := *r.entries.Load()
+	out := make([]Entry, 0, len(entries))
+	for k, v := range entries {
+		out = append(out, Entry{Class: k.class, Bucket: k.bucket, Allocation: v})
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Class != out[j].Class {

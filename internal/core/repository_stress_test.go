@@ -2,8 +2,8 @@ package core
 
 import (
 	"bytes"
-	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/cloud"
@@ -17,7 +17,7 @@ func stressSignature(repo *Repository) *Signature {
 
 // TestRepositoryConcurrentPutGet hammers Put and Get for every class
 // and bucket from many goroutines; run with -race to catch unguarded
-// shard access.
+// access to the entry map.
 func TestRepositoryConcurrentPutGet(t *testing.T) {
 	repo := buildTestRepository(t)
 	const goroutines = 16
@@ -175,21 +175,67 @@ func TestRepositoryConcurrentMixed(t *testing.T) {
 	}
 }
 
-// TestRepositoryShardDistribution pins the class->shard mapping: every
-// class gets a shard and distinct classes under repoShards never
-// collide, so per-class contention is isolated.
-func TestRepositoryShardDistribution(t *testing.T) {
+// TestRepositoryGetDuringPut pins the copy-on-put contract under
+// -race: a writer sees its own Put at once, and concurrent readers —
+// who take no lock — only ever see a fully built map: every entry the
+// writer published in an earlier round is there with the value of that
+// round or a later one, never missing and never half-written.
+func TestRepositoryGetDuringPut(t *testing.T) {
 	repo := buildTestRepository(t)
-	seen := map[*repoShard]int{}
-	for class := 0; class < repoShards; class++ {
-		seen[repo.shardFor(class)]++
+	const rounds = 300
+	buckets := maxInterferenceBucket + 1
+	var published atomic.Int64 // rounds fully written
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for published.Load() < rounds {
+				floor := published.Load()
+				n := repo.Len()
+				for class := 0; class < repo.Classes(); class++ {
+					for bucket := 0; bucket < buckets; bucket++ {
+						got, ok := repo.Get(class, bucket)
+						if floor > 0 && !ok {
+							t.Errorf("Get(%d, %d) missed after round %d published it", class, bucket, floor)
+							return
+						}
+						if ok && (got.Type != cloud.Large || int64(got.Count) < 1+floor || got.Count > 1+rounds) {
+							t.Errorf("Get(%d, %d) = %v after round %d", class, bucket, got, floor)
+							return
+						}
+					}
+				}
+				if floor > 0 && n != repo.Classes()*buckets {
+					t.Errorf("Len() = %d after round %d, want %d", n, floor, repo.Classes()*buckets)
+					return
+				}
+			}
+		}()
 	}
-	if len(seen) != repoShards {
-		t.Errorf("%d classes mapped to %d shards, want %d", repoShards, len(seen), repoShards)
+	for round := 1; round <= rounds; round++ {
+		want := cloud.Allocation{Type: cloud.Large, Count: 1 + round}
+		for class := 0; class < repo.Classes(); class++ {
+			for bucket := 0; bucket < buckets; bucket++ {
+				if err := repo.Put(class, bucket, want); err != nil {
+					t.Fatal(err)
+				}
+				if got, ok := repo.Get(class, bucket); !ok || got != want {
+					t.Fatalf("Get(%d, %d) = %v, %v right after Put(%v)", class, bucket, got, ok, want)
+				}
+			}
+		}
+		published.Store(int64(round))
 	}
+	wg.Wait()
 }
 
-func BenchmarkRepositoryConcurrentLookup(b *testing.B) {
+// BenchmarkRepositoryLookupParallel is the contended form of
+// BenchmarkRepositoryLookup: every core classifies and reads the entry
+// map of one shared repository at once (/lookup), and reads the entry
+// map alone (/get) — the read a fleet of controllers and every row of a
+// served batch performs, which takes no lock.
+func BenchmarkRepositoryLookupParallel(b *testing.B) {
 	// Mirrors buildTestRepository without *testing.T plumbing.
 	t := &testing.T{}
 	repo := buildTestRepository(t)
@@ -204,11 +250,24 @@ func BenchmarkRepositoryConcurrentLookup(b *testing.B) {
 	if err := repo.Put(class, 0, cloud.Allocation{Type: cloud.Large, Count: 4}); err != nil {
 		b.Fatal(err)
 	}
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			if _, err := repo.Lookup(sig, 0); err != nil {
-				b.Fatal(fmt.Sprintf("Lookup: %v", err))
+	b.Run("lookup", func(b *testing.B) {
+		b.RunParallel(func(pb *testing.PB) {
+			for pb.Next() {
+				if _, err := repo.Lookup(sig, 0); err != nil {
+					b.Error(err)
+					return
+				}
 			}
-		}
+		})
+	})
+	b.Run("get", func(b *testing.B) {
+		b.RunParallel(func(pb *testing.PB) {
+			for pb.Next() {
+				if _, ok := repo.Get(class, 0); !ok {
+					b.Error("Get missed")
+					return
+				}
+			}
+		})
 	})
 }

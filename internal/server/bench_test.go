@@ -181,3 +181,48 @@ func BenchmarkServeHTTP(b *testing.B) {
 	}
 	b.ReportMetric(16*float64(b.N)/b.Elapsed().Seconds(), "decisions/s")
 }
+
+// BenchmarkTCPPipelined measures the TCP plane the way serve_batch16
+// drives it: one connection keeping `depth` batched lookups in flight,
+// one op per request. At depth 1 every reply is its own write; at
+// depth 8 the server answers what it finds buffered with one flush —
+// the replies/flush metric reads the amortisation off TCPStats.
+func BenchmarkTCPPipelined(b *testing.B) {
+	for _, tc := range []struct {
+		name         string
+		batch, depth int
+	}{
+		{"batch16-depth1", 16, 1},
+		{"batch16-depth8", 16, 8},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			repo := testRepository(b, 12)
+			s, _ := newTestServer(b, repo, Config{})
+			ts, addr := startTCP(b, s, TCPConfig{})
+			frame := decisionBody(b, foreseenSignature(b, repo, 13, 300), tc.batch)
+			_, st := dialStream(b, addr)
+			var resp wire.Response
+			b.ReportAllocs()
+			b.ResetTimer()
+			for sent, done := 0, 0; done < b.N; done++ {
+				for ; sent-done < tc.depth && sent < b.N; sent++ {
+					if err := st.WriteEnvelope(uint32(sent), wire.StreamFlagLookup, frame); err != nil {
+						b.Fatal(err)
+					}
+				}
+				id, flags, payload, err := st.ReadEnvelope(1 << 20)
+				if err != nil || id != uint32(done) || flags&wire.StreamFlagError != 0 {
+					b.Fatalf("reply %d: id=%d flags=%d err=%v", done, id, flags, err)
+				}
+				if err := resp.DecodeBinary(payload); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(tc.batch)*float64(b.N)/b.Elapsed().Seconds(), "decisions/s")
+			if stats := ts.Stats(); stats.Flushes > 0 {
+				b.ReportMetric(float64(stats.Envelopes)/float64(stats.Flushes), "replies/flush")
+			}
+		})
+	}
+}

@@ -4,6 +4,8 @@ import (
 	"math"
 	"sync"
 	"sync/atomic"
+
+	"repro/internal/wire"
 )
 
 // DriftConfig tunes the online drift monitor.
@@ -49,9 +51,10 @@ func (c *DriftConfig) defaults() {
 
 // driftMonitor tracks the unforeseen-signature rate per fixed-size
 // decision window, lock-free. Counting is atomics-only on the
-// decision path; window accounting is approximate under concurrency
-// (a straggler's unforeseen flag may land in the neighbouring window)
-// which is fine — the trigger is a rate threshold, not an audit.
+// decision path, once per batch; window accounting is approximate
+// under concurrency (a straggler's unforeseen count may land in the
+// neighbouring window) which is fine — the trigger is a rate
+// threshold, not an audit.
 type driftMonitor struct {
 	window    int64
 	threshold float64
@@ -67,16 +70,24 @@ func newDriftMonitor(cfg DriftConfig) *driftMonitor {
 	return &driftMonitor{window: int64(cfg.Window), threshold: cfg.Threshold}
 }
 
-// observe counts one decision and reports whether it closed a window
-// whose unforeseen rate crossed the threshold.
-func (d *driftMonitor) observe(unforeseen bool) bool {
-	if unforeseen {
-		d.unforeseen.Add(1)
+// observeBatch counts one batch of n decisions, unforeseen of them
+// unforeseen, and reports whether it closed a window whose unforeseen
+// rate crossed the threshold. A window closes when the cumulative
+// count crosses a multiple of Window — at most once per batch: a batch
+// spanning several boundaries closes them as one long window, its
+// rate taken over all of them. The rows of a straddling batch that
+// lie past the boundary are counted into the window they close (the
+// same approximation as above), so the rate is clamped to 1.
+func (d *driftMonitor) observeBatch(n, unforeseen int64) bool {
+	if unforeseen > 0 {
+		d.unforeseen.Add(unforeseen)
 	}
-	if d.decisions.Add(1)%d.window != 0 {
+	end := d.decisions.Add(n)
+	crossed := end/d.window - (end-n)/d.window
+	if crossed == 0 {
 		return false
 	}
-	rate := float64(d.unforeseen.Swap(0)) / float64(d.window)
+	rate := math.Min(1, float64(d.unforeseen.Swap(0))/float64(crossed*d.window))
 	d.lastRate.Store(math.Float64bits(rate))
 	d.windows.Add(1)
 	if rate >= d.threshold {
@@ -102,7 +113,7 @@ type signatureRing struct {
 	filled  int
 	next    int
 	stride  int64
-	counter atomic.Int64
+	counter atomic.Int64 // foreseen signatures seen, cumulative
 }
 
 func newSignatureRing(capacity, width, stride int) *signatureRing {
@@ -114,21 +125,36 @@ func newSignatureRing(capacity, width, stride int) *signatureRing {
 	return r
 }
 
-// observe records the signature when it is unforeseen or lands on the
-// sampling stride.
-func (r *signatureRing) observe(vals []float64, unforeseen bool) {
-	if !unforeseen && r.counter.Add(1)%r.stride != 0 {
-		return
-	}
-	r.mu.Lock()
-	if len(vals) == len(r.rows[r.next]) {
-		copy(r.rows[r.next], vals)
-		r.next = (r.next + 1) % len(r.rows)
-		if r.filled < len(r.rows) {
-			r.filled++
+// observeBatch records, in row order, every row of a decided batch
+// that is unforeseen or whose position in the cumulative count of
+// foreseen signatures lands on the sampling stride. unforeseen is how
+// many of results are. The count is claimed with one add and the mutex
+// is taken once, and only when the batch has a row to record.
+func (r *signatureRing) observeBatch(req *wire.Request, results []wire.Decision, unforeseen int) {
+	var seen int64 // foreseen signatures counted before this batch's first
+	if foreseen := int64(len(results) - unforeseen); foreseen > 0 {
+		end := r.counter.Add(foreseen)
+		seen = end - foreseen
+		if unforeseen == 0 && end/r.stride == seen/r.stride {
+			return // all foreseen, none on the stride
 		}
 	}
-	r.mu.Unlock()
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for i := range results {
+		if !results[i].Unforeseen {
+			if seen++; seen%r.stride != 0 {
+				continue
+			}
+		}
+		if vals := req.Row(i); len(vals) == len(r.rows[r.next]) {
+			copy(r.rows[r.next], vals)
+			r.next = (r.next + 1) % len(r.rows)
+			if r.filled < len(r.rows) {
+				r.filled++
+			}
+		}
+	}
 }
 
 // Len returns how many rows are recorded.

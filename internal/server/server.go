@@ -192,6 +192,9 @@ type Server struct {
 	badRequests  atomic.Int64
 	snapshots    atomic.Int64
 	snapshotMu   sync.Mutex
+	// TCP plane reply accounting, bumped once per flush (tcp.go).
+	tcpEnvelopes atomic.Int64
+	tcpFlushes   atomic.Int64
 
 	// Control-plane duration histograms (off the decide path).
 	relearnDur  obs.Histogram
@@ -432,9 +435,9 @@ func (s *Server) decide(sc *scratch, lookup bool, tr transport) ([]byte, error) 
 	sc.resp.Lookup = lookup
 	sig := &sc.sig
 	sig.Events = events
+	unforeseen := 0
 	for i := 0; i < sc.req.Rows(); i++ {
-		row := sc.req.Row(i)
-		sig.Values = row
+		sig.Values = sc.req.Row(i)
 		var d wire.Decision
 		if lookup {
 			res, err := repo.Lookup(sig, sc.req.Bucket)
@@ -458,11 +461,17 @@ func (s *Server) decide(sc *scratch, lookup bool, tr transport) ([]byte, error) 
 			}
 			d = wire.Decision{Class: class, Certainty: certainty, Unforeseen: unf}
 		}
-		sc.resp.Results = append(sc.resp.Results, d)
-		tpl.ring.observe(row, d.Unforeseen)
-		if tpl.drift.observe(d.Unforeseen) {
-			s.triggerRelearn(tpl)
+		if d.Unforeseen {
+			unforeseen++
 		}
+		sc.resp.Results = append(sc.resp.Results, d)
+	}
+	// The relearn ring and the drift monitor are fed once per batch,
+	// after every row is decided: their shared counters cost one atomic
+	// add each per request, not per row.
+	tpl.ring.observeBatch(&sc.req, sc.resp.Results, unforeseen)
+	if tpl.drift.observeBatch(int64(len(sc.resp.Results)), int64(unforeseen)) {
+		s.triggerRelearn(tpl)
 	}
 	sc.out = sc.resp.AppendBinary(sc.out[:0])
 	tpl.lat[tr].Record(time.Since(start))
@@ -853,6 +862,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		{"dejavud_installs_total", "POST /v1/install repositories published.", "counter", float64(s.installs.Load())},
 		{"dejavud_bad_requests_total", "Rejected requests.", "counter", float64(s.badRequests.Load())},
 		{"dejavud_snapshots_total", "Repository snapshots written.", "counter", float64(s.snapshots.Load())},
+		{"dejavud_tcp_response_envelopes_total", "Response envelopes written on the TCP plane.", "counter", float64(s.tcpEnvelopes.Load())},
+		{"dejavud_tcp_response_flushes_total", "Writes that carried them (envelopes/flushes = replies per write).", "counter", float64(s.tcpFlushes.Load())},
 		{"dejavud_uptime_seconds", "Seconds since the server started.", "gauge", time.Since(s.start).Seconds()},
 	} {
 		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n%s %g\n", m.name, m.help, m.name, m.typ, m.name, m.value)

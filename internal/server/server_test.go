@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -318,11 +319,26 @@ func TestServePutStatsMetricsAndErrors(t *testing.T) {
 	}
 }
 
+// boolCount is the unforeseen count of a one-row batch.
+func boolCount(unforeseen bool) int64 {
+	if unforeseen {
+		return 1
+	}
+	return 0
+}
+
+// observeRow feeds the ring one row as a batch of one.
+func observeRow(r *signatureRing, vals []float64, unforeseen bool) {
+	var req wire.Request
+	req.AppendRow(vals)
+	r.observeBatch(&req, []wire.Decision{{Unforeseen: unforeseen}}, int(boolCount(unforeseen)))
+}
+
 func TestDriftMonitorWindows(t *testing.T) {
 	d := newDriftMonitor(DriftConfig{Window: 10, Threshold: 0.5})
 	// First window: 4/10 unforeseen — below threshold.
 	for i := 0; i < 10; i++ {
-		trig := d.observe(i < 4)
+		trig := d.observeBatch(1, boolCount(i < 4))
 		if trig {
 			t.Fatalf("decision %d: unexpected trigger", i)
 		}
@@ -333,7 +349,7 @@ func TestDriftMonitorWindows(t *testing.T) {
 	// Second window: 6/10 — the closing decision triggers.
 	var triggered bool
 	for i := 0; i < 10; i++ {
-		if d.observe(i < 6) {
+		if d.observeBatch(1, boolCount(i < 6)) {
 			if i != 9 {
 				t.Errorf("trigger fired mid-window at %d", i)
 			}
@@ -353,20 +369,20 @@ func TestSignatureRing(t *testing.T) {
 	r := newSignatureRing(4, 2, 3)
 	// Unforeseen rows always record.
 	for i := 0; i < 3; i++ {
-		r.observe([]float64{float64(i), 1}, true)
+		observeRow(r, []float64{float64(i), 1}, true)
 	}
 	if r.Len() != 3 {
 		t.Fatalf("len %d, want 3", r.Len())
 	}
 	// Foreseen rows record every 3rd call.
 	for i := 0; i < 6; i++ {
-		r.observe([]float64{9, 9}, false)
+		observeRow(r, []float64{9, 9}, false)
 	}
 	if r.Len() != 4 { // capacity-bounded
 		t.Fatalf("len %d, want 4 (capacity)", r.Len())
 	}
 	// Width-mismatched rows are ignored, not corrupting.
-	r.observe([]float64{1, 2, 3}, true)
+	observeRow(r, []float64{1, 2, 3}, true)
 	for _, row := range r.snapshot() {
 		if len(row) != 2 {
 			t.Fatalf("snapshot row width %d", len(row))
@@ -375,9 +391,161 @@ func TestSignatureRing(t *testing.T) {
 	// Snapshot rows are copies.
 	snap := r.snapshot()
 	orig := snap[0][0]
-	r.observe([]float64{777, 777}, true)
-	r.observe([]float64{778, 778}, true)
+	observeRow(r, []float64{777, 777}, true)
+	observeRow(r, []float64{778, 778}, true)
 	if snap[0][0] != orig {
 		t.Error("snapshot aliases ring storage")
+	}
+}
+
+// rowAtATime is the reference the batch accounting is held to: the
+// drift monitor and the signature ring fed one decision at a time, in
+// row order, the way decide() fed them before it batched.
+type rowAtATime struct {
+	window, stride              int64
+	decisions, unforeseen, seen int64
+	windows, triggers           int64
+	lastRate, threshold         float64
+	ring                        [][]float64
+	capacity                    int
+}
+
+func (m *rowAtATime) observe(row []float64, unforeseen bool) {
+	if unforeseen {
+		m.unforeseen++
+		m.ring = append(m.ring, row)
+	} else if m.seen++; m.seen%m.stride == 0 {
+		m.ring = append(m.ring, row)
+	}
+	if m.decisions++; m.decisions%m.window != 0 {
+		return
+	}
+	m.lastRate = float64(m.unforeseen) / float64(m.window)
+	m.unforeseen = 0
+	m.windows++
+	if m.lastRate >= m.threshold {
+		m.triggers++
+	}
+}
+
+// recorded returns the reference ring as the real one stores it: the
+// last capacity rows, laid out by insertion index modulo capacity.
+func (m *rowAtATime) recorded() [][]float64 {
+	n := len(m.ring)
+	if n > m.capacity {
+		n = m.capacity
+	}
+	out := make([][]float64, n)
+	for i := len(m.ring) - n; i < len(m.ring); i++ {
+		out[i%m.capacity] = m.ring[i]
+	}
+	return out
+}
+
+// TestObserveBatchMatchesRowAtATime is the property test of the
+// per-batch accounting: for random decision sequences cut into random
+// batches, the ring holds exactly the rows the row-at-a-time order
+// records, whatever the cut; and when no batch straddles a window
+// boundary, windows, triggers and the last window's rate are identical
+// too. For cuts that do straddle — including batches several windows
+// long — the decision count is exact, a batch closes at most one
+// window, and the rate stays in [0, 1].
+func TestObserveBatchMatchesRowAtATime(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	for trial := 0; trial < 200; trial++ {
+		cfg := DriftConfig{
+			Window:         1 + rng.Intn(40),
+			Threshold:      0.1 + 0.8*rng.Float64(),
+			RecentCapacity: 1 + rng.Intn(64),
+			SampleStride:   1 + rng.Intn(9),
+		}
+		aligned := trial%2 == 0
+		n := 1 + rng.Intn(400)
+		pUnforeseen := rng.Float64()
+		maxBatch := 1 + rng.Intn(3*cfg.Window)
+
+		ref := &rowAtATime{window: int64(cfg.Window), stride: int64(cfg.SampleStride),
+			threshold: cfg.Threshold, capacity: cfg.RecentCapacity}
+		d := newDriftMonitor(cfg)
+		r := newSignatureRing(cfg.RecentCapacity, 2, cfg.SampleStride)
+		for done := 0; done < n; {
+			size := 1 + rng.Intn(maxBatch)
+			if size > n-done {
+				size = n - done
+			}
+			if toBoundary := cfg.Window - done%cfg.Window; aligned && size > toBoundary {
+				size = toBoundary
+			}
+			var req wire.Request
+			results := make([]wire.Decision, size)
+			unforeseen := 0
+			for i := range results {
+				row := []float64{float64(done + i), float64(trial)}
+				req.AppendRow(row)
+				results[i].Unforeseen = rng.Float64() < pUnforeseen
+				if results[i].Unforeseen {
+					unforeseen++
+				}
+				ref.observe(row, results[i].Unforeseen)
+			}
+			windowsBefore := d.windows.Load()
+			r.observeBatch(&req, results, unforeseen)
+			d.observeBatch(int64(size), int64(unforeseen))
+			done += size
+			if closed := d.windows.Load() - windowsBefore; closed > 1 {
+				t.Fatalf("trial %d: one batch closed %d windows", trial, closed)
+			}
+			if rate := d.LastWindowRate(); rate < 0 || rate > 1 {
+				t.Fatalf("trial %d: window rate %v outside [0, 1] (batch of %d, window %d)", trial, rate, size, cfg.Window)
+			}
+		}
+
+		want := ref.recorded()
+		if r.filled != len(want) {
+			t.Fatalf("trial %d: ring holds %d rows, row-at-a-time order records %d", trial, r.filled, len(want))
+		}
+		for i, row := range want {
+			if r.rows[i][0] != row[0] || r.rows[i][1] != row[1] {
+				t.Fatalf("trial %d: ring slot %d = %v, want %v", trial, i, r.rows[i], row)
+			}
+		}
+		if got := d.decisions.Load(); got != ref.decisions {
+			t.Fatalf("trial %d: %d decisions counted, want %d", trial, got, ref.decisions)
+		}
+		if !aligned {
+			if got := d.windows.Load(); got > ref.windows {
+				t.Fatalf("trial %d: %d windows closed, more than the %d boundaries crossed", trial, got, ref.windows)
+			}
+			continue
+		}
+		if d.windows.Load() != ref.windows || d.triggers.Load() != ref.triggers ||
+			math.Float64bits(d.LastWindowRate()) != math.Float64bits(ref.lastRate) {
+			t.Fatalf("trial %d: windows=%d triggers=%d rate=%v, row-at-a-time gives windows=%d triggers=%d rate=%v",
+				trial, d.windows.Load(), d.triggers.Load(), d.LastWindowRate(), ref.windows, ref.triggers, ref.lastRate)
+		}
+	}
+}
+
+// TestDriftMonitorBatchLargerThanWindow pins the clamp and the long
+// window: a batch of several windows closes them as one, with the rate
+// taken over all of them, and a straddling batch whose unforeseen rows
+// outnumber the window reads 1, not more.
+func TestDriftMonitorBatchLargerThanWindow(t *testing.T) {
+	d := newDriftMonitor(DriftConfig{Window: 10, Threshold: 0.5})
+	// 40 decisions, 12 unforeseen: 30 % — over one window's worth of
+	// unforeseen rows, yet below the threshold.
+	if d.observeBatch(40, 12) {
+		t.Error("30% unforeseen over four windows triggered a 50% threshold")
+	}
+	if got := d.LastWindowRate(); got != 0.3 || d.windows.Load() != 1 {
+		t.Errorf("rate %v over %d closes, want 0.3 over 1", got, d.windows.Load())
+	}
+	// 5 foreseen, then 14 unforeseen straddling the boundary at 50.
+	d.observeBatch(5, 0)
+	if !d.observeBatch(14, 14) {
+		t.Error("a window of nothing but unforeseen rows did not trigger")
+	}
+	if got := d.LastWindowRate(); got != 1 {
+		t.Errorf("straddling batch: rate %v, want clamped to 1", got)
 	}
 }

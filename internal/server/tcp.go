@@ -21,6 +21,13 @@ import (
 // order (clients match responses by id, so they may pipeline).
 // Request errors are answered with error envelopes and the
 // connection stays up; only framing-level corruption closes it.
+//
+// Replies are flushed before the loop can block, not after each one:
+// while the next request already sits whole in the read buffer its
+// reply is queued behind the previous ones, and the queue goes out in
+// one write when the next read would have to wait for the peer (or at
+// responseQueueCap). A synchronous caller therefore still gets one
+// write per response, immediately; a pipelined burst shares them.
 
 // TCPConfig configures the raw-TCP decision listener.
 type TCPConfig struct {
@@ -34,8 +41,11 @@ type TCPConfig struct {
 	// serving goroutine forever.
 	HelloTimeout time.Duration
 	// IdleTimeout bounds the wait for the next request envelope on an
-	// established session (default 5m, negative disables). Envelope
-	// bytes in flight reset it; a peer that goes silent is reaped.
+	// established session (default 5m, negative disables). It is armed
+	// whenever the serving loop is about to wait for the peer — every
+	// queued reply flushed, no whole envelope buffered — and covers the
+	// arrival of that next envelope in full; a peer that goes silent,
+	// or stalls mid-envelope for that long, is reaped.
 	IdleTimeout time.Duration
 	// MaxConns caps concurrent connections (0 = unbounded). Over-limit
 	// accepts are refused — closed immediately, before the hello — and
@@ -71,6 +81,12 @@ type TCPServer struct {
 	tcpConns   atomic.Int64 // accepted connections, lifetime
 	tcpRefused atomic.Int64 // connections refused at the MaxConns cap
 }
+
+// responseQueueCap bounds the replies one connection queues before
+// flushing regardless of what is buffered to read: a peer that
+// pipelines without pause gets a write at least every 32 KiB, and a
+// connection's write queue never exceeds the cap plus one response.
+const responseQueueCap = 32 << 10
 
 // NewTCP wraps a Server with the raw-TCP decision plane.
 func NewTCP(s *Server, cfg TCPConfig) *TCPServer {
@@ -175,6 +191,14 @@ type TCPStats struct {
 	Active int `json:"active"`
 	// Refused counts connections turned away at the MaxConns cap.
 	Refused int64 `json:"refused"`
+	// Envelopes counts response envelopes (decisions, error replies,
+	// pings) written over the lifetime, Flushes the writes that carried
+	// them: Envelopes/Flushes is how many replies a write amortises —
+	// 1 for synchronous callers, up to the pipeline depth for bursts.
+	// Both are kept on the Server, beside the request counters the
+	// planes share, so TCPServers wrapping one Server report their sum.
+	Envelopes int64 `json:"envelopes"`
+	Flushes   int64 `json:"flushes"`
 }
 
 // Stats snapshots the connection accounting.
@@ -182,7 +206,10 @@ func (t *TCPServer) Stats() TCPStats {
 	t.mu.Lock()
 	active := len(t.conns)
 	t.mu.Unlock()
-	return TCPStats{Conns: t.tcpConns.Load(), Active: active, Refused: t.tcpRefused.Load()}
+	return TCPStats{
+		Conns: t.tcpConns.Load(), Active: active, Refused: t.tcpRefused.Load(),
+		Envelopes: t.s.tcpEnvelopes.Load(), Flushes: t.s.tcpFlushes.Load(),
+	}
 }
 
 // Close shuts the listeners, closes every live connection, and waits
@@ -232,33 +259,52 @@ func (t *TCPServer) serveConn(nc net.Conn) {
 	if err := st.WriteServerHello(wire.EncodingBinary); err != nil {
 		return
 	}
+	if t.cfg.IdleTimeout <= 0 && t.cfg.HelloTimeout > 0 {
+		// No idle timeout will re-arm the deadline: clear the hello's.
+		_ = nc.SetReadDeadline(time.Time{})
+	}
 	sc := t.s.pool.Get().(*scratch)
 	defer t.s.pool.Put(sc)
 	maxPayload := int(t.s.cfg.MaxBodyBytes)
+	var queued int64 // replies in st's write queue
+	flush := func() error {
+		if queued == 0 {
+			return nil
+		}
+		t.s.tcpEnvelopes.Add(queued)
+		t.s.tcpFlushes.Add(1)
+		queued = 0
+		return st.Flush()
+	}
 	for {
-		// Idle timeout: armed before each envelope read, so the clock
-		// restarts per request. Disabled (negative) clears any hello
-		// deadline left on the socket.
-		if t.cfg.IdleTimeout > 0 {
+		// Flush before block: the queue goes out when the next read may
+		// have to wait for the peer, or at the cap. The idle clock
+		// starts at the same moment, so it restarts per wait.
+		mayBlock := !st.EnvelopeBuffered()
+		if mayBlock || st.Queued() >= responseQueueCap {
+			if err := flush(); err != nil {
+				return
+			}
+		}
+		if mayBlock && t.cfg.IdleTimeout > 0 {
 			_ = nc.SetReadDeadline(time.Now().Add(t.cfg.IdleTimeout))
-		} else if t.cfg.HelloTimeout > 0 {
-			_ = nc.SetReadDeadline(time.Time{})
 		}
 		id, flags, payload, err := st.ReadEnvelope(maxPayload)
 		if err != nil {
 			// Clean close (io.EOF), peer death, idle-deadline expiry, or
 			// framing corruption: either way the session is over. A
 			// desynchronized stream cannot be answered — there is no
-			// envelope to address the error to.
+			// envelope to address the error to — but replies to the
+			// requests ahead of it are still owed.
+			_ = flush()
 			return
 		}
+		queued++ // every path below queues exactly one reply to this envelope
 		if flags&wire.StreamFlagPing != 0 {
 			// Liveness probe: echo an empty ping envelope, payload
 			// untouched. Answered in request order like decisions, so a
 			// probe also proves the serving loop is draining.
-			if err := st.WriteEnvelope(id, wire.StreamFlagPing, nil); err != nil {
-				return
-			}
+			st.QueueEnvelope(id, wire.StreamFlagPing, nil)
 			continue
 		}
 		lookup := flags&wire.StreamFlagLookup != 0
@@ -276,9 +322,7 @@ func (t *TCPServer) serveConn(nc net.Conn) {
 			tc, ok := obs.ParseWireContext(payload)
 			if !ok {
 				t.s.badRequests.Add(1)
-				if werr := st.WriteEnvelope(id, wire.StreamFlagError, append(sc.out[:0], "server: malformed trace context"...)); werr != nil {
-					return
-				}
+				st.QueueEnvelope(id, wire.StreamFlagError, append(sc.out[:0], "server: malformed trace context"...))
 				continue
 			}
 			parent, child = tc, obs.Child(tc)
@@ -294,14 +338,10 @@ func (t *TCPServer) serveConn(nc net.Conn) {
 		}
 		if err != nil {
 			t.s.badRequests.Add(1)
-			if werr := st.WriteEnvelope(id, wire.StreamFlagError, appendErrString(sc.out[:0], err)); werr != nil {
-				return
-			}
+			st.QueueEnvelope(id, wire.StreamFlagError, appendErrString(sc.out[:0], err))
 			continue
 		}
-		if err := st.WriteEnvelope(id, 0, out); err != nil {
-			return
-		}
+		st.QueueEnvelope(id, 0, out)
 	}
 }
 

@@ -38,11 +38,15 @@ import (
 // UTF-8 message instead of a wire frame.
 //
 // A Stream owns one connection's read/write buffers: envelope reads
-// land in a reusable payload scratch, envelope writes are assembled
-// in a reusable build buffer and issued as one Write (one packet
-// under TCP_NODELAY). Steady-state envelope traffic is therefore
-// allocation-free once the buffers have warmed up to the workload's
-// message sizes.
+// land in a reusable payload scratch, envelope writes are queued in
+// one reusable write buffer and reach the connection on Flush, as one
+// Write (one packet under TCP_NODELAY) however many envelopes are
+// queued. WriteEnvelope is queue-then-flush, so a caller that never
+// queues sees write-through behaviour; a server that answers a
+// pipelined burst queues while EnvelopeBuffered says the next read
+// cannot block and flushes before it can ("flush before block").
+// Steady-state envelope traffic is allocation-free once the buffers
+// have warmed up to the workload's message sizes.
 
 // Stream protocol constants.
 const (
@@ -98,7 +102,7 @@ type Stream struct {
 	w  io.Writer
 
 	payload []byte // envelope read scratch; aliased by ReadEnvelope results
-	wbuf    []byte // envelope write scratch
+	wbuf    []byte // queued envelopes, written and emptied by Flush
 
 	// hdr is the envelope header read scratch. A stack array would
 	// escape through the io.ReadFull interface call and cost one
@@ -196,29 +200,62 @@ func (s *Stream) ReadEnvelope(maxPayload int) (id uint32, flags byte, payload []
 	return id, flags, s.payload, nil
 }
 
-// WriteEnvelope frames payload under (id, flags) and writes it as a
-// single Write call. The payload is copied into the Stream's write
-// scratch, so the caller's buffer is free the moment this returns.
+// EnvelopeBuffered reports whether a whole envelope already sits in
+// the read buffer, so the next ReadEnvelope cannot block. It never
+// reads from the connection. An envelope larger than the read buffer
+// is never "buffered"; a malformed elen is left for ReadEnvelope to
+// reject, which reads the fixed header first — hence the floor.
+func (s *Stream) EnvelopeBuffered() bool {
+	n := s.br.Buffered()
+	if n < 4+envelopeHeaderLen {
+		return false
+	}
+	hdr, _ := s.br.Peek(4) // cannot fail: n bytes are buffered
+	return uint64(n) >= 4+uint64(binary.LittleEndian.Uint32(hdr))
+}
+
+// QueueEnvelope frames payload under (id, flags) at the end of the
+// write buffer without touching the connection. The payload is copied,
+// so the caller's buffer is free the moment this returns. Nothing is
+// sent until Flush; the caller bounds the queue with Queued.
+func (s *Stream) QueueEnvelope(id uint32, flags byte, payload []byte) {
+	s.queueParts(id, flags, nil, payload)
+}
+
+func (s *Stream) queueParts(id uint32, flags byte, prefix, payload []byte) {
+	b := binary.LittleEndian.AppendUint32(s.wbuf, uint32(envelopeHeaderLen+len(prefix)+len(payload)))
+	b = binary.LittleEndian.AppendUint32(b, id)
+	b = append(b, flags)
+	b = append(b, prefix...)
+	s.wbuf = append(b, payload...)
+}
+
+// Queued returns the number of bytes waiting for Flush.
+func (s *Stream) Queued() int { return len(s.wbuf) }
+
+// Flush writes every queued envelope in a single Write call and
+// empties the queue (also on error: a failed stream is dead, its
+// queue is not retried). A Flush with nothing queued writes nothing.
+func (s *Stream) Flush() error {
+	if len(s.wbuf) == 0 {
+		return nil
+	}
+	_, err := s.w.Write(s.wbuf)
+	s.wbuf = s.wbuf[:0]
+	return err
+}
+
+// WriteEnvelope is QueueEnvelope followed by Flush: with nothing
+// queued before it, one envelope in one Write call.
 func (s *Stream) WriteEnvelope(id uint32, flags byte, payload []byte) error {
 	return s.WriteEnvelopeParts(id, flags, nil, payload)
 }
 
 // WriteEnvelopeParts frames prefix ++ payload under (id, flags) as one
-// envelope in a single Write call, without requiring the caller to
-// concatenate them first. The trace plane uses it to slide a 16-byte
-// trace context ahead of an already-encoded frame allocation-free.
+// envelope and flushes, without requiring the caller to concatenate
+// them first. The trace plane uses it to slide a 16-byte trace context
+// ahead of an already-encoded frame allocation-free.
 func (s *Stream) WriteEnvelopeParts(id uint32, flags byte, prefix, payload []byte) error {
-	need := 4 + envelopeHeaderLen + len(prefix) + len(payload)
-	if cap(s.wbuf) < need {
-		s.wbuf = make([]byte, 0, need)
-	}
-	b := s.wbuf[:4+envelopeHeaderLen]
-	binary.LittleEndian.PutUint32(b, uint32(envelopeHeaderLen+len(prefix)+len(payload)))
-	binary.LittleEndian.PutUint32(b[4:], id)
-	b[8] = flags
-	b = append(b, prefix...)
-	b = append(b, payload...)
-	s.wbuf = b
-	_, err := s.w.Write(b)
-	return err
+	s.queueParts(id, flags, prefix, payload)
+	return s.Flush()
 }

@@ -176,31 +176,149 @@ func TestStreamEnvelopeLimits(t *testing.T) {
 	}
 }
 
+// countingWriter is a connection nobody reads from that counts Write
+// calls and keeps the bytes.
+type countingWriter struct {
+	bytes.Buffer
+	writes int
+}
+
+func (w *countingWriter) Write(b []byte) (int, error) {
+	w.writes++
+	return w.Buffer.Write(b)
+}
+
+// TestStreamQueueFlush pins the write side: queued envelopes reach the
+// connection only on Flush, as one Write carrying exactly the bytes the
+// same envelopes produce written through one at a time; an empty Flush
+// writes nothing; WriteEnvelope is one envelope in one Write.
+func TestStreamQueueFlush(t *testing.T) {
+	payloads := [][]byte{[]byte("first"), {}, bytes.Repeat([]byte{0xAB}, 300)}
+	var through countingWriter
+	ts := NewStream(&through)
+	for i, p := range payloads {
+		if err := ts.WriteEnvelope(uint32(i), byte(i), p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if through.writes != len(payloads) {
+		t.Fatalf("write-through: %d writes for %d envelopes", through.writes, len(payloads))
+	}
+
+	var queued countingWriter
+	qs := NewStream(&queued)
+	if err := qs.Flush(); err != nil || queued.writes != 0 {
+		t.Fatalf("empty flush: err %v, %d writes", err, queued.writes)
+	}
+	for i, p := range payloads {
+		qs.QueueEnvelope(uint32(i), byte(i), p)
+	}
+	if queued.writes != 0 || queued.Len() != 0 {
+		t.Fatalf("queueing wrote %d bytes in %d writes before Flush", queued.Len(), queued.writes)
+	}
+	if got := qs.Queued(); got != through.Len() {
+		t.Fatalf("Queued() = %d, want %d", got, through.Len())
+	}
+	if err := qs.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if queued.writes != 1 || !bytes.Equal(queued.Bytes(), through.Bytes()) {
+		t.Fatalf("flush: %d writes, bytes equal %v", queued.writes, bytes.Equal(queued.Bytes(), through.Bytes()))
+	}
+	if qs.Queued() != 0 {
+		t.Fatalf("Queued() = %d after Flush", qs.Queued())
+	}
+}
+
+// TestStreamEnvelopeBuffered pins the flush-before-block predicate: it
+// is true exactly when the next ReadEnvelope can complete from the read
+// buffer alone — not for an empty buffer, a partial header, a partial
+// payload, or a malformed length with less than a header behind it.
+func TestStreamEnvelopeBuffered(t *testing.T) {
+	var enc bytes.Buffer
+	ws := NewStream(&pipeBuf{R: &bytes.Buffer{}, W: &enc})
+	for i := 0; i < 2; i++ {
+		if err := ws.WriteEnvelope(uint32(i), 0, []byte("payload")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	one := enc.Len() / 2
+	for cut, want := range map[int][2]bool{
+		// bytes fed: {buffered before the first read, buffered after it}
+		one:     {true, false},
+		one + 3: {true, false}, // partial elen of the second
+		one + 9: {true, false}, // second header whole, payload cut
+		2 * one: {true, true},
+		one - 1: {false, false},
+		4:       {false, false},
+	} {
+		rs := NewStream(&pipeBuf{R: bytes.NewBuffer(enc.Bytes()[:cut]), W: &bytes.Buffer{}})
+		if rs.EnvelopeBuffered() {
+			t.Fatalf("cut %d: buffered before anything was read from the connection", cut)
+		}
+		if _, err := rs.br.Peek(1); err != nil { // one read from the connection fills the buffer
+			t.Fatal(err)
+		}
+		if got := rs.EnvelopeBuffered(); got != want[0] {
+			t.Fatalf("cut %d: EnvelopeBuffered() = %v before the first read, want %v", cut, got, want[0])
+		}
+		if !want[0] {
+			continue
+		}
+		if _, _, _, err := rs.ReadEnvelope(1 << 20); err != nil {
+			t.Fatal(err)
+		}
+		if got := rs.EnvelopeBuffered(); got != want[1] {
+			t.Fatalf("cut %d: EnvelopeBuffered() = %v after the first read, want %v", cut, got, want[1])
+		}
+	}
+	// elen = 0 with only the length buffered: ReadEnvelope reads the
+	// whole fixed header before it rejects the length, so it could block.
+	rs := NewStream(&pipeBuf{R: bytes.NewBuffer([]byte{0, 0, 0, 0, 1, 2}), W: &bytes.Buffer{}})
+	if _, err := rs.br.Peek(1); err != nil {
+		t.Fatal(err)
+	}
+	if rs.EnvelopeBuffered() {
+		t.Fatal("malformed short envelope with a partial header reported as buffered")
+	}
+}
+
 // TestStreamZeroAllocSteadyState pins that warmed envelope traffic
-// allocates nothing on either side.
+// allocates nothing on either side, written through or queued eight
+// deep and flushed once.
 func TestStreamZeroAllocSteadyState(t *testing.T) {
 	payload := bytes.Repeat([]byte{0x55}, 1024)
 	var wireBytes bytes.Buffer
 	ws := NewStream(&pipeBuf{R: &bytes.Buffer{}, W: &wireBytes})
 	rs := NewStream(&pipeBuf{R: &wireBytes, W: &bytes.Buffer{}})
-	// Warm both scratch buffers (and bytes.Buffer's own backing).
-	for i := 0; i < 4; i++ {
-		if err := ws.WriteEnvelope(uint32(i), 0, payload); err != nil {
-			t.Fatal(err)
-		}
-		if _, _, _, err := rs.ReadEnvelope(1 << 20); err != nil {
-			t.Fatal(err)
-		}
-	}
-	allocs := testing.AllocsPerRun(200, func() {
+	through := func() {
 		if err := ws.WriteEnvelope(9, 0, payload); err != nil {
 			t.Fatal(err)
 		}
 		if _, _, _, err := rs.ReadEnvelope(1 << 20); err != nil {
 			t.Fatal(err)
 		}
-	})
-	if allocs != 0 {
-		t.Errorf("envelope round trip allocates %.1f times, want 0", allocs)
+	}
+	queued := func() {
+		for i := 0; i < 8; i++ {
+			ws.QueueEnvelope(uint32(i), 0, payload)
+		}
+		if err := ws.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 8; i++ {
+			if id, _, _, err := rs.ReadEnvelope(1 << 20); err != nil || id != uint32(i) {
+				t.Fatalf("envelope %d: id %d, err %v", i, id, err)
+			}
+		}
+	}
+	for name, roundTrip := range map[string]func(){"write-through": through, "queued-depth-8": queued} {
+		// Warm both scratch buffers (and bytes.Buffer's own backing).
+		for i := 0; i < 4; i++ {
+			roundTrip()
+		}
+		if allocs := testing.AllocsPerRun(200, roundTrip); allocs != 0 {
+			t.Errorf("%s envelope round trip allocates %.1f times, want 0", name, allocs)
+		}
 	}
 }
