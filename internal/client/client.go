@@ -15,10 +15,9 @@
 // server). Control-plane calls (install, stats, templates, put, get)
 // use encoding/json — they are off the hot path.
 //
-// Optional batch coalescing merges concurrent single-signature
-// lookups into batched wire requests per (template, bucket), trading
-// a bounded queueing delay for fewer round trips — the right shape
-// for a fleet of controllers sharing one client.
+// A template source also answers core.BatchSource: a caller that holds
+// several signatures for one bucket (the fleet's lockstep blocks) sends
+// them as one frame and pays one round trip for all of them.
 package client
 
 import (
@@ -93,9 +92,6 @@ type Config struct {
 	DialTimeout time.Duration
 	// RequestTimeout bounds one round trip (default 30s).
 	RequestTimeout time.Duration
-	// Coalesce enables batch coalescing on template sources created
-	// from this client (zero value disables it).
-	Coalesce CoalesceConfig
 	// TraceEvery samples every Nth Decide with a trace context (0
 	// disables sampling): the sampled request carries a DejaVu-Trace
 	// header (HTTP) or a wire.StreamFlagTrace envelope (TCP), every
@@ -185,11 +181,10 @@ type Client struct {
 
 	// Local instrumentation (obs histograms are atomic-add only, so
 	// the zero-alloc decision path stays zero-alloc with them live).
-	reqLat        obs.Histogram // whole Decide: encode, transport (incl. retries), decode
-	retryWait     obs.Histogram // time spent sleeping in retry backoff
-	coalesceDelay obs.Histogram // first-row-append → flush queueing delay
-	decides       atomic.Int64  // Decide calls, drives TraceEvery sampling
-	spans         *obs.SpanRing // root spans of sampled decisions
+	reqLat    obs.Histogram // whole Decide: encode, transport (incl. retries), decode
+	retryWait obs.Histogram // time spent sleeping in retry backoff
+	decides   atomic.Int64  // Decide calls, drives TraceEvery sampling
+	spans     *obs.SpanRing // root spans of sampled decisions
 }
 
 // APIError is a non-2xx response from the daemon.
@@ -244,6 +239,10 @@ func (c *Client) Close() {
 	}
 }
 
+// Streams reports whether decisions travel the raw-TCP stream plane
+// (TransportTCP) rather than as HTTP POSTs.
+func (c *Client) Streams() bool { return c.cfg.Transport == TransportTCP }
+
 // Retries reports how many transport-level retries the client has
 // performed.
 func (c *Client) Retries() int64 { return c.retried.Load() }
@@ -261,19 +260,15 @@ type LocalStats struct {
 	Request obs.Summary `json:"request"`
 	// RetryWait digests time spent sleeping in retry backoff.
 	RetryWait obs.Summary `json:"retry_wait"`
-	// CoalesceDelay digests the queueing delay coalesced lookups spent
-	// waiting for their batch to flush.
-	CoalesceDelay obs.Summary `json:"coalesce_delay"`
 }
 
 // StatsSnapshot digests the client's local histograms.
 func (c *Client) StatsSnapshot() LocalStats {
 	return LocalStats{
-		Decides:       c.decides.Load(),
-		Retries:       c.retried.Load(),
-		Request:       c.reqLat.Snapshot().Summary(),
-		RetryWait:     c.retryWait.Snapshot().Summary(),
-		CoalesceDelay: c.coalesceDelay.Snapshot().Summary(),
+		Decides:   c.decides.Load(),
+		Retries:   c.retried.Load(),
+		Request:   c.reqLat.Snapshot().Summary(),
+		RetryWait: c.retryWait.Snapshot().Summary(),
 	}
 }
 

@@ -1,6 +1,7 @@
 package client
 
 import (
+	"fmt"
 	"math/rand"
 	"net"
 	"net/http/httptest"
@@ -11,6 +12,7 @@ import (
 
 	"repro/internal/cloud"
 	"repro/internal/core"
+	"repro/internal/metrics"
 	"repro/internal/server"
 	"repro/internal/services"
 	"repro/internal/wire"
@@ -315,16 +317,13 @@ func copyConn(dst, src net.Conn) (int64, error) {
 	}
 }
 
-// TestClientCoalescing pins batch coalescing: concurrent single
-// lookups merge into fewer wire requests, every caller still gets its
-// own correct decision, and buckets never mix.
-func TestClientCoalescing(t *testing.T) {
+// TestClientLookupRows pins the batch capability: rows sharing a
+// bucket travel as one frame, every row gets its own correct decision
+// in order, and buckets never mix.
+func TestClientLookupRows(t *testing.T) {
 	repo := learnRepo(t, 67)
 	addr, srv := startDaemon(t, map[string]*core.Repository{"cassandra": repo}, server.Config{})
-	c, err := New(Config{
-		Addr:     addr,
-		Coalesce: CoalesceConfig{MaxBatch: 8, MaxDelay: 2 * time.Millisecond},
-	})
+	c, err := New(Config{Addr: addr})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,48 +338,71 @@ func TestClientCoalescing(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	vals := foreseen(t, repo, 68, 300)
-	direct0, err := repo.Lookup(&core.Signature{Events: repo.EventsRef(), Values: vals}, 0)
+	const rows = 24
+	batch := make([][]float64, rows)
+	want := make([]core.LookupResult, rows)
+	for i := range batch {
+		batch[i] = foreseen(t, repo, int64(68+i), 100+25*float64(i))
+		want[i], err = repo.Lookup(&core.Signature{Events: repo.EventsRef(), Values: batch[i]}, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	got := make([]core.LookupResult, rows)
+	if err := src.LookupRows(0, batch, got); err != nil {
+		t.Fatal(err)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("row %d (bucket 0): %+v != %+v", i, got[i], want[i])
+		}
+	}
+	if err := src.LookupRows(2, batch, got); err != nil {
+		t.Fatal(err)
+	}
+	for i := range want {
+		if got[i].Class != want[i].Class {
+			t.Fatalf("row %d (bucket 2): class %d, want %d", i, got[i].Class, want[i].Class)
+		}
+		if got[i].Class == 0 && (!got[i].Hit || got[i].Allocation.Count != 9) {
+			t.Fatalf("row %d (bucket 2): %+v, want the seeded bucket-2 entry", i, got[i])
+		}
+	}
+
+	st := srv.StatsSnapshot()
+	if st.LookupReqs != 2 {
+		t.Errorf("%d wire requests for 2 batches", st.LookupReqs)
+	}
+	if st.Decisions != 2*rows { // the comparison lookups were in-process
+		t.Errorf("decisions %d, want %d", st.Decisions, 2*rows)
+	}
+
+	// A row of the wrong width fails the batch before it leaves.
+	wide := append(append([]float64(nil), batch[0]...), 1)
+	if err := src.LookupRows(0, [][]float64{batch[0], wide}, got); err == nil {
+		t.Error("ragged batch was sent")
+	}
+}
+
+// TestLookupRowsTruncatedResponse: a daemon answering a 2-row batch
+// with 1 result must fail the batch — nothing indexes past the short
+// reply.
+func TestLookupRowsTruncatedResponse(t *testing.T) {
+	resp := wire.Response{Version: 3, Lookup: true, Results: []wire.Decision{{Class: 1, Certainty: 0.9, Hit: true, Type: 2, Count: 4}}}
+	frame := resp.AppendBinary(nil)
+	head := fmt.Sprintf("HTTP/1.1 200 OK\r\nContent-Type: %s\r\nContent-Length: %d\r\n\r\n", wire.ContentTypeBinary, len(frame))
+	c, err := New(Config{Addr: cannedServer(t, append([]byte(head), frame...))})
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	const callers = 48
-	var wg sync.WaitGroup
-	errs := make([]error, callers)
-	results := make([]core.LookupResult, callers)
-	for i := 0; i < callers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			bucket := 0
-			if i%2 == 1 {
-				bucket = 2
-			}
-			sig := &core.Signature{Events: repo.EventsRef(), Values: vals}
-			results[i], errs[i] = src.Lookup(sig, bucket)
-		}(i)
+	defer c.Close()
+	src, err := c.Source("cassandra", []metrics.Event{"ev0", "ev1", "ev2"})
+	if err != nil {
+		t.Fatal(err)
 	}
-	wg.Wait()
-	for i := 0; i < callers; i++ {
-		if errs[i] != nil {
-			t.Fatalf("caller %d: %v", i, errs[i])
-		}
-		if i%2 == 0 {
-			if results[i] != direct0 {
-				t.Fatalf("caller %d (bucket 0): %+v != %+v", i, results[i], direct0)
-			}
-		} else if !results[i].Hit || results[i].Allocation.Count != 9 {
-			t.Fatalf("caller %d (bucket 2): %+v", i, results[i])
-		}
-	}
-
-	// Coalescing must have merged callers into far fewer requests.
-	st := srv.StatsSnapshot()
-	if st.LookupReqs >= callers {
-		t.Errorf("coalescing sent %d wire requests for %d lookups", st.LookupReqs, callers)
-	}
-	if st.Decisions != callers { // the comparison lookup was in-process
-		t.Errorf("decisions %d, want %d", st.Decisions, callers)
+	out := make([]core.LookupResult, 2)
+	err = src.LookupRows(0, [][]float64{{1, 2, 3}, {4, 5, 6}}, out)
+	if err == nil || !strings.Contains(err.Error(), "results") {
+		t.Errorf("truncated batch reply: err %v, want a result-count error", err)
 	}
 }

@@ -1,9 +1,7 @@
 package client
 
 import (
-	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/server"
@@ -12,8 +10,8 @@ import (
 
 // TestClientStatsSnapshot pins the client's local instrumentation:
 // every Decide lands in the request-latency histogram, TraceEvery
-// samples root spans at the configured rate, and coalesced lookups
-// record their batch queueing delay — all surfaced through
+// samples root spans at the configured rate, and a multi-row
+// LookupRows counts as the one Decide it is — all surfaced through
 // StatsSnapshot without touching the daemon.
 func TestClientStatsSnapshot(t *testing.T) {
 	repo := learnRepo(t, 61)
@@ -24,7 +22,6 @@ func TestClientStatsSnapshot(t *testing.T) {
 		Addr:       addr,
 		Encoding:   wire.EncodingBinary,
 		TraceEvery: 2,
-		Coalesce:   CoalesceConfig{MaxBatch: 4, MaxDelay: 5 * time.Millisecond},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -46,36 +43,25 @@ func TestClientStatsSnapshot(t *testing.T) {
 		t.Errorf("sampled %d root spans over %d decides at TraceEvery=2", got, direct)
 	}
 
-	// Four concurrent lookups fill one MaxBatch=4 coalesced flush.
+	// Four rows through the batch capability are one frame.
 	src, err := c.Source("cassandra", repo.EventsRef())
 	if err != nil {
 		t.Fatal(err)
 	}
-	sig := &core.Signature{Events: repo.EventsRef(), Values: vals}
-	var wg sync.WaitGroup
-	for i := 0; i < 4; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if _, err := src.Lookup(sig, 0); err != nil {
-				t.Error(err)
-			}
-		}()
+	out := make([]core.LookupResult, 4)
+	if err := src.LookupRows(0, [][]float64{vals, vals, vals, vals}, out); err != nil {
+		t.Fatal(err)
 	}
-	wg.Wait()
 
 	st := c.StatsSnapshot()
-	if st.Decides < direct+1 {
-		t.Errorf("decides %d, want at least %d", st.Decides, direct+1)
+	if st.Decides != direct+1 {
+		t.Errorf("decides %d, want %d", st.Decides, direct+1)
 	}
 	if st.Request.Count != st.Decides {
 		t.Errorf("request digest count %d for %d decides", st.Request.Count, st.Decides)
 	}
 	if st.Request.MeanUS <= 0 || st.Request.P99US < st.Request.P50US {
 		t.Errorf("request digest: %+v", st.Request)
-	}
-	if st.CoalesceDelay.Count < 1 {
-		t.Errorf("coalesce delay recorded %d batches, want at least 1", st.CoalesceDelay.Count)
 	}
 	if st.Retries != 0 || st.RetryWait.Count != 0 {
 		t.Errorf("unexpected retries: %+v", st)

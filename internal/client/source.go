@@ -3,45 +3,12 @@ package client
 import (
 	"fmt"
 	"sync"
-	"time"
 
 	"repro/internal/cloud"
 	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/wire"
 )
-
-// CoalesceConfig tunes batch coalescing on template sources: lookups
-// issued concurrently by many goroutines against the same
-// (template, bucket) are merged into one batched wire request.
-type CoalesceConfig struct {
-	// MaxBatch flushes a batch when it reaches this many signatures
-	// (default 16). Zero MaxBatch and MaxDelay disables coalescing.
-	MaxBatch int
-	// MaxDelay flushes a non-full batch this long after its first
-	// signature — the latency bound a lookup pays for sharing a round
-	// trip (default 500µs when MaxBatch is unset). MaxDelay == 0 with
-	// MaxBatch > 0 means flush-on-full only: no timer is armed, and a
-	// lookup waits until MaxBatch-1 peers join its batch. That shape
-	// fits steady high-rate callers that never want a partial flush.
-	MaxDelay time.Duration
-}
-
-func (c CoalesceConfig) enabled() bool { return c.MaxBatch > 0 || c.MaxDelay > 0 }
-
-func (c *CoalesceConfig) defaults() {
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = 16
-		// Only delay-driven coalescing was asked for; without a
-		// default delay the batch would wait forever for 15 peers.
-		if c.MaxDelay <= 0 {
-			c.MaxDelay = 500 * time.Microsecond
-		}
-	}
-	if c.MaxDelay < 0 {
-		c.MaxDelay = 0
-	}
-}
 
 // TemplateSource binds a client to one remote template and implements
 // core.DecisionSource, so a controller (or a whole fleet of them)
@@ -52,7 +19,6 @@ type TemplateSource struct {
 	template string
 	events   []metrics.Event
 	scratch  sync.Pool // *decideScratch: per-goroutine wire state
-	coal     *coalescer
 }
 
 // decideScratch is the reusable wire state of one in-flight decision.
@@ -83,11 +49,6 @@ func (c *Client) Source(template string, events []metrics.Event) (*TemplateSourc
 	}
 	s := &TemplateSource{c: c, template: template, events: events}
 	s.scratch.New = func() any { return &decideScratch{} }
-	if c.cfg.Coalesce.enabled() {
-		cfg := c.cfg.Coalesce
-		cfg.defaults()
-		s.coal = newCoalescer(s, cfg)
-	}
 	return s, nil
 }
 
@@ -95,28 +56,40 @@ func (c *Client) Source(template string, events []metrics.Event) (*TemplateSourc
 func (s *TemplateSource) Events() []metrics.Event { return s.events }
 
 // Lookup implements core.DecisionSource: one signature, one decision,
-// over the wire (coalesced into a shared batch when enabled).
+// one round trip.
 func (s *TemplateSource) Lookup(sig *core.Signature, bucket int) (core.LookupResult, error) {
 	if err := sig.Validate(); err != nil {
 		return core.LookupResult{}, err
 	}
-	if len(sig.Values) != len(s.events) {
-		return core.LookupResult{}, fmt.Errorf("client: signature width %d, template %q expects %d",
-			len(sig.Values), s.template, len(s.events))
-	}
-	if s.coal != nil {
-		return s.coal.lookup(sig.Values, bucket)
-	}
+	rows := [1][]float64{sig.Values}
+	var out [1]core.LookupResult
+	err := s.LookupRows(bucket, rows[:], out[:])
+	return out[0], err
+}
+
+// LookupRows implements core.BatchSource: the rows share one
+// interference bucket and one round trip, travelling as a single frame
+// built in the source's pooled scratch.
+func (s *TemplateSource) LookupRows(bucket int, rows [][]float64, out []core.LookupResult) error {
 	sc := s.scratch.Get().(*decideScratch)
 	defer s.scratch.Put(sc)
 	sc.req.Reset()
 	sc.req.SetTemplate(s.template)
 	sc.req.Bucket = bucket
-	sc.req.AppendRow(sig.Values)
-	if err := s.c.Decide(true, &sc.req, &sc.resp); err != nil {
-		return core.LookupResult{}, err
+	for _, row := range rows {
+		if len(row) != len(s.events) {
+			return fmt.Errorf("client: signature width %d, template %q expects %d",
+				len(row), s.template, len(s.events))
+		}
+		sc.req.AppendRow(row)
 	}
-	return decisionToLookup(&sc.resp.Results[0]), nil
+	if err := s.c.Decide(true, &sc.req, &sc.resp); err != nil {
+		return err
+	}
+	for i := range rows {
+		out[i] = decisionToLookup(&sc.resp.Results[i])
+	}
+	return nil
 }
 
 // LookupBatch sends a caller-assembled batch for template-routed
@@ -173,103 +146,4 @@ func (s *TemplateSource) Put(class, bucket int, alloc cloud.Allocation) error {
 	}, nil)
 }
 
-var _ core.DecisionSource = (*TemplateSource)(nil)
-
-// coalescer merges concurrent single lookups into batched requests,
-// one open batch per interference bucket.
-type coalescer struct {
-	src *TemplateSource
-	cfg CoalesceConfig
-
-	mu      sync.Mutex
-	pending map[int]*openBatch
-}
-
-// openBatch accumulates rows until full or its delay fires.
-type openBatch struct {
-	bucket  int
-	opened  time.Time
-	req     wire.Request
-	waiters []chan batchResult
-	timer   *time.Timer
-	flushed bool
-}
-
-type batchResult struct {
-	res core.LookupResult
-	err error
-}
-
-func newCoalescer(src *TemplateSource, cfg CoalesceConfig) *coalescer {
-	return &coalescer{src: src, cfg: cfg, pending: map[int]*openBatch{}}
-}
-
-// lookup joins (or opens) the bucket's batch and waits for its row's
-// decision.
-func (co *coalescer) lookup(values []float64, bucket int) (core.LookupResult, error) {
-	done := make(chan batchResult, 1)
-	co.mu.Lock()
-	b := co.pending[bucket]
-	if b == nil {
-		b = &openBatch{bucket: bucket, opened: time.Now()}
-		b.req.SetTemplate(co.src.template)
-		b.req.Bucket = bucket
-		co.pending[bucket] = b
-		// MaxDelay == 0 means flush-on-full only: arming
-		// time.AfterFunc(0) here would fire immediately and flush
-		// batches of one, silently disabling coalescing.
-		if co.cfg.MaxDelay > 0 {
-			batch := b
-			b.timer = time.AfterFunc(co.cfg.MaxDelay, func() { co.flush(batch) })
-		}
-	}
-	b.req.AppendRow(values)
-	b.waiters = append(b.waiters, done)
-	full := b.req.Rows() >= co.cfg.MaxBatch
-	co.mu.Unlock()
-	if full {
-		co.flush(b)
-	}
-	r := <-done
-	return r.res, r.err
-}
-
-// flush sends the batch (once) and fans results out to its waiters.
-func (co *coalescer) flush(b *openBatch) {
-	co.mu.Lock()
-	if b.flushed {
-		co.mu.Unlock()
-		return
-	}
-	b.flushed = true
-	if b.timer != nil {
-		b.timer.Stop()
-	}
-	if co.pending[b.bucket] == b {
-		delete(co.pending, b.bucket)
-	}
-	co.mu.Unlock()
-	// The coalesce delay is what the batch's first signature paid for
-	// sharing a round trip: open-to-flush, whether the flush came from
-	// the MaxBatch fill or the MaxDelay timer.
-	co.src.c.coalesceDelay.Record(time.Since(b.opened))
-
-	var resp wire.Response
-	err := co.src.c.Decide(true, &b.req, &resp)
-	// A response that does not carry exactly one result per waiter
-	// must fan an error to everyone: indexing resp.Results[i] past a
-	// short batch would panic this goroutine — possibly the shared
-	// time.AfterFunc timer goroutine — and strand every other waiter
-	// on <-done forever.
-	if err == nil && len(resp.Results) != len(b.waiters) {
-		err = fmt.Errorf("client: coalesced batch of %d signatures got %d results",
-			len(b.waiters), len(resp.Results))
-	}
-	for i, w := range b.waiters {
-		if err != nil {
-			w <- batchResult{err: err}
-			continue
-		}
-		w <- batchResult{res: decisionToLookup(&resp.Results[i])}
-	}
-}
+var _ core.BatchSource = (*TemplateSource)(nil)

@@ -33,6 +33,19 @@ type DecisionSource interface {
 	Put(class, bucket int, alloc cloud.Allocation) error
 }
 
+// BatchSource is the optional batch capability of a DecisionSource
+// whose Lookup pays a fixed per-call cost worth sharing — a wire round
+// trip. A caller holding several signatures for one interference bucket
+// (the fleet's lockstep blocks) checks for it with a type assertion and
+// sends them as one call; sources without it are driven row by row.
+type BatchSource interface {
+	DecisionSource
+	// LookupRows is Lookup over rows that share a bucket: rows[i] is a
+	// signature's values in Events() order and its decision lands in
+	// out[i] (len(out) >= len(rows)). An error fails the whole batch.
+	LookupRows(bucket int, rows [][]float64, out []LookupResult) error
+}
+
 // Handle's DecisionSource: every call serves from the live snapshot,
 // so a background relearn swap is picked up by the next call without
 // any controller involvement.

@@ -1,7 +1,7 @@
 // Package fleet is the multi-tenant control plane: it drives many
 // logical VMs — each with its own DejaVu runtime controller and
-// simulated deployment — concurrently against one shared, sharded
-// signature repository per service template. Tuning results learned on
+// simulated deployment — concurrently against one shared signature
+// repository per service template. Tuning results learned on
 // one VM become instantly reusable by every other VM of the same
 // template, which is the paper's cross-deployment "déjà vu" effect
 // (§6: an application "can benefit from the experience of other cloud
@@ -55,11 +55,14 @@ type Config struct {
 	SkipLearning map[string]*core.Repository
 	// Remote, when set, drives a live dejavud instead of in-process
 	// repositories: each template's learned repository is installed
-	// into the daemon under the service name, every controller
-	// decision (lookup/get/put) goes over the wire, and the group
-	// statistics are read back from the daemon. Learning (and the
-	// shared tuning cache) stays local — the daemon serves decisions,
-	// not profiling environments.
+	// into the daemon under the service name and the group statistics
+	// are read back from the daemon. Over the client's stream plane
+	// (client.Config.TCPAddr) lookups travel one frame per lockstep
+	// block of same-template VMs (see lockstep.go), one frame per
+	// interference bucket present in the block; over HTTP each lookup
+	// is its own round trip. Get and put are one call each. Learning
+	// (and the shared tuning cache) stays local — the daemon serves
+	// decisions, not profiling environments.
 	Remote *client.Client
 	// DiscardRecords drops every VM's per-step records and keeps only
 	// the aggregates (see sim.Config.DiscardRecords). The 100k-VM
@@ -115,7 +118,10 @@ type Result struct {
 	LearnPhase obs.Summary
 	// StepPhase digests the per-VM run-phase durations (one sample per
 	// VM simulation) — the tail here is what bounds the concurrent run
-	// phase's wall clock.
+	// phase's wall clock. A VM stepped in a lockstep block records its
+	// share of the block, the block's wall time over its VM count, so
+	// the count stays the number of VMs and the sum stays worker busy
+	// time.
 	StepPhase obs.Summary
 }
 
@@ -205,6 +211,12 @@ type group struct {
 	vms     []int // indices into Config.Specs
 }
 
+// rowByRow hides a source's batch capability. Lockstep blocks ride the
+// stream plane only: a client whose decisions go out as HTTP POSTs
+// keeps one round trip per lookup (docs/BENCHMARKS.md, "Batching over
+// HTTP: measured, not shipped").
+type rowByRow struct{ core.DecisionSource }
+
 // templateCtx is the worker-local per-template batch state: setup that
 // is identical for every VM of a template and safe to reuse across the
 // consecutive same-template VMs a worker steps through (the run phase
@@ -258,63 +270,9 @@ func workerTemplateCtx(wctx []map[string]*templateCtx, worker int, svc services.
 // Run executes the fleet: learn once per service template, then drive
 // every VM's controller concurrently over the shared repositories.
 func Run(cfg Config) (*Result, error) {
-	if len(cfg.Specs) == 0 {
-		return nil, errors.New("fleet: no VMs")
-	}
-	if cfg.Workers <= 0 {
-		cfg.Workers = runtime.GOMAXPROCS(0)
-	}
-	if cfg.Step <= 0 {
-		cfg.Step = time.Minute
-	}
-	for i, spec := range cfg.Specs {
-		if spec.Service == nil || spec.RunTrace == nil {
-			return nil, fmt.Errorf("fleet: vm %d (%s) needs Service and RunTrace", i, spec.Name)
-		}
-	}
-
-	// Group VMs by service template; each group shares one
-	// repository and one tuning cache.
-	groups := make(map[string]*group)
-	for i, spec := range cfg.Specs {
-		name := spec.Service.Name()
-		g, ok := groups[name]
-		if !ok {
-			g = &group{service: spec.Service, cache: core.NewSharedTuningCache()}
-			groups[name] = g
-		}
-		g.vms = append(g.vms, i)
-	}
-
-	// Learning phase: one clustering + tuning pass per template (the
-	// fleet-wide amortization: N VMs, one learning bill). Groups
-	// learn in parallel on the shared pool, each using its first VM's
-	// learning-day trace; the per-group clustering fan-out gets an
-	// even share of the workers so templates × restarts × candidate-k
-	// together stay bounded by cfg.Workers.
 	learnStart := time.Now()
-	groupList := make([]*group, 0, len(groups))
-	for _, g := range groups {
-		groupList = append(groupList, g)
-	}
-	sort.Slice(groupList, func(i, j int) bool {
-		return groupList[i].service.Name() < groupList[j].service.Name()
-	})
-	innerWorkers := cfg.Workers / len(groupList)
-	if innerWorkers < 1 {
-		innerWorkers = 1
-	}
-	// Per-group and per-VM phase timing: one histogram sample per unit
-	// of parallel work, never per step — per-step recording would tax
-	// the fleet's multi-million-steps/s control-plane throughput.
-	var learnDur, stepDur obs.Histogram
-	learnErrs := make([]error, len(groupList))
-	parallel.Do(cfg.Workers, len(groupList), func(i int) {
-		groupStart := time.Now()
-		learnErrs[i] = learnGroup(cfg, groupList[i], innerWorkers)
-		learnDur.Record(time.Since(groupStart))
-	})
-	if err := errors.Join(learnErrs...); err != nil {
+	groups, learnPhase, err := learnGroups(&cfg)
+	if err != nil {
 		return nil, err
 	}
 
@@ -323,7 +281,7 @@ func Run(cfg Config) (*Result, error) {
 	// library. The install is part of the learning bill — it is the
 	// fleet-wide "share what you learned" step.
 	if cfg.Remote != nil {
-		for _, g := range groupList {
+		for _, g := range groups {
 			name := g.service.Name()
 			if _, err := cfg.Remote.Install(name, g.repo); err != nil {
 				return nil, fmt.Errorf("fleet: installing template %s: %w", name, err)
@@ -333,108 +291,33 @@ func Run(cfg Config) (*Result, error) {
 				return nil, fmt.Errorf("fleet: sourcing template %s: %w", name, err)
 			}
 			g.source = src
+			if !cfg.Remote.Streams() {
+				g.source = rowByRow{src}
+			}
 		}
 	}
 	learningTime := time.Since(learnStart)
 
-	// Run phase: a worker pool drains the VM queue. Only the
-	// repository (sharded, atomic counters) and the tuning cache
-	// (mutex) are shared; profiler, tuner, and controller are
-	// per-VM.
-	res := &Result{
-		VMResults: make([]*sim.Result, len(cfg.Specs)),
-		Bill:      cloud.NewFleetBill(),
-	}
-
-	// Zero-copy step arena: each VM's step count is known up front
-	// from its active trace window, so the arena pre-sizes an even
-	// per-worker share of the whole fleet. Each worker fills slots
-	// from its own shard, so the hot loop never contends on a global
-	// bump pointer; VMs that leave mid-run drain their slot without
-	// the arena ever compacting or reusing it (see stepArena), so
-	// records held by live VMs and by the aggregation below stay
-	// valid under churn. Discarding runs skip the arena entirely.
-	active := make([]*trace.Trace, len(cfg.Specs))
-	total := 0
-	for i, spec := range cfg.Specs {
-		at, err := activeTrace(spec)
-		if err != nil {
-			return nil, err
-		}
-		active[i] = at
-		total += sim.Steps(at.Duration(), cfg.Step)
-	}
-	workers := cfg.Workers
-	if workers > len(cfg.Specs) {
-		workers = len(cfg.Specs)
-	}
-	if cfg.DiscardRecords {
-		// No records, no slabs: an eager arena at 100k VMs would
-		// allocate the >10 GB of record memory DiscardRecords exists
-		// to avoid.
-		total = 0
-	}
-	arena := newStepArena(total, workers)
-
-	// Template-major VM order: workers claim consecutive indices, so
-	// sorting the fleet by service name (stably — spec order preserved
-	// within a template) makes each worker step through runs of
-	// same-template VMs and amortize per-template setup through its
-	// templateCtx. Per-VM results are interleaving-invariant (the
-	// equivalence tests pin Workers=1 vs N byte-identical), so the
-	// permutation changes scheduling only, never output.
-	order := make([]int, len(cfg.Specs))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		return cfg.Specs[order[a]].Service.Name() < cfg.Specs[order[b]].Service.Name()
-	})
-	wctx := make([]map[string]*templateCtx, workers)
-
-	runErrs := make([]error, len(cfg.Specs))
-	runStart := time.Now()
-	parallel.DoWorkers(workers, len(cfg.Specs), func(worker, idx int) {
-		i := order[idx]
-		spec := &cfg.Specs[i]
-		g := groups[spec.Service.Name()]
-		var records []sim.StepRecord
-		if !cfg.DiscardRecords {
-			records = arena.acquire(worker, sim.Steps(active[i].Duration(), cfg.Step))
-		}
-		tc := workerTemplateCtx(wctx, worker, spec.Service, g)
-		vmStart := time.Now()
-		vr, err := runVM(cfg, *spec, active[i], g, tc, records)
-		stepDur.Record(time.Since(vmStart))
-		if err != nil {
-			runErrs[i] = fmt.Errorf("fleet: vm %d (%s): %w", i, spec.Name, err)
-			return
-		}
-		if spec.LeaveAt > 0 && !cfg.DiscardRecords {
-			// Preempted: the VM has left the fleet; drain its slot.
-			arena.release(worker)
-		}
-		res.VMResults[i] = vr
-		res.Bill.Post(cloud.TenantUsage{
-			Tenant:        spec.Name,
-			Service:       spec.Service.Name(),
-			Cost:          vr.TotalCost,
-			InstanceHours: vr.MeanAllocatedInstances() * active[i].Duration().Hours(),
-			Duration:      active[i].Duration(),
-		})
-	})
-	if err := errors.Join(runErrs...); err != nil {
+	p, err := newRunPhase(cfg, groups)
+	if err != nil {
 		return nil, err
 	}
+	runStart := time.Now()
+	p.run()
+	if err := errors.Join(p.errs...); err != nil {
+		return nil, err
+	}
+	res := p.res
 	res.Elapsed = time.Since(runStart)
 	res.LearningTime = learningTime
-	res.LearnPhase = learnDur.Snapshot().Summary()
-	res.StepPhase = stepDur.Snapshot().Summary()
+	res.LearnPhase = learnPhase
+	res.StepPhase = p.stepDur.Snapshot().Summary()
 
 	for _, vr := range res.VMResults {
 		res.TotalSteps += vr.Steps
 	}
-	for name, g := range groups {
+	for _, g := range groups { // sorted by service name
+		name := g.service.Name()
 		gs := GroupStats{
 			Service:     name,
 			VMs:         len(g.vms),
@@ -459,8 +342,213 @@ func Run(cfg Config) (*Result, error) {
 		}
 		res.Groups = append(res.Groups, gs)
 	}
-	sort.Slice(res.Groups, func(i, j int) bool { return res.Groups[i].Service < res.Groups[j].Service })
 	return res, nil
+}
+
+// learnGroups validates cfg and fills its defaults, groups the VMs by
+// service template — each group shares one repository and one tuning
+// cache — and runs the learning phase: one clustering + tuning pass per
+// template (the fleet-wide amortization: N VMs, one learning bill).
+// Groups learn in parallel on the shared pool, each using its first
+// VM's learning-day trace; the per-group clustering fan-out gets an
+// even share of the workers so templates × restarts × candidate-k
+// together stay bounded by cfg.Workers. The groups come back sorted by
+// service name, with a digest of the per-group learning durations.
+func learnGroups(cfg *Config) ([]*group, obs.Summary, error) {
+	if len(cfg.Specs) == 0 {
+		return nil, obs.Summary{}, errors.New("fleet: no VMs")
+	}
+	if cfg.Workers <= 0 {
+		cfg.Workers = runtime.GOMAXPROCS(0)
+	}
+	if cfg.Step <= 0 {
+		cfg.Step = time.Minute
+	}
+	byName := make(map[string]*group)
+	var groups []*group
+	for i, spec := range cfg.Specs {
+		if spec.Service == nil || spec.RunTrace == nil {
+			return nil, obs.Summary{}, fmt.Errorf("fleet: vm %d (%s) needs Service and RunTrace", i, spec.Name)
+		}
+		name := spec.Service.Name()
+		g, ok := byName[name]
+		if !ok {
+			g = &group{service: spec.Service, cache: core.NewSharedTuningCache()}
+			byName[name] = g
+			groups = append(groups, g)
+		}
+		g.vms = append(g.vms, i)
+	}
+	sort.Slice(groups, func(i, j int) bool {
+		return groups[i].service.Name() < groups[j].service.Name()
+	})
+	innerWorkers := cfg.Workers / len(groups)
+	if innerWorkers < 1 {
+		innerWorkers = 1
+	}
+	// Per-group and per-VM phase timing: one histogram sample per unit
+	// of parallel work, never per step — per-step recording would tax
+	// the fleet's multi-million-steps/s control-plane throughput.
+	var learnDur obs.Histogram
+	learnErrs := make([]error, len(groups))
+	parallel.Do(cfg.Workers, len(groups), func(i int) {
+		groupStart := time.Now()
+		learnErrs[i] = learnGroup(*cfg, groups[i], innerWorkers)
+		learnDur.Record(time.Since(groupStart))
+	})
+	return groups, learnDur.Snapshot().Summary(), errors.Join(learnErrs...)
+}
+
+// runPhase is the run phase: a worker pool drains the VM queue. Only
+// the repository (one immutable copy-on-put map, atomic counters) and
+// the tuning cache (mutex) are shared between VMs; profiler, tuner and
+// controller are per-VM. Everything here is read-only during the
+// phase, indexed by VM (res.VMResults, errs) or by worker (arena
+// shards, wctx), or safe for concurrent use (the bill, the histogram).
+type runPhase struct {
+	cfg     Config // Workers clipped to the fleet size
+	groups  map[string]*group
+	active  []*trace.Trace // per VM: its membership window of the run trace
+	arena   *stepArena
+	wctx    []map[string]*templateCtx
+	res     *Result
+	errs    []error
+	stepDur obs.Histogram
+
+	// order is the fleet template-major: workers claim consecutive
+	// units, so sorting by service name (stably — spec order preserved
+	// within a template) makes each worker step through runs of
+	// same-template VMs and amortize per-template setup through its
+	// templateCtx. Per-VM results are interleaving-invariant (the
+	// equivalence tests pin Workers=1 vs N byte-identical), so the
+	// permutation changes scheduling only, never output.
+	order []int
+	// blocks are the boundaries in order of the units workers claim
+	// (see lockstepBlocks); nil means every VM is its own unit.
+	blocks []int
+}
+
+// newRunPhase lays the run phase out over learned (and, in remote
+// mode, sourced) groups.
+func newRunPhase(cfg Config, groups []*group) (*runPhase, error) {
+	if cfg.Workers > len(cfg.Specs) {
+		cfg.Workers = len(cfg.Specs)
+	}
+	p := &runPhase{
+		cfg:    cfg,
+		groups: make(map[string]*group, len(groups)),
+		active: make([]*trace.Trace, len(cfg.Specs)),
+		wctx:   make([]map[string]*templateCtx, cfg.Workers),
+		res: &Result{
+			VMResults: make([]*sim.Result, len(cfg.Specs)),
+			Bill:      cloud.NewFleetBill(),
+		},
+		errs:  make([]error, len(cfg.Specs)),
+		order: make([]int, len(cfg.Specs)),
+	}
+
+	// Zero-copy step arena: each VM's step count is known up front
+	// from its active trace window, so the arena pre-sizes an even
+	// per-worker share of the whole fleet. Each worker fills slots
+	// from its own shard, so the hot loop never contends on a global
+	// bump pointer; VMs that leave mid-run drain their slot without
+	// the arena ever compacting or reusing it (see stepArena), so
+	// records held by live VMs and by the aggregation stay valid under
+	// churn. Discarding runs skip the arena entirely.
+	total := 0
+	for i, spec := range cfg.Specs {
+		at, err := activeTrace(spec)
+		if err != nil {
+			return nil, err
+		}
+		p.active[i] = at
+		total += sim.Steps(at.Duration(), cfg.Step)
+		p.order[i] = i
+	}
+	if cfg.DiscardRecords {
+		// No records, no slabs: an eager arena at 100k VMs would
+		// allocate the >10 GB of record memory DiscardRecords exists
+		// to avoid.
+		total = 0
+	}
+	p.arena = newStepArena(total, cfg.Workers)
+	sort.SliceStable(p.order, func(a, b int) bool {
+		return cfg.Specs[p.order[a]].Service.Name() < cfg.Specs[p.order[b]].Service.Name()
+	})
+
+	for _, g := range groups {
+		p.groups[g.service.Name()] = g
+	}
+	p.blocks = lockstepBlocks(cfg.Specs, p.order, p.groups, cfg.Workers)
+	return p, nil
+}
+
+// run drains the units over the worker pool; per-VM failures land in
+// errs.
+func (p *runPhase) run() {
+	units := len(p.order)
+	if p.blocks != nil {
+		units = len(p.blocks) - 1
+	}
+	parallel.DoWorkers(p.cfg.Workers, units, func(worker, u int) {
+		lo, hi := u, u+1
+		if p.blocks != nil {
+			lo, hi = p.blocks[u], p.blocks[u+1]
+		}
+		p.unit(worker, p.order[lo:hi])
+	})
+}
+
+// unit runs one claimed unit of work on worker: a single VM straight
+// through its group's source, or several same-template VMs as one
+// lockstep block.
+func (p *runPhase) unit(worker int, members []int) {
+	start := time.Now()
+	if len(members) == 1 {
+		i := members[0]
+		g, tc, records := p.setup(worker, i)
+		vr, err := runVM(p.cfg, p.cfg.Specs[i], p.active[i], g, g.source, tc, records)
+		p.finish(worker, i, vr, err)
+	} else {
+		p.lockstep(worker, members)
+	}
+	share := time.Since(start) / time.Duration(len(members))
+	for range members {
+		p.stepDur.Record(share)
+	}
+}
+
+// setup gathers what VM i runs against on worker: its group, the
+// worker's per-template batch state and its step-record slot.
+func (p *runPhase) setup(worker, i int) (*group, *templateCtx, []sim.StepRecord) {
+	spec := &p.cfg.Specs[i]
+	g := p.groups[spec.Service.Name()]
+	var records []sim.StepRecord
+	if !p.cfg.DiscardRecords {
+		records = p.arena.acquire(worker, sim.Steps(p.active[i].Duration(), p.cfg.Step))
+	}
+	return g, workerTemplateCtx(p.wctx, worker, spec.Service, g), records
+}
+
+// finish books VM i's outcome: its error, or its result and bill.
+func (p *runPhase) finish(worker, i int, vr *sim.Result, err error) {
+	spec := &p.cfg.Specs[i]
+	if err != nil {
+		p.errs[i] = fmt.Errorf("fleet: vm %d (%s): %w", i, spec.Name, err)
+		return
+	}
+	if spec.LeaveAt > 0 && !p.cfg.DiscardRecords {
+		// Preempted: the VM has left the fleet; drain its slot.
+		p.arena.release(worker)
+	}
+	p.res.VMResults[i] = vr
+	p.res.Bill.Post(cloud.TenantUsage{
+		Tenant:        spec.Name,
+		Service:       spec.Service.Name(),
+		Cost:          vr.TotalCost,
+		InstanceHours: vr.MeanAllocatedInstances() * p.active[i].Duration().Hours(),
+		Duration:      p.active[i].Duration(),
+	})
 }
 
 // learnGroup runs (or skips) the learning phase for one template.
@@ -505,14 +593,15 @@ func learnGroup(cfg Config, g *group, workers int) error {
 	return nil
 }
 
-// runVM simulates one VM against its group's shared repository,
-// filling step records into the caller-provided arena slice. runTrace
+// runVM simulates one VM against its group's shared repository — in
+// process when src is nil, through src otherwise — filling step
+// records into the caller-provided arena slice. runTrace
 // is the VM's active trace window; when the VM joined mid-run its
 // time-indexed schedules (interference, mix) are shifted so they keep
 // reading fleet-absolute time. tc, when non-nil, is the worker's
 // per-template batch state (warm perf memo, tuner prototype) — always
 // result-neutral, see templateCtx.
-func runVM(cfg Config, spec sim.VMSpec, runTrace *trace.Trace, g *group, tc *templateCtx, records []sim.StepRecord) (*sim.Result, error) {
+func runVM(cfg Config, spec sim.VMSpec, runTrace *trace.Trace, g *group, src core.DecisionSource, tc *templateCtx, records []sim.StepRecord) (*sim.Result, error) {
 	rng := newRng(spec.Seed)
 	prof, err := core.NewProfiler(spec.Service, rng)
 	if err != nil {
@@ -536,8 +625,8 @@ func runVM(cfg Config, spec sim.VMSpec, runTrace *trace.Trace, g *group, tc *tem
 		InterferenceDetection: cfg.InterferenceDetection,
 		OnDemandProfiling:     cfg.OnDemandProfiling,
 	}
-	if g.source != nil {
-		ctlCfg.Source = g.source
+	if src != nil {
+		ctlCfg.Source = src
 	} else {
 		ctlCfg.Repository = g.repo
 	}
