@@ -99,17 +99,9 @@ func TestModelBasedRecalibratesOnMixChange(t *testing.T) {
 		Trace:      tr,
 		Controller: mb,
 		Initial:    cloud.Allocation{Type: cloud.Large, Count: 6},
-		MixFn: func(now time.Duration) services.Mix {
-			// Switch the request mix twice.
-			switch {
-			case now < 80*time.Minute:
-				return heavy
-			case now < 160*time.Minute:
-				return light
-			default:
-				return heavy
-			}
-		},
+		// Switch the request mix twice.
+		Mix:       heavy,
+		MixShifts: []sim.MixShift{{At: 80 * time.Minute, Mix: light}, {At: 160 * time.Minute, Mix: heavy}},
 	})
 	if err != nil {
 		t.Fatal(err)

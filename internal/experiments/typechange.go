@@ -107,13 +107,19 @@ func TypeChange(opts Options) (*TypeChangeResult, error) {
 	if err != nil {
 		return nil, err
 	}
+	// The window's mix schedule: one entry per 4-hour block, read off
+	// the mixAt the learning day used, a day in.
+	var shifts []sim.MixShift
+	for at := time.Duration(0); at < window.Duration(); at += 4 * time.Hour {
+		shifts = append(shifts, sim.MixShift{At: at, Mix: mixAt(24*time.Hour + at)})
+	}
 	run := func(ctl sim.Controller) (*sim.Result, error) {
 		return sim.Run(sim.Config{
 			Service:    svc,
 			Trace:      window,
 			Controller: ctl,
 			Initial:    svc.MaxAllocation(),
-			MixFn:      func(now time.Duration) services.Mix { return mixAt(24*time.Hour + now) },
+			MixShifts:  shifts,
 		})
 	}
 	dvRes, err := run(dejavu)

@@ -2,10 +2,12 @@ package fleet
 
 import (
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/services"
 	"repro/internal/sim"
 )
 
@@ -79,6 +81,48 @@ func TestFleetChurnDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	compareFleetResults(t, a, b)
+}
+
+// TestFleetChurnMixShiftsFleetAbsolute: MixShifts.At is fleet-absolute
+// time, like JoinAt. A VM joining at 6 h with a shift at 4 h runs its
+// whole window on the shifted mix; with the shift at 9 h it switches 3 h
+// into its window. Each is held against a from-the-start VM that says
+// so directly.
+func TestFleetChurnMixShiftsFleetAbsolute(t *testing.T) {
+	base := scenario(t, 1, true, false)[0]
+	alt := base.Service.(*services.Cassandra).ReadMostlyMix()
+	window, err := base.RunTrace.Slice(6, base.RunTrace.Len())
+	if err != nil {
+		t.Fatal(err)
+	}
+	vm := func(joinAt time.Duration, mix services.Mix, shifts ...sim.MixShift) sim.VMSpec {
+		s := base
+		s.JoinAt, s.Mix, s.MixShifts = joinAt, mix, shifts
+		if joinAt == 0 {
+			s.RunTrace = window
+		}
+		return s
+	}
+	// VM 0 only gives the template its learning day (on the base mix).
+	specs := []sim.VMSpec{
+		base,
+		vm(6*time.Hour, base.Mix, sim.MixShift{At: 4 * time.Hour, Mix: alt}),
+		vm(0, alt),
+		vm(6*time.Hour, base.Mix, sim.MixShift{At: 9 * time.Hour, Mix: alt}),
+		vm(0, base.Mix, sim.MixShift{At: 3 * time.Hour, Mix: alt}),
+	}
+	res, err := Run(Config{Specs: specs, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	vr := res.VMResults
+	compareVMRecords(t, []*sim.Result{vr[2], vr[4]}, []*sim.Result{vr[1], vr[3]})
+	if reflect.DeepEqual(vr[1].Records, vr[3].Records) {
+		t.Error("the shift's offset made no difference to the joiner's run")
+	}
+	if at := specs[1].MixShifts[0].At; at != 4*time.Hour {
+		t.Errorf("the run rewrote the spec's schedule: shift now at %v", at)
+	}
 }
 
 // TestActiveTraceWindows pins the membership-window slicing rules.

@@ -370,6 +370,9 @@ func learnGroups(cfg *Config) ([]*group, obs.Summary, error) {
 		if spec.Service == nil || spec.RunTrace == nil {
 			return nil, obs.Summary{}, fmt.Errorf("fleet: vm %d (%s) needs Service and RunTrace", i, spec.Name)
 		}
+		if spec.MixFn != nil && len(spec.MixShifts) == 0 {
+			return nil, obs.Summary{}, fmt.Errorf("fleet: vm %d (%s) sets the deprecated MixFn, which the fleet does not run; give it MixShifts", i, spec.Name)
+		}
 		name := spec.Service.Name()
 		g, ok := byName[name]
 		if !ok {
@@ -635,20 +638,23 @@ func runVM(cfg Config, spec sim.VMSpec, runTrace *trace.Trace, g *group, src cor
 		return nil, err
 	}
 	interference := spec.Interference
-	mixFn := spec.MixFn
+	shifts := spec.MixShifts // shared with the spec unless the VM joined mid-run
 	if off := spec.JoinAt; off > 0 {
 		if inner := interference; inner != nil {
 			interference = func(now time.Duration) float64 { return inner(now + off) }
 		}
-		if inner := mixFn; inner != nil {
-			mixFn = func(now time.Duration) services.Mix { return inner(now + off) }
+		if len(shifts) > 0 {
+			shifts = make([]sim.MixShift, len(spec.MixShifts))
+			for i, s := range spec.MixShifts {
+				shifts[i] = sim.MixShift{At: s.At - off, Mix: s.Mix}
+			}
 		}
 	}
 	simCfg := sim.Config{
 		Service:        spec.Service,
 		Trace:          runTrace,
 		Mix:            spec.Mix,
-		MixFn:          mixFn,
+		MixShifts:      shifts,
 		Controller:     ctl,
 		Step:           cfg.Step,
 		Initial:        spec.Service.MaxAllocation(),

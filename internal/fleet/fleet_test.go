@@ -144,6 +144,11 @@ func TestFleetValidation(t *testing.T) {
 	if _, err := Run(Config{Specs: []sim.VMSpec{{Name: "x"}}}); err == nil {
 		t.Error("spec without service/trace should error")
 	}
+	closureOnly := scenario(t, 1, true, false)
+	closureOnly[0].MixFn = func(time.Duration) services.Mix { return closureOnly[0].Mix }
+	if _, err := Run(Config{Specs: closureOnly}); err == nil {
+		t.Error("a MixFn without MixShifts would be silently ignored; it should error")
+	}
 }
 
 func TestDefaultTuner(t *testing.T) {

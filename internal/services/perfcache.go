@@ -21,17 +21,21 @@ type perfCell struct {
 // demand-factor) cells. Each cell stores the exact operating point it
 // was computed for and is verified on every hit, so the memo returns
 // bit-identical results to calling Perf directly — it is a pure
-// performance cache, never an approximation. The zero-order-hold
-// traces make the simulator re-evaluate the same operating point for
-// every step of a sample period; the memo collapses those re-solves
-// into one.
+// performance cache, never an approximation. A run comes back to the
+// same few operating points hour after hour and VM after VM (a worker
+// shares one memo across its template's VMs); the memo collapses those
+// re-solves into one.
 //
 // A PerfMemo is owned by a single goroutine (one per simulation run).
 type PerfMemo struct {
 	svc Service
-	// lastIdx short-circuits the steady state: consecutive steps hit
-	// the same cell, so the common case is three float compares with
-	// no hashing at all.
+	// lastIdx short-circuits a repeat of the previous point: three float
+	// compares and a mix compare, no hashing. sim.Run carries an unmoved
+	// point across steps itself and only calls when it moved, so the
+	// repeats left are a point that moved and came back — interference
+	// flipping between two levels, a capacity restored after a resize —
+	// and callers that ask every step (the deprecated MixFn fallback, a
+	// minute-granular trace, benchmark/budget.go).
 	lastIdx int
 	cells   [perfMemoCells]perfCell
 }

@@ -91,8 +91,16 @@ type VMSpec struct {
 	// time; VMs placed on the same host share the same schedule
 	// (correlated interference). Nil means an isolated VM.
 	Interference func(now time.Duration) float64
-	// MixFn, when set, overrides Mix per step — the mechanism behind
-	// mid-stream workload type changes. now is run-window time.
+	// MixShifts, sorted by At, is the VM's mid-stream workload type
+	// changes. At is fleet-absolute run time, like JoinAt: a VM that
+	// joins after a shift runs its whole window on the shifted mix.
+	MixShifts []MixShift
+	// MixFn is the same schedule as a per-step closure; now is
+	// fleet-absolute run time too. The fleet control plane does not
+	// run it.
+	//
+	// Deprecated: use MixShifts. Kept only because the frozen
+	// benchmark/tracefleet.go still reads it.
 	MixFn func(now time.Duration) services.Mix
 	// Host is the physical host the VM is placed on.
 	Host int
@@ -412,6 +420,7 @@ func GenerateScenario(cfg ScenarioConfig) ([]VMSpec, error) {
 			kr := rng.New(rng.Derive(vmSeed, kindStream))
 			shift := time.Duration(4+kr.Intn(runHours-8)) * time.Hour
 			before, after := spec.Mix, altMix(svc)
+			spec.MixShifts = []MixShift{{At: shift, Mix: after}}
 			spec.MixFn = func(now time.Duration) services.Mix {
 				if now < shift {
 					return before

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 
@@ -34,14 +35,8 @@ func sameSchedules(a, b VMSpec) bool {
 		case a.Interference != nil && a.Interference(at) != b.Interference(at):
 			return false
 		}
-		switch {
-		case (a.MixFn == nil) != (b.MixFn == nil):
-			return false
-		case a.MixFn != nil && a.MixFn(at).Name != b.MixFn(at).Name:
-			return false
-		}
 	}
-	return true
+	return reflect.DeepEqual(a.MixShifts, b.MixShifts)
 }
 
 func sameSpec(a, b VMSpec) bool {
@@ -130,7 +125,7 @@ func TestScenarioBaselineUnperturbed(t *testing.T) {
 		}
 	}
 	for _, s := range implicit {
-		if s.JoinAt != 0 || s.LeaveAt != 0 || s.MixFn != nil || s.HostCapacity != 1 {
+		if s.JoinAt != 0 || s.LeaveAt != 0 || s.MixFn != nil || s.MixShifts != nil || s.HostCapacity != 1 {
 			t.Fatalf("baseline vm %s carries adversarial state: %+v", s.Name, s)
 		}
 	}
@@ -202,32 +197,31 @@ func TestScenarioChurnShape(t *testing.T) {
 }
 
 // TestScenarioWorkloadShiftShape: each VM's mix flips exactly once,
-// mid-run, to the service's alternate mix.
+// mid-run, to the service's alternate mix — and the deprecated closure
+// the generator still fills says the same as the schedule, minute by
+// minute.
 func TestScenarioWorkloadShiftShape(t *testing.T) {
 	specs := genKind(t, KindWorkloadShift, 42, 8, false)
 	for _, s := range specs {
-		if s.MixFn == nil {
-			t.Fatalf("vm %s has no mix schedule", s.Name)
+		if len(s.MixShifts) != 1 {
+			t.Fatalf("vm %s has %d mix shifts, want exactly 1", s.Name, len(s.MixShifts))
 		}
-		first := s.MixFn(0).Name
-		if first != s.Mix.Name {
-			t.Errorf("vm %s starts on mix %q, want its default %q", s.Name, first, s.Mix.Name)
+		shift := s.MixShifts[0]
+		if shift.At <= 0 || shift.At >= 24*time.Hour {
+			t.Errorf("vm %s shifts at %v, want mid-run", s.Name, shift.At)
 		}
-		last := s.MixFn(24 * time.Hour).Name
-		if last == first {
-			t.Errorf("vm %s never shifts mix", s.Name)
+		if shift.Mix != altMix(s.Service) || shift.Mix.Name == s.Mix.Name {
+			t.Errorf("vm %s shifts from %q to %q, want its alternate mix", s.Name, s.Mix.Name, shift.Mix.Name)
 		}
-		switches := 0
-		prev := first
 		for m := 0; m <= 24*60; m++ {
-			cur := s.MixFn(time.Duration(m) * time.Minute).Name
-			if cur != prev {
-				switches++
-				prev = cur
+			at := time.Duration(m) * time.Minute
+			want := s.Mix
+			if at >= shift.At {
+				want = shift.Mix
 			}
-		}
-		if switches != 1 {
-			t.Errorf("vm %s switched mixes %d times, want exactly 1", s.Name, switches)
+			if got := s.MixFn(at); got != want {
+				t.Fatalf("vm %s at %v: MixFn says %q, the schedule %q", s.Name, at, got.Name, want.Name)
+			}
 		}
 	}
 }

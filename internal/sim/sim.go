@@ -67,9 +67,17 @@ type Config struct {
 	// Trace provides the offered load, already scaled to client
 	// counts (not normalized percent).
 	Trace *trace.Trace
-	// Mix is the request mix; MixFn, when set, overrides it per
-	// time step (for workload-type experiments).
-	Mix   services.Mix
+	// Mix is the request mix the run starts on; MixShifts, sorted by
+	// At, changes it mid-run (workload-type experiments). The step loop
+	// touches the mix only on the step a shift takes effect.
+	Mix       services.Mix
+	MixShifts []MixShift
+	// MixFn overrides Mix on every step. It forces the loop to re-read
+	// the mix and re-verify the operating point each simulated minute,
+	// which is what MixShifts exists to avoid; setting both is an error.
+	//
+	// Deprecated: use MixShifts. Kept only because the frozen
+	// benchmark/tracefleet.go still sets it.
 	MixFn func(now time.Duration) services.Mix
 	// Controller is the policy under test.
 	Controller Controller
@@ -107,6 +115,14 @@ type Config struct {
 	// warmth from one VM to the next. Callers must not share a memo
 	// across concurrent runs; nil means Run builds a private one.
 	PerfMemo *services.PerfMemo
+}
+
+// MixShift switches a run to Mix from the first step at or after At.
+// Shifts at or before the first step apply from it; where several are
+// due on one step the last wins.
+type MixShift struct {
+	At  time.Duration
+	Mix services.Mix
 }
 
 // Steps returns the number of simulation steps Run will execute for a
@@ -265,6 +281,17 @@ func Run(cfg Config) (*Result, error) {
 	if cfg.Mix.Name == "" && cfg.MixFn == nil {
 		cfg.Mix = cfg.Service.DefaultMix()
 	}
+	if cfg.MixFn != nil && len(cfg.MixShifts) > 0 {
+		return nil, errors.New("sim: set MixShifts or the deprecated MixFn, not both")
+	}
+	for i, s := range cfg.MixShifts {
+		if s.Mix.Name == "" {
+			return nil, fmt.Errorf("sim: MixShifts[%d] has an empty Mix", i)
+		}
+		if i > 0 && s.At < cfg.MixShifts[i-1].At {
+			return nil, fmt.Errorf("sim: MixShifts[%d] at %v sorts before its predecessor", i, s.At)
+		}
+	}
 	dep, err := cloud.NewDeployment(cfg.Initial)
 	if err != nil {
 		return nil, fmt.Errorf("sim: initial allocation: %w", err)
@@ -285,16 +312,20 @@ func Run(cfg Config) (*Result, error) {
 	}
 	violations := 0
 
-	// Perf is a pure function of the operating point and the traces
-	// hold their load for a whole sample period, so the per-step model
-	// evaluation memoizes almost perfectly. The memo verifies the
-	// exact operating point on every hit — results are bit-identical
-	// to calling Perf directly (which is also why an injected shared
+	// Perf is a pure function of the operating point (mix, clients,
+	// capacity), and that point holds for a whole trace sample unless a
+	// mix shift, an interference change or a resize moves it. The loop
+	// re-evaluates it only on such a step and carries the un-penalised
+	// result across the rest. Re-evaluations go through the memo, which
+	// verifies the exact point on every hit — results are bit-identical
+	// to calling Perf every step (which is also why an injected shared
 	// memo cannot change them).
 	perfMemo := cfg.PerfMemo
 	if perfMemo == nil {
 		perfMemo = services.NewPerfMemo(cfg.Service)
 	}
+	var point services.Perf
+	pointCap, pointMoved := 0.0, true
 
 	// Episode tracking.
 	var episodeStart time.Duration = -1
@@ -302,40 +333,47 @@ func Run(cfg Config) (*Result, error) {
 	var lastChangeEffective time.Duration = -1 << 62
 
 	prevAlloc := cfg.Initial
-	// One observation and one workload reused across every step: the
-	// engine fills them in place and hands the controller a read-only
-	// pointer, so the step loop moves no large structs. The mix is only
-	// re-copied when a MixFn can actually change it.
+	// One observation reused across every step: the engine fills it in
+	// place and hands the controller a read-only pointer, so the step
+	// loop moves no large structs. Its workload is the run's only copy,
+	// and the mix in it is written only when a shift takes effect.
 	var obs Observation
-	w := services.Workload{Mix: cfg.Mix}
-	obs.Workload.Mix = cfg.Mix
+	w := &obs.Workload
+	w.Mix = cfg.Mix
+	shifts := cfg.MixShifts // those still to take effect
 	// The deployment snapshot (serving allocation, requested target,
 	// warm-up flag) only changes when the controller applies a change
-	// or a pending change settles, so it is cached across steps and
-	// refreshed exactly at those events instead of re-queried every
-	// simulated minute.
+	// or a pending change settles. It is refreshed exactly there, and
+	// snapMoved has the next step redo what derives from it: capacity,
+	// the record form, the transient check and the controller's view,
+	// which survives in between by Controller.Step's read-only contract.
 	active, target, inTransition := dep.Status(0)
 	readyAt, _ := dep.PendingReadyAt()
-	activeCap := active.Capacity()
-	activeRef := RefOf(active)
+	snapMoved := true
+	var activeCap float64
+	var activeRef AllocRef
 	// Traces are zero-order hold: the load only changes on sample
 	// boundaries, so At (an integer division per call) runs once per
 	// trace sample instead of once per step.
-	clients := cfg.Trace.At(0)
-	nextSampleAt := cfg.Trace.Step
-	if nextSampleAt <= 0 {
-		nextSampleAt = 1 << 62 // degenerate trace step: never re-sample
-	}
+	var nextSampleAt time.Duration
 	for now := time.Duration(0); now < total; now += cfg.Step {
+		for len(shifts) > 0 && now >= shifts[0].At {
+			w.Mix = shifts[0].Mix
+			shifts = shifts[1:]
+			pointMoved = true
+		}
 		if cfg.MixFn != nil {
 			w.Mix = cfg.MixFn(now)
-			obs.Workload.Mix = w.Mix
+			pointMoved = true
 		}
 		if now >= nextSampleAt {
-			clients = cfg.Trace.At(now)
-			nextSampleAt = (now/cfg.Trace.Step + 1) * cfg.Trace.Step
+			w.Clients = cfg.Trace.At(now)
+			nextSampleAt = 1 << 62 // degenerate trace step: never re-sample
+			if cfg.Trace.Step > 0 {
+				nextSampleAt = (now/cfg.Trace.Step + 1) * cfg.Trace.Step
+			}
+			pointMoved = true
 		}
-		w.Clients = clients
 
 		interf := 0.0
 		if cfg.Interference != nil {
@@ -349,20 +387,30 @@ func Run(cfg Config) (*Result, error) {
 		// now, exactly when the per-step settle used to promote it.
 		if inTransition && now >= readyAt {
 			active, target, inTransition = dep.Status(now)
+			snapMoved = true
+		}
+		if snapMoved {
+			snapMoved = false
 			activeCap = active.Capacity()
 			activeRef = RefOf(active)
+			// Allocation-change transients: re-partitioning and warm-up.
+			if !active.Equal(prevAlloc) {
+				lastChangeEffective = now
+				prevAlloc = active
+			}
+			obs.Allocation = active
+			obs.TargetAllocation = target
+			obs.InTransition = inTransition
 		}
 
 		// Effective capacity from the cached snapshot — the same value
 		// dep.EffectiveCapacity(now) returns, without re-settling.
 		capacity := activeCap * (1 - interf)
-		perf := perfMemo.Perf(&w, capacity)
-
-		// Allocation-change transients: re-partitioning and warm-up.
-		if !active.Equal(prevAlloc) {
-			lastChangeEffective = now
-			prevAlloc = active
+		if pointMoved || capacity != pointCap {
+			point = perfMemo.Perf(w, capacity)
+			pointCap, pointMoved = capacity, false
 		}
+		perf := point
 		if stab > 0 && now >= lastChangeEffective && now < lastChangeEffective+stab {
 			frac := 1 - float64(now-lastChangeEffective)/float64(stab)
 			perf.LatencyMs *= 1 + cfg.StabilizationPenalty*frac
@@ -395,12 +443,8 @@ func Run(cfg Config) (*Result, error) {
 		}
 
 		obs.Now = now
-		obs.Workload.Clients = w.Clients
 		obs.Perf = perf
 		obs.SLOViolated = violated
-		obs.Allocation = active
-		obs.TargetAllocation = target
-		obs.InTransition = inTransition
 		action, err := cfg.Controller.Step(&obs)
 		if err != nil {
 			return nil, fmt.Errorf("sim: controller %s at %v: %w", cfg.Controller.Name(), now, err)
@@ -420,8 +464,7 @@ func Run(cfg Config) (*Result, error) {
 			// and always installs a new pending one.
 			active, target, inTransition = dep.Status(now)
 			readyAt, _ = dep.PendingReadyAt()
-			activeCap = active.Capacity()
-			activeRef = RefOf(active)
+			snapMoved = true
 		}
 		// An episode ends when nothing is pending anymore (the cached
 		// snapshot answers the one-step-ahead peek the engine used to

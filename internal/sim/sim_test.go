@@ -321,6 +321,8 @@ func TestRunDefaultMixApplied(t *testing.T) {
 	}
 }
 
+// TestRunMixFn covers the deprecated per-step fallback: the closure is
+// consulted once on every step.
 func TestRunMixFn(t *testing.T) {
 	svc := services.NewCassandra()
 	calls := 0
