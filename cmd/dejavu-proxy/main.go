@@ -90,6 +90,9 @@ func main() {
 	}
 }
 
+// logf sends the libraries' operational log lines to stderr.
+func logf(format string, args ...any) { fmt.Fprintf(os.Stderr, format+"\n", args...) }
+
 // runReplicated serves the decision front over a replicated dejavud
 // tier until SIGINT/SIGTERM.
 func runReplicated(listen, replicas, replicasTCP string, statsEvery time.Duration, probeInterval time.Duration, probeFails int, pprofOn bool) error {
@@ -111,9 +114,7 @@ func runReplicated(listen, replicas, replicasTCP string, statsEvery time.Duratio
 	reg, err := replica.New(replica.Config{
 		Replicas: specs,
 		Probe:    replica.ProbeConfig{Interval: probeInterval, FailAfter: probeFails},
-		Logf: func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, format+"\n", args...)
-		},
+		Logf:     logf,
 	})
 	if err != nil {
 		return err
@@ -121,16 +122,33 @@ func runReplicated(listen, replicas, replicasTCP string, statsEvery time.Duratio
 	defer reg.Close()
 	front, err := proxy.NewDecisionFront(proxy.DecisionFrontConfig{
 		Replicas: reg,
-		Logf: func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, format+"\n", args...)
-		},
+		Logf:     logf,
 	})
 	if err != nil {
 		return err
 	}
 	defer front.Close()
 
-	handler := http.Handler(front.Handler())
+	banner := fmt.Sprintf("-> %d replicas (%s)", len(addrs), strings.Join(addrs, ", "))
+	return serveFront(front, listen, pprofOn, statsEvery, banner, func() string {
+		st := front.Stats()
+		ts := reg.Status()
+		healthy := 0
+		for _, r := range ts.Replicas {
+			if r.Alive && r.Synced {
+				healthy++
+			}
+		}
+		return fmt.Sprintf("batches %d, decisions %d, errors %d, replicas %d/%d healthy, failovers %d",
+			st.Batches, st.Decisions, st.Errors, healthy, len(ts.Replicas), ts.Failovers)
+	})
+}
+
+// serveFront serves a decision front on listen — behind the pprof
+// surfaces when asked — printing the start banner once and statusLine
+// every statsEvery, until SIGINT/SIGTERM or the listener fails.
+func serveFront(front *proxy.DecisionFront, listen string, pprofOn bool, statsEvery time.Duration, banner string, statusLine func() string) error {
+	handler := front.Handler()
 	if pprofOn {
 		handler = obs.PprofHandler(handler)
 		fmt.Printf("dejavu-proxy: profiling exposed on %s/debug/pprof/\n", listen)
@@ -142,8 +160,14 @@ func runReplicated(listen, replicas, replicasTCP string, statsEvery time.Duratio
 			done <- err
 		}
 	}()
-	fmt.Printf("dejavu-proxy: %s on %s -> %d replicas (%s)\n", front, listen, len(addrs), strings.Join(addrs, ", "))
+	fmt.Printf("dejavu-proxy: %s on %s %s\n", front, listen, banner)
+	return reportUntilSignal(statsEvery, statusLine, srv.Close, done)
+}
 
+// reportUntilSignal prints statusLine every statsEvery until
+// SIGINT/SIGTERM, when it returns stop(), or until serving ends on its
+// own and done delivers why.
+func reportUntilSignal(statsEvery time.Duration, statusLine func() string, stop func() error, done <-chan error) error {
 	ticker := time.NewTicker(statsEvery)
 	defer ticker.Stop()
 	sigs := make(chan os.Signal, 1)
@@ -151,19 +175,10 @@ func runReplicated(listen, replicas, replicasTCP string, statsEvery time.Duratio
 	for {
 		select {
 		case <-ticker.C:
-			st := front.Stats()
-			ts := reg.Status()
-			healthy := 0
-			for _, r := range ts.Replicas {
-				if r.Alive && r.Synced {
-					healthy++
-				}
-			}
-			fmt.Printf("batches %d, decisions %d, errors %d, replicas %d/%d healthy, failovers %d\n",
-				st.Batches, st.Decisions, st.Errors, healthy, len(ts.Replicas), ts.Failovers)
+			fmt.Println(statusLine())
 		case <-sigs:
 			fmt.Println("dejavu-proxy: shutting down")
-			return srv.Close()
+			return stop()
 		case err := <-done:
 			return err
 		}
@@ -194,9 +209,7 @@ func runDecision(listen, upstream, upstreamTCP, clone, cloneTCP string, sample i
 	cfg := proxy.DecisionFrontConfig{
 		Upstream:    up,
 		SampleEvery: sample,
-		Logf: func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, format+"\n", args...)
-		},
+		Logf:        logf,
 	}
 	if clone != "" || cloneTCP != "" {
 		cl, err := client.New(client.Config{Addr: clone, TCPAddr: cloneTCP})
@@ -212,49 +225,22 @@ func runDecision(listen, upstream, upstreamTCP, clone, cloneTCP string, sample i
 	}
 	defer front.Close()
 
-	handler := http.Handler(front.Handler())
-	if pprofOn {
-		handler = obs.PprofHandler(handler)
-		fmt.Printf("dejavu-proxy: profiling exposed on %s/debug/pprof/\n", listen)
-	}
-	srv := &http.Server{Addr: listen, Handler: handler}
-	done := make(chan error, 1)
-	go func() {
-		if err := srv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
-			done <- err
+	// A hop on the raw-TCP plane is described by its tcp:// address.
+	desc := func(addr, tcpAddr string) string {
+		if tcpAddr != "" {
+			return "tcp://" + strings.TrimPrefix(tcpAddr, "tcp://")
 		}
-	}()
-	upDesc := upstream
-	if upstreamTCP != "" {
-		upDesc = "tcp://" + strings.TrimPrefix(upstreamTCP, "tcp://")
+		return addr
 	}
-	fmt.Printf("dejavu-proxy: %s on %s -> dejavud %s", front, listen, upDesc)
+	banner := "-> dejavud " + desc(upstream, upstreamTCP)
 	if clone != "" || cloneTCP != "" {
-		clDesc := clone
-		if cloneTCP != "" {
-			clDesc = "tcp://" + strings.TrimPrefix(cloneTCP, "tcp://")
-		}
-		fmt.Printf(", mirroring 1/%d batches to %s", sample, clDesc)
+		banner += fmt.Sprintf(", mirroring 1/%d batches to %s", sample, desc(clone, cloneTCP))
 	}
-	fmt.Println()
-
-	ticker := time.NewTicker(statsEvery)
-	defer ticker.Stop()
-	sigs := make(chan os.Signal, 1)
-	signal.Notify(sigs, syscall.SIGINT, syscall.SIGTERM)
-	for {
-		select {
-		case <-ticker.C:
-			st := front.Stats()
-			fmt.Printf("batches %d, decisions %d, errors %d, mirrored %d (drops %d, fails %d)\n",
-				st.Batches, st.Decisions, st.Errors, st.Mirrored, st.MirrorDrops, st.MirrorFails)
-		case <-sigs:
-			fmt.Println("dejavu-proxy: shutting down")
-			return srv.Close()
-		case err := <-done:
-			return err
-		}
-	}
+	return serveFront(front, listen, pprofOn, statsEvery, banner, func() string {
+		st := front.Stats()
+		return fmt.Sprintf("batches %d, decisions %d, errors %d, mirrored %d (drops %d, fails %d)",
+			st.Batches, st.Decisions, st.Errors, st.Mirrored, st.MirrorDrops, st.MirrorFails)
+	})
 }
 
 // runByteStream serves the transport-level duplicating proxy.
@@ -279,23 +265,9 @@ func runByteStream(listen, production, clone string, sample int, statsEvery time
 
 	done := make(chan error, 1)
 	go func() { done <- p.Serve() }()
-
-	ticker := time.NewTicker(statsEvery)
-	defer ticker.Stop()
-	sigs := make(chan os.Signal, 1)
-	signal.Notify(sigs, syscall.SIGINT, syscall.SIGTERM)
-
-	for {
-		select {
-		case <-ticker.C:
-			st := p.Stats()
-			fmt.Printf("sessions %d, duplicated %d, in %dB, out %dB, mirrored %dB, clone errors %d\n",
-				st.Sessions, st.Duplicated, st.BytesIn, st.BytesOut, st.BytesDuplicated, st.CloneErrors)
-		case <-sigs:
-			fmt.Println("dejavu-proxy: shutting down")
-			return p.Close()
-		case err := <-done:
-			return err
-		}
-	}
+	return reportUntilSignal(statsEvery, func() string {
+		st := p.Stats()
+		return fmt.Sprintf("sessions %d, duplicated %d, in %dB, out %dB, mirrored %dB, clone errors %d",
+			st.Sessions, st.Duplicated, st.BytesIn, st.BytesOut, st.BytesDuplicated, st.CloneErrors)
+	}, p.Close, done)
 }

@@ -14,12 +14,11 @@
 //     persists the result. With -services none it starts empty and
 //     waits for a control plane to POST /v1/install learned
 //     repositories (the fleet's remote mode does exactly this).
-//   - At runtime it serves POST /v1/classify, POST /v1/lookup
-//     (binary batch frames), POST /v1/put, POST
-//     /v1/get, POST /v1/install, GET /v1/stats, GET /v1/templates,
-//     GET /metrics, and POST /v1/snapshot. The decision path is
-//     allocation-free; every repository sits behind a versioned
-//     atomic handle, routed by the template id in the wire header.
+//   - At runtime it serves decisions (binary batch frames) and the
+//     JSON admin plane; docs/ARCHITECTURE.md § Endpoints lists every
+//     route. The decision path is allocation-free; every repository
+//     sits behind a versioned atomic handle, routed by the template
+//     id in the wire header.
 //   - Each template has its own online drift monitor; when a
 //     template's unforeseen-signature rate crosses the threshold,
 //     the daemon re-clusters that template's recently observed

@@ -8,20 +8,21 @@ import (
 	"strconv"
 
 	"repro/internal/core"
-	"repro/internal/metrics"
+	"repro/internal/obs"
+	"repro/internal/wire"
 )
 
 // Control-plane calls. These are off the decision hot path and use
 // encoding/json over the same pooled transport.
 
-// postJSON sends a JSON body and decodes the JSON reply into out
-// (skipped when out is nil).
-func (c *Client) postJSON(path string, body any, out any) error {
-	payload, err := json.Marshal(body)
-	if err != nil {
-		return err
+// call performs one admin exchange — payload, when non-nil, is the JSON
+// request body — and decodes the JSON reply into out (skipped when nil).
+func (c *Client) call(method, path string, payload []byte, out any) error {
+	contentType := ""
+	if payload != nil {
+		contentType = "application/json"
 	}
-	cn, resp, err := c.roundTrip("POST", path, "application/json", payload)
+	cn, resp, err := c.roundTrip(method, path, contentType, payload, obs.TraceContext{})
 	if err != nil {
 		return err
 	}
@@ -32,15 +33,15 @@ func (c *Client) postJSON(path string, body any, out any) error {
 	return err
 }
 
-// getJSON fetches path and decodes the JSON reply into out.
-func (c *Client) getJSON(path string, out any) error {
-	cn, resp, err := c.roundTrip("GET", path, "", nil)
+// post sends req as a POST's JSON request document and decodes the
+// reply document.
+func post[Rep any](c *Client, path string, req any) (rep Rep, err error) {
+	payload, err := json.Marshal(req)
 	if err != nil {
-		return err
+		return rep, err
 	}
-	err = json.Unmarshal(resp, out)
-	c.release(cn, err == nil)
-	return err
+	err = c.call("POST", path, payload, &rep)
+	return rep, err
 }
 
 // Install publishes a learned repository under the template id:
@@ -58,27 +59,24 @@ func (c *Client) Install(template string, repo *core.Repository) (uint64, error)
 // InstallSerialized publishes an already-serialized repository
 // (core.SaveRepository bytes), optionally forcing the published
 // version (0 = the daemon's next local increment). The replicated
-// tier fans one serialization out to N replicas at one agreed
-// version, so replicas always report identical versions for identical
-// content.
+// tier fans one serialization out to N replicas at one agreed version,
+// so replicas always report identical versions for identical content.
 func (c *Client) InstallSerialized(template string, data []byte, version uint64) (uint64, error) {
+	rep, err := c.InstallAt(template, data, version)
+	return rep.Version, err
+}
+
+// InstallAt is InstallSerialized returning the daemon's whole reply.
+func (c *Client) InstallAt(template string, data []byte, version uint64) (wire.InstallReply, error) {
 	path := "/v1/install?template=" + url.QueryEscape(template)
 	if version != 0 {
 		path += "&version=" + strconv.FormatUint(version, 10)
 	}
-	cn, resp, err := c.roundTrip("POST", path, "application/json", data)
-	if err != nil {
-		return 0, fmt.Errorf("client: install template %q: %w", template, err)
+	var out wire.InstallReply
+	if err := c.call("POST", path, data, &out); err != nil {
+		return wire.InstallReply{}, fmt.Errorf("client: install template %q: %w", template, err)
 	}
-	var out struct {
-		Version uint64 `json:"version"`
-	}
-	err = json.Unmarshal(resp, &out)
-	c.release(cn, err == nil)
-	if err != nil {
-		return 0, err
-	}
-	return out.Version, nil
+	return out, nil
 }
 
 // DumpSerialized fetches one template's live repository as the
@@ -95,7 +93,7 @@ func (c *Client) DumpSerialized(template string) (uint64, []byte, error) {
 	if template != "" {
 		path += "?template=" + url.QueryEscape(template)
 	}
-	if err := c.getJSON(path, &out); err != nil {
+	if err := c.call("GET", path, nil, &out); err != nil {
 		return 0, nil, fmt.Errorf("client: dump template %q: %w", template, err)
 	}
 	if out.Version == 0 || len(out.Repo) == 0 {
@@ -104,72 +102,27 @@ func (c *Client) DumpSerialized(template string) (uint64, []byte, error) {
 	return out.Version, []byte(out.Repo), nil
 }
 
-// Stats is the client's view of one template's /v1/stats document
-// plus the server-wide counters the control plane cares about.
-type Stats struct {
-	Template     string  `json:"template"`
-	Version      uint64  `json:"version"`
-	Classes      int     `json:"classes"`
-	Entries      int     `json:"entries"`
-	Hits         int64   `json:"hits"`
-	Misses       int64   `json:"misses"`
-	HitRate      float64 `json:"hit_rate"`
-	Decisions    int64   `json:"decisions"`
-	Relearns     int64   `json:"relearns"`
-	RelearnFails int64   `json:"relearn_failures"`
-	Templates    int     `json:"templates"`
-	BadRequests  int64   `json:"bad_requests"`
-}
-
 // Stats fetches one template's statistics ("" = the daemon's default
 // template).
-func (c *Client) Stats(template string) (Stats, error) {
+func (c *Client) Stats(template string) (wire.Stats, error) {
 	path := "/v1/stats"
 	if template != "" {
 		path += "?template=" + url.QueryEscape(template)
 	}
-	var st Stats
-	if err := c.getJSON(path, &st); err != nil {
-		return Stats{}, err
+	var st wire.Stats
+	if err := c.call("GET", path, nil, &st); err != nil {
+		return wire.Stats{}, err
 	}
 	return st, nil
 }
 
-// TemplateInfo is one entry of the daemon's template listing.
-type TemplateInfo struct {
-	Template string          `json:"template"`
-	Version  uint64          `json:"version"`
-	Classes  int             `json:"classes"`
-	Entries  int             `json:"entries"`
-	Events   []metrics.Event `json:"events"`
-}
-
 // Templates lists the daemon's installed templates.
-func (c *Client) Templates() ([]TemplateInfo, error) {
-	var infos []TemplateInfo
-	if err := c.getJSON("/v1/templates", &infos); err != nil {
+func (c *Client) Templates() ([]wire.TemplateInfo, error) {
+	var infos []wire.TemplateInfo
+	if err := c.call("GET", "/v1/templates", nil, &infos); err != nil {
 		return nil, err
 	}
 	return infos, nil
-}
-
-// Snapshot asks the daemon to persist every template now.
-func (c *Client) Snapshot() error {
-	return c.postJSON("/v1/snapshot", struct{}{}, nil)
-}
-
-// HealthTemplate is one template's slice of the health document.
-type HealthTemplate struct {
-	Version uint64 `json:"version"`
-	Entries int    `json:"entries"`
-}
-
-// Health is the daemon's GET /v1/health document.
-type Health struct {
-	Status        string                    `json:"status"`
-	UptimeSeconds float64                   `json:"uptime_seconds"`
-	Templates     map[string]HealthTemplate `json:"templates"`
-	Relearning    bool                      `json:"relearning"`
 }
 
 // Health fetches the daemon's liveness/version surface. Unlike
@@ -177,10 +130,10 @@ type Health struct {
 // the daemon's state now, not after a backoff — callers own the
 // failure policy. (Transport retries still apply; they are cheap and
 // a probe interval bounds them anyway.)
-func (c *Client) Health() (Health, error) {
-	var h Health
-	if err := c.getJSON("/v1/health", &h); err != nil {
-		return Health{}, err
+func (c *Client) Health() (wire.Health, error) {
+	var h wire.Health
+	if err := c.call("GET", "/v1/health", nil, &h); err != nil {
+		return wire.Health{}, err
 	}
 	if h.Status != "ok" {
 		return h, fmt.Errorf("client: daemon health status %q", h.Status)
@@ -188,16 +141,12 @@ func (c *Client) Health() (Health, error) {
 	return h, nil
 }
 
-// PostRawJSON relays a pre-encoded JSON body to path and returns an
-// owned copy of the response body. This is the registry's fan-out
-// primitive for control-plane endpoints (put, get) whose request
-// bodies it forwards verbatim rather than re-marshaling.
-func (c *Client) PostRawJSON(path string, body []byte) ([]byte, error) {
-	cn, resp, err := c.roundTrip("POST", path, "application/json", body)
-	if err != nil {
-		return nil, err
-	}
-	out := append([]byte(nil), resp...) // resp aliases conn scratch
-	c.release(cn, true)
-	return out, nil
+// Put shares a tuned allocation: POST /v1/put.
+func (c *Client) Put(req wire.PutRequest) (wire.PutReply, error) {
+	return post[wire.PutReply](c, "/v1/put", req)
+}
+
+// Get fetches a cached allocation by (class, bucket): POST /v1/get.
+func (c *Client) Get(req wire.GetRequest) (wire.GetReply, error) {
+	return post[wire.GetReply](c, "/v1/get", req)
 }

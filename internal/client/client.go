@@ -187,16 +187,6 @@ type Client struct {
 	spans     *obs.SpanRing // root spans of sampled decisions
 }
 
-// APIError is a non-2xx response from the daemon.
-type APIError struct {
-	Status int
-	Body   string
-}
-
-func (e *APIError) Error() string {
-	return fmt.Sprintf("client: dejavud returned HTTP %d: %s", e.Status, e.Body)
-}
-
 // New validates the configuration and returns a client. No connection
 // is dialed until the first call.
 func New(cfg Config) (*Client, error) {
@@ -333,16 +323,11 @@ func (c *Client) release(cn *conn, healthy bool) {
 // on fresh connections with exponential backoff. On success the
 // returned conn holds the response body in its scratch; the caller
 // must parse body before calling release. A non-2xx status is
-// returned as *APIError with the connection already released —
-// HTTP-level errors are never retried.
-func (c *Client) roundTrip(method, path, contentType string, payload []byte) (*conn, []byte, error) {
-	return c.roundTripCtx(method, path, contentType, payload, obs.TraceContext{})
-}
-
-// roundTripCtx is roundTrip plus an optional trace context that rides
-// the request as a DejaVu-Trace header (decision sampling; admin
-// calls pass the zero context through roundTrip).
-func (c *Client) roundTripCtx(method, path, contentType string, payload []byte, tc obs.TraceContext) (*conn, []byte, error) {
+// returned as *wire.APIError with the connection already released —
+// HTTP-level errors are never retried. A valid tc rides the request as
+// a DejaVu-Trace header (decision sampling; admin calls pass the zero
+// context).
+func (c *Client) roundTrip(method, path, contentType string, payload []byte, tc obs.TraceContext) (*conn, []byte, error) {
 	if c.cfg.Addr == "" {
 		return nil, nil, errors.New("client: no HTTP address configured (decisions-only tcp:// client)")
 	}
@@ -365,7 +350,7 @@ func (c *Client) roundTripCtx(method, path, contentType string, payload []byte, 
 			continue
 		}
 		if status < 200 || status > 299 {
-			apiErr := &APIError{Status: status, Body: string(body)}
+			apiErr := &wire.APIError{Status: status, Body: string(body)}
 			c.release(cn, reusable)
 			return nil, nil, apiErr
 		}
@@ -668,7 +653,7 @@ func readChunked(br *bufio.Reader, dst []byte) ([]byte, error) {
 // carry the target template (empty routes to the daemon's sole
 // template). Transport failures are retried on fresh connections with
 // exponential backoff (roundTrip owns that policy); HTTP-level
-// rejections are returned as *APIError without retry. The
+// rejections are returned as *wire.APIError without retry. The
 // steady-state path performs zero heap allocations once the payload pool and connection scratch have
 // warmed up (pinned by TestClientLookupZeroAlloc).
 func (c *Client) Decide(lookup bool, req *wire.Request, resp *wire.Response) error {
@@ -713,7 +698,7 @@ func (c *Client) DecideTraced(lookup bool, req *wire.Request, resp *wire.Respons
 	c.reqLat.Record(elapsed)
 	if tc.Valid() {
 		// Root span: parent 0 marks the start of the chain.
-		c.spans.RecordHop(obs.TraceContext{Trace: tc.Trace}, tc, "client", decideOp(lookup), start, elapsed)
+		c.spans.RecordHop(obs.TraceContext{Trace: tc.Trace}, tc, "client", wire.OpName(lookup), start, elapsed)
 	}
 	if err != nil {
 		return err
@@ -724,14 +709,6 @@ func (c *Client) DecideTraced(lookup bool, req *wire.Request, resp *wire.Respons
 	return nil
 }
 
-// decideOp names a decision for span purposes.
-func decideOp(lookup bool) string {
-	if lookup {
-		return "lookup"
-	}
-	return "classify"
-}
-
 // decideHTTP carries one encoded decision payload over the HTTP
 // plane and decodes the reply into resp.
 func (c *Client) decideHTTP(lookup bool, payload []byte, resp *wire.Response, tc obs.TraceContext) error {
@@ -739,7 +716,7 @@ func (c *Client) decideHTTP(lookup bool, payload []byte, resp *wire.Response, tc
 	if lookup {
 		path = "/v1/lookup"
 	}
-	cn, body, err := c.roundTripCtx("POST", path, wire.ContentTypeBinary, payload, tc)
+	cn, body, err := c.roundTrip("POST", path, wire.ContentTypeBinary, payload, tc)
 	if err != nil {
 		return err
 	}

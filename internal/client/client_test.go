@@ -213,7 +213,7 @@ func TestClientEndToEnd(t *testing.T) {
 	req.SetTemplate("nope")
 	req.AppendRow(vals)
 	err = c.Decide(true, &req, &resp)
-	apiErr, ok := err.(*APIError)
+	apiErr, ok := err.(*wire.APIError)
 	if !ok || apiErr.Status != 400 || !strings.Contains(apiErr.Body, "nope") {
 		t.Fatalf("unknown template error: %v", err)
 	}

@@ -117,33 +117,24 @@ func decisionToLookup(d *wire.Decision) core.LookupResult {
 // Get implements core.DecisionSource via POST /v1/get (off the hot
 // path: the controller probes it only on interference escalation).
 func (s *TemplateSource) Get(class, bucket int) (cloud.Allocation, bool, error) {
-	var out struct {
-		Hit   bool   `json:"hit"`
-		Type  string `json:"type"`
-		Count int    `json:"count"`
+	rep, err := s.c.Get(wire.GetRequest{Template: s.template, Class: class, Bucket: bucket})
+	if err != nil || !rep.Hit {
+		return cloud.Allocation{}, false, err
 	}
-	err := s.c.postJSON("/v1/get", map[string]any{
-		"template": s.template, "class": class, "bucket": bucket,
-	}, &out)
+	typ, err := cloud.TypeByName(rep.Type)
 	if err != nil {
 		return cloud.Allocation{}, false, err
 	}
-	if !out.Hit {
-		return cloud.Allocation{}, false, nil
-	}
-	typ, err := cloud.TypeByName(out.Type)
-	if err != nil {
-		return cloud.Allocation{}, false, err
-	}
-	return cloud.Allocation{Type: typ, Count: out.Count}, true, nil
+	return cloud.Allocation{Type: typ, Count: rep.Count}, true, nil
 }
 
 // Put implements core.DecisionSource via POST /v1/put.
 func (s *TemplateSource) Put(class, bucket int, alloc cloud.Allocation) error {
-	return s.c.postJSON("/v1/put", map[string]any{
-		"template": s.template, "class": class, "bucket": bucket,
-		"type": alloc.Type.Name, "count": alloc.Count,
-	}, nil)
+	_, err := s.c.Put(wire.PutRequest{
+		Template: s.template, Class: class, Bucket: bucket,
+		Type: alloc.Type.Name, Count: alloc.Count,
+	})
+	return err
 }
 
 var _ core.BatchSource = (*TemplateSource)(nil)

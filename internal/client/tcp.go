@@ -18,7 +18,7 @@ import (
 // HTTP overhead from the hot path. Retry policy matches the HTTP
 // plane: transport failures retry on fresh connections with capped,
 // jittered backoff; server rejections arrive as error envelopes and
-// are returned as *APIError without retry.
+// are returned as *wire.APIError without retry.
 
 // maxTCPResponseBytes bounds one response envelope — matches the
 // server's default request-body limit.
@@ -159,10 +159,10 @@ func (c *Client) Ping() error {
 }
 
 // exchangeTCP writes one request envelope and reads its response on
-// cn, decoding into resp. A non-nil *APIError is a server-side
+// cn, decoding into resp. A non-nil *wire.APIError is a server-side
 // rejection (error envelope); err covers transport and framing
 // failures, after which the caller must close the connection.
-func (c *Client) exchangeTCP(cn *tcpConn, lookup bool, payload []byte, resp *wire.Response, tc obs.TraceContext) (*APIError, error) {
+func (c *Client) exchangeTCP(cn *tcpConn, lookup bool, payload []byte, resp *wire.Response, tc obs.TraceContext) (*wire.APIError, error) {
 	if err := cn.nc.SetDeadline(time.Now().Add(c.cfg.RequestTimeout)); err != nil {
 		return nil, err
 	}
@@ -193,7 +193,7 @@ func (c *Client) exchangeTCP(cn *tcpConn, lookup bool, payload []byte, resp *wir
 		return nil, fmt.Errorf("client: tcp response id %d for request %d", gotID, id)
 	}
 	if gotFlags&wire.StreamFlagError != 0 {
-		return &APIError{Status: 400, Body: string(body)}, nil
+		return &wire.APIError{Status: 400, Body: string(body)}, nil
 	}
 	if err := resp.DecodeBinary(body); err != nil {
 		return nil, err

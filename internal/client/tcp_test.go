@@ -69,7 +69,7 @@ func TestClientTCPEndToEnd(t *testing.T) {
 		req.SetTemplate("cassandra")
 		req.AppendRow([]float64{1, 2})
 		err = c.Decide(true, &req, &resp)
-		apiErr, ok := err.(*APIError)
+		apiErr, ok := err.(*wire.APIError)
 		if !ok {
 			t.Fatalf("enc %v: bad width returned %v, want *APIError", enc, err)
 		}

@@ -16,6 +16,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/server"
 	"repro/internal/sim"
+	"repro/internal/wire"
 )
 
 // driftTemplateName is the second template the daemon serves during
@@ -166,7 +167,7 @@ func TestFleetRemoteEquivalence(t *testing.T) {
 	for relearnCalls.Load() == 0 && time.Now().Before(deadline) {
 		time.Sleep(20 * time.Millisecond)
 	}
-	var driftStats client.Stats
+	var driftStats wire.Stats
 	for time.Now().Before(deadline) {
 		if driftStats, err = cl.Stats(driftTemplateName); err != nil {
 			t.Fatal(err)

@@ -174,7 +174,7 @@ func (s Snapshot) Summary() Summary {
 // lines over every fixed bucket, then `_sum` and `_count`. labels is
 // the pre-escaped label body without braces (e.g.
 // `template="web",transport="tcp"`); empty means no labels beyond le.
-// The caller writes the # HELP / # TYPE header once per metric name.
+// WriteExposition writes the # HELP / # TYPE header once per family.
 func (s Snapshot) WritePrometheus(w io.Writer, name, labels string) {
 	sep := ""
 	if labels != "" {
@@ -195,4 +195,50 @@ func (s Snapshot) WritePrometheus(w io.Writer, name, labels string) {
 	}
 	fmt.Fprintf(w, "%s_sum%s %s\n", name, brace, strconv.FormatFloat(float64(s.SumNS)/1e9, 'g', -1, 64))
 	fmt.Fprintf(w, "%s_count%s %d\n", name, brace, cum)
+}
+
+// Metric is one family of a Prometheus text exposition: the name, the
+// # HELP text, the # TYPE ("counter", "gauge" or "histogram") and the
+// family's samples. A family with no samples still announces itself.
+type Metric struct {
+	Name, Help, Type string
+	Samples          []Sample
+}
+
+// Sample is one series of a family. Labels is the pre-escaped label
+// body without braces (EscapeLabel the values), empty for none; Value
+// is read for counters and gauges, Hist for histograms.
+type Sample struct {
+	Labels string
+	Value  float64
+	Hist   Snapshot
+}
+
+// Scalar is an unlabeled single-series counter or gauge family.
+func Scalar(name, help, typ string, v float64) Metric {
+	return Metric{Name: name, Help: help, Type: typ, Samples: []Sample{{Value: v}}}
+}
+
+// Hist is an unlabeled single-series histogram family.
+func Hist(name, help string, snap Snapshot) Metric {
+	return Metric{Name: name, Help: help, Type: "histogram", Samples: []Sample{{Hist: snap}}}
+}
+
+// WriteExposition renders families in the Prometheus text format
+// (version 0.0.4) — the one place # HELP and # TYPE lines are written,
+// each once per family and ahead of its samples, as the format wants.
+func WriteExposition(w io.Writer, families []Metric) {
+	for _, m := range families {
+		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", m.Name, m.Help, m.Name, m.Type)
+		for _, s := range m.Samples {
+			switch {
+			case m.Type == "histogram":
+				s.Hist.WritePrometheus(w, m.Name, s.Labels)
+			case s.Labels == "":
+				fmt.Fprintf(w, "%s %g\n", m.Name, s.Value)
+			default:
+				fmt.Fprintf(w, "%s{%s} %g\n", m.Name, s.Labels, s.Value)
+			}
+		}
+	}
 }

@@ -6,6 +6,7 @@ import (
 	"math/bits"
 	"math/rand"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -170,6 +171,39 @@ func TestWritePrometheusShape(t *testing.T) {
 	}
 	if !bytes.Contains(buf.Bytes(), []byte(`y_seconds_bucket{le="4e-09"} `)) {
 		t.Errorf("unlabeled bucket line malformed:\n%s", buf.String())
+	}
+}
+
+// TestWriteExpositionShape pins the one writer of # HELP / # TYPE: each
+// family announces itself once, ahead of its samples — also when it has
+// none — and a labeled family keeps its samples together. (The strict
+// grammar check runs over whole /metrics documents in internal/server,
+// where the linter lives.)
+func TestWriteExpositionShape(t *testing.T) {
+	var h Histogram
+	h.Record(3 * time.Microsecond)
+	var buf bytes.Buffer
+	WriteExposition(&buf, []Metric{
+		Scalar("a_total", "A counter.", "counter", 7),
+		{Name: "b", Help: "A labeled gauge.", Type: "gauge", Samples: []Sample{
+			{Labels: `template="x"`, Value: 1.5}, {Labels: `template="y"`, Value: 2e9},
+		}},
+		{Name: "c_seconds", Help: "No samples yet.", Type: "histogram"},
+		Hist("d_seconds", "One series.", h.Snapshot()),
+	})
+	out := buf.String()
+	for _, want := range []string{
+		"# HELP a_total A counter.\n# TYPE a_total counter\na_total 7\n",
+		"# HELP b A labeled gauge.\n# TYPE b gauge\nb{template=\"x\"} 1.5\nb{template=\"y\"} 2e+09\n",
+		"# HELP c_seconds No samples yet.\n# TYPE c_seconds histogram\n# HELP d_seconds One series.\n# TYPE d_seconds histogram\nd_seconds_bucket{le=",
+		"d_seconds_count 1\n",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("missing %q in:\n%s", want, out)
+		}
+	}
+	if n := strings.Count(out, "# TYPE "); n != 4 {
+		t.Errorf("%d # TYPE lines for 4 families:\n%s", n, out)
 	}
 }
 

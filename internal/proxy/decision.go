@@ -1,12 +1,9 @@
 package proxy
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -34,7 +31,9 @@ import (
 // clients. In replicated mode the front also
 // exposes the tier's control plane: installs fan out with the
 // registry's publish-then-flip protocol, puts fan to every replica,
-// and /v1/health reports per-replica states.
+// and /v1/health reports per-replica states. The handler is the same
+// admin plane (wire.Plane) dejavud serves, over the registry instead of
+// a template table; docs/ARCHITECTURE.md § Endpoints lists the routes.
 type DecisionFrontConfig struct {
 	// Upstream serves the real decisions. Exactly one of Upstream and
 	// Replicas must be set.
@@ -79,9 +78,9 @@ type mirrorJob struct {
 // clients. Create with NewDecisionFront, expose via Handler, Close
 // when done.
 type DecisionFront struct {
-	cfg  DecisionFrontConfig
-	mux  *http.ServeMux
-	pool sync.Pool // *frontScratch
+	cfg   DecisionFrontConfig
+	plane *wire.Plane
+	pool  sync.Pool // *frontScratch
 
 	batches     atomic.Int64
 	decisions   atomic.Int64
@@ -93,11 +92,6 @@ type DecisionFront struct {
 	// decideLat is the front's own forwarding latency — decode done,
 	// upstream answered — exported as a histogram on /metrics.
 	decideLat obs.Histogram
-	// spans receives one span per traced decision through the front
-	// (and, in replicated mode, the registry's routing spans too);
-	// dumped via /v1/trace.
-	spans *obs.SpanRing
-
 	mirrorCh  chan mirrorJob
 	mirrorWg  sync.WaitGroup
 	closeOnce sync.Once
@@ -123,23 +117,29 @@ func NewDecisionFront(cfg DecisionFrontConfig) (*DecisionFront, error) {
 	if cfg.CloneQueue <= 0 {
 		cfg.CloneQueue = 256
 	}
-	f := &DecisionFront{cfg: cfg, spans: obs.NewSpanRing(obs.DefaultSpanRingSize)}
+	f := &DecisionFront{cfg: cfg}
 	f.pool.New = func() any { return &frontScratch{} }
-	f.mux = http.NewServeMux()
-	f.mux.HandleFunc("/v1/classify", func(w http.ResponseWriter, r *http.Request) { f.handleDecision(w, r, false) })
-	f.mux.HandleFunc("/v1/lookup", func(w http.ResponseWriter, r *http.Request) { f.handleDecision(w, r, true) })
-	f.mux.HandleFunc("/v1/stats", f.handleStats)
-	f.mux.HandleFunc("/metrics", f.handleMetrics)
-	f.mux.HandleFunc("/v1/trace", f.handleTrace)
-	if cfg.Replicas != nil {
+	// The front forwards: an error without a status means the tier
+	// could not be reached, 502. Its body limit is a default replica's.
+	p := wire.NewPlane("front", wire.DefaultMaxBody, http.StatusBadGateway, &f.errorsN, f.metricFamilies)
+	f.plane = p
+	p.Decision(f.handleDecision)
+	self := func() any { return f.Stats() }
+	if cfg.Replicas == nil {
+		p.Handle(http.MethodGet, "/v1/stats", 0, func(w http.ResponseWriter, _ *http.Request) { p.Reply(w, self(), nil) })
+	} else {
 		// Adopt the tier: registry routing spans land in the front's
 		// ring, so one /v1/trace dump shows both hops of a decision.
-		cfg.Replicas.SetSpans(f.spans)
-		f.mux.HandleFunc("/v1/install", f.handleInstall)
-		f.mux.HandleFunc("/v1/put", f.handleRelay(cfg.Replicas.PutRaw))
-		f.mux.HandleFunc("/v1/get", f.handleRelay(cfg.Replicas.GetRaw))
-		f.mux.HandleFunc("/v1/templates", f.handleTemplates)
-		f.mux.HandleFunc("/v1/health", f.handleHealth)
+		cfg.Replicas.SetSpans(p.Spans)
+		p.Admin(cfg.Replicas, self)
+		// Health: the front, per-replica states, agreed versions.
+		p.Handle(http.MethodGet, "/v1/health", 0, func(w http.ResponseWriter, _ *http.Request) {
+			p.Reply(w, struct {
+				Status string             `json:"status"`
+				Front  DecisionFrontStats `json:"front"`
+				Tier   replica.Status     `json:"tier"`
+			}{"ok", f.Stats(), cfg.Replicas.Status()}, nil)
+		})
 	}
 	if cfg.Clone != nil {
 		f.mirrorCh = make(chan mirrorJob, cfg.CloneQueue)
@@ -150,7 +150,7 @@ func NewDecisionFront(cfg DecisionFrontConfig) (*DecisionFront, error) {
 }
 
 // Handler returns the HTTP handler serving the front's endpoints.
-func (f *DecisionFront) Handler() http.Handler { return f.mux }
+func (f *DecisionFront) Handler() http.Handler { return f.plane }
 
 // Close stops the mirror drain after its queue empties.
 func (f *DecisionFront) Close() {
@@ -174,47 +174,18 @@ func (f *DecisionFront) Stats() DecisionFrontStats {
 	}
 }
 
-func (f *DecisionFront) fail(w http.ResponseWriter, status int, err error) {
-	f.errorsN.Add(1)
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(map[string]string{"error": err.Error()})
-}
-
 // handleDecision decodes the batch (the mirror and the registry route
 // on its header), forwards it upstream through the client library, and
-// re-encodes the reply. Like dejavud it answers 415 to any Content-Type
-// but the binary one.
+// re-encodes the reply, inside the adapter dejavud also serves through.
 func (f *DecisionFront) handleDecision(w http.ResponseWriter, r *http.Request, lookup bool) {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		f.fail(w, http.StatusMethodNotAllowed, errors.New("proxy: method not allowed"))
-		return
-	}
-	if _, err := wire.EncodingForContentType(r.Header.Get("Content-Type")); err != nil {
-		f.fail(w, http.StatusUnsupportedMediaType, err)
-		return
-	}
 	sc := f.pool.Get().(*frontScratch)
 	defer f.pool.Put(sc)
-	sc.body = sc.body[:0]
-	limited := io.LimitReader(r.Body, 8<<20)
-	for {
-		if len(sc.body) == cap(sc.body) {
-			sc.body = append(sc.body, 0)[:len(sc.body)]
-		}
-		n, rerr := limited.Read(sc.body[len(sc.body):cap(sc.body)])
-		sc.body = sc.body[:len(sc.body)+n]
-		if rerr == io.EOF {
-			break
-		}
-		if rerr != nil {
-			f.fail(w, http.StatusBadRequest, rerr)
-			return
-		}
+	hop, ok := f.plane.BeginDecision(w, r, &sc.body)
+	if !ok {
+		return
 	}
 	if err := sc.req.DecodeBinary(sc.body); err != nil {
-		f.fail(w, http.StatusBadRequest, err)
+		f.plane.Fail(w, wire.NewAPIError(http.StatusBadRequest, err))
 		return
 	}
 
@@ -223,43 +194,17 @@ func (f *DecisionFront) handleDecision(w http.ResponseWriter, r *http.Request, l
 		f.mirror(&sc.req, lookup)
 	}
 
-	// A sampled caller propagates its trace context in the DejaVu-Trace
-	// header; the front records its own hop and forwards a child
-	// context so the downstream tiers parent to this span.
-	parent, _ := obs.ParseHeaderContext(r.Header.Get(obs.TraceHeader))
-	var child obs.TraceContext
-	if parent.Valid() {
-		child = obs.Child(parent)
+	// The front's hop — span and latency histogram alike — is the
+	// forwarding alone, decode done to upstream answered; the tiers
+	// below parent to it through the child context.
+	hop.Start = time.Now()
+	err := f.decideTraced(lookup, &sc.req, &sc.resp, hop.Child)
+	f.decideLat.Record(time.Since(hop.Start))
+	if err == nil {
+		f.decisions.Add(int64(len(sc.resp.Results)))
+		sc.out = sc.resp.AppendBinary(sc.out[:0])
 	}
-	start := time.Now()
-	err := f.decideTraced(lookup, &sc.req, &sc.resp, child)
-	elapsed := time.Since(start)
-	f.decideLat.Record(elapsed)
-	if child.Valid() {
-		op := "classify"
-		if lookup {
-			op = "lookup"
-		}
-		f.spans.RecordHop(parent, child, "front", op, start, elapsed)
-	}
-	if err != nil {
-		var apiErr *client.APIError
-		if errors.As(err, &apiErr) {
-			f.errorsN.Add(1)
-			w.Header().Set("Content-Type", "application/json")
-			w.WriteHeader(apiErr.Status)
-			_, _ = io.WriteString(w, apiErr.Body)
-			return
-		}
-		f.fail(w, http.StatusBadGateway, err)
-		return
-	}
-	f.decisions.Add(int64(len(sc.resp.Results)))
-	sc.out = sc.resp.AppendBinary(sc.out[:0])
-	h := w.Header()
-	h.Set("Content-Type", wire.ContentTypeBinary)
-	h.Set("Content-Length", strconv.Itoa(len(sc.out)))
-	_, _ = w.Write(sc.out)
+	f.plane.EndDecision(w, lookup, hop, sc.out, err)
 }
 
 // mirror enqueues an owned copy of the batch for the clone; a full
@@ -341,185 +286,38 @@ func (f *DecisionFront) decideTraced(lookup bool, req *wire.Request, resp *wire.
 	return f.cfg.Upstream.Decide(lookup, req, resp)
 }
 
-// handleStats serves the front's own counters, or — in replicated
-// mode, when a template is named — the tier-aggregated serving stats.
-func (f *DecisionFront) handleStats(w http.ResponseWriter, r *http.Request) {
-	if f.cfg.Replicas != nil {
-		if tpl := r.URL.Query().Get("template"); tpl != "" {
-			st, err := f.cfg.Replicas.Stats(tpl)
-			if err != nil {
-				f.relayError(w, err)
-				return
-			}
-			w.Header().Set("Content-Type", "application/json")
-			_ = json.NewEncoder(w).Encode(st)
-			return
-		}
-	}
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(f.Stats())
-}
-
-// handleMetrics exposes the front's counters and latency histogram in
-// the Prometheus text format — and, in replicated mode, the tier's
-// failover counter plus the registry's probe/failover/resync latency
+// metricFamilies is the front's /metrics table: its counters and
+// latency histogram — and, in replicated mode, the tier's failover
+// counter plus the registry's probe/failover/resync latency
 // histograms, so one scrape covers the whole serving tier.
-func (f *DecisionFront) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		w.Header().Set("Allow", http.MethodGet)
-		f.fail(w, http.StatusMethodNotAllowed, errors.New("proxy: method not allowed"))
-		return
-	}
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
+func (f *DecisionFront) metricFamilies() []obs.Metric {
 	st := f.Stats()
-	counters := []struct {
-		name, help string
-		value      int64
-	}{
-		{"dejavu_front_batches_total", "Decision batches accepted by the front.", st.Batches},
-		{"dejavu_front_decisions_total", "Individual decisions proxied to the serving tier.", st.Decisions},
-		{"dejavu_front_errors_total", "Requests answered with an error status.", st.Errors},
-		{"dejavu_front_mirrored_batches_total", "Batches mirrored to the profiling clone.", st.Mirrored},
-		{"dejavu_front_mirror_drops_total", "Mirrored batches dropped at the bounded queue.", st.MirrorDrops},
-		{"dejavu_front_mirror_failures_total", "Mirrored batches the clone failed to serve.", st.MirrorFails},
+	fams := []obs.Metric{
+		obs.Scalar("dejavu_front_batches_total", "Decision batches accepted by the front.", "counter", float64(st.Batches)),
+		obs.Scalar("dejavu_front_decisions_total", "Individual decisions proxied to the serving tier.", "counter", float64(st.Decisions)),
+		obs.Scalar("dejavu_front_errors_total", "Requests answered with an error status.", "counter", float64(st.Errors)),
+		obs.Scalar("dejavu_front_mirrored_batches_total", "Batches mirrored to the profiling clone.", "counter", float64(st.Mirrored)),
+		obs.Scalar("dejavu_front_mirror_drops_total", "Mirrored batches dropped at the bounded queue.", "counter", float64(st.MirrorDrops)),
+		obs.Scalar("dejavu_front_mirror_failures_total", "Mirrored batches the clone failed to serve.", "counter", float64(st.MirrorFails)),
+		obs.Hist("dejavu_front_decide_latency_seconds", "Front forwarding latency: decode done to upstream answered.", f.decideLat.Snapshot()),
 	}
-	for _, c := range counters {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", c.name, c.help, c.name, c.name, c.value)
-	}
-	const latName = "dejavu_front_decide_latency_seconds"
-	fmt.Fprintf(w, "# HELP %s Front forwarding latency: decode done to upstream answered.\n# TYPE %s histogram\n", latName, latName)
-	f.decideLat.Snapshot().WritePrometheus(w, latName, "")
 	if f.cfg.Replicas == nil {
-		return
+		return fams
 	}
-	const fo = "dejavu_front_replica_failovers_total"
-	fmt.Fprintf(w, "# HELP %s Decisions that succeeded only after replica failover.\n# TYPE %s counter\n%s %d\n",
-		fo, fo, fo, f.cfg.Replicas.Failovers())
 	tier := f.cfg.Replicas.Obs()
-	for _, h := range []struct {
-		name, help string
-		snap       obs.Snapshot
-	}{
-		{"dejavu_replica_probe_rtt_seconds", "Successful replica health-probe round trips.", tier.ProbeRTT},
-		{"dejavu_replica_failover_duration_seconds", "Routing episodes that needed replica failover.", tier.Failover},
-		{"dejavu_replica_resync_duration_seconds", "Completed donor-to-replica repairs.", tier.Resync},
-	} {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s histogram\n", h.name, h.help, h.name)
-		h.snap.WritePrometheus(w, h.name, "")
-	}
+	return append(fams,
+		obs.Scalar("dejavu_front_replica_failovers_total", "Decisions that succeeded only after replica failover.", "counter", float64(f.cfg.Replicas.Failovers())),
+		obs.Hist("dejavu_replica_probe_rtt_seconds", "Successful replica health-probe round trips.", tier.ProbeRTT),
+		obs.Hist("dejavu_replica_failover_duration_seconds", "Routing episodes that needed replica failover.", tier.Failover),
+		obs.Hist("dejavu_replica_resync_duration_seconds", "Completed donor-to-replica repairs.", tier.Resync))
 }
 
-// handleTrace dumps the front's span ring (front hops plus, in
-// replicated mode, the registry's routing hops).
-func (f *DecisionFront) handleTrace(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		w.Header().Set("Allow", http.MethodGet)
-		f.fail(w, http.StatusMethodNotAllowed, errors.New("proxy: method not allowed"))
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	_ = f.spans.WriteJSON(w, "front")
-}
-
-// Spans exposes the front's trace ring (tests stitch cross-tier
-// traces through it).
-func (f *DecisionFront) Spans() *obs.SpanRing { return f.spans }
+// Spans exposes the front's trace ring: front hops plus, in replicated
+// mode, the registry's routing hops.
+func (f *DecisionFront) Spans() *obs.SpanRing { return f.plane.Spans }
 
 // DecideLatency snapshots the front's forwarding-latency histogram.
 func (f *DecisionFront) DecideLatency() obs.Snapshot { return f.decideLat.Snapshot() }
-
-// relayError maps a registry error onto the front's wire contract:
-// replica-side application errors keep their status and body (the
-// front is a pass-through), everything else is a bad gateway.
-func (f *DecisionFront) relayError(w http.ResponseWriter, err error) {
-	var apiErr *client.APIError
-	if errors.As(err, &apiErr) {
-		f.errorsN.Add(1)
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(apiErr.Status)
-		_, _ = io.WriteString(w, apiErr.Body)
-		return
-	}
-	f.fail(w, http.StatusBadGateway, err)
-}
-
-// handleInstall accepts serialized repository bytes and publishes
-// them tier-wide through the registry's publish-then-flip protocol.
-func (f *DecisionFront) handleInstall(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		f.fail(w, http.StatusMethodNotAllowed, errors.New("proxy: method not allowed"))
-		return
-	}
-	template := r.URL.Query().Get("template")
-	if template == "" {
-		f.fail(w, http.StatusBadRequest, errors.New("proxy: install needs ?template="))
-		return
-	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, 256<<20))
-	if err != nil {
-		f.fail(w, http.StatusBadRequest, err)
-		return
-	}
-	version, err := f.cfg.Replicas.InstallSerialized(template, body)
-	if err != nil {
-		f.relayError(w, err)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(map[string]any{"template": template, "version": version})
-}
-
-// handleRelay forwards a POSTed JSON body through one of the
-// registry's raw relays (put fan-out, get failover) and returns the
-// replica reply verbatim.
-func (f *DecisionFront) handleRelay(relay func([]byte) ([]byte, error)) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			w.Header().Set("Allow", http.MethodPost)
-			f.fail(w, http.StatusMethodNotAllowed, errors.New("proxy: method not allowed"))
-			return
-		}
-		body, err := io.ReadAll(io.LimitReader(r.Body, 8<<20))
-		if err != nil {
-			f.fail(w, http.StatusBadRequest, err)
-			return
-		}
-		out, err := relay(body)
-		if err != nil {
-			f.relayError(w, err)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		_, _ = w.Write(out)
-	}
-}
-
-func (f *DecisionFront) handleTemplates(w http.ResponseWriter, _ *http.Request) {
-	infos, err := f.cfg.Replicas.Templates()
-	if err != nil {
-		f.relayError(w, err)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(infos)
-}
-
-// handleHealth reports the front plus the tier: per-replica health
-// states and the agreed template versions.
-func (f *DecisionFront) handleHealth(w http.ResponseWriter, _ *http.Request) {
-	doc := struct {
-		Status string             `json:"status"`
-		Front  DecisionFrontStats `json:"front"`
-		Tier   replica.Status     `json:"tier"`
-	}{Status: "ok", Front: f.Stats(), Tier: f.cfg.Replicas.Status()}
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(doc)
-}
 
 // String describes the front for logs.
 func (f *DecisionFront) String() string {

@@ -327,7 +327,7 @@ func (r *Registry) Close() {
 // Decide routes one decision batch to a healthy replica, failing
 // transport errors over to the next one — two passes, the first over
 // live replicas, the second retrying stale-but-synced ones in case
-// the probes are behind reality. Application errors (*client.APIError)
+// the probes are behind reality. Application errors (*wire.APIError)
 // are returned without failover: the replicas share repository
 // content, so a parsed-and-rejected request is rejected everywhere.
 func (r *Registry) Decide(lookup bool, req *wire.Request, resp *wire.Response) error {
@@ -348,11 +348,7 @@ func (r *Registry) DecideTraced(lookup bool, req *wire.Request, resp *wire.Respo
 	}
 	err := r.decideRouted(lookup, req, resp, child)
 	if child.Valid() {
-		op := "classify"
-		if lookup {
-			op = "lookup"
-		}
-		r.spans.Load().RecordHop(tc, child, "registry", op, spanStart, time.Since(spanStart))
+		r.spans.Load().RecordHop(tc, child, "registry", wire.OpName(lookup), spanStart, time.Since(spanStart))
 	}
 	return err
 }
@@ -402,7 +398,7 @@ func (r *Registry) decideRouted(lookup bool, req *wire.Request, resp *wire.Respo
 				}
 				return nil
 			}
-			var apiErr *client.APIError
+			var apiErr *wire.APIError
 			if errors.As(err, &apiErr) {
 				return err
 			}
@@ -427,26 +423,35 @@ func (r *Registry) Install(template string, repo *core.Repository) (uint64, erro
 	return r.InstallSerialized(template, buf.Bytes())
 }
 
-// InstallSerialized publishes serialized repository bytes to every
-// replica at the next agreed version with the publish-then-flip
-// protocol, so concurrent clients never observe mixed versions for
-// the template. A replica that fails its install is marked out of
-// sync (excluded from routing) and repaired by the resync loop; the
-// install as a whole fails only if no replica accepted it.
+// InstallSerialized publishes serialized repository bytes tier-wide
+// and returns the agreed version now serving.
 func (r *Registry) InstallSerialized(template string, data []byte) (uint64, error) {
+	rep, err := r.InstallAt(template, data, 0)
+	return rep.Version, err
+}
+
+// InstallAt publishes serialized repository bytes to every replica at
+// the next agreed version with the publish-then-flip protocol, so
+// concurrent clients never observe mixed versions for the template. A
+// replica that fails its install is marked out of sync (excluded from
+// routing) and repaired by the resync loop; the install as a whole
+// fails only if no replica accepted it. The registry assigns the
+// tier's versions, so a requested one is ignored (wire.Backend).
+func (r *Registry) InstallAt(template string, data []byte, _ uint64) (wire.InstallReply, error) {
 	if template == "" {
-		return 0, errors.New("replica: install needs a template id")
+		return wire.InstallReply{}, errors.New("replica: install needs a template id")
 	}
 	r.stateMu.Lock()
 	defer r.stateMu.Unlock()
 	version := r.desired[template] + 1
-	if err := r.publishLocked(template, data, version); err != nil {
-		return 0, err
+	rep, err := r.publishLocked(template, data, version)
+	if err != nil {
+		return wire.InstallReply{}, err
 	}
 	r.desired[template] = version
 	r.epoch.Add(1)
 	r.installs.Add(1)
-	return version, nil
+	return rep, nil
 }
 
 // publishLocked fans data out at version under stateMu. For an
@@ -463,49 +468,50 @@ func (r *Registry) InstallSerialized(template string, data []byte) (uint64, erro
 // Each pin change publishes under the routing grace period, so at no
 // instant can two decisions of one template observe different
 // versions.
-func (r *Registry) publishLocked(template string, data []byte, version uint64) error {
+func (r *Registry) publishLocked(template string, data []byte, version uint64) (wire.InstallReply, error) {
 	live := r.installTargets()
 	if len(live) == 0 {
-		return errors.New("replica: no replicas available for install")
+		return wire.InstallReply{}, errors.New("replica: no replicas available for install")
+	}
+	// install fans out over reps, keeping the replicas that took the
+	// version and the first one's reply (they all hold the same bytes).
+	var reply wire.InstallReply
+	var lastErr error
+	install := func(reps []*replica) (updated []*replica) {
+		for _, rep := range reps {
+			got, err := r.installOn(rep, template, data, version)
+			if err != nil {
+				lastErr = err
+				continue
+			}
+			if len(updated) == 0 {
+				reply = got
+			}
+			updated = append(updated, rep)
+		}
+		return updated
 	}
 	if r.desired[template] == 0 || len(live) == 1 {
 		// Nothing serves this template yet (or there is only one
 		// target): no mixed-version window exists to defend.
-		ok := 0
-		var lastErr error
-		for _, rep := range live {
-			if err := r.installOn(rep, template, data, version); err != nil {
-				lastErr = err
-				continue
-			}
-			ok++
+		if len(install(live)) == 0 {
+			return reply, fmt.Errorf("replica: install %q failed on every replica: %w", template, lastErr)
 		}
-		if ok == 0 {
-			return fmt.Errorf("replica: install %q failed on every replica: %w", template, lastErr)
-		}
-		return nil
+		return reply, nil
 	}
 	pin := live[0]
 	r.setPin(template, []*replica{pin})
-	updated := make([]*replica, 0, len(live)-1)
-	var lastErr error
-	for _, rep := range live[1:] {
-		if err := r.installOn(rep, template, data, version); err != nil {
-			lastErr = err
-			continue
-		}
-		updated = append(updated, rep)
-	}
+	updated := install(live[1:])
 	if len(updated) == 0 {
-		r.clearPin(template)
-		return fmt.Errorf("replica: install %q failed on every fan-out replica: %w", template, lastErr)
+		r.setPin(template, nil)
+		return reply, fmt.Errorf("replica: install %q failed on every fan-out replica: %w", template, lastErr)
 	}
 	r.setPin(template, updated)
 	// The pinned replica is no longer routed; bring it forward too. A
 	// failure here just leaves it out of sync for the resync loop.
-	_ = r.installOn(pin, template, data, version)
-	r.clearPin(template)
-	return nil
+	_, _ = r.installOn(pin, template, data, version)
+	r.setPin(template, nil)
+	return reply, nil
 }
 
 // installTargets lists the replicas an install must reach: in sync
@@ -522,68 +528,57 @@ func (r *Registry) installTargets() []*replica {
 	return out
 }
 
-func (r *Registry) installOn(rep *replica, template string, data []byte, version uint64) error {
-	if _, err := rep.cl.InstallSerialized(template, data, version); err != nil {
+func (r *Registry) installOn(rep *replica, template string, data []byte, version uint64) (wire.InstallReply, error) {
+	reply, err := rep.cl.InstallAt(template, data, version)
+	if err != nil {
 		rep.synced.Store(false)
 		r.logf("replica: install %s@%d on %s failed: %v", template, version, rep.name, err)
-		return err
 	}
-	return nil
+	return reply, err
 }
 
-// setPin publishes a routing override for one template under the
-// grace period: when it returns, no in-flight decision is using the
-// previous routing.
+// setPin publishes a routing override for one template (nil reps
+// removes it) under the grace period: when it returns, no in-flight
+// decision is using the previous routing.
 func (r *Registry) setPin(template string, reps []*replica) {
-	old := r.pins.Load()
 	next := map[string][]*replica{}
-	if old != nil {
+	if old := r.pins.Load(); old != nil {
 		for k, v := range *old {
 			next[k] = v
 		}
 	}
-	next[template] = reps
+	if reps == nil {
+		delete(next, template)
+	} else {
+		next[template] = reps
+	}
 	r.flip.Lock()
 	r.pins.Store(&next)
 	r.flip.Unlock()
 }
 
-func (r *Registry) clearPin(template string) {
-	old := r.pins.Load()
-	next := map[string][]*replica{}
-	if old != nil {
-		for k, v := range *old {
-			next[k] = v
-		}
-	}
-	delete(next, template)
-	r.flip.Lock()
-	r.pins.Store(&next)
-	r.flip.Unlock()
-}
-
-// PutRaw fans one /v1/put body (forwarded verbatim) to every in-sync
-// replica, so a tuned allocation shared by one controller is visible
-// to lookups routed anywhere. A replica that misses the put over a
-// transport error is marked out of sync and repaired by resync; the
-// put succeeds if any replica took it. An application-level rejection
-// is authoritative (the replicas share content — the first replica to
-// parse the body rejects it before any state changed).
-func (r *Registry) PutRaw(body []byte) ([]byte, error) {
+// Put fans one put to every in-sync replica, so a tuned allocation
+// shared by one controller is visible to lookups routed anywhere. A
+// replica that misses the put over a transport error is marked out of
+// sync and repaired by resync; the put succeeds if any replica took it.
+// An application-level rejection is authoritative (the replicas share
+// content — the first replica to parse the request rejects it before
+// any state changed).
+func (r *Registry) Put(req wire.PutRequest) (wire.PutReply, error) {
 	r.stateMu.RLock()
 	defer r.stateMu.RUnlock()
-	var okBody []byte
+	var reply wire.PutReply
 	var lastErr error
 	ok := 0
 	for _, rep := range *r.all.Load() {
 		if !rep.synced.Load() || rep.draining.Load() {
 			continue
 		}
-		out, err := rep.cl.PostRawJSON("/v1/put", body)
+		got, err := rep.cl.Put(req)
 		if err != nil {
-			var apiErr *client.APIError
+			var apiErr *wire.APIError
 			if errors.As(err, &apiErr) {
-				return nil, err
+				return wire.PutReply{}, err
 			}
 			rep.dirty.Store(true)
 			rep.synced.Store(false)
@@ -592,43 +587,39 @@ func (r *Registry) PutRaw(body []byte) ([]byte, error) {
 			lastErr = err
 			continue
 		}
-		ok++
-		if okBody == nil {
-			okBody = out
+		if ok++; ok == 1 {
+			reply = got
 		}
 	}
 	if ok == 0 {
 		if lastErr == nil {
-			return nil, errors.New("replica: no replicas available for put")
+			return wire.PutReply{}, errors.New("replica: no replicas available for put")
 		}
-		return nil, fmt.Errorf("replica: put failed on every replica: %w", lastErr)
+		return wire.PutReply{}, fmt.Errorf("replica: put failed on every replica: %w", lastErr)
 	}
-	return okBody, nil
+	return reply, nil
 }
 
-// GetRaw routes one /v1/get body to a healthy replica with the same
-// failover shape as Decide.
-func (r *Registry) GetRaw(body []byte) ([]byte, error) {
-	out, err := r.forEachRoutable(func(rep *replica) ([]byte, error) {
-		return rep.cl.PostRawJSON("/v1/get", body)
-	})
-	if err != nil {
-		return nil, fmt.Errorf("replica: get: %w", err)
-	}
-	return out, nil
+// Get routes one get to a healthy replica with the same failover shape
+// as Decide.
+func (r *Registry) Get(req wire.GetRequest) (wire.GetReply, error) {
+	return routed(r, "get", func(rep *replica) (wire.GetReply, error) { return rep.cl.Get(req) })
 }
 
-// forEachRoutable tries fn over the replicas in failover order (live
-// and in-sync first, then stale-but-synced), returning the first
-// success. Application errors abort immediately.
-func (r *Registry) forEachRoutable(fn func(*replica) ([]byte, error)) ([]byte, error) {
+// Templates lists the tier's templates from the first replica that
+// answers.
+func (r *Registry) Templates() ([]wire.TemplateInfo, error) {
+	return routed(r, "templates", func(rep *replica) ([]wire.TemplateInfo, error) { return rep.cl.Templates() })
+}
+
+// routed tries fn over the replicas in failover order (live and in-sync
+// first, then stale-but-synced) and returns the first success.
+// Application errors abort immediately.
+func routed[T any](r *Registry, what string, fn func(*replica) (T, error)) (out T, err error) {
 	all := *r.all.Load()
 	n := len(all)
-	if n == 0 {
-		return nil, errors.New("no replicas")
-	}
 	start := int(r.rr.Add(1) - 1)
-	var lastErr error
+	lastErr := errors.New("no routable replicas")
 	for pass := 0; pass < 2; pass++ {
 		for i := 0; i < n; i++ {
 			rep := all[(start+i)%n]
@@ -638,31 +629,26 @@ func (r *Registry) forEachRoutable(fn func(*replica) ([]byte, error)) ([]byte, e
 			if pass == 0 && !rep.alive.Load() {
 				continue
 			}
-			out, err := fn(rep)
-			if err == nil {
+			if out, err = fn(rep); err == nil {
 				return out, nil
 			}
-			var apiErr *client.APIError
+			var apiErr *wire.APIError
 			if errors.As(err, &apiErr) {
-				return nil, err
+				return out, fmt.Errorf("replica: %s: %w", what, err)
 			}
 			rep.alive.Store(false)
 			lastErr = err
 		}
 	}
-	if lastErr == nil {
-		lastErr = errors.New("no routable replicas")
-	}
-	return nil, lastErr
+	return out, fmt.Errorf("replica: %s: %w", what, lastErr)
 }
 
-// Stats aggregates one template's serving statistics across the
-// replicas that answer: counters sum (each replica saw a share of the
-// traffic), repository shape comes from the first responder (in-sync
-// replicas hold identical content). Counters on a replica that died
+// StatsFor aggregates one template's serving statistics across the
+// replicas that answer: counters sum, repository shape comes from the
+// first responder (wire.Stats.Merge). Counters on a replica that died
 // are gone — aggregation is telemetry, not bookkeeping.
-func (r *Registry) Stats(template string) (client.Stats, error) {
-	var agg client.Stats
+func (r *Registry) StatsFor(template string) (wire.Stats, error) {
+	var agg wire.Stats
 	got := 0
 	var lastErr error
 	for _, rep := range *r.all.Load() {
@@ -671,52 +657,26 @@ func (r *Registry) Stats(template string) (client.Stats, error) {
 		}
 		st, err := rep.cl.Stats(template)
 		if err != nil {
-			var apiErr *client.APIError
+			var apiErr *wire.APIError
 			if errors.As(err, &apiErr) {
-				return client.Stats{}, err
+				return wire.Stats{}, err
 			}
 			lastErr = err
 			continue
 		}
-		if got == 0 {
+		if got++; got == 1 {
 			agg = st
 		} else {
-			agg.Hits += st.Hits
-			agg.Misses += st.Misses
-			agg.Decisions += st.Decisions
-			agg.Relearns += st.Relearns
-			agg.RelearnFails += st.RelearnFails
-			agg.BadRequests += st.BadRequests
+			agg.Merge(st)
 		}
-		got++
 	}
 	if got == 0 {
 		if lastErr == nil {
 			lastErr = errors.New("replica: no replicas available for stats")
 		}
-		return client.Stats{}, lastErr
-	}
-	if total := agg.Hits + agg.Misses; total > 0 {
-		agg.HitRate = float64(agg.Hits) / float64(total)
-	} else {
-		agg.HitRate = 0
+		return wire.Stats{}, lastErr
 	}
 	return agg, nil
-}
-
-// Templates lists the tier's templates from the first replica that
-// answers.
-func (r *Registry) Templates() ([]client.TemplateInfo, error) {
-	var infos []client.TemplateInfo
-	_, err := r.forEachRoutable(func(rep *replica) ([]byte, error) {
-		var ierr error
-		infos, ierr = rep.cl.Templates()
-		return nil, ierr
-	})
-	if err != nil {
-		return nil, fmt.Errorf("replica: templates: %w", err)
-	}
-	return infos, nil
 }
 
 // ReplicaStatus is one replica's slice of the registry status.
@@ -917,7 +877,7 @@ func (r *Registry) probeOnce(rep *replica, fails *int) {
 // the health predates the current agreed versions and judging the
 // replica by it would demote replicas an install just updated, so the
 // probe abstains until the next round.
-func (r *Registry) reconcile(rep *replica, h client.Health, epoch uint64) {
+func (r *Registry) reconcile(rep *replica, h wire.Health, epoch uint64) {
 	resync := rep.dirty.Load() // divergent content: versions prove nothing
 	var adopt []string
 	r.stateMu.RLock()
@@ -1071,9 +1031,9 @@ func (r *Registry) adopt(template string) {
 		if rep == src || rep.draining.Load() || !rep.synced.Load() {
 			continue
 		}
-		_ = r.installOn(rep, template, data, v)
+		_, _ = r.installOn(rep, template, data, v)
 	}
-	r.clearPin(template)
+	r.setPin(template, nil)
 	r.desired[template] = v
 	r.epoch.Add(1)
 	r.adoptions.Add(1)

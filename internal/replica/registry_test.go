@@ -381,19 +381,16 @@ func TestPutFansOut(t *testing.T) {
 	if _, err := reg.InstallSerialized("svc", buildRepoBytes(t, 23)); err != nil {
 		t.Fatal(err)
 	}
-	body := []byte(`{"template":"svc","class":0,"bucket":0,"type":"small","count":3}`)
-	if _, err := reg.PutRaw(body); err != nil {
+	if _, err := reg.Put(wire.PutRequest{Template: "svc", Type: "small", Count: 3}); err != nil {
 		t.Fatal(err)
 	}
-	get := []byte(`{"template":"svc","class":0,"bucket":0}`)
 	for _, m := range []*member{a, b} {
-		cl := memberClient(t, m)
-		out, err := cl.PostRawJSON("/v1/get", get)
+		out, err := memberClient(t, m).Get(wire.GetRequest{Template: "svc"})
 		if err != nil {
 			t.Fatalf("get on %s: %v", m.name, err)
 		}
-		if !strings.Contains(string(out), `"hit":true`) {
-			t.Errorf("replica %s missed the fanned-out put: %s", m.name, out)
+		if !out.Hit || out.Type != "small" || out.Count != 3 {
+			t.Errorf("replica %s missed the fanned-out put: %+v", m.name, out)
 		}
 	}
 }

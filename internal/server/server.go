@@ -33,23 +33,20 @@
 //     freshly learned repository into a running daemon — the fleet's
 //     remote mode uses this to ship each template's learning result.
 //
-// Endpoints: POST /v1/classify, POST /v1/lookup (binary batch
-// frames), POST /v1/put, POST /v1/get,
-// POST /v1/install[?version=N], GET /v1/stats[?template=x],
-// GET /v1/templates, GET /v1/health, GET /v1/dump?template=x,
-// GET /metrics (Prometheus text format), POST /v1/snapshot.
+// The HTTP handler is the shared admin plane (wire.Plane) over this
+// package's template table; docs/ARCHITECTURE.md § Endpoints lists
+// every route, its method, body limit and document.
 package server
 
 import (
 	"bufio"
-	"encoding/json"
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"os"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -109,7 +106,8 @@ type Config struct {
 	// derives "<base>-<template><ext>" (the sole template of a
 	// single-template server uses the path verbatim).
 	SnapshotPath string
-	// MaxBodyBytes bounds a decision request body (default 8 MiB).
+	// MaxBodyBytes bounds a decision or install request body (default
+	// wire.DefaultMaxBody, 8 MiB); a larger one is answered 413.
 	MaxBodyBytes int64
 	// Logf receives operational log lines; nil means silent.
 	Logf func(format string, args ...any)
@@ -174,8 +172,11 @@ type Server struct {
 	templates atomic.Pointer[templateSet]
 	installMu sync.Mutex // serializes installs (copy-on-write above)
 	pool      sync.Pool
-	mux       *http.ServeMux
-	start     time.Time
+	// plane is the HTTP handler. Its span ring is the per-process trace
+	// ring: sampled decisions (the Dejavu-Trace header /
+	// wire.StreamFlagTrace envelopes) append their server hop there.
+	plane *wire.Plane
+	start time.Time
 	// verbatimTemplate is the template whose snapshot file is the
 	// configured path verbatim: the sole template at construction
 	// time. Frozen then — a runtime install must not silently move an
@@ -200,20 +201,15 @@ type Server struct {
 	relearnDur  obs.Histogram
 	installDur  obs.Histogram
 	snapshotDur obs.Histogram
-
-	// spans is the per-process trace ring; sampled decisions (the
-	// Dejavu-Trace header / wire.StreamFlagTrace envelopes) append
-	// their server hop here, dumped by GET /v1/trace.
-	spans *obs.SpanRing
 }
 
 // New validates the configuration and assembles the service.
 func New(cfg Config) (*Server, error) {
 	cfg.Drift.defaults()
 	if cfg.MaxBodyBytes <= 0 {
-		cfg.MaxBodyBytes = 8 << 20
+		cfg.MaxBodyBytes = wire.DefaultMaxBody
 	}
-	s := &Server{cfg: cfg, start: time.Now(), spans: obs.NewSpanRing(obs.DefaultSpanRingSize)}
+	s := &Server{cfg: cfg, start: time.Now()}
 	set := &templateSet{byName: map[string]*template{}}
 	if cfg.Handle != nil {
 		set.byName[DefaultTemplate] = s.newTemplate(DefaultTemplate, cfg.Handle)
@@ -237,25 +233,19 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.templates.Store(set.finish())
 	s.pool.New = func() any { return &scratch{} }
-	s.mux = http.NewServeMux()
-	s.mux.HandleFunc("/v1/classify", s.methodGuard(http.MethodPost, func(w http.ResponseWriter, r *http.Request) {
-		s.classifyReqs.Add(1)
-		s.handleDecision(w, r, false)
-	}))
-	s.mux.HandleFunc("/v1/lookup", s.methodGuard(http.MethodPost, func(w http.ResponseWriter, r *http.Request) {
-		s.lookupReqs.Add(1)
-		s.handleDecision(w, r, true)
-	}))
-	s.mux.HandleFunc("/v1/put", s.methodGuard(http.MethodPost, s.handlePut))
-	s.mux.HandleFunc("/v1/get", s.methodGuard(http.MethodPost, s.handleGet))
-	s.mux.HandleFunc("/v1/install", s.methodGuard(http.MethodPost, s.handleInstall))
-	s.mux.HandleFunc("/v1/stats", s.methodGuard(http.MethodGet, s.handleStats))
-	s.mux.HandleFunc("/v1/templates", s.methodGuard(http.MethodGet, s.handleTemplates))
-	s.mux.HandleFunc("/v1/health", s.methodGuard(http.MethodGet, s.handleHealth))
-	s.mux.HandleFunc("/v1/dump", s.methodGuard(http.MethodGet, s.handleDump))
-	s.mux.HandleFunc("/metrics", s.methodGuard(http.MethodGet, s.handleMetrics))
-	s.mux.HandleFunc("/v1/trace", s.methodGuard(http.MethodGet, s.handleTrace))
-	s.mux.HandleFunc("/v1/snapshot", s.methodGuard(http.MethodPost, s.handleSnapshot))
+	// An error from the template table means the request was bad: 400.
+	p := wire.NewPlane("dejavud", cfg.MaxBodyBytes, http.StatusBadRequest, &s.badRequests, s.metricFamilies)
+	s.plane = p
+	p.Decision(s.handleDecision)
+	p.Admin(s, nil)
+	p.Handle(http.MethodGet, "/v1/health", 0, func(w http.ResponseWriter, _ *http.Request) {
+		p.Reply(w, s.HealthSnapshot(), nil)
+	})
+	p.Handle(http.MethodGet, "/v1/dump", 0, s.handleDump)
+	p.Handle(http.MethodPost, "/v1/snapshot", 0, func(w http.ResponseWriter, _ *http.Request) {
+		results, err := s.Snapshot()
+		p.Reply(w, results, err)
+	})
 	return s, nil
 }
 
@@ -287,7 +277,7 @@ func (ts *templateSet) finish() *templateSet {
 }
 
 // Handler returns the HTTP handler serving every endpoint.
-func (s *Server) Handler() http.Handler { return s.mux }
+func (s *Server) Handler() http.Handler { return s.plane }
 
 func (s *Server) logf(format string, args ...any) {
 	if s.cfg.Logf != nil {
@@ -295,110 +285,22 @@ func (s *Server) logf(format string, args ...any) {
 	}
 }
 
-func (s *Server) methodGuard(method string, h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != method {
-			w.Header().Set("Allow", method)
-			w.Header().Set("Content-Type", "application/json")
-			w.WriteHeader(http.StatusMethodNotAllowed)
-			_, _ = io.WriteString(w, `{"error":"method not allowed"}`+"\n")
-			return
-		}
-		h(w, r)
-	}
-}
-
-func (s *Server) badRequest(w http.ResponseWriter, err error) {
-	s.reject(w, http.StatusBadRequest, err)
-}
-
-// reject answers a client error with a JSON error body and counts it.
-func (s *Server) reject(w http.ResponseWriter, status int, err error) {
-	s.badRequests.Add(1)
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(map[string]string{"error": err.Error()})
-}
-
-// readBody drains the request body into the pooled buffer; steady
-// state performs no allocation once the buffer fits the workload's
-// request size.
-func readBody(r *http.Request, buf []byte, limit int64) ([]byte, error) {
-	if r.ContentLength > limit {
-		return buf, fmt.Errorf("server: request body %d bytes exceeds limit %d", r.ContentLength, limit)
-	}
-	if n := int(r.ContentLength); n > 0 && cap(buf) < n {
-		buf = make([]byte, 0, n)
-	}
-	buf = buf[:0]
-	for {
-		if len(buf) == cap(buf) {
-			buf = append(buf, 0)[:len(buf)]
-		}
-		n, err := r.Body.Read(buf[len(buf):cap(buf)])
-		buf = buf[:len(buf)+n]
-		if int64(len(buf)) > limit {
-			return buf, fmt.Errorf("server: request body exceeds limit %d", limit)
-		}
-		if err == io.EOF {
-			return buf, nil
-		}
-		if err != nil {
-			return buf, err
-		}
-	}
-}
-
-// handleDecision is the hot-path HTTP adapter: everything between
-// body-read and response-write is the allocation-free decide().
+// handleDecision is the hot-path HTTP adapter: between the plane's body
+// read and its response write runs the allocation-free decide().
 func (s *Server) handleDecision(w http.ResponseWriter, r *http.Request, lookup bool) {
-	if _, err := wire.EncodingForContentType(r.Header.Get("Content-Type")); err != nil {
-		s.reject(w, http.StatusUnsupportedMediaType, err)
-		return
+	if lookup {
+		s.lookupReqs.Add(1)
+	} else {
+		s.classifyReqs.Add(1)
 	}
 	sc := s.pool.Get().(*scratch)
 	defer s.pool.Put(sc)
-	var err error
-	sc.body, err = readBody(r, sc.body, s.cfg.MaxBodyBytes)
-	if err != nil {
-		s.badRequest(w, err)
+	hop, ok := s.plane.BeginDecision(w, r, &sc.body)
+	if !ok {
 		return
-	}
-	// A sampled decision carries its trace context in the
-	// (canonically-spelled) DejaVu-Trace header; the untraced path
-	// pays one map probe and nothing else.
-	var parent, child obs.TraceContext
-	var spanStart time.Time
-	if hv := r.Header.Get(obs.TraceHeader); hv != "" {
-		if tc, ok := obs.ParseHeaderContext(hv); ok {
-			parent, child = tc, obs.Child(tc)
-			spanStart = time.Now()
-		}
 	}
 	out, err := s.decide(sc, lookup, transportBinary)
-	if child.Valid() {
-		s.spans.RecordHop(parent, child, "dejavud", decisionOp(lookup), spanStart, time.Since(spanStart))
-	}
-	if err != nil {
-		s.badRequest(w, err)
-		return
-	}
-	h := w.Header()
-	h.Set("Content-Type", wire.ContentTypeBinary)
-	// An explicit Content-Length keeps large batches out of chunked
-	// encoding, so lean clients can frame responses without a chunked
-	// decoder. (Itoa's small alloc sits outside the pinned decide()
-	// path, alongside net/http's own per-request costs.)
-	h.Set("Content-Length", strconv.Itoa(len(out)))
-	_, _ = w.Write(out)
-}
-
-// decisionOp names a decision for span/metric purposes.
-func decisionOp(lookup bool) string {
-	if lookup {
-		return "lookup"
-	}
-	return "classify"
+	s.plane.EndDecision(w, lookup, hop, out, err)
 }
 
 // decide parses sc.body, routes it to a template, and serves one
@@ -528,119 +430,63 @@ func (s *Server) resolveTemplateName(name string) (*template, error) {
 	return s.templates.Load().resolve([]byte(name))
 }
 
-// putRequest is the /v1/put body.
-type putRequest struct {
-	Template string `json:"template"`
-	Class    int    `json:"class"`
-	Bucket   int    `json:"bucket"`
-	Type     string `json:"type"`
-	Count    int    `json:"count"`
-}
-
-// handlePut stores a tuned allocation — the client side of the DejaVu
+// Put stores a tuned allocation — the client side of the DejaVu
 // protocol's miss path (tune, then share the result).
-func (s *Server) handlePut(w http.ResponseWriter, r *http.Request) {
+func (s *Server) Put(req wire.PutRequest) (wire.PutReply, error) {
 	s.putReqs.Add(1)
-	var req putRequest
-	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<16)).Decode(&req); err != nil {
-		s.badRequest(w, fmt.Errorf("server: decode put: %w", err))
-		return
-	}
 	tpl, err := s.resolveTemplateName(req.Template)
 	if err != nil {
-		s.badRequest(w, err)
-		return
+		return wire.PutReply{}, err
 	}
 	typ, err := cloud.TypeByName(req.Type)
 	if err != nil {
-		s.badRequest(w, err)
-		return
+		return wire.PutReply{}, err
 	}
 	cur := tpl.handle.Current()
 	if err := cur.Repo.Put(req.Class, req.Bucket, cloud.Allocation{Type: typ, Count: req.Count}); err != nil {
-		s.badRequest(w, err)
-		return
+		return wire.PutReply{}, err
 	}
-	w.Header().Set("Content-Type", "application/json")
-	fmt.Fprintf(w, `{"version":%d,"entries":%d}`+"\n", cur.Version, cur.Repo.Len())
+	return wire.PutReply{Version: cur.Version, Entries: cur.Repo.Len()}, nil
 }
 
-// getRequest is the /v1/get body: fetch a cached allocation by
-// (class, bucket) without classification — the controller's
-// interference path.
-type getRequest struct {
-	Template string `json:"template"`
-	Class    int    `json:"class"`
-	Bucket   int    `json:"bucket"`
-}
-
-func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
+// Get fetches a cached allocation by (class, bucket).
+func (s *Server) Get(req wire.GetRequest) (wire.GetReply, error) {
 	s.getReqs.Add(1)
-	var req getRequest
-	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<16)).Decode(&req); err != nil {
-		s.badRequest(w, fmt.Errorf("server: decode get: %w", err))
-		return
-	}
 	tpl, err := s.resolveTemplateName(req.Template)
 	if err != nil {
-		s.badRequest(w, err)
-		return
+		return wire.GetReply{}, err
 	}
 	cur := tpl.handle.Current()
 	alloc, ok := cur.Repo.Get(req.Class, req.Bucket)
-	w.Header().Set("Content-Type", "application/json")
 	if !ok {
-		fmt.Fprintf(w, `{"version":%d,"hit":false}`+"\n", cur.Version)
-		return
+		return wire.GetReply{Version: cur.Version}, nil
 	}
-	fmt.Fprintf(w, `{"version":%d,"hit":true,"type":%q,"count":%d}`+"\n", cur.Version, alloc.Type.Name, alloc.Count)
+	return wire.GetReply{Version: cur.Version, Hit: true, Type: alloc.Type.Name, Count: alloc.Count}, nil
 }
 
-// handleInstall publishes a repository for ?template=NAME from a
-// serialized core.SaveRepository body: the remote control plane's way
-// to ship a learning result into a running daemon. Installing over an
-// existing template swaps (version increments, in-flight readers
-// finish on their snapshot); a new name creates the template. An
-// optional ?version=N forces the published version instead of the
-// local increment — the replicated tier's way of keeping every replica
-// of a template on the same version number even across replica
-// restarts (version must not go backwards; re-publishing the current
-// version replaces content without a version change).
-func (s *Server) handleInstall(w http.ResponseWriter, r *http.Request) {
-	name := r.URL.Query().Get("template")
-	if name == "" {
-		s.badRequest(w, errors.New("server: install needs ?template=NAME"))
-		return
-	}
-	if len(name) > 256 || strings.ContainsAny(name, "/\\%\x00") {
-		s.badRequest(w, fmt.Errorf("server: invalid template id %q", name))
-		return
-	}
-	var at uint64
-	if v := r.URL.Query().Get("version"); v != "" {
-		n, err := strconv.ParseUint(v, 10, 64)
-		if err != nil || n == 0 {
-			s.badRequest(w, fmt.Errorf("server: invalid install version %q", v))
-			return
-		}
-		at = n
-	}
-	repo, err := core.LoadRepository(io.LimitReader(r.Body, s.cfg.MaxBodyBytes))
+// InstallAt publishes a serialized repository (core.SaveRepository
+// bytes) under the template id: the remote control plane's way to ship
+// a learning result into a running daemon. Installing over an existing
+// template swaps (version increments, in-flight readers finish on their
+// snapshot); a new name creates the template. at == 0 means the next
+// local version; otherwise the version is forced — the replicated
+// tier's way of keeping every replica of a template on the same version
+// number even across replica restarts (version must not go backwards;
+// re-publishing the current version replaces content without a version
+// change).
+func (s *Server) InstallAt(name string, data []byte, at uint64) (wire.InstallReply, error) {
+	repo, err := core.LoadRepository(bytes.NewReader(data))
 	if err != nil {
-		s.badRequest(w, err)
-		return
+		return wire.InstallReply{}, err
 	}
 	version, err := s.install(name, repo, at)
 	if err != nil {
-		s.badRequest(w, err)
-		return
+		return wire.InstallReply{}, err
 	}
 	s.installs.Add(1)
 	s.logf("dejavud: installed template %s version %d (%d classes, %d entries)",
 		name, version, repo.Classes(), repo.Len())
-	w.Header().Set("Content-Type", "application/json")
-	fmt.Fprintf(w, `{"template":%q,"version":%d,"classes":%d,"entries":%d}`+"\n",
-		name, version, repo.Classes(), repo.Len())
+	return wire.InstallReply{Template: name, Version: version, Classes: repo.Classes(), Entries: repo.Len()}, nil
 }
 
 // install publishes repo under the template id, creating or swapping.
@@ -699,47 +545,12 @@ func (s *Server) install(name string, repo *core.Repository, at uint64) (uint64,
 	return version, nil
 }
 
-// TemplateStats is one template's slice of the /v1/stats document.
-type TemplateStats struct {
-	Template      string  `json:"template"`
-	Version       uint64  `json:"version"`
-	Classes       int     `json:"classes"`
-	Entries       int     `json:"entries"`
-	Hits          int64   `json:"hits"`
-	Misses        int64   `json:"misses"`
-	HitRate       float64 `json:"hit_rate"`
-	Decisions     int64   `json:"decisions"`
-	DriftWindows  int64   `json:"drift_windows"`
-	LastDriftRate float64 `json:"last_window_unforeseen_rate"`
-	DriftTriggers int64   `json:"drift_triggers"`
-	Relearns      int64   `json:"relearns"`
-	RelearnFails  int64   `json:"relearn_failures"`
-	Relearning    bool    `json:"relearning"`
-	RecentRows    int     `json:"recent_rows"`
-}
-
-// Stats is the /v1/stats document. The top-level repository and drift
-// fields describe one template (the routed one); Templates counts how
-// many the server serves.
-type Stats struct {
-	TemplateStats
-	Templates     int     `json:"templates"`
-	ClassifyReqs  int64   `json:"classify_requests"`
-	LookupReqs    int64   `json:"lookup_requests"`
-	PutReqs       int64   `json:"put_requests"`
-	GetReqs       int64   `json:"get_requests"`
-	Installs      int64   `json:"installs"`
-	BadRequests   int64   `json:"bad_requests"`
-	Snapshots     int64   `json:"snapshots"`
-	UptimeSeconds float64 `json:"uptime_seconds"`
-}
-
 // templateStats assembles one template's counters. Counter loads are
 // individually atomic, not mutually consistent — fine for telemetry.
-func templateStats(t *template) TemplateStats {
+func templateStats(t *template) wire.TemplateStats {
 	cur := t.handle.Current()
 	hits, misses := cur.Repo.LookupCounts()
-	return TemplateStats{
+	return wire.TemplateStats{
 		Template:      t.name,
 		Version:       cur.Version,
 		Classes:       cur.Repo.Classes(),
@@ -763,14 +574,14 @@ func templateStats(t *template) TemplateStats {
 // default resolves — several templates, none named "default" — the
 // template-level fields stay zero and only the server-wide counters
 // are meaningful; use StatsFor to get the error instead.
-func (s *Server) StatsSnapshot() Stats {
+func (s *Server) StatsSnapshot() wire.Stats {
 	st, _ := s.StatsFor("")
 	return st
 }
 
 // StatsFor assembles the statistics for one template ("" = default).
-func (s *Server) StatsFor(name string) (Stats, error) {
-	st := Stats{
+func (s *Server) StatsFor(name string) (wire.Stats, error) {
+	st := wire.Stats{
 		Templates:     len(s.templates.Load().byName),
 		ClassifyReqs:  s.classifyReqs.Load(),
 		LookupReqs:    s.lookupReqs.Load(),
@@ -789,35 +600,15 @@ func (s *Server) StatsFor(name string) (Stats, error) {
 	return st, nil
 }
 
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	st, err := s.StatsFor(r.URL.Query().Get("template"))
-	if err != nil {
-		s.badRequest(w, err)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(st)
-}
-
-// TemplateInfo is one entry of the /v1/templates listing.
-type TemplateInfo struct {
-	Template string          `json:"template"`
-	Version  uint64          `json:"version"`
-	Classes  int             `json:"classes"`
-	Entries  int             `json:"entries"`
-	Events   []metrics.Event `json:"events"`
-}
-
-// Templates lists every installed template, sorted by id.
-func (s *Server) Templates() []TemplateInfo {
+// Templates lists every installed template, sorted by id; the error is
+// always nil (wire.Backend's other implementation asks a replica).
+func (s *Server) Templates() ([]wire.TemplateInfo, error) {
 	set := s.templates.Load()
-	out := make([]TemplateInfo, 0, len(set.names))
+	out := make([]wire.TemplateInfo, 0, len(set.names))
 	for _, name := range set.names {
 		t := set.byName[name]
 		cur := t.handle.Current()
-		out = append(out, TemplateInfo{
+		out = append(out, wire.TemplateInfo{
 			Template: name,
 			Version:  cur.Version,
 			Classes:  cur.Repo.Classes(),
@@ -825,121 +616,92 @@ func (s *Server) Templates() []TemplateInfo {
 			Events:   cur.Repo.Events(),
 		})
 	}
-	return out
+	return out, nil
 }
 
-func (s *Server) handleTemplates(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(s.Templates())
-}
-
-// handleMetrics renders the Prometheus text exposition format. Server
-// totals are unlabeled; per-template series carry a template label —
-// except on a single-template server, which keeps the historical
-// unlabeled names so existing scrapes survive the multi-template
-// refactor. Label values use the exposition format's own escaping
-// (backslash, quote, newline — obs.EscapeLabel), not Go's %q, whose
-// non-ASCII escapes Prometheus parsers reject. Decide latency is a
-// real `histogram` metric, one series per template × transport, plus
-// control-plane duration histograms; the whole output is held to the
-// exposition grammar by TestMetricsTextFormatLint.
-func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
+// metricFamilies is the /metrics table. Server totals are unlabeled;
+// per-template series carry a template label — except on a
+// single-template server, which keeps the historical unlabeled names
+// so existing scrapes survive the multi-template refactor. Label values
+// use the exposition format's own escaping (backslash, quote, newline —
+// obs.EscapeLabel), not Go's %q, whose non-ASCII escapes Prometheus
+// parsers reject. Decide latency is a real `histogram` metric, one
+// series per template × transport, plus control-plane duration
+// histograms; the whole output is held to the exposition grammar by
+// TestMetricsTextFormatLint.
+func (s *Server) metricFamilies() []obs.Metric {
 	set := s.templates.Load()
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-
-	type metric struct {
-		name, help, typ string
-		value           float64
-	}
-	for _, m := range []metric{
-		{"dejavud_templates", "Installed service templates.", "gauge", float64(len(set.byName))},
-		{"dejavud_classify_requests_total", "POST /v1/classify requests.", "counter", float64(s.classifyReqs.Load())},
-		{"dejavud_lookup_requests_total", "POST /v1/lookup requests.", "counter", float64(s.lookupReqs.Load())},
-		{"dejavud_put_requests_total", "POST /v1/put requests.", "counter", float64(s.putReqs.Load())},
-		{"dejavud_get_requests_total", "POST /v1/get requests.", "counter", float64(s.getReqs.Load())},
-		{"dejavud_installs_total", "POST /v1/install repositories published.", "counter", float64(s.installs.Load())},
-		{"dejavud_bad_requests_total", "Rejected requests.", "counter", float64(s.badRequests.Load())},
-		{"dejavud_snapshots_total", "Repository snapshots written.", "counter", float64(s.snapshots.Load())},
-		{"dejavud_tcp_response_envelopes_total", "Response envelopes written on the TCP plane.", "counter", float64(s.tcpEnvelopes.Load())},
-		{"dejavud_tcp_response_flushes_total", "Writes that carried them (envelopes/flushes = replies per write).", "counter", float64(s.tcpFlushes.Load())},
-		{"dejavud_uptime_seconds", "Seconds since the server started.", "gauge", time.Since(s.start).Seconds()},
-	} {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n%s %g\n", m.name, m.help, m.name, m.typ, m.name, m.value)
+	fams := []obs.Metric{
+		obs.Scalar("dejavud_templates", "Installed service templates.", "gauge", float64(len(set.byName))),
+		obs.Scalar("dejavud_classify_requests_total", "POST /v1/classify requests.", "counter", float64(s.classifyReqs.Load())),
+		obs.Scalar("dejavud_lookup_requests_total", "POST /v1/lookup requests.", "counter", float64(s.lookupReqs.Load())),
+		obs.Scalar("dejavud_put_requests_total", "POST /v1/put requests.", "counter", float64(s.putReqs.Load())),
+		obs.Scalar("dejavud_get_requests_total", "POST /v1/get requests.", "counter", float64(s.getReqs.Load())),
+		obs.Scalar("dejavud_installs_total", "POST /v1/install repositories published.", "counter", float64(s.installs.Load())),
+		obs.Scalar("dejavud_bad_requests_total", "Rejected requests.", "counter", float64(s.badRequests.Load())),
+		obs.Scalar("dejavud_snapshots_total", "Repository snapshots written.", "counter", float64(s.snapshots.Load())),
+		obs.Scalar("dejavud_tcp_response_envelopes_total", "Response envelopes written on the TCP plane.", "counter", float64(s.tcpEnvelopes.Load())),
+		obs.Scalar("dejavud_tcp_response_flushes_total", "Writes that carried them (envelopes/flushes = replies per write).", "counter", float64(s.tcpFlushes.Load())),
+		obs.Scalar("dejavud_uptime_seconds", "Seconds since the server started.", "gauge", time.Since(s.start).Seconds()),
 	}
 
-	perTemplate := []struct {
-		name, help, typ string
-		value           func(TemplateStats) float64
-	}{
-		{"dejavud_repo_version", "Version of the live repository snapshot.", "gauge", func(t TemplateStats) float64 { return float64(t.Version) }},
-		{"dejavud_repo_classes", "Workload classes in the live repository.", "gauge", func(t TemplateStats) float64 { return float64(t.Classes) }},
-		{"dejavud_repo_entries", "Cached (class, bucket) allocations.", "gauge", func(t TemplateStats) float64 { return float64(t.Entries) }},
-		{"dejavud_repo_hits_total", "Repository lookup hits (live version).", "counter", func(t TemplateStats) float64 { return float64(t.Hits) }},
-		{"dejavud_repo_misses_total", "Repository lookup misses (live version).", "counter", func(t TemplateStats) float64 { return float64(t.Misses) }},
-		{"dejavud_decisions_total", "Decisions served (one per signature).", "counter", func(t TemplateStats) float64 { return float64(t.Decisions) }},
-		{"dejavud_drift_windows_total", "Closed drift observation windows.", "counter", func(t TemplateStats) float64 { return float64(t.DriftWindows) }},
-		{"dejavud_drift_unforeseen_rate", "Unforeseen rate of the last closed window.", "gauge", func(t TemplateStats) float64 { return t.LastDriftRate }},
-		{"dejavud_drift_triggers_total", "Windows that crossed the relearn threshold.", "counter", func(t TemplateStats) float64 { return float64(t.DriftTriggers) }},
-		{"dejavud_relearns_total", "Background relearns swapped in.", "counter", func(t TemplateStats) float64 { return float64(t.Relearns) }},
-		{"dejavud_relearn_failures_total", "Background relearns that failed.", "counter", func(t TemplateStats) float64 { return float64(t.RelearnFails) }},
-	}
-	stats := make([]TemplateStats, 0, len(set.names))
-	for _, name := range set.names {
+	stats := make([]wire.TemplateStats, 0, len(set.names))
+	labels := make([]string, len(set.names))
+	for i, name := range set.names {
 		stats = append(stats, templateStats(set.byName[name]))
-	}
-	for _, m := range perTemplate {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", m.name, m.help, m.name, m.typ)
-		for _, ts := range stats {
-			if len(stats) == 1 {
-				fmt.Fprintf(w, "%s %g\n", m.name, m.value(ts))
-			} else {
-				fmt.Fprintf(w, "%s{template=\"%s\"} %g\n", m.name, obs.EscapeLabel(ts.Template), m.value(ts))
-			}
+		if len(set.names) > 1 {
+			labels[i] = `template="` + obs.EscapeLabel(name) + `"`
 		}
+	}
+	for _, m := range []struct {
+		name, help, typ string
+		value           func(wire.TemplateStats) float64
+	}{
+		{"dejavud_repo_version", "Version of the live repository snapshot.", "gauge", func(t wire.TemplateStats) float64 { return float64(t.Version) }},
+		{"dejavud_repo_classes", "Workload classes in the live repository.", "gauge", func(t wire.TemplateStats) float64 { return float64(t.Classes) }},
+		{"dejavud_repo_entries", "Cached (class, bucket) allocations.", "gauge", func(t wire.TemplateStats) float64 { return float64(t.Entries) }},
+		{"dejavud_repo_hits_total", "Repository lookup hits (live version).", "counter", func(t wire.TemplateStats) float64 { return float64(t.Hits) }},
+		{"dejavud_repo_misses_total", "Repository lookup misses (live version).", "counter", func(t wire.TemplateStats) float64 { return float64(t.Misses) }},
+		{"dejavud_decisions_total", "Decisions served (one per signature).", "counter", func(t wire.TemplateStats) float64 { return float64(t.Decisions) }},
+		{"dejavud_drift_windows_total", "Closed drift observation windows.", "counter", func(t wire.TemplateStats) float64 { return float64(t.DriftWindows) }},
+		{"dejavud_drift_unforeseen_rate", "Unforeseen rate of the last closed window.", "gauge", func(t wire.TemplateStats) float64 { return t.LastDriftRate }},
+		{"dejavud_drift_triggers_total", "Windows that crossed the relearn threshold.", "counter", func(t wire.TemplateStats) float64 { return float64(t.DriftTriggers) }},
+		{"dejavud_relearns_total", "Background relearns swapped in.", "counter", func(t wire.TemplateStats) float64 { return float64(t.Relearns) }},
+		{"dejavud_relearn_failures_total", "Background relearns that failed.", "counter", func(t wire.TemplateStats) float64 { return float64(t.RelearnFails) }},
+	} {
+		fam := obs.Metric{Name: m.name, Help: m.help, Type: m.typ}
+		for i, ts := range stats {
+			fam.Samples = append(fam.Samples, obs.Sample{Labels: labels[i], Value: m.value(ts)})
+		}
+		fams = append(fams, fam)
 	}
 
 	// Decide latency: per template × transport, only transports that
 	// have served (so an HTTP-only deployment isn't buried in empty TCP
 	// series; Prometheus treats appearing series as starting at 0).
-	const latName = "dejavud_decide_latency_seconds"
-	fmt.Fprintf(w, "# HELP %s Decide path latency (decode, route, classify/lookup, encode) per batch.\n# TYPE %s histogram\n", latName, latName)
+	lat := obs.Metric{
+		Name: "dejavud_decide_latency_seconds", Type: "histogram",
+		Help: "Decide path latency (decode, route, classify/lookup, encode) per batch.",
+	}
 	for _, name := range set.names {
 		tpl := set.byName[name]
 		for tr := transport(0); tr < numTransports; tr++ {
-			snap := tpl.lat[tr].Snapshot()
-			if snap.Count == 0 {
-				continue
+			if snap := tpl.lat[tr].Snapshot(); snap.Count > 0 {
+				lat.Samples = append(lat.Samples, obs.Sample{
+					Labels: `template="` + obs.EscapeLabel(name) + `",transport="` + transportNames[tr] + `"`,
+					Hist:   snap,
+				})
 			}
-			labels := fmt.Sprintf("template=\"%s\",transport=\"%s\"",
-				obs.EscapeLabel(name), transportNames[tr])
-			snap.WritePrometheus(w, latName, labels)
 		}
 	}
-
-	for _, hm := range []struct {
-		name, help string
-		snap       obs.Snapshot
-	}{
-		{"dejavud_relearn_duration_seconds", "Background drift relearns that swapped in.", s.relearnDur.Snapshot()},
-		{"dejavud_install_duration_seconds", "POST /v1/install publish durations.", s.installDur.Snapshot()},
-		{"dejavud_snapshot_duration_seconds", "Per-template snapshot write durations.", s.snapshotDur.Snapshot()},
-	} {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s histogram\n", hm.name, hm.help, hm.name)
-		hm.snap.WritePrometheus(w, hm.name, "")
-	}
-}
-
-// handleTrace dumps the per-process span ring: every sampled decision
-// hop this daemon recorded, oldest first.
-func (s *Server) handleTrace(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	_ = s.spans.WriteJSON(w, "dejavud")
+	return append(fams, lat,
+		obs.Hist("dejavud_relearn_duration_seconds", "Background drift relearns that swapped in.", s.relearnDur.Snapshot()),
+		obs.Hist("dejavud_install_duration_seconds", "POST /v1/install publish durations.", s.installDur.Snapshot()),
+		obs.Hist("dejavud_snapshot_duration_seconds", "Per-template snapshot write durations.", s.snapshotDur.Snapshot()))
 }
 
 // Spans exposes the daemon's trace ring (tests and embedding daemons).
-func (s *Server) Spans() *obs.SpanRing { return s.spans }
+func (s *Server) Spans() *obs.SpanRing { return s.plane.Spans }
 
 // SnapshotResult reports one persisted template.
 type SnapshotResult struct {
@@ -1031,53 +793,20 @@ func writeSnapshot(repo *core.Repository, path string) error {
 	return nil
 }
 
-func (s *Server) handleSnapshot(w http.ResponseWriter, _ *http.Request) {
-	results, err := s.Snapshot()
-	if err != nil {
-		s.badRequest(w, err)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(results)
-}
-
-// HealthTemplate is one template's slice of the /v1/health document:
-// just enough for a registry probe to reason about version alignment.
-type HealthTemplate struct {
-	Version uint64 `json:"version"`
-	Entries int    `json:"entries"`
-}
-
-// Health is the /v1/health document — a deliberately cheap liveness
-// and version surface: no repository traversal beyond the per-template
-// atomic snapshot loads, so probes at high frequency cost nothing
-// measurable.
-type Health struct {
-	Status        string                    `json:"status"`
-	UptimeSeconds float64                   `json:"uptime_seconds"`
-	Templates     map[string]HealthTemplate `json:"templates"`
-	Relearning    bool                      `json:"relearning"`
-}
-
 // HealthSnapshot assembles the health document.
-func (s *Server) HealthSnapshot() Health {
+func (s *Server) HealthSnapshot() wire.Health {
 	set := s.templates.Load()
-	h := Health{
+	h := wire.Health{
 		Status:        "ok",
 		UptimeSeconds: time.Since(s.start).Seconds(),
-		Templates:     make(map[string]HealthTemplate, len(set.names)),
+		Templates:     make(map[string]wire.HealthTemplate, len(set.names)),
 		Relearning:    s.Relearning(),
 	}
 	for _, name := range set.names {
 		cur := set.byName[name].handle.Current()
-		h.Templates[name] = HealthTemplate{Version: cur.Version, Entries: cur.Repo.Len()}
+		h.Templates[name] = wire.HealthTemplate{Version: cur.Version, Entries: cur.Repo.Len()}
 	}
 	return h
-}
-
-func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(s.HealthSnapshot())
 }
 
 // handleDump streams one template's live repository as
@@ -1090,7 +819,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 func (s *Server) handleDump(w http.ResponseWriter, r *http.Request) {
 	tpl, err := s.resolveTemplateName(r.URL.Query().Get("template"))
 	if err != nil {
-		s.badRequest(w, err)
+		s.plane.Fail(w, err)
 		return
 	}
 	cur := tpl.handle.Current()

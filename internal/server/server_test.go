@@ -247,7 +247,7 @@ func TestServePutStatsMetricsAndErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var st Stats
+	var st wire.Stats
 	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 		t.Fatal(err)
 	}

@@ -334,7 +334,7 @@ func (t *TCPServer) serveConn(nc net.Conn) {
 		sc.body = payload
 		out, err := t.s.decide(sc, lookup, transportTCP)
 		if child.Valid() {
-			t.s.spans.RecordHop(parent, child, "dejavud", decisionOp(lookup), spanStart, time.Since(spanStart))
+			t.s.plane.Spans.RecordHop(parent, child, "dejavud", wire.OpName(lookup), spanStart, time.Since(spanStart))
 		}
 		if err != nil {
 			t.s.badRequests.Add(1)

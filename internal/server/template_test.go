@@ -106,7 +106,7 @@ func TestMultiTemplateRouting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var infos []TemplateInfo
+	var infos []wire.TemplateInfo
 	if err := json.NewDecoder(resp2.Body).Decode(&infos); err != nil {
 		t.Fatal(err)
 	}

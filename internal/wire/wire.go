@@ -1,4 +1,7 @@
-// Package wire is the decision-plane protocol: the single
+// Package wire is the protocol both ends share. admin.go and http.go
+// hold the admin protocol — its JSON documents and, written once for
+// dejavud and the front, its HTTP route table and request policy. The
+// rest is the decision plane: the single
 // transport-agnostic codec stack shared by dejavud (internal/server),
 // the client library (internal/client), and the decision proxy
 // (internal/proxy). A decision request carries a batch of signature
