@@ -21,6 +21,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/ml"
 	"repro/internal/queueing"
+	"repro/internal/rng"
 	"repro/internal/services"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -480,8 +481,31 @@ func BenchmarkKMeansAutoFleetScaleReference(b *testing.B) {
 	}
 }
 
-// BenchmarkSilhouetteSampled isolates the estimator against the exact
-// full-pairwise silhouette it replaces above the threshold.
+// BenchmarkRelearnFromSignatures times the cold relearn the system
+// benchmark's adapt workload times (benchmark/adapt.go): 6 000 × 6
+// lattice signatures, k = 2…12, standardize → cluster → radii → C4.5.
+func BenchmarkRelearnFromSignatures(b *testing.B) {
+	events := []metrics.Event{
+		metrics.EvBusqEmpty, metrics.EvCPUClkUnhalt, metrics.EvL2Ads,
+		metrics.EvL2St, metrics.EvLoadBlock, metrics.EvXenCPU,
+	}
+	rows := ml.LatticeSignatures(42, 6000, len(events), 5)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		repo, err := core.RelearnFromSignatures(events, rows, core.OnlineRelearnConfig{MaxK: 12, Rng: rng.New(42)})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if repo.Classes() != 5 {
+			b.Fatalf("relearn chose %d classes, the draw has 5", repo.Classes())
+		}
+		b.ReportMetric(float64(repo.Classes()), "classes")
+	}
+}
+
+// BenchmarkSilhouetteSampled isolates the estimator that replaces the
+// exact full-pairwise silhouette above the threshold: one clustering
+// through the kernel KMeansAuto scores a whole k sweep with.
 func BenchmarkSilhouetteSampled(b *testing.B) {
 	X := ml.ClusteredDataset(42, 5000, 6, 5)
 	assign := make([]int, len(X))

@@ -87,6 +87,9 @@ func (c *LearnConfig) defaults() error {
 	if c.MaxK <= 0 {
 		c.MaxK = 6
 	}
+	if c.MinK > c.MaxK {
+		return fmt.Errorf("core: LearnConfig.MinK %d exceeds MaxK %d", c.MinK, c.MaxK)
+	}
 	if c.Classifier == "" {
 		c.Classifier = "c45"
 	}

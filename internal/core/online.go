@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 
 	"repro/internal/metrics"
@@ -62,6 +63,9 @@ func RelearnFromSignatures(events []metrics.Event, rows [][]float64, cfg OnlineR
 	if cfg.MaxK <= 0 {
 		cfg.MaxK = 6
 	}
+	if cfg.MinK > cfg.MaxK {
+		return nil, fmt.Errorf("core: OnlineRelearnConfig.MinK %d exceeds MaxK %d", cfg.MinK, cfg.MaxK)
+	}
 	if cfg.Classifier == "" {
 		cfg.Classifier = "c45"
 	}
@@ -81,12 +85,16 @@ func RelearnFromSignatures(events []metrics.Event, rows [][]float64, cfg OnlineR
 		return nil, fmt.Errorf("core: %d signatures are too few to re-cluster (need >= %d)", len(rows), 2*cfg.MinK)
 	}
 
+	// The dataset only reads the caller's rows; the one copy the
+	// relearn keeps is the standardized one the clustering, the radii
+	// and the classifier all work on.
 	ds := ml.NewDataset(eventNames(events))
 	for i, row := range rows {
-		if err := ds.Add(row, 0); err != nil {
-			return nil, fmt.Errorf("core: relearn row %d: %w", i, err)
+		if len(row) != len(events) {
+			return nil, fmt.Errorf("core: relearn row %d: has %d values, want %d", i, len(row), len(events))
 		}
 	}
+	ds.X, ds.Y = rows, make([]int, len(rows))
 	std, err := ml.FitStandardizer(ds)
 	if err != nil {
 		return nil, err
@@ -96,19 +104,19 @@ func RelearnFromSignatures(events []metrics.Event, rows [][]float64, cfg OnlineR
 	if err != nil {
 		return nil, fmt.Errorf("core: re-clustering: %w", err)
 	}
-	for i := range dsZ.Y {
-		dsZ.Y[i] = clusters.Assignments[i]
-	}
+	dsZ.Y = clusters.Assignments
 
+	// A class's radius is its farthest member's distance: the root of
+	// the largest squared distance, which is the largest of the roots.
 	radii := make([]float64, clusters.K)
 	for i, row := range dsZ.X {
 		c := clusters.Assignments[i]
-		if d := ml.EuclideanDistance(row, clusters.Centroids[c]); d > radii[c] {
-			radii[c] = d
+		if sq := ml.SquaredDistance(row, clusters.Centroids[c]); sq > radii[c] {
+			radii[c] = sq
 		}
 	}
 	for c := range radii {
-		radii[c] *= cfg.NoveltyTolerance
+		radii[c] = math.Sqrt(radii[c]) * cfg.NoveltyTolerance
 		if radii[c] < cfg.MinNoveltyRadius {
 			radii[c] = cfg.MinNoveltyRadius
 		}

@@ -1,11 +1,14 @@
 package ml
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strings"
+
+	"repro/internal/parallel"
 )
 
 // Classifier is the common interface of the trained models in this
@@ -158,63 +161,41 @@ func buildC45(d *Dataset, rows []int, numClasses int, cfg C45Config, depth int) 
 	return node
 }
 
+// splitCandidate is one admissible binary split of a node.
+type splitCandidate struct {
+	attr      int
+	threshold float64
+	gain      float64
+	gainRatio float64
+}
+
+// parallelSplitRows is the node size from which bestSplit searches the
+// attributes concurrently. Below it the sort of a few hundred values
+// costs less than handing it to another goroutine, so the trees
+// core.Learn grows over a fleet template's ≤ 512 rows never fan out;
+// the root and first levels of a relearn over thousands of signatures
+// do.
+const parallelSplitRows = 2048
+
 // bestSplit finds the (attribute, threshold) pair with the highest gain
 // ratio among splits whose information gain is at least the mean gain of
 // all candidate splits (C4.5's heuristic to avoid gain-ratio
-// degeneracies).
+// degeneracies). Attributes are searched independently — concurrently
+// on large nodes — and their candidates concatenated in attribute
+// order, so the choice does not depend on scheduling.
 func bestSplit(d *Dataset, rows []int, parentCounts []int, minLeaf int) (attr int, threshold float64, ok bool) {
-	n := len(rows)
 	parentEntropy := EntropyOf(parentCounts)
-	numClasses := len(parentCounts)
-
-	type candidate struct {
-		attr      int
-		threshold float64
-		gain      float64
-		gainRatio float64
+	perAttr := make([][]splitCandidate, d.NumAttributes())
+	workers := 1
+	if len(rows) >= parallelSplitRows {
+		workers = 0 // GOMAXPROCS
 	}
-	var candidates []candidate
-
-	type valueLabel struct {
-		v     float64
-		label int
-	}
-	for a := 0; a < d.NumAttributes(); a++ {
-		pairs := make([]valueLabel, n)
-		for i, r := range rows {
-			pairs[i] = valueLabel{d.X[r][a], d.Y[r]}
-		}
-		sort.Slice(pairs, func(i, j int) bool { return pairs[i].v < pairs[j].v })
-
-		leftCounts := make([]int, numClasses)
-		rightCounts := append([]int(nil), parentCounts...)
-		for i := 0; i < n-1; i++ {
-			leftCounts[pairs[i].label]++
-			rightCounts[pairs[i].label]--
-			if pairs[i].v == pairs[i+1].v {
-				continue
-			}
-			nl, nr := i+1, n-i-1
-			if nl < minLeaf || nr < minLeaf {
-				continue
-			}
-			pl := float64(nl) / float64(n)
-			pr := float64(nr) / float64(n)
-			gain := parentEntropy - pl*EntropyOf(leftCounts) - pr*EntropyOf(rightCounts)
-			if gain <= 1e-12 {
-				continue
-			}
-			splitInfo := -pl*math.Log2(pl) - pr*math.Log2(pr)
-			if splitInfo <= 1e-12 {
-				continue
-			}
-			candidates = append(candidates, candidate{
-				attr:      a,
-				threshold: (pairs[i].v + pairs[i+1].v) / 2,
-				gain:      gain,
-				gainRatio: gain / splitInfo,
-			})
-		}
+	parallel.Do(workers, len(perAttr), func(a int) {
+		perAttr[a] = attributeSplits(d, rows, a, parentCounts, parentEntropy, minLeaf)
+	})
+	var candidates []splitCandidate
+	for _, cs := range perAttr {
+		candidates = append(candidates, cs...)
 	}
 	if len(candidates) == 0 {
 		return 0, 0, false
@@ -226,7 +207,7 @@ func bestSplit(d *Dataset, rows []int, parentCounts []int, minLeaf int) (attr in
 	}
 	meanGain /= float64(len(candidates))
 
-	best := candidate{gainRatio: -1}
+	best := splitCandidate{gainRatio: -1}
 	for _, c := range candidates {
 		if c.gain+1e-12 >= meanGain && c.gainRatio > best.gainRatio {
 			best = c
@@ -236,6 +217,56 @@ func bestSplit(d *Dataset, rows []int, parentCounts []int, minLeaf int) (attr in
 		return 0, 0, false
 	}
 	return best.attr, best.threshold, true
+}
+
+// attributeSplits lists attribute a's admissible splits of rows in
+// ascending threshold order: one between every two adjacent distinct
+// values that leaves minLeaf rows on both sides and gains information.
+// Equal values are never split apart, so the order the sort leaves them
+// in cannot change a candidate.
+func attributeSplits(d *Dataset, rows []int, a int, parentCounts []int, parentEntropy float64, minLeaf int) []splitCandidate {
+	type valueLabel struct {
+		v     float64
+		label int
+	}
+	n := len(rows)
+	pairs := make([]valueLabel, n)
+	for i, r := range rows {
+		pairs[i] = valueLabel{d.X[r][a], d.Y[r]}
+	}
+	slices.SortFunc(pairs, func(x, y valueLabel) int { return cmp.Compare(x.v, y.v) })
+
+	var candidates []splitCandidate
+	leftCounts := make([]int, len(parentCounts))
+	rightCounts := append([]int(nil), parentCounts...)
+	for i := 0; i < n-1; i++ {
+		leftCounts[pairs[i].label]++
+		rightCounts[pairs[i].label]--
+		if pairs[i].v == pairs[i+1].v {
+			continue
+		}
+		nl, nr := i+1, n-i-1
+		if nl < minLeaf || nr < minLeaf {
+			continue
+		}
+		pl := float64(nl) / float64(n)
+		pr := float64(nr) / float64(n)
+		gain := parentEntropy - pl*EntropyOf(leftCounts) - pr*EntropyOf(rightCounts)
+		if gain <= 1e-12 {
+			continue
+		}
+		splitInfo := -pl*math.Log2(pl) - pr*math.Log2(pr)
+		if splitInfo <= 1e-12 {
+			continue
+		}
+		candidates = append(candidates, splitCandidate{
+			attr:      a,
+			threshold: (pairs[i].v + pairs[i+1].v) / 2,
+			gain:      gain,
+			gainRatio: gain / splitInfo,
+		})
+	}
+	return candidates
 }
 
 // pessimisticErrors implements C4.5's upper confidence bound on the leaf

@@ -1,7 +1,10 @@
 package ml
 
 import (
+	"bytes"
+	"math"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -211,5 +214,54 @@ func TestPessimisticErrorsMonotonic(t *testing.T) {
 	}
 	if pe := pessimisticErrors(0, 0, 0.25); pe != 0 {
 		t.Errorf("pessimisticErrors with n=0 = %v want 0", pe)
+	}
+}
+
+// TestC45TreeIndependentOfGOMAXPROCS: nodes of parallelSplitRows rows
+// and more search their attributes concurrently; the tree must be the
+// one a single processor grows, also over an attribute whose repeated
+// values the sort may leave in any order.
+func TestC45TreeIndependentOfGOMAXPROCS(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	d := NewDataset([]string{"smooth", "stepped", "coarse", "noise"})
+	for i := 0; i < 3*parallelSplitRows; i++ {
+		x := rng.Float64() * 10
+		label := int(x / 2.5)
+		if rng.Float64() < 0.1 {
+			label = rng.Intn(4)
+		}
+		row := []float64{x, math.Round(2*x+rng.NormFloat64()) / 2, float64(rng.Intn(3)), rng.NormFloat64()}
+		if err := d.Add(row, label); err != nil {
+			t.Fatal(err)
+		}
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, cfg := range []C45Config{{}, {Prune: true}} {
+		var text string
+		var wire []byte
+		for _, procs := range []int{1, 2, 8} {
+			runtime.GOMAXPROCS(procs)
+			tree, err := NewC45(d, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			data, err := MarshalClassifier(tree)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if procs == 1 {
+				text, wire = tree.String(), data
+				if tree.Leaves() < 8 {
+					t.Fatalf("tree has %d leaves; the noisy labels should grow it well below the root", tree.Leaves())
+				}
+				continue
+			}
+			if tree.String() != text {
+				t.Errorf("prune=%v GOMAXPROCS=%d: tree differs from GOMAXPROCS=1", cfg.Prune, procs)
+			}
+			if !bytes.Equal(data, wire) {
+				t.Errorf("prune=%v GOMAXPROCS=%d: marshalled tree differs from GOMAXPROCS=1", cfg.Prune, procs)
+			}
+		}
 	}
 }

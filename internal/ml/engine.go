@@ -16,14 +16,38 @@ import (
 // one, both adjusted by centroid movement after every update step.
 // A point whose upper bound stays below both its lower bound and half
 // the distance from its centroid to the nearest other centroid cannot
-// change cluster, so the k-distance scan is skipped entirely. The
-// pruning is exact — when the bounds cannot prove the assignment it
-// falls back to the same exhaustive first-minimum scan the naive path
-// runs — so pruned and naive runs yield bit-identical assignments,
-// centroids, inertia, and iteration counts on the same derived RNG
-// stream (enforced by TestPrunedMatchesNaive). Empty clusters are
-// re-seeded from a random row exactly like the naive path, consuming
-// the identical RNG draws.
+// change cluster, so it is skipped without computing a distance.
+//
+// Two more exact prunings carry the regime that costs the time — k
+// above the number of true blobs, where one blob is split between two
+// centroids that trade its points for tens of iterations while every
+// other cluster sits still:
+//
+//   - A centroid is recomputed only when its membership changed since
+//     the last update. Its sum adds the same rows in the same index
+//     order as a full recomputation, so a touched centroid gets the
+//     same floats, and an untouched one keeps its value and reports
+//     zero movement — which is what recomputing it would have found.
+//   - A point whose bounds fail is compared only with the centroids o
+//     that can be as close as its own: those with dist(cur, o) ≤
+//     2·d(x, cur), read from a k×k centroid-distance table built once
+//     per iteration (the table's row minima are Hamerly's half[]).
+//     Every other o has d(x, o) ≥ dist(cur, o) − d(x, cur) > d(x, cur)
+//     by the triangle inequality, so it is neither the nearest
+//     centroid nor a tie; the smallest such difference stands in for
+//     the skipped centroids in the new lower bound.
+//
+// The lower bound also shrinks by the largest movement among the
+// *other* centroids rather than the largest overall. All comparisons
+// that skip work are strict and all stored bounds are rounded outward
+// (boundSlack), so a point equidistant from two centroids is always
+// settled by the first-minimum scan order the naive path uses. Pruned
+// and naive runs therefore yield bit-identical assignments, centroids,
+// inertia and iteration counts on the same derived RNG stream
+// (TestPrunedMatchesNaive, TestEngineExactOnAdaptShapedDraw,
+// TestEngineExactOnTies). Empty clusters are re-seeded from a random
+// row on every update exactly like the naive path, consuming the
+// identical RNG draws.
 type kmEngine struct {
 	m *Matrix
 
@@ -31,8 +55,11 @@ type kmEngine struct {
 	prev      []float64 // k×d, centroids before the last update
 	sums      []float64 // k×d, accumulation scratch
 	counts    []int     // k, cluster sizes
+	dirty     []bool    // k, membership changed since the last update
 	moved     []float64 // k, centroid movement after the last update
+	cc        []float64 // k×k, centroid-to-centroid distances
 	half      []float64 // k, half distance to the nearest other centroid
+	shrink    []float64 // k, largest movement among the other centroids
 	assign    []int     // n
 	ub, lb    []float64 // n, Hamerly bounds
 	minDist   []float64 // n, k-means++ seeding scratch
@@ -56,16 +83,24 @@ func (e *kmEngine) ensure(k int) {
 		e.centroids = make([]float64, need)
 		e.prev = make([]float64, need)
 		e.sums = make([]float64, need)
+	}
+	if cap(e.counts) < k {
 		e.counts = make([]int, k)
+		e.dirty = make([]bool, k)
 		e.moved = make([]float64, k)
+		e.cc = make([]float64, k*k)
 		e.half = make([]float64, k)
+		e.shrink = make([]float64, k)
 	}
 	e.centroids = e.centroids[:need]
 	e.prev = e.prev[:need]
 	e.sums = e.sums[:need]
 	e.counts = e.counts[:k]
+	e.dirty = e.dirty[:k]
 	e.moved = e.moved[:k]
+	e.cc = e.cc[:k*k]
 	e.half = e.half[:k]
+	e.shrink = e.shrink[:k]
 }
 
 func (e *kmEngine) centroid(c int) []float64 {
@@ -122,13 +157,28 @@ func (e *kmEngine) seed(k int, rng *rand.Rand) {
 	}
 }
 
+// boundSlack is the relative margin by which every stored bound is
+// rounded away from the distance it bounds. A computed distance carries
+// a relative rounding error of about (d+2)·2⁻⁵³, and a bound adds or
+// subtracts a computed movement once per iteration; without the margin
+// a bound can end a few ulps on the wrong side of the distance, and a
+// point that is exactly as far from a second centroid — rows that
+// repeat, centroids re-seeded onto each other — is kept where the
+// exhaustive scan would move it. 10⁻⁹ dwarfs the error for any d below
+// a few million and costs the pruning nothing measurable.
+const boundSlack = 1e-9
+
+// above and below round a non-negative bound up and down by
+// boundSlack. (A negative lower bound proves nothing either way.)
+func above(x float64) float64 { return x * (1 + boundSlack) }
+func below(x float64) float64 { return x * (1 - boundSlack) }
+
 // scanPoint exhaustively finds the nearest and second-nearest centroid
 // of row (first minimum on ties, like the naive path).
 func (e *kmEngine) scanPoint(row []float64, k int) (best int, bestSq, secondSq float64) {
 	bestSq, secondSq = math.Inf(1), math.Inf(1)
-	d := e.m.Cols
 	for c := 0; c < k; c++ {
-		sq := SquaredDistance(row, e.centroids[c*d:(c+1)*d])
+		sq := SquaredDistance(row, e.centroid(c))
 		if sq < bestSq {
 			secondSq = bestSq
 			best, bestSq = c, sq
@@ -139,76 +189,164 @@ func (e *kmEngine) scanPoint(row []float64, k int) (best int, bestSq, secondSq f
 	return best, bestSq, secondSq
 }
 
-// update recomputes every centroid as the mean of its members (empty
-// clusters re-seed from a random row, preserving k) and, when pruned,
-// records how far each centroid moved.
+// scanNear is scanPoint for a row whose distance to its current
+// centroid cur is already known (curSq, and du = √curSq rounded up): it
+// evaluates only the centroids within 2·du of cur — no other can be as
+// close to the row as cur is — in the same index order and with the
+// same first-minimum rule, so it names the centroid scanPoint would.
+// lower bounds the row's distance to every centroid but best: the
+// second-smallest distance evaluated, or the triangle bound on the
+// nearest centroid skipped, whichever is smaller.
+func (e *kmEngine) scanNear(row []float64, k, cur int, curSq, du float64) (best int, bestSq, lower float64) {
+	bestSq, secondSq := math.Inf(1), math.Inf(1)
+	skipped := math.Inf(1)
+	reach := 2 * du
+	for o, sep := range e.cc[cur*k : (cur+1)*k] {
+		sq := curSq
+		if o != cur {
+			if sep > reach {
+				if sep < skipped {
+					skipped = sep
+				}
+				continue
+			}
+			sq = SquaredDistance(row, e.centroid(o))
+		}
+		if sq < bestSq {
+			secondSq = bestSq
+			best, bestSq = o, sq
+		} else if sq < secondSq {
+			secondSq = sq
+		}
+	}
+	lower = math.Sqrt(secondSq)
+	if s := skipped - du; s < lower {
+		lower = s
+	}
+	return best, bestSq, below(lower)
+}
+
+// move reassigns row i to cluster c, keeping the cluster sizes current
+// and marking both clusters for recomputation.
+func (e *kmEngine) move(i, c int) {
+	if old := e.assign[i]; old >= 0 {
+		e.counts[old]--
+		e.dirty[old] = true
+	}
+	e.counts[c]++
+	e.dirty[c] = true
+	e.assign[i] = c
+}
+
+// update recomputes the centroid of every cluster whose membership
+// changed as the mean of its members, re-seeds every empty cluster from
+// a random row (preserving k; one draw per empty cluster per update, in
+// cluster order) and, when pruned, records how far each centroid moved
+// and, per cluster, how far any other did (shrink, rounded up): how much
+// closer another centroid can have come to one of its points. The naive
+// path recomputes every cluster, which keeps it an independent check on
+// the skipping.
 func (e *kmEngine) update(k int, rng *rand.Rand, pruned bool) {
 	n, d := e.m.Rows, e.m.Cols
 	if pruned {
 		copy(e.prev, e.centroids)
 	}
-	for i := range e.sums {
-		e.sums[i] = 0
-	}
 	for c := 0; c < k; c++ {
-		e.counts[c] = 0
+		if !pruned {
+			e.dirty[c] = true
+		}
+		if e.dirty[c] {
+			sum := e.sums[c*d : (c+1)*d]
+			for j := range sum {
+				sum[j] = 0
+			}
+		}
 	}
 	for i := 0; i < n; i++ {
 		c := e.assign[i]
-		e.counts[c]++
-		row := e.m.Row(i)
+		if !e.dirty[c] {
+			continue
+		}
 		sum := e.sums[c*d : (c+1)*d]
-		for j, v := range row {
+		for j, v := range e.m.Row(i) {
 			sum[j] += v
 		}
 	}
 	for c := 0; c < k; c++ {
-		cent := e.centroids[c*d : (c+1)*d]
-		if e.counts[c] == 0 {
+		cent := e.centroid(c)
+		switch {
+		case e.counts[c] == 0:
 			copy(cent, e.m.Row(rng.Intn(n)))
+		case e.dirty[c]:
+			inv := float64(e.counts[c])
+			sum := e.sums[c*d : (c+1)*d]
+			for j := range cent {
+				cent[j] = sum[j] / inv
+			}
+		default:
+			e.moved[c] = 0
 			continue
 		}
-		inv := float64(e.counts[c])
-		sum := e.sums[c*d : (c+1)*d]
-		for j := range cent {
-			cent[j] = sum[j] / inv
+		e.dirty[c] = false
+		if pruned {
+			e.moved[c] = math.Sqrt(SquaredDistance(cent, e.prev[c*d:(c+1)*d]))
 		}
 	}
-	if pruned {
-		for c := 0; c < k; c++ {
-			e.moved[c] = math.Sqrt(SquaredDistance(
-				e.centroids[c*d:(c+1)*d], e.prev[c*d:(c+1)*d]))
+	if !pruned {
+		return
+	}
+	top, second := 0.0, 0.0 // the two largest movements
+	for _, mv := range e.moved {
+		if mv > top {
+			top, second = mv, top
+		} else if mv > second {
+			second = mv
+		}
+	}
+	for c, mv := range e.moved {
+		e.shrink[c] = above(top)
+		if mv == top {
+			e.shrink[c] = above(second)
 		}
 	}
 }
 
-// computeHalf fills half[c] = ½·min_{c'≠c} dist(c, c'), the Hamerly
+// centroidDistances fills the k×k table cc[c·k+o] with dist(c, o),
+// rounded down, and half[c] = ½·min_{o≠c} cc[c·k+o], the Hamerly
 // centroid-separation bound.
-func (e *kmEngine) computeHalf(k int) {
-	d := e.m.Cols
+func (e *kmEngine) centroidDistances(k int) {
 	for c := 0; c < k; c++ {
-		minSq := math.Inf(1)
-		cent := e.centroids[c*d : (c+1)*d]
-		for o := 0; o < k; o++ {
-			if o == c {
-				continue
-			}
-			if sq := SquaredDistance(cent, e.centroids[o*d:(o+1)*d]); sq < minSq {
-				minSq = sq
+		e.cc[c*k+c] = 0
+		cent := e.centroid(c)
+		for o := c + 1; o < k; o++ {
+			sep := below(math.Sqrt(SquaredDistance(cent, e.centroid(o))))
+			e.cc[c*k+o] = sep
+			e.cc[o*k+c] = sep
+		}
+	}
+	for c := 0; c < k; c++ {
+		nearest := math.Inf(1)
+		for o, sep := range e.cc[c*k : (c+1)*k] {
+			if o != c && sep < nearest {
+				nearest = sep
 			}
 		}
-		e.half[c] = 0.5 * math.Sqrt(minSq)
+		e.half[c] = 0.5 * nearest
 	}
 }
 
 // run executes one seeded k-means restart and returns a self-contained
 // result (the engine's scratch is reused by the next run).
 func (e *kmEngine) run(k, maxIter int, rng *rand.Rand, pruned bool) *KMeansResult {
-	n, d := e.m.Rows, e.m.Cols
+	n := e.m.Rows
 	e.ensure(k)
 	e.seed(k, rng)
 	for i := range e.assign {
 		e.assign[i] = -1
+	}
+	for c := 0; c < k; c++ {
+		e.counts[c] = 0
+		e.dirty[c] = false
 	}
 
 	iters := 0
@@ -221,69 +359,63 @@ func (e *kmEngine) run(k, maxIter int, rng *rand.Rand, pruned bool) *KMeansResul
 			for i := 0; i < n; i++ {
 				best, bestSq, secondSq := e.scanPoint(e.m.Row(i), k)
 				if best != e.assign[i] {
-					e.assign[i] = best
+					e.move(i, best)
 					changed = true
 				}
 				if pruned {
-					e.ub[i] = math.Sqrt(bestSq)
-					e.lb[i] = math.Sqrt(secondSq)
+					e.ub[i] = above(math.Sqrt(bestSq))
+					e.lb[i] = below(math.Sqrt(secondSq))
 				}
 			}
 		} else {
-			e.computeHalf(k)
+			e.centroidDistances(k)
 			for i := 0; i < n; i++ {
-				bound := e.lb[i]
-				if h := e.half[e.assign[i]]; h > bound {
+				// The last update moved the centroids: the point's own
+				// came at most moved[cur] closer or farther, any other
+				// at most shrink[cur] closer.
+				cur := e.assign[i]
+				ub := above(e.ub[i] + e.moved[cur])
+				lb := below(e.lb[i] - e.shrink[cur])
+				e.ub[i], e.lb[i] = ub, lb
+				bound := lb
+				if h := e.half[cur]; h > bound {
 					bound = h
 				}
-				if e.ub[i] <= bound {
+				if ub < bound {
 					continue
 				}
 				// Tighten the upper bound to the true distance and
-				// re-test before paying for the full scan.
+				// re-test before paying for the scan.
 				row := e.m.Row(i)
-				cur := e.assign[i]
-				du := math.Sqrt(SquaredDistance(row, e.centroids[cur*d:(cur+1)*d]))
-				e.ub[i] = du
-				if du <= bound {
+				curSq := SquaredDistance(row, e.centroid(cur))
+				ub = above(math.Sqrt(curSq))
+				e.ub[i] = ub
+				if ub < bound {
 					continue
 				}
-				best, bestSq, secondSq := e.scanPoint(row, k)
+				best, bestSq, lower := e.scanNear(row, k, cur, curSq, ub)
 				if best != cur {
-					e.assign[i] = best
+					e.move(i, best)
 					changed = true
+					e.ub[i] = above(math.Sqrt(bestSq))
 				}
-				e.ub[i] = math.Sqrt(bestSq)
-				e.lb[i] = math.Sqrt(secondSq)
+				e.lb[i] = lower
 			}
 		}
 		if !changed && iters > 0 {
 			break
 		}
 		e.update(k, rng, pruned)
-		if pruned {
-			maxMoved := 0.0
-			for c := 0; c < k; c++ {
-				if e.moved[c] > maxMoved {
-					maxMoved = e.moved[c]
-				}
-			}
-			for i := 0; i < n; i++ {
-				e.ub[i] += e.moved[e.assign[i]]
-				e.lb[i] -= maxMoved
-			}
-		}
 	}
 
 	inertia := 0.0
 	for i := 0; i < n; i++ {
-		c := e.assign[i]
-		inertia += SquaredDistance(e.m.Row(i), e.centroids[c*d:(c+1)*d])
+		inertia += SquaredDistance(e.m.Row(i), e.centroid(e.assign[i]))
 	}
 
 	centroids := make([][]float64, k)
 	for c := 0; c < k; c++ {
-		centroids[c] = append([]float64(nil), e.centroids[c*d:(c+1)*d]...)
+		centroids[c] = append([]float64(nil), e.centroid(c)...)
 	}
 	return &KMeansResult{
 		K:           k,

@@ -163,7 +163,9 @@ func runGrid(m *Matrix, ks []int, cfg KMeansConfig) []*KMeansResult {
 // KMeansAuto runs k-means for every k in [minK, maxK] and returns the
 // clustering with the best silhouette score. This realizes the paper's
 // "the framework can automatically determine the number of classes".
-// maxK is clamped to the number of distinct rows.
+// minK is raised to 2 and maxK clamped to the number of distinct rows;
+// a range left empty by the caller is an error, one left empty by the
+// clamp yields the single cluster the data has.
 //
 // All restarts of all candidate k fan out together on the worker
 // pool. Small datasets (≤ cfg.SilhouetteExactThreshold rows) are
@@ -181,15 +183,12 @@ func KMeansAuto(X [][]float64, minK, maxK int, cfg KMeansConfig) (*KMeansResult,
 	if minK < 2 {
 		minK = 2
 	}
-	distinct := countDistinctRows(X)
-	if maxK > distinct {
-		maxK = distinct
-	}
-	if maxK > len(X) {
-		maxK = len(X)
-	}
 	if maxK < minK {
-		// Degenerate data: everything identical. One cluster.
+		return nil, fmt.Errorf("ml: no cluster count in [%d, %d]", minK, maxK)
+	}
+	maxK = distinctRows(X, maxK) // ≤ len(X)
+	if maxK < minK {
+		// Degenerate data: fewer than minK distinct rows. One cluster.
 		one := cfg
 		one.K = 1
 		return KMeans(X, one)
@@ -213,18 +212,16 @@ func KMeansAuto(X [][]float64, minK, maxK int, cfg KMeansConfig) (*KMeansResult,
 		sampleRng = rand.New(rand.NewSource(cfg.Rng.Int63()))
 	}
 
-	scores := make([]float64, len(ks))
-	workers := resolveWorkers(cfg.Workers, len(ks))
+	var scores []float64
 	if exact {
+		scores = make([]float64, len(ks))
 		D := pairwiseDistances(m)
-		parallel.Do(workers, len(ks), func(ki int) {
+		parallel.Do(resolveWorkers(cfg.Workers, len(ks)), len(ks), func(ki int) {
 			scores[ki] = silhouetteFromDists(D, m.Rows, perK[ki].Assignments, perK[ki].K)
 		})
 	} else {
 		sample := sampleIndices(m.Rows, cfg.SilhouetteSample, sampleRng)
-		parallel.Do(workers, len(ks), func(ki int) {
-			scores[ki] = silhouetteSampled(m, perK[ki].Assignments, perK[ki].K, sample)
-		})
+		scores = silhouetteSweep(m, perK, sample, cfg.Workers)
 	}
 
 	best := 0
@@ -236,16 +233,23 @@ func KMeansAuto(X [][]float64, minK, maxK int, cfg KMeansConfig) (*KMeansResult,
 	return perK[best], nil
 }
 
-// countDistinctRows counts unique rows by their exact bit patterns.
-func countDistinctRows(X [][]float64) int {
-	seen := make(map[string]struct{}, len(X))
+// countDistinctRows counts unique rows by their exact bit patterns (the
+// frozen reference sweep in kmeans_ref.go counts them all).
+func countDistinctRows(X [][]float64) int { return distinctRows(X, len(X)) }
+
+// distinctRows counts unique rows by their exact bit patterns, stopping
+// at limit: KMeansAuto only needs to know whether there are maxK of
+// them, which on real signatures the first maxK rows settle.
+func distinctRows(X [][]float64, limit int) int {
+	seen := make(map[string]struct{}, max(limit, 0))
 	var buf []byte
 	for _, row := range X {
+		if len(seen) >= limit {
+			break
+		}
 		buf = buf[:0]
 		for _, v := range row {
-			var b [8]byte
-			binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
-			buf = append(buf, b[:]...)
+			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
 		}
 		seen[string(buf)] = struct{}{}
 	}

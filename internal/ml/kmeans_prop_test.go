@@ -1,6 +1,7 @@
 package ml
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -223,5 +224,154 @@ func TestKMeansAutoExactPathSmallData(t *testing.T) {
 	sameResult(t, "exact path determinism", a, b)
 	if a.K != 3 {
 		t.Errorf("auto K=%d want 3", a.K)
+	}
+}
+
+// standardized returns X rescaled column-wise to zero mean and unit
+// variance, as core.RelearnFromSignatures hands it to KMeansAuto.
+func standardized(t *testing.T, X [][]float64) [][]float64 {
+	t.Helper()
+	ds := NewDataset(make([]string, len(X[0])))
+	for _, row := range X {
+		if err := ds.Add(row, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	std, err := FitStandardizer(ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return std.TransformDataset(ds).X
+}
+
+// engineMatchesOracles runs one restart of k clusters over X three
+// ways on the same seed — the pruned engine, the engine's exhaustive
+// path, and the frozen [][]float64 reference — and requires the same
+// assignments, centroids, inertia and iteration count bit for bit. It
+// returns the iteration count so callers can check they reached the
+// regime they meant to.
+func engineMatchesOracles(t *testing.T, label string, X [][]float64, k int, seed int64) int {
+	t.Helper()
+	m, err := NewMatrix(X)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := kmeansOnceRef(X, k, 100, rand.New(rand.NewSource(seed)))
+	e := newKMEngine(m)
+	sameResult(t, label+": naive engine vs reference", ref, e.run(k, 100, rand.New(rand.NewSource(seed)), false))
+	sameResult(t, label+": pruned engine vs reference", ref, e.run(k, 100, rand.New(rand.NewSource(seed)), true))
+	return ref.Iterations
+}
+
+// TestEngineExactOnAdaptShapedDraw checks the engine where the relearn
+// spends its time: 6 000 standardized lattice signatures with 5 true
+// classes, at the true k and at k above it, where a blob is split and a
+// run takes tens of iterations with most clusters standing still.
+func TestEngineExactOnAdaptShapedDraw(t *testing.T) {
+	n := 6000
+	if testing.Short() {
+		n = 1500
+	}
+	X := standardized(t, LatticeSignatures(3, n, 6, 5))
+	seeds := rand.New(rand.NewSource(17))
+	for _, k := range []int{5, 6, 9, 12} {
+		longest := 0
+		for restart := 0; restart < 3; restart++ {
+			if it := engineMatchesOracles(t, fmt.Sprintf("k=%d restart %d", k, restart), X, k, seeds.Int63()); it > longest {
+				longest = it
+			}
+		}
+		if k > 5 && longest < 10 {
+			t.Errorf("k=%d: longest run took %d iterations; the draw no longer reaches the split-blob regime", k, longest)
+		}
+	}
+}
+
+// TestEngineExactOnTies checks the first-minimum rule under pruning on
+// rows repeated many times: as drawn; on a small integer lattice, where
+// centroids land exactly halfway between points; and on thirds, where
+// the same configurations are off by an ulp — a point as far from a
+// second centroid as from its own must go where the exhaustive scan
+// sends it, also when a bound's last bits say otherwise.
+func TestEngineExactOnTies(t *testing.T) {
+	meta := rand.New(rand.NewSource(23))
+	for trial := 0; trial < 450; trial++ {
+		distinct := 3 + meta.Intn(40)
+		d := 1 + meta.Intn(4)
+		pool := randomDataset(meta, distinct, d)
+		for _, row := range pool {
+			for j := range row {
+				switch trial % 3 {
+				case 1:
+					row[j] = float64(meta.Intn(4))
+				case 2:
+					row[j] = float64(meta.Intn(7)) / 3
+				}
+			}
+		}
+		n := distinct * (1 + meta.Intn(12))
+		X := make([][]float64, n)
+		for i := range X {
+			X[i] = pool[meta.Intn(distinct)]
+		}
+		k := 1 + meta.Intn(distinct+3)
+		if k > n {
+			k = n
+		}
+		engineMatchesOracles(t, fmt.Sprintf("trial %d (n=%d distinct=%d k=%d)", trial, n, distinct, k), X, k, meta.Int63())
+	}
+}
+
+// TestEngineExactNearKEqualsN drives the empty-cluster path: with k
+// close to n — and, on odd trials, repeated rows, so seeding runs out of
+// distinct centroids — clusters go empty and are re-seeded update after
+// update, and the RNG draws that re-seed them must match the
+// reference's.
+func TestEngineExactNearKEqualsN(t *testing.T) {
+	meta := rand.New(rand.NewSource(29))
+	reseeded := false
+	for trial := 0; trial < 60; trial++ {
+		n := 8 + meta.Intn(50)
+		X := randomDataset(meta, n, 1+meta.Intn(4))
+		if trial%2 == 1 {
+			for i := range X {
+				X[i] = X[meta.Intn(1+n/3)]
+			}
+		}
+		k := n - meta.Intn(4)
+		seed := meta.Int63()
+		engineMatchesOracles(t, fmt.Sprintf("trial %d (n=%d k=%d)", trial, n, k), X, k, seed)
+
+		res := kmeansOnceRef(X, k, 100, rand.New(rand.NewSource(seed)))
+		sizes := make([]int, k)
+		for _, c := range res.Assignments {
+			sizes[c]++
+		}
+		for _, size := range sizes {
+			if size == 0 {
+				reseeded = true
+			}
+		}
+	}
+	if !reseeded {
+		t.Error("no trial ended with an empty cluster; the re-seed path was not exercised")
+	}
+}
+
+// TestEngineBoundsRoundOutward is the case that needs boundSlack: three
+// distinct values on thirds and one centroid more than that. The spare
+// centroid is re-seeded onto a live one — an exact tie the scan settles
+// by index — after moving a distance whose computed value is an ulp
+// short, which leaves an unrounded lower bound at 1.1e-16 above the
+// zero distance it bounds.
+func TestEngineBoundsRoundOutward(t *testing.T) {
+	values := []float64{1.0 / 3, 4.0 / 3, 0}
+	pattern := []int{2, 1, 2, 2, 1, 1, 2, 0, 0, 0, 0, 1, 0, 0, 0, 1, 2, 0, 0, 0, 2, 1, 2, 1, 2, 0, 2}
+	X := make([][]float64, len(pattern))
+	for i, v := range pattern {
+		X[i] = []float64{values[v]}
+	}
+	for seed := int64(0); seed < 300; seed++ {
+		engineMatchesOracles(t, fmt.Sprintf("seed %d", seed), X, 4, seed)
 	}
 }

@@ -183,6 +183,10 @@ func TestKMeansAutoEmpty(t *testing.T) {
 	if _, err := KMeansAuto(nil, 2, 5, KMeansConfig{Rng: rng}); err == nil {
 		t.Error("empty input should error")
 	}
+	X, _ := threeBlobs(rng, 10)
+	if _, err := KMeansAuto(X, 8, 6, KMeansConfig{Rng: rng}); err == nil {
+		t.Error("an empty [minK, maxK] should error, not cluster into one class")
+	}
 }
 
 func TestNearestRowToCentroid(t *testing.T) {

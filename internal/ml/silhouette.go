@@ -5,6 +5,8 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+
+	"repro/internal/parallel"
 )
 
 // Silhouette returns the mean silhouette coefficient of a clustering, a
@@ -162,63 +164,97 @@ func sampleIndices(n, size int, rng *rand.Rand) []int {
 	return idx
 }
 
-// silhouetteSampled estimates the mean silhouette coefficient from a
-// uniform sample of rows: each sampled row's a(i) and b(i) are
-// computed exactly against the full dataset (so only the outer mean is
-// approximated), at O(|sample|·n·d) instead of O(n²·d). Distances use
-// the precomputed-norm dot-product form; the estimator is already
-// statistical, so the expansion's rounding is immaterial.
-func silhouetteSampled(m *Matrix, assign []int, k int, sample []int) float64 {
+// silhouetteSweep estimates the mean silhouette coefficient of every
+// clustering in perK from one uniform sample of rows: each sampled
+// row's a(i) and b(i) are computed exactly against the full dataset (so
+// only the outer mean is approximated), at O(|sample|·n·d) instead of
+// O(n²·d). Distances use the precomputed-norm dot-product form; the
+// estimator is already statistical, so the expansion's rounding is
+// immaterial.
+//
+// A sampled row's distances to the n rows do not depend on the
+// clustering, so they are computed once — sample rows fan out over
+// workers, each with one n-wide scratch row — and every clustering only
+// buckets them by its own assignment, in ascending row order. A
+// clustering's score is therefore the same float whether it is scored
+// alone or in a sweep, at any worker count.
+func silhouetteSweep(m *Matrix, perK []*KMeansResult, sample []int, workers int) []float64 {
 	n := m.Rows
-	if n == 0 || k <= 1 || len(sample) == 0 {
+	scores := make([]float64, len(perK))
+	if n == 0 || len(sample) == 0 {
+		return scores
+	}
+	maxK := 0
+	sizes := make([][]int, len(perK))
+	for ki, res := range perK {
+		sizes[ki] = make([]int, res.K)
+		for _, c := range res.Assignments {
+			sizes[ki][c]++
+		}
+		if res.K > maxK {
+			maxK = res.K
+		}
+	}
+
+	// coeff[ki·|sample|+si] is sampled row si's silhouette under
+	// clustering ki.
+	coeff := make([]float64, len(perK)*len(sample))
+	workers = resolveWorkers(workers, len(sample))
+	scratch := make([][]float64, workers) // per worker: n distances, then maxK cluster sums
+	parallel.DoWorkers(workers, len(sample), func(w, si int) {
+		if scratch[w] == nil {
+			scratch[w] = make([]float64, n+maxK)
+		}
+		dist, sums := scratch[w][:n], scratch[w][n:]
+		i := sample[si]
+		ri, ni := m.Row(i), m.Norms[i]
+		for j := range dist {
+			dist[j] = normDistance(ri, m.Row(j), ni, m.Norms[j])
+		}
+		dist[i] = 0 // a row is no neighbour of itself: +0 leaves its cluster's sum as it is
+		for ki, res := range perK {
+			coeff[ki*len(sample)+si] = silhouetteOf(dist, res.Assignments, sizes[ki], res.Assignments[i], sums[:res.K])
+		}
+	})
+
+	for ki := range perK {
+		total := 0.0
+		for _, s := range coeff[ki*len(sample) : (ki+1)*len(sample)] {
+			total += s
+		}
+		scores[ki] = total / float64(len(sample))
+	}
+	return scores
+}
+
+// silhouetteOf is one row's silhouette coefficient given its distance
+// to every row (0 to itself), the assignment, the cluster sizes and the
+// row's own cluster. Rows in singleton clusters, and rows with no other
+// non-empty cluster, score 0.
+func silhouetteOf(dist []float64, assign, size []int, own int, sums []float64) float64 {
+	if size[own] <= 1 {
 		return 0
 	}
-	clusterSize := make([]int, k)
-	for _, c := range assign {
-		clusterSize[c]++
+	for c := range sums {
+		sums[c] = 0
 	}
-	sums := make([]float64, k)
-	total, counted := 0.0, 0
-	for _, i := range sample {
-		own := assign[i]
-		if clusterSize[own] <= 1 {
-			counted++
-			continue // silhouette 0
-		}
-		for c := range sums {
-			sums[c] = 0
-		}
-		ri, ni := m.Row(i), m.Norms[i]
-		for j := 0; j < n; j++ {
-			if j == i {
-				continue
-			}
-			sums[assign[j]] += normDistance(ri, m.Row(j), ni, m.Norms[j])
-		}
-		a := sums[own] / float64(clusterSize[own]-1)
-		b := math.Inf(1)
-		for c := 0; c < k; c++ {
-			if c == own || clusterSize[c] == 0 {
-				continue
-			}
-			if d := sums[c] / float64(clusterSize[c]); d < b {
-				b = d
-			}
-		}
-		if math.IsInf(b, 1) {
-			counted++
+	for j, d := range dist {
+		sums[assign[j]] += d
+	}
+	a := sums[own] / float64(size[own]-1)
+	b := math.Inf(1)
+	for c, sum := range sums {
+		if c == own || size[c] == 0 {
 			continue
 		}
-		den := math.Max(a, b)
-		if den > 0 {
-			total += (b - a) / den
+		if d := sum / float64(size[c]); d < b {
+			b = d
 		}
-		counted++
 	}
-	if counted == 0 {
-		return 0
+	if den := math.Max(a, b); !math.IsInf(b, 1) && den > 0 {
+		return (b - a) / den
 	}
-	return total / float64(counted)
+	return 0
 }
 
 // SilhouetteConfig controls SilhouetteEstimate.
@@ -256,5 +292,6 @@ func SilhouetteEstimate(X [][]float64, assign []int, k int, cfg SilhouetteConfig
 		return 0, err
 	}
 	sample := sampleIndices(m.Rows, cfg.SampleSize, cfg.Rng)
-	return silhouetteSampled(m, assign, k, sample), nil
+	one := []*KMeansResult{{K: k, Assignments: assign}}
+	return silhouetteSweep(m, one, sample, 0)[0], nil
 }

@@ -1,6 +1,10 @@
 package ml
 
-import "math/rand"
+import (
+	"math/rand"
+
+	"repro/internal/rng"
+)
 
 // ClusteredDataset synthesizes a signature-like dataset for the
 // learn-phase benchmarks: n rows from classes well-separated Gaussian
@@ -26,6 +30,35 @@ func ClusteredDataset(seed int64, n, dims, classes int) [][]float64 {
 			row[j] = c[j] + rng.NormFloat64()*0.8
 		}
 		X[i] = row
+	}
+	return X
+}
+
+// LatticeSignatures synthesizes the time-to-adapt benchmark's relearn
+// input (benchmark/adapt.go draws the same shape): n rows over dims
+// columns around classes latent centres on a fixed 12-wide lattice,
+// unit noise, assigned round-robin. Only the noise comes from the seed,
+// so the class count is a property of the data and the clustering does
+// about the same work at every seed. The exactness tests and
+// BenchmarkRelearnFromSignatures share it so they run the regime the
+// system benchmark times: a cold sweep whose k > classes runs split a
+// true blob and take tens of Lloyd iterations.
+func LatticeSignatures(seed int64, n, dims, classes int) [][]float64 {
+	r := rng.New(seed)
+	centres := make([][]float64, classes)
+	for c := range centres {
+		centres[c] = make([]float64, dims)
+		for j := range centres[c] {
+			centres[c][j] = 20 + 12*float64((c+j)%classes)
+		}
+	}
+	X := make([][]float64, n)
+	for i := range X {
+		c := centres[i%classes]
+		X[i] = make([]float64, dims)
+		for j := range X[i] {
+			X[i][j] = c[j] + r.NormFloat64()
+		}
 	}
 	return X
 }
