@@ -466,21 +466,6 @@ func BenchmarkKMeansAutoFleetScale(b *testing.B) {
 	}
 }
 
-// BenchmarkKMeansAutoFleetScaleReference is the pre-optimization
-// baseline (naive Lloyd, exact per-k silhouette) on the same dataset —
-// the denominator of the BENCH_learn.json speedup gate.
-func BenchmarkKMeansAutoFleetScaleReference(b *testing.B) {
-	X := ml.ClusteredDataset(42, 5000, 6, 5)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := ml.KMeansAutoReference(X, 2, 10, ml.KMeansConfig{Rng: rand.New(rand.NewSource(42))})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(float64(res.K), "chosen-k")
-	}
-}
-
 // BenchmarkRelearnFromSignatures times the cold relearn the system
 // benchmark's adapt workload times (benchmark/adapt.go): 6 000 × 6
 // lattice signatures, k = 2…12, standardize → cluster → radii → C4.5.

@@ -6,7 +6,7 @@
 //	dejavu-exp [-seed N] [-days D] [-figure name]
 //
 // Figures: 1, 4, 5, table1, 6, 7, 8, 9, 10, 11, proxy, cost,
-// ablations, all.
+// ablations, typechange, drift, scenarios, all.
 package main
 
 import (
@@ -39,6 +39,12 @@ func main() {
 	}
 }
 
+// scenarios is the adversarial-scenario claims table at the sweep's own
+// pinned shape (8 VMs, one run day), so -days does not apply to it.
+func scenarios(o experiments.Options) (*experiments.ScenarioSweepResult, error) {
+	return experiments.ScenarioSweep(experiments.ScenarioOptions{Seed: o.Seed})
+}
+
 func run(w io.Writer, figure string, opts experiments.Options) error {
 	type entry struct {
 		name string
@@ -60,6 +66,7 @@ func run(w io.Writer, figure string, opts experiments.Options) error {
 		{"ablations", wrap(experiments.Ablations)},
 		{"typechange", wrap(experiments.TypeChange)},
 		{"drift", wrap(experiments.Drift)},
+		{"scenarios", wrap(scenarios)},
 	}
 	matched := false
 	for _, e := range entries {

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"os"
 	"strings"
 	"testing"
 
@@ -26,6 +27,22 @@ func TestRunUnknownFigure(t *testing.T) {
 	var buf bytes.Buffer
 	if err := run(&buf, "42", experiments.Options{Seed: 1, Days: 2}); err == nil {
 		t.Error("unknown figure should error")
+	}
+}
+
+// TestRunScenariosMatchesGolden: the claims table from the command line
+// at seed 42 is the experiments golden, whatever -days says.
+func TestRunScenariosMatchesGolden(t *testing.T) {
+	want, err := os.ReadFile("../../internal/experiments/testdata/scenarios_seed42.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := run(&buf, "scenarios", experiments.Options{Seed: 42, Days: 7}); err != nil {
+		t.Fatal(err)
+	}
+	if want = append(want, '\n'); !bytes.Equal(buf.Bytes(), want) {
+		t.Errorf("dejavu-exp -figure scenarios drifted from the golden.\n--- got ---\n%s\n--- want ---\n%s", buf.Bytes(), want)
 	}
 }
 

@@ -1,0 +1,54 @@
+//go:build !race
+
+package fleet
+
+import (
+	"runtime"
+	"testing"
+
+	"repro/internal/sim"
+)
+
+// The race detector changes allocation counts, so these pins build
+// only without it; CI's allocs job runs them.
+
+// fleetRunAllocs is the mean heap allocations of one Workers=1 Run of
+// the seed-42 homogeneous one-day fleet of the given size, spec
+// generation excluded and one warm-up run discarded.
+func fleetRunAllocs(t *testing.T, vms int) float64 {
+	t.Helper()
+	const runs = 3
+	var total uint64
+	for i := 0; i <= runs; i++ {
+		specs := scaleScenario(t, sim.KindBaseline, vms)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := Run(Config{Specs: specs, Workers: 1}); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		if i > 0 {
+			total += after.Mallocs - before.Mallocs
+		}
+	}
+	return float64(total) / runs
+}
+
+// TestFleetRunAllocs bounds what a fleet run allocates: the whole run
+// at 100 VMs (learning included), and the marginal cost of a VM, which
+// is what a 100k-VM fleet multiplies.
+func TestFleetRunAllocs(t *testing.T) {
+	const (
+		maxRunAllocs = 6527 // 5 934 recorded before the gate moved here, + 10 %
+		maxPerVM     = 32
+	)
+	at100 := fleetRunAllocs(t, 100)
+	if at100 > maxRunAllocs {
+		t.Errorf("fleet.Run at 100 VMs allocates %.0f times, bound %d", at100, maxRunAllocs)
+	}
+	perVM := (fleetRunAllocs(t, 200) - at100) / 100
+	t.Logf("%.0f allocations at 100 VMs, %.1f per added VM", at100, perVM)
+	if perVM > maxPerVM {
+		t.Errorf("fleet.Run allocates %.1f times per added VM (200 VMs vs 100), bound %d", perVM, maxPerVM)
+	}
+}

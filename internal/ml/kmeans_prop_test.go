@@ -208,6 +208,20 @@ func TestSampledSilhouetteSelectsSameK(t *testing.T) {
 	}
 }
 
+// TestKMeansAutoChosenKAtFleetScale pins the chosen k of the sweep at
+// fleet scale — 6 000 rows, k = 2…12, the sampled silhouette — on a
+// draw with 5 latent classes.
+func TestKMeansAutoChosenKAtFleetScale(t *testing.T) {
+	X := ClusteredDataset(42, 6000, 6, 5)
+	res, err := KMeansAuto(X, 2, 12, KMeansConfig{Rng: rand.New(rand.NewSource(42))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.K != 5 {
+		t.Errorf("KMeansAuto chose k=%d on a draw with 5 classes", res.K)
+	}
+}
+
 // TestKMeansAutoExactPathSmallData ensures the exact-threshold branch
 // is taken for small inputs and still behaves deterministically.
 func TestKMeansAutoExactPathSmallData(t *testing.T) {

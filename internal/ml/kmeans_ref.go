@@ -10,11 +10,11 @@ import (
 // This file preserves the pre-optimization clustering path — naive
 // Lloyd iterations over [][]float64 rows, restarts drawn sequentially
 // from one RNG, and a full-pairwise silhouette recomputed from scratch
-// for every candidate k. It is NOT dead code: the learn-phase
-// benchmark (cmd/dejavu-bench) times KMeansAutoReference as the
-// baseline its ≥5× speedup gate is measured against, and the engine
-// tests cross-check the dense engine's arithmetic against
-// kmeansOnceRef run-for-run. Keep its behavior frozen.
+// for every candidate k. It is NOT dead code: it is the oracle the
+// tests hold the fast path to — TestSampledSilhouetteSelectsSameK
+// compares KMeansAutoReference's chosen k, and the engine tests
+// cross-check the dense engine's arithmetic against kmeansOnceRef
+// run-for-run. Keep its behavior frozen.
 
 // KMeansReference clusters with the original sequential implementation:
 // Lloyd's algorithm with k-means++ seeding, restarts drawn one after
@@ -172,8 +172,7 @@ func recomputeCentroidsRef(X [][]float64, assign []int, centroids [][]float64, r
 // [minK, maxK] it runs KMeansReference and scores the result with the
 // exact full-pairwise Silhouette, recomputing all O(n²) distances per
 // candidate k. This O(n²·d·(maxK−minK)) silhouette cost is what
-// dominated the learning phase at fleet-sized signature sets and what
-// the BENCH_learn.json speedup gate measures the engine against.
+// dominated the learning phase at fleet-sized signature sets.
 func KMeansAutoReference(X [][]float64, minK, maxK int, cfg KMeansConfig) (*KMeansResult, error) {
 	if err := cfg.defaults(); err != nil {
 		return nil, err

@@ -26,9 +26,8 @@
 // pairwise distance matrix hoisted across the k sweep) on small
 // datasets and a seeded uniform-sample estimator above
 // KMeansConfig.SilhouetteExactThreshold. The pre-optimization path is
-// preserved as KMeansReference / KMeansAutoReference and serves as the
-// baseline for the BENCH_learn.json speedup gate; property tests in
-// kmeans_prop_test.go pin the equivalences.
+// preserved as KMeansReference / KMeansAutoReference as the tests'
+// oracle; property tests in kmeans_prop_test.go pin the equivalences.
 package ml
 
 import (

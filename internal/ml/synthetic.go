@@ -10,7 +10,7 @@ import (
 // learn-phase benchmarks: n rows from classes well-separated Gaussian
 // clusters in dims dimensions (centers uniform in [-8, 8), noise
 // σ=0.8), assigned round-robin so cluster sizes are balanced. The
-// learn-phase regression gate (cmd/dejavu-bench, BENCH_learn.json) and
+// fleet-scale chosen-k test (TestKMeansAutoChosenKAtFleetScale) and
 // the root bench_test.go sweeps share this one generator so they
 // always exercise the same distribution.
 func ClusteredDataset(seed int64, n, dims, classes int) [][]float64 {

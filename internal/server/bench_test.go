@@ -44,7 +44,7 @@ func decisionBody(tb testing.TB, vals []float64, batch int) []byte {
 // → encode) performs zero heap allocations per request.
 func TestDecideZeroAlloc(t *testing.T) {
 	if raceEnabled {
-		t.Skip("race detector degrades sync.Pool caching and distorts allocation counts; the CI bench job runs this gate without -race")
+		t.Skip("race detector degrades sync.Pool caching and distorts allocation counts; the CI allocs job runs this gate without -race")
 	}
 	repo := testRepository(t, 12)
 	h, err := core.NewHandle(repo)
@@ -86,7 +86,7 @@ func TestDecideZeroAlloc(t *testing.T) {
 // zero can't be a dead instrumentation path.
 func TestDecideZeroAllocInstrumented(t *testing.T) {
 	if raceEnabled {
-		t.Skip("race detector degrades sync.Pool caching and distorts allocation counts; the CI bench job runs this gate without -race")
+		t.Skip("race detector degrades sync.Pool caching and distorts allocation counts; the CI allocs job runs this gate without -race")
 	}
 	repo := testRepository(t, 12)
 	h, err := core.NewHandle(repo)
@@ -129,8 +129,9 @@ func TestDecideZeroAllocInstrumented(t *testing.T) {
 }
 
 // BenchmarkDecide measures the raw decision path (no HTTP): one op is
-// one batched request. allocs/op must stay 0 — the serve bench gate
-// records throughput in BENCH_serve.json.
+// one batched request. allocs/op must stay 0 (TestDecideZeroAlloc);
+// end-to-end serving throughput is the system benchmark's
+// serve_batch16 workload.
 func BenchmarkDecide(b *testing.B) {
 	for _, tc := range []struct {
 		name   string
