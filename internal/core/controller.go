@@ -141,10 +141,14 @@ func NewController(cfg ControllerConfig) (*Controller, error) {
 // Name implements sim.Controller.
 func (c *Controller) Name() string { return "dejavu" }
 
-// Step implements sim.Controller.
+// Step implements sim.Controller. Its wake hint lets the engine skip
+// the steps on which it would return at once: in a transition it sleeps
+// until the settle re-wakes it; otherwise until the next periodic round
+// and, when on-demand profiling or interference detection can react to
+// one, any SLO violation before that.
 func (c *Controller) Step(obs *sim.Observation) (sim.Action, error) {
 	if obs.InTransition {
-		return sim.Action{}, nil
+		return sim.Action{Wake: 1 << 62}, nil
 	}
 
 	// Periodic (or first) profiling: the cache-hit fast path. An SLO
@@ -157,18 +161,27 @@ func (c *Controller) Step(obs *sim.Observation) (sim.Action, error) {
 		obs.Now-c.lastDecision >= c.cfg.OnDemandCooldown
 	if periodic || onDemand {
 		c.lastProfile = obs.Now
-		return c.profileAndReuse(obs)
+		act, err := c.profileAndReuse(obs)
+		return c.sleep(act), err
 	}
 
 	// On-demand path: an SLO violation outside any transition or
 	// grace window points at interference (the workload class was
 	// just verified, so "workload changes are excluded from the
-	// potential reasons").
+	// potential reasons"). Its action asks for the next step.
 	if c.cfg.InterferenceDetection && obs.SLOViolated &&
 		obs.Now-c.lastDecision >= c.cfg.InterferenceGrace && c.currentClass >= 0 {
 		return c.handleInterference(obs)
 	}
-	return sim.Action{}, nil
+	return c.sleep(sim.Action{}), nil
+}
+
+// sleep sets an action's wake hint to the next periodic round and, when
+// a violation can trigger a reaction, to any violation before it.
+func (c *Controller) sleep(act sim.Action) sim.Action {
+	act.Wake = c.lastProfile + c.cfg.ProfileInterval
+	act.WakeOnViolation = c.cfg.OnDemandProfiling || c.cfg.InterferenceDetection
+	return act
 }
 
 // profileAndReuse collects a signature, classifies it, and reuses the

@@ -105,7 +105,12 @@ func (r *Relearner) Step(obs *sim.Observation) (sim.Action, error) {
 		r.busyUntil = obs.Now + profiling + report.TuningTime
 	}
 
-	return r.Controller.Step(obs)
+	// The workload window, busyUntil and the trigger above are checked
+	// per call, so the inner controller's wake hint must not reach the
+	// engine: the Relearner is called every step.
+	act, err := r.Controller.Step(obs)
+	act.Wake, act.WakeOnViolation = 0, false
+	return act, err
 }
 
 func trialsOf(cfg LearnConfig) int {

@@ -370,6 +370,9 @@ func learnGroups(cfg *Config) ([]*group, obs.Summary, error) {
 		if spec.Service == nil || spec.RunTrace == nil {
 			return nil, obs.Summary{}, fmt.Errorf("fleet: vm %d (%s) needs Service and RunTrace", i, spec.Name)
 		}
+		if spec.RunTrace.Step <= 0 {
+			return nil, obs.Summary{}, fmt.Errorf("fleet: vm %d (%s): run trace step %v must be positive", i, spec.Name, spec.RunTrace.Step)
+		}
 		if spec.MixFn != nil && len(spec.MixShifts) == 0 {
 			return nil, obs.Summary{}, fmt.Errorf("fleet: vm %d (%s) sets the deprecated MixFn, which the fleet does not run; give it MixShifts", i, spec.Name)
 		}

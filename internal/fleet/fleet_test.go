@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
@@ -148,6 +149,17 @@ func TestFleetValidation(t *testing.T) {
 	closureOnly[0].MixFn = func(time.Duration) services.Mix { return closureOnly[0].Mix }
 	if _, err := Run(Config{Specs: closureOnly}); err == nil {
 		t.Error("a MixFn without MixShifts would be silently ignored; it should error")
+	}
+	// A mid-run joiner's window is cut in whole trace samples, so a
+	// trace step ≤ 0 must be refused before anything divides by it.
+	for _, step := range []time.Duration{0, -time.Minute} {
+		joiner := scenario(t, 1, true, false)
+		tr := *joiner[0].RunTrace
+		tr.Step = step
+		joiner[0].RunTrace, joiner[0].JoinAt = &tr, time.Hour
+		if _, err := Run(Config{Specs: joiner}); err == nil || !strings.Contains(err.Error(), step.String()) {
+			t.Errorf("run trace step %v: got %v, want an error naming the step", step, err)
+		}
 	}
 }
 

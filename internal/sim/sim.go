@@ -45,18 +45,33 @@ type Action struct {
 	// decision (DejaVu: ~10 s of signature collection; tuning: minutes).
 	// The allocation request takes effect only after this delay.
 	DecisionTime time.Duration
+	// Wake and WakeOnViolation are the controller's wake hint: when it
+	// next needs calling (see Controller.Step). Wake is an offset from
+	// the simulation start; WakeOnViolation also asks for any earlier
+	// step that violates the SLO. The zero hint asks for the next step,
+	// so a controller that never sets them is called on every step.
+	Wake            time.Duration
+	WakeOnViolation bool
 }
 
 // Controller is a resource-management policy under evaluation.
 type Controller interface {
 	// Name identifies the controller in reports.
 	Name() string
-	// Step is invoked once per simulation step. The observation is
-	// owned by the engine and reused across steps — controllers must
-	// treat it as read-only and must not retain it past the call.
-	// (Passing a pointer keeps the per-step cost flat: the engine
+	// Step is invoked on every step that its last Action's wake hint
+	// asked for — at or after Wake, or SLO-violating while
+	// WakeOnViolation is set — and on every step where the deployment
+	// snapshot moved (a pending change became active, or the step after
+	// an Apply). With a MixFn or Interference closure configured it is
+	// invoked on every step. A controller that sleeps promises that a
+	// call on any step it slept through would have returned the empty
+	// Action and changed nothing, which lets Run skip such steps in one
+	// move. The observation is owned by the engine and reused across
+	// steps — controllers must treat it as read-only and must not
+	// retain it past the call.
+	// (Passing a pointer keeps the per-call cost flat: the engine
 	// fills one Observation in place instead of copying ~200 bytes
-	// through the interface every simulated minute.)
+	// through the interface on every call.)
 	Step(obs *Observation) (Action, error)
 }
 
@@ -73,8 +88,9 @@ type Config struct {
 	Mix       services.Mix
 	MixShifts []MixShift
 	// MixFn overrides Mix on every step. It forces the loop to re-read
-	// the mix and re-verify the operating point each simulated minute,
-	// which is what MixShifts exists to avoid; setting both is an error.
+	// the mix, re-verify the operating point and call the controller
+	// each simulated minute, which is what MixShifts exists to avoid;
+	// setting both is an error.
 	//
 	// Deprecated: use MixShifts. Kept only because the frozen
 	// benchmark/tracefleet.go still sets it.
@@ -86,7 +102,8 @@ type Config struct {
 	// Initial is the starting allocation.
 	Initial cloud.Allocation
 	// Interference optionally sets the co-located contention
-	// fraction over time; nil means no interference.
+	// fraction over time; nil means no interference. Like MixFn, a
+	// closure makes Run step, and call the controller, every minute.
 	Interference func(now time.Duration) float64
 	// StabilizationPenalty is the extra relative latency right after
 	// an allocation change completes, decaying over the service's
@@ -269,6 +286,9 @@ func Run(cfg Config) (*Result, error) {
 	if cfg.Trace == nil || cfg.Trace.Len() == 0 {
 		return nil, errors.New("sim: Trace must be non-empty")
 	}
+	if cfg.Trace.Step <= 0 {
+		return nil, fmt.Errorf("sim: trace step %v must be positive", cfg.Trace.Step)
+	}
 	if cfg.Controller == nil {
 		return nil, errors.New("sim: Controller must be set")
 	}
@@ -356,7 +376,13 @@ func Run(cfg Config) (*Result, error) {
 	// boundaries, so At (an integer division per call) runs once per
 	// trace sample instead of once per step.
 	var nextSampleAt time.Duration
-	for now := time.Duration(0); now < total; now += cfg.Step {
+	// The controller's wake hint from its last call; the zero value
+	// calls it on the first step. A closure can change anything on any
+	// minute, so with one configured every step is processed and calls it.
+	var wake time.Duration
+	wakeOnViolation := false
+	perMinute := cfg.MixFn != nil || cfg.Interference != nil
+	for now, n := time.Duration(0), time.Duration(1); now < total; now += n * cfg.Step {
 		for len(shifts) > 0 && now >= shifts[0].At {
 			w.Mix = shifts[0].Mix
 			shifts = shifts[1:]
@@ -368,10 +394,7 @@ func Run(cfg Config) (*Result, error) {
 		}
 		if now >= nextSampleAt {
 			w.Clients = cfg.Trace.At(now)
-			nextSampleAt = 1 << 62 // degenerate trace step: never re-sample
-			if cfg.Trace.Step > 0 {
-				nextSampleAt = (now/cfg.Trace.Step + 1) * cfg.Trace.Step
-			}
+			nextSampleAt = (now/cfg.Trace.Step + 1) * cfg.Trace.Step
 			pointMoved = true
 		}
 
@@ -389,6 +412,7 @@ func Run(cfg Config) (*Result, error) {
 			active, target, inTransition = dep.Status(now)
 			snapMoved = true
 		}
+		moved := snapMoved
 		if snapMoved {
 			snapMoved = false
 			activeCap = active.Capacity()
@@ -411,7 +435,8 @@ func Run(cfg Config) (*Result, error) {
 			pointCap, pointMoved = capacity, false
 		}
 		perf := point
-		if stab > 0 && now >= lastChangeEffective && now < lastChangeEffective+stab {
+		stabilising := stab > 0 && now >= lastChangeEffective && now < lastChangeEffective+stab
+		if stabilising {
 			frac := 1 - float64(now-lastChangeEffective)/float64(stab)
 			perf.LatencyMs *= 1 + cfg.StabilizationPenalty*frac
 		}
@@ -436,35 +461,33 @@ func Run(cfg Config) (*Result, error) {
 			rec.SLOViolated = violated
 			rec.Interference = interf
 		}
-		res.Steps++
-		res.allocSum += float64(activeRef.Count)
-		if violated {
-			violations++
-		}
 
-		obs.Now = now
-		obs.Perf = perf
-		obs.SLOViolated = violated
-		action, err := cfg.Controller.Step(&obs)
-		if err != nil {
-			return nil, fmt.Errorf("sim: controller %s at %v: %w", cfg.Controller.Name(), now, err)
-		}
-		if action.Target != nil && !action.Target.Equal(target) {
-			applyAt := now + action.DecisionTime
-			if err := dep.Apply(applyAt, *action.Target); err != nil {
-				return nil, fmt.Errorf("sim: apply at %v: %w", applyAt, err)
+		if perMinute || moved || now >= wake || wakeOnViolation && violated {
+			obs.Now = now
+			obs.Perf = perf
+			obs.SLOViolated = violated
+			action, err := cfg.Controller.Step(&obs)
+			if err != nil {
+				return nil, fmt.Errorf("sim: controller %s at %v: %w", cfg.Controller.Name(), now, err)
 			}
-			res.Decisions++
-			if episodeStart < 0 {
-				episodeStart = now
-				episodeResizes = 0
+			wake, wakeOnViolation = action.Wake, action.WakeOnViolation
+			if action.Target != nil && !action.Target.Equal(target) {
+				applyAt := now + action.DecisionTime
+				if err := dep.Apply(applyAt, *action.Target); err != nil {
+					return nil, fmt.Errorf("sim: apply at %v: %w", applyAt, err)
+				}
+				res.Decisions++
+				if episodeStart < 0 {
+					episodeStart = now
+					episodeResizes = 0
+				}
+				episodeResizes++
+				// Refresh the snapshot: Apply may settle a previous change
+				// and always installs a new pending one.
+				active, target, inTransition = dep.Status(now)
+				readyAt, _ = dep.PendingReadyAt()
+				snapMoved = true
 			}
-			episodeResizes++
-			// Refresh the snapshot: Apply may settle a previous change
-			// and always installs a new pending one.
-			active, target, inTransition = dep.Status(now)
-			readyAt, _ = dep.PendingReadyAt()
-			snapMoved = true
 		}
 		// An episode ends when nothing is pending anymore (the cached
 		// snapshot answers the one-step-ahead peek the engine used to
@@ -484,6 +507,42 @@ func Run(cfg Config) (*Result, error) {
 				Resizes:     episodeResizes,
 			})
 			episodeStart = -1
+		}
+
+		// The span: this step and the n−1 after it are one. Unless
+		// something above changes per step, every input of this step
+		// holds until the next event — a trace sample, a mix shift, a
+		// settle, the step that closes an open episode, the controller's
+		// wake — so those steps repeat this one with only Now moved and
+		// the controller asleep. Integer-valued float64 sums below 2⁵³
+		// are exact, so n·count adds what n separate adds would.
+		n = 1
+		if !(perMinute || snapMoved || stabilising || wakeOnViolation && violated) {
+			until := min(nextSampleAt, wake, total)
+			if len(shifts) > 0 {
+				until = min(until, shifts[0].At)
+			}
+			if inTransition {
+				until = min(until, readyAt)
+			}
+			if episodeStart >= 0 {
+				until = min(until, readyAt-cfg.Step)
+			}
+			if until > now+cfg.Step {
+				n = (until - now + cfg.Step - 1) / cfg.Step
+			}
+		}
+		if n > 1 && !cfg.DiscardRecords {
+			rec := res.Records[len(res.Records)-1]
+			for i := time.Duration(1); i < n; i++ {
+				rec.Now = now + i*cfg.Step
+				res.Records = append(res.Records, rec)
+			}
+		}
+		res.Steps += int(n)
+		res.allocSum += float64(n) * float64(activeRef.Count)
+		if violated {
+			violations += int(n)
 		}
 	}
 

@@ -3,6 +3,7 @@ package sim
 import (
 	"errors"
 	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -85,6 +86,13 @@ func TestRunValidation(t *testing.T) {
 	bad.Initial = cloud.Allocation{}
 	if _, err := Run(bad); err == nil {
 		t.Error("invalid initial allocation should error")
+	}
+	for _, step := range []time.Duration{0, -time.Minute} {
+		bad = good
+		bad.Trace = &trace.Trace{Name: "flat", Step: step, Loads: tr.Loads}
+		if _, err := Run(bad); err == nil || !strings.Contains(err.Error(), step.String()) {
+			t.Errorf("trace step %v: got %v, want an error naming the step", step, err)
+		}
 	}
 }
 
