@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/metrics"
+	"repro/internal/obs"
 	"repro/internal/wire"
 )
 
@@ -117,13 +118,14 @@ func TestClientLookupZeroAlloc(t *testing.T) {
 	if len(out.Results) != batch || !out.Results[0].Hit {
 		t.Fatalf("canned decode: %+v", out)
 	}
-	allocs := testing.AllocsPerRun(200, func() {
+	decide := func() {
 		if err := c.Decide(true, &req, &out); err != nil {
 			t.Fatal(err)
 		}
-	})
-	if allocs != 0 {
+	}
+	if allocs := testing.AllocsPerRun(200, decide); allocs != 0 {
 		t.Errorf("client binary lookup path allocates %.1f times per batch, want 0", allocs)
+		t.Log(obs.AllocSites(200, decide))
 	}
 
 	// The single-signature DecisionSource path stays allocation-free
@@ -154,12 +156,13 @@ func TestClientLookupZeroAlloc(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	allocs = testing.AllocsPerRun(200, func() {
+	lookup := func() {
 		if _, err := src.Lookup(sig, 2); err != nil {
 			t.Fatal(err)
 		}
-	})
-	if allocs != 0 {
+	}
+	if allocs := testing.AllocsPerRun(200, lookup); allocs != 0 {
 		t.Errorf("source single-lookup path allocates %.1f times per call, want 0", allocs)
+		t.Log(obs.AllocSites(200, lookup))
 	}
 }

@@ -147,13 +147,14 @@ type Interference struct {
 // the simulation start, so deployments are fully deterministic and
 // never consult the wall clock.
 type Deployment struct {
-	current  Allocation
-	pending  *Allocation
-	readyAt  time.Duration
-	lastBill time.Duration
-	cost     float64
-	interf   Interference
-	changes  int
+	current    Allocation
+	pending    Allocation // unboxed, so Apply allocates nothing
+	hasPending bool       // a change is warming up: pending is valid
+	readyAt    time.Duration
+	lastBill   time.Duration
+	cost       float64
+	interf     Interference
+	changes    int
 }
 
 // NewDeployment starts a deployment with the given initial allocation,
@@ -176,12 +177,11 @@ func (d *Deployment) Apply(now time.Duration, a Allocation) error {
 		return err
 	}
 	d.settle(now)
-	if a.Equal(d.current) && d.pending == nil {
+	if a.Equal(d.current) && !d.hasPending {
 		return nil
 	}
 	d.accrue(now)
-	alloc := a
-	d.pending = &alloc
+	d.pending, d.hasPending = a, true
 	d.readyAt = now + a.Type.WarmupDelay
 	d.changes++
 	return nil
@@ -189,11 +189,10 @@ func (d *Deployment) Apply(now time.Duration, a Allocation) error {
 
 // settle promotes a pending allocation that has finished warming up.
 func (d *Deployment) settle(now time.Duration) {
-	if d.pending != nil && now >= d.readyAt {
+	if d.hasPending && now >= d.readyAt {
 		// Bill the interval served by the old allocation.
 		d.accrue(d.readyAt)
-		d.current = *d.pending
-		d.pending = nil
+		d.current, d.hasPending = d.pending, false
 	}
 }
 
@@ -216,8 +215,8 @@ func (d *Deployment) Allocation(now time.Duration) Allocation {
 // TargetAllocation returns the most recently requested allocation,
 // whether or not it has finished warming up.
 func (d *Deployment) TargetAllocation() Allocation {
-	if d.pending != nil {
-		return *d.pending
+	if d.hasPending {
+		return d.pending
 	}
 	return d.current
 }
@@ -225,7 +224,7 @@ func (d *Deployment) TargetAllocation() Allocation {
 // InTransition reports whether a requested change is still warming up.
 func (d *Deployment) InTransition(now time.Duration) bool {
 	d.settle(now)
-	return d.pending != nil
+	return d.hasPending
 }
 
 // SetInterference sets the co-located tenant contention affecting this
@@ -256,8 +255,8 @@ func (d *Deployment) EffectiveCapacity(now time.Duration) float64 {
 // back to back.
 func (d *Deployment) Status(now time.Duration) (active, target Allocation, inTransition bool) {
 	d.settle(now)
-	if d.pending != nil {
-		return d.current, *d.pending, true
+	if d.hasPending {
+		return d.current, d.pending, true
 	}
 	return d.current, d.current, false
 }
@@ -267,7 +266,7 @@ func (d *Deployment) Status(now time.Duration) (active, target Allocation, inTra
 // lets a caller cache the deployment snapshot between state-changing
 // events instead of re-querying every step.
 func (d *Deployment) PendingReadyAt() (readyAt time.Duration, ok bool) {
-	if d.pending == nil {
+	if !d.hasPending {
 		return 0, false
 	}
 	return d.readyAt, true

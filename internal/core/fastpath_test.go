@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/metrics"
+	"repro/internal/obs"
 	"repro/internal/services"
 )
 
@@ -98,12 +99,13 @@ func TestClassifySteadyStateAllocationFree(t *testing.T) {
 	if _, _, _, err := repo.Classify(sig); err != nil {
 		t.Fatal(err)
 	}
-	allocs := testing.AllocsPerRun(100, func() {
+	classify := func() {
 		if _, _, _, err := repo.Classify(sig); err != nil {
 			t.Fatal(err)
 		}
-	})
-	if allocs > 0 {
+	}
+	if allocs := testing.AllocsPerRun(100, classify); allocs > 0 {
 		t.Errorf("Classify allocates %v times per call in steady state, want 0", allocs)
+		t.Log(obs.AllocSites(100, classify))
 	}
 }

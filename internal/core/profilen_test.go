@@ -122,3 +122,34 @@ func BenchmarkProfileN(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkProfileInto times one profiling round through the runtime
+// path: tuple-1 samples a one-event signature (what every benchmark
+// fleet template learns at seed 42), catalog the whole event universe
+// (the learning phase's read). Both must report 0 allocs/op.
+func BenchmarkProfileInto(b *testing.B) {
+	svc := services.NewCassandra()
+	w := services.Workload{Clients: 300, Mix: svc.DefaultMix()}
+	for _, c := range []struct {
+		name   string
+		events []metrics.Event
+	}{
+		{"tuple-1", []metrics.Event{metrics.EvBusqEmpty}},
+		{"catalog", metrics.AllEvents()},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			prof, err := NewProfiler(svc, rand.New(rand.NewSource(3)))
+			if err != nil {
+				b.Fatal(err)
+			}
+			var sig Signature
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := prof.ProfileInto(w, c.events, prof.Window, &sig); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

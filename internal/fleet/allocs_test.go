@@ -6,26 +6,35 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
 // The race detector changes allocation counts, so these pins build
 // only without it; CI's allocs job runs them.
 
-// fleetRunAllocs is the mean heap allocations of one Workers=1 Run of
-// the seed-42 homogeneous one-day fleet of the given size, spec
+// fleetRun returns one Workers=1 Run of a freshly generated seed-42
+// homogeneous one-day fleet of the given size.
+func fleetRun(t *testing.T, vms int) func() {
+	specs := scaleScenario(t, sim.KindBaseline, vms)
+	return func() {
+		if _, err := Run(Config{Specs: specs, Workers: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// fleetRunAllocs is the mean heap allocations of one fleetRun, spec
 // generation excluded and one warm-up run discarded.
 func fleetRunAllocs(t *testing.T, vms int) float64 {
 	t.Helper()
 	const runs = 3
 	var total uint64
 	for i := 0; i <= runs; i++ {
-		specs := scaleScenario(t, sim.KindBaseline, vms)
+		run := fleetRun(t, vms)
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		if _, err := Run(Config{Specs: specs, Workers: 1}); err != nil {
-			t.Fatal(err)
-		}
+		run()
 		runtime.ReadMemStats(&after)
 		if i > 0 {
 			total += after.Mallocs - before.Mallocs
@@ -38,17 +47,20 @@ func fleetRunAllocs(t *testing.T, vms int) float64 {
 // at 100 VMs (learning included), and the marginal cost of a VM, which
 // is what a 100k-VM fleet multiplies.
 func TestFleetRunAllocs(t *testing.T) {
+	// Measured 3 725 and 7.0 once a worker reused its VM kit, + 10 %.
 	const (
-		maxRunAllocs = 6527 // 5 934 recorded before the gate moved here, + 10 %
-		maxPerVM     = 32
+		maxRunAllocs = 4097
+		maxPerVM     = 7.7
 	)
 	at100 := fleetRunAllocs(t, 100)
 	if at100 > maxRunAllocs {
 		t.Errorf("fleet.Run at 100 VMs allocates %.0f times, bound %d", at100, maxRunAllocs)
+		t.Log(obs.AllocSites(1, fleetRun(t, 100)))
 	}
 	perVM := (fleetRunAllocs(t, 200) - at100) / 100
 	t.Logf("%.0f allocations at 100 VMs, %.1f per added VM", at100, perVM)
 	if perVM > maxPerVM {
-		t.Errorf("fleet.Run allocates %.1f times per added VM (200 VMs vs 100), bound %d", perVM, maxPerVM)
+		t.Errorf("fleet.Run allocates %.1f times per added VM (200 VMs vs 100), bound %.1f", perVM, maxPerVM)
+		t.Log(obs.AllocSites(1, fleetRun(t, 200)))
 	}
 }

@@ -28,11 +28,6 @@ import (
 	"repro/internal/trace"
 )
 
-// newRng builds a VM- or group-private splitmix64 rand source (seeding
-// is one integer write, see internal/rng); sharing one across
-// goroutines would race.
-func newRng(seed int64) *rand.Rand { return rng.New(seed) }
-
 // Config drives one fleet run.
 type Config struct {
 	// Specs are the fleet's VMs (from sim.GenerateScenario or built
@@ -222,9 +217,9 @@ type rowByRow struct{ core.DecisionSource }
 // consecutive same-template VMs a worker steps through (the run phase
 // iterates VMs in template-major order for exactly this reason).
 // Everything in it is result-neutral — the memo verifies its exact
-// operating point on every hit, and the tuner prototype is cloned per
-// VM — so batching only removes redundant setup work, never sharing
-// that could couple VM outcomes.
+// operating point on every hit, and ready restores the VM kit per VM
+// to what a fresh build would hold — so batching only removes
+// redundant setup work, never sharing that could couple VM outcomes.
 type templateCtx struct {
 	// memo is the shared performance memo. One worker runs its VMs
 	// sequentially, so single-goroutine ownership holds; consecutive
@@ -232,11 +227,41 @@ type templateCtx struct {
 	// re-solving the template's common operating points.
 	memo *services.PerfMemo
 	// proto is the template's default tuner, built once per
-	// (worker, template) and cloned per VM by struct copy — the clone
+	// (worker, template) and copied per VM by struct copy — the copy
 	// shares the immutable Candidates slice and privatizes the only
 	// mutable field (the trial counter). nil when the default tuner is
 	// not a linear search; those VMs build their own.
 	proto *core.LinearSearchTuner
+
+	// The VM kit — the machinery a VM's controller runs on: its noise
+	// stream, its profiler (whose monitor for the signature events is
+	// built once and kept) and its tuner, the copy of proto. A lockstep
+	// block interleaves its VMs, so each of them runs on a context of
+	// its own that shares only memo and proto.
+	rng   *rand.Rand
+	prof  *core.Profiler
+	tuner core.LinearSearchTuner
+}
+
+// ready readies the kit for spec's VM — the noise stream restarts as
+// rng.New(spec.Seed) would start it — and returns the VM's tuner: a
+// fresh copy of proto, or a default tuner built for a VM without one.
+// An empty context builds its kit here.
+func (tc *templateCtx) ready(spec *sim.VMSpec) (core.Tuner, error) {
+	if tc.prof == nil {
+		tc.rng = rng.New(spec.Seed)
+		var err error
+		if tc.prof, err = core.NewProfiler(spec.Service, tc.rng); err != nil {
+			return nil, err
+		}
+	} else {
+		rng.Reseed(tc.rng, spec.Seed)
+	}
+	if tc.proto == nil {
+		return DefaultTuner(spec.Service)
+	}
+	tc.tuner = *tc.proto
+	return &tc.tuner, nil
 }
 
 // workerTemplateCtx returns worker's shared context for the VM's
@@ -372,6 +397,10 @@ func learnGroups(cfg *Config) ([]*group, obs.Summary, error) {
 		}
 		if spec.RunTrace.Step <= 0 {
 			return nil, obs.Summary{}, fmt.Errorf("fleet: vm %d (%s): run trace step %v must be positive", i, spec.Name, spec.RunTrace.Step)
+		}
+		if step := spec.RunTrace.Step; spec.JoinAt%step != 0 || spec.LeaveAt%step != 0 {
+			// activeTrace cuts whole samples; runVM shifts by JoinAt.
+			return nil, obs.Summary{}, fmt.Errorf("fleet: vm %d (%s): membership window [%v, %v) is off its run trace's %v grid", i, spec.Name, spec.JoinAt, spec.LeaveAt, step)
 		}
 		if spec.MixFn != nil && len(spec.MixShifts) == 0 {
 			return nil, obs.Summary{}, fmt.Errorf("fleet: vm %d (%s) sets the deprecated MixFn, which the fleet does not run; give it MixShifts", i, spec.Name)
@@ -569,8 +598,8 @@ func learnGroup(cfg Config, g *group, workers int) error {
 	if first.LearnTrace == nil {
 		return fmt.Errorf("fleet: service %s needs a LearnTrace on its first VM", g.service.Name())
 	}
-	rng := newRng(first.Seed)
-	prof, err := core.NewProfiler(g.service, rng)
+	r := rng.New(first.Seed) // a group-private stream; sharing one would race
+	prof, err := core.NewProfiler(g.service, r)
 	if err != nil {
 		return fmt.Errorf("fleet: service %s: %w", g.service.Name(), err)
 	}
@@ -588,7 +617,7 @@ func learnGroup(cfg Config, g *group, workers int) error {
 		Profiler:  prof,
 		Tuner:     shared,
 		Workloads: core.WorkloadsFromTrace(first.LearnTrace, first.Mix),
-		Rng:       rng,
+		Rng:       r,
 		Workers:   workers,
 	})
 	if err != nil {
@@ -605,19 +634,14 @@ func learnGroup(cfg Config, g *group, workers int) error {
 // is the VM's active trace window; when the VM joined mid-run its
 // time-indexed schedules (interference, mix) are shifted so they keep
 // reading fleet-absolute time. tc, when non-nil, is the worker's
-// per-template batch state (warm perf memo, tuner prototype) — always
-// result-neutral, see templateCtx.
+// per-template batch state and VM kit, in use until runVM returns —
+// always result-neutral, see templateCtx; nil builds a private one.
 func runVM(cfg Config, spec sim.VMSpec, runTrace *trace.Trace, g *group, src core.DecisionSource, tc *templateCtx, records []sim.StepRecord) (*sim.Result, error) {
-	rng := newRng(spec.Seed)
-	prof, err := core.NewProfiler(spec.Service, rng)
-	if err != nil {
-		return nil, err
+	if tc == nil {
+		tc = new(templateCtx)
 	}
-	var inner core.Tuner
-	if tc != nil && tc.proto != nil {
-		t := *tc.proto // clone: shares Candidates, privatizes the trial counter
-		inner = &t
-	} else if inner, err = DefaultTuner(spec.Service); err != nil {
+	inner, err := tc.ready(&spec)
+	if err != nil {
 		return nil, err
 	}
 	tuner, err := core.NewSharedTuner(g.cache, spec.Service, inner)
@@ -625,7 +649,7 @@ func runVM(cfg Config, spec sim.VMSpec, runTrace *trace.Trace, g *group, src cor
 		return nil, err
 	}
 	ctlCfg := core.ControllerConfig{
-		Profiler:              prof,
+		Profiler:              tc.prof,
 		Tuner:                 tuner,
 		Service:               spec.Service,
 		InterferenceDetection: cfg.InterferenceDetection,
@@ -664,9 +688,7 @@ func runVM(cfg Config, spec sim.VMSpec, runTrace *trace.Trace, g *group, src cor
 		Interference:   interference,
 		Records:        records,
 		DiscardRecords: cfg.DiscardRecords,
-	}
-	if tc != nil {
-		simCfg.PerfMemo = tc.memo
+		PerfMemo:       tc.memo,
 	}
 	return sim.Run(simCfg)
 }

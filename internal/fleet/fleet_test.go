@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -159,6 +160,32 @@ func TestFleetValidation(t *testing.T) {
 		joiner[0].RunTrace, joiner[0].JoinAt = &tr, time.Hour
 		if _, err := Run(Config{Specs: joiner}); err == nil || !strings.Contains(err.Error(), step.String()) {
 			t.Errorf("run trace step %v: got %v, want an error naming the step", step, err)
+		}
+	}
+	// The window is cut in whole trace samples: one off the trace's
+	// hourly grid would step the VM from the sample before JoinAt while
+	// its schedules read as of JoinAt. It is refused, naming the VM and
+	// the window; an on-grid window runs.
+	for _, c := range []struct {
+		join, leave time.Duration
+		ok          bool
+	}{
+		{join: 90 * time.Minute},
+		{leave: 20*time.Hour + 30*time.Minute},
+		{join: 90 * time.Minute, leave: 20*time.Hour + 30*time.Minute},
+		{join: 2 * time.Hour, leave: 20 * time.Hour, ok: true},
+	} {
+		specs := scenario(t, 1, true, false)
+		specs[0].JoinAt, specs[0].LeaveAt = c.join, c.leave
+		res, err := Run(Config{Specs: specs})
+		window := fmt.Sprintf("[%v, %v)", c.join, c.leave)
+		switch {
+		case c.ok && err != nil:
+			t.Errorf("window %s: %v", window, err)
+		case c.ok && res.VMResults[0].Steps != 18*60:
+			t.Errorf("window %s: %d steps, want %d", window, res.VMResults[0].Steps, 18*60)
+		case !c.ok && (err == nil || !strings.Contains(err.Error(), specs[0].Name) || !strings.Contains(err.Error(), window)):
+			t.Errorf("window %s: got %v, want an error naming the VM and the window", window, err)
 		}
 	}
 }

@@ -53,6 +53,7 @@ type lockstepVM struct {
 	core.DecisionSource // Events, Get and Put pass straight through
 
 	index  int             // into Config.Specs
+	tc     templateCtx     // the VM's own kit; memo and proto are the worker's
 	resume chan error      // driver → VM: run on (nil), or fail with this
 	yield  chan<- struct{} // VM → driver: parked in Lookup, or finished
 
@@ -112,9 +113,12 @@ func (p *runPhase) lockstep(worker int, members []int) {
 		g, tc, records := p.setup(worker, i)
 		vm := &vms[k]
 		*vm = lockstepVM{DecisionSource: src, index: i, resume: make(chan error), yield: yield}
+		if tc != nil {
+			vm.tc.memo, vm.tc.proto = tc.memo, tc.proto
+		}
 		live[k] = vm
 		go vm.run(func() (*sim.Result, error) {
-			return runVM(p.cfg, p.cfg.Specs[vm.index], p.active[vm.index], g, vm, tc, records)
+			return runVM(p.cfg, p.cfg.Specs[vm.index], p.active[vm.index], g, vm, &vm.tc, records)
 		})
 	}
 

@@ -47,6 +47,38 @@ const (
 	EvXenVBDWr Event = "xentop_vbd_wr"
 )
 
+// Dense indices (see Index) of the events the services' rate formulas
+// read. They follow from the catalog order below and are pinned to
+// Index by TestDenseIndexBijection; being constants, a switch over them
+// compiles to a jump table or a binary search, not a chain of loads.
+const (
+	IdxBusqEmpty = iota
+	IdxCPUClkUnhalt
+	IdxL2Ads
+	IdxL2RejectBusq
+	IdxL2St
+	IdxLoadBlock
+	IdxStoreBlock
+	IdxPageWalks
+	IdxFlopsRate
+	IdxInstRetired
+	IdxBrInstRetired
+	IdxBrMispredict
+	IdxL1DRepl
+	IdxL2Lines
+	IdxDTLBMiss
+)
+
+// Dense indices of the xentop metrics, which follow the 60 HPC events.
+const (
+	IdxXenCPU = iota + 60
+	IdxXenMem
+	IdxXenNetTx
+	IdxXenNetRx
+	IdxXenVBDRd
+	IdxXenVBDWr
+)
+
 // EventInfo describes one event in the catalog.
 type EventInfo struct {
 	Event       Event
@@ -158,16 +190,6 @@ func Index(ev Event) int {
 		return i
 	}
 	return -1
-}
-
-// MustIndex is Index for events known to be in the catalog; it panics
-// on unknown events. Use it for package-level index constants.
-func MustIndex(ev Event) int {
-	i := Index(ev)
-	if i < 0 {
-		panic("metrics: unknown event " + string(ev))
-	}
-	return i
 }
 
 // EventAt returns the event at a dense index; it panics when the index

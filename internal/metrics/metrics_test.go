@@ -3,6 +3,7 @@ package metrics
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 )
@@ -233,11 +234,14 @@ func TestSampleN(t *testing.T) {
 	}
 }
 
-func TestStaticSourceReturnsCopy(t *testing.T) {
-	src := StaticSource{EvFlopsRate: 1}
-	r := src.Rates()
-	r[EvFlopsRate] = 99
-	if src[EvFlopsRate] != 1 {
-		t.Error("Rates must return a copy")
+// TestStaticSourceRatesAt: the map-backed source answers indices in
+// the order asked, and events it lacks — or outside the catalog —
+// read 0.
+func TestStaticSourceRatesAt(t *testing.T) {
+	src := StaticSource{EvFlopsRate: 1, EvXenCPU: 2}
+	dst := []float64{9, 9, 9, 9}
+	src.RatesAt([]int{Index(EvXenCPU), Index(EvL2St), -1, Index(EvFlopsRate)}, dst)
+	if want := []float64{2, 0, 0, 1}; !reflect.DeepEqual(dst, want) {
+		t.Errorf("RatesAt = %v, want %v", dst, want)
 	}
 }

@@ -9,32 +9,25 @@ import (
 )
 
 // Source is anything that exposes true underlying event rates — in this
-// repository the service simulators. Rates returns events per second
-// for every event the source emits; the Monitor turns those into
-// noisy, register-constrained counter readings.
+// repository the service simulators. RatesAt writes the per-second
+// rate of the event at dense index idx[k] (see Index; an index below 0
+// reads 0) into dst[k]. The Monitor asks only for the events it
+// monitors and turns their rates into noisy counter readings.
 type Source interface {
-	Rates() map[Event]float64
+	RatesAt(idx []int, dst []float64)
 }
 
-// VectorSource is the allocation-free fast path of Source: the source
-// writes its reading into a caller-provided dense Rates vector instead
-// of materializing a map. Sources that implement it are read through
-// RatesInto by the Monitor's vector sampling path.
-type VectorSource interface {
-	Source
-	RatesInto(dst *Rates)
-}
-
-// StaticSource is a fixed-rate Source, handy for tests.
+// StaticSource is a fixed-rate Source, handy for tests. Events
+// missing from the map read 0.
 type StaticSource map[Event]float64
 
-// Rates implements Source.
-func (s StaticSource) Rates() map[Event]float64 {
-	out := make(map[Event]float64, len(s))
-	for k, v := range s {
-		out[k] = v
+// RatesAt implements Source.
+func (s StaticSource) RatesAt(idx []int, dst []float64) {
+	for k, i := range idx {
+		if dst[k] = 0; i >= 0 {
+			dst[k] = s[EventAt(i)]
+		}
 	}
-	return out
 }
 
 // Bank models the processor's programmable HPC registers. Only
@@ -102,16 +95,15 @@ type Monitor struct {
 	// Rng supplies measurement noise; required.
 	Rng *rand.Rand
 
-	// Pre-resolved per-event dense indices and HPC flags, plus a
-	// scratch vector for VectorSource readings. Built lazily so
-	// hand-assembled Monitor literals keep working; rebuilt when the
-	// Events slice is replaced (identity check — mutating the slice
-	// contents in place is not supported).
+	// Pre-resolved per-event dense indices (what the source is asked
+	// for) and HPC flags. Built lazily so hand-assembled Monitor
+	// literals keep working; rebuilt when the Events slice is replaced
+	// (identity check — mutating the slice contents in place is not
+	// supported).
 	resolvedFor []Event
 	evIdx       []int
 	evHPC       []bool
 	nHPC        int
-	scratch     *Rates
 }
 
 // resolve (re)builds the dense-index tables for the current event set.
@@ -170,9 +162,9 @@ func (m *Monitor) Sample(src Source, window time.Duration) (*Sample, error) {
 // the normalized per-second values into dst, aligned with m.Events
 // (dst must have the same length). The noise model, RNG consumption
 // order, and arithmetic are identical to Sample, so at a fixed seed
-// the two paths produce bit-identical readings. Sources implementing
-// VectorSource are read through a reusable dense Rates scratch and the
-// whole call performs no heap allocation.
+// the two paths produce bit-identical readings. The source writes its
+// rates straight into dst, which the noise then overwrites in place,
+// so the call performs no heap allocation.
 func (m *Monitor) SampleVector(src Source, window time.Duration, dst []float64) error {
 	if window <= 0 {
 		return fmt.Errorf("metrics: non-positive sampling window %v", window)
@@ -194,20 +186,7 @@ func (m *Monitor) SampleVector(src Source, window time.Duration, dst []float64) 
 		muxNoise = bank.MultiplexNoise * (mux - 1)
 	}
 
-	// Prefer the dense vector reading; fall back to the legacy map for
-	// sources that only implement Rates (including sources emitting
-	// events outside the catalog, which have no dense index).
-	var vec *Rates
-	var rates map[Event]float64
-	if vs, ok := src.(VectorSource); ok {
-		if m.scratch == nil {
-			m.scratch = NewRates()
-		}
-		vs.RatesInto(m.scratch)
-		vec = m.scratch
-	} else {
-		rates = src.Rates()
-	}
+	src.RatesAt(m.evIdx, dst)
 
 	// Noise shrinks with longer windows (more samples average out):
 	// scale by 1/sqrt(window seconds), floored at 1s.
@@ -216,15 +195,7 @@ func (m *Monitor) SampleVector(src Source, window time.Duration, dst []float64) 
 		secs = 1
 	}
 	sqrtSecs := math.Sqrt(secs)
-	for i := range m.Events {
-		var rate float64
-		if vec != nil {
-			if idx := m.evIdx[i]; idx >= 0 {
-				rate = vec.At(idx)
-			}
-		} else {
-			rate = rates[m.Events[i]]
-		}
+	for i, rate := range dst {
 		noise := m.BaseNoise
 		if m.evHPC[i] {
 			noise += muxNoise

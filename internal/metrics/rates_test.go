@@ -39,75 +39,52 @@ func TestDenseIndexBijection(t *testing.T) {
 	if Index("no_such_event") != -1 {
 		t.Error("unknown event should have index -1")
 	}
+	for ev, idx := range map[Event]int{
+		EvBusqEmpty: IdxBusqEmpty, EvCPUClkUnhalt: IdxCPUClkUnhalt, EvL2Ads: IdxL2Ads,
+		EvL2RejectBusq: IdxL2RejectBusq, EvL2St: IdxL2St, EvLoadBlock: IdxLoadBlock,
+		EvStoreBlock: IdxStoreBlock, EvPageWalks: IdxPageWalks, EvFlopsRate: IdxFlopsRate,
+		EvInstRetired: IdxInstRetired, EvBrInstRetired: IdxBrInstRetired,
+		EvBrMispredict: IdxBrMispredict, EvL1DRepl: IdxL1DRepl, EvL2Lines: IdxL2Lines,
+		EvDTLBMiss: IdxDTLBMiss, EvXenCPU: IdxXenCPU, EvXenMem: IdxXenMem,
+		EvXenNetTx: IdxXenNetTx, EvXenNetRx: IdxXenNetRx, EvXenVBDRd: IdxXenVBDRd,
+		EvXenVBDWr: IdxXenVBDWr,
+	} {
+		if Index(ev) != idx {
+			t.Errorf("%s has Index %d, its constant says %d", ev, Index(ev), idx)
+		}
+	}
 	if IsHPC("no_such_event") {
 		t.Error("unknown event should not be HPC")
 	}
 }
 
-// TestRatesGenerations: Fill starts a fresh reading without clearing
-// the backing array; stale entries must read as 0.
-func TestRatesGenerations(t *testing.T) {
-	r := NewRates()
-	if r.Len() != NumEvents() {
-		t.Fatalf("Len %d != NumEvents %d", r.Len(), NumEvents())
-	}
-	r.Fill()
-	r.Set(3, 42)
-	if got := r.At(3); got != 42 {
-		t.Fatalf("At(3) = %v, want 42", got)
-	}
-	gen := r.Generation()
-	r.Fill()
-	if r.Generation() == gen {
-		t.Fatal("Fill must advance the generation")
-	}
-	if got := r.At(3); got != 0 {
-		t.Fatalf("stale entry reads %v after Fill, want 0", got)
-	}
-	r.Set(3, 7)
-	if got := r.At(3); got != 7 {
-		t.Fatalf("At(3) = %v, want 7", got)
-	}
-}
+// denseSource is a Source over a full dense rate vector, for monitor
+// tests.
+type denseSource []float64
 
-// TestRatesSetAllToMap: SetAll marks every entry current and ToMap
-// mirrors the dense reading.
-func TestRatesSetAllToMap(t *testing.T) {
-	r := NewRates()
-	src := make([]float64, NumEvents())
-	for i := range src {
-		src[i] = float64(i) * 1.5
-	}
-	r.SetAll(src)
-	m := r.ToMap()
-	if len(m) != NumEvents() {
-		t.Fatalf("ToMap has %d entries, want %d", len(m), NumEvents())
-	}
-	for i := range src {
-		if got := r.At(i); got != src[i] {
-			t.Fatalf("At(%d) = %v, want %v", i, got, src[i])
-		}
-		if got := m[EventAt(i)]; got != src[i] {
-			t.Fatalf("ToMap[%s] = %v, want %v", EventAt(i), got, src[i])
+func (d denseSource) RatesAt(idx []int, dst []float64) {
+	for k, i := range idx {
+		dst[k] = 0
+		if i >= 0 {
+			dst[k] = d[i]
 		}
 	}
 }
 
-// vecSource adapts a Rates snapshot to VectorSource for monitor tests.
-type vecSource struct{ rates *Rates }
-
-func (v vecSource) Rates() map[Event]float64 { return v.rates.ToMap() }
-func (v vecSource) RatesInto(dst *Rates)     { dst.SetAll(v.rates.values) }
+// denseRates returns a distinct rate for every catalog event.
+func denseRates(base, step float64) denseSource {
+	d := make(denseSource, NumEvents())
+	for i := range d {
+		d[i] = base + float64(i)*step
+	}
+	return d
+}
 
 // TestSampleVectorMatchesSample: at a fixed seed the vector path and
-// the legacy map path must produce bit-identical readings, for both
-// map-only and vector sources.
+// the map-returning Sample must produce bit-identical readings, for a
+// dense source and a map-backed StaticSource.
 func TestSampleVectorMatchesSample(t *testing.T) {
-	src := vecSource{rates: NewRates()}
-	src.rates.Fill()
-	for i := 0; i < src.rates.Len(); i++ {
-		src.rates.Set(i, float64(100+i*13))
-	}
+	src := denseRates(100, 13)
 	events := AllEvents()[:10]
 
 	legacy, err := NewMonitor(events, rand.New(rand.NewSource(5)))
@@ -132,8 +109,11 @@ func TestSampleVectorMatchesSample(t *testing.T) {
 		}
 	}
 
-	// A map-only source must take the fallback path and still match.
-	mapOnly := StaticSource(src.rates.ToMap())
+	// The map-backed source reads the same rates by event name.
+	mapOnly := StaticSource{}
+	for i, r := range src {
+		mapOnly[EventAt(i)] = r
+	}
 	legacy2, _ := NewMonitor(events, rand.New(rand.NewSource(9)))
 	fast2, _ := NewMonitor(events, rand.New(rand.NewSource(9)))
 	s2, err := legacy2.Sample(mapOnly, 10*time.Second)
@@ -154,11 +134,7 @@ func TestSampleVectorMatchesSample(t *testing.T) {
 // another of the SAME length must re-resolve the dense indices — a
 // length-only cache check would silently sample the old events.
 func TestSampleVectorAfterEventsReplaced(t *testing.T) {
-	src := vecSource{rates: NewRates()}
-	src.rates.Fill()
-	for i := 0; i < src.rates.Len(); i++ {
-		src.rates.Set(i, float64(1000+i))
-	}
+	src := denseRates(1000, 1)
 	mon, err := NewMonitor([]Event{EvBusqEmpty, EvCPUClkUnhalt}, rand.New(rand.NewSource(2)))
 	if err != nil {
 		t.Fatal(err)

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"strings"
 	"testing"
 	"time"
 )
@@ -14,31 +15,53 @@ func TestHistogramRecordZeroAlloc(t *testing.T) {
 	}
 	var h Histogram
 	var c Counter
-	if allocs := testing.AllocsPerRun(1000, func() {
+	record := func() {
 		h.Record(1234 * time.Nanosecond)
 		c.Inc()
-	}); allocs != 0 {
+	}
+	if allocs := testing.AllocsPerRun(1000, record); allocs != 0 {
 		t.Errorf("Record+Inc allocates %.1f times per op, want 0", allocs)
+		t.Log(AllocSites(1000, record))
 	}
 
 	var snap Snapshot
-	if allocs := testing.AllocsPerRun(100, func() {
-		snap = h.Snapshot()
-	}); allocs != 0 {
+	snapshot := func() { snap = h.Snapshot() }
+	if allocs := testing.AllocsPerRun(100, snapshot); allocs != 0 {
 		t.Errorf("Snapshot allocates %.1f times per op, want 0", allocs)
+		t.Log(AllocSites(100, snapshot))
 	}
 	_ = snap
 
 	tc := NewContext()
 	buf := make([]byte, 0, HeaderContextLen)
 	wbuf := make([]byte, 0, WireContextLen)
-	if allocs := testing.AllocsPerRun(1000, func() {
+	context := func() {
 		buf = tc.AppendHeader(buf[:0])
 		wbuf = tc.AppendWire(wbuf[:0])
 		if _, ok := ParseWireContext(wbuf); !ok {
 			t.Fatal("parse")
 		}
-	}); allocs != 0 {
+	}
+	if allocs := testing.AllocsPerRun(1000, context); allocs != 0 {
 		t.Errorf("trace context append/parse allocates %.1f times per op, want 0", allocs)
+		t.Log(AllocSites(1000, context))
+	}
+}
+
+//go:noinline
+func allocateForSites() *[4]int64 { return new([4]int64) }
+
+var allocSitesSink *[4]int64
+
+// TestAllocSitesNamesTheSite: the report an allocation pin logs on
+// failure counts the allocations of the runs and names the function
+// that made them.
+func TestAllocSitesNamesTheSite(t *testing.T) {
+	report := AllocSites(50, func() { allocSitesSink = allocateForSites() })
+	if !strings.Contains(report, "50 allocations (1.0 per run) at:\n\trepro/internal/obs.allocateForSites\n") {
+		t.Errorf("report does not name the allocating function, once per run:\n%s", report)
+	}
+	if !strings.Contains(report, "goroutines:\ngoroutine ") {
+		t.Errorf("report has no goroutine dump:\n%s", report)
 	}
 }

@@ -43,6 +43,14 @@ func New(seed int64) *rand.Rand {
 	return rand.New(&SplitMix64{state: uint64(seed)})
 }
 
+// Reseed restarts r, a stream from New, exactly as New(seed) starts one.
+func Reseed(r *rand.Rand, seed int64) {
+	if seed == 0 {
+		seed = 1
+	}
+	r.Seed(seed)
+}
+
 // Derive mixes a base seed with an item index into an independent
 // per-item seed: item i's stream is the same no matter how many items
 // precede it or in which order they are derived. One finalizer round

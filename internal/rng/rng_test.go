@@ -28,6 +28,31 @@ func TestZeroSeedUsable(t *testing.T) {
 	}
 }
 
+// TestReseedMatchesNew: a used stream reseeded starts over exactly as
+// a fresh New stream of that seed, zero seed included — the fleet
+// reuses one stream per worker across its VMs on this.
+func TestReseedMatchesNew(t *testing.T) {
+	r := New(5)
+	buf := make([]byte, 3)
+	for _, seed := range []int64{9, 0, 1, -7} {
+		r.NormFloat64()
+		r.Read(buf) // leaves Read's buffered bytes behind
+		Reseed(r, seed)
+		fresh := New(seed)
+		for i := 0; i < 50; i++ {
+			if a, b := r.Int63(), fresh.Int63(); a != b {
+				t.Fatalf("seed %d: draw %d reseeded %d, fresh %d", seed, i, a, b)
+			}
+		}
+		a, b := make([]byte, 5), make([]byte, 5)
+		r.Read(a)
+		fresh.Read(b)
+		if string(a) != string(b) {
+			t.Fatalf("seed %d: Read after reseed %v, fresh %v", seed, a, b)
+		}
+	}
+}
+
 // TestDeriveOrderIndependent pins the property GenerateScenario relies
 // on: item i's derived seed depends only on (base, i), never on how
 // many other items exist or the order they are derived in.

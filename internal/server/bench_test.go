@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/wire"
 )
 
@@ -66,13 +67,14 @@ func TestDecideZeroAlloc(t *testing.T) {
 		if _, err := s.decide(sc, mode.lookup, transportBinary); err != nil {
 			t.Fatal(err)
 		}
-		allocs := testing.AllocsPerRun(200, func() {
+		decide := func() {
 			if _, err := s.decide(sc, mode.lookup, transportBinary); err != nil {
 				t.Fatal(err)
 			}
-		})
-		if allocs != 0 {
+		}
+		if allocs := testing.AllocsPerRun(200, decide); allocs != 0 {
 			t.Errorf("%s decision path allocates %.1f times per batch, want 0", mode.name, allocs)
+			t.Log(obs.AllocSites(200, decide))
 		}
 	}
 	s.pool.Put(sc)
@@ -109,13 +111,14 @@ func TestDecideZeroAllocInstrumented(t *testing.T) {
 		}
 		tpl := s.templates.Load().def
 		before := tpl.lat[tc.tr].Snapshot().Count
-		allocs := testing.AllocsPerRun(200, func() {
+		decide := func() {
 			if _, err := s.decide(sc, true, tc.tr); err != nil {
 				t.Fatal(err)
 			}
-		})
-		if allocs != 0 {
+		}
+		if allocs := testing.AllocsPerRun(200, decide); allocs != 0 {
 			t.Errorf("%s instrumented decide allocates %.1f times per batch, want 0", tc.name, allocs)
+			t.Log(obs.AllocSites(200, decide))
 		}
 		after := tpl.lat[tc.tr].Snapshot()
 		if got := after.Count - before; got < 200 {

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/wire"
 )
 
@@ -409,6 +410,7 @@ func TestTCPDecideZeroAlloc(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(200, roundTrip); allocs != 0 {
 		t.Errorf("TCP decide round trip allocates %.1f times, want 0", allocs)
+		t.Log(obs.AllocSites(200, roundTrip))
 	}
 
 	// The queued path: eight requests in one write, so the server
@@ -444,6 +446,7 @@ func TestTCPDecideZeroAlloc(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(100, burst); allocs != 0 {
 		t.Errorf("depth-8 pipelined TCP burst allocates %.1f times, want 0", allocs)
+		t.Log(obs.AllocSites(100, burst))
 	}
 }
 

@@ -2,7 +2,11 @@
 
 package services
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/obs"
+)
 
 // TestPerfMemoZeroAlloc: a memo hit — the simulation engine's per-step
 // model evaluation — allocates nothing. The race detector changes
@@ -12,8 +16,10 @@ func TestPerfMemoZeroAlloc(t *testing.T) {
 	svc := NewCassandra()
 	memo := NewPerfMemo(svc)
 	w := Workload{Clients: 300, Mix: svc.DefaultMix()}
-	memo.Perf(&w, 7)
-	if allocs := testing.AllocsPerRun(1000, func() { memo.Perf(&w, 7) }); allocs != 0 {
+	perf := func() { memo.Perf(&w, 7) }
+	perf()
+	if allocs := testing.AllocsPerRun(1000, perf); allocs != 0 {
 		t.Errorf("PerfMemo.Perf allocates %v times per call in steady state, bound 0", allocs)
+		t.Log(obs.AllocSites(1000, perf))
 	}
 }

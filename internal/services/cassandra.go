@@ -80,40 +80,56 @@ func (c *Cassandra) Perf(w Workload, capacity float64) Perf {
 	return Perf{LatencyMs: lat, QoSPercent: 100, Utilization: rho}
 }
 
-// MetricRates implements Service: the legacy map API, a thin adapter
-// over the dense MetricRatesInto path.
-func (c *Cassandra) MetricRates(w Workload, instances int) map[metrics.Event]float64 {
-	return ratesMap(c, w, instances)
+// MetricRatesAt implements Service.
+func (c *Cassandra) MetricRatesAt(w Workload, instances int, idx []int, dst []float64) {
+	v := perInstance(w, instances)
+	for k, i := range idx {
+		dst[k] = c.rate(i, v, &w.Mix)
+	}
 }
 
-// MetricRatesInto implements Service. The informative events respond
-// to per-instance volume and the read/write split; everything else
-// stays at its background rate.
-func (c *Cassandra) MetricRatesInto(w Workload, instances int, dst *metrics.Rates) {
-	n := float64(validateInstances(instances))
-	v := w.Clients / n // per-instance volume
-	m := w.Mix
-	baseRatesInto(dst)
-
+// rate is one event's rate at per-instance volume v under mix m. The
+// informative events respond to per-instance volume and the
+// read/write split; everything else stays at its background rate.
+func (c *Cassandra) rate(i int, v float64, m *Mix) float64 {
 	write := 1 - m.ReadFraction
-	dst.Set(idxFlops, 1e4*v*m.FPWeight)
-	dst.Set(idxCPUClk, 2e6*v*m.CPUWeight+1e7)
-	dst.Set(idxL2St, 5e4*v*write*m.MemWeight)
-	dst.Set(idxLoadBlock, 3e4*v*m.ReadFraction*m.MemWeight)
-	dst.Set(idxStoreBlock, 4e4*v*write*m.MemWeight)
-	dst.Set(idxPageWalks, 2e4*v*m.MemWeight)
-	dst.Set(idxL2Ads, 1e4*v*(0.5+write))
-	dst.Set(idxL2Reject, 10*v*v*m.MemWeight) // contention grows superlinearly
-	dst.Set(idxBusqEmpty, clampMin(5e6-3e4*v*m.CPUWeight, 0))
-	dst.Set(idxL1DRepl, 2.5e4*v*m.MemWeight)
-	dst.Set(idxDTLBMiss, 1.2e3*v*m.MemWeight)
-
-	dst.Set(idxXenCPU, clampMax(100*v/c.PerUnitClients, 100))
-	dst.Set(idxXenMem, 2.5e5+500*v*m.MemWeight)
-	dst.Set(idxXenNetTx, 40*v)
-	dst.Set(idxXenNetRx, 45*v)
-	dst.Set(idxXenVBDRd, 20*v*m.ReadFraction*m.IOWeight)
-	dst.Set(idxXenVBDWr, 25*v*write*m.IOWeight)
+	switch i {
+	case metrics.IdxFlopsRate:
+		return 1e4 * v * m.FPWeight
+	case metrics.IdxCPUClkUnhalt:
+		return 2e6*v*m.CPUWeight + 1e7
+	case metrics.IdxL2St:
+		return 5e4 * v * write * m.MemWeight
+	case metrics.IdxLoadBlock:
+		return 3e4 * v * m.ReadFraction * m.MemWeight
+	case metrics.IdxStoreBlock:
+		return 4e4 * v * write * m.MemWeight
+	case metrics.IdxPageWalks:
+		return 2e4 * v * m.MemWeight
+	case metrics.IdxL2Ads:
+		return 1e4 * v * (0.5 + write)
+	case metrics.IdxL2RejectBusq:
+		return 10 * v * v * m.MemWeight // contention grows superlinearly
+	case metrics.IdxBusqEmpty:
+		return clampMin(5e6-3e4*v*m.CPUWeight, 0)
+	case metrics.IdxL1DRepl:
+		return 2.5e4 * v * m.MemWeight
+	case metrics.IdxDTLBMiss:
+		return 1.2e3 * v * m.MemWeight
+	case metrics.IdxXenCPU:
+		return clampMax(100*v/c.PerUnitClients, 100)
+	case metrics.IdxXenMem:
+		return 2.5e5 + 500*v*m.MemWeight
+	case metrics.IdxXenNetTx:
+		return 40 * v
+	case metrics.IdxXenNetRx:
+		return 45 * v
+	case metrics.IdxXenVBDRd:
+		return 20 * v * m.ReadFraction * m.IOWeight
+	case metrics.IdxXenVBDWr:
+		return 25 * v * write * m.IOWeight
+	}
+	return background(i)
 }
 
 // MaxAllocation implements Service: 10 large instances.

@@ -71,40 +71,54 @@ func (r *RUBiS) Perf(w Workload, capacity float64) Perf {
 	return Perf{LatencyMs: lat, QoSPercent: 100, Utilization: rho}
 }
 
-// MetricRates implements Service: the legacy map API, a thin adapter
-// over the dense MetricRatesInto path.
-func (r *RUBiS) MetricRates(w Workload, instances int) map[metrics.Event]float64 {
-	return ratesMap(r, w, instances)
+// MetricRatesAt implements Service.
+func (r *RUBiS) MetricRatesAt(w Workload, instances int, idx []int, dst []float64) {
+	v := perInstance(w, instances)
+	for k, i := range idx {
+		dst[k] = r.rate(i, v, &w.Mix)
+	}
 }
 
-// MetricRatesInto implements Service. The mapping is built so that the
-// eight Table 1 counters carry the workload information: CPU
-// (cpu_clk_unhalted), cache (l2_ads, l2_reject_busq, l2_st), memory
-// (load_block, store_block, page_walks), and the bus queue
-// (busq_empty).
-func (r *RUBiS) MetricRatesInto(w Workload, instances int, dst *metrics.Rates) {
-	n := float64(validateInstances(instances))
-	v := w.Clients / n
-	m := w.Mix
-	baseRatesInto(dst)
-
+// rate is one event's rate at per-instance volume v under mix m. The
+// mapping is built so that the eight Table 1 counters carry the
+// workload information: CPU (cpu_clk_unhalted), cache (l2_ads,
+// l2_reject_busq, l2_st), memory (load_block, store_block,
+// page_walks), and the bus queue (busq_empty).
+func (r *RUBiS) rate(i int, v float64, m *Mix) float64 {
 	write := 1 - m.ReadFraction
-	dst.Set(idxCPUClk, 1.8e6*v*m.CPUWeight+9e6)
-	dst.Set(idxL2Ads, 2e4*v*m.MemWeight)
-	dst.Set(idxL2Reject, 12*v*v*m.MemWeight)
-	dst.Set(idxL2St, 4e4*v*write*m.MemWeight)
-	dst.Set(idxLoadBlock, 2.5e4*v*m.ReadFraction*m.MemWeight)
-	dst.Set(idxStoreBlock, 3e4*v*write*m.MemWeight)
-	dst.Set(idxPageWalks, 1.5e4*v*m.MemWeight)
-	dst.Set(idxBusqEmpty, clampMin(6e6-4e4*v*m.CPUWeight, 0))
-	dst.Set(idxFlops, 8e3*v*m.FPWeight)
-
-	dst.Set(idxXenCPU, clampMax(100*v/r.PerUnitClients, 100))
-	dst.Set(idxXenMem, 2e5+400*v*m.MemWeight)
-	dst.Set(idxXenNetTx, 60*v)
-	dst.Set(idxXenNetRx, 25*v)
-	dst.Set(idxXenVBDRd, 30*v*m.ReadFraction*m.IOWeight)
-	dst.Set(idxXenVBDWr, 15*v*write*m.IOWeight)
+	switch i {
+	case metrics.IdxCPUClkUnhalt:
+		return 1.8e6*v*m.CPUWeight + 9e6
+	case metrics.IdxL2Ads:
+		return 2e4 * v * m.MemWeight
+	case metrics.IdxL2RejectBusq:
+		return 12 * v * v * m.MemWeight
+	case metrics.IdxL2St:
+		return 4e4 * v * write * m.MemWeight
+	case metrics.IdxLoadBlock:
+		return 2.5e4 * v * m.ReadFraction * m.MemWeight
+	case metrics.IdxStoreBlock:
+		return 3e4 * v * write * m.MemWeight
+	case metrics.IdxPageWalks:
+		return 1.5e4 * v * m.MemWeight
+	case metrics.IdxBusqEmpty:
+		return clampMin(6e6-4e4*v*m.CPUWeight, 0)
+	case metrics.IdxFlopsRate:
+		return 8e3 * v * m.FPWeight
+	case metrics.IdxXenCPU:
+		return clampMax(100*v/r.PerUnitClients, 100)
+	case metrics.IdxXenMem:
+		return 2e5 + 400*v*m.MemWeight
+	case metrics.IdxXenNetTx:
+		return 60 * v
+	case metrics.IdxXenNetRx:
+		return 25 * v
+	case metrics.IdxXenVBDRd:
+		return 30 * v * m.ReadFraction * m.IOWeight
+	case metrics.IdxXenVBDWr:
+		return 15 * v * write * m.IOWeight
+	}
+	return background(i)
 }
 
 // MaxAllocation implements Service.

@@ -103,18 +103,13 @@ type Service interface {
 	// Perf returns steady-state performance for a workload served by
 	// the given effective capacity (in large-instance units).
 	Perf(w Workload, capacity float64) Perf
-	// MetricRates returns the true per-second low-level event rates
-	// observed on ONE instance when the workload is spread over the
-	// given number of instances. The DejaVu profiler samples these
-	// through a metrics.Monitor. This is the legacy map API; the hot
-	// path uses MetricRatesInto.
-	MetricRates(w Workload, instances int) map[metrics.Event]float64
-	// MetricRatesInto is the allocation-free fast path of MetricRates:
-	// it writes the same rates into a caller-provided dense vector
-	// (indexed by metrics.Index). Implementations must produce values
-	// exactly equal to MetricRates — the dense/map property test
-	// enforces bit-equality.
-	MetricRatesInto(w Workload, instances int, dst *metrics.Rates)
+	// MetricRatesAt writes the true per-second rate of the event at
+	// dense index idx[k] (metrics.Index; below 0 reads 0) into dst[k],
+	// as observed on ONE instance when the workload is spread over the
+	// given number of instances (≤ 0 reads as one). The profiler reads
+	// the whole catalog while learning and the signature's few events
+	// at runtime; neither changes the other's rates.
+	MetricRatesAt(w Workload, instances int, idx []int, dst []float64)
 	// MaxAllocation is the full-capacity configuration — DejaVu's
 	// fallback for unclassifiable workloads and the paper's
 	// fixed overprovisioning baseline.
@@ -186,26 +181,12 @@ type ProfileSource struct {
 	Instances int
 }
 
-// Rates implements metrics.Source.
-func (p *ProfileSource) Rates() map[metrics.Event]float64 {
-	n := p.Instances
-	if n <= 0 {
-		n = 1
-	}
-	return p.Service.MetricRates(p.Workload, n)
+// RatesAt implements metrics.Source.
+func (p *ProfileSource) RatesAt(idx []int, dst []float64) {
+	p.Service.MetricRatesAt(p.Workload, p.Instances, idx, dst)
 }
 
-// RatesInto implements metrics.VectorSource, the allocation-free path
-// the Monitor samples through at runtime.
-func (p *ProfileSource) RatesInto(dst *metrics.Rates) {
-	n := p.Instances
-	if n <= 0 {
-		n = 1
-	}
-	p.Service.MetricRatesInto(p.Workload, n, dst)
-}
-
-var _ metrics.VectorSource = (*ProfileSource)(nil)
+var _ metrics.Source = (*ProfileSource)(nil)
 
 // fillerRate gives synthetic filler events a fixed, workload-independent
 // background rate derived from the event name, so they are stable but
@@ -231,52 +212,19 @@ func init() {
 	}
 }
 
-// baseRatesInto starts a dense reading with every event at its
-// background rate; services then overwrite the informative events.
-func baseRatesInto(dst *metrics.Rates) {
-	dst.SetAll(baseVector)
-}
-
-// ratesMap adapts the dense MetricRatesInto path to the legacy
-// map-returning MetricRates API — one implementation of the rate
-// formulas, two views of the result.
-func ratesMap(s Service, w Workload, instances int) map[metrics.Event]float64 {
-	r := metrics.NewRates()
-	s.MetricRatesInto(w, instances, r)
-	return r.ToMap()
-}
-
-// Dense indices of the informative events, resolved once so the
-// MetricRatesInto implementations address the rate vector directly.
-var (
-	idxFlops       = metrics.MustIndex(metrics.EvFlopsRate)
-	idxCPUClk      = metrics.MustIndex(metrics.EvCPUClkUnhalt)
-	idxL2Ads       = metrics.MustIndex(metrics.EvL2Ads)
-	idxL2Reject    = metrics.MustIndex(metrics.EvL2RejectBusq)
-	idxL2St        = metrics.MustIndex(metrics.EvL2St)
-	idxLoadBlock   = metrics.MustIndex(metrics.EvLoadBlock)
-	idxStoreBlock  = metrics.MustIndex(metrics.EvStoreBlock)
-	idxPageWalks   = metrics.MustIndex(metrics.EvPageWalks)
-	idxBusqEmpty   = metrics.MustIndex(metrics.EvBusqEmpty)
-	idxL1DRepl     = metrics.MustIndex(metrics.EvL1DRepl)
-	idxDTLBMiss    = metrics.MustIndex(metrics.EvDTLBMiss)
-	idxInstRetired = metrics.MustIndex(metrics.EvInstRetired)
-	idxBrInst      = metrics.MustIndex(metrics.EvBrInstRetired)
-	idxBrMisp      = metrics.MustIndex(metrics.EvBrMispredict)
-	idxL2Lines     = metrics.MustIndex(metrics.EvL2Lines)
-	idxXenCPU      = metrics.MustIndex(metrics.EvXenCPU)
-	idxXenMem      = metrics.MustIndex(metrics.EvXenMem)
-	idxXenNetTx    = metrics.MustIndex(metrics.EvXenNetTx)
-	idxXenNetRx    = metrics.MustIndex(metrics.EvXenNetRx)
-	idxXenVBDRd    = metrics.MustIndex(metrics.EvXenVBDRd)
-	idxXenVBDWr    = metrics.MustIndex(metrics.EvXenVBDWr)
-)
-
-func validateInstances(instances int) int {
-	if instances <= 0 {
-		return 1
+// background is an event's rate when the workload does not drive it:
+// every service returns it for its uninformative events.
+func background(i int) float64 {
+	if i < 0 {
+		return 0
 	}
-	return instances
+	return baseVector[i]
+}
+
+// perInstance is w's volume on one of instances (≤ 0 reads as one):
+// the v every rate formula reads.
+func perInstance(w Workload, instances int) float64 {
+	return w.Clients / float64(max(instances, 1))
 }
 
 // String renders a workload compactly for logs.

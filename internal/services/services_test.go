@@ -159,7 +159,7 @@ func TestRequiredCapacityUnmeetable(t *testing.T) {
 
 func TestMetricRatesCoverCatalog(t *testing.T) {
 	for _, s := range allServices() {
-		rates := s.MetricRates(Workload{Clients: 100, Mix: s.DefaultMix()}, 2)
+		rates := catalogRates(s, Workload{Clients: 100, Mix: s.DefaultMix()}, 2)
 		for _, ev := range metrics.AllEvents() {
 			v, ok := rates[ev]
 			if !ok {
@@ -177,8 +177,8 @@ func TestMetricRatesScaleWithVolume(t *testing.T) {
 	// rates at 2x the volume must be clearly larger.
 	for _, s := range allServices() {
 		mix := s.DefaultMix()
-		lo := s.MetricRates(Workload{Clients: 100, Mix: mix}, 2)
-		hi := s.MetricRates(Workload{Clients: 200, Mix: mix}, 2)
+		lo := catalogRates(s, Workload{Clients: 100, Mix: mix}, 2)
+		hi := catalogRates(s, Workload{Clients: 200, Mix: mix}, 2)
 		grew := 0
 		for _, ev := range metrics.AllEvents() {
 			if hi[ev] > lo[ev]*1.5 {
@@ -195,8 +195,8 @@ func TestMetricRatesSeparateMixes(t *testing.T) {
 	// Workload *type* changes must move some counters (the paper:
 	// signatures identify workloads differing in read/write ratio).
 	c := NewCassandra()
-	a := c.MetricRates(Workload{Clients: 200, Mix: c.DefaultMix()}, 2)
-	b := c.MetricRates(Workload{Clients: 200, Mix: c.ReadMostlyMix()}, 2)
+	a := catalogRates(c, Workload{Clients: 200, Mix: c.DefaultMix()}, 2)
+	b := catalogRates(c, Workload{Clients: 200, Mix: c.ReadMostlyMix()}, 2)
 	if !(b[metrics.EvLoadBlock] > a[metrics.EvLoadBlock]) {
 		t.Error("read-mostly mix should raise load_block")
 	}
@@ -209,8 +209,8 @@ func TestMetricRatesPerInstanceNormalization(t *testing.T) {
 	// Doubling the fleet halves per-instance volume-driven rates.
 	c := NewCassandra()
 	mix := c.DefaultMix()
-	one := c.MetricRates(Workload{Clients: 400, Mix: mix}, 2)
-	two := c.MetricRates(Workload{Clients: 400, Mix: mix}, 4)
+	one := catalogRates(c, Workload{Clients: 400, Mix: mix}, 2)
+	two := catalogRates(c, Workload{Clients: 400, Mix: mix}, 4)
 	if !(two[metrics.EvFlopsRate] < one[metrics.EvFlopsRate]) {
 		t.Error("per-instance flops should drop when instances double")
 	}
@@ -222,7 +222,7 @@ func TestMetricRatesPerInstanceNormalization(t *testing.T) {
 
 func TestMetricRatesZeroInstancesGuard(t *testing.T) {
 	c := NewCassandra()
-	rates := c.MetricRates(Workload{Clients: 100, Mix: c.DefaultMix()}, 0)
+	rates := catalogRates(c, Workload{Clients: 100, Mix: c.DefaultMix()}, 0)
 	if rates[metrics.EvFlopsRate] <= 0 {
 		t.Error("zero instances should be treated as one")
 	}
@@ -230,8 +230,8 @@ func TestMetricRatesZeroInstancesGuard(t *testing.T) {
 
 func TestFillerEventsWorkloadIndependent(t *testing.T) {
 	c := NewCassandra()
-	a := c.MetricRates(Workload{Clients: 50, Mix: c.DefaultMix()}, 2)
-	b := c.MetricRates(Workload{Clients: 500, Mix: c.ReadMostlyMix()}, 2)
+	a := catalogRates(c, Workload{Clients: 50, Mix: c.DefaultMix()}, 2)
+	b := catalogRates(c, Workload{Clients: 500, Mix: c.ReadMostlyMix()}, 2)
 	filler := metrics.Event("uops_retired")
 	if a[filler] != b[filler] {
 		t.Error("filler events must not respond to workload")
@@ -240,13 +240,16 @@ func TestFillerEventsWorkloadIndependent(t *testing.T) {
 
 func TestProfileSource(t *testing.T) {
 	c := NewCassandra()
+	flops := []int{metrics.IdxFlopsRate}
+	got := []float64{0}
 	src := ProfileSource{Service: c, Workload: Workload{Clients: 100, Mix: c.DefaultMix()}, Instances: 2}
-	rates := src.Rates()
-	if rates[metrics.EvFlopsRate] <= 0 {
+	src.RatesAt(flops, got)
+	if got[0] <= 0 {
 		t.Error("ProfileSource should expose service rates")
 	}
 	zero := ProfileSource{Service: c, Workload: Workload{Clients: 100, Mix: c.DefaultMix()}}
-	if zero.Rates()[metrics.EvFlopsRate] <= 0 {
+	zero.RatesAt(flops, got)
+	if got[0] <= 0 {
 		t.Error("ProfileSource with 0 instances should default to 1")
 	}
 }

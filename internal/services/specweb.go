@@ -85,39 +85,53 @@ func (s *SPECWeb) Perf(w Workload, capacity float64) Perf {
 	return Perf{LatencyMs: lat, QoSPercent: qos, Utilization: rho}
 }
 
-// MetricRates implements Service: the legacy map API, a thin adapter
-// over the dense MetricRatesInto path.
-func (s *SPECWeb) MetricRates(w Workload, instances int) map[metrics.Event]float64 {
-	return ratesMap(s, w, instances)
+// MetricRatesAt implements Service.
+func (s *SPECWeb) MetricRatesAt(w Workload, instances int, idx []int, dst []float64) {
+	v := perInstance(w, instances)
+	for k, i := range idx {
+		dst[k] = s.rate(i, v, &w.Mix)
+	}
 }
 
-// MetricRatesInto implements Service. The support workload is I/O- and
-// network-heavy, so the disk and network events dominate its
-// signature; the FP-heavy banking mix lights up the flops counter
-// instead (Fig. 4a).
-func (s *SPECWeb) MetricRatesInto(w Workload, instances int, dst *metrics.Rates) {
-	n := float64(validateInstances(instances))
-	v := w.Clients / n
-	m := w.Mix
-	baseRatesInto(dst)
-
+// rate is one event's rate at per-instance volume v under mix m. The
+// support workload is I/O- and network-heavy, so the disk and network
+// events dominate its signature; the FP-heavy banking mix lights up
+// the flops counter instead (Fig. 4a).
+func (s *SPECWeb) rate(i int, v float64, m *Mix) float64 {
 	write := 1 - m.ReadFraction
-	dst.Set(idxFlops, 2e4*v*m.FPWeight)
-	dst.Set(idxCPUClk, 1.5e6*v*m.CPUWeight+8e6)
-	dst.Set(idxInstRetired, 1e6*v*m.CPUWeight)
-	dst.Set(idxBrInst, 2e5*v*m.CPUWeight)
-	dst.Set(idxBrMisp, 4e3*v*m.CPUWeight)
-	dst.Set(idxL2Lines, 3e4*v*m.MemWeight)
-	dst.Set(idxLoadBlock, 2e4*v*m.ReadFraction*m.MemWeight)
-	dst.Set(idxStoreBlock, 2e4*v*write*m.MemWeight)
-	dst.Set(idxPageWalks, 1e4*v*m.MemWeight)
-
-	dst.Set(idxXenCPU, clampMax(100*v/s.PerUnitClients, 100))
-	dst.Set(idxXenMem, 3e5+300*v*m.MemWeight)
-	dst.Set(idxXenNetTx, 400*v*m.IOWeight) // large downloads
-	dst.Set(idxXenNetRx, 30*v)
-	dst.Set(idxXenVBDRd, 80*v*m.ReadFraction*m.IOWeight)
-	dst.Set(idxXenVBDWr, 8*v*write*m.IOWeight)
+	switch i {
+	case metrics.IdxFlopsRate:
+		return 2e4 * v * m.FPWeight
+	case metrics.IdxCPUClkUnhalt:
+		return 1.5e6*v*m.CPUWeight + 8e6
+	case metrics.IdxInstRetired:
+		return 1e6 * v * m.CPUWeight
+	case metrics.IdxBrInstRetired:
+		return 2e5 * v * m.CPUWeight
+	case metrics.IdxBrMispredict:
+		return 4e3 * v * m.CPUWeight
+	case metrics.IdxL2Lines:
+		return 3e4 * v * m.MemWeight
+	case metrics.IdxLoadBlock:
+		return 2e4 * v * m.ReadFraction * m.MemWeight
+	case metrics.IdxStoreBlock:
+		return 2e4 * v * write * m.MemWeight
+	case metrics.IdxPageWalks:
+		return 1e4 * v * m.MemWeight
+	case metrics.IdxXenCPU:
+		return clampMax(100*v/s.PerUnitClients, 100)
+	case metrics.IdxXenMem:
+		return 3e5 + 300*v*m.MemWeight
+	case metrics.IdxXenNetTx:
+		return 400 * v * m.IOWeight // large downloads
+	case metrics.IdxXenNetRx:
+		return 30 * v
+	case metrics.IdxXenVBDRd:
+		return 80 * v * m.ReadFraction * m.IOWeight
+	case metrics.IdxXenVBDWr:
+		return 8 * v * write * m.IOWeight
+	}
+	return background(i)
 }
 
 // MaxAllocation implements Service: every instance extra-large.

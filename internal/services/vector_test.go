@@ -1,6 +1,7 @@
 package services
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -26,56 +27,95 @@ func vectorTestCases() []struct {
 	}
 }
 
-// TestMetricRatesDenseMatchesMap is the property test for the
-// dense/map contract: for every service × mix × instance count ×
-// load, the legacy MetricRates map view must be EXACTLY equal
-// (bit-for-bit, not approximately) to the dense MetricRatesInto
-// reading at every catalog event — covering the adapter, the dense
-// indexing, and the full-catalog coverage invariant in one sweep.
-func TestMetricRatesDenseMatchesMap(t *testing.T) {
+// catalogIdx is every dense index in order: a full-catalog read.
+func catalogIdx() []int {
+	idx := make([]int, metrics.NumEvents())
+	for i := range idx {
+		idx[i] = i
+	}
+	return idx
+}
+
+// catalogRates is a full-catalog read keyed by event, for assertions.
+func catalogRates(s Service, w Workload, instances int) map[metrics.Event]float64 {
+	dst := make([]float64, metrics.NumEvents())
+	s.MetricRatesAt(w, instances, catalogIdx(), dst)
+	out := make(map[metrics.Event]float64, len(dst))
+	for i, r := range dst {
+		out[metrics.EventAt(i)] = r
+	}
+	return out
+}
+
+// TestMetricRatesAtMatchesCatalogRead is the property test for the
+// indexed read: for every service × mix × load × instance count, any
+// index subset in any order — each single index, random subsets,
+// permutations of the whole catalog, indices outside it — reads
+// exactly (bit for bit) the matching entries of the full-catalog read,
+// and an index outside the catalog reads 0. The runtime reads a
+// signature's one or two events; learning reads everything; both must
+// see the same rates.
+func TestMetricRatesAtMatchesCatalogRead(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	events := metrics.AllEvents()
-	dst := metrics.NewRates()
+	all := catalogIdx()
+	n := len(all)
+	full := make([]float64, n)
+	dst := make([]float64, n+1)
+	check := func(svc Service, w Workload, instances int, idx []int) {
+		t.Helper()
+		for k := range dst {
+			dst[k] = math.NaN() // an entry the read skips shows up
+		}
+		svc.MetricRatesAt(w, instances, idx, dst[:len(idx)])
+		for k, i := range idx {
+			want := 0.0
+			if i >= 0 {
+				want = full[i]
+			}
+			if math.Float64bits(dst[k]) != math.Float64bits(want) {
+				t.Fatalf("%s mix=%s clients=%v n=%d idx=%v: entry %d (index %d) = %v, full read %v",
+					svc.Name(), w.Mix.Name, w.Clients, instances, idx, k, i, dst[k], want)
+			}
+		}
+	}
 	for _, tc := range vectorTestCases() {
 		for _, mix := range tc.mixes {
-			for _, instances := range []int{-3, 0, 1, 2, 5, 10} {
-				for trial := 0; trial < 8; trial++ {
-					clients := rng.Float64() * 1200
+			for _, clients := range []float64{0, 1, 37.5, 250, 1200, rng.Float64() * 900} {
+				for _, instances := range []int{0, 1, 2, 7} {
 					w := Workload{Clients: clients, Mix: mix}
-					legacy := tc.svc.MetricRates(w, instances)
-					tc.svc.MetricRatesInto(w, instances, dst)
-					if len(legacy) != len(events) {
-						t.Fatalf("%s: legacy map has %d events, catalog %d", tc.svc.Name(), len(legacy), len(events))
+					tc.svc.MetricRatesAt(w, instances, all, full)
+					for i := range all {
+						check(tc.svc, w, instances, all[i:i+1])
 					}
-					for _, ev := range events {
-						got := dst.At(metrics.Index(ev))
-						want := legacy[ev]
-						if got != want {
-							t.Fatalf("%s mix=%s n=%d clients=%v: event %s dense=%v map=%v",
-								tc.svc.Name(), mix.Name, instances, clients, ev, got, want)
-						}
+					for trial := 0; trial < 8; trial++ {
+						perm := rng.Perm(n)
+						check(tc.svc, w, instances, perm)
+						check(tc.svc, w, instances, perm[:1+rng.Intn(n)])
 					}
+					check(tc.svc, w, instances, []int{-1, all[n-1], -1, all[0]})
+					check(tc.svc, w, instances, nil)
 				}
 			}
 		}
 	}
 }
 
-// TestProfileSourceVectorMatchesMap checks the Source adapter the
-// Monitor reads through.
-func TestProfileSourceVectorMatchesMap(t *testing.T) {
+// TestProfileSourceRatesAt: the Source the Monitor reads through is
+// the service's own read, with zero instances read as one.
+func TestProfileSourceRatesAt(t *testing.T) {
+	idx := catalogIdx()
+	got := make([]float64, len(idx))
+	want := make([]float64, len(idx))
 	for _, tc := range vectorTestCases() {
-		src := &ProfileSource{
-			Service:   tc.svc,
-			Workload:  Workload{Clients: 333, Mix: tc.mixes[0]},
-			Instances: 4,
-		}
-		legacy := src.Rates()
-		dst := metrics.NewRates()
-		src.RatesInto(dst)
-		for ev, want := range legacy {
-			if got := dst.At(metrics.Index(ev)); got != want {
-				t.Fatalf("%s: event %s dense=%v map=%v", tc.svc.Name(), ev, got, want)
+		w := Workload{Clients: 333, Mix: tc.mixes[0]}
+		for _, instances := range []int{0, 4} {
+			src := &ProfileSource{Service: tc.svc, Workload: w, Instances: instances}
+			src.RatesAt(idx, got)
+			tc.svc.MetricRatesAt(w, max(instances, 1), idx, want)
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("%s n=%d: event %s source %v, service %v", tc.svc.Name(), instances, metrics.EventAt(i), got[i], want[i])
+				}
 			}
 		}
 	}

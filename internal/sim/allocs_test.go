@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/baseline"
+	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -18,8 +19,10 @@ import (
 // discarding run costs the same allocations for an hour as for a day,
 // stepped every minute (a baseline under host interference) or in
 // spans (DejaVu with both reactions off, no interference). The DejaVu
-// case runs a flat load, so it decides once however long the run: each
-// decision's Apply boxes the pending allocation in the deployment.
+// case runs a flat load, so it decides once however long the run, and
+// what a decision allocates (the controller's adaptation log, sized on
+// the first one) is the same for an hour as for a day. Applying the
+// decision allocates nothing (cloud's TestDeploymentApplyZeroAlloc).
 func TestRunStepLoopAllocs(t *testing.T) {
 	k := newVMKits(t)[0]
 	flat := &trace.Trace{Step: time.Hour, Loads: make([]float64, 24)}
@@ -37,7 +40,7 @@ func TestRunStepLoopAllocs(t *testing.T) {
 			func() sim.Controller { return baseline.NewFixedMax(k.spec.Service) }},
 		{"dejavu, spans", flat, nil, nil, func() sim.Controller { return k.controllerWith(t, false, false) }},
 	} {
-		allocs := func(hours int) float64 {
+		run := func(hours int) func() {
 			tr, err := c.run.Slice(0, hours)
 			if err != nil {
 				t.Fatal(err)
@@ -45,15 +48,16 @@ func TestRunStepLoopAllocs(t *testing.T) {
 			cfg := k.config(nil)
 			cfg.Trace, cfg.MixShifts, cfg.Interference = tr, c.shifts, c.interference
 			cfg.DiscardRecords = true
-			return testing.AllocsPerRun(20, func() {
+			return func() {
 				cfg.Controller = c.controller() // fresh: a controller's state is per run
 				if _, err := sim.Run(cfg); err != nil {
 					t.Fatal(err)
 				}
-			})
+			}
 		}
-		if hour, day := allocs(1), allocs(24); hour != day {
+		if hour, day := testing.AllocsPerRun(20, run(1)), testing.AllocsPerRun(20, run(24)); hour != day {
 			t.Errorf("%s: allocations grow with the step count: %v for 60 steps, %v for 1440", c.name, hour, day)
+			t.Log(obs.AllocSites(20, run(24)))
 		}
 	}
 }

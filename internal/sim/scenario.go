@@ -112,7 +112,9 @@ type VMSpec struct {
 	// JoinAt and LeaveAt bound the VM's membership window in
 	// fleet-absolute run time: the VM starts stepping at JoinAt and is
 	// preempted at LeaveAt. Zero JoinAt means present from the start;
-	// zero LeaveAt means it stays to the end.
+	// zero LeaveAt means it stays to the end. Both must be whole
+	// multiples of RunTrace.Step: the fleet cuts the window in whole
+	// trace samples and refuses one off that grid.
 	JoinAt, LeaveAt time.Duration
 	// Seed drives the VM's private randomness (profiling noise).
 	Seed int64

@@ -3,6 +3,8 @@ package wire
 import (
 	"math/rand"
 	"testing"
+
+	"repro/internal/obs"
 )
 
 // benchBatch builds the canonical 16×6 lookup batch (the serve
@@ -99,7 +101,7 @@ func TestBinaryCodecZeroAlloc(t *testing.T) {
 	if err := scratchResp.DecodeBinary(respBin); err != nil {
 		t.Fatal(err)
 	}
-	if allocs := testing.AllocsPerRun(200, func() {
+	roundTrip := func() {
 		var err error
 		if buf, err = req.AppendBinary(buf[:0]); err != nil {
 			t.Fatal(err)
@@ -111,7 +113,9 @@ func TestBinaryCodecZeroAlloc(t *testing.T) {
 		if err := scratchResp.DecodeBinary(respBin); err != nil {
 			t.Fatal(err)
 		}
-	}); allocs != 0 {
+	}
+	if allocs := testing.AllocsPerRun(200, roundTrip); allocs != 0 {
 		t.Errorf("binary codec allocates %.1f times per batch round trip, want 0", allocs)
+		t.Log(obs.AllocSites(200, roundTrip))
 	}
 }

@@ -6,6 +6,8 @@ import (
 	"io"
 	"strings"
 	"testing"
+
+	"repro/internal/obs"
 )
 
 // pipeBuf is an in-memory ReadWriter: reads drain from R, writes land
@@ -319,6 +321,7 @@ func TestStreamZeroAllocSteadyState(t *testing.T) {
 		}
 		if allocs := testing.AllocsPerRun(200, roundTrip); allocs != 0 {
 			t.Errorf("%s envelope round trip allocates %.1f times, want 0", name, allocs)
+			t.Log(obs.AllocSites(200, roundTrip))
 		}
 	}
 }
