@@ -77,6 +77,10 @@ type Controller struct {
 	sigEvents  []metrics.Event
 	sigScratch Signature
 
+	// roundOpen marks a profiling round parked at its lookup: the
+	// sample and bucket are taken, and the re-call only looks up again.
+	roundOpen bool
+
 	lastProfile          time.Duration
 	lastDecision         time.Duration
 	currentClass         int
@@ -145,7 +149,9 @@ func (c *Controller) Name() string { return "dejavu" }
 // the steps on which it would return at once: in a transition it sleeps
 // until the settle re-wakes it; otherwise until the next periodic round
 // and, when on-demand profiling or interference detection can react to
-// one, any SLO violation before that.
+// one, any SLO violation before that. When the source's Lookup returns
+// ErrParked, Step parks the round (sim.ErrParked); the engine's
+// re-call with the same observation finishes it.
 func (c *Controller) Step(obs *sim.Observation) (sim.Action, error) {
 	if obs.InTransition {
 		return sim.Action{Wake: 1 << 62}, nil
@@ -159,7 +165,9 @@ func (c *Controller) Step(obs *sim.Observation) (sim.Action, error) {
 	onDemand := c.cfg.OnDemandProfiling && obs.SLOViolated &&
 		obs.Now-c.lastProfile >= c.cfg.OnDemandCooldown &&
 		obs.Now-c.lastDecision >= c.cfg.OnDemandCooldown
-	if periodic || onDemand {
+	// A parked round's re-call comes with the same observation, and
+	// finishes the round.
+	if periodic || onDemand || c.roundOpen {
 		c.lastProfile = obs.Now
 		act, err := c.profileAndReuse(obs)
 		return c.sleep(act), err
@@ -185,20 +193,26 @@ func (c *Controller) sleep(act sim.Action) sim.Action {
 }
 
 // profileAndReuse collects a signature, classifies it, and reuses the
-// cached allocation.
+// cached allocation. A parked lookup leaves the round open: the
+// re-call only looks the same signature up again, without sampling
+// (the profiler's rng draws once per round) or re-estimating the
+// bucket.
 func (c *Controller) profileAndReuse(obs *sim.Observation) (sim.Action, error) {
-	if err := c.cfg.Profiler.ProfileInto(obs.Workload, c.sigEvents, c.cfg.Profiler.Window, &c.sigScratch); err != nil {
-		return sim.Action{}, fmt.Errorf("core: runtime profiling: %w", err)
+	if !c.roundOpen {
+		if err := c.cfg.Profiler.ProfileInto(obs.Workload, c.sigEvents, c.cfg.Profiler.Window, &c.sigScratch); err != nil {
+			return sim.Action{}, fmt.Errorf("core: runtime profiling: %w", err)
+		}
+		// Track the current interference level so the lookup lands in
+		// the right bucket even across workload-class changes.
+		if c.cfg.InterferenceDetection {
+			c.currentBucket = c.estimateBucket(obs)
+		}
 	}
-	sig := &c.sigScratch
 
-	// Track the current interference level so the lookup lands in
-	// the right bucket even across workload-class changes.
-	if c.cfg.InterferenceDetection {
-		c.currentBucket = c.estimateBucket(obs)
+	res, err := c.src.Lookup(&c.sigScratch, c.currentBucket)
+	if c.roundOpen = err == ErrParked; c.roundOpen {
+		return sim.Action{}, sim.ErrParked
 	}
-
-	res, err := c.src.Lookup(sig, c.currentBucket)
 	if err != nil {
 		return sim.Action{}, err
 	}

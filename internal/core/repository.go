@@ -53,7 +53,7 @@ func BucketForFraction(fraction float64) int {
 // centroids, novelty radii — are immutable after construction, so
 // Classify runs lock-free; the allocation entries are an immutable map
 // behind an atomic pointer, copied on Put, so Get is one atomic load
-// and a map read; and the hit/miss statistics are sharded atomics.
+// and a map read; and the hit/miss statistics are atomic counters.
 type Repository struct {
 	// events is the signature metric tuple (ordered).
 	events []metrics.Event
@@ -83,10 +83,8 @@ type Repository struct {
 	// calls stay allocation-free; entries are *[]float64 of signature
 	// width.
 	rowPool sync.Pool
-	// stats: cache-line-sharded counters, so the per-lookup count from
-	// tens of thousands of concurrent controllers never rendezvouses on
-	// one cache line (a plain atomic here was a measurable share of the
-	// scale benchmarks' cross-core traffic).
+	// stats: one atomic add per lookup, each counter on its own cache
+	// line.
 	hits, misses obs.Counter
 }
 

@@ -25,11 +25,10 @@ import (
 // re-running them.
 //
 // The steady state at fleet scale is every tenant hitting a fully warm
-// cache, so the lookup path takes only a read lock and counts through
-// cache-line-sharded counters — thousands of concurrent controllers
-// sharing one template never serialize on a write lock or rendezvous
-// on one counter line. Misses (rare, and each worth minutes of tuning)
-// pay for the write lock.
+// cache, so the lookup path takes only a read lock and one atomic
+// counter add — concurrent controllers sharing one template never
+// serialize on a write lock. Misses (rare, and each worth minutes of
+// tuning) pay for the write lock.
 type SharedTuningCache struct {
 	mu      sync.RWMutex
 	entries map[sharedKey]cloud.Allocation

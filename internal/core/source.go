@@ -24,7 +24,8 @@ type DecisionSource interface {
 	// reused across profiling rounds.
 	Events() []metrics.Event
 	// Lookup classifies the signature and fetches the cached
-	// allocation for the interference bucket.
+	// allocation for the interference bucket. A source that answers
+	// later returns ErrParked; see Controller.Step.
 	Lookup(sig *Signature, bucket int) (LookupResult, error)
 	// Get fetches a cached allocation by (class, bucket) without
 	// classification — the interference path's direct probe.
@@ -32,6 +33,14 @@ type DecisionSource interface {
 	// Put stores a tuned allocation for every peer to reuse.
 	Put(class, bucket int, alloc cloud.Allocation) error
 }
+
+// ErrParked is a DecisionSource's "no answer yet" from Lookup, returned
+// as is, never wrapped. The signature's values stay the caller's until
+// it calls Lookup again with the same signature and bucket, which is
+// when the source answers. The fleet's lockstep blocks return it to
+// collect a block's signatures into one frame while every VM's run is
+// parked (sim.ErrParked).
+var ErrParked = errors.New("core: lookup parked")
 
 // BatchSource is the optional batch capability of a DecisionSource
 // whose Lookup pays a fixed per-call cost worth sharing — a wire round

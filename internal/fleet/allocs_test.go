@@ -64,3 +64,21 @@ func TestFleetRunAllocs(t *testing.T) {
 		t.Log(obs.AllocSites(1, fleetRun(t, 200)))
 	}
 }
+
+// TestLockstepAllocs bounds what one VM of a lockstep block allocates,
+// the block's own bookkeeping included (BenchmarkLockstepBlock's
+// allocs/VM).
+func TestLockstepAllocs(t *testing.T) {
+	// Measured 8.45 once the block driver stepped runners on its
+	// worker and reused the block's kits (20.5 with a goroutine per
+	// VM), + 10 %.
+	const maxPerVM = 9.3
+	step, vms := lockstepBlock(t)
+	step() // warm the worker's kit
+	perVM := testing.AllocsPerRun(5, step) / float64(vms)
+	t.Logf("%.2f allocations per VM of a %d-VM block", perVM, vms)
+	if perVM > maxPerVM {
+		t.Errorf("a lockstep block allocates %.2f times per VM, bound %.2f", perVM, maxPerVM)
+		t.Log(obs.AllocSites(1, step))
+	}
+}

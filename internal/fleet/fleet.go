@@ -237,10 +237,12 @@ type templateCtx struct {
 	// stream, its profiler (whose monitor for the signature events is
 	// built once and kept) and its tuner, the copy of proto. A lockstep
 	// block interleaves its VMs, so each of them runs on a context of
-	// its own that shares only memo and proto.
+	// its own that shares only memo and proto: block[k] is member k's,
+	// reused by member k of the worker's next block of the template.
 	rng   *rand.Rand
 	prof  *core.Profiler
 	tuner core.LinearSearchTuner
+	block []templateCtx
 }
 
 // ready readies the kit for spec's VM — the noise stream restarts as
@@ -399,7 +401,7 @@ func learnGroups(cfg *Config) ([]*group, obs.Summary, error) {
 			return nil, obs.Summary{}, fmt.Errorf("fleet: vm %d (%s): run trace step %v must be positive", i, spec.Name, spec.RunTrace.Step)
 		}
 		if step := spec.RunTrace.Step; spec.JoinAt%step != 0 || spec.LeaveAt%step != 0 {
-			// activeTrace cuts whole samples; runVM shifts by JoinAt.
+			// activeTrace cuts whole samples; vmConfig shifts by JoinAt.
 			return nil, obs.Summary{}, fmt.Errorf("fleet: vm %d (%s): membership window [%v, %v) is off its run trace's %v grid", i, spec.Name, spec.JoinAt, spec.LeaveAt, step)
 		}
 		if spec.MixFn != nil && len(spec.MixShifts) == 0 {
@@ -541,8 +543,11 @@ func (p *runPhase) unit(worker int, members []int) {
 	start := time.Now()
 	if len(members) == 1 {
 		i := members[0]
-		g, tc, records := p.setup(worker, i)
-		vr, err := runVM(p.cfg, p.cfg.Specs[i], p.active[i], g, g.source, tc, records)
+		simCfg, err := p.vmConfig(worker, i, nil, 0, 1)
+		var vr *sim.Result
+		if err == nil {
+			vr, err = sim.Run(simCfg)
+		}
 		p.finish(worker, i, vr, err)
 	} else {
 		p.lockstep(worker, members)
@@ -551,18 +556,6 @@ func (p *runPhase) unit(worker int, members []int) {
 	for range members {
 		p.stepDur.Record(share)
 	}
-}
-
-// setup gathers what VM i runs against on worker: its group, the
-// worker's per-template batch state and its step-record slot.
-func (p *runPhase) setup(worker, i int) (*group, *templateCtx, []sim.StepRecord) {
-	spec := &p.cfg.Specs[i]
-	g := p.groups[spec.Service.Name()]
-	var records []sim.StepRecord
-	if !p.cfg.DiscardRecords {
-		records = p.arena.acquire(worker, sim.Steps(p.active[i].Duration(), p.cfg.Step))
-	}
-	return g, workerTemplateCtx(p.wctx, worker, spec.Service, g), records
 }
 
 // finish books VM i's outcome: its error, or its result and bill.
@@ -628,25 +621,38 @@ func learnGroup(cfg Config, g *group, workers int) error {
 	return nil
 }
 
-// runVM simulates one VM against its group's shared repository — in
-// process when src is nil, through src otherwise — filling step
-// records into the caller-provided arena slice. runTrace
-// is the VM's active trace window; when the VM joined mid-run its
+// vmConfig lays VM i out on worker: its step-record slot, its kit and
+// its controller, which decides through src — or, when src is nil, its
+// group's source, which is the in-process repository when that is nil
+// too. The kit is the worker's for the template or, for member k of an
+// n-VM lockstep block (n > 1), the block's k-th; a VM whose service is
+// not exactly its template's builds a private one. Kits are always
+// result-neutral, see templateCtx. When the VM joined mid-run its
 // time-indexed schedules (interference, mix) are shifted so they keep
-// reading fleet-absolute time. tc, when non-nil, is the worker's
-// per-template batch state and VM kit, in use until runVM returns —
-// always result-neutral, see templateCtx; nil builds a private one.
-func runVM(cfg Config, spec sim.VMSpec, runTrace *trace.Trace, g *group, src core.DecisionSource, tc *templateCtx, records []sim.StepRecord) (*sim.Result, error) {
+// reading fleet-absolute time.
+func (p *runPhase) vmConfig(worker, i int, src core.DecisionSource, k, n int) (sim.Config, error) {
+	cfg, spec := p.cfg, &p.cfg.Specs[i]
+	g := p.groups[spec.Service.Name()]
+	var records []sim.StepRecord
+	if !cfg.DiscardRecords {
+		records = p.arena.acquire(worker, sim.Steps(p.active[i].Duration(), cfg.Step))
+	}
+	tc := workerTemplateCtx(p.wctx, worker, spec.Service, g)
 	if tc == nil {
 		tc = new(templateCtx)
+	} else if n > 1 {
+		for len(tc.block) < n { // all n before the first member's address is taken
+			tc.block = append(tc.block, templateCtx{memo: tc.memo, proto: tc.proto})
+		}
+		tc = &tc.block[k]
 	}
-	inner, err := tc.ready(&spec)
+	inner, err := tc.ready(spec)
 	if err != nil {
-		return nil, err
+		return sim.Config{}, err
 	}
 	tuner, err := core.NewSharedTuner(g.cache, spec.Service, inner)
 	if err != nil {
-		return nil, err
+		return sim.Config{}, err
 	}
 	ctlCfg := core.ControllerConfig{
 		Profiler:              tc.prof,
@@ -655,6 +661,9 @@ func runVM(cfg Config, spec sim.VMSpec, runTrace *trace.Trace, g *group, src cor
 		InterferenceDetection: cfg.InterferenceDetection,
 		OnDemandProfiling:     cfg.OnDemandProfiling,
 	}
+	if src == nil {
+		src = g.source
+	}
 	if src != nil {
 		ctlCfg.Source = src
 	} else {
@@ -662,7 +671,7 @@ func runVM(cfg Config, spec sim.VMSpec, runTrace *trace.Trace, g *group, src cor
 	}
 	ctl, err := core.NewController(ctlCfg)
 	if err != nil {
-		return nil, err
+		return sim.Config{}, err
 	}
 	interference := spec.Interference
 	shifts := spec.MixShifts // shared with the spec unless the VM joined mid-run
@@ -677,9 +686,9 @@ func runVM(cfg Config, spec sim.VMSpec, runTrace *trace.Trace, g *group, src cor
 			}
 		}
 	}
-	simCfg := sim.Config{
+	return sim.Config{
 		Service:        spec.Service,
-		Trace:          runTrace,
+		Trace:          p.active[i],
 		Mix:            spec.Mix,
 		MixShifts:      shifts,
 		Controller:     ctl,
@@ -689,6 +698,5 @@ func runVM(cfg Config, spec sim.VMSpec, runTrace *trace.Trace, g *group, src cor
 		Records:        records,
 		DiscardRecords: cfg.DiscardRecords,
 		PerfMemo:       tc.memo,
-	}
-	return sim.Run(simCfg)
+	}, nil
 }

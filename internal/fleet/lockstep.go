@@ -8,7 +8,7 @@ import (
 )
 
 // maxBlock caps a lockstep block: the round-trip floor is amortised
-// 64 ways, and a block's goroutine stacks and parked rows stay small.
+// 64 ways, and a block's parked rows and frames stay small.
 const maxBlock = 64
 
 // lockstepBlocks cuts the template-major order into the units workers
@@ -17,8 +17,7 @@ const maxBlock = 64
 // min(maxBlock, ceil(groupVMs/workers)) — every worker gets a share of
 // even a small template — and a block never spans templates; any other
 // VM is a unit of its own. A fleet with no such template (every
-// in-process fleet) gets nil: no blocks, and no goroutines beyond its
-// workers.
+// in-process fleet) gets nil: no blocks, every VM run straight through.
 func lockstepBlocks(specs []sim.VMSpec, order []int, groups map[string]*group, workers int) []int {
 	var bounds []int
 	batching := false
@@ -44,44 +43,31 @@ func lockstepBlocks(specs []sim.VMSpec, order []int, groups map[string]*group, w
 	return append(bounds, len(order))
 }
 
-// lockstepVM is one VM of a lockstep block and the DecisionSource its
-// controller sees. Its goroutine runs runVM and is runnable only
-// between a resume and its next yield, so a block's VMs and their
-// driver take turns on one worker: Config.Workers still bounds
+// lockstepVM is one VM of a lockstep block: its runner, and the
+// DecisionSource its controller sees. Only the block driver advances
+// the runner, on the worker's goroutine, so Config.Workers still bounds
 // concurrency and the worker's templateCtx keeps a single owner.
 type lockstepVM struct {
 	core.DecisionSource // Events, Get and Put pass straight through
 
-	index  int             // into Config.Specs
-	tc     templateCtx     // the VM's own kit; memo and proto are the worker's
-	resume chan error      // driver → VM: run on (nil), or fail with this
-	yield  chan<- struct{} // VM → driver: parked in Lookup, or finished
+	index int // into Config.Specs
+	run   *sim.Runner
 
-	// The parked lookup. The VM sets row and bucket before it yields;
-	// the driver sets res and clears row before it resumes the VM.
-	row    []float64
-	bucket int
-	res    core.LookupResult
-
-	// Set by the VM's goroutine before its last yield.
-	done   bool
-	result *sim.Result
-	err    error
+	// The parked lookup: Lookup sets row and bucket; the driver sets
+	// res and answered, and clears row.
+	row      []float64
+	bucket   int
+	res      core.LookupResult
+	answered bool
 }
 
-// run is the VM's goroutine: wait for the first turn, simulate, and
-// hand the worker back for good.
-func (vm *lockstepVM) run(simulate func() (*sim.Result, error)) {
-	if vm.err = <-vm.resume; vm.err == nil {
-		vm.result, vm.err = simulate()
-	}
-	vm.done = true
-	vm.yield <- struct{}{}
-}
-
-// Lookup parks the signature with the block driver and yields the
-// worker until the frame carrying it has been answered.
+// Lookup parks the signature with the block driver, and answers the
+// controller's re-call once the frame carrying it has come back.
 func (vm *lockstepVM) Lookup(sig *core.Signature, bucket int) (core.LookupResult, error) {
+	if vm.answered {
+		vm.answered = false
+		return vm.res, nil
+	}
 	if err := sig.Validate(); err != nil {
 		return core.LookupResult{}, err
 	}
@@ -89,55 +75,55 @@ func (vm *lockstepVM) Lookup(sig *core.Signature, bucket int) (core.LookupResult
 		return core.LookupResult{}, fmt.Errorf("fleet: signature width %d, template expects %d", len(sig.Values), want)
 	}
 	vm.row, vm.bucket = sig.Values, bucket
-	vm.yield <- struct{}{}
-	if err := <-vm.resume; err != nil {
-		return core.LookupResult{}, err
-	}
-	return vm.res, nil
+	return core.LookupResult{}, core.ErrParked
 }
 
 // lockstep runs the same-template VMs members as one block: advance
-// every VM to its next Lookup, send one frame per distinct interference
-// bucket among the parked rows, scatter the decisions, and repeat until
-// every VM has finished. The first failure — a VM's own error or a
-// failed frame — aborts the block: every VM still parked (or not yet
-// started) is resumed with the error, so each fails under its own name
-// and every goroutine unwinds before lockstep returns.
+// every VM's runner until its controller parks at a Lookup, send one
+// frame per distinct interference bucket among the parked rows, hand
+// out the decisions, and repeat until every VM has finished. The first
+// failure — a VM's own error or a failed frame — aborts the block:
+// every VM not yet finished fails with it, under its own name.
 func (p *runPhase) lockstep(worker int, members []int) {
 	// lockstepBlocks only blocks groups whose source takes batches.
 	src := p.groups[p.cfg.Specs[members[0]].Service.Name()].source.(core.BatchSource)
-	yield := make(chan struct{})
 	vms := make([]lockstepVM, len(members))
-	live := make([]*lockstepVM, len(members))
-	for k, i := range members {
-		g, tc, records := p.setup(worker, i)
-		vm := &vms[k]
-		*vm = lockstepVM{DecisionSource: src, index: i, resume: make(chan error), yield: yield}
-		if tc != nil {
-			vm.tc.memo, vm.tc.proto = tc.memo, tc.proto
+	live := make([]*lockstepVM, 0, len(members))
+	var abort error
+	fail := func(i int, err error) {
+		p.finish(worker, i, nil, err)
+		if abort == nil {
+			abort = fmt.Errorf("lockstep block aborted: %w", err)
 		}
-		live[k] = vm
-		go vm.run(func() (*sim.Result, error) {
-			return runVM(p.cfg, p.cfg.Specs[vm.index], p.active[vm.index], g, vm, &vm.tc, records)
-		})
+	}
+	for k, i := range members {
+		vm := &vms[k]
+		vm.DecisionSource, vm.index = src, i
+		simCfg, err := p.vmConfig(worker, i, vm, k, len(members))
+		if err == nil {
+			vm.run, err = sim.NewRunner(simCfg)
+		}
+		if err != nil {
+			fail(i, err)
+			continue
+		}
+		live = append(live, vm)
 	}
 
 	frame := make([]*lockstepVM, 0, len(members))
 	rows := make([][]float64, 0, len(members))
 	out := make([]core.LookupResult, len(members))
-	var abort error
 	for len(live) > 0 {
 		parked := live[:0]
 		for _, vm := range live {
-			vm.resume <- abort
-			<-yield
-			if !vm.done {
+			if abort != nil {
+				p.finish(worker, vm.index, nil, abort)
+			} else if ok, err := vm.run.Advance(); ok {
 				parked = append(parked, vm)
-				continue
-			}
-			p.finish(worker, vm.index, vm.result, vm.err)
-			if vm.err != nil && abort == nil {
-				abort = fmt.Errorf("lockstep block aborted: %w", vm.err)
+			} else if err != nil {
+				fail(vm.index, err)
+			} else {
+				p.finish(worker, vm.index, vm.run.Result(), nil)
 			}
 		}
 		live = parked
@@ -159,7 +145,7 @@ func (p *runPhase) lockstep(worker int, members []int) {
 				break
 			}
 			for j, peer := range frame {
-				peer.res, peer.row = out[j], nil
+				peer.res, peer.answered, peer.row = out[j], true, nil
 			}
 		}
 	}

@@ -90,8 +90,10 @@ func (r *repoRows) LookupRows(bucket int, rows [][]float64, out []core.LookupRes
 	if n := r.frames.Add(1); r.failFrom > 0 && n >= r.failFrom {
 		return errors.New("frame lost")
 	}
+	sig := &core.Signature{Events: r.Events()} // one per frame, as a wire decoder's scratch
 	for i, row := range rows {
-		res, err := r.Lookup(&core.Signature{Events: r.Events(), Values: row}, bucket)
+		sig.Values = row
+		res, err := r.Lookup(sig, bucket)
 		if err != nil {
 			return err
 		}
@@ -100,27 +102,71 @@ func (r *repoRows) LookupRows(bucket int, rows [][]float64, out []core.LookupRes
 	return nil
 }
 
-// runLockstepInProcess is Run with every template behind a repoRows
-// source: learn, lay the run phase out in lockstep blocks, drain it.
-func runLockstepInProcess(t *testing.T, cfg Config, failFrom int64) (*runPhase, error) {
-	t.Helper()
+// lockstepPhase learns cfg's templates, puts each behind a repoRows
+// source, and lays the run phase out in lockstep blocks.
+func lockstepPhase(tb testing.TB, cfg Config, failFrom int64) *runPhase {
+	tb.Helper()
 	groups, _, err := learnGroups(&cfg)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	for _, g := range groups {
 		src, err := core.SourceForRepository(g.repo)
 		if err != nil {
-			t.Fatal(err)
+			tb.Fatal(err)
 		}
 		g.source = &repoRows{DecisionSource: src, failFrom: failFrom}
 	}
 	p, err := newRunPhase(cfg, groups)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
+	return p
+}
+
+// runLockstepInProcess is Run with every template behind a repoRows
+// source: learn, lay the run phase out in lockstep blocks, drain it.
+func runLockstepInProcess(t *testing.T, cfg Config, failFrom int64) (*runPhase, error) {
+	t.Helper()
+	p := lockstepPhase(t, cfg, failFrom)
 	p.run()
 	return p, errors.Join(p.errs...)
+}
+
+// lockstepBlock is one full block — maxBlock VMs of the workload-shift
+// template on one worker, records discarded — over repoRows, so no
+// wire is involved: what a block's hand-offs cost on their own. Each
+// call of step runs the block's VM-day again on the worker's warm kit.
+func lockstepBlock(tb testing.TB) (step func(), vms int) {
+	tb.Helper()
+	cfg := Config{Specs: scaleScenario(tb, sim.KindWorkloadShift, maxBlock), Workers: 1, DiscardRecords: true}
+	p := lockstepPhase(tb, cfg, 0)
+	if len(p.blocks) != 2 {
+		tb.Fatalf("blocks %v, want one block of %d", p.blocks, maxBlock)
+	}
+	return func() {
+		p.lockstep(0, p.order)
+		if err := errors.Join(p.errs...); err != nil {
+			tb.Fatal(err)
+		}
+	}, len(p.order)
+}
+
+// BenchmarkLockstepBlock steps one lockstep block over an in-process
+// batch source; ns/VM-day and allocs/VM are per member VM.
+func BenchmarkLockstepBlock(b *testing.B) {
+	step, vms := lockstepBlock(b)
+	step() // warm the worker's kit
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		step()
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*vms), "ns/VM-day")
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(b.N*vms), "allocs/VM")
 }
 
 // compareVMRecords requires every VM's step records to match field for

@@ -12,7 +12,7 @@ import (
 
 // scaleScenario builds a seed-42 fleet of the given kind and size, the
 // same generator call the scale benchmarks use.
-func scaleScenario(t *testing.T, kind sim.ScenarioKind, vms int) []sim.VMSpec {
+func scaleScenario(t testing.TB, kind sim.ScenarioKind, vms int) []sim.VMSpec {
 	t.Helper()
 	specs, err := sim.GenerateScenario(sim.ScenarioConfig{
 		Rng:         rand.New(rand.NewSource(42)),

@@ -15,21 +15,16 @@ import (
 // ~9.2 minutes up.
 const NumBuckets = 40
 
-// histShards bounds write contention the same way counterShards does.
-const histShards = 4
-
 // Histogram is a lock-free log₂-bucketed latency histogram: fixed
 // arrays, atomic adds on the write path, snapshot-on-read. The zero
 // value is ready to use; a Record is two atomic adds (bucket + sum)
-// on one shard and never allocates.
+// and never allocates. Padding on both sides keeps the fields around a
+// histogram off the cache lines its adds write.
 type Histogram struct {
-	shards [histShards]histShard
-}
-
-type histShard struct {
+	_       [56]byte
 	buckets [NumBuckets]atomic.Int64
 	sum     atomic.Int64 // total nanoseconds
-	_       [56]byte     // cache-line pad between shards
+	_       [56]byte
 }
 
 // bucketOf maps a nanosecond value to its log₂ bucket.
@@ -64,25 +59,21 @@ func (h *Histogram) Record(d time.Duration) {
 	if ns < 0 {
 		ns = 0
 	}
-	sh := &h.shards[shardHint()&(histShards-1)]
-	sh.buckets[bucketOf(uint64(ns))].Add(1)
-	sh.sum.Add(ns)
+	h.buckets[bucketOf(uint64(ns))].Add(1)
+	h.sum.Add(ns)
 }
 
-// Snapshot aggregates the shards into one consistent-enough view
+// Snapshot copies the histogram into one consistent-enough view
 // (per-bucket atomic loads; concurrent writers may land between
 // loads — fine for telemetry).
 func (h *Histogram) Snapshot() Snapshot {
 	var s Snapshot
-	for i := range h.shards {
-		sh := &h.shards[i]
-		for b := 0; b < NumBuckets; b++ {
-			n := sh.buckets[b].Load()
-			s.Counts[b] += n
-			s.Count += n
-		}
-		s.SumNS += sh.sum.Load()
+	for b := range h.buckets {
+		n := h.buckets[b].Load()
+		s.Counts[b] = n
+		s.Count += n
 	}
+	s.SumNS = h.sum.Load()
 	return s
 }
 

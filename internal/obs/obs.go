@@ -1,5 +1,5 @@
 // Package obs is the decision plane's zero-allocation instrumentation
-// layer: lock-free sharded counters, log₂-bucketed latency histograms
+// layer: lock-free atomic counters, log₂-bucketed latency histograms
 // (fixed arrays, atomic adds, snapshot-on-read) with a quantile
 // estimator, and a fixed-size per-process trace-span ring.
 //
@@ -19,52 +19,26 @@ import (
 	"strings"
 	"sync/atomic"
 	"time"
-	"unsafe"
 )
 
-// counterShards spreads concurrent Add traffic over independent cache
-// lines. Power of two so the shard index is a mask.
-const counterShards = 8
-
-// shardHint derives a cheap concurrency hint without goroutine-local
-// storage: a goroutine's stack address is stable for the duration of
-// a call and distinct across goroutines, which is all the spread the
-// shard index needs. The shift drops call-depth jitter so one
-// goroutine keeps hitting the same shard (cache-friendly).
-func shardHint() uintptr {
-	var b byte
-	return uintptr(unsafe.Pointer(&b)) >> 10
-}
-
-// Counter is a lock-free sharded event counter. The zero value is
-// ready to use; Add is wait-free (one atomic add on one shard) and
-// Load sums the shards (atomic per shard, not mutually consistent —
-// fine for telemetry).
+// Counter is a lock-free event counter: one atomic padded on both sides
+// to a cache line of its own, so the fields around it — a neighbouring
+// counter, or a sync.Pool read on every lookup — never false-share with
+// its adds. The zero value is ready to use; Add is wait-free.
 type Counter struct {
-	shards [counterShards]counterShard
-}
-
-type counterShard struct {
+	_ [56]byte
 	v atomic.Int64
-	_ [56]byte // pad to a cache line so shards don't false-share
+	_ [56]byte
 }
 
 // Add accumulates delta.
-func (c *Counter) Add(delta int64) {
-	c.shards[shardHint()&(counterShards-1)].v.Add(delta)
-}
+func (c *Counter) Add(delta int64) { c.v.Add(delta) }
 
 // Inc adds one.
 func (c *Counter) Inc() { c.Add(1) }
 
 // Load returns the counter's current total.
-func (c *Counter) Load() int64 {
-	var n int64
-	for i := range c.shards {
-		n += c.shards[i].v.Load()
-	}
-	return n
-}
+func (c *Counter) Load() int64 { return c.v.Load() }
 
 // idState seeds span/trace id generation. Ids need to be unique and
 // well-mixed, not reproducible — they deliberately do NOT ride the

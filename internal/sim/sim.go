@@ -52,7 +52,18 @@ type Action struct {
 	// so a controller that never sets them is called on every step.
 	Wake            time.Duration
 	WakeOnViolation bool
+	// Four fields at most: Go keeps a struct of up to four fields in
+	// registers, and the step loop and every controller pass an Action
+	// on each call; a fifth moves it to memory. A controller parks with
+	// ErrParked, not a field.
 }
+
+// ErrParked is what Controller.Step returns, as is, to park the run: the
+// controller is waiting on an answer it does not have yet (a decision
+// source's pending lookup). The engine applies nothing and pauses the
+// run where it is; the next Runner.Advance calls Step again with the
+// same Observation. Run, which cannot pause, fails on it.
+var ErrParked = errors.New("sim: controller parked")
 
 // Controller is a resource-management policy under evaluation.
 type Controller interface {
@@ -130,7 +141,8 @@ type Config struct {
 	// services.PerfMemo), so sharing one across sequential runs of the
 	// same service template changes no results — it only carries cache
 	// warmth from one VM to the next. Callers must not share a memo
-	// across concurrent runs; nil means Run builds a private one.
+	// across concurrent runs; nil means each Runner.Advance builds a
+	// private one.
 	PerfMemo *services.PerfMemo
 }
 
@@ -278,19 +290,91 @@ func (r *Result) CostSavingsVs(referenceCost float64) float64 {
 	return s
 }
 
-// Run executes the simulation.
+// Run executes the simulation: NewRunner, then one Advance to the end
+// of the trace. A controller that parks (ErrParked) needs a Runner to
+// be answered; under Run it is an error.
 func Run(cfg Config) (*Result, error) {
+	var r Runner // stays on the stack: only its observation and result escape
+	if err := r.init(cfg); err != nil {
+		return nil, err
+	}
+	parked, err := r.Advance()
+	if err != nil {
+		return nil, err
+	}
+	if parked {
+		return nil, fmt.Errorf("sim: controller %s parked outside a Runner", r.cfg.Controller.Name())
+	}
+	return r.res, nil
+}
+
+// Runner is one simulation run that can pause: Advance steps it until
+// the controller parks or the trace ends, and the next Advance picks it
+// up where it parked. A caller holding many runners advances them in
+// turn on one goroutine — the fleet's lockstep blocks park every VM at
+// its lookup, answer the block in one frame, and advance them again.
+type Runner struct {
+	cfg Config // defaults filled in
+	dep cloud.Deployment
+	res *Result
+	// obs is the one observation the engine fills in place and hands the
+	// controller (see Controller.Step); a parked step keeps it for the
+	// re-call. Its workload is the run's only copy. It is a pointer, so
+	// that handing it out leaves the Runner itself where it was made.
+	obs *Observation
+
+	// The step loop's state, kept in Advance's locals while it runs and
+	// saved here only when the controller parks.
+	now                 time.Duration
+	violations          int
+	point               services.Perf
+	pointCap            float64
+	pointMoved          bool
+	episodeStart        time.Duration
+	episodeResizes      int
+	lastChangeEffective time.Duration
+	prevAlloc           cloud.Allocation
+	shifts              []MixShift // those still to take effect
+	active, target      cloud.Allocation
+	inTransition        bool
+	readyAt             time.Duration
+	snapMoved           bool
+	activeCap           float64
+	activeRef           AllocRef
+	nextSampleAt        time.Duration
+	wake                time.Duration
+	wakeOnViolation     bool
+	// Of the parked step: what its re-call needs from the part of the
+	// step that ran before it.
+	violated, stabilising bool
+
+	parked, done bool
+}
+
+// NewRunner validates cfg, failing where Run would, and returns a
+// runner positioned at the first step.
+func NewRunner(cfg Config) (*Runner, error) {
+	r := new(Runner)
+	if err := r.init(cfg); err != nil {
+		return nil, err
+	}
+	return r, nil
+}
+
+// init validates cfg and positions r, a zero Runner, at the first
+// step.
+func (r *Runner) init(cfg Config) error {
 	if cfg.Service == nil {
-		return nil, errors.New("sim: Service must be set")
+		return errors.New("sim: Service must be set")
 	}
 	if cfg.Trace == nil || cfg.Trace.Len() == 0 {
-		return nil, errors.New("sim: Trace must be non-empty")
+		return errors.New("sim: Trace must be non-empty")
 	}
 	if cfg.Trace.Step <= 0 {
-		return nil, fmt.Errorf("sim: trace step %v must be positive", cfg.Trace.Step)
+		return fmt.Errorf("sim: trace step %v must be positive", cfg.Trace.Step)
 	}
 	if cfg.Controller == nil {
-		return nil, errors.New("sim: Controller must be set")
+		return errors.New("sim: Controller must be set")
 	}
 	if cfg.Step <= 0 {
 		cfg.Step = time.Minute
@@ -302,35 +386,59 @@ func Run(cfg Config) (*Result, error) {
 		cfg.Mix = cfg.Service.DefaultMix()
 	}
 	if cfg.MixFn != nil && len(cfg.MixShifts) > 0 {
-		return nil, errors.New("sim: set MixShifts or the deprecated MixFn, not both")
+		return errors.New("sim: set MixShifts or the deprecated MixFn, not both")
 	}
 	for i, s := range cfg.MixShifts {
 		if s.Mix.Name == "" {
-			return nil, fmt.Errorf("sim: MixShifts[%d] has an empty Mix", i)
+			return fmt.Errorf("sim: MixShifts[%d] has an empty Mix", i)
 		}
 		if i > 0 && s.At < cfg.MixShifts[i-1].At {
-			return nil, fmt.Errorf("sim: MixShifts[%d] at %v sorts before its predecessor", i, s.At)
+			return fmt.Errorf("sim: MixShifts[%d] at %v sorts before its predecessor", i, s.At)
 		}
 	}
 	dep, err := cloud.NewDeployment(cfg.Initial)
 	if err != nil {
-		return nil, fmt.Errorf("sim: initial allocation: %w", err)
+		return fmt.Errorf("sim: initial allocation: %w", err)
 	}
-
-	slo := cfg.Service.SLO()
-	stab := cfg.Service.StabilizationPeriod()
-	total := cfg.Trace.Duration()
-
-	res := &Result{Controller: cfg.Controller.Name(), Service: cfg.Service.Name()}
+	// Field by field into the zero Runner both callers pass: a struct
+	// assignment would copy all ~800 bytes, through the write barrier
+	// whenever the collector is marking.
+	r.cfg, r.dep = cfg, *dep
+	r.res = &Result{Controller: cfg.Controller.Name(), Service: cfg.Service.Name()}
+	r.obs = &Observation{Workload: services.Workload{Mix: cfg.Mix}}
+	r.episodeStart, r.lastChangeEffective = -1, -1<<62 // no episode, no transient yet
+	r.prevAlloc, r.shifts = cfg.Initial, cfg.MixShifts
+	r.pointMoved, r.snapMoved = true, true
 	switch {
 	case cfg.DiscardRecords:
 		// Aggregates only; no record storage at all.
 	case cfg.Records != nil:
-		res.Records = cfg.Records[:0]
+		r.res.Records = cfg.Records[:0]
 	default:
-		res.Records = make([]StepRecord, 0, Steps(total, cfg.Step))
+		r.res.Records = make([]StepRecord, 0, Steps(cfg.Trace.Duration(), cfg.Step))
 	}
-	violations := 0
+	r.active, r.target, r.inTransition = r.dep.Status(0)
+	r.readyAt, _ = r.dep.PendingReadyAt()
+	return nil
+}
+
+// Result returns the run's outcome. It is complete once Advance has
+// returned (false, nil).
+func (r *Runner) Result() *Result { return r.res }
+
+// Advance steps the run until its controller parks (parked is true) or
+// the trace ends. A park applies nothing and leaves the step where it
+// was: the next Advance calls Controller.Step again with the same
+// Observation, and that step's record is not written twice. After the
+// end or an error the run is over, and Advance returns an error.
+func (r *Runner) Advance() (parked bool, err error) {
+	if r.done {
+		return false, errors.New("sim: Advance on a finished run")
+	}
+	cfg, dep, res := &r.cfg, &r.dep, r.res
+	slo := cfg.Service.SLO()
+	stab := cfg.Service.StabilizationPeriod()
+	total := cfg.Trace.Duration()
 
 	// Perf is a pure function of the operating point (mix, clients,
 	// capacity), and that point holds for a whole trace sample unless a
@@ -339,142 +447,168 @@ func Run(cfg Config) (*Result, error) {
 	// result across the rest. Re-evaluations go through the memo, which
 	// verifies the exact point on every hit — results are bit-identical
 	// to calling Perf every step (which is also why an injected shared
-	// memo cannot change them).
+	// memo cannot change them). A private memo lives for one Advance,
+	// on its stack; a run that parks starts the next one cold.
 	perfMemo := cfg.PerfMemo
 	if perfMemo == nil {
 		perfMemo = services.NewPerfMemo(cfg.Service)
 	}
-	var point services.Perf
-	pointCap, pointMoved := 0.0, true
+	point, pointCap, pointMoved := r.point, r.pointCap, r.pointMoved
 
 	// Episode tracking.
-	var episodeStart time.Duration = -1
-	episodeResizes := 0
-	var lastChangeEffective time.Duration = -1 << 62
+	episodeStart, episodeResizes := r.episodeStart, r.episodeResizes
+	lastChangeEffective := r.lastChangeEffective
+	prevAlloc := r.prevAlloc
 
-	prevAlloc := cfg.Initial
-	// One observation reused across every step: the engine fills it in
-	// place and hands the controller a read-only pointer, so the step
-	// loop moves no large structs. Its workload is the run's only copy,
-	// and the mix in it is written only when a shift takes effect.
-	var obs Observation
+	// The loop moves no large structs: it fills the runner's observation
+	// in place and hands the controller a read-only pointer, and the mix
+	// in it is written only when a shift takes effect.
+	obs := r.obs
 	w := &obs.Workload
-	w.Mix = cfg.Mix
-	shifts := cfg.MixShifts // those still to take effect
+	shifts := r.shifts
 	// The deployment snapshot (serving allocation, requested target,
 	// warm-up flag) only changes when the controller applies a change
 	// or a pending change settles. It is refreshed exactly there, and
 	// snapMoved has the next step redo what derives from it: capacity,
 	// the record form, the transient check and the controller's view,
 	// which survives in between by Controller.Step's read-only contract.
-	active, target, inTransition := dep.Status(0)
-	readyAt, _ := dep.PendingReadyAt()
-	snapMoved := true
-	var activeCap float64
-	var activeRef AllocRef
+	active, target, inTransition := r.active, r.target, r.inTransition
+	readyAt, snapMoved := r.readyAt, r.snapMoved
+	activeCap, activeRef := r.activeCap, r.activeRef
 	// Traces are zero-order hold: the load only changes on sample
 	// boundaries, so At (an integer division per call) runs once per
 	// trace sample instead of once per step.
-	var nextSampleAt time.Duration
+	nextSampleAt := r.nextSampleAt
 	// The controller's wake hint from its last call; the zero value
 	// calls it on the first step. A closure can change anything on any
 	// minute, so with one configured every step is processed and calls it.
-	var wake time.Duration
-	wakeOnViolation := false
+	wake, wakeOnViolation := r.wake, r.wakeOnViolation
 	perMinute := cfg.MixFn != nil || cfg.Interference != nil
-	for now, n := time.Duration(0), time.Duration(1); now < total; now += n * cfg.Step {
-		for len(shifts) > 0 && now >= shifts[0].At {
-			w.Mix = shifts[0].Mix
-			shifts = shifts[1:]
-			pointMoved = true
-		}
-		if cfg.MixFn != nil {
-			w.Mix = cfg.MixFn(now)
-			pointMoved = true
-		}
-		if now >= nextSampleAt {
-			w.Clients = cfg.Trace.At(now)
-			nextSampleAt = (now/cfg.Trace.Step + 1) * cfg.Trace.Step
-			pointMoved = true
-		}
+	violations := r.violations
+	// A parked step re-enters at its controller call.
+	resume := r.parked
+	r.parked = false
+	for now, n := r.now, time.Duration(1); now < total; now += n * cfg.Step {
+		var violated, stabilising, call bool
+		if resume {
+			resume, call = false, true
+			violated, stabilising = r.violated, r.stabilising
+		} else {
+			for len(shifts) > 0 && now >= shifts[0].At {
+				w.Mix = shifts[0].Mix
+				shifts = shifts[1:]
+				pointMoved = true
+			}
+			if cfg.MixFn != nil {
+				w.Mix = cfg.MixFn(now)
+				pointMoved = true
+			}
+			if now >= nextSampleAt {
+				w.Clients = cfg.Trace.At(now)
+				nextSampleAt = (now/cfg.Trace.Step + 1) * cfg.Trace.Step
+				pointMoved = true
+			}
 
-		interf := 0.0
-		if cfg.Interference != nil {
-			interf = cfg.Interference(now)
-			if err := dep.SetInterference(cloud.Interference{Fraction: interf}); err != nil {
-				return nil, fmt.Errorf("sim: interference at %v: %w", now, err)
+			interf := 0.0
+			if cfg.Interference != nil {
+				interf = cfg.Interference(now)
+				if err := dep.SetInterference(cloud.Interference{Fraction: interf}); err != nil {
+					r.done = true
+					return false, fmt.Errorf("sim: interference at %v: %w", now, err)
+				}
+			}
+
+			// A pending change that finished warming up becomes active
+			// now, exactly when the per-step settle used to promote it.
+			if inTransition && now >= readyAt {
+				active, target, inTransition = dep.Status(now)
+				snapMoved = true
+			}
+			moved := snapMoved
+			if snapMoved {
+				snapMoved = false
+				activeCap = active.Capacity()
+				activeRef = RefOf(active)
+				// Allocation-change transients: re-partitioning and warm-up.
+				if !active.Equal(prevAlloc) {
+					lastChangeEffective = now
+					prevAlloc = active
+				}
+				obs.Allocation = active
+				obs.TargetAllocation = target
+				obs.InTransition = inTransition
+			}
+
+			// Effective capacity from the cached snapshot — the same value
+			// dep.EffectiveCapacity(now) returns, without re-settling.
+			capacity := activeCap * (1 - interf)
+			if pointMoved || capacity != pointCap {
+				point = perfMemo.Perf(w, capacity)
+				pointCap, pointMoved = capacity, false
+			}
+			perf := point
+			stabilising = stab > 0 && now >= lastChangeEffective && now < lastChangeEffective+stab
+			if stabilising {
+				frac := 1 - float64(now-lastChangeEffective)/float64(stab)
+				perf.LatencyMs *= 1 + cfg.StabilizationPenalty*frac
+			}
+
+			violated = !slo.Met(perf)
+			if !cfg.DiscardRecords {
+				// Write the record into the preallocated slice in place; a
+				// build-then-append would copy the ~140-byte struct twice.
+				if len(res.Records) < cap(res.Records) {
+					res.Records = res.Records[:len(res.Records)+1]
+				} else { // undersized caller-provided buffer
+					res.Records = append(res.Records, StepRecord{})
+				}
+				rec := &res.Records[len(res.Records)-1]
+				rec.Now = now
+				rec.Clients = w.Clients
+				rec.LatencyMs = perf.LatencyMs
+				rec.QoSPercent = perf.QoSPercent
+				rec.Utilization = perf.Utilization
+				rec.Alloc = activeRef
+				rec.InTransition = inTransition
+				rec.SLOViolated = violated
+				rec.Interference = interf
+			}
+
+			call = perMinute || moved || now >= wake || wakeOnViolation && violated
+			if call {
+				obs.Now = now
+				obs.Perf = perf
+				obs.SLOViolated = violated
 			}
 		}
 
-		// A pending change that finished warming up becomes active
-		// now, exactly when the per-step settle used to promote it.
-		if inTransition && now >= readyAt {
-			active, target, inTransition = dep.Status(now)
-			snapMoved = true
-		}
-		moved := snapMoved
-		if snapMoved {
-			snapMoved = false
-			activeCap = active.Capacity()
-			activeRef = RefOf(active)
-			// Allocation-change transients: re-partitioning and warm-up.
-			if !active.Equal(prevAlloc) {
-				lastChangeEffective = now
-				prevAlloc = active
+		if call {
+			action, err := cfg.Controller.Step(obs)
+			if err == ErrParked {
+				r.now, r.violations = now, violations
+				r.point, r.pointCap, r.pointMoved = point, pointCap, pointMoved
+				r.episodeStart, r.episodeResizes = episodeStart, episodeResizes
+				r.lastChangeEffective, r.prevAlloc = lastChangeEffective, prevAlloc
+				r.shifts = shifts
+				r.active, r.target, r.inTransition = active, target, inTransition
+				r.readyAt, r.snapMoved = readyAt, snapMoved
+				r.activeCap, r.activeRef = activeCap, activeRef
+				r.nextSampleAt = nextSampleAt
+				r.wake, r.wakeOnViolation = wake, wakeOnViolation
+				r.violated, r.stabilising = violated, stabilising
+				r.parked = true
+				return true, nil
 			}
-			obs.Allocation = active
-			obs.TargetAllocation = target
-			obs.InTransition = inTransition
-		}
-
-		// Effective capacity from the cached snapshot — the same value
-		// dep.EffectiveCapacity(now) returns, without re-settling.
-		capacity := activeCap * (1 - interf)
-		if pointMoved || capacity != pointCap {
-			point = perfMemo.Perf(w, capacity)
-			pointCap, pointMoved = capacity, false
-		}
-		perf := point
-		stabilising := stab > 0 && now >= lastChangeEffective && now < lastChangeEffective+stab
-		if stabilising {
-			frac := 1 - float64(now-lastChangeEffective)/float64(stab)
-			perf.LatencyMs *= 1 + cfg.StabilizationPenalty*frac
-		}
-
-		violated := !slo.Met(perf)
-		if !cfg.DiscardRecords {
-			// Write the record into the preallocated slice in place; a
-			// build-then-append would copy the ~140-byte struct twice.
-			if len(res.Records) < cap(res.Records) {
-				res.Records = res.Records[:len(res.Records)+1]
-			} else { // undersized caller-provided buffer
-				res.Records = append(res.Records, StepRecord{})
-			}
-			rec := &res.Records[len(res.Records)-1]
-			rec.Now = now
-			rec.Clients = w.Clients
-			rec.LatencyMs = perf.LatencyMs
-			rec.QoSPercent = perf.QoSPercent
-			rec.Utilization = perf.Utilization
-			rec.Alloc = activeRef
-			rec.InTransition = inTransition
-			rec.SLOViolated = violated
-			rec.Interference = interf
-		}
-
-		if perMinute || moved || now >= wake || wakeOnViolation && violated {
-			obs.Now = now
-			obs.Perf = perf
-			obs.SLOViolated = violated
-			action, err := cfg.Controller.Step(&obs)
 			if err != nil {
-				return nil, fmt.Errorf("sim: controller %s at %v: %w", cfg.Controller.Name(), now, err)
+				r.done = true
+				return false, fmt.Errorf("sim: controller %s at %v: %w", cfg.Controller.Name(), now, err)
 			}
 			wake, wakeOnViolation = action.Wake, action.WakeOnViolation
 			if action.Target != nil && !action.Target.Equal(target) {
 				applyAt := now + action.DecisionTime
 				if err := dep.Apply(applyAt, *action.Target); err != nil {
-					return nil, fmt.Errorf("sim: apply at %v: %w", applyAt, err)
+					r.done = true
+					return false, fmt.Errorf("sim: apply at %v: %w", applyAt, err)
 				}
 				res.Decisions++
 				if episodeStart < 0 {
@@ -546,9 +680,10 @@ func Run(cfg Config) (*Result, error) {
 		}
 	}
 
+	r.done = true
 	res.TotalCost = dep.Cost(total)
 	res.SLOViolationFraction = float64(violations) / float64(res.Steps)
-	return res, nil
+	return false, nil
 }
 
 // FixedMaxCost returns the cost of holding the service's full-capacity
