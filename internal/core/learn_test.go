@@ -16,7 +16,7 @@ import (
 // x 0.75 utilization ~= 500 clients.
 const cassandraPeakClients = 500
 
-func learnMessengerDay(t *testing.T, seed int64) (*Repository, *LearnReport, *Profiler, Tuner) {
+func learnMessengerDay(t testing.TB, seed int64) (*Repository, *LearnReport, *Profiler, Tuner) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	svc := services.NewCassandra()

@@ -88,9 +88,19 @@ type Repository struct {
 	hits, misses obs.Counter
 }
 
+// repoKey is an entry's (class, interference bucket). Its 32-bit
+// halves make it one 8-byte word, which the runtime's map hashes and
+// compares on its fast path.
 type repoKey struct {
-	class  int
-	bucket int
+	class  int32
+	bucket int32
+}
+
+// keyFor returns the entry key of (class, bucket), and false for a pair
+// no entry can have: a value that does not fit its half of the key.
+func keyFor(class, bucket int) (repoKey, bool) {
+	k := repoKey{int32(class), int32(bucket)}
+	return k, int(k.class) == class && int(k.bucket) == bucket
 }
 
 // LookupResult is the outcome of a repository lookup.
@@ -173,6 +183,9 @@ func (r *Repository) putAll(entries []Entry) error {
 		if e.Bucket < 0 {
 			return fmt.Errorf("core: negative interference bucket %d", e.Bucket)
 		}
+		if _, ok := keyFor(e.Class, e.Bucket); !ok {
+			return fmt.Errorf("core: interference bucket %d out of range", e.Bucket)
+		}
 		if err := e.Allocation.Validate(); err != nil {
 			return err
 		}
@@ -185,7 +198,8 @@ func (r *Repository) putAll(entries []Entry) error {
 		next[k] = v
 	}
 	for _, e := range entries {
-		next[repoKey{e.Class, e.Bucket}] = e.Allocation
+		k, _ := keyFor(e.Class, e.Bucket)
+		next[k] = e.Allocation
 	}
 	r.entries.Store(&next)
 	return nil
@@ -194,7 +208,11 @@ func (r *Repository) putAll(entries []Entry) error {
 // Get returns the cached allocation for (class, bucket) without
 // classification.
 func (r *Repository) Get(class, bucket int) (cloud.Allocation, bool) {
-	a, ok := (*r.entries.Load())[repoKey{class, bucket}]
+	k, ok := keyFor(class, bucket)
+	if !ok {
+		return cloud.Allocation{}, false
+	}
+	a, ok := (*r.entries.Load())[k]
 	return a, ok
 }
 
@@ -208,10 +226,17 @@ func (r *Repository) Classify(sig *Signature) (class int, certainty float64, unf
 		return 0, 0, false, fmt.Errorf("core: signature width %d, repository expects %d", len(sig.Values), len(r.events))
 	}
 	rowPtr := r.rowPool.Get().(*[]float64)
-	defer r.rowPool.Put(rowPtr)
-	row := *rowPtr
-	r.standardizer.TransformInto(row, sig.Values)
-	class, certainty = r.classifier.PredictProba(row)
+	class, certainty, unforeseen = r.classifyRow(*rowPtr, sig.Values)
+	r.rowPool.Put(rowPtr)
+	return class, certainty, unforeseen, nil
+}
+
+// classifyRow is the classify kernel every lookup path shares: it
+// standardizes values (of signature width) into scratch, classifies the
+// row, and applies the novelty and certainty checks.
+func (r *Repository) classifyRow(scratch, values []float64) (class int, certainty float64, unforeseen bool) {
+	r.standardizer.TransformInto(scratch, values)
+	class, certainty = r.classifier.PredictProba(scratch)
 
 	// Novelty: distance to the nearest centroid must be within the
 	// learned radius. This catches workloads like the HotMail day-4
@@ -222,17 +247,28 @@ func (r *Repository) Classify(sig *Signature) (class int, certainty float64, unf
 	// single radius comparison.
 	minDsq, nearest := math.Inf(1), -1
 	for c, centroid := range r.centroids {
-		if d := ml.SquaredDistance(row, centroid); d < minDsq {
+		if d := ml.SquaredDistance(scratch, centroid); d < minDsq {
 			minDsq, nearest = d, c
 		}
 	}
 	if nearest >= 0 && math.Sqrt(minDsq) > r.noveltyRadius[nearest] {
-		return class, certainty, true, nil
+		return class, certainty, true
 	}
-	if certainty < r.certaintyThreshold {
-		return class, certainty, true, nil
+	return class, certainty, certainty < r.certaintyThreshold
+}
+
+// lookupRow turns one classified row into its lookup result against
+// one entries snapshot.
+func lookupRow(entries map[repoKey]cloud.Allocation, class int, certainty float64, unforeseen bool, bucket int) LookupResult {
+	res := LookupResult{Class: class, Certainty: certainty, Unforeseen: unforeseen}
+	if unforeseen {
+		res.Class = -1
+		return res
 	}
-	return class, certainty, false, nil
+	if k, ok := keyFor(class, bucket); ok {
+		res.Allocation, res.Hit = entries[k]
+	}
+	return res
 }
 
 // Lookup is the cache lookup: classify the signature and fetch the
@@ -245,24 +281,49 @@ func (r *Repository) Lookup(sig *Signature, bucket int) (LookupResult, error) {
 	if err != nil {
 		return LookupResult{}, err
 	}
-	res := LookupResult{Class: class, Certainty: certainty, Unforeseen: unforeseen}
-	if unforeseen {
-		res.Class = -1
-		r.countMiss()
-		return res, nil
+	res := lookupRow(*r.entries.Load(), class, certainty, unforeseen, bucket)
+	if res.Hit {
+		r.hits.Inc()
+	} else {
+		r.misses.Inc()
 	}
-	if alloc, ok := r.Get(class, bucket); ok {
-		res.Allocation = alloc
-		res.Hit = true
-		r.countHit()
-		return res, nil
-	}
-	r.countMiss()
 	return res, nil
 }
 
-func (r *Repository) countHit()  { r.hits.Inc() }
-func (r *Repository) countMiss() { r.misses.Inc() }
+// LookupRows is Lookup over rows that share a bucket, served in one
+// pass: rows[i] holds a signature's values in Events() order and its
+// result lands in out[i]. Every row's width is checked before any is
+// served, so a rejected batch counts nothing. The batch then takes one
+// scratch row, one entries snapshot and one add to each counter,
+// where Lookup pays each of them per row; every row gets exactly the
+// result Lookup would give it against that snapshot.
+func (r *Repository) LookupRows(bucket int, rows [][]float64, out []LookupResult) error {
+	if len(out) < len(rows) {
+		return fmt.Errorf("core: %d results for %d rows", len(out), len(rows))
+	}
+	for i, row := range rows {
+		if len(row) != len(r.events) {
+			return fmt.Errorf("core: signature %d width %d, repository expects %d", i, len(row), len(r.events))
+		}
+	}
+	if len(rows) == 0 {
+		return nil
+	}
+	rowPtr := r.rowPool.Get().(*[]float64)
+	entries := *r.entries.Load()
+	var hits int64
+	for i, row := range rows {
+		class, certainty, unforeseen := r.classifyRow(*rowPtr, row)
+		out[i] = lookupRow(entries, class, certainty, unforeseen, bucket)
+		if out[i].Hit {
+			hits++
+		}
+	}
+	r.rowPool.Put(rowPtr)
+	r.hits.Add(hits)
+	r.misses.Add(int64(len(rows)) - hits)
+	return nil
+}
 
 // HitRate returns the fraction of lookups that were cache hits.
 func (r *Repository) HitRate() float64 {
@@ -298,7 +359,7 @@ func (r *Repository) Snapshot() []Entry {
 	entries := *r.entries.Load()
 	out := make([]Entry, 0, len(entries))
 	for k, v := range entries {
-		out = append(out, Entry{Class: k.class, Bucket: k.bucket, Allocation: v})
+		out = append(out, Entry{Class: int(k.class), Bucket: int(k.bucket), Allocation: v})
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Class != out[j].Class {

@@ -217,6 +217,40 @@ func TestRepositorySnapshotSorted(t *testing.T) {
 	}
 }
 
+// TestRepositoryBucketBeyondKey: an entry key holds a bucket in 32
+// bits, so a wider bucket is refused by Put and misses on Get and
+// Lookup instead of aliasing the bucket its low bits name.
+func TestRepositoryBucketBeyondKey(t *testing.T) {
+	repo := buildTestRepository(t)
+	sig := &Signature{Events: repo.Events(), Values: []float64{0, 0}}
+	class, _, _, err := repo.Classify(sig)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := cloud.Allocation{Type: cloud.Large, Count: 3}
+	if err := repo.Put(class, 3, a); err != nil {
+		t.Fatal(err)
+	}
+	shift := 32
+	wide := 3 + 1<<shift // bucket 3 in the low 32 bits
+	if wide == 3 {
+		t.Skip("int is 32 bits wide")
+	}
+	if err := repo.Put(class, wide, a); err == nil {
+		t.Error("Put accepted a bucket wider than 32 bits")
+	}
+	if _, ok := repo.Get(class, wide); ok {
+		t.Error("Get hit bucket 3 for a bucket wider than 32 bits")
+	}
+	if res, err := repo.Lookup(sig, wide); err != nil || res.Hit {
+		t.Errorf("Lookup at a bucket wider than 32 bits: %+v, %v; want a miss", res, err)
+	}
+	out := make([]LookupResult, 1)
+	if err := repo.LookupRows(wide, [][]float64{sig.Values}, out); err != nil || out[0].Hit {
+		t.Errorf("LookupRows at a bucket wider than 32 bits: %+v, %v; want a miss", out[0], err)
+	}
+}
+
 func TestBucketForFraction(t *testing.T) {
 	cases := []struct {
 		fraction float64

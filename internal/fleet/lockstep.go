@@ -7,9 +7,19 @@ import (
 	"repro/internal/sim"
 )
 
-// maxBlock caps a lockstep block: the round-trip floor is amortised
-// 64 ways, and a block's parked rows and frames stay small.
-const maxBlock = 64
+// maxBlock caps a lockstep block. Two forces set it. Every round of a
+// block pays one frame's round trip — syscalls and two network
+// park/wake cycles, tens of microseconds — whatever the frame holds, so
+// wider blocks pay that floor fewer times. But every parked VM's
+// runner, controller and kit (a few KB) is touched once per round, so
+// a block much wider than this outgrows a core's L2 and each round
+// slows down. Remote fleets gain up to 256-VM blocks and level off
+// there, while 1 024-VM blocks step each VM slower: 256 is the
+// narrowest block on the plateau. It is a constant, not a knob, and
+// does not depend on the host: with the interference loop on, VMs
+// store entries for each other, so the block schedule decides the
+// results.
+const maxBlock = 256
 
 // lockstepBlocks cuts the template-major order into the units workers
 // claim, returned as boundaries: unit u is order[b[u]:b[u+1]]. VMs of

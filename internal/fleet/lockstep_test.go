@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"net"
 	"net/http/httptest"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync"
@@ -15,6 +16,7 @@ import (
 	"repro/internal/client"
 	"repro/internal/core"
 	"repro/internal/server"
+	"repro/internal/services"
 	"repro/internal/sim"
 )
 
@@ -82,24 +84,18 @@ func heteroScenario(t testing.TB, kind sim.ScenarioKind, vms int) []sim.VMSpec {
 // frames a test can fail at will.
 type repoRows struct {
 	core.DecisionSource
+	repo     *core.Repository
 	frames   atomic.Int64
 	failFrom int64 // fail every frame from this one on (0 = never)
 }
 
+// LookupRows serves a frame as dejavud does: one batched repository
+// pass.
 func (r *repoRows) LookupRows(bucket int, rows [][]float64, out []core.LookupResult) error {
 	if n := r.frames.Add(1); r.failFrom > 0 && n >= r.failFrom {
 		return errors.New("frame lost")
 	}
-	sig := &core.Signature{Events: r.Events()} // one per frame, as a wire decoder's scratch
-	for i, row := range rows {
-		sig.Values = row
-		res, err := r.Lookup(sig, bucket)
-		if err != nil {
-			return err
-		}
-		out[i] = res
-	}
-	return nil
+	return r.repo.LookupRows(bucket, rows, out)
 }
 
 // lockstepPhase learns cfg's templates, puts each behind a repoRows
@@ -115,7 +111,7 @@ func lockstepPhase(tb testing.TB, cfg Config, failFrom int64) *runPhase {
 		if err != nil {
 			tb.Fatal(err)
 		}
-		g.source = &repoRows{DecisionSource: src, failFrom: failFrom}
+		g.source = &repoRows{DecisionSource: src, repo: g.repo, failFrom: failFrom}
 	}
 	p, err := newRunPhase(cfg, groups)
 	if err != nil {
@@ -270,8 +266,8 @@ func TestLockstepChurn(t *testing.T) {
 
 // TestLockstepWorkersInvariance is the remote half of
 // TestFleetScaleWorkersInvariance: at vms=1000 the block layout
-// differs with the worker count (one worker cuts 64-VM blocks, the
-// blocks of several run concurrently), and per-VM results do not.
+// differs with the worker count (one worker cuts maxBlock-VM blocks,
+// the blocks of several run concurrently), and per-VM results do not.
 func TestLockstepWorkersInvariance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("two 1000-VM remote fleet runs per scenario kind")
@@ -294,6 +290,83 @@ func TestLockstepWorkersInvariance(t *testing.T) {
 		})
 	}
 }
+
+// TestLockstepSchedule pins the block schedule, which decides results
+// once VMs store entries for each other: where lockstepBlocks cuts each
+// template for a worker count, and that a fleet over a batch source
+// sends exactly one frame per block per profiling round.
+func TestLockstepSchedule(t *testing.T) {
+	svcs := []services.Service{services.NewCassandra(), services.NewRUBiS(), services.NewSPECWeb()}
+	for _, tc := range []struct {
+		sizes   []int // VMs per template, template-major
+		batch   []bool
+		workers int
+		want    []int // block sizes in order; nil = no blocks
+	}{
+		{[]int{1000}, []bool{true}, 2, []int{256, 256, 256, 232}},
+		{[]int{1000}, []bool{true}, 1, []int{256, 256, 256, 232}},
+		{[]int{512}, []bool{true}, 2, []int{256, 256}},
+		{[]int{100}, []bool{true}, 2, []int{50, 50}},
+		{[]int{100}, []bool{true}, 3, []int{34, 34, 32}},
+		{[]int{1}, []bool{true}, 4, []int{1}},
+		{[]int{300, 7, 3}, []bool{true, true, false}, 2, []int{150, 150, 4, 3, 1, 1, 1}},
+		{[]int{5, 2}, []bool{false, false}, 2, nil},
+	} {
+		var specs []sim.VMSpec
+		groups := map[string]*group{}
+		for k, n := range tc.sizes {
+			g := &group{source: plainSource{}}
+			if tc.batch[k] {
+				g.source = &repoRows{}
+			}
+			for j := 0; j < n; j++ {
+				g.vms = append(g.vms, len(specs))
+				specs = append(specs, sim.VMSpec{Service: svcs[k]})
+			}
+			groups[svcs[k].Name()] = g
+		}
+		order := make([]int, len(specs))
+		for i := range order {
+			order[i] = i
+		}
+		var got []int
+		if bounds := lockstepBlocks(specs, order, groups, tc.workers); bounds != nil {
+			for u := 0; u+1 < len(bounds); u++ {
+				got = append(got, bounds[u+1]-bounds[u])
+			}
+			if bounds[0] != 0 || bounds[len(bounds)-1] != len(order) {
+				t.Errorf("%v/%d: bounds %v do not cover the order", tc.sizes, tc.workers, bounds)
+			}
+		}
+		if !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%v VMs on %d workers: blocks %v, want %v", tc.sizes, tc.workers, got, tc.want)
+		}
+	}
+
+	// 600 VMs on two workers: blocks of 256, 256 and 88, each sending
+	// one frame per hourly profiling round.
+	const vms, rounds = 600, 24
+	p := lockstepPhase(t, Config{Specs: scaleScenario(t, sim.KindBaseline, vms), Workers: 2, DiscardRecords: true}, 0)
+	if blocks := len(p.blocks) - 1; blocks != 3 {
+		t.Fatalf("%d blocks (%v), want 3", blocks, p.blocks)
+	}
+	p.run()
+	if err := errors.Join(p.errs...); err != nil {
+		t.Fatal(err)
+	}
+	for name, g := range p.groups {
+		hits, misses := g.repo.LookupCounts()
+		if hits+misses != vms*rounds {
+			t.Errorf("%s: %d rows looked up, want %d", name, hits+misses, vms*rounds)
+		}
+		if frames := g.source.(*repoRows).frames.Load(); frames != int64(len(p.blocks)-1)*rounds {
+			t.Errorf("%s: %d frames, want %d blocks × %d rounds", name, frames, len(p.blocks)-1, rounds)
+		}
+	}
+}
+
+// plainSource is a DecisionSource without the batch capability.
+type plainSource struct{ core.DecisionSource }
 
 // TestLockstepFrameAccounting: a 200-VM single-template fleet on four
 // workers is four blocks of 50, so the daemon sees at most one frame

@@ -2,7 +2,6 @@ package ml
 
 import (
 	"encoding/csv"
-	"fmt"
 	"io"
 	"strconv"
 )
@@ -29,42 +28,4 @@ func (d *Dataset) WriteCSV(w io.Writer) error {
 	}
 	cw.Flush()
 	return cw.Error()
-}
-
-// ReadDatasetCSV parses a dataset written by WriteCSV.
-func ReadDatasetCSV(r io.Reader) (*Dataset, error) {
-	cr := csv.NewReader(r)
-	records, err := cr.ReadAll()
-	if err != nil {
-		return nil, fmt.Errorf("ml: reading csv: %w", err)
-	}
-	if len(records) == 0 {
-		return nil, fmt.Errorf("ml: csv has no header")
-	}
-	header := records[0]
-	if len(header) < 2 || header[len(header)-1] != "class" {
-		return nil, fmt.Errorf("ml: csv header must end with a class column")
-	}
-	d := NewDataset(header[:len(header)-1])
-	for i, rec := range records[1:] {
-		if len(rec) != len(header) {
-			return nil, fmt.Errorf("ml: row %d has %d fields, want %d", i+1, len(rec), len(header))
-		}
-		row := make([]float64, len(rec)-1)
-		for j, f := range rec[:len(rec)-1] {
-			v, err := strconv.ParseFloat(f, 64)
-			if err != nil {
-				return nil, fmt.Errorf("ml: row %d col %d: %w", i+1, j, err)
-			}
-			row[j] = v
-		}
-		label, err := strconv.Atoi(rec[len(rec)-1])
-		if err != nil {
-			return nil, fmt.Errorf("ml: row %d class: %w", i+1, err)
-		}
-		if err := d.Add(row, label); err != nil {
-			return nil, err
-		}
-	}
-	return d, nil
 }

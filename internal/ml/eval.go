@@ -14,8 +14,8 @@ type ConfusionMatrix struct {
 	Counts [][]int
 }
 
-// NewConfusionMatrix returns a zeroed numClasses x numClasses matrix.
-func NewConfusionMatrix(numClasses int) *ConfusionMatrix {
+// newConfusionMatrix returns a zeroed numClasses x numClasses matrix.
+func newConfusionMatrix(numClasses int) *ConfusionMatrix {
 	counts := make([][]int, numClasses)
 	for i := range counts {
 		counts[i] = make([]int, numClasses)
@@ -88,7 +88,7 @@ func CrossValidate(d *Dataset, folds int, train TrainFunc, rng *rand.Rand) (*Con
 		return nil, errors.New("ml: rng must be set")
 	}
 	perm := rng.Perm(d.Len())
-	matrix := NewConfusionMatrix(d.NumClasses())
+	matrix := newConfusionMatrix(d.NumClasses())
 
 	for f := 0; f < folds; f++ {
 		var trainRows, testRows []int
@@ -116,24 +116,4 @@ func CrossValidate(d *Dataset, folds int, train TrainFunc, rng *rand.Rand) (*Con
 		}
 	}
 	return matrix, nil
-}
-
-// HoldoutAccuracy trains on trainSet and reports accuracy on testSet.
-func HoldoutAccuracy(trainSet, testSet *Dataset, train TrainFunc) (float64, error) {
-	model, err := train(trainSet)
-	if err != nil {
-		return 0, err
-	}
-	matrix := NewConfusionMatrix(maxInt(trainSet.NumClasses(), testSet.NumClasses()))
-	for i, row := range testSet.X {
-		matrix.Observe(testSet.Y[i], model.Predict(row))
-	}
-	return matrix.Accuracy(), nil
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -7,7 +7,7 @@ import (
 )
 
 func TestConfusionMatrix(t *testing.T) {
-	m := NewConfusionMatrix(2)
+	m := newConfusionMatrix(2)
 	m.Observe(0, 0)
 	m.Observe(0, 0)
 	m.Observe(0, 1)
@@ -30,7 +30,7 @@ func TestConfusionMatrix(t *testing.T) {
 }
 
 func TestConfusionMatrixEmptyAccuracy(t *testing.T) {
-	m := NewConfusionMatrix(3)
+	m := newConfusionMatrix(3)
 	if m.Accuracy() != 0 {
 		t.Errorf("empty accuracy=%v want 0", m.Accuracy())
 	}
@@ -79,20 +79,5 @@ func TestCrossValidateValidation(t *testing.T) {
 	}
 	if _, err := CrossValidate(d, 2, train, nil); err == nil {
 		t.Error("nil rng should error")
-	}
-}
-
-func TestHoldoutAccuracy(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	trainSet := thresholdDataset(rng, 200)
-	testSet := thresholdDataset(rng, 100)
-	acc, err := HoldoutAccuracy(trainSet, testSet, func(tr *Dataset) (Classifier, error) {
-		return NewC45(tr, C45Config{})
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if acc < 0.9 {
-		t.Errorf("holdout accuracy=%v want >= 0.9", acc)
 	}
 }

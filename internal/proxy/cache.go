@@ -47,8 +47,8 @@ func NewResponseCache(capacity int) (*ResponseCache, error) {
 	}, nil
 }
 
-// HashRequest computes the cache key of a request payload.
-func HashRequest(req []byte) uint64 {
+// hashRequest computes the cache key of a request payload.
+func hashRequest(req []byte) uint64 {
 	h := fnv.New64a()
 	_, _ = h.Write(req)
 	return h.Sum64()
@@ -56,7 +56,7 @@ func HashRequest(req []byte) uint64 {
 
 // Put stores (or refreshes) the most recent answer for a request.
 func (c *ResponseCache) Put(req, resp []byte) {
-	key := HashRequest(req)
+	key := hashRequest(req)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.entries[key]; ok {
@@ -75,7 +75,7 @@ func (c *ResponseCache) Put(req, resp []byte) {
 
 // Get returns the most recent answer for a request, if cached.
 func (c *ResponseCache) Get(req []byte) ([]byte, bool) {
-	key := HashRequest(req)
+	key := hashRequest(req)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.entries[key]

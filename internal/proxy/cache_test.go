@@ -89,10 +89,10 @@ func TestResponseCacheIsolation(t *testing.T) {
 }
 
 func TestHashRequestDistinct(t *testing.T) {
-	if HashRequest([]byte("a")) == HashRequest([]byte("b")) {
+	if hashRequest([]byte("a")) == hashRequest([]byte("b")) {
 		t.Error("distinct requests should hash differently")
 	}
-	if HashRequest([]byte("same")) != HashRequest([]byte("same")) {
+	if hashRequest([]byte("same")) != hashRequest([]byte("same")) {
 		t.Error("equal requests must hash equally")
 	}
 }

@@ -77,6 +77,20 @@ func TestDecideZeroAlloc(t *testing.T) {
 			t.Log(obs.AllocSites(200, decide))
 		}
 	}
+	// A full lockstep block's frame: 256 rows in one LookupRows pass.
+	sc.body = decisionBody(t, vals, 256)
+	if _, err := s.decide(sc, true, transportBinary); err != nil {
+		t.Fatal(err)
+	}
+	decide := func() {
+		if _, err := s.decide(sc, true, transportBinary); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if allocs := testing.AllocsPerRun(200, decide); allocs != 0 {
+		t.Errorf("256-row lookup frame allocates %.1f times per batch, want 0", allocs)
+		t.Log(obs.AllocSites(200, decide))
+	}
 	s.pool.Put(sc)
 }
 
@@ -144,6 +158,7 @@ func BenchmarkDecide(b *testing.B) {
 		{"lookup-binary/batch1", 1, true},
 		{"lookup-binary/batch16", 16, true},
 		{"lookup-binary/batch64", 64, true},
+		{"lookup-binary/batch256", 256, true},
 		{"classify-binary/batch16", 16, false},
 	} {
 		b.Run(tc.name, func(b *testing.B) {

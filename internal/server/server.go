@@ -163,6 +163,10 @@ type scratch struct {
 	resp wire.Response
 	out  []byte
 	sig  core.Signature
+	// rows and results carry a lookup frame through
+	// Repository.LookupRows.
+	rows    [][]float64
+	results []core.LookupResult
 }
 
 // Server implements the decision service over swap-safe repository
@@ -335,18 +339,22 @@ func (s *Server) decide(sc *scratch, lookup bool, tr transport) ([]byte, error) 
 	sc.resp.Reset()
 	sc.resp.Version = cur.Version
 	sc.resp.Lookup = lookup
-	sig := &sc.sig
-	sig.Events = events
-	unforeseen := 0
-	for i := 0; i < sc.req.Rows(); i++ {
-		sig.Values = sc.req.Row(i)
-		var d wire.Decision
-		if lookup {
-			res, err := repo.Lookup(sig, sc.req.Bucket)
-			if err != nil {
-				return nil, err
-			}
-			d = wire.Decision{
+	if lookup {
+		// A lookup frame is served in one batched repository pass.
+		sc.rows = sc.rows[:0]
+		for i := 0; i < sc.req.Rows(); i++ {
+			sc.rows = append(sc.rows, sc.req.Row(i))
+		}
+		if cap(sc.results) < len(sc.rows) {
+			sc.results = make([]core.LookupResult, len(sc.rows))
+		}
+		results := sc.results[:len(sc.rows)]
+		if err := repo.LookupRows(sc.req.Bucket, sc.rows, results); err != nil {
+			return nil, err
+		}
+		for i := range results {
+			res := &results[i]
+			d := wire.Decision{
 				Class:      res.Class,
 				Certainty:  res.Certainty,
 				Unforeseen: res.Unforeseen,
@@ -356,17 +364,25 @@ func (s *Server) decide(sc *scratch, lookup bool, tr transport) ([]byte, error) 
 				d.Type = res.Allocation.Type.ID()
 				d.Count = res.Allocation.Count
 			}
-		} else {
+			sc.resp.Results = append(sc.resp.Results, d)
+		}
+	} else {
+		sig := &sc.sig
+		sig.Events = events
+		for i := 0; i < sc.req.Rows(); i++ {
+			sig.Values = sc.req.Row(i)
 			class, certainty, unf, err := repo.Classify(sig)
 			if err != nil {
 				return nil, err
 			}
-			d = wire.Decision{Class: class, Certainty: certainty, Unforeseen: unf}
+			sc.resp.Results = append(sc.resp.Results, wire.Decision{Class: class, Certainty: certainty, Unforeseen: unf})
 		}
-		if d.Unforeseen {
+	}
+	unforeseen := 0
+	for i := range sc.resp.Results {
+		if sc.resp.Results[i].Unforeseen {
 			unforeseen++
 		}
-		sc.resp.Results = append(sc.resp.Results, d)
 	}
 	// The relearn ring and the drift monitor are fed once per batch,
 	// after every row is decided: their shared counters cost one atomic
