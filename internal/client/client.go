@@ -229,10 +229,6 @@ func (c *Client) Close() {
 	}
 }
 
-// Streams reports whether decisions travel the raw-TCP stream plane
-// (TransportTCP) rather than as HTTP POSTs.
-func (c *Client) Streams() bool { return c.cfg.Transport == TransportTCP }
-
 // Retries reports how many transport-level retries the client has
 // performed.
 func (c *Client) Retries() int64 { return c.retried.Load() }

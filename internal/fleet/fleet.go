@@ -51,13 +51,13 @@ type Config struct {
 	// Remote, when set, drives a live dejavud instead of in-process
 	// repositories: each template's learned repository is installed
 	// into the daemon under the service name and the group statistics
-	// are read back from the daemon. Over the client's stream plane
-	// (client.Config.TCPAddr) lookups travel one frame per lockstep
-	// block of same-template VMs (see lockstep.go), one frame per
-	// interference bucket present in the block; over HTTP each lookup
-	// is its own round trip. Get and put are one call each. Learning
-	// (and the shared tuning cache) stays local — the daemon serves
-	// decisions, not profiling environments.
+	// are read back from the daemon. On either decision plane — the
+	// stream (client.Config.TCPAddr) or binary HTTP, a decision front
+	// included — lookups travel one frame per lockstep block of
+	// same-template VMs (see lockstep.go), one frame per interference
+	// bucket present in the block. Get and put are one call each.
+	// Learning (and the shared tuning cache) stays local — the daemon
+	// serves decisions, not profiling environments.
 	Remote *client.Client
 	// DiscardRecords drops every VM's per-step records and keeps only
 	// the aggregates (see sim.Config.DiscardRecords). The 100k-VM
@@ -206,12 +206,6 @@ type group struct {
 	vms     []int // indices into Config.Specs
 }
 
-// rowByRow hides a source's batch capability. Lockstep blocks ride the
-// stream plane only: a client whose decisions go out as HTTP POSTs
-// keeps one round trip per lookup (docs/BENCHMARKS.md, "Batching over
-// HTTP: measured, not shipped").
-type rowByRow struct{ core.DecisionSource }
-
 // templateCtx is the worker-local per-template batch state: setup that
 // is identical for every VM of a template and safe to reuse across the
 // consecutive same-template VMs a worker steps through (the run phase
@@ -318,9 +312,6 @@ func Run(cfg Config) (*Result, error) {
 				return nil, fmt.Errorf("fleet: sourcing template %s: %w", name, err)
 			}
 			g.source = src
-			if !cfg.Remote.Streams() {
-				g.source = rowByRow{src}
-			}
 		}
 	}
 	learningTime := time.Since(learnStart)

@@ -420,11 +420,14 @@ func TestLockstepSmallFleets(t *testing.T) {
 	}
 }
 
-// TestLockstepNeedsStreamPlane: a client with no stream plane keeps one
-// HTTP round trip per lookup — no blocks — and the same per-VM results.
-func TestLockstepNeedsStreamPlane(t *testing.T) {
-	const vms = 40
-	local, err := Run(Config{Specs: scaleScenario(t, sim.KindBaseline, vms), Workers: 2, DiscardRecords: true})
+// TestLockstepOverHTTP: a client with no stream plane, its decisions
+// binary-HTTP POSTs to one dejavud, steps the fleet in the same blocks
+// as the stream plane does — two blocks of 20 on two workers, one
+// frame per block per hourly profiling round, far fewer than the
+// rows — with the same per-VM results as the in-process run.
+func TestLockstepOverHTTP(t *testing.T) {
+	const vms, workers, rounds = 40, 2, 24
+	local, err := Run(Config{Specs: scaleScenario(t, sim.KindBaseline, vms), Workers: workers, DiscardRecords: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -439,13 +442,14 @@ func TestLockstepNeedsStreamPlane(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	remote, err := Run(Config{Specs: scaleScenario(t, sim.KindBaseline, vms), Workers: 2, DiscardRecords: true, Remote: cl})
+	remote, err := Run(Config{Specs: scaleScenario(t, sim.KindBaseline, vms), Workers: workers, DiscardRecords: true, Remote: cl})
 	if err != nil {
 		t.Fatal(err)
 	}
 	compareFleetResults(t, local, remote)
-	if st := srv.StatsSnapshot(); st.LookupReqs != st.Decisions || st.Decisions == 0 {
-		t.Errorf("%d frames for %d rows over HTTP, want one each", st.LookupReqs, st.Decisions)
+	if st := srv.StatsSnapshot(); st.LookupReqs != 2*rounds || st.Decisions != vms*rounds {
+		t.Errorf("%d lookup frames of %d rows over HTTP, want 2 blocks × %d rounds = %d frames of %d rows",
+			st.LookupReqs, st.Decisions, rounds, 2*rounds, vms*rounds)
 	}
 }
 
