@@ -119,13 +119,9 @@ func learnRepository(svc services.Service, seed int64, workers int) (*core.Repos
 	return repo, nil
 }
 
-// templateNames parses the -services/-service flags: -services wins
-// when set, "none" means start empty (install-only).
-func templateNames(servicesFlag, serviceFlag string) ([]string, error) {
-	raw := servicesFlag
-	if raw == "" {
-		raw = serviceFlag
-	}
+// templateNames parses the -services flag: a comma-separated list, or
+// "none" to start empty (install-only).
+func templateNames(raw string) ([]string, error) {
 	if raw == "none" {
 		return nil, nil
 	}
@@ -196,8 +192,7 @@ func run() error {
 	tcpHelloTimeout := flag.Duration("tcp-hello-timeout", 0, "deadline for a TCP client's hello (0 = default 10s, negative disables)")
 	tcpIdleTimeout := flag.Duration("tcp-idle-timeout", 0, "reap TCP connections idle this long between requests (0 = default 5m, negative disables)")
 	tcpMaxConns := flag.Int("tcp-max-conns", 0, "cap on concurrent TCP decision connections (0 = unlimited)")
-	serviceName := flag.String("service", "cassandra", "single service template (compatibility alias for -services)")
-	servicesFlag := flag.String("services", "", `comma-separated service templates to serve (e.g. "cassandra,specweb"); "none" starts install-only`)
+	servicesFlag := flag.String("services", "cassandra", `comma-separated service templates to serve (e.g. "cassandra,specweb"); "none" starts install-only`)
 	snapshot := flag.String("snapshot", "dejavud-repo.json", "repository snapshot path (load on start, write on shutdown); %s substitutes the template id; empty disables persistence")
 	seed := flag.Int64("seed", 42, "seed for learning and re-learning randomness")
 	workers := flag.Int("workers", 0, "clustering fan-out bound (0 = GOMAXPROCS)")
@@ -207,7 +202,7 @@ func run() error {
 	pprofFlag := flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/ on the admin plane")
 	flag.Parse()
 
-	names, err := templateNames(*servicesFlag, *serviceName)
+	names, err := templateNames(*servicesFlag)
 	if err != nil {
 		return err
 	}

@@ -44,23 +44,19 @@ func TestLearnRepository(t *testing.T) {
 	}
 }
 
-// TestTemplateNames pins the -services/-service flag semantics: comma
-// lists, the single-service compatibility alias, install-only "none",
-// and duplicate rejection.
+// TestTemplateNames pins the -services flag semantics: comma lists,
+// install-only "none", and duplicate rejection.
 func TestTemplateNames(t *testing.T) {
-	if names, err := templateNames("", "cassandra"); err != nil || len(names) != 1 || names[0] != "cassandra" {
-		t.Errorf("alias: %v %v", names, err)
-	}
-	if names, err := templateNames("cassandra, specweb", "ignored"); err != nil || len(names) != 2 || names[1] != "specweb" {
+	if names, err := templateNames("cassandra, specweb"); err != nil || len(names) != 2 || names[1] != "specweb" {
 		t.Errorf("list: %v %v", names, err)
 	}
-	if names, err := templateNames("none", "cassandra"); err != nil || names != nil {
+	if names, err := templateNames("none"); err != nil || names != nil {
 		t.Errorf("none: %v %v", names, err)
 	}
-	if _, err := templateNames("cassandra,cassandra", ""); err == nil {
+	if _, err := templateNames("cassandra,cassandra"); err == nil {
 		t.Error("duplicate services must error")
 	}
-	if _, err := templateNames(",", ""); err == nil {
+	if _, err := templateNames(","); err == nil {
 		t.Error("empty list must error")
 	}
 }

@@ -50,7 +50,6 @@ type ModelBased struct {
 	demandPerUnit  float64 // capacity units consumed per client
 	busyUntil      time.Duration
 	recalibrations int
-	adaptations    []time.Duration
 }
 
 // NewModelBased validates and returns the controller.
@@ -126,7 +125,6 @@ func (m *ModelBased) Step(obs *sim.Observation) (sim.Action, error) {
 	if target.Equal(obs.TargetAllocation) {
 		return sim.Action{}, nil
 	}
-	m.adaptations = append(m.adaptations, 0) // model evaluation is instantaneous
 	return sim.Action{Target: &target}, nil
 }
 
@@ -152,13 +150,6 @@ func (m *ModelBased) predictLatency(rho float64) float64 {
 // Recalibrations reports how many drift-triggered model rebuilds
 // happened (excluding the initial calibration).
 func (m *ModelBased) Recalibrations() int { return m.recalibrations }
-
-// AdaptationTimes implements the same accounting as the other
-// controllers: allocation changes are instant once the model is valid;
-// the real cost sits in the calibration pauses.
-func (m *ModelBased) AdaptationTimes() []time.Duration {
-	return append([]time.Duration(nil), m.adaptations...)
-}
 
 func relErr(predicted, measured float64) float64 {
 	if measured == 0 {

@@ -72,11 +72,6 @@ func TestModelBasedHandlesVolumeChangesInstantly(t *testing.T) {
 	if res.Decisions < 3 {
 		t.Errorf("decisions=%d want >= 3", res.Decisions)
 	}
-	for _, d := range mb.AdaptationTimes() {
-		if d != 0 {
-			t.Errorf("model evaluation should be instant, got %v", d)
-		}
-	}
 }
 
 func TestModelBasedRecalibratesOnMixChange(t *testing.T) {

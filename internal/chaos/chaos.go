@@ -79,9 +79,6 @@ type Config struct {
 // deliberate chaos from genuine bugs.
 var errInjected = errors.New("chaos: injected connection fault")
 
-// IsInjected reports whether err came from an injected fault.
-func IsInjected(err error) bool { return errors.Is(err, errInjected) }
-
 // Event is one schedule entry: what to do to the next operation.
 type Event struct {
 	Action Action
@@ -166,13 +163,6 @@ type Conn struct {
 	net.Conn
 	sched    *Schedule
 	injected *atomic.Int64
-}
-
-// WrapConn applies a standalone schedule to one connection (the
-// client-side analogue of Listener for tests that chaos a dialed
-// connection).
-func WrapConn(nc net.Conn, cfg Config, index int) *Conn {
-	return &Conn{Conn: nc, sched: NewSchedule(cfg, index)}
 }
 
 func (c *Conn) note() {

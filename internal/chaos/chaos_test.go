@@ -2,6 +2,7 @@ package chaos
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"net"
 	"testing"
@@ -80,7 +81,7 @@ func TestConnTruncateWritesPrefix(t *testing.T) {
 	client, server := net.Pipe()
 	defer client.Close()
 	// TruncateRate 1.0: the very first write truncates.
-	cc := WrapConn(server, Config{Seed: 1, TruncateRate: 1}, 0)
+	cc := &Conn{Conn: server, sched: NewSchedule(Config{Seed: 1, TruncateRate: 1}, 0)}
 	msg := bytes.Repeat([]byte("envelope"), 64)
 	done := make(chan error, 1)
 	go func() {
@@ -88,7 +89,7 @@ func TestConnTruncateWritesPrefix(t *testing.T) {
 		done <- err
 	}()
 	got, _ := io.ReadAll(client)
-	if err := <-done; !IsInjected(err) {
+	if err := <-done; !errors.Is(err, errInjected) {
 		t.Fatalf("truncated write returned %v, want injected fault", err)
 	}
 	if len(got) >= len(msg) {
@@ -104,8 +105,8 @@ func TestConnTruncateWritesPrefix(t *testing.T) {
 func TestConnDropClosesBothWays(t *testing.T) {
 	client, server := net.Pipe()
 	defer client.Close()
-	cc := WrapConn(server, Config{Seed: 9, DropRate: 1}, 3)
-	if _, err := cc.Read(make([]byte, 16)); !IsInjected(err) {
+	cc := &Conn{Conn: server, sched: NewSchedule(Config{Seed: 9, DropRate: 1}, 3)}
+	if _, err := cc.Read(make([]byte, 16)); !errors.Is(err, errInjected) {
 		t.Fatalf("dropped read returned %v, want injected fault", err)
 	}
 	if _, err := client.Read(make([]byte, 16)); err == nil {
@@ -131,7 +132,7 @@ func TestListenerDerivesPerConnection(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := nc.Read(make([]byte, 1)); !IsInjected(err) {
+		if _, err := nc.Read(make([]byte, 1)); !errors.Is(err, errInjected) {
 			t.Fatalf("conn %d: read returned %v, want injected fault", i, err)
 		}
 		peer.Close()

@@ -229,10 +229,6 @@ func (c *Client) Close() {
 	}
 }
 
-// Retries reports how many transport-level retries the client has
-// performed.
-func (c *Client) Retries() int64 { return c.retried.Load() }
-
 // LocalStats is the client's own instrumentation snapshot — latency
 // digests recorded by this process, as opposed to Stats(), which
 // fetches the daemon's /v1/stats document.
@@ -257,10 +253,6 @@ func (c *Client) StatsSnapshot() LocalStats {
 		RetryWait: c.retryWait.Snapshot().Summary(),
 	}
 }
-
-// RequestLatency exposes the raw whole-Decide latency snapshot (the
-// Summary digest lives in StatsSnapshot).
-func (c *Client) RequestLatency() obs.Snapshot { return c.reqLat.Snapshot() }
 
 // conn is one pooled connection plus its per-connection scratch: the
 // request build buffer and the response body buffer warm up to the

@@ -207,7 +207,7 @@ func TestClientEndToEnd(t *testing.T) {
 	}
 
 	// API errors surface status and body, and are not retried.
-	before := c.Retries()
+	before := c.retried.Load()
 	var req wire.Request
 	var resp wire.Response
 	req.SetTemplate("nope")
@@ -217,7 +217,7 @@ func TestClientEndToEnd(t *testing.T) {
 	if !ok || apiErr.Status != 400 || !strings.Contains(apiErr.Body, "nope") {
 		t.Fatalf("unknown template error: %v", err)
 	}
-	if c.Retries() != before {
+	if c.retried.Load() != before {
 		t.Error("HTTP-level error must not be retried")
 	}
 }
@@ -295,7 +295,7 @@ func TestClientRetryBackoff(t *testing.T) {
 	if !res.Hit {
 		t.Fatalf("lookup: %+v", res)
 	}
-	if c.Retries() == 0 {
+	if c.retried.Load() == 0 {
 		t.Error("expected at least one transport retry")
 	}
 }

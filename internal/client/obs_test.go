@@ -66,7 +66,7 @@ func TestClientStatsSnapshot(t *testing.T) {
 	if st.Retries != 0 || st.RetryWait.Count != 0 {
 		t.Errorf("unexpected retries: %+v", st)
 	}
-	if raw := c.RequestLatency(); raw.Count != st.Decides || raw.SumNS <= 0 {
+	if raw := c.reqLat.Snapshot(); raw.Count != st.Decides || raw.SumNS <= 0 {
 		t.Errorf("raw request snapshot: %+v", raw)
 	}
 }

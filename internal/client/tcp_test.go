@@ -65,7 +65,7 @@ func TestClientTCPEndToEnd(t *testing.T) {
 
 		// A rejected request surfaces as *APIError, costs no retries,
 		// and leaves the connection usable.
-		before := c.Retries()
+		before := c.retried.Load()
 		req.Reset()
 		req.SetTemplate("cassandra")
 		req.AppendRow([]float64{1, 2})
@@ -77,7 +77,7 @@ func TestClientTCPEndToEnd(t *testing.T) {
 		if !strings.Contains(apiErr.Body, "values") {
 			t.Fatalf("enc %v: error body %q", enc, apiErr.Body)
 		}
-		if got := c.Retries(); got != before {
+		if got := c.retried.Load(); got != before {
 			t.Errorf("enc %v: server rejection consumed %d retries", enc, got-before)
 		}
 		req.Reset()
@@ -169,7 +169,7 @@ func TestClientTCPReconnects(t *testing.T) {
 	if err := c.Decide(true, &req, &resp); err != nil {
 		t.Fatalf("post-restart decide: %v", err)
 	}
-	if c.Retries() == 0 {
+	if c.retried.Load() == 0 {
 		t.Error("reconnect consumed no retries — stale conn was not detected")
 	}
 }
@@ -251,8 +251,8 @@ func TestClientBackoffCap(t *testing.T) {
 	if elapsed := time.Since(start); elapsed > 500*time.Millisecond {
 		t.Errorf("6 capped retries took %v", elapsed)
 	}
-	if got := c.Retries(); got != 6 {
-		t.Errorf("Retries() = %d, want 6", got)
+	if got := c.retried.Load(); got != 6 {
+		t.Errorf("retried = %d, want 6", got)
 	}
 }
 

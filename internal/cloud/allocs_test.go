@@ -21,7 +21,7 @@ func TestDeploymentApplyZeroAlloc(t *testing.T) {
 	}
 	var now time.Duration
 	change := func() {
-		next := Allocation{Type: Large, Count: 5 - d.TargetAllocation().Count} // 2 ↔ 3
+		next := Allocation{Type: Large, Count: 5 - d.current.Count} // 2 ↔ 3
 		if err := d.Apply(now, next); err != nil {
 			t.Fatal(err)
 		}
@@ -34,7 +34,7 @@ func TestDeploymentApplyZeroAlloc(t *testing.T) {
 		t.Errorf("Deployment.Apply + settle allocates %.1f times, want 0", allocs)
 		t.Log(obs.AllocSites(100, change))
 	}
-	if got := d.Changes(); got != 101 {
+	if got := d.changes; got != 101 {
 		t.Errorf("%d changes requested, want 101", got)
 	}
 }

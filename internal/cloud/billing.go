@@ -33,8 +33,8 @@ func (b *Bill) Total() float64 {
 	return sum
 }
 
-// Write renders the bill as a usage report.
-func (b *Bill) Write(w io.Writer) error {
+// write renders the bill as a usage report.
+func (b *Bill) write(w io.Writer) error {
 	for _, it := range b.Items {
 		if _, err := fmt.Fprintf(w, "%10s - %10s  %-12s $%8.4f\n",
 			it.From, it.To, it.Allocation, it.Cost); err != nil {
@@ -71,8 +71,8 @@ type MeteredDeployment struct {
 	lastAlloc Allocation
 }
 
-// NewMeteredDeployment starts a metered deployment.
-func NewMeteredDeployment(initial Allocation) (*MeteredDeployment, error) {
+// newMeteredDeployment starts a metered deployment.
+func newMeteredDeployment(initial Allocation) (*MeteredDeployment, error) {
 	d, err := NewDeployment(initial)
 	if err != nil {
 		return nil, err
@@ -80,14 +80,14 @@ func NewMeteredDeployment(initial Allocation) (*MeteredDeployment, error) {
 	return &MeteredDeployment{Deployment: d, lastAlloc: initial}, nil
 }
 
-// Meter brings the itemized bill up to the given time; call it
+// meter brings the itemized bill up to the given time; call it
 // periodically (e.g. once per simulation step) and before reading the
 // bill.
-func (m *MeteredDeployment) Meter(now time.Duration) {
+func (m *MeteredDeployment) meter(now time.Duration) {
 	if now <= m.lastPoint {
 		return
 	}
-	active := m.Allocation(now)
+	active, _, _ := m.Status(now)
 	if !active.Equal(m.lastAlloc) {
 		// The switch happened somewhere inside (lastPoint, now];
 		// bill the whole span at the allocation observed at each
@@ -101,6 +101,3 @@ func (m *MeteredDeployment) Meter(now time.Duration) {
 	m.lastAlloc = active
 	m.lastPoint = now
 }
-
-// Bill returns the itemized bill accumulated so far.
-func (m *MeteredDeployment) Bill() *Bill { return &m.bill }

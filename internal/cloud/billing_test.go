@@ -36,7 +36,7 @@ func TestBillWrite(t *testing.T) {
 	var b Bill
 	b.add(0, time.Hour, Allocation{Type: Large, Count: 3})
 	var buf bytes.Buffer
-	if err := b.Write(&buf); err != nil {
+	if err := b.write(&buf); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -46,21 +46,21 @@ func TestBillWrite(t *testing.T) {
 }
 
 func TestMeteredDeployment(t *testing.T) {
-	m, err := NewMeteredDeployment(Allocation{Type: Large, Count: 2})
+	m, err := newMeteredDeployment(Allocation{Type: Large, Count: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Meter every 10 minutes for 1 hour; scale at t=30m.
 	for minute := 10; minute <= 30; minute += 10 {
-		m.Meter(time.Duration(minute) * time.Minute)
+		m.meter(time.Duration(minute) * time.Minute)
 	}
 	if err := m.Apply(30*time.Minute, Allocation{Type: Large, Count: 6}); err != nil {
 		t.Fatal(err)
 	}
 	for minute := 40; minute <= 60; minute += 10 {
-		m.Meter(time.Duration(minute) * time.Minute)
+		m.meter(time.Duration(minute) * time.Minute)
 	}
-	bill := m.Bill()
+	bill := &m.bill
 	if len(bill.Items) < 2 {
 		t.Fatalf("expected at least 2 bill lines, got %+v", bill.Items)
 	}
@@ -81,14 +81,14 @@ func TestMeteredDeployment(t *testing.T) {
 	}
 	// Re-metering the same instant is a no-op.
 	before := len(bill.Items)
-	m.Meter(time.Hour)
-	if len(m.Bill().Items) != before {
+	m.meter(time.Hour)
+	if len(m.bill.Items) != before {
 		t.Error("re-metering same time should not add lines")
 	}
 }
 
 func TestNewMeteredDeploymentInvalid(t *testing.T) {
-	if _, err := NewMeteredDeployment(Allocation{}); err == nil {
+	if _, err := newMeteredDeployment(Allocation{}); err == nil {
 		t.Error("invalid allocation should error")
 	}
 }

@@ -206,27 +206,6 @@ func (d *Deployment) accrue(now time.Duration) {
 	d.lastBill = now
 }
 
-// Allocation returns the allocation serving at the given time.
-func (d *Deployment) Allocation(now time.Duration) Allocation {
-	d.settle(now)
-	return d.current
-}
-
-// TargetAllocation returns the most recently requested allocation,
-// whether or not it has finished warming up.
-func (d *Deployment) TargetAllocation() Allocation {
-	if d.hasPending {
-		return d.pending
-	}
-	return d.current
-}
-
-// InTransition reports whether a requested change is still warming up.
-func (d *Deployment) InTransition(now time.Duration) bool {
-	d.settle(now)
-	return d.hasPending
-}
-
 // SetInterference sets the co-located tenant contention affecting this
 // deployment's instances.
 func (d *Deployment) SetInterference(i Interference) error {
@@ -237,22 +216,17 @@ func (d *Deployment) SetInterference(i Interference) error {
 	return nil
 }
 
-// Interference returns the current contention setting.
-func (d *Deployment) Interference() Interference { return d.interf }
-
-// EffectiveCapacity returns the capacity actually available to the
+// effectiveCapacity returns the capacity actually available to the
 // service at the given time: the active allocation's nominal capacity
 // reduced by interference.
-func (d *Deployment) EffectiveCapacity(now time.Duration) float64 {
+func (d *Deployment) effectiveCapacity(now time.Duration) float64 {
 	d.settle(now)
 	return d.current.Capacity() * (1 - d.interf.Fraction)
 }
 
 // Status returns the serving allocation, the most recently requested
 // allocation, and whether a change is still warming up, settling
-// pending work once — the simulation engine's per-step snapshot,
-// equivalent to calling Allocation, TargetAllocation, and InTransition
-// back to back.
+// pending work once: the simulation engine's per-step snapshot.
 func (d *Deployment) Status(now time.Duration) (active, target Allocation, inTransition bool) {
 	d.settle(now)
 	if d.hasPending {
@@ -278,6 +252,3 @@ func (d *Deployment) Cost(now time.Duration) float64 {
 	d.accrue(now)
 	return d.cost
 }
-
-// Changes returns how many allocation changes were requested.
-func (d *Deployment) Changes() int { return d.changes }

@@ -87,25 +87,27 @@ func TestDeploymentWarmup(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Before warm-up completes the old allocation serves.
-	if got := d.Allocation(time.Minute + 10*time.Second); got.Count != 2 {
-		t.Errorf("during warmup count=%d want 2", got.Count)
+	active, target, inTransition := d.Status(time.Minute + 10*time.Second)
+	if active.Count != 2 {
+		t.Errorf("during warmup count=%d want 2", active.Count)
 	}
-	if !d.InTransition(time.Minute + 10*time.Second) {
+	if !inTransition {
 		t.Error("should be in transition")
 	}
-	if got := d.TargetAllocation(); got.Count != 6 {
-		t.Errorf("target count=%d want 6", got.Count)
+	if target.Count != 6 {
+		t.Errorf("target count=%d want 6", target.Count)
 	}
 	// After warm-up the new allocation serves.
 	after := time.Minute + Large.WarmupDelay + time.Second
-	if got := d.Allocation(after); got.Count != 6 {
-		t.Errorf("after warmup count=%d want 6", got.Count)
+	active, _, inTransition = d.Status(after)
+	if active.Count != 6 {
+		t.Errorf("after warmup count=%d want 6", active.Count)
 	}
-	if d.InTransition(after) {
+	if inTransition {
 		t.Error("transition should be over")
 	}
-	if d.Changes() != 1 {
-		t.Errorf("Changes=%d want 1", d.Changes())
+	if d.changes != 1 {
+		t.Errorf("Changes=%d want 1", d.changes)
 	}
 }
 
@@ -114,10 +116,10 @@ func TestDeploymentApplySameIsNoop(t *testing.T) {
 	if err := d.Apply(time.Minute, Allocation{Type: Large, Count: 2}); err != nil {
 		t.Fatal(err)
 	}
-	if d.Changes() != 0 {
-		t.Errorf("no-op apply counted as change: %d", d.Changes())
+	if d.changes != 0 {
+		t.Errorf("no-op apply counted as change: %d", d.changes)
 	}
-	if d.InTransition(time.Minute) {
+	if _, _, inTransition := d.Status(time.Minute); inTransition {
 		t.Error("no-op apply should not start a transition")
 	}
 }
@@ -170,13 +172,13 @@ func TestDeploymentCostIdempotentQueries(t *testing.T) {
 
 func TestDeploymentInterference(t *testing.T) {
 	d, _ := NewDeployment(Allocation{Type: Large, Count: 4})
-	if got := d.EffectiveCapacity(0); got != 4 {
+	if got := d.effectiveCapacity(0); got != 4 {
 		t.Errorf("capacity=%v want 4", got)
 	}
 	if err := d.SetInterference(Interference{Fraction: 0.2}); err != nil {
 		t.Fatal(err)
 	}
-	if got := d.EffectiveCapacity(0); math.Abs(got-3.2) > 1e-9 {
+	if got := d.effectiveCapacity(0); math.Abs(got-3.2) > 1e-9 {
 		t.Errorf("interfered capacity=%v want 3.2", got)
 	}
 	if err := d.SetInterference(Interference{Fraction: 1.0}); err == nil {
@@ -194,7 +196,7 @@ func TestDeploymentScaleUp(t *testing.T) {
 		t.Fatal(err)
 	}
 	after := XLarge.WarmupDelay + time.Second
-	if got := d.EffectiveCapacity(after); got != 10 {
+	if got := d.effectiveCapacity(after); got != 10 {
 		t.Errorf("capacity after scale-up=%v want 10", got)
 	}
 }

@@ -84,12 +84,12 @@ func TestInterferenceNeverIncreasesCapacityProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		clean := d.EffectiveCapacity(0)
+		clean := d.effectiveCapacity(0)
 		f64 := float64(frac%90) / 100
 		if err := d.SetInterference(Interference{Fraction: f64}); err != nil {
 			return false
 		}
-		dirty := d.EffectiveCapacity(0)
+		dirty := d.effectiveCapacity(0)
 		return dirty <= clean+1e-12 && dirty >= 0
 	}
 	if err := quick.Check(f, nil); err != nil {

@@ -116,17 +116,6 @@ func (b *FleetBill) ByService() []TenantUsage {
 	return out
 }
 
-// Posts returns how many usage records were posted (at least one per
-// tenant; a tenant may accumulate several).
-func (b *FleetBill) Posts() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.posted
-}
-
-// Write renders the per-tenant usage report.
-func (b *FleetBill) Write(w io.Writer) error { return b.WriteTop(w, 0) }
-
 // WriteTop renders the report limited to the top n tenants by cost
 // (n <= 0 means all); the total line always covers the whole fleet.
 func (b *FleetBill) WriteTop(w io.Writer, n int) error {

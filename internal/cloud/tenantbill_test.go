@@ -19,8 +19,8 @@ func TestFleetBillAggregation(t *testing.T) {
 	if got := b.Total(); math.Abs(got-45) > 1e-12 {
 		t.Errorf("Total = %v, want 45", got)
 	}
-	if b.Posts() != 3 {
-		t.Errorf("Posts = %d, want 3", b.Posts())
+	if b.posted != 3 {
+		t.Errorf("Posts = %d, want 3", b.posted)
 	}
 
 	tenants := b.Tenants()
@@ -77,8 +77,8 @@ func TestFleetBillConcurrentPosts(t *testing.T) {
 	if got := len(b.Tenants()); got != workers {
 		t.Errorf("%d tenants, want %d", got, workers)
 	}
-	if b.Posts() != workers*posts {
-		t.Errorf("Posts = %d, want %d", b.Posts(), workers*posts)
+	if b.posted != workers*posts {
+		t.Errorf("Posts = %d, want %d", b.posted, workers*posts)
 	}
 }
 
@@ -86,7 +86,7 @@ func TestFleetBillWrite(t *testing.T) {
 	b := NewFleetBill()
 	b.Post(TenantUsage{Tenant: "vm-a", Service: "rubis", Cost: 12.5, InstanceHours: 3})
 	var buf bytes.Buffer
-	if err := b.Write(&buf); err != nil {
+	if err := b.WriteTop(&buf, 0); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()

@@ -4,10 +4,8 @@ import (
 	"bytes"
 	"math/rand"
 	"testing"
-	"time"
 
 	"repro/internal/cloud"
-	"repro/internal/metrics"
 	"repro/internal/services"
 	"repro/internal/trace"
 )
@@ -135,7 +133,7 @@ func TestSharedTuningCacheAcrossTenants(t *testing.T) {
 	if cache.Hits() == 0 {
 		t.Error("no cross-tenant hits recorded")
 	}
-	if cache.Len() == 0 {
+	if len(cache.entries) == 0 {
 		t.Error("cache should hold memoized operating points")
 	}
 }
@@ -178,151 +176,5 @@ func TestSharedTunerValidation(t *testing.T) {
 	shared, _ := NewSharedTuner(NewSharedTuningCache(), svc, inner)
 	if _, err := shared.Tune(services.Workload{Clients: 1}, 1.5); err == nil {
 		t.Error("bad interference should error")
-	}
-}
-
-// --- Interference attribution ----------------------------------------
-
-func TestAttributeInterferenceRanksAffectedResource(t *testing.T) {
-	events := []metrics.Event{
-		metrics.EvCPUClkUnhalt, metrics.EvFlopsRate, // cpu
-		metrics.EvL2Ads, metrics.EvL2St, // cache
-		metrics.EvXenVBDRd, metrics.EvXenVBDWr, // io
-	}
-	ref := &Signature{Events: events, Values: []float64{1e6, 1e4, 2e4, 3e4, 100, 200}}
-	// Cache counters inflated 60%; everything else within 5%.
-	obs := &Signature{Events: events, Values: []float64{1.05e6, 1.02e4, 3.2e4, 4.8e4, 103, 198}}
-	scores, err := AttributeInterference(ref, obs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if scores[0].Resource != ResourceCache {
-		t.Errorf("top suspect=%s want cache (scores %+v)", scores[0].Resource, scores)
-	}
-	if scores[0].Deviation < 0.5 {
-		t.Errorf("cache deviation=%v want >= 0.5", scores[0].Deviation)
-	}
-	// Descending order.
-	for i := 1; i < len(scores); i++ {
-		if scores[i].Deviation > scores[i-1].Deviation {
-			t.Errorf("scores not sorted: %+v", scores)
-		}
-	}
-}
-
-func TestAttributeInterferenceValidation(t *testing.T) {
-	a := &Signature{Events: []metrics.Event{metrics.EvXenCPU}, Values: []float64{1}}
-	b := &Signature{Events: []metrics.Event{metrics.EvXenCPU, metrics.EvXenMem}, Values: []float64{1, 2}}
-	if _, err := AttributeInterference(a, b); err == nil {
-		t.Error("width mismatch should error")
-	}
-	c := &Signature{Events: []metrics.Event{metrics.EvXenMem}, Values: []float64{1}}
-	if _, err := AttributeInterference(a, c); err == nil {
-		t.Error("event mismatch should error")
-	}
-	if _, err := AttributeInterference(&Signature{}, &Signature{}); err == nil {
-		t.Error("empty signatures should error")
-	}
-}
-
-func TestAttributeInterferenceZeroReference(t *testing.T) {
-	events := []metrics.Event{metrics.EvXenCPU, metrics.EvXenMem}
-	ref := &Signature{Events: events, Values: []float64{0, 100}}
-	obs := &Signature{Events: events, Values: []float64{50, 110}}
-	scores, err := AttributeInterference(ref, obs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Only the mem event contributes (cpu reference is 0).
-	total := 0
-	for _, s := range scores {
-		total += s.Events
-	}
-	if total != 1 {
-		t.Errorf("contributing events=%d want 1", total)
-	}
-}
-
-func TestResourceOf(t *testing.T) {
-	if ResourceOf(metrics.EvL2St) != ResourceCache {
-		t.Error("l2_st should be cache")
-	}
-	if ResourceOf(metrics.EvXenVBDWr) != ResourceIO {
-		t.Error("vbd_wr should be io")
-	}
-	if ResourceOf(metrics.Event("uops_retired")) != ResourceOther {
-		t.Error("filler should be other")
-	}
-}
-
-// --- Batch diagnosis ---------------------------------------------------
-
-func TestDiagnoseBatch(t *testing.T) {
-	job, err := services.NewBatchJob("sort", 100, 10*time.Minute, 11*time.Minute)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Healthy: production within expectation.
-	rep, err := DiagnoseBatch(job, 11*time.Minute, 10*time.Minute)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Diagnosis != BatchHealthy {
-		t.Errorf("diagnosis=%v want healthy", rep.Diagnosis)
-	}
-	// Interference: production 50% slower than isolation.
-	rep, err = DiagnoseBatch(job, 15*time.Minute, 10*time.Minute)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Diagnosis != BatchInterference {
-		t.Errorf("diagnosis=%v want interference", rep.Diagnosis)
-	}
-	if rep.Index < 1.4 {
-		t.Errorf("index=%v want ~1.5", rep.Index)
-	}
-	// Mis-estimation: violates SLO but isolation is just as slow.
-	rep, err = DiagnoseBatch(job, 15*time.Minute, 14*time.Minute+30*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Diagnosis != BatchMisestimated {
-		t.Errorf("diagnosis=%v want mis-estimated", rep.Diagnosis)
-	}
-}
-
-func TestDiagnoseBatchValidation(t *testing.T) {
-	if _, err := DiagnoseBatch(nil, time.Minute, time.Minute); err == nil {
-		t.Error("nil job should error")
-	}
-	job, _ := services.NewBatchJob("j", 1, time.Minute, time.Minute)
-	if _, err := DiagnoseBatch(job, 0, time.Minute); err == nil {
-		t.Error("zero production duration should error")
-	}
-	if _, err := DiagnoseBatch(job, time.Minute, 0); err == nil {
-		t.Error("zero isolation duration should error")
-	}
-}
-
-func TestBatchDiagnosisString(t *testing.T) {
-	for d, want := range map[BatchDiagnosis]string{
-		BatchHealthy:       "healthy",
-		BatchInterference:  "interference",
-		BatchMisestimated:  "mis-estimated expectation",
-		BatchDiagnosis(99): "unknown",
-	} {
-		if d.String() != want {
-			t.Errorf("String(%d)=%q want %q", d, d.String(), want)
-		}
-	}
-}
-
-func TestProbeBatchIsolation(t *testing.T) {
-	job, _ := services.NewBatchJob("j", 10, 10*time.Minute, 12*time.Minute)
-	if got := ProbeBatchIsolation(job, 1); got != 10*time.Minute {
-		t.Errorf("isolation probe=%v want 10m", got)
-	}
-	if got := ProbeBatchIsolation(job, 2); got != 5*time.Minute {
-		t.Errorf("isolation probe at 2 units=%v want 5m", got)
 	}
 }

@@ -42,12 +42,8 @@ func NewHandle(repo *Repository) (*Handle, error) {
 }
 
 // Current returns the live snapshot; never nil. Callers must read
-// Repo and Version from the returned value, not via separate Handle
-// calls, to stay on one snapshot.
+// Repo and Version from one returned value to stay on one snapshot.
 func (h *Handle) Current() *VersionedRepository { return h.cur.Load() }
-
-// Version returns the live snapshot's version.
-func (h *Handle) Version() uint64 { return h.cur.Load().Version }
 
 // Swap publishes a freshly built repository and returns its version.
 // In-flight readers keep serving from the snapshot they already hold;

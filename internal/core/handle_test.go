@@ -58,7 +58,7 @@ func TestHandleSwapVersions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v != 2 || h.Version() != 2 || h.Current().Repo != next {
+	if v != 2 || h.Current().Version != 2 || h.Current().Repo != next {
 		t.Fatalf("after swap: v=%d current=%+v", v, h.Current())
 	}
 	// The old snapshot is untouched — in-flight readers holding it
@@ -91,7 +91,7 @@ func TestHandleConcurrentSwap(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if got, want := h.Version(), uint64(1+swappers*swapsEach); got != want {
+	if got, want := h.Current().Version, uint64(1+swappers*swapsEach); got != want {
 		t.Errorf("final version %d, want %d (every swap must claim a distinct version)", got, want)
 	}
 }

@@ -89,7 +89,7 @@ func TestPersistenceUnderConcurrency(t *testing.T) {
 	// to a clean save/load of itself — and, for the learned artifacts,
 	// identically to the original.
 	final := h.Current().Repo
-	if got, want := h.Version(), uint64(6); got != want {
+	if got, want := h.Current().Version, uint64(6); got != want {
 		t.Fatalf("version %d after 5 swaps, want %d", got, want)
 	}
 	sig := &Signature{Events: events}

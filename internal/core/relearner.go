@@ -130,7 +130,4 @@ func windowOf(cfg LearnConfig) time.Duration {
 // Relearns reports how many re-clustering rounds ran.
 func (r *Relearner) Relearns() int { return r.relearns }
 
-// Relearning reports whether a round is currently in flight.
-func (r *Relearner) Relearning() bool { return r.pendingRepo != nil }
-
 var _ sim.Controller = (*Relearner)(nil)

@@ -59,13 +59,6 @@ func (s *SharedTuningCache) Hits() int { return int(s.hits.Load()) }
 // Misses reports how many lookups fell through to a real tuner.
 func (s *SharedTuningCache) Misses() int { return int(s.misses.Load()) }
 
-// Len returns the number of memoized operating points.
-func (s *SharedTuningCache) Len() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.entries)
-}
-
 // SharedTuner is the per-tenant view of the shared cache: a Tuner that
 // consults the memo before delegating to the tenant's own tuner.
 type SharedTuner struct {

@@ -9,12 +9,13 @@ import (
 
 // DecisionSource is everything a runtime controller needs from the
 // decision plane: the signature vocabulary, classify-and-lookup over
-// it, and the miss path's read/write entry access. Two
+// it, and the miss path's read/write entry access. Three
 // implementations exist — *Handle serves from an in-process versioned
-// repository, and internal/client's template source forwards over the
-// wire to a remote dejavud — so the same controller code drives both
-// deployment shapes, and a fleet can switch between them with a flag
-// (dejavu-sim -fleet N -remote addr).
+// repository, repositorySource from a bare *Repository (behind
+// ControllerConfig.Repository), and internal/client's TemplateSource
+// forwards over the wire to a remote dejavud — so the same controller
+// code drives every deployment shape, and a fleet can switch between
+// them with a flag (dejavu-sim -fleet N -remote addr).
 //
 // Implementations must be safe for concurrent use: a fleet shares one
 // source across every VM of a service template.

@@ -117,3 +117,57 @@ func TestVMKitReadyIsFresh(t *testing.T) {
 		}
 	}
 }
+
+// TestPrivateKit covers a hand-built fleet in which one VM reuses its
+// template's service name with another config: a Cassandra allowed
+// only 8 instances. It cannot share its worker's kit, so it builds a
+// private one: in process on its own, and over a loopback dejavud as a
+// member of a lockstep block. Every VM's result is the same at Workers
+// 1 and 3 and over the daemon. The premises are checked too, so the
+// test cannot pass vacuously: the worker refuses that VM its kit, and
+// no run stores a repository entry that would couple the VMs.
+func TestPrivateKit(t *testing.T) {
+	const odd = 4
+	specs := func() []sim.VMSpec {
+		specs := scenario(t, 6, true, false)
+		svc := services.NewCassandra()
+		svc.MaxInstances = 8
+		specs[odd].Service = svc
+		return specs
+	}
+	cfg := Config{Specs: specs(), Workers: 1}
+	groups, _, err := learnGroups(&cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(groups) != 1 {
+		t.Fatalf("%d templates, want 1", len(groups))
+	}
+	g := groups[0]
+	wctx := make([]map[string]*templateCtx, 1)
+	if workerTemplateCtx(wctx, 0, cfg.Specs[0].Service, g) == nil {
+		t.Fatal("a VM with its template's exact config was refused the worker's kit")
+	}
+	if workerTemplateCtx(wctx, 0, cfg.Specs[odd].Service, g) != nil {
+		t.Fatal("the VM with a divergent config was given the worker's kit")
+	}
+
+	one, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := one.Groups[0].RepoEntries, g.repo.Len(); got != want {
+		t.Fatalf("%d repository entries after the run, %d learned: a VM stored one", got, want)
+	}
+	three, err := Run(Config{Specs: specs(), Workers: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	compareFleetResults(t, one, three)
+	d := startLiveDaemon(t)
+	remote, err := Run(Config{Specs: specs(), Workers: 3, Remote: d.cl})
+	if err != nil {
+		t.Fatal(err)
+	}
+	compareFleetResults(t, one, remote)
+}

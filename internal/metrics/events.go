@@ -201,16 +201,6 @@ func Catalog() []EventInfo {
 	return append([]EventInfo(nil), catalog...)
 }
 
-// HPCEvents returns the names of all hardware counter events.
-func HPCEvents() []Event {
-	return append([]Event(nil), eventByIndex[:numHPC]...)
-}
-
-// XentopEvents returns the names of all xentop software metrics.
-func XentopEvents() []Event {
-	return append([]Event(nil), eventByIndex[numHPC:]...)
-}
-
 // AllEvents returns every event name, HPC first, then xentop, each group
 // in catalog order — i.e. dense-index order: AllEvents()[i] has Index i.
 func AllEvents() []Event {
@@ -229,9 +219,9 @@ func IsHPCIndex(i int) bool {
 	return i >= 0 && i < len(hpcByIndex) && hpcByIndex[i]
 }
 
-// SortEvents sorts events lexicographically in place and returns them;
+// sortEvents sorts events lexicographically in place and returns them;
 // useful for deterministic iteration over event maps.
-func SortEvents(evs []Event) []Event {
+func sortEvents(evs []Event) []Event {
 	sort.Slice(evs, func(i, j int) bool { return evs[i] < evs[j] })
 	return evs
 }

@@ -9,11 +9,11 @@ import (
 )
 
 func TestCatalogShape(t *testing.T) {
-	hpc := HPCEvents()
+	hpc := append([]Event(nil), eventByIndex[:numHPC]...)
 	if len(hpc) != 60 {
 		t.Errorf("HPC events=%d want 60 (paper: up to 60 monitorable events)", len(hpc))
 	}
-	xen := XentopEvents()
+	xen := append([]Event(nil), eventByIndex[numHPC:]...)
 	if len(xen) != 6 {
 		t.Errorf("xentop events=%d want 6", len(xen))
 	}
@@ -62,9 +62,9 @@ func TestIsHPC(t *testing.T) {
 
 func TestSortEvents(t *testing.T) {
 	evs := []Event{"c", "a", "b"}
-	SortEvents(evs)
+	sortEvents(evs)
 	if evs[0] != "a" || evs[1] != "b" || evs[2] != "c" {
-		t.Errorf("SortEvents=%v", evs)
+		t.Errorf("sortEvents=%v", evs)
 	}
 }
 
@@ -160,7 +160,7 @@ func TestMonitorNoiseShrinksWithWindow(t *testing.T) {
 }
 
 func TestMonitorMultiplexingAddsNoise(t *testing.T) {
-	hpc := HPCEvents()
+	hpc := append([]Event(nil), eventByIndex[:numHPC]...)
 	src := StaticSource{}
 	for _, ev := range hpc {
 		src[ev] = 1000
@@ -213,23 +213,23 @@ func TestMonitorReadingsNonNegative(t *testing.T) {
 
 func TestSampleVector(t *testing.T) {
 	s := &Sample{Values: map[Event]float64{EvFlopsRate: 5, EvXenCPU: 7}}
-	v := s.Vector([]Event{EvXenCPU, EvFlopsRate, Event("missing")})
+	v := s.vector([]Event{EvXenCPU, EvFlopsRate, Event("missing")})
 	if v[0] != 7 || v[1] != 5 || v[2] != 0 {
-		t.Errorf("Vector=%v want [7 5 0]", v)
+		t.Errorf("vector=%v want [7 5 0]", v)
 	}
 }
 
 func TestSampleN(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	mon, _ := NewMonitor([]Event{EvFlopsRate}, rng)
-	samples, err := mon.SampleN(StaticSource{EvFlopsRate: 10}, time.Second, 5)
+	samples, err := mon.sampleN(StaticSource{EvFlopsRate: 10}, time.Second, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(samples) != 5 {
-		t.Errorf("SampleN returned %d samples want 5", len(samples))
+		t.Errorf("sampleN returned %d samples want 5", len(samples))
 	}
-	if _, err := mon.SampleN(StaticSource{}, time.Second, 0); err == nil {
+	if _, err := mon.sampleN(StaticSource{}, time.Second, 0); err == nil {
 		t.Error("n=0 should error")
 	}
 }

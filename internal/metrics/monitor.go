@@ -66,9 +66,9 @@ type Sample struct {
 	Window time.Duration
 }
 
-// Vector assembles the sample values for the given events, in order.
+// vector assembles the sample values for the given events, in order.
 // Missing events read as 0.
-func (s *Sample) Vector(events []Event) []float64 {
+func (s *Sample) vector(events []Event) []float64 {
 	out := make([]float64, len(events))
 	for i, ev := range events {
 		out[i] = s.Values[ev]
@@ -210,9 +210,9 @@ func (m *Monitor) SampleVector(src Source, window time.Duration, dst []float64) 
 	return nil
 }
 
-// SampleN collects n samples and returns them; convenience for building
+// sampleN collects n samples and returns them; convenience for building
 // profiling datasets (the paper's "5 trials for each volume").
-func (m *Monitor) SampleN(src Source, window time.Duration, n int) ([]*Sample, error) {
+func (m *Monitor) sampleN(src Source, window time.Duration, n int) ([]*Sample, error) {
 	if n <= 0 {
 		return nil, errors.New("metrics: n must be positive")
 	}

@@ -30,7 +30,7 @@ func TestDenseIndexBijection(t *testing.T) {
 			t.Errorf("IsHPCIndex(%d) != IsHPC(%s)", idx, ev)
 		}
 	}
-	nHPC := len(HPCEvents())
+	nHPC := numHPC
 	for i, ev := range evs {
 		if (i < nHPC) != IsHPC(ev) {
 			t.Errorf("event %s at %d breaks HPC-first ordering", ev, i)

@@ -120,8 +120,5 @@ func (nb *NaiveBayes) PredictProba(row []float64) (int, float64) {
 	return best, 1 / sum
 }
 
-// NumClasses returns the number of classes the model was trained with.
-func (nb *NaiveBayes) NumClasses() int { return nb.numClasses }
-
 var _ Classifier = (*NaiveBayes)(nil)
 var _ Classifier = (*C45Tree)(nil)

@@ -23,8 +23,8 @@ func TestNaiveBayesSeparatesGaussians(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if nb.NumClasses() != 2 {
-		t.Fatalf("NumClasses=%d want 2", nb.NumClasses())
+	if nb.numClasses != 2 {
+		t.Fatalf("NumClasses=%d want 2", nb.numClasses)
 	}
 	if got := nb.Predict([]float64{-3}); got != 0 {
 		t.Errorf("Predict(-3)=%d want 0", got)

@@ -360,9 +360,7 @@ func (t *C45Tree) PredictProba(row []float64) (int, float64) {
 	return node.label, node.probs[node.label]
 }
 
-// Depth returns the depth of the tree (a lone leaf has depth 1).
-func (t *C45Tree) Depth() int { return depthOf(t.root) }
-
+// depthOf returns the depth of a tree (a lone leaf has depth 1).
 func depthOf(n *c45Node) int {
 	if n == nil {
 		return 0
@@ -377,9 +375,7 @@ func depthOf(n *c45Node) int {
 	return 1 + r
 }
 
-// Leaves returns the number of leaves.
-func (t *C45Tree) Leaves() int { return leavesOf(t.root) }
-
+// leavesOf returns the number of leaves.
 func leavesOf(n *c45Node) int {
 	if n == nil {
 		return 0

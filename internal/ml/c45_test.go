@@ -56,8 +56,8 @@ func TestC45PureDatasetIsLeaf(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tree.Depth() != 1 || tree.Leaves() != 1 {
-		t.Errorf("pure data should give single leaf, depth=%d leaves=%d", tree.Depth(), tree.Leaves())
+	if depthOf(tree.root) != 1 || leavesOf(tree.root) != 1 {
+		t.Errorf("pure data should give single leaf, depth=%d leaves=%d", depthOf(tree.root), leavesOf(tree.root))
 	}
 	label, conf := tree.PredictProba([]float64{3})
 	if label != 0 || conf != 1 {
@@ -102,11 +102,11 @@ func TestC45MaxDepth(t *testing.T) {
 		t.Fatal(err)
 	}
 	// MaxDepth bounds split levels: one split -> two leaf children.
-	if tree.Depth() > 2 {
-		t.Errorf("depth=%d want <= 2", tree.Depth())
+	if depthOf(tree.root) > 2 {
+		t.Errorf("depth=%d want <= 2", depthOf(tree.root))
 	}
-	if tree.Leaves() > 2 {
-		t.Errorf("leaves=%d want <= 2", tree.Leaves())
+	if leavesOf(tree.root) > 2 {
+		t.Errorf("leaves=%d want <= 2", leavesOf(tree.root))
 	}
 }
 
@@ -121,8 +121,8 @@ func TestC45MinLeaf(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if big.Leaves() > small.Leaves() {
-		t.Errorf("MinLeaf=40 leaves=%d should be <= MinLeaf=2 leaves=%d", big.Leaves(), small.Leaves())
+	if leavesOf(big.root) > leavesOf(small.root) {
+		t.Errorf("MinLeaf=40 leaves=%d should be <= MinLeaf=2 leaves=%d", leavesOf(big.root), leavesOf(small.root))
 	}
 }
 
@@ -142,8 +142,8 @@ func TestC45PruningShrinksNoisyTree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pruned.Leaves() > unpruned.Leaves() {
-		t.Errorf("pruned leaves=%d > unpruned leaves=%d", pruned.Leaves(), unpruned.Leaves())
+	if leavesOf(pruned.root) > leavesOf(unpruned.root) {
+		t.Errorf("pruned leaves=%d > unpruned leaves=%d", leavesOf(pruned.root), leavesOf(unpruned.root))
 	}
 }
 
@@ -251,8 +251,8 @@ func TestC45TreeIndependentOfGOMAXPROCS(t *testing.T) {
 			}
 			if procs == 1 {
 				text, wire = tree.String(), data
-				if tree.Leaves() < 8 {
-					t.Fatalf("tree has %d leaves; the noisy labels should grow it well below the root", tree.Leaves())
+				if leavesOf(tree.root) < 8 {
+					t.Fatalf("tree has %d leaves; the noisy labels should grow it well below the root", leavesOf(tree.root))
 				}
 				continue
 			}

@@ -201,10 +201,10 @@ func CorrelationRatio(xs []float64, ys []int, numClasses int) float64 {
 	return math.Sqrt(eta2)
 }
 
-// RankByClassCorrelation returns attribute indices sorted by descending
+// rankByClassCorrelation returns attribute indices sorted by descending
 // feature-class correlation ratio — a cheap univariate ranking useful
 // for diagnostics and as a CFS sanity check.
-func RankByClassCorrelation(d *Dataset) []int {
+func rankByClassCorrelation(d *Dataset) []int {
 	numClasses := d.NumClasses()
 	type scored struct {
 		attr  int

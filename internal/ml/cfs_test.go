@@ -151,7 +151,7 @@ func TestCorrelationRatioInRange(t *testing.T) {
 func TestRankByClassCorrelation(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	d := signatureDataset(rng, 300)
-	rank := RankByClassCorrelation(d)
+	rank := rankByClassCorrelation(d)
 	if len(rank) != d.NumAttributes() {
 		t.Fatalf("rank has %d entries want %d", len(rank), d.NumAttributes())
 	}

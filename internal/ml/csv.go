@@ -6,11 +6,11 @@ import (
 	"strconv"
 )
 
-// WriteCSV serializes the dataset with a header row (attribute names
+// writeCSV serializes the dataset with a header row (attribute names
 // plus a trailing "class" column), so profiling datasets can be
 // inspected with external tools — the workflow the paper used WEKA
 // for.
-func (d *Dataset) WriteCSV(w io.Writer) error {
+func (d *Dataset) writeCSV(w io.Writer) error {
 	cw := csv.NewWriter(w)
 	header := append(append([]string(nil), d.Attributes...), "class")
 	if err := cw.Write(header); err != nil {

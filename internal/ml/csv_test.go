@@ -13,7 +13,7 @@ import (
 func TestDatasetCSVRoundTrip(t *testing.T) {
 	d := sampleDataset(t)
 	var buf bytes.Buffer
-	if err := d.WriteCSV(&buf); err != nil {
+	if err := d.writeCSV(&buf); err != nil {
 		t.Fatal(err)
 	}
 	back, err := readDatasetCSV(&buf)

@@ -98,8 +98,8 @@ func (d *Dataset) Project(attrs []int) (*Dataset, error) {
 	return out, nil
 }
 
-// Clone returns a deep copy of the dataset.
-func (d *Dataset) Clone() *Dataset {
+// clone returns a deep copy of the dataset.
+func (d *Dataset) clone() *Dataset {
 	out := NewDataset(d.Attributes)
 	out.ClassNames = append([]string(nil), d.ClassNames...)
 	for i, row := range d.X {
@@ -179,8 +179,8 @@ func (s *Standardizer) TransformDataset(d *Dataset) *Dataset {
 	return out
 }
 
-// Inverse maps a standardized row back to the original space.
-func (s *Standardizer) Inverse(row []float64) []float64 {
+// inverse maps a standardized row back to the original space.
+func (s *Standardizer) inverse(row []float64) []float64 {
 	out := make([]float64, len(row))
 	for j := range row {
 		out[j] = row[j]*s.Stds[j] + s.Means[j]

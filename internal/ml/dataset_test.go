@@ -121,7 +121,7 @@ func TestDatasetSubset(t *testing.T) {
 
 func TestDatasetCloneIsDeep(t *testing.T) {
 	d := sampleDataset(t)
-	c := d.Clone()
+	c := d.clone()
 	c.X[0][0] = 42
 	c.Y[0] = 9
 	if d.X[0][0] == 42 || d.Y[0] == 9 {
@@ -154,7 +154,7 @@ func TestStandardizerRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	row := []float64{2.5, 17, 333}
-	back := s.Inverse(s.Transform(row))
+	back := s.inverse(s.Transform(row))
 	for j := range row {
 		if !almostEqual(back[j], row[j], 1e-9) {
 			t.Errorf("round trip[%d]=%v want %v", j, back[j], row[j])

@@ -31,9 +31,9 @@ func TestC45RoundTrip(t *testing.T) {
 	}
 	// Structure preserved.
 	bt := back.(*C45Tree)
-	if bt.Depth() != tree.Depth() || bt.Leaves() != tree.Leaves() {
+	if depthOf(bt.root) != depthOf(tree.root) || leavesOf(bt.root) != leavesOf(tree.root) {
 		t.Errorf("structure changed: depth %d->%d leaves %d->%d",
-			tree.Depth(), bt.Depth(), tree.Leaves(), bt.Leaves())
+			depthOf(tree.root), depthOf(bt.root), leavesOf(tree.root), leavesOf(bt.root))
 	}
 }
 

@@ -83,8 +83,8 @@ func SampleVariance(xs []float64) float64 {
 // StdDev returns the population standard deviation of xs.
 func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
 
-// StdErr returns the standard error of the mean of xs.
-func StdErr(xs []float64) float64 {
+// stdErr returns the standard error of the mean of xs.
+func stdErr(xs []float64) float64 {
 	if len(xs) == 0 {
 		return 0
 	}
@@ -116,8 +116,8 @@ func Pearson(xs, ys []float64) float64 {
 	return Covariance(xs, ys) / (sx * sy)
 }
 
-// Min returns the smallest element of xs.
-func Min(xs []float64) (float64, error) {
+// minOf returns the smallest element of xs.
+func minOf(xs []float64) (float64, error) {
 	if len(xs) == 0 {
 		return 0, ErrEmpty
 	}
@@ -130,8 +130,8 @@ func Min(xs []float64) (float64, error) {
 	return m, nil
 }
 
-// Max returns the largest element of xs.
-func Max(xs []float64) (float64, error) {
+// maxOf returns the largest element of xs.
+func maxOf(xs []float64) (float64, error) {
 	if len(xs) == 0 {
 		return 0, ErrEmpty
 	}
@@ -168,8 +168,8 @@ func Percentile(xs []float64, p float64) (float64, error) {
 	return sorted[lo]*(1-frac) + sorted[hi]*frac, nil
 }
 
-// Median returns the 50th percentile of xs.
-func Median(xs []float64) (float64, error) { return Percentile(xs, 50) }
+// median returns the 50th percentile of xs.
+func median(xs []float64) (float64, error) { return Percentile(xs, 50) }
 
 // EntropyOf returns the Shannon entropy (bits) of a discrete label
 // distribution given as counts.

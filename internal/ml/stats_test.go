@@ -54,10 +54,10 @@ func TestSampleVariance(t *testing.T) {
 func TestStdErr(t *testing.T) {
 	xs := []float64{1, 2, 3, 4}
 	want := math.Sqrt((5.0 / 3) / 4)
-	if got := StdErr(xs); !almostEqual(got, want, 1e-12) {
+	if got := stdErr(xs); !almostEqual(got, want, 1e-12) {
 		t.Errorf("StdErr=%v want %v", got, want)
 	}
-	if got := StdErr(nil); got != 0 {
+	if got := stdErr(nil); got != 0 {
 		t.Errorf("StdErr empty=%v want 0", got)
 	}
 }
@@ -100,19 +100,19 @@ func TestPearsonBounds(t *testing.T) {
 
 func TestMinMax(t *testing.T) {
 	xs := []float64{3, -1, 7, 0}
-	mn, err := Min(xs)
+	mn, err := minOf(xs)
 	if err != nil || mn != -1 {
 		t.Errorf("Min=%v err=%v", mn, err)
 	}
-	mx, err := Max(xs)
+	mx, err := maxOf(xs)
 	if err != nil || mx != 7 {
 		t.Errorf("Max=%v err=%v", mx, err)
 	}
-	if _, err := Min(nil); err != ErrEmpty {
-		t.Errorf("Min(nil) err=%v want ErrEmpty", err)
+	if _, err := minOf(nil); err != ErrEmpty {
+		t.Errorf("minOf(nil) err=%v want ErrEmpty", err)
 	}
-	if _, err := Max(nil); err != ErrEmpty {
-		t.Errorf("Max(nil) err=%v want ErrEmpty", err)
+	if _, err := maxOf(nil); err != ErrEmpty {
+		t.Errorf("maxOf(nil) err=%v want ErrEmpty", err)
 	}
 }
 
@@ -154,11 +154,11 @@ func TestPercentileDoesNotMutate(t *testing.T) {
 }
 
 func TestMedian(t *testing.T) {
-	got, err := Median([]float64{9, 1, 5})
+	got, err := median([]float64{9, 1, 5})
 	if err != nil || got != 5 {
 		t.Errorf("Median=%v err=%v", got, err)
 	}
-	got, err = Median([]float64{1, 2, 3, 4})
+	got, err = median([]float64{1, 2, 3, 4})
 	if err != nil || !almostEqual(got, 2.5, 1e-12) {
 		t.Errorf("Median even=%v err=%v", got, err)
 	}

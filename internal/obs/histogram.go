@@ -85,9 +85,9 @@ type Snapshot struct {
 	SumNS  int64
 }
 
-// Merge accumulates another snapshot (e.g. summing one histogram per
+// merge accumulates another snapshot (e.g. summing one histogram per
 // replica into a tier view).
-func (s *Snapshot) Merge(o Snapshot) {
+func (s *Snapshot) merge(o Snapshot) {
 	for i := range s.Counts {
 		s.Counts[i] += o.Counts[i]
 	}

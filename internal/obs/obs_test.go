@@ -124,7 +124,7 @@ func TestSnapshotMergeAndSummary(t *testing.T) {
 		b.Record(time.Millisecond)
 	}
 	s := a.Snapshot()
-	s.Merge(b.Snapshot())
+	s.merge(b.Snapshot())
 	if s.Count != 200 {
 		t.Fatalf("merged count %d", s.Count)
 	}
@@ -239,7 +239,7 @@ func TestTraceContextCodecs(t *testing.T) {
 	if _, ok := ParseWireContext(wire[:15]); ok {
 		t.Fatal("short wire context must not parse")
 	}
-	hdr := tc.HeaderValue()
+	hdr := string(tc.AppendHeader(nil))
 	if len(hdr) != HeaderContextLen {
 		t.Fatalf("header form %d chars", len(hdr))
 	}

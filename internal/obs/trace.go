@@ -81,11 +81,6 @@ func (tc TraceContext) AppendHeader(dst []byte) []byte {
 	return dst
 }
 
-// HeaderValue renders the HTTP header form as a string.
-func (tc TraceContext) HeaderValue() string {
-	return string(tc.AppendHeader(make([]byte, 0, HeaderContextLen)))
-}
-
 // ParseHeaderContext decodes the 32-hex-char header form.
 func ParseHeaderContext(s string) (TraceContext, bool) {
 	if len(s) != HeaderContextLen {

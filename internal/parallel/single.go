@@ -34,9 +34,3 @@ func (s *SingleFlight) TryGo(fn func()) bool {
 
 // Busy reports whether a task is currently in flight.
 func (s *SingleFlight) Busy() bool { return s.running.Load() }
-
-// Runs returns how many tasks were launched.
-func (s *SingleFlight) Runs() int64 { return s.runs.Load() }
-
-// Skipped returns how many TryGo calls found a task already running.
-func (s *SingleFlight) Skipped() int64 { return s.skipped.Load() }

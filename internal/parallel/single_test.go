@@ -35,8 +35,8 @@ func TestSingleFlightAdmitsOne(t *testing.T) {
 	if !sf.TryGo(func() {}) {
 		t.Error("TryGo should admit again after completion")
 	}
-	if sf.Runs() != 2 || sf.Skipped() != 5 {
-		t.Errorf("runs=%d skipped=%d, want 2/5", sf.Runs(), sf.Skipped())
+	if sf.runs.Load() != 2 || sf.skipped.Load() != 5 {
+		t.Errorf("runs=%d skipped=%d, want 2/5", sf.runs.Load(), sf.skipped.Load())
 	}
 }
 
@@ -76,7 +76,7 @@ func TestSingleFlightConcurrent(t *testing.T) {
 	if maxInFlight.Load() != 1 {
 		t.Errorf("max in-flight %d, want 1", maxInFlight.Load())
 	}
-	if sf.Runs()+sf.Skipped() != 16*100 {
-		t.Errorf("runs %d + skipped %d != %d attempts", sf.Runs(), sf.Skipped(), 16*100)
+	if sf.runs.Load()+sf.skipped.Load() != 16*100 {
+		t.Errorf("runs %d + skipped %d != %d attempts", sf.runs.Load(), sf.skipped.Load(), 16*100)
 	}
 }

@@ -88,15 +88,8 @@ func (c *ResponseCache) Get(req []byte) ([]byte, bool) {
 	return append([]byte(nil), el.Value.(*cacheEntry).response...), true
 }
 
-// Len returns the number of cached responses.
-func (c *ResponseCache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.order.Len()
-}
-
-// HitRate returns the fraction of Get calls that hit.
-func (c *ResponseCache) HitRate() float64 {
+// hitRate returns the fraction of Get calls that hit.
+func (c *ResponseCache) hitRate() float64 {
 	h, m := c.hits.Load(), c.misses.Load()
 	if h+m == 0 {
 		return 0

@@ -26,8 +26,8 @@ func TestResponseCacheBasics(t *testing.T) {
 	if string(got) != "a1-new" {
 		t.Errorf("expected refreshed answer, got %q", got)
 	}
-	if c.Len() != 1 {
-		t.Errorf("Len=%d want 1", c.Len())
+	if c.order.Len() != 1 {
+		t.Errorf("Len=%d want 1", c.order.Len())
 	}
 }
 
@@ -62,11 +62,11 @@ func TestResponseCacheHitRate(t *testing.T) {
 	c.Put([]byte("x"), []byte("y"))
 	c.Get([]byte("x"))       // hit
 	c.Get([]byte("missing")) // miss
-	if got := c.HitRate(); got != 0.5 {
+	if got := c.hitRate(); got != 0.5 {
 		t.Errorf("HitRate=%v want 0.5", got)
 	}
 	fresh, _ := NewResponseCache(1)
-	if fresh.HitRate() != 0 {
+	if fresh.hitRate() != 0 {
 		t.Error("fresh cache hit rate should be 0")
 	}
 }

@@ -312,10 +312,6 @@ func (f *DecisionFront) metricFamilies() []obs.Metric {
 		obs.Hist("dejavu_replica_resync_duration_seconds", "Completed donor-to-replica repairs.", tier.Resync))
 }
 
-// Spans exposes the front's trace ring: front hops plus, in replicated
-// mode, the registry's routing hops.
-func (f *DecisionFront) Spans() *obs.SpanRing { return f.plane.Spans }
-
 // DecideLatency snapshots the front's forwarding-latency histogram.
 func (f *DecisionFront) DecideLatency() obs.Snapshot { return f.decideLat.Snapshot() }
 

@@ -206,7 +206,7 @@ func TestTraceStitchedAcrossTiers(t *testing.T) {
 
 	// Front ring: the front hop and (same ring) the registry hop.
 	byComponent := map[string]obs.Span{}
-	for _, sp := range front.Spans().Spans() {
+	for _, sp := range front.plane.Spans.Spans() {
 		if sp.Trace == root.Trace {
 			byComponent[sp.Component] = sp
 		}

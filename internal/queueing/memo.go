@@ -162,8 +162,8 @@ func (m *networkMemo) store(n int, r *Result) {
 	}
 }
 
-// Size returns how many (network, population) results are memoized.
-func (m *MemoSolver) Size() int {
+// size returns how many (network, population) results are memoized.
+func (m *MemoSolver) size() int {
 	n := 0
 	for _, memo := range m.networks {
 		n += len(memo.results)

@@ -127,7 +127,7 @@ func TestMemoSolverSize(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := ms.Size(); got != 2 {
-		t.Fatalf("Size() = %d, want 2", got)
+	if got := ms.size(); got != 2 {
+		t.Fatalf("size() = %d, want 2", got)
 	}
 }

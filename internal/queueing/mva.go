@@ -134,9 +134,9 @@ func (nw *Network) Solve(n int) (*Result, error) {
 	return res, nil
 }
 
-// SolveSeries returns results for populations 1..n, useful for
+// solveSeries returns results for populations 1..n, useful for
 // capacity planning sweeps.
-func (nw *Network) SolveSeries(n int) ([]*Result, error) {
+func (nw *Network) solveSeries(n int) ([]*Result, error) {
 	if err := nw.Validate(); err != nil {
 		return nil, err
 	}
@@ -178,9 +178,9 @@ func (nw *Network) BottleneckDemand() float64 {
 	return max
 }
 
-// MinClientsForSaturation returns the approximate population N* =
+// minClientsForSaturation returns the approximate population N* =
 // (Z + sum D) / D_max beyond which the bottleneck saturates.
-func (nw *Network) MinClientsForSaturation() float64 {
+func (nw *Network) minClientsForSaturation() float64 {
 	dmax := nw.BottleneckDemand()
 	if dmax == 0 {
 		return 0
@@ -192,12 +192,12 @@ func (nw *Network) MinClientsForSaturation() float64 {
 	return total / dmax
 }
 
-// RequiredCapacityFactor returns the smallest factor c (capacity
+// requiredCapacityFactor returns the smallest factor c (capacity
 // multiplier applied to every station, i.e. demands become D_i/c) such
 // that the network serves n clients with response time at most
 // maxResponse. It binary-searches c in [lo, hi]; returns hi when even
 // hi misses the target.
-func (nw *Network) RequiredCapacityFactor(n int, maxResponse, lo, hi float64) (float64, error) {
+func (nw *Network) requiredCapacityFactor(n int, maxResponse, lo, hi float64) (float64, error) {
 	if err := nw.Validate(); err != nil {
 		return 0, err
 	}

@@ -135,7 +135,7 @@ func TestSolveEdgeCases(t *testing.T) {
 // a product-form network.
 func TestThroughputMonotonicInPopulation(t *testing.T) {
 	nw := &Network{Demands: []float64{0.02, 0.015}, ThinkTime: 0.4}
-	series, err := nw.SolveSeries(200)
+	series, err := nw.solveSeries(200)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,14 +148,14 @@ func TestThroughputMonotonicInPopulation(t *testing.T) {
 
 func TestRequiredCapacityFactorEdges(t *testing.T) {
 	nw := &Network{Demands: []float64{0.05}, ThinkTime: 1}
-	if _, err := nw.RequiredCapacityFactor(10, 0, 1, 4); err == nil {
+	if _, err := nw.requiredCapacityFactor(10, 0, 1, 4); err == nil {
 		t.Error("non-positive response target should error")
 	}
-	if _, err := nw.RequiredCapacityFactor(10, 0.1, 4, 1); err == nil {
+	if _, err := nw.requiredCapacityFactor(10, 0.1, 4, 1); err == nil {
 		t.Error("inverted search range should error")
 	}
 	// Unreachable target returns hi.
-	c, err := nw.RequiredCapacityFactor(10000, 1e-9, 1, 8)
+	c, err := nw.requiredCapacityFactor(10000, 1e-9, 1, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +164,7 @@ func TestRequiredCapacityFactorEdges(t *testing.T) {
 	}
 	// Feasible target: the found factor meets it, and slightly less
 	// capacity misses it (minimality).
-	c, err = nw.RequiredCapacityFactor(100, 0.5, 0.1, 64)
+	c, err = nw.requiredCapacityFactor(100, 0.5, 0.1, 64)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -81,7 +81,7 @@ func TestThroughputBounds(t *testing.T) {
 
 func TestResponseTimeMonotonicInPopulation(t *testing.T) {
 	nw := &Network{Demands: []float64{0.08, 0.02}, ThinkTime: 0.5}
-	results, err := nw.SolveSeries(100)
+	results, err := nw.solveSeries(100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestLittlesLawProperty(t *testing.T) {
 
 func TestSolveSeriesMatchesSolve(t *testing.T) {
 	nw := &Network{Demands: []float64{0.03, 0.07}, ThinkTime: 0.2}
-	series, err := nw.SolveSeries(20)
+	series, err := nw.solveSeries(20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestSolveSeriesMatchesSolve(t *testing.T) {
 				got.ResponseTime, got.Throughput, direct.ResponseTime, direct.Throughput)
 		}
 	}
-	if _, err := nw.SolveSeries(0); err == nil {
+	if _, err := nw.solveSeries(0); err == nil {
 		t.Error("zero series should error")
 	}
 }
@@ -166,11 +166,11 @@ func TestBottleneckHelpers(t *testing.T) {
 		t.Errorf("Dmax=%v want 0.2", nw.BottleneckDemand())
 	}
 	want := (1 + 0.35) / 0.2
-	if math.Abs(nw.MinClientsForSaturation()-want) > 1e-12 {
-		t.Errorf("N*=%v want %v", nw.MinClientsForSaturation(), want)
+	if math.Abs(nw.minClientsForSaturation()-want) > 1e-12 {
+		t.Errorf("N*=%v want %v", nw.minClientsForSaturation(), want)
 	}
 	empty := &Network{Demands: []float64{0}}
-	if empty.MinClientsForSaturation() != 0 {
+	if empty.minClientsForSaturation() != 0 {
 		t.Error("zero-demand network should report 0 saturation point")
 	}
 }
@@ -178,7 +178,7 @@ func TestBottleneckHelpers(t *testing.T) {
 func TestRequiredCapacityFactor(t *testing.T) {
 	nw := &Network{Demands: []float64{0.1}, ThinkTime: 1}
 	// 50 clients, target R <= 0.2 s.
-	c, err := nw.RequiredCapacityFactor(50, 0.2, 0.1, 100)
+	c, err := nw.requiredCapacityFactor(50, 0.2, 0.1, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,14 +201,14 @@ func TestRequiredCapacityFactor(t *testing.T) {
 		t.Errorf("factor %v not minimal", c)
 	}
 	// Unreachable target returns hi.
-	c2, err := nw.RequiredCapacityFactor(1000, 1e-9, 0.1, 2)
+	c2, err := nw.requiredCapacityFactor(1000, 1e-9, 0.1, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if c2 != 2 {
 		t.Errorf("unreachable target should return hi, got %v", c2)
 	}
-	if _, err := nw.RequiredCapacityFactor(10, -1, 0.1, 2); err == nil {
+	if _, err := nw.requiredCapacityFactor(10, -1, 0.1, 2); err == nil {
 		t.Error("bad parameters should error")
 	}
 }

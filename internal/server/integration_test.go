@@ -172,7 +172,7 @@ func TestDriftRelearnUnderLiveLoad(t *testing.T) {
 	case <-time.After(20 * time.Second):
 		stop.Store(true)
 		clientWg.Wait()
-		t.Fatalf("new repository version never served (relearns=%d fails=%d)", s.Relearns(), s.StatsSnapshot().RelearnFails)
+		t.Fatalf("new repository version never served (relearns=%d fails=%d)", s.StatsSnapshot().Relearns, s.StatsSnapshot().RelearnFails)
 	}
 	stop.Store(true)
 	clientWg.Wait()
@@ -186,8 +186,8 @@ func TestDriftRelearnUnderLiveLoad(t *testing.T) {
 	if got := s.StatsSnapshot().Version; got < initialVersion+1 {
 		t.Errorf("version %d, want > %d", got, initialVersion)
 	}
-	if s.Relearns() < 1 {
-		t.Errorf("relearns %d, want >= 1", s.Relearns())
+	if s.StatsSnapshot().Relearns < 1 {
+		t.Errorf("relearns %d, want >= 1", s.StatsSnapshot().Relearns)
 	}
 	st := s.StatsSnapshot()
 	if st.DriftTriggers < 1 || st.LastDriftRate <= 0 {

@@ -861,13 +861,3 @@ func (s *Server) Relearning() bool {
 	}
 	return false
 }
-
-// Relearns reports how many rebuilds have been swapped in across all
-// templates.
-func (s *Server) Relearns() int64 {
-	var n int64
-	for _, t := range s.templates.Load().byName {
-		n += t.relearns.Load()
-	}
-	return n
-}

@@ -137,11 +137,6 @@ func (c *Cassandra) MaxAllocation() cloud.Allocation {
 	return cloud.Allocation{Type: cloud.Large, Count: c.MaxInstances}
 }
 
-// MinAllocation is the smallest configuration the evaluation uses.
-func (c *Cassandra) MinAllocation() cloud.Allocation {
-	return cloud.Allocation{Type: cloud.Large, Count: c.MinInstances}
-}
-
 // ClientsPerUnit implements Service.
 func (c *Cassandra) ClientsPerUnit() float64 { return c.PerUnitClients }
 

@@ -139,11 +139,6 @@ func (s *SPECWeb) MaxAllocation() cloud.Allocation {
 	return cloud.Allocation{Type: cloud.XLarge, Count: s.Instances}
 }
 
-// MinAllocation is the all-large configuration.
-func (s *SPECWeb) MinAllocation() cloud.Allocation {
-	return cloud.Allocation{Type: cloud.Large, Count: s.Instances}
-}
-
 // ClientsPerUnit implements Service.
 func (s *SPECWeb) ClientsPerUnit() float64 { return s.PerUnitClients }
 

@@ -7,10 +7,10 @@ import (
 	"strconv"
 )
 
-// WriteRecordsCSV serializes a run's per-step records for external
+// writeRecordsCSV serializes a run's per-step records for external
 // plotting (the figures in the paper are line plots over exactly these
 // columns).
-func (r *Result) WriteRecordsCSV(w io.Writer) error {
+func (r *Result) writeRecordsCSV(w io.Writer) error {
 	cw := csv.NewWriter(w)
 	header := []string{
 		"minute", "clients", "latency_ms", "qos_pct", "utilization",
@@ -40,8 +40,8 @@ func (r *Result) WriteRecordsCSV(w io.Writer) error {
 	return cw.Error()
 }
 
-// Summary renders the headline statistics of a run as one line.
-func (r *Result) Summary() string {
+// summary renders the headline statistics of a run as one line.
+func (r *Result) summary() string {
 	return fmt.Sprintf("%s/%s: cost $%.2f, violations %.1f%%, %d decisions, mean adaptation %v",
 		r.Service, r.Controller, r.TotalCost, 100*r.SLOViolationFraction,
 		r.Decisions, r.MeanAdaptation())

@@ -22,7 +22,7 @@ func TestWriteRecordsCSV(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := res.WriteRecordsCSV(&buf); err != nil {
+	if err := res.writeRecordsCSV(&buf); err != nil {
 		t.Fatal(err)
 	}
 	rows, err := csv.NewReader(&buf).ReadAll()
@@ -54,7 +54,7 @@ func TestResultSummary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := res.Summary()
+	s := res.summary()
 	for _, want := range []string{"cassandra", "fixed", "cost $", "violations"} {
 		if !strings.Contains(s, want) {
 			t.Errorf("summary %q missing %q", s, want)

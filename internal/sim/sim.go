@@ -180,12 +180,6 @@ func RefOf(a cloud.Allocation) AllocRef {
 	return AllocRef{Type: a.Type.ID(), Count: int32(a.Count)}
 }
 
-// Allocation expands the reference back into the full catalog-backed
-// allocation value.
-func (a AllocRef) Allocation() cloud.Allocation {
-	return cloud.Allocation{Type: a.Type.Instance(), Count: int(a.Count)}
-}
-
 // Capacity returns the referenced allocation's total capacity in
 // large-instance units.
 func (a AllocRef) Capacity() float64 {
@@ -206,10 +200,6 @@ type StepRecord struct {
 	SLOViolated  bool
 	Interference float64
 }
-
-// Allocation returns the step's serving allocation, expanded from the
-// compact record form.
-func (r *StepRecord) Allocation() cloud.Allocation { return r.Alloc.Allocation() }
 
 // Episode is one adaptation episode: from the controller issuing a
 // change until the deployment settles.

@@ -8,9 +8,9 @@ import (
 	"time"
 )
 
-// WriteCSV serializes the trace as "offset_hours,load" rows with a
+// writeCSV serializes the trace as "offset_hours,load" rows with a
 // header, so experiment output can be plotted externally.
-func (t *Trace) WriteCSV(w io.Writer) error {
+func (t *Trace) writeCSV(w io.Writer) error {
 	cw := csv.NewWriter(w)
 	if err := cw.Write([]string{"offset_hours", "load"}); err != nil {
 		return err
@@ -29,10 +29,10 @@ func (t *Trace) WriteCSV(w io.Writer) error {
 	return cw.Error()
 }
 
-// ReadCSV parses a trace previously written with WriteCSV. The step is
+// readCSV parses a trace previously written with writeCSV. The step is
 // inferred from the first two offsets; a single-row trace gets a 1-hour
 // step.
-func ReadCSV(r io.Reader, name string) (*Trace, error) {
+func readCSV(r io.Reader, name string) (*Trace, error) {
 	cr := csv.NewReader(r)
 	records, err := cr.ReadAll()
 	if err != nil {

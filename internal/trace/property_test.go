@@ -82,10 +82,10 @@ func TestCSVRoundTripProperty(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		tr := Messenger(SynthConfig{Days: 2, Rng: rng})
 		var buf bytes.Buffer
-		if err := tr.WriteCSV(&buf); err != nil {
+		if err := tr.writeCSV(&buf); err != nil {
 			return false
 		}
-		back, err := ReadCSV(&buf, tr.Name)
+		back, err := readCSV(&buf, tr.Name)
 		if err != nil {
 			return false
 		}
@@ -123,10 +123,10 @@ func TestCSVRoundTripArbitraryProperty(t *testing.T) {
 			tr.Loads[i] = rng.Float64() * 5000
 		}
 		var buf bytes.Buffer
-		if err := tr.WriteCSV(&buf); err != nil {
+		if err := tr.writeCSV(&buf); err != nil {
 			return false
 		}
-		back, err := ReadCSV(&buf, tr.Name)
+		back, err := readCSV(&buf, tr.Name)
 		if err != nil {
 			return false
 		}

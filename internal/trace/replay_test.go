@@ -192,7 +192,7 @@ func TestSynthClusterShape(t *testing.T) {
 	if tr.Len() != 7*24 {
 		t.Errorf("hourly resample has %d samples, want %d", tr.Len(), 7*24)
 	}
-	if err := tr.Validate(); err != nil {
+	if err := tr.validate(); err != nil {
 		t.Error(err)
 	}
 	// Determinism per seed.

@@ -160,9 +160,9 @@ func Sine(min, max float64, period, duration, step time.Duration) *Trace {
 	return &Trace{Name: "sine", Step: step, Loads: loads}
 }
 
-// Steps generates a piecewise-constant trace: each level is held for
+// stepTrace generates a piecewise-constant trace: each level is held for
 // dwell. Useful for controlled tuning experiments.
-func Steps(levels []float64, dwell, step time.Duration) *Trace {
+func stepTrace(levels []float64, dwell, step time.Duration) *Trace {
 	if step <= 0 || dwell < step {
 		return &Trace{Name: "steps", Step: time.Minute}
 	}
@@ -176,9 +176,9 @@ func Steps(levels []float64, dwell, step time.Duration) *Trace {
 	return &Trace{Name: "steps", Step: step, Loads: loads}
 }
 
-// Spike returns a flat trace at base with a single spike of the given
+// spikeTrace returns a flat trace at base with a single spike of the given
 // height and width (in samples) starting at the given sample index.
-func Spike(base, height float64, n, at, width int, step time.Duration) *Trace {
+func spikeTrace(base, height float64, n, at, width int, step time.Duration) *Trace {
 	loads := make([]float64, n)
 	for i := range loads {
 		loads[i] = base

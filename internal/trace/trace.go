@@ -27,10 +27,6 @@ type Trace struct {
 	Loads []float64
 }
 
-// Start mirrors the paper's trace window (traces "from September,
-// 2009", plotted 09/07–09/14). Only used for labeling output.
-var Start = time.Date(2009, time.September, 7, 0, 0, 0, 0, time.UTC)
-
 // Duration returns the total covered time span.
 func (t *Trace) Duration() time.Duration {
 	return time.Duration(len(t.Loads)) * t.Step
@@ -130,9 +126,9 @@ func (t *Trace) Day(day int) (*Trace, error) {
 	return t.Slice(day*24, (day+1)*24)
 }
 
-// Validate checks structural invariants: positive step, at least one
+// validate checks structural invariants: positive step, at least one
 // sample, loads within [0, 100] after normalization tolerance.
-func (t *Trace) Validate() error {
+func (t *Trace) validate() error {
 	if t.Step <= 0 {
 		return errors.New("trace: non-positive step")
 	}

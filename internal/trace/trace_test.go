@@ -89,16 +89,16 @@ func TestTraceSliceAndDay(t *testing.T) {
 
 func TestTraceValidate(t *testing.T) {
 	good := &Trace{Step: time.Hour, Loads: []float64{1, 2}}
-	if err := good.Validate(); err != nil {
+	if err := good.validate(); err != nil {
 		t.Errorf("valid trace: %v", err)
 	}
-	if err := (&Trace{Step: 0, Loads: []float64{1}}).Validate(); err == nil {
+	if err := (&Trace{Step: 0, Loads: []float64{1}}).validate(); err == nil {
 		t.Error("zero step should fail")
 	}
-	if err := (&Trace{Step: time.Hour}).Validate(); err == nil {
+	if err := (&Trace{Step: time.Hour}).validate(); err == nil {
 		t.Error("empty should fail")
 	}
-	if err := (&Trace{Step: time.Hour, Loads: []float64{-1}}).Validate(); err == nil {
+	if err := (&Trace{Step: time.Hour, Loads: []float64{-1}}).validate(); err == nil {
 		t.Error("negative load should fail")
 	}
 }
@@ -109,7 +109,7 @@ func TestMessengerShape(t *testing.T) {
 	if tr.Len() != 7*24 {
 		t.Fatalf("len=%d want 168", tr.Len())
 	}
-	if err := tr.Validate(); err != nil {
+	if err := tr.validate(); err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(tr.Peak()-100) > 1e-9 {
@@ -225,7 +225,7 @@ func TestSine(t *testing.T) {
 }
 
 func TestSteps(t *testing.T) {
-	tr := Steps([]float64{10, 20}, 3*time.Minute, time.Minute)
+	tr := stepTrace([]float64{10, 20}, 3*time.Minute, time.Minute)
 	want := []float64{10, 10, 10, 20, 20, 20}
 	if tr.Len() != len(want) {
 		t.Fatalf("len=%d want %d", tr.Len(), len(want))
@@ -235,13 +235,13 @@ func TestSteps(t *testing.T) {
 			t.Errorf("Loads[%d]=%v want %v", i, tr.Loads[i], want[i])
 		}
 	}
-	if bad := Steps([]float64{1}, time.Second, time.Minute); bad.Len() != 0 {
+	if bad := stepTrace([]float64{1}, time.Second, time.Minute); bad.Len() != 0 {
 		t.Error("dwell < step should give empty trace")
 	}
 }
 
 func TestSpike(t *testing.T) {
-	tr := Spike(10, 90, 10, 4, 2, time.Minute)
+	tr := spikeTrace(10, 90, 10, 4, 2, time.Minute)
 	if tr.Len() != 10 {
 		t.Fatalf("len=%d", tr.Len())
 	}
@@ -259,10 +259,10 @@ func TestSpike(t *testing.T) {
 func TestCSVRoundTrip(t *testing.T) {
 	tr := Messenger(SynthConfig{Days: 2, Rng: rand.New(rand.NewSource(3))})
 	var buf bytes.Buffer
-	if err := tr.WriteCSV(&buf); err != nil {
+	if err := tr.writeCSV(&buf); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadCSV(&buf, "messenger")
+	back, err := readCSV(&buf, "messenger")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,19 +280,19 @@ func TestCSVRoundTrip(t *testing.T) {
 }
 
 func TestReadCSVErrors(t *testing.T) {
-	if _, err := ReadCSV(bytes.NewBufferString("offset_hours,load\n"), "x"); err == nil {
+	if _, err := readCSV(bytes.NewBufferString("offset_hours,load\n"), "x"); err == nil {
 		t.Error("header-only csv should error")
 	}
-	if _, err := ReadCSV(bytes.NewBufferString("h\n\"bad"), "x"); err == nil {
+	if _, err := readCSV(bytes.NewBufferString("h\n\"bad"), "x"); err == nil {
 		t.Error("malformed csv should error")
 	}
-	if _, err := ReadCSV(bytes.NewBufferString("offset_hours,load\nabc,1\ndef,2\n"), "x"); err == nil {
+	if _, err := readCSV(bytes.NewBufferString("offset_hours,load\nabc,1\ndef,2\n"), "x"); err == nil {
 		t.Error("non-numeric offset should error")
 	}
-	if _, err := ReadCSV(bytes.NewBufferString("offset_hours,load\n0,xyz\n1,2\n"), "x"); err == nil {
+	if _, err := readCSV(bytes.NewBufferString("offset_hours,load\n0,xyz\n1,2\n"), "x"); err == nil {
 		t.Error("non-numeric load should error")
 	}
-	if _, err := ReadCSV(bytes.NewBufferString("offset_hours,load\n1,1\n1,2\n"), "x"); err == nil {
+	if _, err := readCSV(bytes.NewBufferString("offset_hours,load\n1,1\n1,2\n"), "x"); err == nil {
 		t.Error("non-increasing offsets should error")
 	}
 }
