@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"sync"
 	"time"
 )
 
@@ -22,50 +21,68 @@ type TenantUsage struct {
 	Duration time.Duration
 }
 
-// FleetBill aggregates per-tenant usage across a fleet of concurrently
-// simulated deployments. It is safe for concurrent use: fleet workers
-// post each tenant's usage as its run finishes.
+// FleetBill is a fleet run's per-tenant billing aggregation, built once
+// from every VM's usage when the run is over and read-only from then on.
 type FleetBill struct {
-	mu     sync.Mutex
-	usage  map[string]TenantUsage
-	posted int
+	tenants []TenantUsage // one per tenant, in the order each first appears
 }
 
-// NewFleetBill returns an empty aggregator.
-func NewFleetBill() *FleetBill {
-	return &FleetBill{usage: make(map[string]TenantUsage)}
+// NewFleetBill builds the bill from usage, one entry per VM in a fixed
+// order (the fleet's spec order). Entries that name the same tenant
+// accumulate in that order, so the bill never depends on the order the
+// VMs finished in. A tenant's service is the last non-empty one its
+// entries name. The bill is rolled up in usage's own memory: the caller
+// hands usage over.
+func NewFleetBill(usage []TenantUsage) *FleetBill {
+	return &FleetBill{tenants: rollUp(usage, func(u *TenantUsage) string { return u.Tenant })}
 }
 
-// Post records (or accumulates onto) a tenant's usage.
-func (b *FleetBill) Post(u TenantUsage) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	cur := b.usage[u.Tenant]
-	cur.Tenant = u.Tenant
+// rollUp sums usage per key, in usage order, into one row per key in
+// the order each key first appears; a row's Tenant is its key. It works
+// in place: the rows are returned in usage's first entries.
+func rollUp(usage []TenantUsage, key func(*TenantUsage) string) []TenantUsage {
+	at := make(map[string]int, len(usage))
+	n := 0
+	for k := range usage {
+		u := &usage[k]
+		name := key(u)
+		if i, ok := at[name]; ok {
+			usage[i].add(u)
+			continue
+		}
+		at[name] = n
+		if n != k {
+			usage[n] = *u
+		}
+		usage[n].Tenant = name
+		n++
+	}
+	return usage[:n]
+}
+
+// byTenant returns every tenant's usage, sorted by tenant id.
+func (b *FleetBill) byTenant() []TenantUsage {
+	out := append([]TenantUsage(nil), b.tenants...)
+	sort.Slice(out, func(i, j int) bool { return out[i].Tenant < out[j].Tenant })
+	return out
+}
+
+// add accumulates u's spending onto cur.
+func (cur *TenantUsage) add(u *TenantUsage) {
 	if u.Service != "" {
 		cur.Service = u.Service
 	}
 	cur.Cost += u.Cost
 	cur.InstanceHours += u.InstanceHours
 	cur.Duration += u.Duration
-	b.usage[u.Tenant] = cur
-	b.posted++
 }
 
 // Total returns the fleet-wide bill total in USD. Costs are summed in
-// tenant-id order: float addition is not associative, so summing in
-// map-iteration order would change the last bits from run to run.
+// tenant-id order, so the total is one fixed float sum.
 func (b *FleetBill) Total() float64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	ids := make([]string, 0, len(b.usage))
-	for id := range b.usage {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
 	sum := 0.0
-	for _, id := range ids {
-		sum += b.usage[id].Cost
+	for _, u := range b.byTenant() {
+		sum += u.Cost
 	}
 	return sum
 }
@@ -73,47 +90,27 @@ func (b *FleetBill) Total() float64 {
 // Tenants returns every tenant's usage, sorted by descending cost and
 // then by name for stable reports.
 func (b *FleetBill) Tenants() []TenantUsage {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	out := make([]TenantUsage, 0, len(b.usage))
-	for _, u := range b.usage {
-		out = append(out, u)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Cost != out[j].Cost {
-			return out[i].Cost > out[j].Cost
-		}
-		return out[i].Tenant < out[j].Tenant
-	})
+	out := b.byTenant()
+	sortByCost(out)
 	return out
 }
 
-// ByService rolls the bill up per service template, sorted by
-// descending cost then name.
+// ByService rolls the bill up per service template, tenants summed in
+// tenant-id order, sorted by descending cost then name.
 func (b *FleetBill) ByService() []TenantUsage {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	agg := make(map[string]TenantUsage)
-	for _, u := range b.usage {
-		cur := agg[u.Service]
-		cur.Tenant = u.Service
-		cur.Service = u.Service
-		cur.Cost += u.Cost
-		cur.InstanceHours += u.InstanceHours
-		cur.Duration += u.Duration
-		agg[u.Service] = cur
-	}
-	out := make([]TenantUsage, 0, len(agg))
-	for _, u := range agg {
-		out = append(out, u)
-	}
+	out := rollUp(b.byTenant(), func(u *TenantUsage) string { return u.Service })
+	sortByCost(out)
+	return out
+}
+
+// sortByCost sorts usages by descending cost, then by name.
+func sortByCost(out []TenantUsage) {
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Cost != out[j].Cost {
 			return out[i].Cost > out[j].Cost
 		}
 		return out[i].Tenant < out[j].Tenant
 	})
-	return out
 }
 
 // WriteTop renders the report limited to the top n tenants by cost

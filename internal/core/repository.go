@@ -219,16 +219,25 @@ func (r *Repository) Get(class, bucket int) (cloud.Allocation, bool) {
 // Classify standardizes the signature and runs the classifier plus the
 // novelty check, without touching the allocation entries.
 func (r *Repository) Classify(sig *Signature) (class int, certainty float64, unforeseen bool, err error) {
-	if err := sig.Validate(); err != nil {
+	if err := r.check(sig); err != nil {
 		return 0, 0, false, err
-	}
-	if len(sig.Values) != len(r.events) {
-		return 0, 0, false, fmt.Errorf("core: signature width %d, repository expects %d", len(sig.Values), len(r.events))
 	}
 	rowPtr := r.rowPool.Get().(*[]float64)
 	class, certainty, unforeseen = r.classifyRow(*rowPtr, sig.Values)
 	r.rowPool.Put(rowPtr)
 	return class, certainty, unforeseen, nil
+}
+
+// check rejects a signature no lookup may serve: an invalid one, or one
+// not of the repository's width.
+func (r *Repository) check(sig *Signature) error {
+	if err := sig.Validate(); err != nil {
+		return err
+	}
+	if len(sig.Values) != len(r.events) {
+		return fmt.Errorf("core: signature width %d, repository expects %d", len(sig.Values), len(r.events))
+	}
+	return nil
 }
 
 // classifyRow is the classify kernel every lookup path shares: it
@@ -271,17 +280,26 @@ func lookupRow(entries map[repoKey]cloud.Allocation, class int, certainty float6
 	return res
 }
 
+// lookup is the lookup kernel Lookup and WorkerSource share: classify
+// a checked signature's values in scratch and look the class up in the
+// current entries.
+func (r *Repository) lookup(scratch, values []float64, bucket int) LookupResult {
+	class, certainty, unforeseen := r.classifyRow(scratch, values)
+	return lookupRow(*r.entries.Load(), class, certainty, unforeseen, bucket)
+}
+
 // Lookup is the cache lookup: classify the signature and fetch the
 // allocation for the given interference bucket. A miss on the exact
 // bucket with a hit on bucket 0 reports Hit=false but still returns
 // the class, letting the controller tune for the new interference
 // level and Put the result.
 func (r *Repository) Lookup(sig *Signature, bucket int) (LookupResult, error) {
-	class, certainty, unforeseen, err := r.Classify(sig)
-	if err != nil {
+	if err := r.check(sig); err != nil {
 		return LookupResult{}, err
 	}
-	res := lookupRow(*r.entries.Load(), class, certainty, unforeseen, bucket)
+	rowPtr := r.rowPool.Get().(*[]float64)
+	res := r.lookup(*rowPtr, sig.Values, bucket)
+	r.rowPool.Put(rowPtr)
 	if res.Hit {
 		r.hits.Inc()
 	} else {

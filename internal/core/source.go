@@ -9,16 +9,18 @@ import (
 
 // DecisionSource is everything a runtime controller needs from the
 // decision plane: the signature vocabulary, classify-and-lookup over
-// it, and the miss path's read/write entry access. Three
+// it, and the miss path's read/write entry access. Four
 // implementations exist — *Handle serves from an in-process versioned
 // repository, repositorySource from a bare *Repository (behind
-// ControllerConfig.Repository), and internal/client's TemplateSource
-// forwards over the wire to a remote dejavud — so the same controller
-// code drives every deployment shape, and a fleet can switch between
-// them with a flag (dejavu-sim -fleet N -remote addr).
+// ControllerConfig.Repository), *WorkerSource from a bare *Repository
+// for one goroutine, and internal/client's TemplateSource forwards over
+// the wire to a remote dejavud — so the same controller code drives
+// every deployment shape, and a fleet can switch between them with a
+// flag (dejavu-sim -fleet N -remote addr).
 //
-// Implementations must be safe for concurrent use: a fleet shares one
-// source across every VM of a service template.
+// Implementations other than WorkerSource must be safe for concurrent
+// use: a fleet shares one remote source across every VM of a service
+// template.
 type DecisionSource interface {
 	// Events returns the signature metric tuple. Callers must treat
 	// the slice as read-only; it is fetched once per controller and
@@ -108,4 +110,50 @@ func SourceForRepository(repo *Repository) (DecisionSource, error) {
 		return nil, errors.New("core: nil repository")
 	}
 	return repositorySource{repo: repo}, nil
+}
+
+// WorkerSource is a repository's DecisionSource for one goroutine: its
+// lookups classify in a standardize row of its own and tally hits and
+// misses privately, where Repository.Lookup takes a pooled row and adds
+// to the repository's shared counters on every call. Flush adds the
+// tallies to those counters, once the goroutine's work is done — the
+// fleet's workers each hold one per template and flush when they have
+// joined. Get and Put go straight to the repository, so peers still see
+// every stored allocation at once.
+//
+// A WorkerSource is not safe for concurrent use, the one exception to
+// DecisionSource's rule: it belongs to the goroutine that looks up
+// through it.
+type WorkerSource struct {
+	repositorySource // Events, Get and Put
+	row              []float64
+	hits, misses     int64
+}
+
+// NewWorkerSource returns a source over repo for a single goroutine.
+func NewWorkerSource(repo *Repository) *WorkerSource {
+	return &WorkerSource{repositorySource: repositorySource{repo}, row: make([]float64, len(repo.events))}
+}
+
+// Lookup implements DecisionSource: exactly Repository.Lookup's result,
+// with the hit or miss tallied until Flush.
+func (s *WorkerSource) Lookup(sig *Signature, bucket int) (LookupResult, error) {
+	if err := s.repo.check(sig); err != nil {
+		return LookupResult{}, err
+	}
+	res := s.repo.lookup(s.row, sig.Values, bucket)
+	if res.Hit {
+		s.hits++
+	} else {
+		s.misses++
+	}
+	return res, nil
+}
+
+// Flush adds the hits and misses tallied since the last Flush to the
+// repository's counters (Repository.LookupCounts).
+func (s *WorkerSource) Flush() {
+	s.repo.hits.Add(s.hits)
+	s.repo.misses.Add(s.misses)
+	s.hits, s.misses = 0, 0
 }

@@ -226,6 +226,11 @@ type templateCtx struct {
 	// mutable field (the trial counter). nil when the default tuner is
 	// not a linear search; those VMs build their own.
 	proto *core.LinearSearchTuner
+	// src is the worker's own source over the template's in-process
+	// repository: lookups without a shared pool row or shared counter
+	// adds, its tallies flushed once the workers have joined. nil for a
+	// template served by a remote source.
+	src *core.WorkerSource
 
 	// The VM kit — the machinery a VM's controller runs on: its noise
 	// stream, its profiler (whose monitor for the signature events is
@@ -278,6 +283,9 @@ func workerTemplateCtx(wctx []map[string]*templateCtx, worker int, svc services.
 	tc, ok := m[name]
 	if !ok {
 		tc = &templateCtx{memo: services.NewPerfMemo(g.service)}
+		if g.source == nil {
+			tc.src = core.NewWorkerSource(g.repo)
+		}
 		if t, err := DefaultTuner(g.service); err == nil {
 			if lt, isLinear := t.(*core.LinearSearchTuner); isLinear {
 				tc.proto = lt
@@ -326,10 +334,15 @@ func Run(cfg Config) (*Result, error) {
 		return nil, err
 	}
 	res := p.res
+	res.Bill = cloud.NewFleetBill(p.usage)
+	var stepDur obs.Snapshot
+	for w := range p.stepDur {
+		stepDur.Merge(p.stepDur[w].Snapshot())
+	}
 	res.Elapsed = time.Since(runStart)
 	res.LearningTime = learningTime
 	res.LearnPhase = learnPhase
-	res.StepPhase = p.stepDur.Snapshot().Summary()
+	res.StepPhase = stepDur.Summary()
 
 	for _, vr := range res.VMResults {
 		res.TotalSteps += vr.Steps
@@ -428,11 +441,14 @@ func learnGroups(cfg *Config) ([]*group, obs.Summary, error) {
 }
 
 // runPhase is the run phase: a worker pool drains the VM queue. Only
-// the repository (one immutable copy-on-put map, atomic counters) and
-// the tuning cache (mutex) are shared between VMs; profiler, tuner and
-// controller are per-VM. Everything here is read-only during the
-// phase, indexed by VM (res.VMResults, errs) or by worker (arena
-// shards, wctx), or safe for concurrent use (the bill, the histogram).
+// the repository's entries (one immutable copy-on-put map) and the
+// tuning cache (mutex) are shared between VMs; profiler, tuner and
+// controller are per-VM. Everything else here is read-only during the
+// phase, or indexed by VM (res.VMResults, usage, errs) or by worker
+// (arena shards, wctx with its lookup tallies, stepDur), so an
+// in-process worker writes shared memory only through the repository's
+// Put and the tuning cache. run flushes the tallies once the workers have joined;
+// Run builds the bill and merges the histograms.
 type runPhase struct {
 	cfg     Config // Workers clipped to the fleet size
 	groups  map[string]*group
@@ -440,8 +456,9 @@ type runPhase struct {
 	arena   *stepArena
 	wctx    []map[string]*templateCtx
 	res     *Result
+	usage   []cloud.TenantUsage // per VM: its bill, in spec order
 	errs    []error
-	stepDur obs.Histogram
+	stepDur []obs.Histogram // per worker: its VMs' run durations
 
 	// order is the fleet template-major: workers claim consecutive
 	// units, so sorting by service name (stably — spec order preserved
@@ -463,16 +480,15 @@ func newRunPhase(cfg Config, groups []*group) (*runPhase, error) {
 		cfg.Workers = len(cfg.Specs)
 	}
 	p := &runPhase{
-		cfg:    cfg,
-		groups: make(map[string]*group, len(groups)),
-		active: make([]*trace.Trace, len(cfg.Specs)),
-		wctx:   make([]map[string]*templateCtx, cfg.Workers),
-		res: &Result{
-			VMResults: make([]*sim.Result, len(cfg.Specs)),
-			Bill:      cloud.NewFleetBill(),
-		},
-		errs:  make([]error, len(cfg.Specs)),
-		order: make([]int, len(cfg.Specs)),
+		cfg:     cfg,
+		groups:  make(map[string]*group, len(groups)),
+		active:  make([]*trace.Trace, len(cfg.Specs)),
+		wctx:    make([]map[string]*templateCtx, cfg.Workers),
+		res:     &Result{VMResults: make([]*sim.Result, len(cfg.Specs))},
+		usage:   make([]cloud.TenantUsage, len(cfg.Specs)),
+		errs:    make([]error, len(cfg.Specs)),
+		stepDur: make([]obs.Histogram, cfg.Workers),
+		order:   make([]int, len(cfg.Specs)),
 	}
 
 	// Zero-copy step arena: each VM's step count is known up front
@@ -511,8 +527,9 @@ func newRunPhase(cfg Config, groups []*group) (*runPhase, error) {
 	return p, nil
 }
 
-// run drains the units over the worker pool; per-VM failures land in
-// errs.
+// run drains the units over the worker pool, per-VM failures landing
+// in errs, and then flushes every worker's lookup tallies into the
+// repositories' counters.
 func (p *runPhase) run() {
 	units := len(p.order)
 	if p.blocks != nil {
@@ -525,6 +542,13 @@ func (p *runPhase) run() {
 		}
 		p.unit(worker, p.order[lo:hi])
 	})
+	for _, m := range p.wctx {
+		for _, tc := range m {
+			if tc.src != nil {
+				tc.src.Flush()
+			}
+		}
+	}
 }
 
 // unit runs one claimed unit of work on worker: a single VM straight
@@ -545,11 +569,12 @@ func (p *runPhase) unit(worker int, members []int) {
 	}
 	share := time.Since(start) / time.Duration(len(members))
 	for range members {
-		p.stepDur.Record(share)
+		p.stepDur[worker].Record(share)
 	}
 }
 
-// finish books VM i's outcome: its error, or its result and bill.
+// finish books VM i's outcome: its error, or its result and its bill
+// in slot i.
 func (p *runPhase) finish(worker, i int, vr *sim.Result, err error) {
 	spec := &p.cfg.Specs[i]
 	if err != nil {
@@ -561,13 +586,13 @@ func (p *runPhase) finish(worker, i int, vr *sim.Result, err error) {
 		p.arena.release(worker)
 	}
 	p.res.VMResults[i] = vr
-	p.res.Bill.Post(cloud.TenantUsage{
+	p.usage[i] = cloud.TenantUsage{
 		Tenant:        spec.Name,
 		Service:       spec.Service.Name(),
 		Cost:          vr.TotalCost,
 		InstanceHours: vr.MeanAllocatedInstances() * p.active[i].Duration().Hours(),
 		Duration:      p.active[i].Duration(),
-	})
+	}
 }
 
 // learnGroup runs (or skips) the learning phase for one template.
@@ -614,13 +639,14 @@ func learnGroup(cfg Config, g *group, workers int) error {
 
 // vmConfig lays VM i out on worker: its step-record slot, its kit and
 // its controller, which decides through src — or, when src is nil, its
-// group's source, which is the in-process repository when that is nil
-// too. The kit is the worker's for the template or, for member k of an
-// n-VM lockstep block (n > 1), the block's k-th; a VM whose service is
-// not exactly its template's builds a private one. Kits are always
-// result-neutral, see templateCtx. When the VM joined mid-run its
-// time-indexed schedules (interference, mix) are shifted so they keep
-// reading fleet-absolute time.
+// group's source or, for an in-process template, the kit's worker
+// source over the repository (a private kit's VM decides through the
+// repository itself). The kit is the worker's for the template or, for
+// member k of an n-VM lockstep block (n > 1), the block's k-th; a VM
+// whose service is not exactly its template's builds a private one.
+// Kits are always result-neutral, see templateCtx. When the VM joined
+// mid-run its time-indexed schedules (interference, mix) are shifted so
+// they keep reading fleet-absolute time.
 func (p *runPhase) vmConfig(worker, i int, src core.DecisionSource, k, n int) (sim.Config, error) {
 	cfg, spec := p.cfg, &p.cfg.Specs[i]
 	g := p.groups[spec.Service.Name()]
@@ -654,6 +680,9 @@ func (p *runPhase) vmConfig(worker, i int, src core.DecisionSource, k, n int) (s
 	}
 	if src == nil {
 		src = g.source
+	}
+	if src == nil && tc.src != nil {
+		src = tc.src
 	}
 	if src != nil {
 		ctlCfg.Source = src

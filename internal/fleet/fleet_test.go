@@ -3,10 +3,12 @@ package fleet
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/cloud"
 	"repro/internal/services"
 	"repro/internal/sim"
 )
@@ -117,6 +119,47 @@ func TestFleetHeterogeneous(t *testing.T) {
 	}
 	if got := len(res.Bill.ByService()); got != len(res.Groups) {
 		t.Errorf("per-service rollup has %d rows, want %d", got, len(res.Groups))
+	}
+}
+
+// TestFleetBillSharedTenantWorkersInvariance: when several VMs name
+// one tenant, their costs accumulate in spec order, not in the order
+// the VMs finish, so the bill is bit-equal at any worker count and on
+// every run.
+func TestFleetBillSharedTenantWorkersInvariance(t *testing.T) {
+	specs := scenario(t, 12, false, false)
+	const shared = 8
+	for i := 0; i < shared; i++ {
+		specs[i].Name = "shared-tenant"
+	}
+	type bill struct {
+		tenants, byService []cloud.TenantUsage
+		total              float64
+	}
+	var want *bill
+	for _, workers := range []int{1, 4, 1, 4, 4} {
+		res, err := Run(Config{Specs: specs, Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := &bill{res.Bill.Tenants(), res.Bill.ByService(), res.Bill.Total()}
+		if want == nil {
+			want = got
+			costs := map[float64]bool{}
+			for _, vr := range res.VMResults[:shared] {
+				costs[vr.TotalCost] = true
+			}
+			if len(costs) < 4 {
+				t.Fatalf("the shared tenant's VMs cost %d distinct amounts, want at least 4", len(costs))
+			}
+			if len(got.tenants) != len(specs)-shared+1 {
+				t.Fatalf("bill has %d tenants, want %d", len(got.tenants), len(specs)-shared+1)
+			}
+			continue
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("Workers=%d: bill %+v, want the Workers=1 bill %+v", workers, got, want)
+		}
 	}
 }
 

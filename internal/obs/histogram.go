@@ -85,9 +85,9 @@ type Snapshot struct {
 	SumNS  int64
 }
 
-// merge accumulates another snapshot (e.g. summing one histogram per
-// replica into a tier view).
-func (s *Snapshot) merge(o Snapshot) {
+// Merge accumulates another snapshot (e.g. summing one histogram per
+// replica into a tier view, or one per fleet worker into the run's).
+func (s *Snapshot) Merge(o Snapshot) {
 	for i := range s.Counts {
 		s.Counts[i] += o.Counts[i]
 	}

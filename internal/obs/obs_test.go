@@ -124,7 +124,7 @@ func TestSnapshotMergeAndSummary(t *testing.T) {
 		b.Record(time.Millisecond)
 	}
 	s := a.Snapshot()
-	s.merge(b.Snapshot())
+	s.Merge(b.Snapshot())
 	if s.Count != 200 {
 		t.Fatalf("merged count %d", s.Count)
 	}

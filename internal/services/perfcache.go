@@ -21,10 +21,12 @@ type perfCell struct {
 // demand-factor) cells. Each cell stores the exact operating point it
 // was computed for and is verified on every hit, so the memo returns
 // bit-identical results to calling Perf directly — it is a pure
-// performance cache, never an approximation. A run comes back to the
-// same few operating points hour after hour and VM after VM (a worker
-// shares one memo across its template's VMs); the memo collapses those
-// re-solves into one.
+// performance cache, never an approximation. A worker shares one memo
+// across its template's VMs, so it pays only where a run comes back to
+// an exact operating point. On the system benchmark's fleet (10 000
+// workload-shift VMs, seed 42, one worker) it hits 149 of 292 725 calls,
+// 0.05 %, and its lastIdx short-circuit none: each VM's trace is scaled
+// to its own peak, so VMs rarely share a point.
 //
 // A PerfMemo is owned by a single goroutine (one per simulation run).
 type PerfMemo struct {
@@ -64,8 +66,10 @@ func (p *PerfMemo) Perf(w *Workload, capacity float64) Perf {
 	if c.valid && c.clients == w.Clients && c.capacity == capacity && c.mix == w.Mix {
 		return c.perf
 	}
+	// A miss stores the cell field by field: a composite literal would
+	// be built whole on the stack and then copied into the cell.
 	perf := p.svc.Perf(*w, capacity)
-	*c = perfCell{clients: w.Clients, capacity: capacity, mix: w.Mix, perf: perf, valid: true}
+	c.clients, c.capacity, c.mix, c.perf, c.valid = w.Clients, capacity, w.Mix, perf, true
 	return perf
 }
 
