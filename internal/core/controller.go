@@ -102,17 +102,31 @@ type Controller struct {
 // NewController validates the configuration and returns a runtime
 // controller.
 func NewController(cfg ControllerConfig) (*Controller, error) {
+	c := new(Controller)
+	if err := c.Reset(cfg); err != nil {
+		return nil, err
+	}
+	return c, nil
+}
+
+// Reset validates the configuration and re-initializes c in place as
+// the controller NewController builds for it, whatever c ran before — a
+// finished run, or one abandoned with a round parked. Only storage
+// survives: the adaptation log and the signature scratch keep their
+// capacity, so a caller that runs many controllers in sequence (the
+// fleet's workers) reuses one without allocating.
+func (c *Controller) Reset(cfg ControllerConfig) error {
 	if cfg.Profiler == nil || cfg.Tuner == nil || cfg.Service == nil {
-		return nil, errors.New("core: controller needs Source (or Repository), Profiler, Tuner, and Service")
+		return errors.New("core: controller needs Source (or Repository), Profiler, Tuner, and Service")
 	}
 	src := cfg.Source
 	if src == nil {
 		var err error
 		if src, err = SourceForRepository(cfg.Repository); err != nil {
-			return nil, errors.New("core: controller needs Source (or Repository), Profiler, Tuner, and Service")
+			return errors.New("core: controller needs Source (or Repository), Profiler, Tuner, and Service")
 		}
 	} else if cfg.Repository != nil {
-		return nil, errors.New("core: set ControllerConfig.Source or Repository, not both")
+		return errors.New("core: set ControllerConfig.Source or Repository, not both")
 	}
 	if cfg.ProfileInterval <= 0 {
 		cfg.ProfileInterval = time.Hour
@@ -132,14 +146,17 @@ func NewController(cfg ControllerConfig) (*Controller, error) {
 	if cfg.RelearnThreshold <= 0 {
 		cfg.RelearnThreshold = 3
 	}
-	return &Controller{
+	*c = Controller{
 		cfg:          cfg,
 		src:          src,
 		sigEvents:    src.Events(),
+		sigScratch:   Signature{Values: c.sigScratch.Values[:0]},
 		lastProfile:  -1 << 62,
 		lastDecision: -1 << 62,
 		currentClass: -1,
-	}, nil
+		adaptations:  c.adaptations[:0],
+	}
+	return nil
 }
 
 // Name implements sim.Controller.
@@ -304,7 +321,8 @@ func (c *Controller) decide(obs *sim.Observation, alloc cloud.Allocation, decisi
 	if c.adaptations == nil {
 		// Right-sized up front: a day-scale run makes tens of
 		// adaptations, and append's doubling ladder on a nil slice was
-		// measurable across a 100k-VM fleet.
+		// measurable across a 100k-VM fleet. A reset controller keeps
+		// the storage instead.
 		c.adaptations = make([]time.Duration, 0, 32)
 	}
 	c.adaptations = append(c.adaptations, decisionTime)

@@ -71,10 +71,22 @@ type SharedTuner struct {
 
 // NewSharedTuner wraps a tenant's tuner with the shared cache.
 func NewSharedTuner(cache *SharedTuningCache, svc services.Service, inner Tuner) (*SharedTuner, error) {
-	if cache == nil || svc == nil || inner == nil {
-		return nil, errors.New("core: shared tuner needs cache, service, and inner tuner")
+	t := new(SharedTuner)
+	if err := t.Reset(cache, svc, inner); err != nil {
+		return nil, err
 	}
-	return &SharedTuner{cache: cache, service: svc, inner: inner}, nil
+	return t, nil
+}
+
+// Reset re-initializes t in place as the tuner NewSharedTuner builds
+// for the same arguments, so a caller that wraps many tenants' tuners
+// in sequence (the fleet's workers) reuses one.
+func (t *SharedTuner) Reset(cache *SharedTuningCache, svc services.Service, inner Tuner) error {
+	if cache == nil || svc == nil || inner == nil {
+		return errors.New("core: shared tuner needs cache, service, and inner tuner")
+	}
+	*t = SharedTuner{cache: cache, service: svc, inner: inner}
+	return nil
 }
 
 func (t *SharedTuner) key(w services.Workload, interference float64) sharedKey {

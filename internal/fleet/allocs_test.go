@@ -47,10 +47,12 @@ func fleetRunAllocs(t *testing.T, vms int) float64 {
 // at 100 VMs (learning included), and the marginal cost of a VM, which
 // is what a 100k-VM fleet multiplies.
 func TestFleetRunAllocs(t *testing.T) {
-	// Measured 3 725 and 7.0 once a worker reused its VM kit, + 10 %.
+	// Measured 3 229 and 2.0 once a worker's kit held the VM's runner,
+	// controller and shared tuner, reset per VM, + 10 %: what is left
+	// per VM is its Result and its episode list.
 	const (
-		maxRunAllocs = 4097
-		maxPerVM     = 7.7
+		maxRunAllocs = 3552
+		maxPerVM     = 2.2
 	)
 	at100 := fleetRunAllocs(t, 100)
 	if at100 > maxRunAllocs {
@@ -69,10 +71,10 @@ func TestFleetRunAllocs(t *testing.T) {
 // the block's own bookkeeping included (BenchmarkLockstepBlock's
 // allocs/VM).
 func TestLockstepAllocs(t *testing.T) {
-	// Measured 8.45 once the block driver stepped runners on its
-	// worker and reused the block's kits (20.5 with a goroutine per
-	// VM), + 10 %.
-	const maxPerVM = 9.3
+	// Measured 2.02 once each member's kit held its runner, controller
+	// and shared tuner, reset per VM (8.02 with them built per VM, 20.5
+	// with a goroutine per VM), + 10 %.
+	const maxPerVM = 2.22
 	step, vms := lockstepBlock(t)
 	step() // warm the worker's kit
 	perVM := testing.AllocsPerRun(5, step) / float64(vms)

@@ -211,9 +211,8 @@ type group struct {
 // consecutive same-template VMs a worker steps through (the run phase
 // iterates VMs in template-major order for exactly this reason).
 // Everything in it is result-neutral — the memo verifies its exact
-// operating point on every hit, and ready restores the VM kit per VM
-// to what a fresh build would hold — so batching only removes
-// redundant setup work, never sharing that could couple VM outcomes.
+// operating point on every hit — so batching only removes redundant
+// setup work, never sharing that could couple VM outcomes.
 type templateCtx struct {
 	// memo is the shared performance memo. One worker runs its VMs
 	// sequentially, so single-goroutine ownership holds; consecutive
@@ -231,45 +230,61 @@ type templateCtx struct {
 	// adds, its tallies flushed once the workers have joined. nil for a
 	// template served by a remote source.
 	src *core.WorkerSource
-
-	// The VM kit — the machinery a VM's controller runs on: its noise
-	// stream, its profiler (whose monitor for the signature events is
-	// built once and kept) and its tuner, the copy of proto. A lockstep
-	// block interleaves its VMs, so each of them runs on a context of
-	// its own that shares only memo and proto: block[k] is member k's,
-	// reused by member k of the worker's next block of the template.
-	rng   *rand.Rand
-	prof  *core.Profiler
-	tuner core.LinearSearchTuner
-	block []templateCtx
 }
 
-// ready readies the kit for spec's VM — the noise stream restarts as
-// rng.New(spec.Seed) would start it — and returns the VM's tuner: a
-// fresh copy of proto, or a default tuner built for a VM without one.
-// An empty context builds its kit here.
-func (tc *templateCtx) ready(spec *sim.VMSpec) (core.Tuner, error) {
-	if tc.prof == nil {
-		tc.rng = rng.New(spec.Seed)
+// vmKit is everything a VM runs on: its noise stream, its profiler
+// (whose monitor for the signature events is built once and kept), its
+// tuner (a copy of the template's proto) behind its view of the shared
+// tuning cache, its controller and its runner. A worker owns one kit
+// per member of the widest unit it has run, whatever the template
+// (runPhase.kits): a VM run straight through takes kit 0, and member k
+// of a lockstep block kit k, since a block interleaves its VMs. The kit
+// is re-initialized in place for each VM — ready, then each part's
+// Reset, which its constructor also calls — to what a fresh kit would
+// hold (TestVMKitReadyIsFresh, TestVMKitResetIsFresh), so reuse removes
+// setup work and allocation, never couples VM outcomes. A VM whose
+// service is not exactly its template's runs on a private kit.
+type vmKit struct {
+	rng    *rand.Rand
+	prof   *core.Profiler
+	tuner  core.LinearSearchTuner
+	shared core.SharedTuner
+	ctl    core.Controller
+	run    sim.Runner
+}
+
+// ready readies the kit's stream, profiler and tuner for a VM of
+// service svc: the noise stream restarts as rng.New(seed) would start
+// it, a profiler built for another service is rebuilt, and the returned
+// tuner is a fresh copy of proto, or a default tuner built for svc when
+// proto is nil. An empty kit builds its parts here.
+func (k *vmKit) ready(svc services.Service, seed int64, proto *core.LinearSearchTuner) (core.Tuner, error) {
+	if k.rng == nil {
+		k.rng = rng.New(seed)
+	} else {
+		rng.Reseed(k.rng, seed)
+	}
+	if k.prof == nil || k.prof.Service != svc {
 		var err error
-		if tc.prof, err = core.NewProfiler(spec.Service, tc.rng); err != nil {
+		if k.prof, err = core.NewProfiler(svc, k.rng); err != nil {
 			return nil, err
 		}
-	} else {
-		rng.Reseed(tc.rng, spec.Seed)
 	}
-	if tc.proto == nil {
-		return DefaultTuner(spec.Service)
+	if proto == nil {
+		return DefaultTuner(svc)
 	}
-	tc.tuner = *tc.proto
-	return &tc.tuner, nil
+	k.tuner = *proto
+	return &k.tuner, nil
 }
 
 // workerTemplateCtx returns worker's shared context for the VM's
 // template, building it on first use. Sharing is only legal when the
 // VM's service value is exactly the template's (hand-built fleets may
 // reuse a service name with divergent configs); ineligible VMs get nil
-// and fall back to fully private setup.
+// and fall back to fully private setup. A generated fleet's VMs hold
+// their template's one service value (sim.GenerateScenario), so the
+// pointer test settles them; only hand-built fleets reach the deep
+// comparison.
 func workerTemplateCtx(wctx []map[string]*templateCtx, worker int, svc services.Service, g *group) *templateCtx {
 	if svc != g.service && !reflect.DeepEqual(svc, g.service) {
 		return nil
@@ -442,12 +457,15 @@ func learnGroups(cfg *Config) ([]*group, obs.Summary, error) {
 
 // runPhase is the run phase: a worker pool drains the VM queue. Only
 // the repository's entries (one immutable copy-on-put map) and the
-// tuning cache (mutex) are shared between VMs; profiler, tuner and
-// controller are per-VM. Everything else here is read-only during the
-// phase, or indexed by VM (res.VMResults, usage, errs) or by worker
-// (arena shards, wctx with its lookup tallies, stepDur), so an
-// in-process worker writes shared memory only through the repository's
-// Put and the tuning cache. run flushes the tallies once the workers have joined;
+// tuning cache (mutex) are shared between VMs. A VM runs on a kit —
+// stream, profiler, tuner, controller and runner — that its worker
+// owns and resets for it in place (vmKit), so it shares no state with
+// the VM before it and allocates little more than its Result.
+// Everything else here is read-only during the phase, or indexed by VM
+// (res.VMResults, usage, errs) or by worker (arena shards, wctx with
+// its lookup tallies, kits, stepDur), so an in-process worker writes
+// shared memory only through the repository's Put and the tuning
+// cache. run flushes the tallies once the workers have joined;
 // Run builds the bill and merges the histograms.
 type runPhase struct {
 	cfg     Config // Workers clipped to the fleet size
@@ -455,6 +473,7 @@ type runPhase struct {
 	active  []*trace.Trace // per VM: its membership window of the run trace
 	arena   *stepArena
 	wctx    []map[string]*templateCtx
+	kits    [][]vmKit // per worker: see vmKit
 	res     *Result
 	usage   []cloud.TenantUsage // per VM: its bill, in spec order
 	errs    []error
@@ -484,6 +503,7 @@ func newRunPhase(cfg Config, groups []*group) (*runPhase, error) {
 		groups:  make(map[string]*group, len(groups)),
 		active:  make([]*trace.Trace, len(cfg.Specs)),
 		wctx:    make([]map[string]*templateCtx, cfg.Workers),
+		kits:    make([][]vmKit, cfg.Workers),
 		res:     &Result{VMResults: make([]*sim.Result, len(cfg.Specs))},
 		usage:   make([]cloud.TenantUsage, len(cfg.Specs)),
 		errs:    make([]error, len(cfg.Specs)),
@@ -552,16 +572,16 @@ func (p *runPhase) run() {
 }
 
 // unit runs one claimed unit of work on worker: a single VM straight
-// through its group's source, or several same-template VMs as one
-// lockstep block.
+// through its group's source on its kit's runner, or several
+// same-template VMs as one lockstep block.
 func (p *runPhase) unit(worker int, members []int) {
 	start := time.Now()
 	if len(members) == 1 {
 		i := members[0]
-		simCfg, err := p.vmConfig(worker, i, nil, 0, 1)
+		simCfg, run, err := p.vmConfig(worker, i, nil, 0, 1)
 		var vr *sim.Result
 		if err == nil {
-			vr, err = sim.Run(simCfg)
+			vr, err = run.Run(simCfg)
 		}
 		p.finish(worker, i, vr, err)
 	} else {
@@ -639,15 +659,16 @@ func learnGroup(cfg Config, g *group, workers int) error {
 
 // vmConfig lays VM i out on worker: its step-record slot, its kit and
 // its controller, which decides through src — or, when src is nil, its
-// group's source or, for an in-process template, the kit's worker
-// source over the repository (a private kit's VM decides through the
-// repository itself). The kit is the worker's for the template or, for
-// member k of an n-VM lockstep block (n > 1), the block's k-th; a VM
-// whose service is not exactly its template's builds a private one.
-// Kits are always result-neutral, see templateCtx. When the VM joined
-// mid-run its time-indexed schedules (interference, mix) are shifted so
-// they keep reading fleet-absolute time.
-func (p *runPhase) vmConfig(worker, i int, src core.DecisionSource, k, n int) (sim.Config, error) {
+// group's source or, for an in-process template, the worker source of
+// the worker's templateCtx (a private kit's VM decides through the
+// repository itself). The kit is the worker's k-th, for member k of an
+// n-VM unit (see vmKit); a VM whose service is not exactly its
+// template's builds a private one. It returns the VM's run config and
+// the kit's runner to run it on (Runner.Run straight through, or
+// Runner.Reset and Advance in a block). When the VM joined mid-run its
+// time-indexed schedules (interference, mix) are shifted so they keep
+// reading fleet-absolute time.
+func (p *runPhase) vmConfig(worker, i int, src core.DecisionSource, k, n int) (sim.Config, *sim.Runner, error) {
 	cfg, spec := p.cfg, &p.cfg.Specs[i]
 	g := p.groups[spec.Service.Name()]
 	var records []sim.StepRecord
@@ -655,25 +676,31 @@ func (p *runPhase) vmConfig(worker, i int, src core.DecisionSource, k, n int) (s
 		records = p.arena.acquire(worker, sim.Steps(p.active[i].Duration(), cfg.Step))
 	}
 	tc := workerTemplateCtx(p.wctx, worker, spec.Service, g)
+	var kit *vmKit
+	svc := spec.Service
 	if tc == nil {
-		tc = new(templateCtx)
-	} else if n > 1 {
-		for len(tc.block) < n { // all n before the first member's address is taken
-			tc.block = append(tc.block, templateCtx{memo: tc.memo, proto: tc.proto})
+		tc, kit = new(templateCtx), new(vmKit)
+	} else {
+		if have := len(p.kits[worker]); have < n {
+			// All n in one growth, before the first member's address is
+			// taken: a kit is too large to copy up append's doubling
+			// ladder.
+			p.kits[worker] = append(p.kits[worker], make([]vmKit, n-have)...)
 		}
-		tc = &tc.block[k]
+		// The template's own service value: its VMs' are equal to it,
+		// and the kit keeps its profiler while the template holds.
+		kit, svc = &p.kits[worker][k], g.service
 	}
-	inner, err := tc.ready(spec)
+	inner, err := kit.ready(svc, spec.Seed, tc.proto)
 	if err != nil {
-		return sim.Config{}, err
+		return sim.Config{}, nil, err
 	}
-	tuner, err := core.NewSharedTuner(g.cache, spec.Service, inner)
-	if err != nil {
-		return sim.Config{}, err
+	if err := kit.shared.Reset(g.cache, spec.Service, inner); err != nil {
+		return sim.Config{}, nil, err
 	}
 	ctlCfg := core.ControllerConfig{
-		Profiler:              tc.prof,
-		Tuner:                 tuner,
+		Profiler:              kit.prof,
+		Tuner:                 &kit.shared,
 		Service:               spec.Service,
 		InterferenceDetection: cfg.InterferenceDetection,
 		OnDemandProfiling:     cfg.OnDemandProfiling,
@@ -689,9 +716,8 @@ func (p *runPhase) vmConfig(worker, i int, src core.DecisionSource, k, n int) (s
 	} else {
 		ctlCfg.Repository = g.repo
 	}
-	ctl, err := core.NewController(ctlCfg)
-	if err != nil {
-		return sim.Config{}, err
+	if err := kit.ctl.Reset(ctlCfg); err != nil {
+		return sim.Config{}, nil, err
 	}
 	interference := spec.Interference
 	shifts := spec.MixShifts // shared with the spec unless the VM joined mid-run
@@ -711,12 +737,12 @@ func (p *runPhase) vmConfig(worker, i int, src core.DecisionSource, k, n int) (s
 		Trace:          p.active[i],
 		Mix:            spec.Mix,
 		MixShifts:      shifts,
-		Controller:     ctl,
+		Controller:     &kit.ctl,
 		Step:           cfg.Step,
 		Initial:        spec.Service.MaxAllocation(),
 		Interference:   interference,
 		Records:        records,
 		DiscardRecords: cfg.DiscardRecords,
 		PerfMemo:       tc.memo,
-	}, nil
+	}, &kit.run, nil
 }

@@ -1,8 +1,11 @@
 package fleet
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -93,8 +96,8 @@ func TestVMKitReadyIsFresh(t *testing.T) {
 		t.Fatal(err)
 	}
 	lt := proto.(*core.LinearSearchTuner)
-	used := templateCtx{proto: lt}
-	tuner, err := used.ready(&specs[0])
+	var used, fresh vmKit
+	tuner, err := used.ready(specs[0].Service, specs[0].Seed, lt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,9 +105,8 @@ func TestVMKitReadyIsFresh(t *testing.T) {
 	if _, err := tuner.Tune(services.Workload{Clients: 300, Mix: specs[0].Mix}, 0.3); err != nil {
 		t.Fatal(err)
 	}
-	fresh := templateCtx{proto: lt}
-	for _, tc := range []*templateCtx{&used, &fresh} {
-		if _, err := tc.ready(&specs[1]); err != nil {
+	for _, k := range []*vmKit{&used, &fresh} {
+		if _, err := k.ready(specs[1].Service, specs[1].Seed, lt); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -116,6 +118,204 @@ func TestVMKitReadyIsFresh(t *testing.T) {
 			t.Fatalf("draw %d: readied stream %d, fresh %d", i, a, b)
 		}
 	}
+}
+
+// TestVMKitResetIsFresh extends ready's contract to the whole kit: a
+// worker's kit that served a VM, reset for the next VM (vmConfig, then
+// Runner.Reset), holds what a fresh kit built for that VM holds. Three
+// resets are checked: of a kit whose VM ran straight through to the
+// end, for a VM of the same template and for one of another template
+// (whose profiler it rebuilds), and of each member's kit of a lockstep
+// block aborted by a lost frame while its VMs were parked at a lookup,
+// a round open in each controller. The fresh kit shares what a
+// worker's templateCtx holds for all its VMs by design (memo, tuner
+// prototype, worker source) and the stream, whose reset
+// TestVMKitReadyIsFresh pins, and, within a template, the profiler;
+// kitStateDiff compares everything else field by field, and lets reset
+// storage keep its capacity.
+func TestVMKitResetIsFresh(t *testing.T) {
+	gen := func(homogeneous bool) Config {
+		specs, err := sim.GenerateScenario(sim.ScenarioConfig{
+			Rng:          rand.New(rand.NewSource(7)),
+			Kind:         sim.KindWorkloadShift,
+			VMs:          8,
+			Days:         1,
+			Interference: true,
+			Homogeneous:  homogeneous,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return Config{Specs: specs, Workers: 1, InterferenceDetection: true, OnDemandProfiling: true}
+	}
+	// resetBoth resets p's kit k for VM i as member k of n, and a fresh
+	// kit in a copy of p, and compares the two.
+	resetBoth := func(t *testing.T, p *runPhase, i int, src core.DecisionSource, k, n int) {
+		t.Helper()
+		used := &p.kits[0][k]
+		keepProf := used.prof != nil && used.prof.Service == p.cfg.Specs[i].Service
+		q := *p
+		q.kits = [][]vmKit{make([]vmKit, n)}
+		fresh := &q.kits[0][k]
+		fresh.rng = used.rng
+		if keepProf {
+			fresh.prof = used.prof
+		}
+		for _, p := range []*runPhase{p, &q} {
+			simCfg, run, err := p.vmConfig(0, i, src, k, n)
+			if err == nil {
+				err = run.Reset(simCfg)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !keepProf && used.prof == fresh.prof {
+			t.Fatal("the kits share a profiler the reset should have rebuilt")
+		}
+		if d := kitStateDiff(reflect.ValueOf(used), reflect.ValueOf(fresh), "kit", map[[2]uintptr]bool{}); d != "" {
+			t.Errorf("vm %d (%s): reset kit differs from a fresh one at %s", i, p.cfg.Specs[i].Name, d)
+		}
+	}
+
+	t.Run("served", func(t *testing.T) {
+		cfg := gen(false)
+		groups, _, err := learnGroups(&cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := newRunPhase(cfg, groups)
+		if err != nil {
+			t.Fatal(err)
+		}
+		next := map[bool]int{} // the next VM of the same template, and of another
+		for _, i := range p.order[1:] {
+			same := cfg.Specs[i].Service == cfg.Specs[p.order[0]].Service
+			if _, ok := next[same]; !ok {
+				next[same] = i
+			}
+		}
+		if len(next) != 2 {
+			t.Fatalf("order %v: no VM of the same template and of another after the first", p.order)
+		}
+		for _, same := range []bool{true, false} {
+			p.unit(0, p.order[:1])
+			if err := p.errs[p.order[0]]; err != nil {
+				t.Fatal(err)
+			}
+			resetBoth(t, p, next[same], nil, 0, 1)
+		}
+	})
+
+	t.Run("aborted mid-block", func(t *testing.T) {
+		p := lockstepPhase(t, gen(true), 5)
+		if len(p.blocks) != 2 {
+			t.Fatalf("blocks %v, want one block", p.blocks)
+		}
+		p.lockstep(0, p.order)
+		kits := p.kits[0]
+		open := 0
+		for k := range kits {
+			if reflect.ValueOf(&kits[k].ctl).Elem().FieldByName("roundOpen").Bool() {
+				open++
+			}
+		}
+		if open == 0 || p.errs[p.order[0]] == nil {
+			t.Fatalf("%d of %d members left a round open (first error %v): the block did not abort parked", open, len(kits), p.errs[p.order[0]])
+		}
+		src := p.groups[p.cfg.Specs[0].Service.Name()].source
+		for k := range kits {
+			resetBoth(t, p, p.order[(k+1)%len(kits)], src, k, len(kits))
+		}
+	})
+}
+
+// kitStateDiff returns the path of the first difference between a and
+// b, or "" when they hold the same state. Pointers are followed, except
+// that one pointer equals itself: state the two sides share is the
+// same state. Slices compare by their elements, whatever their
+// capacity, so the empty storage a reset keeps equals nil. Funcs and
+// channels compare by identity.
+func kitStateDiff(a, b reflect.Value, path string, seen map[[2]uintptr]bool) string {
+	if a.Kind() != b.Kind() {
+		return path
+	}
+	switch a.Kind() {
+	case reflect.Pointer:
+		if a.Pointer() == b.Pointer() {
+			return ""
+		}
+		if a.IsNil() || b.IsNil() {
+			return path
+		}
+		pair := [2]uintptr{a.Pointer(), b.Pointer()}
+		if seen[pair] {
+			return ""
+		}
+		seen[pair] = true
+		return kitStateDiff(a.Elem(), b.Elem(), path, seen)
+	case reflect.Interface:
+		if a.IsNil() || b.IsNil() {
+			if a.IsNil() == b.IsNil() {
+				return ""
+			}
+			return path
+		}
+		if a.Elem().Type() != b.Elem().Type() {
+			return path
+		}
+		return kitStateDiff(a.Elem(), b.Elem(), path, seen)
+	case reflect.Struct:
+		for f := 0; f < a.NumField(); f++ {
+			if d := kitStateDiff(a.Field(f), b.Field(f), path+"."+a.Type().Field(f).Name, seen); d != "" {
+				return d
+			}
+		}
+		return ""
+	case reflect.Slice, reflect.Array:
+		if a.Len() != b.Len() {
+			return fmt.Sprintf("%s (len %d vs %d)", path, a.Len(), b.Len())
+		}
+		for j := 0; j < a.Len(); j++ {
+			if d := kitStateDiff(a.Index(j), b.Index(j), fmt.Sprintf("%s[%d]", path, j), seen); d != "" {
+				return d
+			}
+		}
+		return ""
+	case reflect.Map:
+		if a.Len() != b.Len() {
+			return path
+		}
+		for _, key := range a.MapKeys() {
+			if d := kitStateDiff(a.MapIndex(key), b.MapIndex(key), fmt.Sprintf("%s[%v]", path, key), seen); d != "" {
+				return d
+			}
+		}
+		return ""
+	case reflect.Func, reflect.Chan, reflect.UnsafePointer:
+		if a.Pointer() != b.Pointer() {
+			return path
+		}
+		return ""
+	case reflect.Bool:
+		return diffIf(a.Bool() != b.Bool(), path)
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		return diffIf(a.Int() != b.Int(), path)
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr:
+		return diffIf(a.Uint() != b.Uint(), path)
+	case reflect.Float32, reflect.Float64:
+		return diffIf(math.Float64bits(a.Float()) != math.Float64bits(b.Float()), path)
+	case reflect.String:
+		return diffIf(a.String() != b.String(), path)
+	}
+	return path + " (" + strings.ToLower(a.Kind().String()) + " not compared)"
+}
+
+func diffIf(differ bool, path string) string {
+	if differ {
+		return path
+	}
+	return ""
 }
 
 // TestPrivateKit covers a hand-built fleet in which one VM reuses its

@@ -10,9 +10,10 @@ import (
 // maxBlock caps a lockstep block. Two forces set it. Every round of a
 // block pays one frame's round trip — syscalls and two network
 // park/wake cycles, tens of microseconds — whatever the frame holds, so
-// wider blocks pay that floor fewer times. But every parked VM's
-// runner, controller and kit (a few KB) is touched once per round, so
-// a block much wider than this outgrows a core's L2 and each round
+// wider blocks pay that floor fewer times. But every parked VM's kit is
+// touched once per round — its runner, controller and tuners held in
+// one vmKit of about 1.2 KB, plus its profiler, stream and observation
+// — so a block much wider than this outgrows a core's L2 and each round
 // slows down. Remote fleets gain up to 256-VM blocks and level off
 // there, while 1 024-VM blocks step each VM slower: 256 is the
 // narrowest block on the plateau. It is a constant, not a knob, and
@@ -53,10 +54,11 @@ func lockstepBlocks(specs []sim.VMSpec, order []int, groups map[string]*group, w
 	return append(bounds, len(order))
 }
 
-// lockstepVM is one VM of a lockstep block: its runner, and the
-// DecisionSource its controller sees. Only the block driver advances
-// the runner, on the worker's goroutine, so Config.Workers still bounds
-// concurrency and the worker's templateCtx keeps a single owner.
+// lockstepVM is one VM of a lockstep block: its runner (its kit's,
+// reset for it), and the DecisionSource its controller sees. Only the
+// block driver advances the runner, on the worker's goroutine, so
+// Config.Workers still bounds concurrency and the worker's templateCtx
+// and kits keep a single owner.
 type lockstepVM struct {
 	core.DecisionSource // Events, Get and Put pass straight through
 
@@ -109,9 +111,10 @@ func (p *runPhase) lockstep(worker int, members []int) {
 	for k, i := range members {
 		vm := &vms[k]
 		vm.DecisionSource, vm.index = src, i
-		simCfg, err := p.vmConfig(worker, i, vm, k, len(members))
+		simCfg, run, err := p.vmConfig(worker, i, vm, k, len(members))
 		if err == nil {
-			vm.run, err = sim.NewRunner(simCfg)
+			vm.run = run
+			err = run.Reset(simCfg)
 		}
 		if err != nil {
 			fail(i, err)

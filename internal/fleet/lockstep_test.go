@@ -148,10 +148,34 @@ func lockstepBlock(tb testing.TB) (step func(), vms int) {
 	}, len(p.order)
 }
 
+// straightBlock is lockstepBlock's VMs over the same sources, run
+// straight through one after another on the worker's warm kit: each VM
+// a unit of its own, the single-VM branch of runPhase.unit. What
+// lockstep costs over it is what parking and answering a block costs.
+func straightBlock(tb testing.TB) (step func(), vms int) {
+	tb.Helper()
+	cfg := Config{Specs: scaleScenario(tb, sim.KindWorkloadShift, maxBlock), Workers: 1, DiscardRecords: true}
+	p := lockstepPhase(tb, cfg, 0)
+	return func() {
+		for k := range p.order {
+			p.unit(0, p.order[k:k+1])
+		}
+		if err := errors.Join(p.errs...); err != nil {
+			tb.Fatal(err)
+		}
+	}, len(p.order)
+}
+
 // BenchmarkLockstepBlock steps one lockstep block over an in-process
 // batch source; ns/VM-day and allocs/VM are per member VM.
-func BenchmarkLockstepBlock(b *testing.B) {
-	step, vms := lockstepBlock(b)
+func BenchmarkLockstepBlock(b *testing.B) { benchmarkBlock(b, lockstepBlock) }
+
+// BenchmarkStraightBlock is BenchmarkLockstepBlock's twin: the same
+// VMs run straight through (straightBlock).
+func BenchmarkStraightBlock(b *testing.B) { benchmarkBlock(b, straightBlock) }
+
+func benchmarkBlock(b *testing.B, block func(testing.TB) (func(), int)) {
+	step, vms := block(b)
 	step() // warm the worker's kit
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)

@@ -228,12 +228,17 @@ func newAsyncCloneWriter(conn net.Conn, n *atomic.Int64) *asyncCloneWriter {
 				}
 				continue
 			}
-			if _, err := conn.Write(chunk); err != nil {
+			// Counted before the write: once conn.Write hands the
+			// bytes over, the clone may read them before this
+			// goroutine runs again, and a reader that saw the bytes
+			// arrive must see them counted. A failed write takes
+			// back what it did not send.
+			w.n.Add(int64(len(chunk)))
+			if sent, err := conn.Write(chunk); err != nil {
+				w.n.Add(int64(sent - len(chunk)))
 				// Keep draining the queue so producers never
 				// block; the clone leg is already lost.
-				continue
 			}
-			w.n.Add(int64(len(chunk)))
 		}
 	}()
 	return w

@@ -79,7 +79,8 @@ type VMSpec struct {
 	Name string
 	// Service is the service template the VM runs. VMs sharing a
 	// template share a signature repository, so allocations learned
-	// on one are instantly reusable by the others.
+	// on one are instantly reusable by the others. GenerateScenario
+	// gives them one service value, which must not be mutated.
 	Service services.Service
 	// LearnTrace is the VM's learning-day load (24 hourly samples).
 	LearnTrace *trace.Trace
@@ -256,7 +257,12 @@ func hostInterference(rng *rand.Rand) func(now time.Duration) float64 {
 // GenerateScenario builds a heterogeneous multi-VM fleet scenario:
 // each VM gets its own synthetic week (private noise), a staggered
 // diurnal phase, a service template, and a host placement whose
-// interference schedule it shares with its co-located neighbors.
+// interference schedule it shares with its co-located neighbors. The
+// VMs of one template share one service value — their Service fields
+// hold the same pointer — so nothing may mutate a generated VM's
+// service; a VM that needs another configuration gets a service value
+// of its own. (The fleet recognizes a template's VMs by that pointer
+// before it falls back to comparing configurations.)
 func GenerateScenario(cfg ScenarioConfig) ([]VMSpec, error) {
 	if cfg.Rng == nil {
 		return nil, errors.New("sim: scenario needs a Rng")
@@ -323,21 +329,18 @@ func GenerateScenario(cfg ScenarioConfig) ([]VMSpec, error) {
 		spikeFactor = 10 + 90*spikeRng.Float64()
 	}
 
+	cassandra, specweb, rubis := services.NewCassandra(), services.NewSPECWeb(), services.NewRUBiS()
 	specs := make([]VMSpec, 0, cfg.VMs)
 	for i := 0; i < cfg.VMs; i++ {
-		var svc services.Service
-		if cfg.Homogeneous {
-			svc = services.NewCassandra()
-		} else {
+		var svc services.Service = cassandra
+		if !cfg.Homogeneous {
 			// Weighted palette: the scale-out case study dominates,
 			// with scale-up and three-tier tenants mixed in.
 			switch i % 4 {
 			case 1:
-				svc = services.NewSPECWeb()
+				svc = specweb
 			case 3:
-				svc = services.NewRUBiS()
-			default:
-				svc = services.NewCassandra()
+				svc = rubis
 			}
 		}
 

@@ -311,3 +311,40 @@ func TestAltMixDiffers(t *testing.T) {
 		}
 	}
 }
+
+// TestGenerateScenarioSharesServicePerTemplate pins the generator's
+// contract: the VMs of one template hold one service value, the same
+// pointer, for every kind, heterogeneous and homogeneous, and each
+// template's value is the stock configuration of its constructor.
+func TestGenerateScenarioSharesServicePerTemplate(t *testing.T) {
+	stock := map[string]services.Service{
+		"cassandra": services.NewCassandra(),
+		"specweb":   services.NewSPECWeb(),
+		"rubis":     services.NewRUBiS(),
+	}
+	for _, kind := range append([]ScenarioKind{KindBaseline}, AdversarialKinds()...) {
+		for _, homogeneous := range []bool{false, true} {
+			specs, err := GenerateScenario(ScenarioConfig{
+				Rng: rand.New(rand.NewSource(3)), Kind: kind, VMs: 12, Days: 1, Homogeneous: homogeneous,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			byName := map[string]services.Service{}
+			for i, spec := range specs {
+				name := spec.Service.Name()
+				if first, ok := byName[name]; !ok {
+					byName[name] = spec.Service
+					if !reflect.DeepEqual(spec.Service, stock[name]) {
+						t.Errorf("%s: vm %d's %s is not the stock configuration: %+v", kind, i, name, spec.Service)
+					}
+				} else if spec.Service != first {
+					t.Errorf("%s, homogeneous %v: vm %d holds a %s service value of its own", kind, homogeneous, i, name)
+				}
+			}
+			if want := map[bool]int{false: 3, true: 1}[homogeneous]; len(byName) != want {
+				t.Errorf("%s, homogeneous %v: %d templates, want %d", kind, homogeneous, len(byName), want)
+			}
+		}
+	}
+}

@@ -280,22 +280,10 @@ func (r *Result) CostSavingsVs(referenceCost float64) float64 {
 	return s
 }
 
-// Run executes the simulation: NewRunner, then one Advance to the end
-// of the trace. A controller that parks (ErrParked) needs a Runner to
-// be answered; under Run it is an error.
+// Run executes the simulation on a fresh Runner (see Runner.Run).
 func Run(cfg Config) (*Result, error) {
-	var r Runner // stays on the stack: only its observation and result escape
-	if err := r.init(cfg); err != nil {
-		return nil, err
-	}
-	parked, err := r.Advance()
-	if err != nil {
-		return nil, err
-	}
-	if parked {
-		return nil, fmt.Errorf("sim: controller %s parked outside a Runner", r.cfg.Controller.Name())
-	}
-	return r.res, nil
+	var r Runner // stays on the stack: only its observation, episode log and result escape
+	return r.Run(cfg)
 }
 
 // Runner is one simulation run that can pause: Advance steps it until
@@ -303,6 +291,8 @@ func Run(cfg Config) (*Result, error) {
 // up where it parked. A caller holding many runners advances them in
 // turn on one goroutine — the fleet's lockstep blocks park every VM at
 // its lookup, answer the block in one frame, and advance them again.
+// Reset starts a Runner over on the next run in place, so a caller
+// that runs many in sequence (the fleet's workers) reuses one.
 type Runner struct {
 	cfg Config // defaults filled in
 	dep cloud.Deployment
@@ -310,8 +300,13 @@ type Runner struct {
 	// obs is the one observation the engine fills in place and hands the
 	// controller (see Controller.Step); a parked step keeps it for the
 	// re-call. Its workload is the run's only copy. It is a pointer, so
-	// that handing it out leaves the Runner itself where it was made.
+	// that handing it out leaves the Runner itself where it was made;
+	// Reset clears it and keeps it.
 	obs *Observation
+	// episodes collects the run's adaptation episodes; the run's end
+	// copies them into the result at their exact count, and Reset keeps
+	// the storage for the next run.
+	episodes []Episode
 
 	// The step loop's state, kept in Advance's locals while it runs and
 	// saved here only when the controller parks.
@@ -345,15 +340,19 @@ type Runner struct {
 // runner positioned at the first step.
 func NewRunner(cfg Config) (*Runner, error) {
 	r := new(Runner)
-	if err := r.init(cfg); err != nil {
+	if err := r.Reset(cfg); err != nil {
 		return nil, err
 	}
 	return r, nil
 }
 
-// init validates cfg and positions r, a zero Runner, at the first
-// step.
-func (r *Runner) init(cfg Config) error {
+// Reset validates cfg, failing where Run would, and positions r at the
+// first step of a new run over it, whatever r ran before — a finished
+// run, a parked one, or one that failed. What it leaves equals what
+// NewRunner builds for cfg, except that the observation and the episode
+// log keep their storage. Every run gets a Result of its own, so the
+// previous run's Result stays its caller's.
+func (r *Runner) Reset(cfg Config) error {
 	if cfg.Service == nil {
 		return errors.New("sim: Service must be set")
 	}
@@ -390,15 +389,24 @@ func (r *Runner) init(cfg Config) error {
 	if err != nil {
 		return fmt.Errorf("sim: initial allocation: %w", err)
 	}
-	// Field by field into the zero Runner both callers pass: a struct
-	// assignment would copy all ~800 bytes, through the write barrier
-	// whenever the collector is marking.
-	r.cfg, r.dep = cfg, *dep
-	r.res = &Result{Controller: cfg.Controller.Name(), Service: cfg.Service.Name()}
-	r.obs = &Observation{Workload: services.Workload{Mix: cfg.Mix}}
-	r.episodeStart, r.lastChangeEffective = -1, -1<<62 // no episode, no transient yet
-	r.prevAlloc, r.shifts = cfg.Initial, cfg.MixShifts
-	r.pointMoved, r.snapMoved = true, true
+	obs, episodes := r.obs, r.episodes[:0]
+	if obs == nil {
+		obs = new(Observation)
+	}
+	*obs = Observation{Workload: services.Workload{Mix: cfg.Mix}}
+	*r = Runner{
+		cfg:                 cfg,
+		dep:                 *dep,
+		res:                 &Result{Controller: cfg.Controller.Name(), Service: cfg.Service.Name()},
+		obs:                 obs,
+		episodes:            episodes,
+		episodeStart:        -1,       // no episode
+		lastChangeEffective: -1 << 62, // no transient yet
+		prevAlloc:           cfg.Initial,
+		shifts:              cfg.MixShifts,
+		pointMoved:          true,
+		snapMoved:           true,
+	}
 	switch {
 	case cfg.DiscardRecords:
 		// Aggregates only; no record storage at all.
@@ -410,6 +418,23 @@ func (r *Runner) init(cfg Config) error {
 	r.active, r.target, r.inTransition = r.dep.Status(0)
 	r.readyAt, _ = r.dep.PendingReadyAt()
 	return nil
+}
+
+// Run resets r for cfg and steps it to the end of the trace in one
+// Advance. A controller that parks (ErrParked) needs Advance to be
+// answered; under Run it is an error.
+func (r *Runner) Run(cfg Config) (*Result, error) {
+	if err := r.Reset(cfg); err != nil {
+		return nil, err
+	}
+	parked, err := r.Advance()
+	if err != nil {
+		return nil, err
+	}
+	if parked {
+		return nil, fmt.Errorf("sim: controller %s parked outside a Runner", r.cfg.Controller.Name())
+	}
+	return r.res, nil
 }
 
 // Result returns the run's outcome. It is complete once Advance has
@@ -617,15 +642,7 @@ func (r *Runner) Advance() (parked bool, err error) {
 		// snapshot answers the one-step-ahead peek the engine used to
 		// settle the deployment for).
 		if episodeStart >= 0 && !(inTransition && readyAt > now+cfg.Step) {
-			if res.Episodes == nil {
-				// One right-sized block up front instead of append's
-				// doubling ladder: adaptive controllers produce dozens
-				// of episodes per run, and the grow-and-copy allocations
-				// were a visible share of the fleet run phase's heap
-				// churn.
-				res.Episodes = make([]Episode, 0, 32)
-			}
-			res.Episodes = append(res.Episodes, Episode{
+			r.episodes = append(r.episodes, Episode{
 				StartOffset: episodeStart,
 				Duration:    now + cfg.Step - episodeStart,
 				Resizes:     episodeResizes,
@@ -671,6 +688,10 @@ func (r *Runner) Advance() (parked bool, err error) {
 	}
 
 	r.done = true
+	if len(r.episodes) > 0 {
+		res.Episodes = make([]Episode, len(r.episodes))
+		copy(res.Episodes, r.episodes)
+	}
 	res.TotalCost = dep.Cost(total)
 	res.SLOViolationFraction = float64(violations) / float64(res.Steps)
 	return false, nil
