@@ -326,7 +326,7 @@ func BenchmarkAblationCFS(b *testing.B) {
 			d := buildDataset(events, 10*time.Second)
 			rng := rand.New(rand.NewSource(9))
 			cm, err := ml.CrossValidate(d, 4, func(tr *ml.Dataset) (ml.Classifier, error) {
-				return ml.NewC45(tr, ml.C45Config{})
+				return ml.NewC45(tr)
 			}, rng)
 			if err != nil {
 				b.Fatal(err)
@@ -515,7 +515,7 @@ func BenchmarkC45Train(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ml.NewC45(d, ml.C45Config{}); err != nil {
+		if _, err := ml.NewC45(d); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -542,7 +542,7 @@ func BenchmarkCFSSelect(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ml.CFSSelect(d, ml.CFSConfig{}); err != nil {
+		if _, err := ml.CFSSelect(d); err != nil {
 			b.Fatal(err)
 		}
 	}

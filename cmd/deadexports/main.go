@@ -1,10 +1,12 @@
-// Command deadexports (`go run ./cmd/deadexports .` in CI) fails on an
-// exported func, method, var or const under internal/ that nothing outside
-// its package's tests references. It type-checks every package, tests
-// included, of the module at the root and of each one nested below it.
-// Exempt are a method that implements a named interface the scan sees, and
-// the names in allow.txt with a reason each; an entry that names no finding
-// in a scanned package is itself a finding.
+// Command deadexports (`go run ./cmd/deadexports .` in CI) fails on a
+// func or method under internal/, exported or not, or an exported var or
+// const there, that nothing outside its package's tests references; a
+// call from inside a func's own body is not a reference. It type-checks
+// every package, tests included, of the module at the root and of each
+// one nested below it. Exempt are main and init, a method that
+// implements a named interface the scan sees, and the names in
+// allow.txt with a reason each; an entry that names no finding in a
+// scanned package is itself a finding.
 package main
 
 import (
@@ -47,9 +49,10 @@ func (f importerFunc) Import(path string) (*types.Package, error) { return f(pat
 func scan(root string, allow map[string]string) ([]string, error) {
 	fset := token.NewFileSet()
 	std := importer.ForCompiler(fset, "gc", nil)
-	dirs := map[string]string{}         // import path → directory, for every scanned package
-	base := map[string]*types.Package{} // the variant without tests, which every other package imports
-	used := map[string]bool{}           // declaration position, the same in every variant → referenced outside its package's tests
+	dirs := map[string]string{}              // import path → directory, for every scanned package
+	base := map[string]*types.Package{}      // the variant without tests, which every other package imports
+	used := map[string]bool{}                // declaration position, the same in every variant → referenced outside its package's tests
+	bodies := map[token.Pos]*ast.BlockStmt{} // a func's name → its body, whose calls to the func are recursion
 	conf := types.Config{}
 	check := func(path, dir string, names []string) (*types.Package, error) {
 		var files []*ast.File
@@ -59,10 +62,18 @@ func scan(root string, allow map[string]string) ([]string, error) {
 				return nil, err
 			}
 			files = append(files, f)
+			for _, d := range f.Decls {
+				if fd, ok := d.(*ast.FuncDecl); ok && fd.Body != nil {
+					bodies[fd.Name.Pos()] = fd.Body
+				}
+			}
 		}
 		info := &types.Info{Uses: map[*ast.Ident]types.Object{}}
 		p, err := conf.Check(path, fset, files, info)
 		for id, obj := range info.Uses {
+			if body := bodies[obj.Pos()]; body != nil && body.Pos() <= id.Pos() && id.Pos() < body.End() {
+				continue // a recursive call is not a caller
+			}
 			if obj.Pkg() != nil && dirs[obj.Pkg().Path()] != "" {
 				use, decl := fset.Position(id.Pos()).Filename, fset.Position(obj.Pos())
 				used[decl.String()] = used[decl.String()] || !strings.HasSuffix(use, "_test.go") || filepath.Dir(use) != filepath.Dir(decl.Filename)
@@ -152,7 +163,11 @@ func scan(root string, allow map[string]string) ([]string, error) {
 	for path, p := range base {
 		for _, name := range p.Scope().Names() {
 			switch obj := p.Scope().Lookup(name).(type) {
-			case *types.Func, *types.Var, *types.Const:
+			case *types.Func:
+				if name != "main" && name != "init" {
+					report(path+"."+name, obj)
+				}
+			case *types.Var, *types.Const:
 				if obj.Exported() {
 					report(path+"."+name, obj)
 				}
@@ -163,7 +178,7 @@ func scan(root string, allow map[string]string) ([]string, error) {
 					for _, it := range ifaces[m.Name()] {
 						viaInterface = viaInterface || t.TypeParams().Len() == 0 && (types.Implements(t, it) || types.Implements(types.NewPointer(t), it))
 					}
-					if m.Exported() && !viaInterface {
+					if !viaInterface {
 						report(path+"."+name+"."+m.Name(), m)
 					}
 				}
@@ -194,7 +209,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "deadexports:", f)
 	}
 	if len(findings) > 0 {
-		os.Exit(1) // delete, unexport or allow-list each finding
+		os.Exit(1) // delete each finding, move it into its tests, or allow-list it
 	}
-	fmt.Printf("deadexports: every exported name under internal/ has a checked caller (%d allow-listed)\n", len(allow))
+	fmt.Printf("deadexports: every func, method and exported name under internal/ has a checked caller (%d allow-listed)\n", len(allow))
 }

@@ -1,3 +1,3 @@
 package a
 
-var _ = TestOnly()
+var _ = TestOnly() + helper() + countdown(3) + Square{}.scale(2).Side

@@ -42,7 +42,7 @@ func main() {
 // scenarios is the adversarial-scenario claims table at the sweep's own
 // pinned shape (8 VMs, one run day), so -days does not apply to it.
 func scenarios(o experiments.Options) (*experiments.ScenarioSweepResult, error) {
-	return experiments.ScenarioSweep(experiments.ScenarioOptions{Seed: o.Seed})
+	return experiments.ScenarioSweep(o.Seed)
 }
 
 func run(w io.Writer, figure string, opts experiments.Options) error {

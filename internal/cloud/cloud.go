@@ -2,11 +2,11 @@
 // evaluates on (Amazon EC2, July 2011): an instance catalog with the
 // large and extra-large types used in the scale-up case study, hourly
 // billing at the paper's prices ($0.34/h large, $0.68/h extra large),
-// horizontal (scale-out) and vertical (scale-up) provisioning with
-// warm-up delays, and per-instance performance interference from
-// co-located tenants. DejaVu only interacts with the platform through
-// "apply this allocation" and "how much capacity do I actually get",
-// which is exactly what this package models.
+// and horizontal (scale-out) and vertical (scale-up) provisioning with
+// warm-up delays. DejaVu only interacts with the platform through
+// "apply this allocation" and "what is serving now", which is exactly
+// what this package models; contention from co-located tenants is
+// applied by the simulation engine (internal/sim).
 package cloud
 
 import (
@@ -133,15 +133,6 @@ func (a Allocation) Validate() error {
 	return nil
 }
 
-// Interference describes contention from co-located tenants on one
-// service instance: the fraction of the instance's capacity consumed
-// by neighbours (the paper injects microbenchmarks occupying 10% or
-// 20% of CPU and memory).
-type Interference struct {
-	// Fraction in [0, 1): capacity lost to co-located tenants.
-	Fraction float64
-}
-
 // Deployment is a live deployment of a service on the simulated
 // provider. Time is explicit: all methods take the current offset from
 // the simulation start, so deployments are fully deterministic and
@@ -153,7 +144,6 @@ type Deployment struct {
 	readyAt    time.Duration
 	lastBill   time.Duration
 	cost       float64
-	interf     Interference
 	changes    int
 }
 
@@ -204,24 +194,6 @@ func (d *Deployment) accrue(now time.Duration) {
 	}
 	d.cost += d.current.CostFor(now - d.lastBill)
 	d.lastBill = now
-}
-
-// SetInterference sets the co-located tenant contention affecting this
-// deployment's instances.
-func (d *Deployment) SetInterference(i Interference) error {
-	if i.Fraction < 0 || i.Fraction >= 1 {
-		return fmt.Errorf("cloud: interference fraction %v out of [0,1)", i.Fraction)
-	}
-	d.interf = i
-	return nil
-}
-
-// effectiveCapacity returns the capacity actually available to the
-// service at the given time: the active allocation's nominal capacity
-// reduced by interference.
-func (d *Deployment) effectiveCapacity(now time.Duration) float64 {
-	d.settle(now)
-	return d.current.Capacity() * (1 - d.interf.Fraction)
 }
 
 // Status returns the serving allocation, the most recently requested

@@ -170,25 +170,6 @@ func TestDeploymentCostIdempotentQueries(t *testing.T) {
 	}
 }
 
-func TestDeploymentInterference(t *testing.T) {
-	d, _ := NewDeployment(Allocation{Type: Large, Count: 4})
-	if got := d.effectiveCapacity(0); got != 4 {
-		t.Errorf("capacity=%v want 4", got)
-	}
-	if err := d.SetInterference(Interference{Fraction: 0.2}); err != nil {
-		t.Fatal(err)
-	}
-	if got := d.effectiveCapacity(0); math.Abs(got-3.2) > 1e-9 {
-		t.Errorf("interfered capacity=%v want 3.2", got)
-	}
-	if err := d.SetInterference(Interference{Fraction: 1.0}); err == nil {
-		t.Error("fraction 1.0 should be rejected")
-	}
-	if err := d.SetInterference(Interference{Fraction: -0.1}); err == nil {
-		t.Error("negative fraction should be rejected")
-	}
-}
-
 func TestDeploymentScaleUp(t *testing.T) {
 	// Vertical scaling: same count, bigger type.
 	d, _ := NewDeployment(Allocation{Type: Large, Count: 5})
@@ -196,7 +177,7 @@ func TestDeploymentScaleUp(t *testing.T) {
 		t.Fatal(err)
 	}
 	after := XLarge.WarmupDelay + time.Second
-	if got := d.effectiveCapacity(after); got != 10 {
-		t.Errorf("capacity after scale-up=%v want 10", got)
+	if active, _, _ := d.Status(after); active.Capacity() != 10 {
+		t.Errorf("capacity after scale-up=%v want 10", active.Capacity())
 	}
 }

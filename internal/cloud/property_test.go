@@ -76,23 +76,3 @@ func TestCapacityScalesWithCountProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-// TestInterferenceNeverIncreasesCapacityProperty.
-func TestInterferenceNeverIncreasesCapacityProperty(t *testing.T) {
-	f := func(count uint8, frac uint8) bool {
-		d, err := NewDeployment(Allocation{Type: Large, Count: int(count%9) + 1})
-		if err != nil {
-			return false
-		}
-		clean := d.effectiveCapacity(0)
-		f64 := float64(frac%90) / 100
-		if err := d.SetInterference(Interference{Fraction: f64}); err != nil {
-			return false
-		}
-		dirty := d.effectiveCapacity(0)
-		return dirty <= clean+1e-12 && dirty >= 0
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}

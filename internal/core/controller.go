@@ -26,12 +26,6 @@ type ControllerConfig struct {
 	Tuner Tuner
 	// Service provides SLO and full-capacity information.
 	Service services.Service
-	// ProfileInterval is the periodic profiling cadence (default
-	// 1 hour, the traces' granularity).
-	ProfileInterval time.Duration
-	// SignatureTime is the signature collection latency charged per
-	// adaptation (default DefaultSignatureWindow = 10 s).
-	SignatureTime time.Duration
 	// InterferenceDetection enables the Eq. 2 feedback loop;
 	// disabling it reproduces the interference-oblivious baseline of
 	// Fig. 11.
@@ -42,23 +36,22 @@ type ControllerConfig struct {
 	// upon a violation of an SLO)". Useful when the workload can
 	// change between periodic rounds.
 	OnDemandProfiling bool
-	// OnDemandCooldown rate-limits violation-triggered profiling
-	// (default 5 minutes).
-	OnDemandCooldown time.Duration
-	// RelearnThreshold is the number of consecutive unforeseen
+}
+
+const (
+	// profileInterval is the periodic profiling cadence, the traces'
+	// granularity. Each round's signature costs DefaultSignatureWindow.
+	profileInterval = time.Hour
+	// onDemandCooldown rate-limits violation-triggered profiling.
+	onDemandCooldown = 5 * time.Minute
+	// relearnThreshold is the number of consecutive unforeseen
 	// profiling rounds after which the controller reports that the
 	// clustering has gone stale (paper §3.5: "If the repository
 	// repeatedly outputs low certainty levels, it most likely means
 	// that the workload has changed over time and the current
-	// clustering is no longer relevant"). Default 3.
-	RelearnThreshold int
-	// InterferenceGrace is how long after an allocation change the
-	// controller waits before blaming interference for violations,
-	// covering warm-up and the worst of the re-partitioning
-	// transient (default: half the service's stabilization period,
-	// floored at 2 minutes).
-	InterferenceGrace time.Duration
-}
+	// clustering is no longer relevant").
+	relearnThreshold = 3
+)
 
 // Controller is the runtime DejaVu loop (paper §3.5–3.6): on workload
 // change, collect a signature, classify it, and instantly reuse the
@@ -68,6 +61,11 @@ type ControllerConfig struct {
 type Controller struct {
 	cfg ControllerConfig
 	src DecisionSource
+	// grace is how long after an allocation change the controller
+	// waits before blaming interference for violations, covering
+	// warm-up and the worst of the re-partitioning transient: half the
+	// service's stabilization period, floored at 2 minutes.
+	grace time.Duration
 
 	// sigEvents is the decision source's signature tuple, fetched once so
 	// every profiling round reuses the same slice (which also keys the
@@ -128,27 +126,10 @@ func (c *Controller) Reset(cfg ControllerConfig) error {
 	} else if cfg.Repository != nil {
 		return errors.New("core: set ControllerConfig.Source or Repository, not both")
 	}
-	if cfg.ProfileInterval <= 0 {
-		cfg.ProfileInterval = time.Hour
-	}
-	if cfg.SignatureTime <= 0 {
-		cfg.SignatureTime = DefaultSignatureWindow
-	}
-	if cfg.InterferenceGrace <= 0 {
-		cfg.InterferenceGrace = cfg.Service.StabilizationPeriod() / 2
-		if cfg.InterferenceGrace < 2*time.Minute {
-			cfg.InterferenceGrace = 2 * time.Minute
-		}
-	}
-	if cfg.OnDemandCooldown <= 0 {
-		cfg.OnDemandCooldown = 5 * time.Minute
-	}
-	if cfg.RelearnThreshold <= 0 {
-		cfg.RelearnThreshold = 3
-	}
 	*c = Controller{
 		cfg:          cfg,
 		src:          src,
+		grace:        max(cfg.Service.StabilizationPeriod()/2, 2*time.Minute),
 		sigEvents:    src.Events(),
 		sigScratch:   Signature{Values: c.sigScratch.Values[:0]},
 		lastProfile:  -1 << 62,
@@ -178,10 +159,10 @@ func (c *Controller) Step(obs *sim.Observation) (sim.Action, error) {
 	// violation triggers the same round early when on-demand
 	// profiling is enabled — a workload change between periodic
 	// rounds then costs minutes instead of up to a full interval.
-	periodic := obs.Now-c.lastProfile >= c.cfg.ProfileInterval
+	periodic := obs.Now-c.lastProfile >= profileInterval
 	onDemand := c.cfg.OnDemandProfiling && obs.SLOViolated &&
-		obs.Now-c.lastProfile >= c.cfg.OnDemandCooldown &&
-		obs.Now-c.lastDecision >= c.cfg.OnDemandCooldown
+		obs.Now-c.lastProfile >= onDemandCooldown &&
+		obs.Now-c.lastDecision >= onDemandCooldown
 	// A parked round's re-call comes with the same observation, and
 	// finishes the round.
 	if periodic || onDemand || c.roundOpen {
@@ -195,7 +176,7 @@ func (c *Controller) Step(obs *sim.Observation) (sim.Action, error) {
 	// just verified, so "workload changes are excluded from the
 	// potential reasons"). Its action asks for the next step.
 	if c.cfg.InterferenceDetection && obs.SLOViolated &&
-		obs.Now-c.lastDecision >= c.cfg.InterferenceGrace && c.currentClass >= 0 {
+		obs.Now-c.lastDecision >= c.grace && c.currentClass >= 0 {
 		return c.handleInterference(obs)
 	}
 	return c.sleep(sim.Action{}), nil
@@ -204,7 +185,7 @@ func (c *Controller) Step(obs *sim.Observation) (sim.Action, error) {
 // sleep sets an action's wake hint to the next periodic round and, when
 // a violation can trigger a reaction, to any violation before it.
 func (c *Controller) sleep(act sim.Action) sim.Action {
-	act.Wake = c.lastProfile + c.cfg.ProfileInterval
+	act.Wake = c.lastProfile + profileInterval
 	act.WakeOnViolation = c.cfg.OnDemandProfiling || c.cfg.InterferenceDetection
 	return act
 }
@@ -241,12 +222,12 @@ func (c *Controller) profileAndReuse(obs *sim.Observation) (sim.Action, error) {
 		c.consecutiveUnforseen++
 		c.currentClass = -1
 		max := c.cfg.Service.MaxAllocation()
-		return c.decide(obs, max, c.cfg.SignatureTime), nil
+		return c.decide(obs, max, DefaultSignatureWindow), nil
 	}
 	c.consecutiveUnforseen = 0
 	c.currentClass = res.Class
 	if res.Hit {
-		return c.decide(obs, res.Allocation, c.cfg.SignatureTime), nil
+		return c.decide(obs, res.Allocation, DefaultSignatureWindow), nil
 	}
 	// Known class, missing interference bucket: tune under the
 	// bucket's representative contention and cache the result.
@@ -254,7 +235,7 @@ func (c *Controller) profileAndReuse(obs *sim.Observation) (sim.Action, error) {
 	if err != nil {
 		return sim.Action{}, err
 	}
-	return c.decide(obs, alloc, c.cfg.SignatureTime+c.cfg.Tuner.Duration()), nil
+	return c.decide(obs, alloc, DefaultSignatureWindow+c.cfg.Tuner.Duration()), nil
 }
 
 // handleInterference runs the Eq. 2 feedback loop.
@@ -277,13 +258,13 @@ func (c *Controller) handleInterference(obs *sim.Observation) (sim.Action, error
 		return sim.Action{}, err
 	}
 	if ok {
-		return c.decide(obs, alloc, c.cfg.SignatureTime), nil
+		return c.decide(obs, alloc, DefaultSignatureWindow), nil
 	}
 	alloc, err = c.tuneAndStore(obs.Workload, c.currentClass, bucket)
 	if err != nil {
 		return sim.Action{}, err
 	}
-	return c.decide(obs, alloc, c.cfg.SignatureTime+c.cfg.Tuner.Duration()), nil
+	return c.decide(obs, alloc, DefaultSignatureWindow+c.cfg.Tuner.Duration()), nil
 }
 
 // estimateBucket contrasts the measured production performance with
@@ -350,10 +331,10 @@ func (c *Controller) TuningCount() int { return c.tuningCount }
 func (c *Controller) InterferenceEvents() int { return c.interferenceHit }
 
 // NeedsRelearning reports whether the clustering has gone stale:
-// RelearnThreshold consecutive profiling rounds failed to classify.
+// relearnThreshold consecutive profiling rounds failed to classify.
 // The Relearner acts on this signal by re-running the learning phase.
 func (c *Controller) NeedsRelearning() bool {
-	return c.consecutiveUnforseen >= c.cfg.RelearnThreshold
+	return c.consecutiveUnforseen >= relearnThreshold
 }
 
 // ReplaceRepository swaps in a freshly learned repository and resets

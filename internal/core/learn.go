@@ -25,24 +25,12 @@ type LearnConfig struct {
 	// Workloads are the workloads seen during the learning window
 	// (e.g. 24 hourly workloads of the traces' first day).
 	Workloads []services.Workload
-	// TrialsPerWorkload is how many signature samples to take per
-	// workload (default 3).
-	TrialsPerWorkload int
-	// ProfileWindow is the per-trial sampling window during
-	// learning (default 5 minutes). Learning monitors the full
-	// event catalog, which oversubscribes the HPC registers; long
-	// windows average the multiplexing noise out. Runtime lookups
-	// use the short 10 s window on the few selected events instead.
-	ProfileWindow time.Duration
 	// MinK and MaxK bound the automatic cluster count search
 	// (defaults 2 and 6).
 	MinK, MaxK int
 	// Classifier selects the runtime model: "c45" (default, the
 	// paper's J48) or "bayes".
 	Classifier string
-	// CertaintyThreshold is the cache-hit confidence floor
-	// (default 0.6).
-	CertaintyThreshold float64
 	// NoveltyTolerance inflates each class's training radius for the
 	// unforeseen-workload check (default 2.0).
 	NoveltyTolerance float64
@@ -62,6 +50,31 @@ type LearnConfig struct {
 	Workers int
 }
 
+// The learning phase's fixed parameters, shared by Learn and
+// RelearnFromSignatures.
+const (
+	// trialsPerWorkload is how many signature samples Learn takes per
+	// workload.
+	trialsPerWorkload = 3
+	// learnWindow is the per-trial sampling window during learning.
+	// Learning monitors the full event catalog, which oversubscribes
+	// the HPC registers; long windows average the multiplexing noise
+	// out. Runtime lookups use the short 10 s window on the few
+	// selected events instead.
+	learnWindow = 5 * time.Minute
+	// defaultMinK and defaultMaxK bound the automatic cluster count
+	// search.
+	defaultMinK, defaultMaxK = 2, 6
+	// defaultClassifier is the runtime model, the paper's J48.
+	defaultClassifier = "c45"
+	// certaintyThreshold is the cache-hit confidence floor.
+	certaintyThreshold = 0.6
+	// noveltyTolerance and minNoveltyRadius are LearnConfig's default
+	// NoveltyTolerance and MinNoveltyRadius.
+	noveltyTolerance = 2.0
+	minNoveltyRadius = 1.0
+)
+
 func (c *LearnConfig) defaults() error {
 	if c.Profiler == nil {
 		return errors.New("core: LearnConfig.Profiler must be set")
@@ -75,35 +88,26 @@ func (c *LearnConfig) defaults() error {
 	if c.Rng == nil {
 		return errors.New("core: LearnConfig.Rng must be set")
 	}
-	if c.TrialsPerWorkload <= 0 {
-		c.TrialsPerWorkload = 3
-	}
-	if c.ProfileWindow <= 0 {
-		c.ProfileWindow = 5 * time.Minute
-	}
 	if c.MinK <= 0 {
-		c.MinK = 2
+		c.MinK = defaultMinK
 	}
 	if c.MaxK <= 0 {
-		c.MaxK = 6
+		c.MaxK = defaultMaxK
 	}
 	if c.MinK > c.MaxK {
 		return fmt.Errorf("core: LearnConfig.MinK %d exceeds MaxK %d", c.MinK, c.MaxK)
 	}
 	if c.Classifier == "" {
-		c.Classifier = "c45"
+		c.Classifier = defaultClassifier
 	}
 	if c.Classifier != "c45" && c.Classifier != "bayes" {
 		return fmt.Errorf("core: unknown classifier %q", c.Classifier)
 	}
-	if c.CertaintyThreshold == 0 {
-		c.CertaintyThreshold = 0.6
-	}
 	if c.NoveltyTolerance == 0 {
-		c.NoveltyTolerance = 2.0
+		c.NoveltyTolerance = noveltyTolerance
 	}
 	if c.MinNoveltyRadius == 0 {
-		c.MinNoveltyRadius = 1.0
+		c.MinNoveltyRadius = minNoveltyRadius
 	}
 	return nil
 }
@@ -147,7 +151,7 @@ func Learn(cfg LearnConfig) (*Repository, *LearnReport, error) {
 	// xentop-reported metric values."
 	full := ml.NewDataset(eventNames(allEvents))
 	for _, w := range cfg.Workloads {
-		sigs, err := cfg.Profiler.ProfileN(w, allEvents, cfg.TrialsPerWorkload, cfg.ProfileWindow)
+		sigs, err := cfg.Profiler.ProfileN(w, allEvents, trialsPerWorkload, learnWindow)
 		if err != nil {
 			return nil, nil, fmt.Errorf("core: profiling %v: %w", w, err)
 		}
@@ -175,7 +179,7 @@ func Learn(cfg LearnConfig) (*Repository, *LearnReport, error) {
 
 	// Phase 3 — CFS feature selection (the paper's CfsSubsetEval +
 	// GreedyStepwise) to pick the signature metrics.
-	cfsRes, err := ml.CFSSelect(fullN, ml.CFSConfig{})
+	cfsRes, err := ml.CFSSelect(fullN)
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: feature selection: %w", err)
 	}
@@ -231,7 +235,7 @@ func Learn(cfg LearnConfig) (*Repository, *LearnReport, error) {
 		}
 	}
 
-	repo, err := NewRepository(sigEvents, std, clf, clusters.Centroids, radii, cfg.CertaintyThreshold)
+	repo, err := NewRepository(sigEvents, std, clf, clusters.Centroids, radii, certaintyThreshold)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -253,7 +257,7 @@ func Learn(cfg LearnConfig) (*Repository, *LearnReport, error) {
 		if rowIdx < 0 {
 			return nil, nil, fmt.Errorf("core: class %d has no members", class)
 		}
-		wIdx := rowIdx / cfg.TrialsPerWorkload
+		wIdx := rowIdx / trialsPerWorkload
 		report.Representatives[class] = wIdx
 		alloc, err := cfg.Tuner.Tune(cfg.Workloads[wIdx], 0)
 		if err != nil {
@@ -270,8 +274,8 @@ func Learn(cfg LearnConfig) (*Repository, *LearnReport, error) {
 	report.WorkloadClass = make([]int, len(cfg.Workloads))
 	for wIdx := range cfg.Workloads {
 		votes := make(map[int]int)
-		for t := 0; t < cfg.TrialsPerWorkload; t++ {
-			votes[clusters.Assignments[wIdx*cfg.TrialsPerWorkload+t]]++
+		for t := 0; t < trialsPerWorkload; t++ {
+			votes[clusters.Assignments[wIdx*trialsPerWorkload+t]]++
 		}
 		best, bestN := 0, -1
 		for c, n := range votes {
@@ -300,7 +304,7 @@ func trainFunc(kind string) ml.TrainFunc {
 	if kind == "bayes" {
 		return func(d *ml.Dataset) (ml.Classifier, error) { return ml.NewNaiveBayes(d) }
 	}
-	return func(d *ml.Dataset) (ml.Classifier, error) { return ml.NewC45(d, ml.C45Config{}) }
+	return func(d *ml.Dataset) (ml.Classifier, error) { return ml.NewC45(d) }
 }
 
 func eventNames(evs []metrics.Event) []string {

@@ -22,21 +22,12 @@ import (
 // protocol already repopulates entries on misses (clients tune and
 // Put, exactly like a fresh learning day).
 
-// OnlineRelearnConfig parameterizes RelearnFromSignatures. The zero
-// value of every field except Rng picks the Learn defaults.
+// OnlineRelearnConfig parameterizes RelearnFromSignatures, which
+// otherwise uses Learn's fixed parameters and its default classifier.
+// The zero value of every field except Rng picks the Learn defaults.
 type OnlineRelearnConfig struct {
 	// MinK and MaxK bound the cluster count search (defaults 2, 6).
 	MinK, MaxK int
-	// Classifier is "c45" (default) or "bayes".
-	Classifier string
-	// CertaintyThreshold is the cache-hit confidence floor
-	// (default 0.6).
-	CertaintyThreshold float64
-	// NoveltyTolerance inflates the per-class training radius
-	// (default 2.0).
-	NoveltyTolerance float64
-	// MinNoveltyRadius floors the radius (default 1.0).
-	MinNoveltyRadius float64
 	// Rng drives clustering restarts; required. Only derived per-run
 	// seeds are consumed, so results are Workers-independent.
 	Rng *rand.Rand
@@ -58,28 +49,13 @@ func RelearnFromSignatures(events []metrics.Event, rows [][]float64, cfg OnlineR
 		return nil, errors.New("core: relearn needs a Rng")
 	}
 	if cfg.MinK <= 0 {
-		cfg.MinK = 2
+		cfg.MinK = defaultMinK
 	}
 	if cfg.MaxK <= 0 {
-		cfg.MaxK = 6
+		cfg.MaxK = defaultMaxK
 	}
 	if cfg.MinK > cfg.MaxK {
 		return nil, fmt.Errorf("core: OnlineRelearnConfig.MinK %d exceeds MaxK %d", cfg.MinK, cfg.MaxK)
-	}
-	if cfg.Classifier == "" {
-		cfg.Classifier = "c45"
-	}
-	if cfg.Classifier != "c45" && cfg.Classifier != "bayes" {
-		return nil, fmt.Errorf("core: unknown classifier %q", cfg.Classifier)
-	}
-	if cfg.CertaintyThreshold == 0 {
-		cfg.CertaintyThreshold = 0.6
-	}
-	if cfg.NoveltyTolerance == 0 {
-		cfg.NoveltyTolerance = 2.0
-	}
-	if cfg.MinNoveltyRadius == 0 {
-		cfg.MinNoveltyRadius = 1.0
 	}
 	if len(rows) < 2*cfg.MinK {
 		return nil, fmt.Errorf("core: %d signatures are too few to re-cluster (need >= %d)", len(rows), 2*cfg.MinK)
@@ -116,15 +92,12 @@ func RelearnFromSignatures(events []metrics.Event, rows [][]float64, cfg OnlineR
 		}
 	}
 	for c := range radii {
-		radii[c] = math.Sqrt(radii[c]) * cfg.NoveltyTolerance
-		if radii[c] < cfg.MinNoveltyRadius {
-			radii[c] = cfg.MinNoveltyRadius
-		}
+		radii[c] = max(math.Sqrt(radii[c])*noveltyTolerance, minNoveltyRadius)
 	}
 
-	clf, err := trainFunc(cfg.Classifier)(dsZ)
+	clf, err := trainFunc(defaultClassifier)(dsZ)
 	if err != nil {
 		return nil, fmt.Errorf("core: training classifier: %w", err)
 	}
-	return NewRepository(events, std, clf, clusters.Centroids, radii, cfg.CertaintyThreshold)
+	return NewRepository(events, std, clf, clusters.Centroids, radii, certaintyThreshold)
 }

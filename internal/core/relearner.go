@@ -67,7 +67,7 @@ func (r *Relearner) Name() string { return "dejavu-relearn" }
 func (r *Relearner) Step(obs *sim.Observation) (sim.Action, error) {
 	// Keep a sliding window of recent hourly workloads — the
 	// re-learning corpus.
-	if obs.Now-r.lastRecorded >= r.Controller.cfg.ProfileInterval {
+	if obs.Now-r.lastRecorded >= profileInterval {
 		r.lastRecorded = obs.Now
 		r.recent = append(r.recent, obs.Workload)
 		if len(r.recent) > r.MaxWorkloads {
@@ -101,7 +101,7 @@ func (r *Relearner) Step(obs *sim.Observation) (sim.Action, error) {
 		// profiling and tuning work has actually been done:
 		// one signature window per workload trial plus the tuner
 		// runs.
-		profiling := time.Duration(len(cfg.Workloads)*trialsOf(cfg)) * windowOf(cfg)
+		profiling := time.Duration(len(cfg.Workloads)*trialsPerWorkload) * learnWindow
 		r.busyUntil = obs.Now + profiling + report.TuningTime
 	}
 
@@ -111,20 +111,6 @@ func (r *Relearner) Step(obs *sim.Observation) (sim.Action, error) {
 	act, err := r.Controller.Step(obs)
 	act.Wake, act.WakeOnViolation = 0, false
 	return act, err
-}
-
-func trialsOf(cfg LearnConfig) int {
-	if cfg.TrialsPerWorkload > 0 {
-		return cfg.TrialsPerWorkload
-	}
-	return 3
-}
-
-func windowOf(cfg LearnConfig) time.Duration {
-	if cfg.ProfileWindow > 0 {
-		return cfg.ProfileWindow
-	}
-	return 5 * time.Minute
 }
 
 // Relearns reports how many re-clustering rounds ran.

@@ -25,7 +25,7 @@ func buildTestRepository(t *testing.T) *Repository {
 		t.Fatal(err)
 	}
 	z := std.TransformDataset(d)
-	clf, err := ml.NewC45(z, ml.C45Config{})
+	clf, err := ml.NewC45(z)
 	if err != nil {
 		t.Fatal(err)
 	}

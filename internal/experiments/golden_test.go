@@ -51,7 +51,7 @@ func TestFigure8GoldenFixedSeed(t *testing.T) {
 // drift here means scenario generation or fleet arithmetic changed,
 // not goroutine scheduling.
 func TestScenarioSweepGoldenFixedSeed(t *testing.T) {
-	r, err := ScenarioSweep(ScenarioOptions{Seed: 42})
+	r, err := ScenarioSweep(42)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -41,7 +41,7 @@ func main() {
 	}
 	f8.Render(out8)
 	out8.Close()
-	sweep, err := experiments.ScenarioSweep(experiments.ScenarioOptions{Seed: 42})
+	sweep, err := experiments.ScenarioSweep(42)
 	if err != nil {
 		panic(err)
 	}

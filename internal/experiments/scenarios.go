@@ -16,30 +16,9 @@ import (
 // are the claim. One variable changes per row — the scenario kind —
 // so a drifting delta localizes to the perturbation that caused it.
 
-// ScenarioOptions configures a claims sweep.
-type ScenarioOptions struct {
-	// Seed drives every scenario; equal seeds give bit-identical
-	// sweeps.
-	Seed int64
-	// VMs is the fleet size per scenario (default 8).
-	VMs int
-	// Days is the evaluated run window in days (default 1).
-	Days int
-}
-
-func (o ScenarioOptions) vms() int {
-	if o.VMs <= 0 {
-		return 8
-	}
-	return o.VMs
-}
-
-func (o ScenarioOptions) days() int {
-	if o.Days <= 0 {
-		return 1
-	}
-	return o.Days
-}
+// A claims sweep's fleet: scenarioVMs VMs per scenario, evaluated over
+// scenarioDays run days.
+const scenarioVMs, scenarioDays = 8, 1
 
 // ScenarioClaim is one row of the harness: a scenario kind's absolute
 // metrics and its deltas against the non-adversarial baseline.
@@ -73,12 +52,12 @@ type ScenarioSweepResult struct {
 // ones whose runtime lookups could insert repository entries in
 // VM-visit order — bit-deterministic, which is what lets the sweep be
 // golden-pinned and CI-gated.
-func runScenarioKind(seed int64, kind sim.ScenarioKind, vms, days int) (*fleet.Result, error) {
+func runScenarioKind(seed int64, kind sim.ScenarioKind) (*fleet.Result, error) {
 	specs, err := sim.GenerateScenario(sim.ScenarioConfig{
 		Rng:  rand.New(rand.NewSource(seed)),
 		Kind: kind,
-		VMs:  vms,
-		Days: days,
+		VMs:  scenarioVMs,
+		Days: scenarioDays,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("experiments: %s scenario: %w", kind, err)
@@ -100,21 +79,21 @@ func claimFrom(kind sim.ScenarioKind, res *fleet.Result) ScenarioClaim {
 }
 
 // ScenarioSweep runs the baseline fleet and every adversarial kind at
-// the same seed and fleet shape, and reports per-kind deltas.
-func ScenarioSweep(opts ScenarioOptions) (*ScenarioSweepResult, error) {
-	vms, days := opts.vms(), opts.days()
-	baseRes, err := runScenarioKind(opts.Seed, sim.KindBaseline, vms, days)
+// the same seed and fleet shape, and reports per-kind deltas. Equal
+// seeds give bit-identical sweeps.
+func ScenarioSweep(seed int64) (*ScenarioSweepResult, error) {
+	baseRes, err := runScenarioKind(seed, sim.KindBaseline)
 	if err != nil {
 		return nil, err
 	}
 	out := &ScenarioSweepResult{
-		Seed:     opts.Seed,
-		VMs:      vms,
-		Days:     days,
+		Seed:     seed,
+		VMs:      scenarioVMs,
+		Days:     scenarioDays,
 		Baseline: claimFrom(sim.KindBaseline, baseRes),
 	}
 	for _, kind := range sim.AdversarialKinds() {
-		res, err := runScenarioKind(opts.Seed, kind, vms, days)
+		res, err := runScenarioKind(seed, kind)
 		if err != nil {
 			return nil, err
 		}

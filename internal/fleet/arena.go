@@ -15,22 +15,21 @@ import (
 //  1. blocks are never grown in place — when a shard's current block
 //     is exhausted a fresh one is allocated, so slots already handed
 //     out never move under a live VM;
-//  2. released slots are drained, not recycled — a departed VM's
-//     records (and the sim.AllocRef values inside them) stay
-//     addressable until the arena itself is garbage, so live step
-//     records and aggregated results cannot end up referencing
-//     reused memory.
+//  2. slots are never recycled — a departed VM's records (and the
+//     sim.AllocRef values inside them) stay addressable until the
+//     arena itself is garbage, so live step records and aggregated
+//     results cannot end up referencing reused memory.
 //
 // Slots are three-index sub-slices (len 0, capped capacity): a VM that
 // somehow overruns its step budget appends into a private copy instead
 // of stomping a neighbour's records.
 //
-// The arena is sharded per run-phase worker: each worker acquires and
-// releases against its own shard, so the multi-million-slot fleets of
+// The arena is sharded per run-phase worker: each worker acquires from
+// its own shard, so the multi-million-slot fleets of
 // the scale benchmarks never serialize on one mutex — the per-shard
 // lock exists only for callers that share a shard (tests, future
 // work-stealing schedulers) and is uncontended in the fleet's
-// one-worker-per-shard layout. counts merges the shards at drain time.
+// one-worker-per-shard layout.
 type stepArena struct {
 	shards []arenaShard
 }
@@ -41,8 +40,6 @@ type arenaShard struct {
 	mu      sync.Mutex
 	block   []sim.StepRecord // current block; tail past used is free
 	used    int              // records handed out of the current block
-	live    int              // acquired minus released slots
-	drained int              // released (departed-VM) slots
 	defSize int              // preferred block size for this shard
 	_       [64]byte
 }
@@ -97,31 +94,5 @@ func (a *stepArena) acquire(worker, n int) []sim.StepRecord {
 	}
 	slot := s.block[s.used : s.used : s.used+n]
 	s.used += n
-	s.live++
 	return slot
-}
-
-// release drains a slot acquired from the given worker's shard for a
-// VM that left the fleet. The memory is not reused — draining only
-// updates membership accounting — which is precisely what keeps
-// references held by live step records valid.
-func (a *stepArena) release(worker int) {
-	s := &a.shards[worker%len(a.shards)]
-	s.mu.Lock()
-	s.live--
-	s.drained++
-	s.mu.Unlock()
-}
-
-// counts reports (live, drained) slot totals merged across all shards,
-// for tests and metrics.
-func (a *stepArena) counts() (live, drained int) {
-	for i := range a.shards {
-		s := &a.shards[i]
-		s.mu.Lock()
-		live += s.live
-		drained += s.drained
-		s.mu.Unlock()
-	}
-	return live, drained
 }

@@ -28,6 +28,9 @@ import (
 	"repro/internal/trace"
 )
 
+// step is every VM's simulation step.
+const step = time.Minute
+
 // Config drives one fleet run.
 type Config struct {
 	// Specs are the fleet's VMs (from sim.GenerateScenario or built
@@ -36,8 +39,6 @@ type Config struct {
 	// Workers bounds control-plane concurrency: how many VM
 	// simulations run at once (default GOMAXPROCS).
 	Workers int
-	// Step is the per-VM simulation step (default 1 minute).
-	Step time.Duration
 	// InterferenceDetection enables each controller's Eq. 2 feedback
 	// loop; leave false only to reproduce the oblivious baseline.
 	InterferenceDetection bool
@@ -407,9 +408,6 @@ func learnGroups(cfg *Config) ([]*group, obs.Summary, error) {
 	if cfg.Workers <= 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
 	}
-	if cfg.Step <= 0 {
-		cfg.Step = time.Minute
-	}
 	byName := make(map[string]*group)
 	var groups []*group
 	for i, spec := range cfg.Specs {
@@ -526,7 +524,7 @@ func newRunPhase(cfg Config, groups []*group) (*runPhase, error) {
 			return nil, err
 		}
 		p.active[i] = at
-		total += sim.Steps(at.Duration(), cfg.Step)
+		total += sim.Steps(at.Duration(), step)
 		p.order[i] = i
 	}
 	if cfg.DiscardRecords {
@@ -583,7 +581,7 @@ func (p *runPhase) unit(worker int, members []int) {
 		if err == nil {
 			vr, err = run.Run(simCfg)
 		}
-		p.finish(worker, i, vr, err)
+		p.finish(i, vr, err)
 	} else {
 		p.lockstep(worker, members)
 	}
@@ -595,15 +593,11 @@ func (p *runPhase) unit(worker int, members []int) {
 
 // finish books VM i's outcome: its error, or its result and its bill
 // in slot i.
-func (p *runPhase) finish(worker, i int, vr *sim.Result, err error) {
+func (p *runPhase) finish(i int, vr *sim.Result, err error) {
 	spec := &p.cfg.Specs[i]
 	if err != nil {
 		p.errs[i] = fmt.Errorf("fleet: vm %d (%s): %w", i, spec.Name, err)
 		return
-	}
-	if spec.LeaveAt > 0 && !p.cfg.DiscardRecords {
-		// Preempted: the VM has left the fleet; drain its slot.
-		p.arena.release(worker)
 	}
 	p.res.VMResults[i] = vr
 	p.usage[i] = cloud.TenantUsage{
@@ -673,7 +667,7 @@ func (p *runPhase) vmConfig(worker, i int, src core.DecisionSource, k, n int) (s
 	g := p.groups[spec.Service.Name()]
 	var records []sim.StepRecord
 	if !cfg.DiscardRecords {
-		records = p.arena.acquire(worker, sim.Steps(p.active[i].Duration(), cfg.Step))
+		records = p.arena.acquire(worker, sim.Steps(p.active[i].Duration(), step))
 	}
 	tc := workerTemplateCtx(p.wctx, worker, spec.Service, g)
 	var kit *vmKit
@@ -738,7 +732,7 @@ func (p *runPhase) vmConfig(worker, i int, src core.DecisionSource, k, n int) (s
 		Mix:            spec.Mix,
 		MixShifts:      shifts,
 		Controller:     &kit.ctl,
-		Step:           cfg.Step,
+		Step:           step,
 		Initial:        spec.Service.MaxAllocation(),
 		Interference:   interference,
 		Records:        records,

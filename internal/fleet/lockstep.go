@@ -103,7 +103,7 @@ func (p *runPhase) lockstep(worker int, members []int) {
 	live := make([]*lockstepVM, 0, len(members))
 	var abort error
 	fail := func(i int, err error) {
-		p.finish(worker, i, nil, err)
+		p.finish(i, nil, err)
 		if abort == nil {
 			abort = fmt.Errorf("lockstep block aborted: %w", err)
 		}
@@ -130,13 +130,13 @@ func (p *runPhase) lockstep(worker int, members []int) {
 		parked := live[:0]
 		for _, vm := range live {
 			if abort != nil {
-				p.finish(worker, vm.index, nil, abort)
+				p.finish(vm.index, nil, abort)
 			} else if ok, err := vm.run.Advance(); ok {
 				parked = append(parked, vm)
 			} else if err != nil {
 				fail(vm.index, err)
 			} else {
-				p.finish(worker, vm.index, vm.run.Result(), nil)
+				p.finish(vm.index, vm.run.Result(), nil)
 			}
 		}
 		live = parked

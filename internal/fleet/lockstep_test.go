@@ -254,8 +254,7 @@ func TestLockstepInterference(t *testing.T) {
 
 // TestLockstepChurn: block members join late and leave early, so they
 // finish in different rounds; every VM still matches the in-process
-// run, and the arena counts one live slot per stayer and one drained
-// slot per preempted VM.
+// run.
 func TestLockstepChurn(t *testing.T) {
 	const vms = 24
 	leavers := 0
@@ -283,9 +282,6 @@ func TestLockstepChurn(t *testing.T) {
 		t.Fatal(err)
 	}
 	compareVMRecords(t, local.VMResults, p.res.VMResults)
-	if live, drained := p.arena.counts(); live != vms-leavers || drained != leavers {
-		t.Errorf("arena live/drained %d/%d, want %d/%d", live, drained, vms-leavers, leavers)
-	}
 }
 
 // TestLockstepWorkersInvariance is the remote half of

@@ -116,7 +116,7 @@ func TestFleetDiscardRecordsEquivalence(t *testing.T) {
 // TestStepArenaShardedStress hammers a small sharded arena from many
 // goroutines per shard (run with -race): every shard's first block is
 // far smaller than its demand, so the stress constantly turns blocks
-// over while neighbours write into outstanding slots and drain others.
+// over while neighbours write into outstanding slots.
 // The invariant is the arena's reason to exist: once handed out, a
 // slot's memory is never moved and never reissued.
 func TestStepArenaShardedStress(t *testing.T) {
@@ -149,11 +149,8 @@ func TestStepArenaShardedStress(t *testing.T) {
 				for s := 0; s < n; s++ {
 					slot = append(slot, sim.StepRecord{Clients: tag, Utilization: float64(s)})
 				}
-				if a%2 == 1 {
-					arena.release(worker) // departed VM: drained, not recycled
-				}
-				// Keep every slot — including drained ones — to verify
-				// nothing was stomped after the fact.
+				// Keep every slot to verify nothing was stomped after
+				// the fact.
 				kept = append(kept, slotRec{tag: tag, slot: slot})
 			}
 			results[gid] = kept
@@ -170,13 +167,5 @@ func TestStepArenaShardedStress(t *testing.T) {
 				}
 			}
 		}
-	}
-	live, drained := arena.counts()
-	wantDrained := shards * perShard * (acquires / 2)
-	if drained != wantDrained {
-		t.Errorf("drained %d slots, want %d", drained, wantDrained)
-	}
-	if want := shards*perShard*acquires - wantDrained; live != want {
-		t.Errorf("live %d slots, want %d", live, want)
 	}
 }

@@ -8,8 +8,6 @@
 // (paper §3.3).
 package metrics
 
-import "sort"
-
 // Event identifies one low-level metric by name. HPC events use the
 // counter mnemonics from the paper's Table 1 plus a realistic set of
 // additional events; xentop metrics carry an "xentop_" prefix.
@@ -217,11 +215,4 @@ func IsHPC(ev Event) bool {
 // IsHPCIndex is IsHPC for a pre-resolved dense index.
 func IsHPCIndex(i int) bool {
 	return i >= 0 && i < len(hpcByIndex) && hpcByIndex[i]
-}
-
-// sortEvents sorts events lexicographically in place and returns them;
-// useful for deterministic iteration over event maps.
-func sortEvents(evs []Event) []Event {
-	sort.Slice(evs, func(i, j int) bool { return evs[i] < evs[j] })
-	return evs
 }

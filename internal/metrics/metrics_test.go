@@ -1,9 +1,11 @@
 package metrics
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 	"time"
 )
@@ -244,4 +246,38 @@ func TestStaticSourceRatesAt(t *testing.T) {
 	if want := []float64{2, 0, 0, 1}; !reflect.DeepEqual(dst, want) {
 		t.Errorf("RatesAt = %v, want %v", dst, want)
 	}
+}
+
+// sortEvents sorts events lexicographically in place and returns them;
+// useful for deterministic iteration over event maps.
+func sortEvents(evs []Event) []Event {
+	sort.Slice(evs, func(i, j int) bool { return evs[i] < evs[j] })
+	return evs
+}
+
+// vector assembles the sample values for the given events, in order.
+// Missing events read as 0.
+func (s *Sample) vector(events []Event) []float64 {
+	out := make([]float64, len(events))
+	for i, ev := range events {
+		out[i] = s.Values[ev]
+	}
+	return out
+}
+
+// sampleN collects n samples and returns them; convenience for building
+// profiling datasets (the paper's "5 trials for each volume").
+func (m *Monitor) sampleN(src Source, window time.Duration, n int) ([]*Sample, error) {
+	if n <= 0 {
+		return nil, errors.New("metrics: n must be positive")
+	}
+	out := make([]*Sample, 0, n)
+	for i := 0; i < n; i++ {
+		s, err := m.Sample(src, window)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, s)
+	}
+	return out, nil
 }

@@ -66,16 +66,6 @@ type Sample struct {
 	Window time.Duration
 }
 
-// vector assembles the sample values for the given events, in order.
-// Missing events read as 0.
-func (s *Sample) vector(events []Event) []float64 {
-	out := make([]float64, len(events))
-	for i, ev := range events {
-		out[i] = s.Values[ev]
-	}
-	return out
-}
-
 // Monitor collects workload signatures by reading a Source through a
 // register-constrained Bank. Readings are normalized by the sampling
 // window so that signatures generalize "across workloads regardless of
@@ -208,21 +198,4 @@ func (m *Monitor) SampleVector(src Source, window time.Duration, dst []float64) 
 		dst[i] = observed
 	}
 	return nil
-}
-
-// sampleN collects n samples and returns them; convenience for building
-// profiling datasets (the paper's "5 trials for each volume").
-func (m *Monitor) sampleN(src Source, window time.Duration, n int) ([]*Sample, error) {
-	if n <= 0 {
-		return nil, errors.New("metrics: n must be positive")
-	}
-	out := make([]*Sample, 0, n)
-	for i := 0; i < n; i++ {
-		s, err := m.Sample(src, window)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, s)
-	}
-	return out, nil
 }

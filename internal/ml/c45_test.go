@@ -27,7 +27,7 @@ func thresholdDataset(rng *rand.Rand, n int) *Dataset {
 func TestC45LearnsThreshold(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	d := thresholdDataset(rng, 200)
-	tree, err := NewC45(d, C45Config{})
+	tree, err := NewC45(d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestC45PureDatasetIsLeaf(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		_ = d.Add([]float64{float64(i)}, 0)
 	}
-	tree, err := NewC45(d, C45Config{})
+	tree, err := NewC45(d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func TestC45PureDatasetIsLeaf(t *testing.T) {
 
 func TestC45EmptyAndUnlabeled(t *testing.T) {
 	d := NewDataset([]string{"a"})
-	if _, err := NewC45(d, C45Config{}); err == nil {
+	if _, err := NewC45(d); err == nil {
 		t.Error("empty dataset should error")
 	}
 }
@@ -80,7 +80,7 @@ func TestC45MultiClass(t *testing.T) {
 		x := rng.Float64() * 3
 		_ = d.Add([]float64{x}, int(x))
 	}
-	tree, err := NewC45(d, C45Config{})
+	tree, err := NewC45(d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,63 +94,46 @@ func TestC45MultiClass(t *testing.T) {
 	}
 }
 
-func TestC45MaxDepth(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	d := thresholdDataset(rng, 200)
-	tree, err := NewC45(d, C45Config{MaxDepth: 1, Prune: false})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// MaxDepth bounds split levels: one split -> two leaf children.
-	if depthOf(tree.root) > 2 {
-		t.Errorf("depth=%d want <= 2", depthOf(tree.root))
-	}
-	if leavesOf(tree.root) > 2 {
-		t.Errorf("leaves=%d want <= 2", leavesOf(tree.root))
-	}
-}
-
+// TestC45MinLeaf: every leaf of a tree grown on noisy labels holds at
+// least minLeaf of the training rows.
 func TestC45MinLeaf(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	d := thresholdDataset(rng, 100)
-	big, err := NewC45(d, C45Config{MinLeaf: 40, Prune: false})
+	for i := range d.Y {
+		if rng.Float64() < 0.2 {
+			d.Y[i] = 1 - d.Y[i]
+		}
+	}
+	tree, err := NewC45(d)
 	if err != nil {
 		t.Fatal(err)
 	}
-	small, err := NewC45(d, C45Config{MinLeaf: 2, Prune: false})
-	if err != nil {
-		t.Fatal(err)
+	rows := map[*c45Node]int{}
+	for _, x := range d.X {
+		node := tree.root
+		for !node.leaf {
+			if x[node.attr] <= node.threshold {
+				node = node.left
+			} else {
+				node = node.right
+			}
+		}
+		rows[node]++
 	}
-	if leavesOf(big.root) > leavesOf(small.root) {
-		t.Errorf("MinLeaf=40 leaves=%d should be <= MinLeaf=2 leaves=%d", leavesOf(big.root), leavesOf(small.root))
+	if len(rows) != leavesOf(tree.root) || len(rows) < 3 {
+		t.Fatalf("%d of %d leaves hold training rows; want all, and at least 3", len(rows), leavesOf(tree.root))
 	}
-}
-
-func TestC45PruningShrinksNoisyTree(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	// Pure noise: labels independent of features. An unpruned tree
-	// overfits; a pruned tree should be no bigger.
-	d := NewDataset([]string{"x", "y"})
-	for i := 0; i < 120; i++ {
-		_ = d.Add([]float64{rng.Float64(), rng.Float64()}, rng.Intn(2))
-	}
-	unpruned, err := NewC45(d, C45Config{Prune: false})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pruned, err := NewC45(d, C45Config{Prune: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if leavesOf(pruned.root) > leavesOf(unpruned.root) {
-		t.Errorf("pruned leaves=%d > unpruned leaves=%d", leavesOf(pruned.root), leavesOf(unpruned.root))
+	for _, n := range rows {
+		if n < minLeaf {
+			t.Errorf("a leaf holds %d training rows, want >= %d", n, minLeaf)
+		}
 	}
 }
 
 func TestC45ConfidenceBounds(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	d := thresholdDataset(rng, 100)
-	tree, err := NewC45(d, C45Config{})
+	tree, err := NewC45(d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +152,7 @@ func TestC45ConfidenceBounds(t *testing.T) {
 func TestC45String(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	d := thresholdDataset(rng, 100)
-	tree, err := NewC45(d, C45Config{})
+	tree, err := NewC45(d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,41 +162,6 @@ func TestC45String(t *testing.T) {
 	}
 	if !strings.Contains(s, "class") {
 		t.Errorf("rendered tree should contain leaves:\n%s", s)
-	}
-}
-
-func TestNormalQuantile(t *testing.T) {
-	cases := []struct {
-		p, want float64
-	}{
-		{0.5, 0},
-		{0.75, 0.6745},
-		{0.975, 1.9600},
-		{0.025, -1.9600},
-	}
-	for _, tc := range cases {
-		if got := normalQuantile(tc.p); !almostEqual(got, tc.want, 2e-3) {
-			t.Errorf("normalQuantile(%v)=%v want %v", tc.p, got, tc.want)
-		}
-	}
-}
-
-func TestPessimisticErrorsMonotonic(t *testing.T) {
-	// More observed errors -> more pessimistic errors.
-	prev := -1.0
-	for e := 0; e <= 10; e++ {
-		pe := pessimisticErrors(e, 20, 0.25)
-		if pe < prev {
-			t.Errorf("pessimisticErrors(%d) = %v < previous %v", e, pe, prev)
-		}
-		prev = pe
-	}
-	// Pessimistic estimate must be at least the observed errors.
-	if pe := pessimisticErrors(5, 20, 0.25); pe < 5 {
-		t.Errorf("pessimisticErrors(5,20)=%v want >= 5", pe)
-	}
-	if pe := pessimisticErrors(0, 0, 0.25); pe != 0 {
-		t.Errorf("pessimisticErrors with n=0 = %v want 0", pe)
 	}
 }
 
@@ -236,32 +184,56 @@ func TestC45TreeIndependentOfGOMAXPROCS(t *testing.T) {
 		}
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	for _, cfg := range []C45Config{{}, {Prune: true}} {
-		var text string
-		var wire []byte
-		for _, procs := range []int{1, 2, 8} {
-			runtime.GOMAXPROCS(procs)
-			tree, err := NewC45(d, cfg)
-			if err != nil {
-				t.Fatal(err)
+	var text string
+	var wire []byte
+	for _, procs := range []int{1, 2, 8} {
+		runtime.GOMAXPROCS(procs)
+		tree, err := NewC45(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err := MarshalClassifier(tree)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if procs == 1 {
+			text, wire = tree.String(), data
+			if leavesOf(tree.root) < 8 {
+				t.Fatalf("tree has %d leaves; the noisy labels should grow it well below the root", leavesOf(tree.root))
 			}
-			data, err := MarshalClassifier(tree)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if procs == 1 {
-				text, wire = tree.String(), data
-				if leavesOf(tree.root) < 8 {
-					t.Fatalf("tree has %d leaves; the noisy labels should grow it well below the root", leavesOf(tree.root))
-				}
-				continue
-			}
-			if tree.String() != text {
-				t.Errorf("prune=%v GOMAXPROCS=%d: tree differs from GOMAXPROCS=1", cfg.Prune, procs)
-			}
-			if !bytes.Equal(data, wire) {
-				t.Errorf("prune=%v GOMAXPROCS=%d: marshalled tree differs from GOMAXPROCS=1", cfg.Prune, procs)
-			}
+			continue
+		}
+		if tree.String() != text {
+			t.Errorf("GOMAXPROCS=%d: tree differs from GOMAXPROCS=1", procs)
+		}
+		if !bytes.Equal(data, wire) {
+			t.Errorf("GOMAXPROCS=%d: marshalled tree differs from GOMAXPROCS=1", procs)
 		}
 	}
+}
+
+// depthOf returns the depth of a tree (a lone leaf has depth 1).
+func depthOf(n *c45Node) int {
+	if n == nil {
+		return 0
+	}
+	if n.leaf {
+		return 1
+	}
+	l, r := depthOf(n.left), depthOf(n.right)
+	if l > r {
+		return 1 + l
+	}
+	return 1 + r
+}
+
+// leavesOf returns the number of leaves.
+func leavesOf(n *c45Node) int {
+	if n == nil {
+		return 0
+	}
+	if n.leaf {
+		return 1
+	}
+	return leavesOf(n.left) + leavesOf(n.right)
 }

@@ -3,7 +3,6 @@ package ml
 import (
 	"errors"
 	"math"
-	"sort"
 )
 
 // CFS implements correlation-based feature selection in the style of
@@ -30,34 +29,25 @@ type CFSResult struct {
 	Trace []float64
 }
 
-// CFSConfig controls the search.
-type CFSConfig struct {
-	// MaxFeatures caps the subset size; 0 means unbounded (the search
-	// still stops when merit no longer improves).
-	MaxFeatures int
-	// MinGain is the minimum merit improvement to accept another
-	// feature (default 0.02). A near-zero floor would admit two bad
-	// kinds of features: ones almost perfectly redundant with the
-	// current subset (vanishing but positive gains), and noise
-	// features whose weak spurious class correlation still raises
-	// the merit slightly when the genuine features are strongly
-	// inter-correlated. Genuinely complementary features gain well
-	// above this floor.
-	MinGain float64
-}
+// cfsMinGain is the minimum merit improvement to accept another
+// feature. A near-zero floor would admit two bad kinds of features:
+// ones almost perfectly redundant with the current subset (vanishing
+// but positive gains), and noise features whose weak spurious class
+// correlation still raises the merit slightly when the genuine
+// features are strongly inter-correlated. Genuinely complementary
+// features gain well above this floor.
+const cfsMinGain = 0.02
 
 // CFSSelect runs the greedy forward search and returns the selected
-// subset. The dataset must be labeled.
-func CFSSelect(d *Dataset, cfg CFSConfig) (*CFSResult, error) {
+// subset; it stops when merit no longer improves. The dataset must be
+// labeled.
+func CFSSelect(d *Dataset) (*CFSResult, error) {
 	if d.Len() == 0 {
 		return nil, errors.New("ml: cannot run CFS on empty dataset")
 	}
 	numClasses := d.NumClasses()
 	if numClasses == 0 {
 		return nil, errors.New("ml: dataset has no labels")
-	}
-	if cfg.MinGain <= 0 {
-		cfg.MinGain = 0.02
 	}
 	nAttr := d.NumAttributes()
 
@@ -118,16 +108,13 @@ func CFSSelect(d *Dataset, cfg CFSConfig) (*CFSResult, error) {
 	var trace []float64
 
 	for {
-		if cfg.MaxFeatures > 0 && len(selected) >= cfg.MaxFeatures {
-			break
-		}
 		bestAttr, bestNew := -1, bestMerit
 		for a := 0; a < nAttr; a++ {
 			if inSubset[a] {
 				continue
 			}
 			m := merit(append(selected, a))
-			if m > bestNew+cfg.MinGain {
+			if m > bestNew+cfsMinGain {
 				bestAttr, bestNew = a, m
 			}
 		}
@@ -199,25 +186,4 @@ func CorrelationRatio(xs []float64, ys []int, numClasses int) float64 {
 		eta2 = 1
 	}
 	return math.Sqrt(eta2)
-}
-
-// rankByClassCorrelation returns attribute indices sorted by descending
-// feature-class correlation ratio — a cheap univariate ranking useful
-// for diagnostics and as a CFS sanity check.
-func rankByClassCorrelation(d *Dataset) []int {
-	numClasses := d.NumClasses()
-	type scored struct {
-		attr  int
-		score float64
-	}
-	scores := make([]scored, d.NumAttributes())
-	for j := 0; j < d.NumAttributes(); j++ {
-		scores[j] = scored{j, CorrelationRatio(d.Column(j), d.Y, numClasses)}
-	}
-	sort.SliceStable(scores, func(i, j int) bool { return scores[i].score > scores[j].score })
-	out := make([]int, len(scores))
-	for i, s := range scores {
-		out[i] = s.attr
-	}
-	return out
 }

@@ -1,6 +1,7 @@
 package ml
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -32,7 +33,7 @@ func signatureDataset(rng *rand.Rand, n int) *Dataset {
 func TestCFSSelectsInformativeAttributes(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	d := signatureDataset(rng, 300)
-	res, err := CFSSelect(d, CFSConfig{})
+	res, err := CFSSelect(d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +66,7 @@ func TestCFSSelectsInformativeAttributes(t *testing.T) {
 func TestCFSMeritTraceNonDecreasing(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	d := signatureDataset(rng, 200)
-	res, err := CFSSelect(d, CFSConfig{})
+	res, err := CFSSelect(d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,25 +77,13 @@ func TestCFSMeritTraceNonDecreasing(t *testing.T) {
 	}
 }
 
-func TestCFSMaxFeatures(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	d := signatureDataset(rng, 200)
-	res, err := CFSSelect(d, CFSConfig{MaxFeatures: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Selected) != 1 {
-		t.Errorf("MaxFeatures=1 selected %d attrs", len(res.Selected))
-	}
-}
-
 func TestCFSAllNoiseFallsBackToOne(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	d := NewDataset([]string{"n1", "n2"})
 	for i := 0; i < 100; i++ {
 		_ = d.Add([]float64{rng.NormFloat64(), rng.NormFloat64()}, rng.Intn(2))
 	}
-	res, err := CFSSelect(d, CFSConfig{})
+	res, err := CFSSelect(d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +94,7 @@ func TestCFSAllNoiseFallsBackToOne(t *testing.T) {
 
 func TestCFSEmptyDataset(t *testing.T) {
 	d := NewDataset([]string{"a"})
-	if _, err := CFSSelect(d, CFSConfig{}); err == nil {
+	if _, err := CFSSelect(d); err == nil {
 		t.Error("empty dataset should error")
 	}
 }
@@ -148,17 +137,22 @@ func TestCorrelationRatioInRange(t *testing.T) {
 	}
 }
 
+// TestRankByClassCorrelation: ranked by the class correlation CFS
+// starts from, every informative attribute {inf1(0), dup(2), inf2(3)}
+// scores above every other one.
 func TestRankByClassCorrelation(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	d := signatureDataset(rng, 300)
-	rank := rankByClassCorrelation(d)
-	if len(rank) != d.NumAttributes() {
-		t.Fatalf("rank has %d entries want %d", len(rank), d.NumAttributes())
-	}
-	// Top two ranked attributes must come from the informative set
-	// {inf1(0), dup(2), inf2(3)}.
 	informative := map[int]bool{0: true, 2: true, 3: true}
-	if !informative[rank[0]] || !informative[rank[1]] {
-		t.Errorf("top ranked attrs %v not informative", rank[:2])
+	lowest, highest := math.Inf(1), math.Inf(-1)
+	for j := 0; j < d.NumAttributes(); j++ {
+		if eta := CorrelationRatio(d.Column(j), d.Y, d.NumClasses()); informative[j] {
+			lowest = math.Min(lowest, eta)
+		} else {
+			highest = math.Max(highest, eta)
+		}
+	}
+	if lowest <= highest {
+		t.Errorf("an informative attribute scores %v, below a noise one's %v", lowest, highest)
 	}
 }

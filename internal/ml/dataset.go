@@ -98,17 +98,6 @@ func (d *Dataset) Project(attrs []int) (*Dataset, error) {
 	return out, nil
 }
 
-// clone returns a deep copy of the dataset.
-func (d *Dataset) clone() *Dataset {
-	out := NewDataset(d.Attributes)
-	out.ClassNames = append([]string(nil), d.ClassNames...)
-	for i, row := range d.X {
-		out.X = append(out.X, append([]float64(nil), row...))
-		out.Y = append(out.Y, d.Y[i])
-	}
-	return out
-}
-
 // Subset returns a dataset containing the rows whose indices are listed.
 func (d *Dataset) Subset(rows []int) (*Dataset, error) {
 	out := NewDataset(d.Attributes)
@@ -175,15 +164,6 @@ func (s *Standardizer) TransformDataset(d *Dataset) *Dataset {
 	for i, row := range d.X {
 		out.X = append(out.X, s.Transform(row))
 		out.Y = append(out.Y, d.Y[i])
-	}
-	return out
-}
-
-// inverse maps a standardized row back to the original space.
-func (s *Standardizer) inverse(row []float64) []float64 {
-	out := make([]float64, len(row))
-	for j := range row {
-		out[j] = row[j]*s.Stds[j] + s.Means[j]
 	}
 	return out
 }

@@ -40,7 +40,7 @@ func TestCrossValidateC45(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	d := thresholdDataset(rng, 200)
 	cm, err := CrossValidate(d, 5, func(train *Dataset) (Classifier, error) {
-		return NewC45(train, C45Config{})
+		return NewC45(train)
 	}, rng)
 	if err != nil {
 		t.Fatal(err)
@@ -70,7 +70,7 @@ func TestCrossValidateNaiveBayes(t *testing.T) {
 func TestCrossValidateValidation(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	d := thresholdDataset(rng, 10)
-	train := func(tr *Dataset) (Classifier, error) { return NewC45(tr, C45Config{}) }
+	train := func(tr *Dataset) (Classifier, error) { return NewC45(tr) }
 	if _, err := CrossValidate(d, 1, train, rng); err == nil {
 		t.Error("folds=1 should error")
 	}

@@ -30,8 +30,6 @@ type KMeansConfig struct {
 	// K is the number of clusters; required by KMeans, ignored by
 	// KMeansAuto.
 	K int
-	// MaxIterations bounds Lloyd iterations (default 100).
-	MaxIterations int
 	// Restarts is the number of random restarts; the best (lowest
 	// inertia) run wins (default 5).
 	Restarts int
@@ -51,33 +49,27 @@ type KMeansConfig struct {
 	// iteration counts (pinned by TestPrunedMatchesNaive); the flag
 	// exists for that cross-check and as an escape hatch.
 	Naive bool
-	// SilhouetteSample is the sample size of the silhouette estimator
-	// KMeansAuto scores candidate k with on large datasets
-	// (default 256).
-	SilhouetteSample int
-	// SilhouetteExactThreshold is the dataset size at or below which
-	// KMeansAuto uses the exact full-pairwise silhouette instead of
-	// the sampled estimator (default 512). The exact path computes
-	// the O(n²) distance matrix once and reuses it across the whole
-	// k sweep.
-	SilhouetteExactThreshold int
 }
+
+const (
+	// maxIterations bounds Lloyd iterations.
+	maxIterations = 100
+	// silhouetteSample is the sample size of the silhouette estimator
+	// KMeansAuto scores candidate k with on large datasets.
+	silhouetteSample = 256
+	// silhouetteExactThreshold is the dataset size at or below which
+	// KMeansAuto uses the exact full-pairwise silhouette instead of
+	// the sampled estimator. The exact path computes the O(n²)
+	// distance matrix once and reuses it across the whole k sweep.
+	silhouetteExactThreshold = 512
+)
 
 func (c *KMeansConfig) defaults() error {
 	if c.Rng == nil {
 		return errors.New("ml: KMeansConfig.Rng must be set")
 	}
-	if c.MaxIterations <= 0 {
-		c.MaxIterations = 100
-	}
 	if c.Restarts <= 0 {
 		c.Restarts = 5
-	}
-	if c.SilhouetteSample <= 0 {
-		c.SilhouetteSample = 256
-	}
-	if c.SilhouetteExactThreshold <= 0 {
-		c.SilhouetteExactThreshold = 512
 	}
 	return nil
 }
@@ -148,7 +140,7 @@ func runGrid(m *Matrix, ks []int, cfg KMeansConfig) []*KMeansResult {
 		}
 		k := ks[i/cfg.Restarts]
 		rng := rand.New(rand.NewSource(seeds[i]))
-		results[i] = e.run(k, cfg.MaxIterations, rng, !cfg.Naive)
+		results[i] = e.run(k, maxIterations, rng, !cfg.Naive)
 	})
 	best := make([]*KMeansResult, len(ks))
 	for i, res := range results {
@@ -168,7 +160,7 @@ func runGrid(m *Matrix, ks []int, cfg KMeansConfig) []*KMeansResult {
 // clamp yields the single cluster the data has.
 //
 // All restarts of all candidate k fan out together on the worker
-// pool. Small datasets (≤ cfg.SilhouetteExactThreshold rows) are
+// pool. Small datasets (≤ silhouetteExactThreshold rows) are
 // scored with the exact silhouette over a pairwise distance matrix
 // computed once and shared by the whole k sweep; larger ones use the
 // seeded uniform-sample estimator with one common sample across k, so
@@ -206,7 +198,7 @@ func KMeansAuto(X [][]float64, minK, maxK int, cfg KMeansConfig) (*KMeansResult,
 
 	// Draw the sampler seed after the run seeds so the cfg.Rng stream
 	// consumed by a given (minK, maxK, Restarts) sweep is fixed.
-	exact := m.Rows <= cfg.SilhouetteExactThreshold || cfg.SilhouetteSample >= m.Rows
+	exact := m.Rows <= silhouetteExactThreshold
 	var sampleRng *rand.Rand
 	if !exact {
 		sampleRng = rand.New(rand.NewSource(cfg.Rng.Int63()))
@@ -220,7 +212,7 @@ func KMeansAuto(X [][]float64, minK, maxK int, cfg KMeansConfig) (*KMeansResult,
 			scores[ki] = silhouetteFromDists(D, m.Rows, perK[ki].Assignments, perK[ki].K)
 		})
 	} else {
-		sample := sampleIndices(m.Rows, cfg.SilhouetteSample, sampleRng)
+		sample := sampleIndices(m.Rows, silhouetteSample, sampleRng)
 		scores = silhouetteSweep(m, perK, sample, cfg.Workers)
 	}
 

@@ -42,7 +42,7 @@ func KMeansReference(X [][]float64, cfg KMeansConfig) (*KMeansResult, error) {
 
 	var best *KMeansResult
 	for r := 0; r < cfg.Restarts; r++ {
-		res := kmeansOnceRef(X, cfg.K, cfg.MaxIterations, cfg.Rng)
+		res := kmeansOnceRef(X, cfg.K, maxIterations, cfg.Rng)
 		if best == nil || res.Inertia < best.Inertia {
 			best = res
 		}

@@ -8,7 +8,7 @@ import (
 func TestC45RoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	d := thresholdDataset(rng, 200)
-	tree, err := NewC45(d, C45Config{})
+	tree, err := NewC45(d)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,7 +15,7 @@ import (
 //
 // This is the exact estimator: it evaluates all O(n²) pairwise
 // distances. KMeansAuto only calls it (via a distance matrix hoisted
-// across the k sweep) for datasets up to SilhouetteExactThreshold
+// across the k sweep) for datasets up to silhouetteExactThreshold
 // rows; above that it switches to the sampled estimator, which
 // SilhouetteEstimate exposes directly.
 func Silhouette(X [][]float64, assign []int, k int) float64 {

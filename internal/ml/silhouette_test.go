@@ -78,7 +78,7 @@ func TestHoistedSilhouetteMatchesPerK(t *testing.T) {
 	}
 	ks := []int{2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}
 	perK := runGrid(m, ks, cfg)
-	sample := sampleIndices(m.Rows, cfg.SilhouetteSample, rand.New(rand.NewSource(cfg.Rng.Int63())))
+	sample := sampleIndices(m.Rows, silhouetteSample, rand.New(rand.NewSource(cfg.Rng.Int63())))
 	want := make([]float64, len(perK))
 	for ki, res := range perK {
 		want[ki] = silhouetteSampledRef(m, res.Assignments, res.K, sample)

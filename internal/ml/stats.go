@@ -25,19 +25,12 @@
 // KMeansAuto scores candidates with the exact silhouette (over a
 // pairwise distance matrix hoisted across the k sweep) on small
 // datasets and a seeded uniform-sample estimator above
-// KMeansConfig.SilhouetteExactThreshold. The pre-optimization path is
+// silhouetteExactThreshold rows. The pre-optimization path is
 // preserved as KMeansReference / KMeansAutoReference as the tests'
 // oracle; property tests in kmeans_prop_test.go pin the equivalences.
 package ml
 
-import (
-	"errors"
-	"math"
-	"sort"
-)
-
-// ErrEmpty is returned by statistics helpers that need at least one value.
-var ErrEmpty = errors.New("ml: empty input")
+import "math"
 
 // Mean returns the arithmetic mean of xs. It returns 0 for empty input.
 func Mean(xs []float64) float64 {
@@ -66,30 +59,8 @@ func Variance(xs []float64) float64 {
 	return sum / float64(len(xs))
 }
 
-// SampleVariance returns the unbiased sample variance (divide by n-1).
-func SampleVariance(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	sum := 0.0
-	for _, x := range xs {
-		d := x - m
-		sum += d * d
-	}
-	return sum / float64(len(xs)-1)
-}
-
 // StdDev returns the population standard deviation of xs.
 func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
-
-// stdErr returns the standard error of the mean of xs.
-func stdErr(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	return math.Sqrt(SampleVariance(xs) / float64(len(xs)))
-}
 
 // Covariance returns the population covariance of xs and ys, which must
 // have equal length.
@@ -115,61 +86,6 @@ func Pearson(xs, ys []float64) float64 {
 	}
 	return Covariance(xs, ys) / (sx * sy)
 }
-
-// minOf returns the smallest element of xs.
-func minOf(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m, nil
-}
-
-// maxOf returns the largest element of xs.
-func maxOf(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m, nil
-}
-
-// Percentile returns the p-th percentile (0 <= p <= 100) of xs using
-// linear interpolation between closest ranks. The input is not modified.
-func Percentile(xs []float64, p float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	if p < 0 || p > 100 {
-		return 0, errors.New("ml: percentile out of range")
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	if len(sorted) == 1 {
-		return sorted[0], nil
-	}
-	rank := p / 100 * float64(len(sorted)-1)
-	lo := int(math.Floor(rank))
-	hi := int(math.Ceil(rank))
-	if lo == hi {
-		return sorted[lo], nil
-	}
-	frac := rank - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac, nil
-}
-
-// median returns the 50th percentile of xs.
-func median(xs []float64) (float64, error) { return Percentile(xs, 50) }
 
 // EntropyOf returns the Shannon entropy (bits) of a discrete label
 // distribution given as counts.

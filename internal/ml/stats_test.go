@@ -1,11 +1,16 @@
 package ml
 
 import (
+	"errors"
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
+
+// errEmpty is returned by statistics helpers that need at least one value.
+var errEmpty = errors.New("ml: empty input")
 
 func almostEqual(a, b, eps float64) bool { return math.Abs(a-b) <= eps }
 
@@ -43,10 +48,10 @@ func TestVarianceAndStdDev(t *testing.T) {
 func TestSampleVariance(t *testing.T) {
 	xs := []float64{1, 2, 3, 4}
 	// Sum of squared deviations = 5, n-1 = 3.
-	if got := SampleVariance(xs); !almostEqual(got, 5.0/3, 1e-12) {
+	if got := sampleVariance(xs); !almostEqual(got, 5.0/3, 1e-12) {
 		t.Errorf("SampleVariance=%v want %v", got, 5.0/3)
 	}
-	if got := SampleVariance([]float64{1}); got != 0 {
+	if got := sampleVariance([]float64{1}); got != 0 {
 		t.Errorf("SampleVariance singleton=%v want 0", got)
 	}
 }
@@ -108,11 +113,11 @@ func TestMinMax(t *testing.T) {
 	if err != nil || mx != 7 {
 		t.Errorf("Max=%v err=%v", mx, err)
 	}
-	if _, err := minOf(nil); err != ErrEmpty {
-		t.Errorf("minOf(nil) err=%v want ErrEmpty", err)
+	if _, err := minOf(nil); err != errEmpty {
+		t.Errorf("minOf(nil) err=%v want errEmpty", err)
 	}
-	if _, err := maxOf(nil); err != ErrEmpty {
-		t.Errorf("maxOf(nil) err=%v want ErrEmpty", err)
+	if _, err := maxOf(nil); err != errEmpty {
+		t.Errorf("maxOf(nil) err=%v want errEmpty", err)
 	}
 }
 
@@ -124,28 +129,28 @@ func TestPercentile(t *testing.T) {
 		{0, 1}, {25, 2}, {50, 3}, {75, 4}, {100, 5}, {90, 4.6},
 	}
 	for _, tc := range cases {
-		got, err := Percentile(xs, tc.p)
+		got, err := percentile(xs, tc.p)
 		if err != nil {
-			t.Fatalf("Percentile(%v): %v", tc.p, err)
+			t.Fatalf("percentile(%v): %v", tc.p, err)
 		}
 		if !almostEqual(got, tc.want, 1e-12) {
-			t.Errorf("Percentile(%v)=%v want %v", tc.p, got, tc.want)
+			t.Errorf("percentile(%v)=%v want %v", tc.p, got, tc.want)
 		}
 	}
-	if _, err := Percentile(nil, 50); err == nil {
+	if _, err := percentile(nil, 50); err == nil {
 		t.Error("Percentile on empty should error")
 	}
-	if _, err := Percentile(xs, -1); err == nil {
-		t.Error("Percentile(-1) should error")
+	if _, err := percentile(xs, -1); err == nil {
+		t.Error("percentile(-1) should error")
 	}
-	if _, err := Percentile(xs, 101); err == nil {
-		t.Error("Percentile(101) should error")
+	if _, err := percentile(xs, 101); err == nil {
+		t.Error("percentile(101) should error")
 	}
 }
 
 func TestPercentileDoesNotMutate(t *testing.T) {
 	xs := []float64{5, 1, 3}
-	if _, err := Percentile(xs, 50); err != nil {
+	if _, err := percentile(xs, 50); err != nil {
 		t.Fatal(err)
 	}
 	if xs[0] != 5 || xs[1] != 1 || xs[2] != 3 {
@@ -229,4 +234,81 @@ func TestCovariance(t *testing.T) {
 	if got := Covariance(xs, []float64{1}); got != 0 {
 		t.Errorf("Covariance mismatched lengths=%v want 0", got)
 	}
+}
+
+// stdErr returns the standard error of the mean of xs.
+func stdErr(xs []float64) float64 {
+	if len(xs) == 0 {
+		return 0
+	}
+	return math.Sqrt(sampleVariance(xs) / float64(len(xs)))
+}
+
+// minOf returns the smallest element of xs.
+func minOf(xs []float64) (float64, error) {
+	if len(xs) == 0 {
+		return 0, errEmpty
+	}
+	m := xs[0]
+	for _, x := range xs[1:] {
+		if x < m {
+			m = x
+		}
+	}
+	return m, nil
+}
+
+// maxOf returns the largest element of xs.
+func maxOf(xs []float64) (float64, error) {
+	if len(xs) == 0 {
+		return 0, errEmpty
+	}
+	m := xs[0]
+	for _, x := range xs[1:] {
+		if x > m {
+			m = x
+		}
+	}
+	return m, nil
+}
+
+// median returns the 50th percentile of xs.
+func median(xs []float64) (float64, error) { return percentile(xs, 50) }
+
+// sampleVariance returns the unbiased sample variance (divide by n-1).
+func sampleVariance(xs []float64) float64 {
+	if len(xs) < 2 {
+		return 0
+	}
+	m := Mean(xs)
+	sum := 0.0
+	for _, x := range xs {
+		d := x - m
+		sum += d * d
+	}
+	return sum / float64(len(xs)-1)
+}
+
+// percentile returns the p-th percentile (0 <= p <= 100) of xs using
+// linear interpolation between closest ranks. The input is not modified.
+func percentile(xs []float64, p float64) (float64, error) {
+	if len(xs) == 0 {
+		return 0, errEmpty
+	}
+	if p < 0 || p > 100 {
+		return 0, errors.New("ml: percentile out of range")
+	}
+	sorted := append([]float64(nil), xs...)
+	sort.Float64s(sorted)
+	if len(sorted) == 1 {
+		return sorted[0], nil
+	}
+	rank := p / 100 * float64(len(sorted)-1)
+	lo := int(math.Floor(rank))
+	hi := int(math.Ceil(rank))
+	if lo == hi {
+		return sorted[lo], nil
+	}
+	frac := rank - float64(lo)
+	return sorted[lo]*(1-frac) + sorted[hi]*frac, nil
 }

@@ -88,15 +88,6 @@ func (c *ResponseCache) Get(req []byte) ([]byte, bool) {
 	return append([]byte(nil), el.Value.(*cacheEntry).response...), true
 }
 
-// hitRate returns the fraction of Get calls that hit.
-func (c *ResponseCache) hitRate() float64 {
-	h, m := c.hits.Load(), c.misses.Load()
-	if h+m == 0 {
-		return 0
-	}
-	return float64(h) / float64(h+m)
-}
-
 // TierEmulator serves the profiling clone's downstream requests from a
 // ResponseCache, mimicking the absent database tier. The protocol is
 // line-based: each request is one line, each response one line — a

@@ -160,3 +160,12 @@ func TestTierEmulatorCloseIdempotent(t *testing.T) {
 		t.Errorf("second close: %v", err)
 	}
 }
+
+// hitRate returns the fraction of Get calls that hit.
+func (c *ResponseCache) hitRate() float64 {
+	h, m := c.hits.Load(), c.misses.Load()
+	if h+m == 0 {
+		return 0
+	}
+	return float64(h) / float64(h+m)
+}

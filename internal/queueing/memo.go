@@ -162,15 +162,6 @@ func (m *networkMemo) store(n int, r *Result) {
 	}
 }
 
-// size returns how many (network, population) results are memoized.
-func (m *MemoSolver) size() int {
-	n := 0
-	for _, memo := range m.networks {
-		n += len(memo.results)
-	}
-	return n
-}
-
 func copyResult(r *Result) *Result {
 	out := *r
 	out.QueueLengths = append([]float64(nil), r.QueueLengths...)

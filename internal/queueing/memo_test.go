@@ -131,3 +131,12 @@ func TestMemoSolverSize(t *testing.T) {
 		t.Fatalf("size() = %d, want 2", got)
 	}
 }
+
+// size returns how many (network, population) results are memoized.
+func (m *MemoSolver) size() int {
+	n := 0
+	for _, memo := range m.networks {
+		n += len(memo.results)
+	}
+	return n
+}

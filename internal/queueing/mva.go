@@ -133,101 +133,3 @@ func (nw *Network) Solve(n int) (*Result, error) {
 	}
 	return res, nil
 }
-
-// solveSeries returns results for populations 1..n, useful for
-// capacity planning sweeps.
-func (nw *Network) solveSeries(n int) ([]*Result, error) {
-	if err := nw.Validate(); err != nil {
-		return nil, err
-	}
-	if n <= 0 {
-		return nil, errors.New("queueing: population must be positive")
-	}
-	out := make([]*Result, 0, n)
-	// Re-run incrementally to reuse the recurrence.
-	k := len(nw.Demands)
-	queues := make([]float64, k)
-	stationR := make([]float64, k)
-	for pop := 1; pop <= n; pop++ {
-		response, throughput := mvaStep(nw.Demands, queues, stationR, pop, nw.ThinkTime)
-		r := &Result{
-			Clients:      pop,
-			ResponseTime: response,
-			Throughput:   throughput,
-			QueueLengths: make([]float64, k),
-			Utilizations: make([]float64, k),
-		}
-		copy(r.QueueLengths, queues)
-		for i := 0; i < k; i++ {
-			r.Utilizations[i] = throughput * nw.Demands[i]
-		}
-		out = append(out, r)
-	}
-	return out, nil
-}
-
-// BottleneckDemand returns the largest station demand D_max, which
-// bounds the achievable throughput by 1/D_max.
-func (nw *Network) BottleneckDemand() float64 {
-	max := 0.0
-	for _, d := range nw.Demands {
-		if d > max {
-			max = d
-		}
-	}
-	return max
-}
-
-// minClientsForSaturation returns the approximate population N* =
-// (Z + sum D) / D_max beyond which the bottleneck saturates.
-func (nw *Network) minClientsForSaturation() float64 {
-	dmax := nw.BottleneckDemand()
-	if dmax == 0 {
-		return 0
-	}
-	total := nw.ThinkTime
-	for _, d := range nw.Demands {
-		total += d
-	}
-	return total / dmax
-}
-
-// requiredCapacityFactor returns the smallest factor c (capacity
-// multiplier applied to every station, i.e. demands become D_i/c) such
-// that the network serves n clients with response time at most
-// maxResponse. It binary-searches c in [lo, hi]; returns hi when even
-// hi misses the target.
-func (nw *Network) requiredCapacityFactor(n int, maxResponse, lo, hi float64) (float64, error) {
-	if err := nw.Validate(); err != nil {
-		return 0, err
-	}
-	if maxResponse <= 0 || lo <= 0 || hi < lo {
-		return 0, errors.New("queueing: bad search parameters")
-	}
-	// One scaled network reused across every probe: the binary search
-	// evaluates ~50 candidate factors and each used to allocate a fresh
-	// Network plus demands slice.
-	scaled := &Network{Demands: make([]float64, len(nw.Demands)), ThinkTime: nw.ThinkTime}
-	meets := func(c float64) bool {
-		for i, d := range nw.Demands {
-			scaled.Demands[i] = d / c
-		}
-		r, err := scaled.Solve(n)
-		if err != nil {
-			return false
-		}
-		return r.ResponseTime <= maxResponse
-	}
-	if !meets(hi) {
-		return hi, nil
-	}
-	for i := 0; i < 50; i++ {
-		mid := (lo + hi) / 2
-		if meets(mid) {
-			hi = mid
-		} else {
-			lo = mid
-		}
-	}
-	return hi, nil
-}

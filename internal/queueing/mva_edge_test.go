@@ -135,10 +135,7 @@ func TestSolveEdgeCases(t *testing.T) {
 // a product-form network.
 func TestThroughputMonotonicInPopulation(t *testing.T) {
 	nw := &Network{Demands: []float64{0.02, 0.015}, ThinkTime: 0.4}
-	series, err := nw.solveSeries(200)
-	if err != nil {
-		t.Fatal(err)
-	}
+	series := solveEach(t, nw, 200)
 	for i := 1; i < len(series); i++ {
 		if series[i].Throughput < series[i-1].Throughput-1e-12 {
 			t.Fatalf("X(%d)=%v < X(%d)=%v", i+1, series[i].Throughput, i, series[i-1].Throughput)

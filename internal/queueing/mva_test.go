@@ -1,6 +1,7 @@
 package queueing
 
 import (
+	"errors"
 	"math"
 	"testing"
 	"testing/quick"
@@ -81,10 +82,7 @@ func TestThroughputBounds(t *testing.T) {
 
 func TestResponseTimeMonotonicInPopulation(t *testing.T) {
 	nw := &Network{Demands: []float64{0.08, 0.02}, ThinkTime: 0.5}
-	results, err := nw.solveSeries(100)
-	if err != nil {
-		t.Fatal(err)
-	}
+	results := solveEach(t, nw, 100)
 	for i := 1; i < len(results); i++ {
 		if results[i].ResponseTime < results[i-1].ResponseTime-1e-12 {
 			t.Fatalf("R decreased at n=%d", i+1)
@@ -137,6 +135,22 @@ func TestLittlesLawProperty(t *testing.T) {
 	}
 }
 
+// solveEach returns Solve's results for populations 1..n.
+func solveEach(t *testing.T, nw *Network, n int) []*Result {
+	t.Helper()
+	out := make([]*Result, n)
+	for pop := 1; pop <= n; pop++ {
+		r, err := nw.Solve(pop)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[pop-1] = r
+	}
+	return out
+}
+
+// TestSolveSeriesMatchesSolve checks Solve against solveSeries, the
+// recurrence stepped once through every population.
 func TestSolveSeriesMatchesSolve(t *testing.T) {
 	nw := &Network{Demands: []float64{0.03, 0.07}, ThinkTime: 0.2}
 	series, err := nw.solveSeries(20)
@@ -162,16 +176,8 @@ func TestSolveSeriesMatchesSolve(t *testing.T) {
 
 func TestBottleneckHelpers(t *testing.T) {
 	nw := &Network{Demands: []float64{0.05, 0.2, 0.1}, ThinkTime: 1}
-	if nw.BottleneckDemand() != 0.2 {
-		t.Errorf("Dmax=%v want 0.2", nw.BottleneckDemand())
-	}
-	want := (1 + 0.35) / 0.2
-	if math.Abs(nw.minClientsForSaturation()-want) > 1e-12 {
-		t.Errorf("N*=%v want %v", nw.minClientsForSaturation(), want)
-	}
-	empty := &Network{Demands: []float64{0}}
-	if empty.minClientsForSaturation() != 0 {
-		t.Error("zero-demand network should report 0 saturation point")
+	if nw.bottleneckDemand() != 0.2 {
+		t.Errorf("Dmax=%v want 0.2", nw.bottleneckDemand())
 	}
 }
 
@@ -211,4 +217,88 @@ func TestRequiredCapacityFactor(t *testing.T) {
 	if _, err := nw.requiredCapacityFactor(10, -1, 0.1, 2); err == nil {
 		t.Error("bad parameters should error")
 	}
+}
+
+// solveSeries returns results for populations 1..n, useful for
+// capacity planning sweeps.
+func (nw *Network) solveSeries(n int) ([]*Result, error) {
+	if err := nw.Validate(); err != nil {
+		return nil, err
+	}
+	if n <= 0 {
+		return nil, errors.New("queueing: population must be positive")
+	}
+	out := make([]*Result, 0, n)
+	// Re-run incrementally to reuse the recurrence.
+	k := len(nw.Demands)
+	queues := make([]float64, k)
+	stationR := make([]float64, k)
+	for pop := 1; pop <= n; pop++ {
+		response, throughput := mvaStep(nw.Demands, queues, stationR, pop, nw.ThinkTime)
+		r := &Result{
+			Clients:      pop,
+			ResponseTime: response,
+			Throughput:   throughput,
+			QueueLengths: make([]float64, k),
+			Utilizations: make([]float64, k),
+		}
+		copy(r.QueueLengths, queues)
+		for i := 0; i < k; i++ {
+			r.Utilizations[i] = throughput * nw.Demands[i]
+		}
+		out = append(out, r)
+	}
+	return out, nil
+}
+
+// requiredCapacityFactor returns the smallest factor c (capacity
+// multiplier applied to every station, i.e. demands become D_i/c) such
+// that the network serves n clients with response time at most
+// maxResponse. It binary-searches c in [lo, hi]; returns hi when even
+// hi misses the target.
+func (nw *Network) requiredCapacityFactor(n int, maxResponse, lo, hi float64) (float64, error) {
+	if err := nw.Validate(); err != nil {
+		return 0, err
+	}
+	if maxResponse <= 0 || lo <= 0 || hi < lo {
+		return 0, errors.New("queueing: bad search parameters")
+	}
+	// One scaled network reused across every probe: the binary search
+	// evaluates ~50 candidate factors and each used to allocate a fresh
+	// Network plus demands slice.
+	scaled := &Network{Demands: make([]float64, len(nw.Demands)), ThinkTime: nw.ThinkTime}
+	meets := func(c float64) bool {
+		for i, d := range nw.Demands {
+			scaled.Demands[i] = d / c
+		}
+		r, err := scaled.Solve(n)
+		if err != nil {
+			return false
+		}
+		return r.ResponseTime <= maxResponse
+	}
+	if !meets(hi) {
+		return hi, nil
+	}
+	for i := 0; i < 50; i++ {
+		mid := (lo + hi) / 2
+		if meets(mid) {
+			hi = mid
+		} else {
+			lo = mid
+		}
+	}
+	return hi, nil
+}
+
+// bottleneckDemand returns the largest station demand D_max, which
+// bounds the achievable throughput by 1/D_max.
+func (nw *Network) bottleneckDemand() float64 {
+	max := 0.0
+	for _, d := range nw.Demands {
+		if d > max {
+			max = d
+		}
+	}
+	return max
 }

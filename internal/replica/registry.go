@@ -135,11 +135,6 @@ type Config struct {
 	RequestTimeout time.Duration
 	// Logf receives operational log lines; nil means silent.
 	Logf func(format string, args ...any)
-	// Spans, when set, receives one span per traced decision routed
-	// through the registry (component "registry"). The decision front
-	// passes its own ring so one /v1/trace dump stitches both hops; nil
-	// records nothing.
-	Spans *obs.SpanRing
 }
 
 // replica is one member's runtime state.
@@ -170,10 +165,6 @@ type replica struct {
 
 	decideFails atomic.Int64
 	resyncs     atomic.Int64
-}
-
-func (r *replica) routable() bool {
-	return r.alive.Load() && r.synced.Load() && !r.draining.Load()
 }
 
 // Registry tracks the replica set and routes the decision plane over
@@ -214,10 +205,11 @@ type Registry struct {
 	installs  atomic.Int64
 	adoptions atomic.Int64
 
-	// spans is the sink for traced-decision routing spans — seeded from
-	// Config.Spans, replaceable via SetSpans so a decision front can
-	// adopt the tier into its own ring after construction. Atomic
-	// because decides read it concurrently.
+	// spans receives one span per traced decision routed through the
+	// registry (component "registry"); nil records nothing. A decision
+	// front sets its own ring with SetSpans after construction, so one
+	// /v1/trace dump stitches both hops. Atomic because decides read it
+	// concurrently.
 	spans atomic.Pointer[obs.SpanRing]
 
 	// Latency accounting for the tier's three operational loops; the
@@ -245,9 +237,6 @@ func New(cfg Config) (*Registry, error) {
 		cfg:     cfg,
 		desired: map[string]uint64{},
 		adopts:  map[string]*parallel.SingleFlight{},
-	}
-	if cfg.Spans != nil {
-		r.spans.Store(cfg.Spans)
 	}
 	reps := make([]*replica, 0, len(cfg.Replicas))
 	seen := map[string]bool{}

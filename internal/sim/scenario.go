@@ -121,6 +121,11 @@ type VMSpec struct {
 	Seed int64
 }
 
+// maxStaggerHours staggers each VM's diurnal phase: tenant i's trace is
+// rotated by a random 0..maxStaggerHours hours, so phase changes arrive
+// spread over the fleet instead of in lockstep.
+const maxStaggerHours = 6
+
 // ScenarioConfig parameterizes the fleet scenario generator.
 type ScenarioConfig struct {
 	// Rng drives all scenario randomness; required.
@@ -138,11 +143,6 @@ type ScenarioConfig struct {
 	// VMsPerHost sets the consolidation ratio: VMs on the same host
 	// see the same interference schedule (default 4).
 	VMsPerHost int
-	// MaxStaggerHours staggers each VM's diurnal phase: tenant i's
-	// trace is rotated by a random 0..MaxStaggerHours hours, so
-	// phase changes arrive spread over the fleet instead of in
-	// lockstep (default 6).
-	MaxStaggerHours int
 	// Interference enables the per-host contention schedules.
 	Interference bool
 	// Homogeneous pins every VM to Cassandra (the paper's scale-out
@@ -279,11 +279,6 @@ func GenerateScenario(cfg ScenarioConfig) ([]VMSpec, error) {
 	if cfg.VMsPerHost <= 0 {
 		cfg.VMsPerHost = 4
 	}
-	if cfg.MaxStaggerHours < 0 {
-		cfg.MaxStaggerHours = 0
-	} else if cfg.MaxStaggerHours == 0 {
-		cfg.MaxStaggerHours = 6
-	}
 
 	hosts := (cfg.VMs + cfg.VMsPerHost - 1) / cfg.VMsPerHost
 	schedules := make([]func(time.Duration) float64, hosts)
@@ -374,10 +369,7 @@ func GenerateScenario(cfg ScenarioConfig) ([]VMSpec, error) {
 		// stays on cfg.Rng in the same stream position. The windows are
 		// disjoint ([0,24) vs [24,...)), so the flash-crowd in-place
 		// spike on the run window below never touches the learning day.
-		stagger := 0
-		if cfg.MaxStaggerHours > 0 {
-			stagger = cfg.Rng.Intn(cfg.MaxStaggerHours + 1)
-		}
+		stagger := cfg.Rng.Intn(maxStaggerHours + 1)
 		week = scaleRotate(week, servicePeakClients(svc), stagger)
 
 		learn, err := week.View(0, 24)

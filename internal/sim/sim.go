@@ -526,10 +526,9 @@ func (r *Runner) Advance() (parked bool, err error) {
 
 			interf := 0.0
 			if cfg.Interference != nil {
-				interf = cfg.Interference(now)
-				if err := dep.SetInterference(cloud.Interference{Fraction: interf}); err != nil {
+				if interf = cfg.Interference(now); interf < 0 || interf >= 1 {
 					r.done = true
-					return false, fmt.Errorf("sim: interference at %v: %w", now, err)
+					return false, fmt.Errorf("sim: interference at %v: fraction %v out of [0,1)", now, interf)
 				}
 			}
 

@@ -232,13 +232,15 @@ func TestRunInterferenceReducesCapacity(t *testing.T) {
 
 func TestRunInvalidInterference(t *testing.T) {
 	svc := services.NewCassandra()
-	_, err := Run(Config{
-		Service: svc, Trace: flatTrace(100, 1), Controller: &fixedController{},
-		Initial:      cloud.Allocation{Type: cloud.Large, Count: 2},
-		Interference: func(time.Duration) float64 { return 1.5 },
-	})
-	if err == nil {
-		t.Error("invalid interference fraction should error")
+	for _, frac := range []float64{1.5, 1, -0.1} {
+		_, err := Run(Config{
+			Service: svc, Trace: flatTrace(100, 1), Controller: &fixedController{},
+			Initial:      cloud.Allocation{Type: cloud.Large, Count: 2},
+			Interference: func(time.Duration) float64 { return frac },
+		})
+		if err == nil || !strings.HasPrefix(err.Error(), "sim: interference at ") {
+			t.Errorf("interference fraction %v: err %v, want the sim range error", frac, err)
+		}
 	}
 }
 

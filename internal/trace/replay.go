@@ -167,33 +167,20 @@ type ClusterConfig struct {
 	Rng *rand.Rand
 	// Days is the recording length in days (default 7).
 	Days int
-	// MeanInterval is the average scrape spacing (default 20 minutes).
-	// Actual intervals jitter between 0.5x and 1.5x of it.
-	MeanInterval time.Duration
-	// GapRate is the per-sample probability that the next scrape is
-	// lost to an outage, leaving a multi-hour hole the zero-order
-	// hold must bridge (default 0.02).
-	GapRate float64
-	// BurstRate is the per-sample probability of an incident burst: a
-	// short load excursion well above the diurnal envelope (default
-	// 0.01).
-	BurstRate float64
 }
 
-func (c *ClusterConfig) defaults() {
-	if c.Days <= 0 {
-		c.Days = 7
-	}
-	if c.MeanInterval <= 0 {
-		c.MeanInterval = 20 * time.Minute
-	}
-	if c.GapRate == 0 {
-		c.GapRate = 0.02
-	}
-	if c.BurstRate == 0 {
-		c.BurstRate = 0.01
-	}
-}
+const (
+	// meanScrapeInterval is SynthCluster's average scrape spacing.
+	// Actual intervals jitter between 0.5x and 1.5x of it.
+	meanScrapeInterval = 20 * time.Minute
+	// gapRate is the per-sample probability that the next scrape is
+	// lost to an outage, leaving a multi-hour hole the zero-order hold
+	// must bridge.
+	gapRate = 0.02
+	// burstRate is the per-sample probability of an incident burst: a
+	// short load excursion well above the diurnal envelope.
+	burstRate = 0.01
+)
 
 // SynthCluster synthesizes a cluster-style recording: a diurnal load
 // envelope sampled at an irregular scrape cadence, with occasional
@@ -201,7 +188,9 @@ func (c *ClusterConfig) defaults() {
 // raw material of the trace-replay scenario kind — it goes through
 // the same Resample path a recorded production trace would.
 func SynthCluster(cfg ClusterConfig) *Samples {
-	cfg.defaults()
+	if cfg.Days <= 0 {
+		cfg.Days = 7
+	}
 	rng := cfg.Rng
 	total := time.Duration(cfg.Days) * 24 * time.Hour
 	s := &Samples{Name: "cluster"}
@@ -212,7 +201,7 @@ func SynthCluster(cfg ClusterConfig) *Samples {
 		// Diurnal envelope between ~25 and ~95 with day-to-day drift.
 		day := 60 + 35*math.Sin(2*math.Pi*(hour-14)/24)
 		v := day * (1 + 0.05*rng.NormFloat64())
-		if rng.Float64() < cfg.BurstRate {
+		if rng.Float64() < burstRate {
 			v *= 1.5 + rng.Float64()
 		}
 		if v < 1 {
@@ -220,8 +209,8 @@ func SynthCluster(cfg ClusterConfig) *Samples {
 		}
 		s.Points = append(s.Points, Sample{At: at, Load: v})
 
-		step := time.Duration((0.5 + rng.Float64()) * float64(cfg.MeanInterval))
-		if rng.Float64() < cfg.GapRate {
+		step := time.Duration((0.5 + rng.Float64()) * float64(meanScrapeInterval))
+		if rng.Float64() < gapRate {
 			// Outage: hours of missing scrapes.
 			step += time.Duration(1+rng.Intn(4)) * time.Hour
 		}

@@ -62,10 +62,6 @@ type SynthConfig struct {
 	// Days is the trace length in days (default 7: one learning day +
 	// six evaluation days, like the paper).
 	Days int
-	// Jitter is the relative day-to-day noise on each hourly sample
-	// (default 0.03). Kept small so hours of the same operating level
-	// cluster together, as the real traces do.
-	Jitter float64
 	// DailyPhaseShift shifts each day's shape circularly by a random
 	// -2..+2 hours (day 0, the learning day, is never shifted). Real
 	// traces drift like this day to day, which is exactly what makes
@@ -76,17 +72,15 @@ type SynthConfig struct {
 	Rng *rand.Rand
 }
 
-func (c *SynthConfig) defaults() {
-	if c.Days <= 0 {
-		c.Days = 7
-	}
-	if c.Jitter == 0 {
-		c.Jitter = 0.03
-	}
-}
+// jitter is the relative day-to-day noise on each hourly sample. Kept
+// small so hours of the same operating level cluster together, as the
+// real traces do.
+const jitter = 0.03
 
 func synthWeek(name string, weekday, weekend [24]float64, cfg SynthConfig) *Trace {
-	cfg.defaults()
+	if cfg.Days <= 0 {
+		cfg.Days = 7
+	}
 	loads := make([]float64, 0, cfg.Days*24)
 	for day := 0; day < cfg.Days; day++ {
 		shape := weekday
@@ -100,7 +94,7 @@ func synthWeek(name string, weekday, weekend [24]float64, cfg SynthConfig) *Trac
 		for hour := 0; hour < 24; hour++ {
 			v := shape[((hour+shift)%24+24)%24]
 			if cfg.Rng != nil {
-				v *= 1 + cfg.Rng.NormFloat64()*cfg.Jitter
+				v *= 1 + cfg.Rng.NormFloat64()*jitter
 			}
 			if v < 0 {
 				v = 0
@@ -158,33 +152,4 @@ func Sine(min, max float64, period, duration, step time.Duration) *Trace {
 		loads[i] = mid + amp*math.Sin(phase)
 	}
 	return &Trace{Name: "sine", Step: step, Loads: loads}
-}
-
-// stepTrace generates a piecewise-constant trace: each level is held for
-// dwell. Useful for controlled tuning experiments.
-func stepTrace(levels []float64, dwell, step time.Duration) *Trace {
-	if step <= 0 || dwell < step {
-		return &Trace{Name: "steps", Step: time.Minute}
-	}
-	perLevel := int(dwell / step)
-	loads := make([]float64, 0, len(levels)*perLevel)
-	for _, lv := range levels {
-		for i := 0; i < perLevel; i++ {
-			loads = append(loads, lv)
-		}
-	}
-	return &Trace{Name: "steps", Step: step, Loads: loads}
-}
-
-// spikeTrace returns a flat trace at base with a single spike of the given
-// height and width (in samples) starting at the given sample index.
-func spikeTrace(base, height float64, n, at, width int, step time.Duration) *Trace {
-	loads := make([]float64, n)
-	for i := range loads {
-		loads[i] = base
-		if i >= at && i < at+width {
-			loads[i] = height
-		}
-	}
-	return &Trace{Name: "spike", Step: step, Loads: loads}
 }

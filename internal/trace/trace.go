@@ -125,20 +125,3 @@ func (t *Trace) Day(day int) (*Trace, error) {
 	}
 	return t.Slice(day*24, (day+1)*24)
 }
-
-// validate checks structural invariants: positive step, at least one
-// sample, loads within [0, 100] after normalization tolerance.
-func (t *Trace) validate() error {
-	if t.Step <= 0 {
-		return errors.New("trace: non-positive step")
-	}
-	if len(t.Loads) == 0 {
-		return errors.New("trace: empty")
-	}
-	for i, l := range t.Loads {
-		if l < 0 {
-			return fmt.Errorf("trace: negative load %v at sample %d", l, i)
-		}
-	}
-	return nil
-}

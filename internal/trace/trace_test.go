@@ -2,8 +2,13 @@ package trace
 
 import (
 	"bytes"
+	"encoding/csv"
+	"errors"
+	"fmt"
+	"io"
 	"math"
 	"math/rand"
+	"strconv"
 	"testing"
 	"time"
 )
@@ -302,4 +307,110 @@ func TestDurationHelper(t *testing.T) {
 	if tr.Duration() != 24*time.Hour {
 		t.Errorf("Duration=%v want 24h", tr.Duration())
 	}
+}
+
+// writeCSV serializes the trace as "offset_hours,load" rows with a
+// header, so experiment output can be plotted externally.
+func (t *Trace) writeCSV(w io.Writer) error {
+	cw := csv.NewWriter(w)
+	if err := cw.Write([]string{"offset_hours", "load"}); err != nil {
+		return err
+	}
+	for i, l := range t.Loads {
+		offset := time.Duration(i) * t.Step
+		row := []string{
+			strconv.FormatFloat(offset.Hours(), 'f', 4, 64),
+			strconv.FormatFloat(l, 'f', 4, 64),
+		}
+		if err := cw.Write(row); err != nil {
+			return err
+		}
+	}
+	cw.Flush()
+	return cw.Error()
+}
+
+// readCSV parses a trace previously written with writeCSV. The step is
+// inferred from the first two offsets; a single-row trace gets a 1-hour
+// step.
+func readCSV(r io.Reader, name string) (*Trace, error) {
+	cr := csv.NewReader(r)
+	records, err := cr.ReadAll()
+	if err != nil {
+		return nil, fmt.Errorf("trace: reading csv: %w", err)
+	}
+	if len(records) < 2 {
+		return nil, fmt.Errorf("trace: csv has no data rows")
+	}
+	var offsets []float64
+	var loads []float64
+	for i, rec := range records[1:] {
+		if len(rec) != 2 {
+			return nil, fmt.Errorf("trace: row %d has %d fields, want 2", i+1, len(rec))
+		}
+		off, err := strconv.ParseFloat(rec[0], 64)
+		if err != nil {
+			return nil, fmt.Errorf("trace: row %d offset: %w", i+1, err)
+		}
+		load, err := strconv.ParseFloat(rec[1], 64)
+		if err != nil {
+			return nil, fmt.Errorf("trace: row %d load: %w", i+1, err)
+		}
+		offsets = append(offsets, off)
+		loads = append(loads, load)
+	}
+	step := time.Hour
+	if len(offsets) >= 2 {
+		step = time.Duration((offsets[1] - offsets[0]) * float64(time.Hour))
+		if step <= 0 {
+			return nil, fmt.Errorf("trace: non-increasing offsets")
+		}
+	}
+	return &Trace{Name: name, Step: step, Loads: loads}, nil
+}
+
+// stepTrace generates a piecewise-constant trace: each level is held for
+// dwell. Useful for controlled tuning experiments.
+func stepTrace(levels []float64, dwell, step time.Duration) *Trace {
+	if step <= 0 || dwell < step {
+		return &Trace{Name: "steps", Step: time.Minute}
+	}
+	perLevel := int(dwell / step)
+	loads := make([]float64, 0, len(levels)*perLevel)
+	for _, lv := range levels {
+		for i := 0; i < perLevel; i++ {
+			loads = append(loads, lv)
+		}
+	}
+	return &Trace{Name: "steps", Step: step, Loads: loads}
+}
+
+// spikeTrace returns a flat trace at base with a single spike of the given
+// height and width (in samples) starting at the given sample index.
+func spikeTrace(base, height float64, n, at, width int, step time.Duration) *Trace {
+	loads := make([]float64, n)
+	for i := range loads {
+		loads[i] = base
+		if i >= at && i < at+width {
+			loads[i] = height
+		}
+	}
+	return &Trace{Name: "spike", Step: step, Loads: loads}
+}
+
+// validate checks structural invariants: positive step, at least one
+// sample, loads within [0, 100] after normalization tolerance.
+func (t *Trace) validate() error {
+	if t.Step <= 0 {
+		return errors.New("trace: non-positive step")
+	}
+	if len(t.Loads) == 0 {
+		return errors.New("trace: empty")
+	}
+	for i, l := range t.Loads {
+		if l < 0 {
+			return fmt.Errorf("trace: negative load %v at sample %d", l, i)
+		}
+	}
+	return nil
 }
