@@ -7,53 +7,61 @@ import (
 	"testing"
 )
 
-// The fixed-seed golden tests pin the rendered Figure 6 and Figure 8
-// outputs byte-for-byte. The hot-path work (dense metric vectors,
-// memoized solvers, the zero-copy step engine) is required to be a
-// pure performance change — any drift in these outputs means an
-// optimization altered simulation arithmetic or RNG consumption.
-// Regenerate the goldens with `go run ./internal/experiments/goldengen`
-// only for intentional behaviour changes.
+// The fixed-seed golden tests pin every deterministic dejavu-exp output
+// (each entry of Figures with a Golden file) byte-for-byte at seed 42
+// over 3 days. The hot-path work (dense metric vectors, span stepping,
+// lockstep blocks, warm kits) is required to be a pure performance
+// change — any drift in these outputs means an optimization altered
+// simulation arithmetic or RNG consumption. The proxy figure times
+// loopback round trips on the wall clock (overhead.go), so it has no
+// golden and only its shape is tested. Regenerate the goldens with
+// `go run ./internal/experiments/goldengen` only for intentional
+// behaviour changes.
 
-func goldenCompare(t *testing.T, name string, render func(*bytes.Buffer)) {
+func goldenCompare(t *testing.T, name string) {
 	t.Helper()
-	path := filepath.Join("testdata", name)
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("read golden %s: %v (regenerate with go run ./internal/experiments/goldengen)", path, err)
+	for _, f := range Figures {
+		if f.Name != name {
+			continue
+		}
+		path := filepath.Join("testdata", f.Golden)
+		want, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatalf("read golden %s: %v (regenerate with go run ./internal/experiments/goldengen)", path, err)
+		}
+		r, err := f.Run(Options{Seed: 42, Days: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got bytes.Buffer
+		r.Render(&got)
+		if !bytes.Equal(got.Bytes(), want) {
+			t.Errorf("%s drifted from golden output.\n--- got ---\n%s\n--- want ---\n%s", f.Golden, got.String(), want)
+		}
+		return
 	}
-	var got bytes.Buffer
-	render(&got)
-	if !bytes.Equal(got.Bytes(), want) {
-		t.Errorf("%s drifted from golden output.\n--- got ---\n%s\n--- want ---\n%s", name, got.String(), want)
-	}
+	t.Fatalf("no figure %q", name)
 }
 
-func TestFigure6GoldenFixedSeed(t *testing.T) {
-	r, err := Figure6(Options{Seed: 42, Days: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	goldenCompare(t, "figure6_seed42_days3.golden", func(b *bytes.Buffer) { r.Render(b) })
-}
+// pinnedByName are the goldens that have a test of their own.
+var pinnedByName = map[string]bool{"6": true, "8": true, "scenarios": true}
 
-func TestFigure8GoldenFixedSeed(t *testing.T) {
-	r, err := Figure8(Options{Seed: 42, Days: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	goldenCompare(t, "figure8_seed42_days3.golden", func(b *bytes.Buffer) { r.Render(b) })
-}
+func TestFigure6GoldenFixedSeed(t *testing.T) { goldenCompare(t, "6") }
+
+func TestFigure8GoldenFixedSeed(t *testing.T) { goldenCompare(t, "8") }
 
 // TestScenarioSweepGoldenFixedSeed pins the full adversarial claims
 // table — baseline plus every scenario kind, absolutes and deltas —
-// byte-for-byte at seed 42. The sweep runs with Workers=1, so any
-// drift here means scenario generation or fleet arithmetic changed,
-// not goroutine scheduling.
-func TestScenarioSweepGoldenFixedSeed(t *testing.T) {
-	r, err := ScenarioSweep(42)
-	if err != nil {
-		t.Fatal(err)
+// at seed 42. The sweep runs with Workers=1, so any drift here means
+// scenario generation or fleet arithmetic changed, not goroutine
+// scheduling.
+func TestScenarioSweepGoldenFixedSeed(t *testing.T) { goldenCompare(t, "scenarios") }
+
+// TestGoldenFixedSeed pins every other output with a golden.
+func TestGoldenFixedSeed(t *testing.T) {
+	for _, f := range Figures {
+		if f.Golden != "" && !pinnedByName[f.Name] {
+			t.Run(f.Name, func(t *testing.T) { goldenCompare(t, f.Name) })
+		}
 	}
-	goldenCompare(t, "scenarios_seed42.golden", func(b *bytes.Buffer) { r.Render(b) })
 }
