@@ -24,6 +24,7 @@ import (
 	"repro/internal/rng"
 	"repro/internal/services"
 	"repro/internal/sim"
+	"repro/internal/testkit"
 	"repro/internal/trace"
 )
 
@@ -455,7 +456,7 @@ func BenchmarkKMeansAuto(b *testing.B) {
 // BenchmarkKMeansAutoFleetScale times the learning phase's dominant
 // cost at fleet-sized signature sets on the pruned + sampled engine.
 func BenchmarkKMeansAutoFleetScale(b *testing.B) {
-	X := ml.ClusteredDataset(42, 5000, 6, 5)
+	X := testkit.ClusteredDataset(42, 5000, 6, 5)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res, err := ml.KMeansAuto(X, 2, 10, ml.KMeansConfig{Rng: rand.New(rand.NewSource(42))})
@@ -474,7 +475,7 @@ func BenchmarkRelearnFromSignatures(b *testing.B) {
 		metrics.EvBusqEmpty, metrics.EvCPUClkUnhalt, metrics.EvL2Ads,
 		metrics.EvL2St, metrics.EvLoadBlock, metrics.EvXenCPU,
 	}
-	rows := ml.LatticeSignatures(42, 6000, len(events), 5)
+	rows := testkit.LatticeSignatures(42, 6000, len(events), 5)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		repo, err := core.RelearnFromSignatures(events, rows, core.OnlineRelearnConfig{MaxK: 12, Rng: rng.New(42)})
@@ -485,24 +486,6 @@ func BenchmarkRelearnFromSignatures(b *testing.B) {
 			b.Fatalf("relearn chose %d classes, the draw has 5", repo.Classes())
 		}
 		b.ReportMetric(float64(repo.Classes()), "classes")
-	}
-}
-
-// BenchmarkSilhouetteSampled isolates the estimator that replaces the
-// exact full-pairwise silhouette above the threshold: one clustering
-// through the kernel KMeansAuto scores a whole k sweep with.
-func BenchmarkSilhouetteSampled(b *testing.B) {
-	X := ml.ClusteredDataset(42, 5000, 6, 5)
-	assign := make([]int, len(X))
-	for i := range assign {
-		assign[i] = i % 5
-	}
-	rng := rand.New(rand.NewSource(7))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ml.SilhouetteEstimate(X, assign, 5, ml.SilhouetteConfig{Rng: rng}); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

@@ -6,35 +6,49 @@ import (
 	"testing"
 )
 
-// TestScanFixture runs the gate over a module with one name per case:
-// an exported name unreferenced, used only by its own package's tests,
-// used by another package or by another package's tests; a method that
-// implements an interface, a method that does not, an allow-listed
+// TestScanFixture runs the gate over a module with one name per case.
+// Funcs and methods: an exported name unreferenced, used only by its
+// own package's tests, or only by another package's tests; a method
+// that implements an interface, a method that does not, an allow-listed
 // method, and an allow-list entry that names no finding; an unexported
 // func used only by its own package's tests, one that calls itself as
 // well, and one production calls; an unexported method used only by
-// tests, and one that implements an unexported interface; and a main
-// package's main and init.
+// tests, and one that implements an unexported interface; a dead call
+// chain of two; a command's main and init, and a var initialiser of a
+// package it links. Fields: one read, one only assigned and
+// incremented, one only added to through sync/atomic, one added to and
+// loaded, a tagged one, and a map key's. A test-support package's name
+// that a test calls and one nothing calls. A nested module's main and
+// the names it reaches: listed, not failed, and only the one it calls.
 func TestScanFixture(t *testing.T) {
 	allow := map[string]string{
 		"fixture/internal/a.Square.Diagonal": "kept on purpose",
 		"fixture/internal/a.Gone":            "names nothing",
 	}
-	got, err := scan("testdata/fixture", allow)
+	got, nested, err := scan("testdata/fixture", allow)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := []string{
 		"allow.txt: fixture/internal/a.Gone is not a finding; remove the entry",
-		"testdata/fixture/internal/a/a.go:18:6: fixture/internal/a.helper has no reference outside its own package's tests",
-		"testdata/fixture/internal/a/a.go:22:6: fixture/internal/a.countdown has no reference outside its own package's tests",
-		"testdata/fixture/internal/a/a.go:39:17: fixture/internal/a.Square.Perimeter has no reference outside its own package's tests",
-		"testdata/fixture/internal/a/a.go:46:17: fixture/internal/a.Square.scale has no reference outside its own package's tests",
-		"testdata/fixture/internal/a/a.go:5:6: fixture/internal/a.Unused has no reference outside its own package's tests",
-		"testdata/fixture/internal/a/a.go:9:6: fixture/internal/a.TestOnly has no reference outside its own package's tests",
+		"testdata/fixture/internal/a/a.go:18:6: fixture/internal/a.helper: no command reaches it",
+		"testdata/fixture/internal/a/a.go:22:6: fixture/internal/a.countdown: no command reaches it",
+		"testdata/fixture/internal/a/a.go:30:7: fixture/internal/a.UsedByOtherTests: no command reaches it",
+		"testdata/fixture/internal/a/a.go:39:17: fixture/internal/a.Square.Perimeter: no command reaches it",
+		"testdata/fixture/internal/a/a.go:46:17: fixture/internal/a.Square.scale: no command reaches it",
+		"testdata/fixture/internal/a/a.go:5:6: fixture/internal/a.Unused: no command reaches it",
+		"testdata/fixture/internal/a/a.go:9:6: fixture/internal/a.TestOnly: no command reaches it",
+		"testdata/fixture/internal/a/fields.go:30:6: fixture/internal/a.chainHead: no command reaches it",
+		"testdata/fixture/internal/a/fields.go:33:6: fixture/internal/a.chainTail: no command reaches it",
+		"testdata/fixture/internal/a/fields.go:8:2: fixture/internal/a.Tally.written: no command reads it",
+		"testdata/fixture/internal/a/fields.go:9:2: fixture/internal/a.Tally.hits: no command reads it",
+		"testdata/fixture/internal/d/d.go:8:6: fixture/internal/d.Orphan: no command reaches it",
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("findings:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+	if want := []string{"fixture/internal/a.BenchOnly"}; !reflect.DeepEqual(nested, want) {
+		t.Errorf("reached only from a nested module: %v, want %v", nested, want)
 	}
 }
 

@@ -1,3 +1,5 @@
 package a
 
-var _ = TestOnly() + helper() + countdown(3) + Square{}.scale(2).Side
+import "fixture/internal/d"
+
+var _ = TestOnly() + helper() + countdown(3) + Square{}.scale(2).Side + d.Helper()

@@ -8,7 +8,7 @@ type Shape interface{ Area() int }
 
 // Total sums the areas of shapes.
 func Total(shapes ...Shape) int {
-	sum := a.Used()
+	sum := a.Used() + a.Record(&a.Tally{})
 	for _, s := range shapes {
 		sum += s.Area()
 	}

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -39,16 +40,7 @@ func TestRunReplay(t *testing.T) {
 			Load: 100 + 50*float64(h%24)/23,
 		})
 	}
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := rec.WriteCSV(f); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
+	writeRecording(t, path, rec.Points)
 
 	var out bytes.Buffer
 	if err := run(&out, "messenger", path, "dejavu", 3, 1, 3, false); err != nil {
@@ -61,19 +53,23 @@ func TestRunReplay(t *testing.T) {
 	// A recording shorter than two whole days cannot host a learning
 	// day plus an evaluated day.
 	short := filepath.Join(dir, "short.csv")
-	sf, err := os.Create(short)
-	if err != nil {
-		t.Fatal(err)
-	}
-	shortRec := &trace.Samples{Name: "short", Points: rec.Points[:30]}
-	if err := shortRec.WriteCSV(sf); err != nil {
-		t.Fatal(err)
-	}
-	if err := sf.Close(); err != nil {
-		t.Fatal(err)
-	}
+	writeRecording(t, short, rec.Points[:30])
 	if err := run(io.Discard, "messenger", short, "dejavu", 7, 1, 3, false); err == nil {
 		t.Error("sub-2-day replay recording should error")
+	}
+}
+
+// writeRecording writes points as the "offset_hours,load" CSV that
+// -replay reads, floats in shortest round-trip form.
+func writeRecording(t *testing.T, path string, points []trace.Sample) {
+	t.Helper()
+	var b strings.Builder
+	b.WriteString("offset_hours,load\n")
+	for _, p := range points {
+		fmt.Fprintf(&b, "%g,%g\n", p.At.Hours(), p.Load)
+	}
+	if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
+		t.Fatal(err)
 	}
 }
 

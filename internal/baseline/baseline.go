@@ -112,12 +112,10 @@ type RightScale struct {
 	// (paper: 3 minutes minimum, 15 minutes recommended).
 	CalmTime time.Duration
 
-	lastResize    time.Duration
-	inEpisode     bool
-	episodeStart  time.Duration
-	episodeSizes  int
-	episodes      []time.Duration
-	everConverged bool
+	lastResize   time.Duration
+	inEpisode    bool
+	episodeSizes int
+	episodes     []time.Duration
 }
 
 // NewRightScale returns a RightScale controller with the defaults the
@@ -175,13 +173,11 @@ func (r *RightScale) Step(obs *sim.Observation) (sim.Action, error) {
 		if r.inEpisode {
 			r.episodes = append(r.episodes, time.Duration(r.episodeSizes-1)*r.CalmTime)
 			r.inEpisode = false
-			r.everConverged = true
 		}
 		return sim.Action{}, nil
 	}
 	if !r.inEpisode {
 		r.inEpisode = true
-		r.episodeStart = obs.Now
 		r.episodeSizes = 0
 	}
 	r.episodeSizes++

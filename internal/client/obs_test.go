@@ -38,9 +38,16 @@ func TestClientStatsSnapshot(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// TraceEvery=2 roots a span on every second Decide.
-	if got := len(c.Spans().Spans()); got != direct/2 {
-		t.Errorf("sampled %d root spans over %d decides at TraceEvery=2", got, direct)
+	// TraceEvery=2 roots a span on every second Decide: the client's
+	// own hop, a root that took real time.
+	roots := c.spans.Spans()
+	if len(roots) != direct/2 {
+		t.Errorf("sampled %d root spans over %d decides at TraceEvery=2", len(roots), direct)
+	}
+	for _, root := range roots {
+		if root.Component != "client" || root.Op != "lookup" || root.Parent != 0 || root.Trace == 0 || root.DurationNS <= 0 {
+			t.Errorf("client root span: %+v", root)
+		}
 	}
 
 	// Four rows through the batch capability are one frame.

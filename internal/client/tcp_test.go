@@ -7,8 +7,8 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/obs"
 	"repro/internal/server"
+	"repro/internal/testkit"
 	"repro/internal/wire"
 )
 
@@ -292,6 +292,6 @@ func TestClientTCPLookupZeroAlloc(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(200, lookup); allocs != 0 {
 		t.Errorf("TCP lookup allocates %.1f times per op, want 0", allocs)
-		t.Log(obs.AllocSites(200, lookup))
+		t.Log(testkit.AllocSites(200, lookup))
 	}
 }

@@ -9,7 +9,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/metrics"
-	"repro/internal/obs"
+	"repro/internal/testkit"
 	"repro/internal/wire"
 )
 
@@ -125,7 +125,7 @@ func TestClientLookupZeroAlloc(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(200, decide); allocs != 0 {
 		t.Errorf("client binary lookup path allocates %.1f times per batch, want 0", allocs)
-		t.Log(obs.AllocSites(200, decide))
+		t.Log(testkit.AllocSites(200, decide))
 	}
 
 	// The single-signature DecisionSource path stays allocation-free
@@ -163,6 +163,6 @@ func TestClientLookupZeroAlloc(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(200, lookup); allocs != 0 {
 		t.Errorf("source single-lookup path allocates %.1f times per call, want 0", allocs)
-		t.Log(obs.AllocSites(200, lookup))
+		t.Log(testkit.AllocSites(200, lookup))
 	}
 }

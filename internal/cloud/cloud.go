@@ -144,7 +144,6 @@ type Deployment struct {
 	readyAt    time.Duration
 	lastBill   time.Duration
 	cost       float64
-	changes    int
 }
 
 // NewDeployment starts a deployment with the given initial allocation,
@@ -173,7 +172,6 @@ func (d *Deployment) Apply(now time.Duration, a Allocation) error {
 	d.accrue(now)
 	d.pending, d.hasPending = a, true
 	d.readyAt = now + a.Type.WarmupDelay
-	d.changes++
 	return nil
 }
 

@@ -6,8 +6,8 @@ import (
 	"time"
 
 	"repro/internal/metrics"
-	"repro/internal/obs"
 	"repro/internal/services"
+	"repro/internal/testkit"
 )
 
 // TestProfileIntoMatchesLegacyProfile: the allocation-free ProfileInto
@@ -106,6 +106,6 @@ func TestClassifySteadyStateAllocationFree(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(100, classify); allocs > 0 {
 		t.Errorf("Classify allocates %v times per call in steady state, want 0", allocs)
-		t.Log(obs.AllocSites(100, classify))
+		t.Log(testkit.AllocSites(100, classify))
 	}
 }

@@ -5,8 +5,8 @@ import (
 	"testing"
 
 	"repro/internal/cloud"
-	"repro/internal/obs"
 	"repro/internal/services"
+	"repro/internal/testkit"
 )
 
 // lookupRowsFixture learns a messenger-day repository and profiles
@@ -152,7 +152,7 @@ func TestLookupRowsZeroAlloc(t *testing.T) {
 	lookup() // warm the pool
 	if allocs := testing.AllocsPerRun(100, lookup); allocs > 0 {
 		t.Errorf("LookupRows allocates %v times per 256-row batch, want 0", allocs)
-		t.Log(obs.AllocSites(100, lookup))
+		t.Log(testkit.AllocSites(100, lookup))
 	}
 }
 

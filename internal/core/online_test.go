@@ -9,9 +9,9 @@ import (
 	"testing"
 
 	"repro/internal/metrics"
-	"repro/internal/ml"
 	"repro/internal/rng"
 	"repro/internal/services"
+	"repro/internal/testkit"
 )
 
 // adaptEvents is the six-event signature tuple the time-to-adapt
@@ -25,7 +25,7 @@ var adaptEvents = []metrics.Event{
 // shape: 6 000 × 6 lattice signatures, MaxK 12, splitmix restarts.
 func relearnAdaptShaped(t testing.TB, seed int64, workers int) []byte {
 	t.Helper()
-	rows := ml.LatticeSignatures(seed, 6000, len(adaptEvents), 5)
+	rows := testkit.LatticeSignatures(seed, 6000, len(adaptEvents), 5)
 	repo, err := RelearnFromSignatures(adaptEvents, rows, OnlineRelearnConfig{MaxK: 12, Rng: rng.New(seed), Workers: workers})
 	if err != nil {
 		t.Fatal(err)
@@ -77,7 +77,7 @@ func TestRelearnAdaptShapedGolden(t *testing.T) {
 // configuration error at both learning entry points, not a one-class
 // repository.
 func TestMinKAboveMaxKRejected(t *testing.T) {
-	rows := ml.LatticeSignatures(1, 60, len(adaptEvents), 3)
+	rows := testkit.LatticeSignatures(1, 60, len(adaptEvents), 3)
 	_, err := RelearnFromSignatures(adaptEvents, rows, OnlineRelearnConfig{MinK: 8, Rng: rng.New(1)})
 	if err == nil || !strings.Contains(err.Error(), "MinK") {
 		t.Errorf("RelearnFromSignatures{MinK: 8} (MaxK defaults to 6): err = %v, want a MinK > MaxK error", err)

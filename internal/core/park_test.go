@@ -180,8 +180,8 @@ func TestControllerParkedRoundsEqualImmediate(t *testing.T) {
 		parking = &parkOnce{DecisionSource: src, t: t}
 		return parking
 	})
-	runner, err := sim.NewRunner(config(parked))
-	if err != nil {
+	runner := new(sim.Runner)
+	if err := runner.Reset(config(parked)); err != nil {
 		t.Fatal(err)
 	}
 	advances := 0

@@ -4,7 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/cloud"
-	"repro/internal/obs"
+	"repro/internal/testkit"
 )
 
 // TestWorkerSourceMatchesLookup is the oracle for the worker-local
@@ -112,6 +112,6 @@ func TestWorkerSourceLookupZeroAlloc(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(100, lookup); allocs > 0 {
 		t.Errorf("WorkerSource.Lookup allocates %v times per call, want 0", allocs)
-		t.Log(obs.AllocSites(100, lookup))
+		t.Log(testkit.AllocSites(100, lookup))
 	}
 }

@@ -74,15 +74,12 @@ func buildTrace(name string, peak float64, rng *rand.Rand) (*trace.Trace, error)
 // learnedCassandra bundles the artifacts of a Cassandra scale-out
 // learning phase.
 type learnedCassandra struct {
-	svc     *services.Cassandra
-	tr      *trace.Trace
-	prof    *core.Profiler
-	tuner   *core.LinearSearchTuner
-	repo    *core.Repository
-	report  *core.LearnReport
-	rng     *rand.Rand
-	peak    float64
-	traceNm string
+	svc    *services.Cassandra
+	tr     *trace.Trace
+	prof   *core.Profiler
+	tuner  *core.LinearSearchTuner
+	repo   *core.Repository
+	report *core.LearnReport
 }
 
 // learnCassandra runs the learning phase on the trace's first day.
@@ -124,8 +121,7 @@ func learnCassandraPeak(traceName string, peak float64, opts Options) (*learnedC
 	}
 	return &learnedCassandra{
 		svc: svc, tr: tr, prof: prof, tuner: tuner,
-		repo: repo, report: report, rng: rng,
-		peak: peak, traceNm: traceName,
+		repo: repo, report: report,
 	}, nil
 }
 

@@ -6,8 +6,8 @@ import (
 	"runtime"
 	"testing"
 
-	"repro/internal/obs"
 	"repro/internal/sim"
+	"repro/internal/testkit"
 )
 
 // The race detector changes allocation counts, so these pins build
@@ -57,13 +57,13 @@ func TestFleetRunAllocs(t *testing.T) {
 	at100 := fleetRunAllocs(t, 100)
 	if at100 > maxRunAllocs {
 		t.Errorf("fleet.Run at 100 VMs allocates %.0f times, bound %d", at100, maxRunAllocs)
-		t.Log(obs.AllocSites(1, fleetRun(t, 100)))
+		t.Log(testkit.AllocSites(1, fleetRun(t, 100)))
 	}
 	perVM := (fleetRunAllocs(t, 200) - at100) / 100
 	t.Logf("%.0f allocations at 100 VMs, %.1f per added VM", at100, perVM)
 	if perVM > maxPerVM {
 		t.Errorf("fleet.Run allocates %.1f times per added VM (200 VMs vs 100), bound %.1f", perVM, maxPerVM)
-		t.Log(obs.AllocSites(1, fleetRun(t, 200)))
+		t.Log(testkit.AllocSites(1, fleetRun(t, 200)))
 	}
 }
 
@@ -81,6 +81,6 @@ func TestLockstepAllocs(t *testing.T) {
 	t.Logf("%.2f allocations per VM of a %d-VM block", perVM, vms)
 	if perVM > maxPerVM {
 		t.Errorf("a lockstep block allocates %.2f times per VM, bound %.2f", perVM, maxPerVM)
-		t.Log(obs.AllocSites(1, step))
+		t.Log(testkit.AllocSites(1, step))
 	}
 }

@@ -108,10 +108,6 @@ type Result struct {
 	// LearningTime is the wall-clock time of the per-template
 	// learning phase.
 	LearningTime time.Duration
-	// LearnPhase digests the per-template learning durations (one
-	// sample per service group) — how unevenly the learning bill is
-	// spread across templates.
-	LearnPhase obs.Summary
 	// StepPhase digests the per-VM run-phase durations (one sample per
 	// VM simulation) — the tail here is what bounds the concurrent run
 	// phase's wall clock. A VM stepped in a lockstep block records its
@@ -211,15 +207,9 @@ type group struct {
 // is identical for every VM of a template and safe to reuse across the
 // consecutive same-template VMs a worker steps through (the run phase
 // iterates VMs in template-major order for exactly this reason).
-// Everything in it is result-neutral — the memo verifies its exact
-// operating point on every hit — so batching only removes redundant
-// setup work, never sharing that could couple VM outcomes.
+// Everything in it is result-neutral, so batching only removes
+// redundant setup work, never sharing that could couple VM outcomes.
 type templateCtx struct {
-	// memo is the shared performance memo. One worker runs its VMs
-	// sequentially, so single-goroutine ownership holds; consecutive
-	// same-template VMs start with a warm model cache instead of
-	// re-solving the template's common operating points.
-	memo *services.PerfMemo
 	// proto is the template's default tuner, built once per
 	// (worker, template) and copied per VM by struct copy — the copy
 	// shares the immutable Candidates slice and privatizes the only
@@ -298,7 +288,7 @@ func workerTemplateCtx(wctx []map[string]*templateCtx, worker int, svc services.
 	name := g.service.Name()
 	tc, ok := m[name]
 	if !ok {
-		tc = &templateCtx{memo: services.NewPerfMemo(g.service)}
+		tc = &templateCtx{}
 		if g.source == nil {
 			tc.src = core.NewWorkerSource(g.repo)
 		}
@@ -316,7 +306,7 @@ func workerTemplateCtx(wctx []map[string]*templateCtx, worker int, svc services.
 // every VM's controller concurrently over the shared repositories.
 func Run(cfg Config) (*Result, error) {
 	learnStart := time.Now()
-	groups, learnPhase, err := learnGroups(&cfg)
+	groups, err := learnGroups(&cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -357,7 +347,6 @@ func Run(cfg Config) (*Result, error) {
 	}
 	res.Elapsed = time.Since(runStart)
 	res.LearningTime = learningTime
-	res.LearnPhase = learnPhase
 	res.StepPhase = stepDur.Summary()
 
 	for _, vr := range res.VMResults {
@@ -401,9 +390,9 @@ func Run(cfg Config) (*Result, error) {
 // even share of the workers so templates × restarts × candidate-k
 // together stay bounded by cfg.Workers. The groups come back sorted by
 // service name, with a digest of the per-group learning durations.
-func learnGroups(cfg *Config) ([]*group, obs.Summary, error) {
+func learnGroups(cfg *Config) ([]*group, error) {
 	if len(cfg.Specs) == 0 {
-		return nil, obs.Summary{}, errors.New("fleet: no VMs")
+		return nil, errors.New("fleet: no VMs")
 	}
 	if cfg.Workers <= 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
@@ -412,17 +401,17 @@ func learnGroups(cfg *Config) ([]*group, obs.Summary, error) {
 	var groups []*group
 	for i, spec := range cfg.Specs {
 		if spec.Service == nil || spec.RunTrace == nil {
-			return nil, obs.Summary{}, fmt.Errorf("fleet: vm %d (%s) needs Service and RunTrace", i, spec.Name)
+			return nil, fmt.Errorf("fleet: vm %d (%s) needs Service and RunTrace", i, spec.Name)
 		}
 		if spec.RunTrace.Step <= 0 {
-			return nil, obs.Summary{}, fmt.Errorf("fleet: vm %d (%s): run trace step %v must be positive", i, spec.Name, spec.RunTrace.Step)
+			return nil, fmt.Errorf("fleet: vm %d (%s): run trace step %v must be positive", i, spec.Name, spec.RunTrace.Step)
 		}
 		if step := spec.RunTrace.Step; spec.JoinAt%step != 0 || spec.LeaveAt%step != 0 {
 			// activeTrace cuts whole samples; vmConfig shifts by JoinAt.
-			return nil, obs.Summary{}, fmt.Errorf("fleet: vm %d (%s): membership window [%v, %v) is off its run trace's %v grid", i, spec.Name, spec.JoinAt, spec.LeaveAt, step)
+			return nil, fmt.Errorf("fleet: vm %d (%s): membership window [%v, %v) is off its run trace's %v grid", i, spec.Name, spec.JoinAt, spec.LeaveAt, step)
 		}
 		if spec.MixFn != nil && len(spec.MixShifts) == 0 {
-			return nil, obs.Summary{}, fmt.Errorf("fleet: vm %d (%s) sets the deprecated MixFn, which the fleet does not run; give it MixShifts", i, spec.Name)
+			return nil, fmt.Errorf("fleet: vm %d (%s) sets the deprecated MixFn, which the fleet does not run; give it MixShifts", i, spec.Name)
 		}
 		name := spec.Service.Name()
 		g, ok := byName[name]
@@ -440,17 +429,11 @@ func learnGroups(cfg *Config) ([]*group, obs.Summary, error) {
 	if innerWorkers < 1 {
 		innerWorkers = 1
 	}
-	// Per-group and per-VM phase timing: one histogram sample per unit
-	// of parallel work, never per step — per-step recording would tax
-	// the fleet's multi-million-steps/s control-plane throughput.
-	var learnDur obs.Histogram
 	learnErrs := make([]error, len(groups))
 	parallel.Do(cfg.Workers, len(groups), func(i int) {
-		groupStart := time.Now()
 		learnErrs[i] = learnGroup(*cfg, groups[i], innerWorkers)
-		learnDur.Record(time.Since(groupStart))
 	})
-	return groups, learnDur.Snapshot().Summary(), errors.Join(learnErrs...)
+	return groups, errors.Join(learnErrs...)
 }
 
 // runPhase is the run phase: a worker pool drains the VM queue. Only
@@ -737,6 +720,5 @@ func (p *runPhase) vmConfig(worker, i int, src core.DecisionSource, k, n int) (s
 		Interference:   interference,
 		Records:        records,
 		DiscardRecords: cfg.DiscardRecords,
-		PerfMemo:       tc.memo,
 	}, &kit.run, nil
 }

@@ -279,9 +279,6 @@ func TestScenarioShapes(t *testing.T) {
 		if s.Interference == nil {
 			t.Errorf("vm %d: interference missing", i)
 		}
-		if want := i / 4; s.Host != want {
-			t.Errorf("vm %d on host %d, want %d", i, s.Host, want)
-		}
 	}
 	// Correlation: same host, same schedule values; different hosts
 	// were drawn independently.

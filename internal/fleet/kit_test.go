@@ -39,7 +39,7 @@ func TestVMKitMatchesFreshKit(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := Config{Specs: specs, Workers: 1, InterferenceDetection: true, OnDemandProfiling: true}
-	groups, _, err := learnGroups(&cfg)
+	groups, err := learnGroups(&cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +180,7 @@ func TestVMKitResetIsFresh(t *testing.T) {
 
 	t.Run("served", func(t *testing.T) {
 		cfg := gen(false)
-		groups, _, err := learnGroups(&cfg)
+		groups, err := learnGroups(&cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -336,7 +336,7 @@ func TestPrivateKit(t *testing.T) {
 		return specs
 	}
 	cfg := Config{Specs: specs(), Workers: 1}
-	groups, _, err := learnGroups(&cfg)
+	groups, err := learnGroups(&cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -102,7 +102,7 @@ func (r *repoRows) LookupRows(bucket int, rows [][]float64, out []core.LookupRes
 // source, and lays the run phase out in lockstep blocks.
 func lockstepPhase(tb testing.TB, cfg Config, failFrom int64) *runPhase {
 	tb.Helper()
-	groups, _, err := learnGroups(&cfg)
+	groups, err := learnGroups(&cfg)
 	if err != nil {
 		tb.Fatal(err)
 	}

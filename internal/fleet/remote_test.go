@@ -317,7 +317,7 @@ func TestFleetRemoteTCPEquivalence(t *testing.T) {
 		t.Errorf("daemon rejected %d requests", st.BadRequests)
 	}
 	// Every fleet decision crossed the TCP plane, none the HTTP one.
-	if tcpSrv.Conns() == 0 {
+	if tcpSrv.Stats().Conns == 0 {
 		t.Error("no TCP connections were made — decisions rode HTTP")
 	}
 	compareFleetResults(t, local, remote)

@@ -147,7 +147,7 @@ func TestStepArenaShardedStress(t *testing.T) {
 				slot := arena.acquire(worker, n)
 				tag := float64(gid*acquires + a)
 				for s := 0; s < n; s++ {
-					slot = append(slot, sim.StepRecord{Clients: tag, Utilization: float64(s)})
+					slot = append(slot, sim.StepRecord{Clients: tag, LatencyMs: float64(s)})
 				}
 				// Keep every slot to verify nothing was stomped after
 				// the fact.
@@ -161,9 +161,9 @@ func TestStepArenaShardedStress(t *testing.T) {
 	for gid, kept := range results {
 		for _, sr := range kept {
 			for s, rec := range sr.slot {
-				if rec.Clients != sr.tag || rec.Utilization != float64(s) {
+				if rec.Clients != sr.tag || rec.LatencyMs != float64(s) {
 					t.Fatalf("goroutine %d slot tagged %v step %d: got tag %v step %v (slot memory reused or moved)",
-						gid, sr.tag, s, rec.Clients, rec.Utilization)
+						gid, sr.tag, s, rec.Clients, rec.LatencyMs)
 				}
 			}
 		}

@@ -175,10 +175,6 @@ var (
 	numHPC       int
 )
 
-// NumEvents returns the size of the event universe — the length of
-// every dense Rates vector.
-func NumEvents() int { return len(denseOrder) }
-
 // Index returns the dense integer index of an event (HPC events first,
 // then xentop, each group in catalog order) and -1 for unknown events.
 // The mapping is fixed at init, so callers may resolve indices once and

@@ -59,11 +59,9 @@ func (b *Bank) MultiplexFactor(n int) float64 {
 }
 
 // Sample is one monitoring observation: per-event counter values
-// normalized to events per second, plus the window they were taken
-// over.
+// normalized to events per second.
 type Sample struct {
 	Values map[Event]float64
-	Window time.Duration
 }
 
 // Monitor collects workload signatures by reading a Source through a
@@ -145,7 +143,7 @@ func (m *Monitor) Sample(src Source, window time.Duration) (*Sample, error) {
 	for i, ev := range m.Events {
 		out[ev] = values[i]
 	}
-	return &Sample{Values: out, Window: window}, nil
+	return &Sample{Values: out}, nil
 }
 
 // SampleVector is the allocation-free fast path of Sample: it writes

@@ -10,8 +10,8 @@ import (
 // index, HPC events come first, and EventAt inverts Index.
 func TestDenseIndexBijection(t *testing.T) {
 	evs := AllEvents()
-	if NumEvents() != len(evs) {
-		t.Fatalf("NumEvents %d != catalog size %d", NumEvents(), len(evs))
+	if len(denseOrder) != len(evs) {
+		t.Fatalf("%d dense indices != catalog size %d", len(denseOrder), len(evs))
 	}
 	seen := make(map[int]bool)
 	for i, ev := range evs {
@@ -73,7 +73,7 @@ func (d denseSource) RatesAt(idx []int, dst []float64) {
 
 // denseRates returns a distinct rate for every catalog event.
 func denseRates(base, step float64) denseSource {
-	d := make(denseSource, NumEvents())
+	d := make(denseSource, len(denseOrder))
 	for i := range d {
 		d[i] = base + float64(i)*step
 	}

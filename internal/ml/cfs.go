@@ -21,12 +21,8 @@ import (
 type CFSResult struct {
 	// Selected lists the chosen attribute indices in selection order.
 	Selected []int
-	// Names lists the corresponding attribute names.
-	Names []string
 	// Merit is the merit of the final subset.
 	Merit float64
-	// Trace records the merit after each greedy step.
-	Trace []float64
 }
 
 // cfsMinGain is the minimum merit improvement to accept another
@@ -105,7 +101,6 @@ func CFSSelect(d *Dataset) (*CFSResult, error) {
 	selected := []int{}
 	inSubset := make([]bool, nAttr)
 	bestMerit := 0.0
-	var trace []float64
 
 	for {
 		bestAttr, bestNew := -1, bestMerit
@@ -124,7 +119,6 @@ func CFSSelect(d *Dataset) (*CFSResult, error) {
 		selected = append(selected, bestAttr)
 		inSubset[bestAttr] = true
 		bestMerit = bestNew
-		trace = append(trace, bestMerit)
 	}
 
 	if len(selected) == 0 {
@@ -139,14 +133,8 @@ func CFSSelect(d *Dataset) (*CFSResult, error) {
 		}
 		selected = append(selected, best)
 		bestMerit = merit(selected)
-		trace = append(trace, bestMerit)
 	}
-
-	names := make([]string, len(selected))
-	for i, a := range selected {
-		names[i] = d.Attributes[a]
-	}
-	return &CFSResult{Selected: selected, Names: names, Merit: bestMerit, Trace: trace}, nil
+	return &CFSResult{Selected: selected, Merit: bestMerit}, nil
 }
 
 // CorrelationRatio returns eta, the correlation ratio between a

@@ -37,8 +37,12 @@ func TestCFSSelectsInformativeAttributes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var names []string
+	for _, a := range res.Selected {
+		names = append(names, d.Attributes[a])
+	}
 	has := func(name string) bool {
-		for _, n := range res.Names {
+		for _, n := range names {
 			if n == name {
 				return true
 			}
@@ -46,23 +50,46 @@ func TestCFSSelectsInformativeAttributes(t *testing.T) {
 		return false
 	}
 	if !has("inf1") && !has("dup") {
-		t.Errorf("CFS missed informative attr family inf1/dup: %v", res.Names)
+		t.Errorf("CFS missed informative attr family inf1/dup: %v", names)
 	}
 	if !has("inf2") {
-		t.Errorf("CFS missed inf2: %v", res.Names)
+		t.Errorf("CFS missed inf2: %v", names)
 	}
 	if has("noise1") || has("noise2") || has("noise3") {
-		t.Errorf("CFS selected noise: %v", res.Names)
+		t.Errorf("CFS selected noise: %v", names)
 	}
 	// Redundancy: inf1 and its near-copy should not both be chosen.
 	if has("inf1") && has("dup") {
-		t.Errorf("CFS kept redundant pair inf1+dup: %v", res.Names)
+		t.Errorf("CFS kept redundant pair inf1+dup: %v", names)
 	}
 	if res.Merit <= 0 {
 		t.Errorf("merit=%v want > 0", res.Merit)
 	}
 }
 
+// cfsMerit is the CFS merit of subset, k·mean(feature-class
+// correlation) / √(k + k(k−1)·mean(feature-feature correlation)),
+// summed in the order CFSSelect sums.
+func cfsMerit(d *Dataset, subset []int) float64 {
+	k := float64(len(subset))
+	sumCF, sumFF, pairs := 0.0, 0.0, 0
+	for i, a := range subset {
+		sumCF += CorrelationRatio(d.Column(a), d.Y, d.NumClasses())
+		for _, b := range subset[i+1:] {
+			sumFF += math.Abs(Pearson(d.Column(a), d.Column(b)))
+			pairs++
+		}
+	}
+	meanFF := 0.0
+	if pairs > 0 {
+		meanFF = sumFF / float64(pairs)
+	}
+	return k * (sumCF / k) / math.Sqrt(k+k*(k-1)*meanFF)
+}
+
+// TestCFSMeritTraceNonDecreasing: each greedy step raised the merit of
+// the subset selected so far, and the reported merit is the final
+// subset's.
 func TestCFSMeritTraceNonDecreasing(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	d := signatureDataset(rng, 200)
@@ -70,10 +97,16 @@ func TestCFSMeritTraceNonDecreasing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 1; i < len(res.Trace); i++ {
-		if res.Trace[i] < res.Trace[i-1] {
-			t.Errorf("merit trace decreased at step %d: %v", i, res.Trace)
+	prev := 0.0
+	for i := 1; i <= len(res.Selected); i++ {
+		m := cfsMerit(d, res.Selected[:i])
+		if m < prev {
+			t.Errorf("merit decreased at step %d: %v after %v", i, m, prev)
 		}
+		prev = m
+	}
+	if prev != res.Merit {
+		t.Errorf("final subset's merit %v, reported %v", prev, res.Merit)
 	}
 }
 

@@ -5,6 +5,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"repro/internal/testkit"
 )
 
 // randomDataset builds an n×d matrix mixing clustered structure with
@@ -177,11 +179,7 @@ func TestSampledSilhouetteWithinTolerance(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	X, truth := threeBlobs(rng, 700) // n=2100 > default threshold
 	exact := Silhouette(X, truth, 3)
-	got, err := SilhouetteEstimate(X, truth, 3, SilhouetteConfig{Rng: rng})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(got-exact) > 0.05 {
+	if got := sampledSilhouette(t, X, truth, 3, rng); math.Abs(got-exact) > 0.05 {
 		t.Fatalf("sampled silhouette %v drifted from exact %v by more than 0.05", got, exact)
 	}
 }
@@ -212,7 +210,7 @@ func TestSampledSilhouetteSelectsSameK(t *testing.T) {
 // fleet scale — 6 000 rows, k = 2…12, the sampled silhouette — on a
 // draw with 5 latent classes.
 func TestKMeansAutoChosenKAtFleetScale(t *testing.T) {
-	X := ClusteredDataset(42, 6000, 6, 5)
+	X := testkit.ClusteredDataset(42, 6000, 6, 5)
 	res, err := KMeansAuto(X, 2, 12, KMeansConfig{Rng: rand.New(rand.NewSource(42))})
 	if err != nil {
 		t.Fatal(err)
@@ -286,7 +284,7 @@ func TestEngineExactOnAdaptShapedDraw(t *testing.T) {
 	if testing.Short() {
 		n = 1500
 	}
-	X := standardized(t, LatticeSignatures(3, n, 6, 5))
+	X := standardized(t, testkit.LatticeSignatures(3, n, 6, 5))
 	seeds := rand.New(rand.NewSource(17))
 	for _, k := range []int{5, 6, 9, 12} {
 		longest := 0

@@ -1,7 +1,6 @@
 package ml
 
 import (
-	"errors"
 	"math"
 	"math/rand"
 	"sort"
@@ -16,8 +15,8 @@ import (
 // This is the exact estimator: it evaluates all O(n²) pairwise
 // distances. KMeansAuto only calls it (via a distance matrix hoisted
 // across the k sweep) for datasets up to silhouetteExactThreshold
-// rows; above that it switches to the sampled estimator, which
-// SilhouetteEstimate exposes directly.
+// rows; above that it switches to the sampled estimator
+// (silhouetteSweep over a seeded uniform sample).
 func Silhouette(X [][]float64, assign []int, k int) float64 {
 	n := len(X)
 	if n == 0 || k <= 1 {
@@ -255,43 +254,4 @@ func silhouetteOf(dist []float64, assign, size []int, own int, sums []float64) f
 		return (b - a) / den
 	}
 	return 0
-}
-
-// SilhouetteConfig controls SilhouetteEstimate.
-type SilhouetteConfig struct {
-	// SampleSize is how many rows the estimator averages over
-	// (default 256).
-	SampleSize int
-	// ExactThreshold: datasets with at most this many rows are scored
-	// exactly (default 512).
-	ExactThreshold int
-	// Rng seeds the uniform sample; required when the sampled path
-	// triggers.
-	Rng *rand.Rand
-}
-
-// SilhouetteEstimate scores a clustering with the same
-// exact-below-threshold / sampled-above policy KMeansAuto applies:
-// small datasets get the exact full-pairwise silhouette, large ones
-// the seeded uniform-sample estimator.
-func SilhouetteEstimate(X [][]float64, assign []int, k int, cfg SilhouetteConfig) (float64, error) {
-	if cfg.SampleSize <= 0 {
-		cfg.SampleSize = 256
-	}
-	if cfg.ExactThreshold <= 0 {
-		cfg.ExactThreshold = 512
-	}
-	if len(X) <= cfg.ExactThreshold || cfg.SampleSize >= len(X) {
-		return Silhouette(X, assign, k), nil
-	}
-	if cfg.Rng == nil {
-		return 0, errors.New("ml: SilhouetteConfig.Rng must be set for sampled estimation")
-	}
-	m, err := NewMatrix(X)
-	if err != nil {
-		return 0, err
-	}
-	sample := sampleIndices(m.Rows, cfg.SampleSize, cfg.Rng)
-	one := []*KMeansResult{{K: k, Assignments: assign}}
-	return silhouetteSweep(m, one, sample, 0)[0], nil
 }

@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"repro/internal/testkit"
 )
 
 // silhouetteSampledRef is the estimator written straight down for one
@@ -68,7 +70,7 @@ func silhouetteSampledRef(m *Matrix, assign []int, k int, sample []int) float64 
 // of distances gives every candidate k the float the per-k estimator
 // gives it, at any worker count.
 func TestHoistedSilhouetteMatchesPerK(t *testing.T) {
-	m, err := NewMatrix(standardized(t, LatticeSignatures(4, 3000, 6, 5)))
+	m, err := NewMatrix(standardized(t, testkit.LatticeSignatures(4, 3000, 6, 5)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +96,7 @@ func TestHoistedSilhouetteMatchesPerK(t *testing.T) {
 
 // TestHoistedSilhouetteEdgeClusters covers the rows the estimator
 // scores 0 — singleton clusters, no other non-empty cluster, k = 1 —
-// on random labelings, and SilhouetteEstimate's use of the same kernel.
+// on random labelings.
 func TestHoistedSilhouetteEdgeClusters(t *testing.T) {
 	meta := rand.New(rand.NewSource(31))
 	for trial := 0; trial < 40; trial++ {
@@ -120,16 +122,34 @@ func TestHoistedSilhouetteEdgeClusters(t *testing.T) {
 				t.Fatalf("trial %d k=%d: hoisted score %v, per-k score %v", trial, res.K, scores[ki], want)
 			}
 		}
+	}
+}
 
-		seed := meta.Int63()
-		res := perK[3]
-		got, err := SilhouetteEstimate(X, res.Assignments, res.K, SilhouetteConfig{SampleSize: 20, ExactThreshold: 10, Rng: rand.New(rand.NewSource(seed))})
-		if err != nil {
-			t.Fatal(err)
-		}
-		sample = sampleIndices(n, 20, rand.New(rand.NewSource(seed)))
-		if want := silhouetteSampledRef(m, res.Assignments, res.K, sample); got != want {
-			t.Fatalf("trial %d: SilhouetteEstimate %v, per-k score %v", trial, got, want)
-		}
+// sampledSilhouette scores one clustering with the estimator KMeansAuto
+// applies above silhouetteExactThreshold: silhouetteSweep over a
+// uniform sample of silhouetteSample rows.
+func sampledSilhouette(tb testing.TB, X [][]float64, assign []int, k int, rng *rand.Rand) float64 {
+	tb.Helper()
+	m, err := NewMatrix(X)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	sample := sampleIndices(m.Rows, silhouetteSample, rng)
+	return silhouetteSweep(m, []*KMeansResult{{K: k, Assignments: assign}}, sample, 0)[0]
+}
+
+// BenchmarkSilhouetteSampled isolates the estimator that replaces the
+// exact full-pairwise silhouette above the threshold: one clustering
+// through the kernel KMeansAuto scores a whole k sweep with.
+func BenchmarkSilhouetteSampled(b *testing.B) {
+	X := testkit.ClusteredDataset(42, 5000, 6, 5)
+	assign := make([]int, len(X))
+	for i := range assign {
+		assign[i] = i % 5
+	}
+	rng := rand.New(rand.NewSource(7))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sampledSilhouette(b, X, assign, 5, rng)
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/testkit"
 )
 
 // TestHistogramRecordZeroAlloc pins the instrumentation contract the
@@ -21,14 +23,14 @@ func TestHistogramRecordZeroAlloc(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(1000, record); allocs != 0 {
 		t.Errorf("Record+Inc allocates %.1f times per op, want 0", allocs)
-		t.Log(AllocSites(1000, record))
+		t.Log(testkit.AllocSites(1000, record))
 	}
 
 	var snap Snapshot
 	snapshot := func() { snap = h.Snapshot() }
 	if allocs := testing.AllocsPerRun(100, snapshot); allocs != 0 {
 		t.Errorf("Snapshot allocates %.1f times per op, want 0", allocs)
-		t.Log(AllocSites(100, snapshot))
+		t.Log(testkit.AllocSites(100, snapshot))
 	}
 	_ = snap
 
@@ -44,7 +46,7 @@ func TestHistogramRecordZeroAlloc(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(1000, context); allocs != 0 {
 		t.Errorf("trace context append/parse allocates %.1f times per op, want 0", allocs)
-		t.Log(AllocSites(1000, context))
+		t.Log(testkit.AllocSites(1000, context))
 	}
 }
 
@@ -57,7 +59,7 @@ var allocSitesSink *[4]int64
 // failure counts the allocations of the runs and names the function
 // that made them.
 func TestAllocSitesNamesTheSite(t *testing.T) {
-	report := AllocSites(50, func() { allocSitesSink = allocateForSites() })
+	report := testkit.AllocSites(50, func() { allocSitesSink = allocateForSites() })
 	if !strings.Contains(report, "50 allocations (1.0 per run) at:\n\trepro/internal/obs.allocateForSites\n") {
 		t.Errorf("report does not name the allocating function, once per run:\n%s", report)
 	}

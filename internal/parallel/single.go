@@ -11,8 +11,6 @@ import "sync/atomic"
 // The zero value is ready to use.
 type SingleFlight struct {
 	running atomic.Bool
-	runs    atomic.Int64
-	skipped atomic.Int64
 }
 
 // TryGo runs fn on a new goroutine unless a previous task is still in
@@ -21,10 +19,8 @@ type SingleFlight struct {
 // failures.
 func (s *SingleFlight) TryGo(fn func()) bool {
 	if !s.running.CompareAndSwap(false, true) {
-		s.skipped.Add(1)
 		return false
 	}
-	s.runs.Add(1)
 	go func() {
 		defer s.running.Store(false)
 		fn()

@@ -37,25 +37,16 @@ func listen() net.Listener {
 
 // The paper's §3.2 dispatching path on loopback sockets: the proxy
 // forwards every client session to production and mirrors every second
-// one to a clone, whose replies it drops. A response cache fed by the
-// production answers then stands in for the database tier the clone
-// lacks.
+// one to a clone, whose replies it drops.
 func ExampleNew() {
-	cache, err := proxy.NewResponseCache(128)
-	if err != nil {
-		log.Fatal(err)
-	}
-	// Production answers "SELECT k" with "value-of-SELECT k" and feeds
-	// the cache, as the proxy does by snooping production answers.
+	// Production answers "SELECT k" with "value-of-SELECT k".
 	prod := listen()
 	defer prod.Close()
 	serve(prod, func(conn net.Conn) {
 		sc := bufio.NewScanner(conn)
 		for sc.Scan() {
 			req := sc.Text()
-			resp := "value-of-" + req
-			cache.Put([]byte(req), []byte(resp))
-			fmt.Fprintf(conn, "%s\n", resp)
+			fmt.Fprintf(conn, "value-of-%s\n", req)
 		}
 	})
 	// The clone's replies are bogus; the proxy never forwards them.
@@ -94,29 +85,6 @@ func ExampleNew() {
 	p.Close()
 	st := p.Stats()
 	fmt.Printf("%d sessions, %d mirrored to the clone, %d bytes mirrored\n", st.Sessions, st.Duplicated, st.BytesDuplicated)
-
-	// The clone's downstream queries are answered from the cache.
-	te, err := proxy.NewTierEmulator("127.0.0.1:0", cache)
-	if err != nil {
-		log.Fatal(err)
-	}
-	go func() { _ = te.Serve() }()
-	defer te.Close()
-	conn, err := net.Dial("tcp", te.Addr().String())
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer conn.Close()
-	rd := bufio.NewReader(conn)
-	for _, q := range []string{"SELECT 3", "SELECT 99"} {
-		fmt.Fprintf(conn, "%s\n", q)
-		line, err := rd.ReadString('\n')
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("tier emulator answered %q with %q\n", q, line)
-	}
-	fmt.Printf("emulator served %d from cache, %d misses\n", te.Served(), te.Missed())
 	// Output:
 	// session 0 got: value-of-SELECT 0
 	// session 1 got: value-of-SELECT 1
@@ -125,7 +93,4 @@ func ExampleNew() {
 	// session 4 got: value-of-SELECT 4
 	// session 5 got: value-of-SELECT 5
 	// 6 sessions, 3 mirrored to the clone, 27 bytes mirrored
-	// tier emulator answered "SELECT 3" with "value-of-SELECT 3\n"
-	// tier emulator answered "SELECT 99" with "\n"
-	// emulator served 1 from cache, 1 misses
 }

@@ -4,7 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/obs"
+	"repro/internal/testkit"
 	"repro/internal/wire"
 )
 
@@ -74,7 +74,7 @@ func TestDecideZeroAlloc(t *testing.T) {
 		}
 		if allocs := testing.AllocsPerRun(200, decide); allocs != 0 {
 			t.Errorf("%s decision path allocates %.1f times per batch, want 0", mode.name, allocs)
-			t.Log(obs.AllocSites(200, decide))
+			t.Log(testkit.AllocSites(200, decide))
 		}
 	}
 	// A full lockstep block's frame: 256 rows in one LookupRows pass.
@@ -89,7 +89,7 @@ func TestDecideZeroAlloc(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(200, decide); allocs != 0 {
 		t.Errorf("256-row lookup frame allocates %.1f times per batch, want 0", allocs)
-		t.Log(obs.AllocSites(200, decide))
+		t.Log(testkit.AllocSites(200, decide))
 	}
 	s.pool.Put(sc)
 }
@@ -132,7 +132,7 @@ func TestDecideZeroAllocInstrumented(t *testing.T) {
 		}
 		if allocs := testing.AllocsPerRun(200, decide); allocs != 0 {
 			t.Errorf("%s instrumented decide allocates %.1f times per batch, want 0", tc.name, allocs)
-			t.Log(obs.AllocSites(200, decide))
+			t.Log(testkit.AllocSites(200, decide))
 		}
 		after := tpl.lat[tc.tr].Snapshot()
 		if got := after.Count - before; got < 200 {

@@ -716,9 +716,6 @@ func (s *Server) metricFamilies() []obs.Metric {
 		obs.Hist("dejavud_snapshot_duration_seconds", "Per-template snapshot write durations.", s.snapshotDur.Snapshot()))
 }
 
-// Spans exposes the daemon's trace ring (tests and embedding daemons).
-func (s *Server) Spans() *obs.SpanRing { return s.plane.Spans }
-
 // SnapshotResult reports one persisted template.
 type SnapshotResult struct {
 	Template string `json:"template"`

@@ -179,10 +179,6 @@ func (t *TCPServer) untrack(nc net.Conn) {
 	t.mu.Unlock()
 }
 
-// Conns reports the number of connections accepted over the
-// listener's lifetime.
-func (t *TCPServer) Conns() int64 { return t.tcpConns.Load() }
-
 // TCPStats is a snapshot of the TCP plane's connection accounting.
 type TCPStats struct {
 	// Conns counts connections accepted over the lifetime.

@@ -11,7 +11,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/obs"
+	"repro/internal/testkit"
 	"repro/internal/wire"
 )
 
@@ -346,8 +346,8 @@ func TestTCPAccepters(t *testing.T) {
 			t.Fatalf("conn %d: %+v", i, resp.Results)
 		}
 	}
-	if got := ts.Conns(); got != conns {
-		t.Errorf("Conns() = %d, want %d", got, conns)
+	if got := ts.tcpConns.Load(); got != conns {
+		t.Errorf("%d connections accepted, want %d", got, conns)
 	}
 	if err := ts.Close(); err != nil {
 		t.Fatal(err)
@@ -410,7 +410,7 @@ func TestTCPDecideZeroAlloc(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(200, roundTrip); allocs != 0 {
 		t.Errorf("TCP decide round trip allocates %.1f times, want 0", allocs)
-		t.Log(obs.AllocSites(200, roundTrip))
+		t.Log(testkit.AllocSites(200, roundTrip))
 	}
 
 	// The queued path: eight requests in one write, so the server
@@ -446,7 +446,7 @@ func TestTCPDecideZeroAlloc(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(100, burst); allocs != 0 {
 		t.Errorf("depth-8 pipelined TCP burst allocates %.1f times, want 0", allocs)
-		t.Log(obs.AllocSites(100, burst))
+		t.Log(testkit.AllocSites(100, burst))
 	}
 }
 

@@ -5,7 +5,7 @@ package services
 import (
 	"testing"
 
-	"repro/internal/obs"
+	"repro/internal/testkit"
 )
 
 // TestPerfMemoZeroAlloc: a memo hit — the simulation engine's per-step
@@ -20,6 +20,6 @@ func TestPerfMemoZeroAlloc(t *testing.T) {
 	perf()
 	if allocs := testing.AllocsPerRun(1000, perf); allocs != 0 {
 		t.Errorf("PerfMemo.Perf allocates %v times per call in steady state, bound 0", allocs)
-		t.Log(obs.AllocSites(1000, perf))
+		t.Log(testkit.AllocSites(1000, perf))
 	}
 }

@@ -29,7 +29,7 @@ func vectorTestCases() []struct {
 
 // catalogIdx is every dense index in order: a full-catalog read.
 func catalogIdx() []int {
-	idx := make([]int, metrics.NumEvents())
+	idx := make([]int, len(metrics.AllEvents()))
 	for i := range idx {
 		idx[i] = i
 	}
@@ -38,7 +38,7 @@ func catalogIdx() []int {
 
 // catalogRates is a full-catalog read keyed by event, for assertions.
 func catalogRates(s Service, w Workload, instances int) map[metrics.Event]float64 {
-	dst := make([]float64, metrics.NumEvents())
+	dst := make([]float64, len(metrics.AllEvents()))
 	s.MetricRatesAt(w, instances, catalogIdx(), dst)
 	out := make(map[metrics.Event]float64, len(dst))
 	for i, r := range dst {

@@ -7,8 +7,8 @@ import (
 	"time"
 
 	"repro/internal/baseline"
-	"repro/internal/obs"
 	"repro/internal/sim"
+	"repro/internal/testkit"
 	"repro/internal/trace"
 )
 
@@ -57,7 +57,7 @@ func TestRunStepLoopAllocs(t *testing.T) {
 		}
 		if hour, day := testing.AllocsPerRun(20, run(1)), testing.AllocsPerRun(20, run(24)); hour != day {
 			t.Errorf("%s: allocations grow with the step count: %v for 60 steps, %v for 1440", c.name, hour, day)
-			t.Log(obs.AllocSites(20, run(24)))
+			t.Log(testkit.AllocSites(20, run(24)))
 		}
 	}
 }

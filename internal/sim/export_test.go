@@ -35,14 +35,14 @@ func TestWriteRecordsCSV(t *testing.T) {
 	if len(rows) != 61 { // header + 60 minutes
 		t.Fatalf("rows=%d want 61", len(rows))
 	}
-	if rows[0][0] != "minute" || rows[0][6] != "instance_type" {
+	if rows[0][0] != "minute" || rows[0][5] != "instance_type" {
 		t.Errorf("header=%v", rows[0])
 	}
 	if rows[1][1] != "100.00" {
 		t.Errorf("clients column=%q want 100.00", rows[1][1])
 	}
-	if rows[1][6] != "large" {
-		t.Errorf("type column=%q want large", rows[1][6])
+	if rows[1][5] != "large" {
+		t.Errorf("type column=%q want large", rows[1][5])
 	}
 }
 
@@ -58,7 +58,7 @@ func TestResultSummary(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := res.summary()
-	for _, want := range []string{"cassandra", "fixed", "cost $", "violations"} {
+	for _, want := range []string{"fixed", "cost $", "violations"} {
 		if !strings.Contains(s, want) {
 			t.Errorf("summary %q missing %q", s, want)
 		}
@@ -71,8 +71,8 @@ func TestResultSummary(t *testing.T) {
 func (r *Result) writeRecordsCSV(w io.Writer) error {
 	cw := csv.NewWriter(w)
 	header := []string{
-		"minute", "clients", "latency_ms", "qos_pct", "utilization",
-		"instances", "instance_type", "in_transition", "slo_violated", "interference",
+		"minute", "clients", "latency_ms", "qos_pct",
+		"instances", "instance_type", "slo_violated", "interference",
 	}
 	if err := cw.Write(header); err != nil {
 		return err
@@ -83,10 +83,8 @@ func (r *Result) writeRecordsCSV(w io.Writer) error {
 			strconv.FormatFloat(rec.Clients, 'f', 2, 64),
 			strconv.FormatFloat(rec.LatencyMs, 'f', 3, 64),
 			strconv.FormatFloat(rec.QoSPercent, 'f', 2, 64),
-			strconv.FormatFloat(rec.Utilization, 'f', 4, 64),
 			strconv.Itoa(int(rec.Alloc.Count)),
 			rec.Alloc.Type.Instance().Name,
-			strconv.FormatBool(rec.InTransition),
 			strconv.FormatBool(rec.SLOViolated),
 			strconv.FormatFloat(rec.Interference, 'f', 3, 64),
 		}
@@ -100,7 +98,7 @@ func (r *Result) writeRecordsCSV(w io.Writer) error {
 
 // summary renders the headline statistics of a run as one line.
 func (r *Result) summary() string {
-	return fmt.Sprintf("%s/%s: cost $%.2f, violations %.1f%%, %d decisions, mean adaptation %v",
-		r.Service, r.Controller, r.TotalCost, 100*r.SLOViolationFraction,
+	return fmt.Sprintf("%s: cost $%.2f, violations %.1f%%, %d decisions, mean adaptation %v",
+		r.Controller, r.TotalCost, 100*r.SLOViolationFraction,
 		r.Decisions, r.MeanAdaptation())
 }

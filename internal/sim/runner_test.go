@@ -90,8 +90,8 @@ func TestRunnerParkedEqualsRun(t *testing.T) {
 
 				ctl, parking := k.parkingController(t, detect, onDemand)
 				cfg.Controller = ctl
-				r, err := sim.NewRunner(cfg)
-				if err != nil {
+				r := new(sim.Runner)
+				if err := r.Reset(cfg); err != nil {
 					t.Fatal(err)
 				}
 				advances := 0

@@ -103,8 +103,6 @@ type VMSpec struct {
 	// Deprecated: use MixShifts. Kept only because the frozen
 	// benchmark/tracefleet.go still reads it.
 	MixFn func(now time.Duration) services.Mix
-	// Host is the physical host the VM is placed on.
-	Host int
 	// HostCapacity is the host's hardware-generation capacity
 	// multiplier in (0, 1]; 0 is treated as 1 (current generation).
 	// The generator folds the deficit into Interference, so the field
@@ -388,7 +386,6 @@ func GenerateScenario(cfg ScenarioConfig) ([]VMSpec, error) {
 			LearnTrace:   learn,
 			RunTrace:     run,
 			Mix:          svc.DefaultMix(),
-			Host:         host,
 			HostCapacity: 1,
 			Seed:         vmSeed,
 		}

@@ -40,7 +40,7 @@ func sameSchedules(a, b VMSpec) bool {
 }
 
 func sameSpec(a, b VMSpec) bool {
-	if a.Name != b.Name || a.Service.Name() != b.Service.Name() || a.Host != b.Host ||
+	if a.Name != b.Name || a.Service.Name() != b.Service.Name() ||
 		a.HostCapacity != b.HostCapacity || a.JoinAt != b.JoinAt || a.LeaveAt != b.LeaveAt ||
 		a.Seed != b.Seed || a.Mix.Name != b.Mix.Name {
 		return false

@@ -136,14 +136,6 @@ type Config struct {
 	// so a discarding run and a recording run agree bit-for-bit on
 	// everything but Records itself.
 	DiscardRecords bool
-	// PerfMemo optionally injects a shared performance memo. The memo
-	// verifies the exact operating point on every hit (see
-	// services.PerfMemo), so sharing one across sequential runs of the
-	// same service template changes no results — it only carries cache
-	// warmth from one VM to the next. Callers must not share a memo
-	// across concurrent runs; nil means each Runner.Advance builds a
-	// private one.
-	PerfMemo *services.PerfMemo
 }
 
 // MixShift switches a run to Mix from the first step at or after At.
@@ -190,13 +182,10 @@ func (a AllocRef) Capacity() float64 {
 // deliberately pointer-free (see AllocRef); TestStepRecordPointerFree
 // pins that property.
 type StepRecord struct {
-	Now          time.Duration
 	Clients      float64
 	LatencyMs    float64
 	QoSPercent   float64
-	Utilization  float64
 	Alloc        AllocRef
-	InTransition bool
 	SLOViolated  bool
 	Interference float64
 }
@@ -204,18 +193,13 @@ type StepRecord struct {
 // Episode is one adaptation episode: from the controller issuing a
 // change until the deployment settles.
 type Episode struct {
-	// StartOffset is when the controller issued the first change.
-	StartOffset time.Duration
 	// Duration is how long until the new allocation was serving.
 	Duration time.Duration
-	// Resizes is the number of allocation requests in the episode.
-	Resizes int
 }
 
 // Result aggregates a simulation run.
 type Result struct {
 	Controller string
-	Service    string
 	// Records holds the per-step outcomes; empty when the run was
 	// configured with DiscardRecords.
 	Records []StepRecord
@@ -316,7 +300,6 @@ type Runner struct {
 	pointCap            float64
 	pointMoved          bool
 	episodeStart        time.Duration
-	episodeResizes      int
 	lastChangeEffective time.Duration
 	prevAlloc           cloud.Allocation
 	shifts              []MixShift // those still to take effect
@@ -336,21 +319,10 @@ type Runner struct {
 	parked, done bool
 }
 
-// NewRunner validates cfg, failing where Run would, and returns a
-// runner positioned at the first step.
-func NewRunner(cfg Config) (*Runner, error) {
-	r := new(Runner)
-	if err := r.Reset(cfg); err != nil {
-		return nil, err
-	}
-	return r, nil
-}
-
 // Reset validates cfg, failing where Run would, and positions r at the
 // first step of a new run over it, whatever r ran before — a finished
-// run, a parked one, or one that failed. What it leaves equals what
-// NewRunner builds for cfg, except that the observation and the episode
-// log keep their storage. Every run gets a Result of its own, so the
+// run, a parked one, one that failed, or none (a zero Runner). The
+// observation and the episode log keep their storage. Every run gets a Result of its own, so the
 // previous run's Result stays its caller's.
 func (r *Runner) Reset(cfg Config) error {
 	if cfg.Service == nil {
@@ -397,7 +369,7 @@ func (r *Runner) Reset(cfg Config) error {
 	*r = Runner{
 		cfg:                 cfg,
 		dep:                 *dep,
-		res:                 &Result{Controller: cfg.Controller.Name(), Service: cfg.Service.Name()},
+		res:                 &Result{Controller: cfg.Controller.Name()},
 		obs:                 obs,
 		episodes:            episodes,
 		episodeStart:        -1,       // no episode
@@ -458,20 +430,13 @@ func (r *Runner) Advance() (parked bool, err error) {
 	// Perf is a pure function of the operating point (mix, clients,
 	// capacity), and that point holds for a whole trace sample unless a
 	// mix shift, an interference change or a resize moves it. The loop
-	// re-evaluates it only on such a step and carries the un-penalised
-	// result across the rest. Re-evaluations go through the memo, which
-	// verifies the exact point on every hit — results are bit-identical
-	// to calling Perf every step (which is also why an injected shared
-	// memo cannot change them). A private memo lives for one Advance,
-	// on its stack; a run that parks starts the next one cold.
-	perfMemo := cfg.PerfMemo
-	if perfMemo == nil {
-		perfMemo = services.NewPerfMemo(cfg.Service)
-	}
+	// calls Perf only on such a step and carries the un-penalised
+	// result across the rest, so results are bit-identical to calling
+	// it every step.
 	point, pointCap, pointMoved := r.point, r.pointCap, r.pointMoved
 
 	// Episode tracking.
-	episodeStart, episodeResizes := r.episodeStart, r.episodeResizes
+	episodeStart := r.episodeStart
 	lastChangeEffective := r.lastChangeEffective
 	prevAlloc := r.prevAlloc
 
@@ -515,8 +480,10 @@ func (r *Runner) Advance() (parked bool, err error) {
 				pointMoved = true
 			}
 			if cfg.MixFn != nil {
-				w.Mix = cfg.MixFn(now)
-				pointMoved = true
+				if mix := cfg.MixFn(now); mix != w.Mix {
+					w.Mix = mix
+					pointMoved = true
+				}
 			}
 			if now >= nextSampleAt {
 				w.Clients = cfg.Trace.At(now)
@@ -557,7 +524,7 @@ func (r *Runner) Advance() (parked bool, err error) {
 			// dep.EffectiveCapacity(now) returns, without re-settling.
 			capacity := activeCap * (1 - interf)
 			if pointMoved || capacity != pointCap {
-				point = perfMemo.Perf(w, capacity)
+				point = cfg.Service.Perf(*w, capacity)
 				pointCap, pointMoved = capacity, false
 			}
 			perf := point
@@ -577,13 +544,10 @@ func (r *Runner) Advance() (parked bool, err error) {
 					res.Records = append(res.Records, StepRecord{})
 				}
 				rec := &res.Records[len(res.Records)-1]
-				rec.Now = now
 				rec.Clients = w.Clients
 				rec.LatencyMs = perf.LatencyMs
 				rec.QoSPercent = perf.QoSPercent
-				rec.Utilization = perf.Utilization
 				rec.Alloc = activeRef
-				rec.InTransition = inTransition
 				rec.SLOViolated = violated
 				rec.Interference = interf
 			}
@@ -601,7 +565,7 @@ func (r *Runner) Advance() (parked bool, err error) {
 			if err == ErrParked {
 				r.now, r.violations = now, violations
 				r.point, r.pointCap, r.pointMoved = point, pointCap, pointMoved
-				r.episodeStart, r.episodeResizes = episodeStart, episodeResizes
+				r.episodeStart = episodeStart
 				r.lastChangeEffective, r.prevAlloc = lastChangeEffective, prevAlloc
 				r.shifts = shifts
 				r.active, r.target, r.inTransition = active, target, inTransition
@@ -627,9 +591,7 @@ func (r *Runner) Advance() (parked bool, err error) {
 				res.Decisions++
 				if episodeStart < 0 {
 					episodeStart = now
-					episodeResizes = 0
 				}
-				episodeResizes++
 				// Refresh the snapshot: Apply may settle a previous change
 				// and always installs a new pending one.
 				active, target, inTransition = dep.Status(now)
@@ -641,11 +603,7 @@ func (r *Runner) Advance() (parked bool, err error) {
 		// snapshot answers the one-step-ahead peek the engine used to
 		// settle the deployment for).
 		if episodeStart >= 0 && !(inTransition && readyAt > now+cfg.Step) {
-			r.episodes = append(r.episodes, Episode{
-				StartOffset: episodeStart,
-				Duration:    now + cfg.Step - episodeStart,
-				Resizes:     episodeResizes,
-			})
+			r.episodes = append(r.episodes, Episode{Duration: now + cfg.Step - episodeStart})
 			episodeStart = -1
 		}
 
@@ -653,8 +611,8 @@ func (r *Runner) Advance() (parked bool, err error) {
 		// something above changes per step, every input of this step
 		// holds until the next event — a trace sample, a mix shift, a
 		// settle, the step that closes an open episode, the controller's
-		// wake — so those steps repeat this one with only Now moved and
-		// the controller asleep. Integer-valued float64 sums below 2⁵³
+		// wake — so those steps repeat this one's record with the
+		// controller asleep. Integer-valued float64 sums below 2⁵³
 		// are exact, so n·count adds what n separate adds would.
 		n = 1
 		if !(perMinute || snapMoved || stabilising || wakeOnViolation && violated) {
@@ -675,7 +633,6 @@ func (r *Runner) Advance() (parked bool, err error) {
 		if n > 1 && !cfg.DiscardRecords {
 			rec := res.Records[len(res.Records)-1]
 			for i := time.Duration(1); i < n; i++ {
-				rec.Now = now + i*cfg.Step
 				res.Records = append(res.Records, rec)
 			}
 		}

@@ -1,4 +1,8 @@
-package obs
+// Package testkit holds what tests and benchmarks share and no command
+// runs: the allocation-site report the allocation pins log when they
+// fail, and the synthetic signature sets the learn-phase tests and
+// benchmarks cluster. Only test code imports it.
+package testkit
 
 import (
 	"fmt"

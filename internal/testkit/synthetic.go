@@ -1,4 +1,4 @@
-package ml
+package testkit
 
 import (
 	"math/rand"

@@ -99,32 +99,9 @@ func (s *Samples) Resample(step time.Duration) (*Trace, error) {
 	return &Trace{Name: s.Name, Step: step, Loads: loads}, nil
 }
 
-// WriteCSV serializes the recording as "offset_hours,load" rows with
-// a header. Floats are written in shortest round-trip form so
-// ReadSamplesCSV reconstructs the exact recording (irregular offsets
-// included), unlike the fixed-precision Trace.WriteCSV plot format.
-func (s *Samples) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"offset_hours", "load"}); err != nil {
-		return err
-	}
-	for _, p := range s.Points {
-		row := []string{
-			strconv.FormatFloat(p.At.Hours(), 'g', -1, 64),
-			strconv.FormatFloat(p.Load, 'g', -1, 64),
-		}
-		if err := cw.Write(row); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
-// ReadSamplesCSV parses a recording previously written with
-// Samples.WriteCSV (or recorded externally in the same
-// "offset_hours,load" shape). Offsets may be irregular; they must be
-// strictly increasing.
+// ReadSamplesCSV parses a recording of "offset_hours,load" rows under
+// a header. Offsets may be irregular; they must be strictly
+// increasing.
 func ReadSamplesCSV(r io.Reader, name string) (*Samples, error) {
 	cr := csv.NewReader(r)
 	records, err := cr.ReadAll()

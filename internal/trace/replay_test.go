@@ -2,7 +2,10 @@ package trace
 
 import (
 	"bytes"
+	"encoding/csv"
+	"io"
 	"math/rand"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -43,12 +46,12 @@ func TestSamplesValidate(t *testing.T) {
 
 // TestSamplesCSVRoundTrip is the satellite requirement: a replayed
 // (not synthesized-regular) recording with irregular timestamps must
-// survive WriteCSV -> ReadSamplesCSV exactly — offsets and loads
+// survive writeCSV -> ReadSamplesCSV exactly — offsets and loads
 // bit-identical, because the writer uses shortest round-trip floats.
 func TestSamplesCSVRoundTrip(t *testing.T) {
 	orig := irregularRecording()
 	var buf bytes.Buffer
-	if err := orig.WriteCSV(&buf); err != nil {
+	if err := orig.writeCSV(&buf); err != nil {
 		t.Fatal(err)
 	}
 	back, err := ReadSamplesCSV(bytes.NewReader(buf.Bytes()), "rec")
@@ -74,7 +77,7 @@ func TestSynthClusterCSVRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := s.WriteCSV(&buf); err != nil {
+	if err := s.writeCSV(&buf); err != nil {
 		t.Fatal(err)
 	}
 	back, err := ReadSamplesCSV(bytes.NewReader(buf.Bytes()), "cluster")
@@ -205,4 +208,26 @@ func TestSynthClusterShape(t *testing.T) {
 			t.Fatalf("same seed diverged at sample %d", i)
 		}
 	}
+}
+
+// writeCSV serializes the recording as "offset_hours,load" rows with a
+// header. Floats are written in shortest round-trip form so
+// ReadSamplesCSV reconstructs the exact recording (irregular offsets
+// included).
+func (s *Samples) writeCSV(w io.Writer) error {
+	cw := csv.NewWriter(w)
+	if err := cw.Write([]string{"offset_hours", "load"}); err != nil {
+		return err
+	}
+	for _, p := range s.Points {
+		row := []string{
+			strconv.FormatFloat(p.At.Hours(), 'g', -1, 64),
+			strconv.FormatFloat(p.Load, 'g', -1, 64),
+		}
+		if err := cw.Write(row); err != nil {
+			return err
+		}
+	}
+	cw.Flush()
+	return cw.Error()
 }

@@ -4,7 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/obs"
+	"repro/internal/testkit"
 )
 
 // benchBatch builds the canonical 16×6 lookup batch (the serve
@@ -116,6 +116,6 @@ func TestBinaryCodecZeroAlloc(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(200, roundTrip); allocs != 0 {
 		t.Errorf("binary codec allocates %.1f times per batch round trip, want 0", allocs)
-		t.Log(obs.AllocSites(200, roundTrip))
+		t.Log(testkit.AllocSites(200, roundTrip))
 	}
 }

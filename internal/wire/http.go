@@ -45,14 +45,6 @@ type Backend interface {
 	Templates() ([]TemplateInfo, error)
 }
 
-// Route is one row of a plane's route table.
-type Route struct {
-	Method, Path string
-	// MaxBody is the largest request body the route reads; a larger
-	// one is answered 413. Zero means the route takes no body.
-	MaxBody int64
-}
-
 // Plane is the HTTP side of the admin protocol, written once for
 // dejavud and the decision front: the route table, the request policy
 // (one method per path; bounded bodies, rejected rather than
@@ -68,7 +60,6 @@ type Plane struct {
 	failStatus int
 	rejected   *atomic.Int64
 	mux        http.ServeMux
-	routes     []Route
 }
 
 // NewPlane assembles a plane serving GET /v1/trace and GET /metrics;
@@ -100,14 +91,10 @@ func NewPlane(component string, maxBody int64, failStatus int, rejected *atomic.
 
 func (p *Plane) ServeHTTP(w http.ResponseWriter, r *http.Request) { p.mux.ServeHTTP(w, r) }
 
-// Routes lists the registered rows in registration order.
-func (p *Plane) Routes() []Route { return p.routes }
-
 // Handle adds a row: h runs only for the named method (anything else is
 // 405 with Allow), and a read past a positive maxBody fails instead of
 // truncating.
 func (p *Plane) Handle(method, path string, maxBody int64, h http.HandlerFunc) {
-	p.routes = append(p.routes, Route{Method: method, Path: path, MaxBody: maxBody})
 	p.mux.HandleFunc(path, func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != method {
 			w.Header().Set("Allow", method)

@@ -7,7 +7,7 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/obs"
+	"repro/internal/testkit"
 )
 
 // pipeBuf is an in-memory ReadWriter: reads drain from R, writes land
@@ -321,7 +321,7 @@ func TestStreamZeroAllocSteadyState(t *testing.T) {
 		}
 		if allocs := testing.AllocsPerRun(200, roundTrip); allocs != 0 {
 			t.Errorf("%s envelope round trip allocates %.1f times, want 0", name, allocs)
-			t.Log(obs.AllocSites(200, roundTrip))
+			t.Log(testkit.AllocSites(200, roundTrip))
 		}
 	}
 }
