@@ -17,7 +17,8 @@ import (
 // chain of two; a command's main and init, and a var initialiser of a
 // package it links. Fields: one read, one only assigned and
 // incremented, one only added to through sync/atomic, one added to and
-// loaded, a tagged one, and a map key's. A test-support package's name
+// loaded, a pointer to a counter added to, a tagged one, and a map
+// key's. A test-support package's name
 // that a test calls and one nothing calls. A nested module's main and
 // the names it reaches: listed, not failed, and only the one it calls.
 func TestScanFixture(t *testing.T) {
@@ -38,8 +39,8 @@ func TestScanFixture(t *testing.T) {
 		"testdata/fixture/internal/a/a.go:46:17: fixture/internal/a.Square.scale: no command reaches it",
 		"testdata/fixture/internal/a/a.go:5:6: fixture/internal/a.Unused: no command reaches it",
 		"testdata/fixture/internal/a/a.go:9:6: fixture/internal/a.TestOnly: no command reaches it",
-		"testdata/fixture/internal/a/fields.go:30:6: fixture/internal/a.chainHead: no command reaches it",
-		"testdata/fixture/internal/a/fields.go:33:6: fixture/internal/a.chainTail: no command reaches it",
+		"testdata/fixture/internal/a/fields.go:32:6: fixture/internal/a.chainHead: no command reaches it",
+		"testdata/fixture/internal/a/fields.go:35:6: fixture/internal/a.chainTail: no command reaches it",
 		"testdata/fixture/internal/a/fields.go:8:2: fixture/internal/a.Tally.written: no command reads it",
 		"testdata/fixture/internal/a/fields.go:9:2: fixture/internal/a.Tally.hits: no command reads it",
 		"testdata/fixture/internal/d/d.go:8:6: fixture/internal/d.Orphan: no command reaches it",

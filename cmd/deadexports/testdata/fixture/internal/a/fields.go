@@ -4,11 +4,12 @@ import "sync/atomic"
 
 // Tally has one field per case of the read rule.
 type Tally struct {
-	read    int          // written and read by Record: live
-	written int          // assigned and incremented, never read
-	hits    atomic.Int64 // only added to, the result unused
-	loaded  atomic.Int64 // added to and loaded: live
-	Label   string       `json:"label"` // tagged: exempt
+	read    int           // written and read by Record: live
+	written int           // assigned and incremented, never read
+	hits    atomic.Int64  // only added to, the result unused
+	loaded  atomic.Int64  // added to and loaded: live
+	shared  *atomic.Int64 // read to reach the counter it points to: live
+	Label   string        `json:"label"` // tagged: exempt
 }
 
 // pair is a map key, so hashing reads its fields: exempt.
@@ -22,6 +23,7 @@ func Record(t *Tally) int {
 	t.written++
 	t.hits.Add(1)
 	t.loaded.Add(1)
+	t.shared.Add(1)
 	seen := map[pair]bool{{x: 1, y: 2}: true}
 	return t.read + int(t.loaded.Load()) + len(seen)
 }

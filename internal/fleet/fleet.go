@@ -389,7 +389,7 @@ func Run(cfg Config) (*Result, error) {
 // VM's learning-day trace; the per-group clustering fan-out gets an
 // even share of the workers so templates × restarts × candidate-k
 // together stay bounded by cfg.Workers. The groups come back sorted by
-// service name, with a digest of the per-group learning durations.
+// service name.
 func learnGroups(cfg *Config) ([]*group, error) {
 	if len(cfg.Specs) == 0 {
 		return nil, errors.New("fleet: no VMs")

@@ -15,10 +15,10 @@ import (
 // recomputing them: capacity planners re-solve the same network at
 // slowly growing populations every control interval.
 //
-// The fleet simulator itself plans with services.PerfMemo (its
-// services are closed-form); MemoSolver is the equivalent cache for
-// MVA-based analytical planners built on this package, exercised by
-// the memo tests and the BenchmarkMVAMemoized baseline.
+// The fleet simulator plans with its services' closed-form Perf and
+// no cache; MemoSolver, like services.PerfMemo, stays only for
+// benchmark/budget.go's timers (here queueing.mva_memo_ns), exercised
+// by the memo tests and the BenchmarkMVAMemoized baseline.
 //
 // A MemoSolver is owned by a single goroutine; share networks across
 // goroutines by giving each its own solver.

@@ -21,23 +21,21 @@ type perfCell struct {
 // demand-factor) cells. Each cell stores the exact operating point it
 // was computed for and is verified on every hit, so the memo returns
 // bit-identical results to calling Perf directly — it is a pure
-// performance cache, never an approximation. A worker shares one memo
-// across its template's VMs, so it pays only where a run comes back to
-// an exact operating point. On the system benchmark's fleet (10 000
-// workload-shift VMs, seed 42, one worker) it hits 149 of 292 725 calls,
-// 0.05 %, and its lastIdx short-circuit none: each VM's trace is scaled
-// to its own peak, so VMs rarely share a point.
+// performance cache, never an approximation. No command runs it: it
+// serves only benchmark/budget.go's services.perf_ns timer. The
+// simulator calls Service.Perf directly, because a memo shared per
+// worker and template hit 149 of 292 725 calls (0.05 %) on the system
+// benchmark's fleet (10 000 workload-shift VMs, seed 42, one worker):
+// each VM's trace is scaled to its own peak, so VMs rarely share a
+// point.
 //
-// A PerfMemo is owned by a single goroutine (one per simulation run).
+// A PerfMemo is owned by a single goroutine.
 type PerfMemo struct {
 	svc Service
 	// lastIdx short-circuits a repeat of the previous point: three float
-	// compares and a mix compare, no hashing. sim.Run carries an unmoved
-	// point across steps itself and only calls when it moved, so the
-	// repeats left are a point that moved and came back — interference
-	// flipping between two levels, a capacity restored after a resize —
-	// and callers that ask every step (the deprecated MixFn fallback, a
-	// minute-granular trace, benchmark/budget.go).
+	// compares and a mix compare, no hashing. benchmark/budget.go holds a
+	// load for 60 calls, as a trace sample holds it for 60 steps, so its
+	// timer reads mostly this path.
 	lastIdx int
 	cells   [perfMemoCells]perfCell
 }

@@ -129,9 +129,9 @@ type Config struct {
 	Records []StepRecord
 	// DiscardRecords drops the per-step records and keeps only the
 	// aggregates (Steps, SLOViolationFraction, TotalCost, Episodes,
-	// mean allocation). The 100k-VM scale benchmarks use it: at ~88
-	// bytes per step record a fleet of that size would need >10 GB of
-	// record memory for output nobody reads. Every aggregate is
+	// mean allocation). The 100k-VM scale benchmarks use it: at 48
+	// bytes per step record a fleet of that size would need ~7 GB of
+	// record memory a day for output nobody reads. Every aggregate is
 	// accumulated from exactly the values the records would have held,
 	// so a discarding run and a recording run agree bit-for-bit on
 	// everything but Records itself.
@@ -537,7 +537,7 @@ func (r *Runner) Advance() (parked bool, err error) {
 			violated = !slo.Met(perf)
 			if !cfg.DiscardRecords {
 				// Write the record into the preallocated slice in place; a
-				// build-then-append would copy the ~140-byte struct twice.
+				// build-then-append would copy the 48-byte struct twice.
 				if len(res.Records) < cap(res.Records) {
 					res.Records = res.Records[:len(res.Records)+1]
 				} else { // undersized caller-provided buffer
