@@ -2,9 +2,10 @@
 // func, method, var, const or struct field under internal/ that no
 // command reaches. It type-checks every package, tests included, of the
 // module at the root and of each one nested below it, and walks
-// references from the roots: every main and init, every package-level
-// var initialiser, every method that implements a named interface the
-// scan sees, and the names in allow.txt with a reason each.
+// references from the roots: every main and init, and of each package
+// a main links every var initialiser and every method that implements a
+// named interface the scan sees; and the names in allow.txt, each with
+// a reason.
 //
 // A func, method, var or const is live when a live body references it,
 // a field when a live body reads it. An assignment's left side, ++ and
@@ -13,8 +14,8 @@
 // and tagged fields are exempt, and so are the fields of a struct that
 // production code compares with == or != or uses as a map key.
 //
-// Tests are no caller, except in a test-support package, which no
-// non-test code imports. What only a nested module's main reaches
+// Tests are no caller, except in a test-support package, which only
+// other packages' tests link. What only a nested module's main reaches
 // (benchmark/) is listed on stdout and does not fail. An allow.txt
 // entry that names no finding is itself a finding.
 package main
@@ -57,8 +58,8 @@ func (f importerFunc) Import(path string) (*types.Package, error) { return f(pat
 
 // The root sets, in the order the walk adds them: a command of the
 // scanned module (with every var initialiser and interface method of
-// the packages it can link), allow.txt, a nested module's main, and the
-// tests. A declaration's level is the first set that reaches it.
+// the packages it links), allow.txt, a nested module's main (likewise),
+// and the tests. A declaration's level is the first set that reaches it.
 const (
 	unreached = iota
 	command
@@ -215,6 +216,7 @@ func scan(root string, allow map[string]string) (findings, nestedOnly []string, 
 	std := importer.ForCompiler(fset, "gc", nil)
 	g := &graph{fset: fset, dirs: map[string]string{}, edges: map[string][]string{}, writes: map[string][]string{}, exempt: map[string]bool{}}
 	base := map[string]*types.Package{} // the variant without tests, which every other package imports
+	bps := map[string]*build.Package{}  // import path → its files, for every scanned package with Go files
 	pkgLevel := map[string]int{}        // import path → the level of its roots
 	conf := types.Config{}
 	// check type-checks one variant of a package and adds the references
@@ -236,16 +238,14 @@ func scan(root string, allow map[string]string) (findings, nestedOnly []string, 
 		return p, err
 	}
 	conf.Importer = importerFunc(func(path string) (*types.Package, error) {
-		if g.dirs[path] == "" {
+		if bps[path] == nil {
 			return std.Import(path)
 		} else if p, ok := base[path]; ok {
 			return p, nil
 		}
-		bp, err := build.ImportDir(g.dirs[path], 0)
-		if err == nil {
-			base[path], err = check(path, bp.Dir, bp.GoFiles, 0)
-		}
-		return base[path], err
+		p, err := check(path, bps[path].Dir, bps[path].GoFiles, 0)
+		base[path] = p
+		return p, err
 	})
 
 	mods := map[string][2]string{} // directory → its module's root directory and path
@@ -270,27 +270,36 @@ func scan(root string, allow map[string]string) (findings, nestedOnly []string, 
 	if err != nil {
 		return nil, nil, err
 	}
-	// A package's level: nested when its module is not the root's, tests
-	// when no non-test code imports it and it is no command, else command.
-	bps, imported := map[string]*build.Package{}, map[string]bool{}
+	// A package's level is that of the first root set whose import
+	// closure holds it: the scanned module's mains (command), a nested
+	// module's mains (nested), other packages' tests (tests). A package
+	// none of them links has no roots, and its own tests are no caller.
 	for path, dir := range g.dirs {
-		bp, err := build.ImportDir(dir, 0)
-		if _, noGo := err.(*build.NoGoError); noGo {
-			continue
-		} else if err != nil {
+		if bp, err := build.ImportDir(dir, 0); err == nil {
+			bps[path] = bp
+		} else if _, noGo := err.(*build.NoGoError); !noGo {
 			return nil, nil, err
 		}
-		bps[path] = bp
-		for _, imp := range bp.Imports {
-			imported[imp] = true
+	}
+	var link func(path string, l int)
+	link = func(path string, l int) {
+		if bp := bps[path]; bp != nil && pkgLevel[path] == unreached {
+			pkgLevel[path] = l
+			for _, imp := range bp.Imports {
+				link(imp, l)
+			}
 		}
 	}
-	for path, bp := range bps {
-		pkgLevel[path] = command
-		if mods[bp.Dir][0] != mods[root][0] {
-			pkgLevel[path] = nested
-		} else if !imported[path] && bp.Name != "main" {
-			pkgLevel[path] = tests
+	for _, l := range []int{command, nested, tests} {
+		for path, bp := range bps {
+			if l != tests && bp.Name == "main" && (mods[bp.Dir][0] != mods[root][0]) == (l == nested) {
+				link(path, l)
+			}
+			for _, imp := range append(bp.TestImports[:len(bp.TestImports):len(bp.TestImports)], bp.XTestImports...) {
+				if l == tests && imp != path {
+					link(imp, l)
+				}
+			}
 		}
 	}
 	for path, bp := range bps {
@@ -331,6 +340,9 @@ func scan(root string, allow map[string]string) (findings, nestedOnly []string, 
 			if k := g.key(obj); judged && k != "" {
 				cands = append(cands, candidate{path, path + "." + name, k, field})
 				byName[path+"."+name], own[k] = k, true
+				if allow[path+"."+name] != "" {
+					g.roots[allowed] = append(g.roots[allowed], k)
+				}
 			}
 		}
 		for _, name := range p.Scope().Names() {
@@ -364,38 +376,25 @@ func scan(root string, allow map[string]string) (findings, nestedOnly []string, 
 			}
 		}
 	}
-	for name := range allow {
-		if k := byName[name]; k != "" {
-			g.roots[allowed] = append(g.roots[allowed], k)
-		}
-	}
 
 	// Walk each root set in turn; a declaration keeps the first level that
 	// reaches it. A field that only code a nested module reaches writes
 	// leaves with that code, so the nested walk follows writes too.
-	level, stack := map[string]int{}, []string(nil)
+	level := map[string]int{}
 	for l := command; l <= tests; l++ {
-		for _, k := range append(g.roots[l], rootKey(l)) {
-			if level[k] == unreached {
-				level[k], stack = l, append(stack, k)
-			}
-		}
-		for len(stack) > 0 {
+		for stack := append([]string{rootKey(l)}, g.roots[l]...); len(stack) > 0; {
 			k := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			next := g.edges[k]
-			if l == nested {
-				next = append(next[:len(next):len(next)], g.writes[k]...)
-			}
-			for _, to := range next {
-				if level[to] == unreached {
-					level[to], stack = l, append(stack, to)
+			if stack = stack[:len(stack)-1]; level[k] == unreached {
+				level[k], stack = l, append(stack, g.edges[k]...)
+				if l == nested {
+					stack = append(stack, g.writes[k]...)
 				}
 			}
 		}
 	}
-	// Of what only a nested module reaches, list the names its own code
-	// uses; the rest is reached through them.
+	// Of what only a nested module reaches, list the names its own code,
+	// or a var initialiser of a package only it links, uses; the rest is
+	// reached through them.
 	direct := map[string]bool{}
 	for from, tos := range g.edges {
 		for _, to := range tos {
@@ -409,10 +408,8 @@ func scan(root string, allow map[string]string) (findings, nestedOnly []string, 
 			if direct[c.key] {
 				nestedOnly = append(nestedOnly, c.name)
 			}
-		case c.field:
-			findings = append(findings, fmt.Sprintf("%s: %s: no command reads it", c.key, c.name))
 		default:
-			findings = append(findings, fmt.Sprintf("%s: %s: no command reaches it", c.key, c.name))
+			findings = append(findings, fmt.Sprintf("%s: %s: no command %s it", c.key, c.name, map[bool]string{false: "reaches", true: "reads"}[c.field]))
 		}
 	}
 	for name := range allow {

@@ -18,9 +18,11 @@ import (
 // package it links. Fields: one read, one only assigned and
 // incremented, one only added to through sync/atomic, one added to and
 // loaded, a pointer to a counter added to, a tagged one, and a map
-// key's. A test-support package's name
-// that a test calls and one nothing calls. A nested module's main and
-// the names it reaches: listed, not failed, and only the one it calls.
+// key's. Packages: a test-support package's name that a test calls and
+// one nothing calls, and a package nothing imports, whose own test
+// calls its name. A nested module's main and the names it reaches:
+// listed, not failed, and only the ones it calls, or a var initialiser
+// of a package only it links calls (not a command root).
 func TestScanFixture(t *testing.T) {
 	allow := map[string]string{
 		"fixture/internal/a.Square.Diagonal": "kept on purpose",
@@ -44,11 +46,12 @@ func TestScanFixture(t *testing.T) {
 		"testdata/fixture/internal/a/fields.go:8:2: fixture/internal/a.Tally.written: no command reads it",
 		"testdata/fixture/internal/a/fields.go:9:2: fixture/internal/a.Tally.hits: no command reads it",
 		"testdata/fixture/internal/d/d.go:8:6: fixture/internal/d.Orphan: no command reaches it",
+		"testdata/fixture/internal/e/e.go:5:6: fixture/internal/e.Lonely: no command reaches it",
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("findings:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
-	if want := []string{"fixture/internal/a.BenchOnly"}; !reflect.DeepEqual(nested, want) {
+	if want := []string{"fixture/internal/a.BenchOnly", "fixture/internal/f.Value", "fixture/internal/f.start"}; !reflect.DeepEqual(nested, want) {
 		t.Errorf("reached only from a nested module: %v, want %v", nested, want)
 	}
 }

@@ -2,6 +2,9 @@
 // benchmark/.
 package main
 
-import "fixture/internal/a"
+import (
+	"fixture/internal/a"
+	"fixture/internal/f"
+)
 
-func main() { _ = a.BenchOnly() }
+func main() { _ = a.BenchOnly() + f.Value() }

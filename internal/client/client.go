@@ -206,6 +206,10 @@ func New(cfg Config) (*Client, error) {
 	return c, nil
 }
 
+// Spans exposes the client's trace ring: the root spans of sampled
+// decisions (nil unless Config.TraceEvery is set).
+func (c *Client) Spans() *obs.SpanRing { return c.spans }
+
 // Close drops the idle pools and wakes any retry sleeping in backoff.
 // In-flight requests finish on their own connections.
 func (c *Client) Close() {

@@ -43,9 +43,6 @@ func goldenCompare(t *testing.T, name string) {
 	t.Fatalf("no figure %q", name)
 }
 
-// pinnedByName are the goldens that have a test of their own.
-var pinnedByName = map[string]bool{"6": true, "8": true, "scenarios": true}
-
 func TestFigure6GoldenFixedSeed(t *testing.T) { goldenCompare(t, "6") }
 
 func TestFigure8GoldenFixedSeed(t *testing.T) { goldenCompare(t, "8") }
@@ -57,10 +54,11 @@ func TestFigure8GoldenFixedSeed(t *testing.T) { goldenCompare(t, "8") }
 // scheduling.
 func TestScenarioSweepGoldenFixedSeed(t *testing.T) { goldenCompare(t, "scenarios") }
 
-// TestGoldenFixedSeed pins every other output with a golden.
+// TestGoldenFixedSeed pins every output with a golden, the three above
+// included.
 func TestGoldenFixedSeed(t *testing.T) {
 	for _, f := range Figures {
-		if f.Golden != "" && !pinnedByName[f.Name] {
+		if f.Golden != "" {
 			t.Run(f.Name, func(t *testing.T) { goldenCompare(t, f.Name) })
 		}
 	}

@@ -7,8 +7,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
-	"path/filepath"
-	"regexp"
 	"sort"
 	"strings"
 	"testing"
@@ -25,6 +23,7 @@ import (
 type adminTarget struct {
 	name     string
 	url      string
+	handler  http.Handler
 	replicas []*server.Server
 }
 
@@ -58,7 +57,7 @@ func startTier(t testing.TB, n int) (*DecisionFront, adminTarget) {
 	t.Cleanup(front.Close)
 	fs := httptest.NewServer(front.Handler())
 	t.Cleanup(fs.Close)
-	tgt.url = fs.URL
+	tgt.url, tgt.handler = fs.URL, front.Handler()
 	return front, tgt
 }
 
@@ -73,7 +72,7 @@ func adminTargets(t testing.TB) []adminTarget {
 	hs := httptest.NewServer(s.Handler())
 	t.Cleanup(hs.Close)
 	_, tier := startTier(t, 1)
-	return []adminTarget{{name: "dejavud", url: hs.URL, replicas: []*server.Server{s}}, tier}
+	return []adminTarget{{name: "dejavud", url: hs.URL, handler: s.Handler(), replicas: []*server.Server{s}}, tier}
 }
 
 // do sends one request and returns the status, headers and body.
@@ -261,67 +260,23 @@ func TestAdminBodyLimits(t *testing.T) {
 	}
 }
 
-// routeRow is one row of a handler's route table: a path and the one
-// method it takes.
-type routeRow struct{ method, path string }
-
-// servedRoutes reads a handler's route table off the handler itself.
-// Every route is registered under a path literal of the wire, server or
-// proxy sources; of those, the handler serves the ones it answers a
-// DELETE, a method no row takes, with 405, and the row takes the method
-// the Allow header names.
-func servedRoutes(t *testing.T, tgt adminTarget) []routeRow {
-	t.Helper()
-	paths := map[string]bool{}
-	literal := regexp.MustCompile(`"(/v1/[a-z]+|/metrics)"`)
-	for _, dir := range []string{"../wire", "../server", "."} {
-		files, err := filepath.Glob(filepath.Join(dir, "*.go"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, f := range files {
-			if strings.HasSuffix(f, "_test.go") {
-				continue
-			}
-			src, err := os.ReadFile(f)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, m := range literal.FindAllStringSubmatch(string(src), -1) {
-				paths[m[1]] = true
-			}
-		}
-	}
-	var rows []routeRow
-	for path := range paths {
-		switch status, hdr, body := do(t, "DELETE", tgt.url+path, "", nil); status {
-		case http.StatusMethodNotAllowed:
-			rows = append(rows, routeRow{hdr.Get("Allow"), path})
-		case http.StatusNotFound:
-		default:
-			t.Errorf("%s: DELETE %s: %d %s, want 405 or 404", tgt.name, path, status, body)
-		}
-	}
-	sort.Slice(rows, func(i, j int) bool { return rows[i].path < rows[j].path })
-	if len(rows) < 10 {
-		t.Fatalf("%s: route table has %d rows", tgt.name, len(rows))
-	}
-	return rows
-}
-
 // TestAdminMethodGuard sends every route of both handlers every wrong
 // method: each row of the table takes exactly one, and anything else is
 // 405 with Allow naming it and the JSON error reply.
 func TestAdminMethodGuard(t *testing.T) {
 	for _, tgt := range adminTargets(t) {
-		for _, rt := range servedRoutes(t, tgt) {
+		plane := tgt.handler.(*wire.Plane)
+		if len(plane.Routes()) < 10 {
+			t.Fatalf("%s: route table has %d rows", tgt.name, len(plane.Routes()))
+		}
+		for path, want := range plane.Routes() {
 			for _, method := range []string{"GET", "POST", "PUT", "DELETE"} {
-				if method == rt.method {
+				if method == want {
 					continue
 				}
-				status, hdr, body := do(t, method, tgt.url+rt.path, "", nil)
-				if status != http.StatusMethodNotAllowed || hdr.Get("Allow") != rt.method || docFields(t, body) != errorFields {
-					t.Errorf("%s: %s %s: %d Allow=%q %s, want 405 Allow=%s", tgt.name, method, rt.path, status, hdr.Get("Allow"), body, rt.method)
+				status, hdr, body := do(t, method, tgt.url+path, "", nil)
+				if status != http.StatusMethodNotAllowed || hdr.Get("Allow") != want || docFields(t, body) != errorFields {
+					t.Errorf("%s: %s %s: %d Allow=%q %s, want 405 Allow=%s", tgt.name, method, path, status, hdr.Get("Allow"), body, want)
 				}
 			}
 		}
@@ -396,15 +351,15 @@ func TestEndpointTableListsEveryRoute(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, tgt := range adminTargets(t) {
-		for _, rt := range servedRoutes(t, tgt) {
+		for path, method := range tgt.handler.(*wire.Plane).Routes() {
 			found := false
 			for _, line := range strings.Split(string(doc), "\n") {
-				if strings.HasPrefix(line, "| `") && strings.Contains(line, "`"+rt.path) && strings.Contains(line, "| "+rt.method+" |") {
+				if strings.HasPrefix(line, "| `") && strings.Contains(line, "`"+path) && strings.Contains(line, "| "+method+" |") {
 					found = true
 				}
 			}
 			if !found {
-				t.Errorf("%s serves %s %s, which the endpoint table does not list", tgt.name, rt.method, rt.path)
+				t.Errorf("%s serves %s %s, which the endpoint table does not list", tgt.name, method, path)
 			}
 		}
 	}

@@ -194,21 +194,34 @@ func TestTraceStitchedAcrossTiers(t *testing.T) {
 		t.Fatalf("results: %+v", resp.Results)
 	}
 
-	// Front ring: the front hop, whose parent is the client's sampled
-	// root (client's own tests check that span), and (same ring) the
-	// registry hop.
+	// Client hop: the sampled root span.
+	clientSpans := cl.Spans().Spans()
+	if len(clientSpans) != 1 {
+		t.Fatalf("client recorded %d spans, want 1", len(clientSpans))
+	}
+	root := clientSpans[0]
+	if root.Component != "client" || root.Op != "lookup" || root.Parent != 0 || root.Trace == 0 {
+		t.Fatalf("client root span: %+v", root)
+	}
+	trace := root.Trace
+
+	// Front ring: the front hop and (same ring) the registry hop.
 	byComponent := map[string]obs.Span{}
 	for _, sp := range front.plane.Spans.Spans() {
-		byComponent[sp.Component] = sp
+		if sp.Trace == trace {
+			byComponent[sp.Component] = sp
+		}
 	}
 	frontSpan, ok := byComponent["front"]
-	if !ok || frontSpan.Trace == 0 || frontSpan.Parent == 0 {
-		t.Fatalf("front ring has no front span under a client root: %+v", byComponent)
+	if !ok {
+		t.Fatalf("front ring has no front span for trace %v: %+v", trace, byComponent)
 	}
-	trace := frontSpan.Trace
 	regSpan, ok := byComponent["registry"]
-	if !ok || regSpan.Trace != trace {
-		t.Fatalf("front ring has no registry span for trace %v: %+v", trace, byComponent)
+	if !ok {
+		t.Fatalf("front ring has no registry span for trace %v", trace)
+	}
+	if frontSpan.Parent != root.ID {
+		t.Errorf("front span parent %v, want client span %v", frontSpan.Parent, root.ID)
 	}
 	if regSpan.Parent != frontSpan.ID {
 		t.Errorf("registry span parent %v, want front span %v", regSpan.Parent, frontSpan.ID)
@@ -253,14 +266,14 @@ func TestTraceStitchedAcrossTiers(t *testing.T) {
 
 	// Spans measure real time: every hop's duration is positive and no
 	// child started before its parent.
-	for _, sp := range []obs.Span{frontSpan, regSpan, *leaf} {
+	for _, sp := range []obs.Span{root, frontSpan, regSpan, *leaf} {
 		if sp.DurationNS <= 0 {
 			t.Errorf("%s span has non-positive duration %d", sp.Component, sp.DurationNS)
 		}
 	}
-	if regSpan.Start < frontSpan.Start || leaf.Start < regSpan.Start {
-		t.Errorf("span starts out of order: front %d registry %d dejavud %d",
-			frontSpan.Start, regSpan.Start, leaf.Start)
+	if frontSpan.Start < root.Start || regSpan.Start < frontSpan.Start || leaf.Start < regSpan.Start {
+		t.Errorf("span starts out of order: client %d front %d registry %d dejavud %d",
+			root.Start, frontSpan.Start, regSpan.Start, leaf.Start)
 	}
 }
 

@@ -60,6 +60,7 @@ type Plane struct {
 	failStatus int
 	rejected   *atomic.Int64
 	mux        http.ServeMux
+	routes     map[string]string // path → the one method it takes
 }
 
 // NewPlane assembles a plane serving GET /v1/trace and GET /metrics;
@@ -77,6 +78,7 @@ func NewPlane(component string, maxBody int64, failStatus int, rejected *atomic.
 		maxBody:    maxBody,
 		failStatus: failStatus,
 		rejected:   rejected,
+		routes:     map[string]string{},
 	}
 	p.Handle(http.MethodGet, "/v1/trace", 0, func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
@@ -91,10 +93,14 @@ func NewPlane(component string, maxBody int64, failStatus int, rejected *atomic.
 
 func (p *Plane) ServeHTTP(w http.ResponseWriter, r *http.Request) { p.mux.ServeHTTP(w, r) }
 
+// Routes maps each registered path to the one method it takes.
+func (p *Plane) Routes() map[string]string { return p.routes }
+
 // Handle adds a row: h runs only for the named method (anything else is
 // 405 with Allow), and a read past a positive maxBody fails instead of
 // truncating.
 func (p *Plane) Handle(method, path string, maxBody int64, h http.HandlerFunc) {
+	p.routes[path] = method
 	p.mux.HandleFunc(path, func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != method {
 			w.Header().Set("Allow", method)
