@@ -1,8 +1,10 @@
 package sim
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -165,6 +167,50 @@ func TestScenarioFlashCrowdShape(t *testing.T) {
 				t.Errorf("vm %d missed the fleet-wide spike at hour %d", i, h)
 			}
 		}
+	}
+}
+
+// TestScenarioWindowsDoNotAlias: every VM's windows are carved out of
+// one fleet-wide arena, each with its capacity cut at its length, so
+// appending to one VM's learning day or run window moves it instead of
+// overwriting its neighbour's samples; and the flash crowd's in-place
+// spike scales each VM's own run window once and nothing else.
+func TestScenarioWindowsDoNotAlias(t *testing.T) {
+	specs := genKind(t, KindBaseline, 42, 5, false)
+	want := genKind(t, KindBaseline, 42, 5, false)
+	for i := range specs {
+		specs[i].LearnTrace.Loads = append(specs[i].LearnTrace.Loads, -1)
+		specs[i].RunTrace.Loads = append(specs[i].RunTrace.Loads, -1)
+		for j := range specs {
+			if !reflect.DeepEqual(specs[j].LearnTrace.Loads[:24], want[j].LearnTrace.Loads) ||
+				!reflect.DeepEqual(specs[j].RunTrace.Loads[:24], want[j].RunTrace.Loads) {
+				t.Fatalf("appending to vm %d's windows changed vm %d's samples", i, j)
+			}
+		}
+	}
+
+	crowd := genKind(t, KindFlashCrowd, 42, 5, false)
+	ratios := map[int]float64{}
+	for i := range crowd {
+		if !reflect.DeepEqual(crowd[i].LearnTrace.Loads, want[i].LearnTrace.Loads) {
+			t.Errorf("vm %d: the flash crowd changed the learning day", i)
+		}
+		for h, c := range crowd[i].RunTrace.Loads {
+			b := want[i].RunTrace.Loads[h]
+			if c == b {
+				continue
+			}
+			r, seen := ratios[h]
+			if !seen {
+				r, ratios[h] = c/b, c/b
+			}
+			if math.Abs(c/b-r) > 1e-9*r {
+				t.Errorf("vm %d hour %d: spiked %.4fx, vm 0 %.4fx", i, h, c/b, r)
+			}
+		}
+	}
+	if len(ratios) == 0 {
+		t.Fatal("flash crowd spiked no hour")
 	}
 }
 
@@ -347,4 +393,35 @@ func TestGenerateScenarioSharesServicePerTemplate(t *testing.T) {
 			}
 		}
 	}
+}
+
+// benchScenarioVMs is the fleet BenchmarkGenerateScenario and
+// TestGenerateScenarioAllocs generate: the benchmark's 10 000-VM
+// workload-shift fleet.
+const benchScenarioVMs = 10000
+
+func benchScenario(tb testing.TB) {
+	if _, err := GenerateScenario(ScenarioConfig{
+		Rng:  rand.New(rand.NewSource(42)),
+		Kind: KindWorkloadShift,
+		VMs:  benchScenarioVMs,
+		Days: 1,
+	}); err != nil {
+		tb.Fatal(err)
+	}
+}
+
+// BenchmarkGenerateScenario generates the 10 000-VM workload-shift
+// fleet; ns/VM and allocs/VM are per generated VM.
+func BenchmarkGenerateScenario(b *testing.B) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchScenario(b)
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*benchScenarioVMs), "ns/VM")
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(b.N*benchScenarioVMs), "allocs/VM")
 }

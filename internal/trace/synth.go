@@ -77,11 +77,43 @@ type SynthConfig struct {
 // real traces do.
 const jitter = 0.03
 
-func synthWeek(name string, weekday, weekend [24]float64, cfg SynthConfig) *Trace {
+// Week selects one of the synthetic MSN weeks.
+type Week int
+
+const (
+	// MessengerWeek is the Windows Live Messenger week.
+	MessengerWeek Week = iota
+	// HotMailWeek is the HotMail week, including the unforeseen surge
+	// at day 3 (zero-based) hour 20 (paper §4.1: "during the 4th day, DejaVu could not
+	// classify one workload with the desired confidence, as it differs
+	// significantly from the previously defined workload classes").
+	HotMailWeek
+)
+
+// Name is the name of the week's trace.
+func (w Week) Name() string {
+	if w == HotMailWeek {
+		return "hotmail"
+	}
+	return "messenger"
+}
+
+// Fill writes the week's raw hourly samples — before Normalize — over
+// buf, reusing its capacity, and returns them. A caller that
+// synthesizes many weeks passes the previous result back in and
+// allocates once.
+func (w Week) Fill(buf []float64, cfg SynthConfig) []float64 {
 	if cfg.Days <= 0 {
 		cfg.Days = 7
 	}
-	loads := make([]float64, 0, cfg.Days*24)
+	weekday, weekend := &messengerDayShape, &messengerWeekendShape
+	if w == HotMailWeek {
+		weekday, weekend = &hotmailDayShape, &hotmailWeekendShape
+	}
+	loads := buf[:0]
+	if cap(loads) < cfg.Days*24 {
+		loads = make([]float64, 0, cfg.Days*24)
+	}
 	for day := 0; day < cfg.Days; day++ {
 		shape := weekday
 		if dow := day % 7; dow == 5 || dow == 6 {
@@ -92,7 +124,7 @@ func synthWeek(name string, weekday, weekend [24]float64, cfg SynthConfig) *Trac
 			shift = cfg.Rng.Intn(5) - 2
 		}
 		for hour := 0; hour < 24; hour++ {
-			v := shape[((hour+shift)%24+24)%24]
+			v := shape[(hour+shift+24)%24] // shift is in [-2, 2]
 			if cfg.Rng != nil {
 				v *= 1 + cfg.Rng.NormFloat64()*jitter
 			}
@@ -102,38 +134,32 @@ func synthWeek(name string, weekday, weekend [24]float64, cfg SynthConfig) *Trac
 			loads = append(loads, v)
 		}
 	}
-	return &Trace{Name: name, Step: time.Hour, Loads: loads}
-}
-
-// Messenger synthesizes the week-long Windows Live Messenger trace.
-func Messenger(cfg SynthConfig) *Trace {
-	t := synthWeek("messenger", messengerDayShape, messengerWeekendShape, cfg)
-	t.Normalize()
-	return t
-}
-
-// HotMail synthesizes the week-long HotMail trace, including the
-// unforeseen surge on day 4 (paper §4.1: "during the 4th day, DejaVu
-// could not classify one workload with the desired confidence, as it
-// differs significantly from the previously defined workload classes").
-// The surge is placed at day 3 (zero-based) hour 20 and pushes the load
-// well above anything in the learning day.
-func HotMail(cfg SynthConfig) *Trace {
-	t := synthWeek("hotmail", hotmailDayShape, hotmailWeekendShape, cfg)
-	if len(t.Loads) >= 4*24 {
+	if w == HotMailWeek && len(loads) >= 4*24 {
 		// The raw hotmail shape tops out near 78, so placing the
 		// surge at 100 before normalizing makes it the global peak:
 		// regular days sit near 78% of peak while the surge hits
 		// 100%, well beyond anything the learning day (day 0) saw.
 		surgeHour := 3*24 + 20
-		t.Loads[surgeHour] = 100
-		if surgeHour+1 < len(t.Loads) {
-			t.Loads[surgeHour+1] = 96
+		loads[surgeHour] = 100
+		if surgeHour+1 < len(loads) {
+			loads[surgeHour+1] = 96
 		}
 	}
+	return loads
+}
+
+// trace returns the week normalised to peak 100.
+func (w Week) trace(cfg SynthConfig) *Trace {
+	t := &Trace{Name: w.Name(), Step: time.Hour, Loads: w.Fill(nil, cfg)}
 	t.Normalize()
 	return t
 }
+
+// Messenger synthesizes the week-long Windows Live Messenger trace.
+func Messenger(cfg SynthConfig) *Trace { return MessengerWeek.trace(cfg) }
+
+// HotMail synthesizes the week-long HotMail trace (HotMailWeek).
+func HotMail(cfg SynthConfig) *Trace { return HotMailWeek.trace(cfg) }
 
 // Sine generates the sinusoidal load of Figure 1: the workload volume
 // varies "according to a sine-wave" to approximate diurnal variation,

@@ -104,19 +104,6 @@ func (t *Trace) Slice(from, to int) (*Trace, error) {
 	}, nil
 }
 
-// View is Slice without the copy: the returned trace's Loads alias the
-// receiver's backing array. Use it when the window's lifetime is tied
-// to the parent trace and neither side mutates samples the other
-// reads — the fleet scenario generator carves each VM's learning and
-// run windows out of one synthesized week this way, which at 100k VMs
-// saves a week-sized copy (plus a day-sized one) per VM.
-func (t *Trace) View(from, to int) (*Trace, error) {
-	if from < 0 || to > len(t.Loads) || from >= to {
-		return nil, fmt.Errorf("trace: invalid view [%d, %d) of %d samples", from, to, len(t.Loads))
-	}
-	return &Trace{Name: t.Name, Step: t.Step, Loads: t.Loads[from:to:to]}, nil
-}
-
 // Day returns the 24-hour sub-trace for the given zero-based day of an
 // hourly trace.
 func (t *Trace) Day(day int) (*Trace, error) {

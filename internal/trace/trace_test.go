@@ -229,38 +229,6 @@ func TestSine(t *testing.T) {
 	}
 }
 
-func TestSteps(t *testing.T) {
-	tr := stepTrace([]float64{10, 20}, 3*time.Minute, time.Minute)
-	want := []float64{10, 10, 10, 20, 20, 20}
-	if tr.Len() != len(want) {
-		t.Fatalf("len=%d want %d", tr.Len(), len(want))
-	}
-	for i := range want {
-		if tr.Loads[i] != want[i] {
-			t.Errorf("Loads[%d]=%v want %v", i, tr.Loads[i], want[i])
-		}
-	}
-	if bad := stepTrace([]float64{1}, time.Second, time.Minute); bad.Len() != 0 {
-		t.Error("dwell < step should give empty trace")
-	}
-}
-
-func TestSpike(t *testing.T) {
-	tr := spikeTrace(10, 90, 10, 4, 2, time.Minute)
-	if tr.Len() != 10 {
-		t.Fatalf("len=%d", tr.Len())
-	}
-	for i, l := range tr.Loads {
-		want := 10.0
-		if i == 4 || i == 5 {
-			want = 90
-		}
-		if l != want {
-			t.Errorf("Loads[%d]=%v want %v", i, l, want)
-		}
-	}
-}
-
 func TestCSVRoundTrip(t *testing.T) {
 	tr := Messenger(SynthConfig{Days: 2, Rng: rand.New(rand.NewSource(3))})
 	var buf bytes.Buffer
@@ -367,35 +335,6 @@ func readCSV(r io.Reader, name string) (*Trace, error) {
 		}
 	}
 	return &Trace{Name: name, Step: step, Loads: loads}, nil
-}
-
-// stepTrace generates a piecewise-constant trace: each level is held for
-// dwell. Useful for controlled tuning experiments.
-func stepTrace(levels []float64, dwell, step time.Duration) *Trace {
-	if step <= 0 || dwell < step {
-		return &Trace{Name: "steps", Step: time.Minute}
-	}
-	perLevel := int(dwell / step)
-	loads := make([]float64, 0, len(levels)*perLevel)
-	for _, lv := range levels {
-		for i := 0; i < perLevel; i++ {
-			loads = append(loads, lv)
-		}
-	}
-	return &Trace{Name: "steps", Step: step, Loads: loads}
-}
-
-// spikeTrace returns a flat trace at base with a single spike of the given
-// height and width (in samples) starting at the given sample index.
-func spikeTrace(base, height float64, n, at, width int, step time.Duration) *Trace {
-	loads := make([]float64, n)
-	for i := range loads {
-		loads[i] = base
-		if i >= at && i < at+width {
-			loads[i] = height
-		}
-	}
-	return &Trace{Name: "spike", Step: step, Loads: loads}
 }
 
 // validate checks structural invariants: positive step, at least one
