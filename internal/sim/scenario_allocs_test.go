@@ -17,7 +17,6 @@ import (
 // names of the whole fleet live in a few fleet-wide slices; what is
 // left per VM is the deprecated MixFn closure.
 func TestGenerateScenarioAllocs(t *testing.T) {
-	benchScenario(t) // warm the services' one-time setup
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	benchScenario(t)

@@ -84,9 +84,10 @@ const (
 	// MessengerWeek is the Windows Live Messenger week.
 	MessengerWeek Week = iota
 	// HotMailWeek is the HotMail week, including the unforeseen surge
-	// at day 3 (zero-based) hour 20 (paper §4.1: "during the 4th day, DejaVu could not
-	// classify one workload with the desired confidence, as it differs
-	// significantly from the previously defined workload classes").
+	// at day 3 (zero-based) hour 20 (paper §4.1: "during the 4th day,
+	// DejaVu could not classify one workload with the desired
+	// confidence, as it differs significantly from the previously
+	// defined workload classes").
 	HotMailWeek
 )
 
@@ -148,18 +149,18 @@ func (w Week) Fill(buf []float64, cfg SynthConfig) []float64 {
 	return loads
 }
 
-// trace returns the week normalised to peak 100.
-func (w Week) trace(cfg SynthConfig) *Trace {
+// synth returns the week normalised to peak 100.
+func (w Week) synth(cfg SynthConfig) *Trace {
 	t := &Trace{Name: w.Name(), Step: time.Hour, Loads: w.Fill(nil, cfg)}
 	t.Normalize()
 	return t
 }
 
 // Messenger synthesizes the week-long Windows Live Messenger trace.
-func Messenger(cfg SynthConfig) *Trace { return MessengerWeek.trace(cfg) }
+func Messenger(cfg SynthConfig) *Trace { return MessengerWeek.synth(cfg) }
 
 // HotMail synthesizes the week-long HotMail trace (HotMailWeek).
-func HotMail(cfg SynthConfig) *Trace { return HotMailWeek.trace(cfg) }
+func HotMail(cfg SynthConfig) *Trace { return HotMailWeek.synth(cfg) }
 
 // Sine generates the sinusoidal load of Figure 1: the workload volume
 // varies "according to a sine-wave" to approximate diurnal variation,
