@@ -1,11 +1,9 @@
 package metrics
 
 import (
-	"errors"
 	"math"
 	"math/rand"
 	"reflect"
-	"sort"
 	"testing"
 	"time"
 )
@@ -59,14 +57,6 @@ func TestIsHPC(t *testing.T) {
 	}
 	if IsHPC(Event("nonexistent")) {
 		t.Error("unknown event should not be HPC")
-	}
-}
-
-func TestSortEvents(t *testing.T) {
-	evs := []Event{"c", "a", "b"}
-	sortEvents(evs)
-	if evs[0] != "a" || evs[1] != "b" || evs[2] != "c" {
-		t.Errorf("sortEvents=%v", evs)
 	}
 }
 
@@ -213,29 +203,6 @@ func TestMonitorReadingsNonNegative(t *testing.T) {
 	}
 }
 
-func TestSampleVector(t *testing.T) {
-	s := &Sample{Values: map[Event]float64{EvFlopsRate: 5, EvXenCPU: 7}}
-	v := s.vector([]Event{EvXenCPU, EvFlopsRate, Event("missing")})
-	if v[0] != 7 || v[1] != 5 || v[2] != 0 {
-		t.Errorf("vector=%v want [7 5 0]", v)
-	}
-}
-
-func TestSampleN(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	mon, _ := NewMonitor([]Event{EvFlopsRate}, rng)
-	samples, err := mon.sampleN(StaticSource{EvFlopsRate: 10}, time.Second, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(samples) != 5 {
-		t.Errorf("sampleN returned %d samples want 5", len(samples))
-	}
-	if _, err := mon.sampleN(StaticSource{}, time.Second, 0); err == nil {
-		t.Error("n=0 should error")
-	}
-}
-
 // TestStaticSourceRatesAt: the map-backed source answers indices in
 // the order asked, and events it lacks — or outside the catalog —
 // read 0.
@@ -246,38 +213,4 @@ func TestStaticSourceRatesAt(t *testing.T) {
 	if want := []float64{2, 0, 0, 1}; !reflect.DeepEqual(dst, want) {
 		t.Errorf("RatesAt = %v, want %v", dst, want)
 	}
-}
-
-// sortEvents sorts events lexicographically in place and returns them;
-// useful for deterministic iteration over event maps.
-func sortEvents(evs []Event) []Event {
-	sort.Slice(evs, func(i, j int) bool { return evs[i] < evs[j] })
-	return evs
-}
-
-// vector assembles the sample values for the given events, in order.
-// Missing events read as 0.
-func (s *Sample) vector(events []Event) []float64 {
-	out := make([]float64, len(events))
-	for i, ev := range events {
-		out[i] = s.Values[ev]
-	}
-	return out
-}
-
-// sampleN collects n samples and returns them; convenience for building
-// profiling datasets (the paper's "5 trials for each volume").
-func (m *Monitor) sampleN(src Source, window time.Duration, n int) ([]*Sample, error) {
-	if n <= 0 {
-		return nil, errors.New("metrics: n must be positive")
-	}
-	out := make([]*Sample, 0, n)
-	for i := 0; i < n; i++ {
-		s, err := m.Sample(src, window)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, s)
-	}
-	return out, nil
 }

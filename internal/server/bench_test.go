@@ -203,9 +203,10 @@ func BenchmarkServeHTTP(b *testing.B) {
 
 // BenchmarkTCPPipelined measures the TCP plane the way serve_batch16
 // drives it: one connection keeping `depth` batched lookups in flight,
-// one op per request. At depth 1 every reply is its own write; at
-// depth 8 the server answers what it finds buffered with one flush —
-// the replies/flush metric reads the amortisation off TCPStats.
+// one op per request. At depth 1 every request and every reply is its
+// own write; at depth 8 both ends share writes under wire.Stream's
+// flush-before-block policy. replies/flush reads the server's end off
+// TCPStats, requests/write the caller's off a counting conn.
 func BenchmarkTCPPipelined(b *testing.B) {
 	for _, tc := range []struct {
 		name         string
@@ -219,7 +220,9 @@ func BenchmarkTCPPipelined(b *testing.B) {
 			s, _ := newTestServer(b, repo, Config{})
 			ts, addr := startTCP(b, s, TCPConfig{})
 			frame := decisionBody(b, foreseenSignature(b, repo, 13, 300), tc.batch)
-			_, st := dialStream(b, addr)
+			nc, _ := dialStream(b, addr)
+			cc := &countingConn{Conn: nc}
+			st := wire.NewStream(cc) // the hello is done and nothing follows it unasked: cc counts requests only
 			var resp wire.Response
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -241,6 +244,9 @@ func BenchmarkTCPPipelined(b *testing.B) {
 			b.ReportMetric(float64(tc.batch)*float64(b.N)/b.Elapsed().Seconds(), "decisions/s")
 			if stats := ts.Stats(); stats.Flushes > 0 {
 				b.ReportMetric(float64(stats.Envelopes)/float64(stats.Flushes), "replies/flush")
+			}
+			if writes := cc.writes.Load(); writes > 0 {
+				b.ReportMetric(float64(b.N)/float64(writes), "requests/write")
 			}
 		})
 	}

@@ -22,11 +22,11 @@ import (
 // Request errors are answered with error envelopes and the
 // connection stays up; only framing-level corruption closes it.
 //
-// Replies are flushed before the loop can block, not after each one:
-// while the next request already sits whole in the read buffer its
-// reply is queued behind the previous ones, and the queue goes out in
-// one write when the next read would have to wait for the peer (or at
-// responseQueueCap). A synchronous caller therefore still gets one
+// Replies follow wire.Stream's write policy, flush before block: while
+// the next request already sits whole in the read buffer its reply is
+// queued behind the previous ones, and the queue goes out in one write
+// when the next read would have to wait for the peer (or at
+// wire.StreamQueueCap). A synchronous caller therefore still gets one
 // write per response, immediately; a pipelined burst shares them.
 
 // TCPConfig configures the raw-TCP decision listener.
@@ -81,12 +81,6 @@ type TCPServer struct {
 	tcpConns   atomic.Int64 // accepted connections, lifetime
 	tcpRefused atomic.Int64 // connections refused at the MaxConns cap
 }
-
-// responseQueueCap bounds the replies one connection queues before
-// flushing regardless of what is buffered to read: a peer that
-// pipelines without pause gets a write at least every 32 KiB, and a
-// connection's write queue never exceeds the cap plus one response.
-const responseQueueCap = 32 << 10
 
 // NewTCP wraps a Server with the raw-TCP decision plane.
 func NewTCP(s *Server, cfg TCPConfig) *TCPServer {
@@ -262,27 +256,15 @@ func (t *TCPServer) serveConn(nc net.Conn) {
 	sc := t.s.pool.Get().(*scratch)
 	defer t.s.pool.Put(sc)
 	maxPayload := int(t.s.cfg.MaxBodyBytes)
-	var queued int64 // replies in st's write queue
-	flush := func() error {
-		if queued == 0 {
-			return nil
-		}
-		t.s.tcpEnvelopes.Add(queued)
+	st.OnFlush = func(replies int) {
+		t.s.tcpEnvelopes.Add(int64(replies))
 		t.s.tcpFlushes.Add(1)
-		queued = 0
-		return st.Flush()
 	}
 	for {
-		// Flush before block: the queue goes out when the next read may
-		// have to wait for the peer, or at the cap. The idle clock
-		// starts at the same moment, so it restarts per wait.
-		mayBlock := !st.EnvelopeBuffered()
-		if mayBlock || st.Queued() >= responseQueueCap {
-			if err := flush(); err != nil {
-				return
-			}
-		}
-		if mayBlock && t.cfg.IdleTimeout > 0 {
+		// The Stream flushes queued replies when the next read may have
+		// to wait for the peer; the idle clock starts at the same
+		// moment, so it restarts per wait.
+		if t.cfg.IdleTimeout > 0 && !st.EnvelopeBuffered() {
 			_ = nc.SetReadDeadline(time.Now().Add(t.cfg.IdleTimeout))
 		}
 		id, flags, payload, err := st.ReadEnvelope(maxPayload)
@@ -292,53 +274,58 @@ func (t *TCPServer) serveConn(nc net.Conn) {
 			// desynchronized stream cannot be answered — there is no
 			// envelope to address the error to — but replies to the
 			// requests ahead of it are still owed.
-			_ = flush()
+			_ = st.Flush()
 			return
 		}
-		queued++ // every path below queues exactly one reply to this envelope
-		if flags&wire.StreamFlagPing != 0 {
-			// Liveness probe: echo an empty ping envelope, payload
-			// untouched. Answered in request order like decisions, so a
-			// probe also proves the serving loop is draining.
-			st.QueueEnvelope(id, wire.StreamFlagPing, nil)
-			continue
+		rflags, out := t.answer(sc, flags, payload)
+		if err := st.WriteEnvelope(id, rflags, out); err != nil {
+			return
 		}
-		lookup := flags&wire.StreamFlagLookup != 0
-		if lookup {
-			t.s.lookupReqs.Add(1)
-		} else {
-			t.s.classifyReqs.Add(1)
-		}
-		// A trace-flagged envelope prefixes the frame with a 16-byte
-		// trace context; strip it and record this hop's span around
-		// decide(). Untraced envelopes skip all of it.
-		var parent, child obs.TraceContext
-		var spanStart time.Time
-		if flags&wire.StreamFlagTrace != 0 {
-			tc, ok := obs.ParseWireContext(payload)
-			if !ok {
-				t.s.badRequests.Add(1)
-				st.QueueEnvelope(id, wire.StreamFlagError, append(sc.out[:0], "server: malformed trace context"...))
-				continue
-			}
-			parent, child = tc, obs.Child(tc)
-			payload = payload[obs.WireContextLen:]
-			spanStart = time.Now()
-		}
-		// The payload aliases the Stream's read scratch; decide()
-		// consumes it before the next ReadEnvelope overwrites it.
-		sc.body = payload
-		out, err := t.s.decide(sc, lookup, transportTCP)
-		if child.Valid() {
-			t.s.plane.Spans.RecordHop(parent, child, "dejavud", wire.OpName(lookup), spanStart, time.Since(spanStart))
-		}
-		if err != nil {
-			t.s.badRequests.Add(1)
-			st.QueueEnvelope(id, wire.StreamFlagError, appendErrString(sc.out[:0], err))
-			continue
-		}
-		st.QueueEnvelope(id, 0, out)
 	}
+}
+
+// answer is the reply to one request envelope: its flags and payload,
+// which aliases sc.
+func (t *TCPServer) answer(sc *scratch, flags byte, payload []byte) (byte, []byte) {
+	if flags&wire.StreamFlagPing != 0 {
+		// Liveness probe: echo an empty ping envelope, payload
+		// untouched. Answered in request order like decisions, so a
+		// probe also proves the serving loop is draining.
+		return wire.StreamFlagPing, nil
+	}
+	lookup := flags&wire.StreamFlagLookup != 0
+	if lookup {
+		t.s.lookupReqs.Add(1)
+	} else {
+		t.s.classifyReqs.Add(1)
+	}
+	// A trace-flagged envelope prefixes the frame with a 16-byte
+	// trace context; strip it and record this hop's span around
+	// decide(). Untraced envelopes skip all of it.
+	var parent, child obs.TraceContext
+	var spanStart time.Time
+	if flags&wire.StreamFlagTrace != 0 {
+		tc, ok := obs.ParseWireContext(payload)
+		if !ok {
+			t.s.badRequests.Add(1)
+			return wire.StreamFlagError, append(sc.out[:0], "server: malformed trace context"...)
+		}
+		parent, child = tc, obs.Child(tc)
+		payload = payload[obs.WireContextLen:]
+		spanStart = time.Now()
+	}
+	// The payload aliases the Stream's read scratch; decide()
+	// consumes it before the next ReadEnvelope overwrites it.
+	sc.body = payload
+	out, err := t.s.decide(sc, lookup, transportTCP)
+	if child.Valid() {
+		t.s.plane.Spans.RecordHop(parent, child, "dejavud", wire.OpName(lookup), spanStart, time.Since(spanStart))
+	}
+	if err != nil {
+		t.s.badRequests.Add(1)
+		return wire.StreamFlagError, appendErrString(sc.out[:0], err)
+	}
+	return 0, out
 }
 
 // appendErrString renders err into reusable scratch for an error

@@ -15,6 +15,10 @@ import (
 	"repro/internal/wire"
 )
 
+// responseQueueCap is the bound on a connection's reply queue, which
+// the serving loop inherits from its wire.Stream.
+const responseQueueCap = wire.StreamQueueCap
+
 // startTCP brings up the raw-TCP decision plane on loopback and
 // returns the TCPServer plus its address.
 func startTCP(t testing.TB, s *Server, cfg TCPConfig) (*TCPServer, string) {
@@ -422,7 +426,9 @@ func TestTCPDecideZeroAlloc(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := 0; i < 8; i++ {
-			st.QueueEnvelope(id+1+uint32(i), wire.StreamFlagLookup, frame)
+			if err := st.WriteEnvelope(id+1+uint32(i), wire.StreamFlagLookup, frame); err != nil {
+				t.Fatal(err)
+			}
 		}
 		if err := st.Flush(); err != nil {
 			t.Fatal(err)
@@ -463,8 +469,12 @@ func TestTCPFlushBeforeBlock(t *testing.T) {
 
 	var two bytes.Buffer
 	enc := wire.NewStream(&two)
-	enc.QueueEnvelope(1, wire.StreamFlagLookup, frame)
-	enc.QueueEnvelope(2, wire.StreamFlagLookup, frame)
+	if err := enc.WriteEnvelope(1, wire.StreamFlagLookup, frame); err != nil {
+		t.Fatal(err)
+	}
+	if err := enc.WriteEnvelope(2, wire.StreamFlagLookup, frame); err != nil {
+		t.Fatal(err)
+	}
 	if err := enc.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -507,7 +517,9 @@ func TestTCPPipelinedBurstSharesWrites(t *testing.T) {
 		if i == 3 {
 			flags = wire.StreamFlagPing // pings are queued like decisions
 		}
-		st.QueueEnvelope(uint32(100+i), flags, frame)
+		if err := st.WriteEnvelope(uint32(100+i), flags, frame); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := st.Flush(); err != nil {
 		t.Fatal(err)
@@ -573,7 +585,9 @@ func TestTCPStalledReaderBoundedQueue(t *testing.T) {
 	chunk := &bytes.Buffer{}
 	enc := wire.NewStream(chunk)
 	for i := 0; i < 4096; i++ {
-		enc.QueueEnvelope(uint32(i), wire.StreamFlagLookup, nil)
+		if err := enc.WriteEnvelope(uint32(i), wire.StreamFlagLookup, nil); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := enc.Flush(); err != nil {
 		t.Fatal(err)
@@ -626,5 +640,54 @@ func TestTCPHelloDeadlineClearedOnce(t *testing.T) {
 	roundTripTCP(t, st, 9, &req, true, &resp)
 	if got := cc.readDeadlines.Load(); got != 2 {
 		t.Errorf("%d SetReadDeadline calls over 5 requests, want 2 (arm the hello's, clear it)", got)
+	}
+}
+
+// TestTCPPipelinedCallerLiveness pins that the shared write policy
+// cannot deadlock a pipelining caller: one that keeps up to depth
+// requests queued on its Stream and then waits for the oldest reply
+// always gets it, at depths 1, 8 and 64 and with request payloads from
+// empty to past the queue cap. It runs over loopback TCP because
+// net.Pipe has no buffer and deadlocks any pipelining caller.
+func TestTCPPipelinedCallerLiveness(t *testing.T) {
+	repo := testRepository(t, 1)
+	s, _ := newTestServer(t, repo, Config{})
+	_, addr := startTCP(t, s, TCPConfig{})
+	sig := foreseenSignature(t, repo, 2, 220)
+	big := 16
+	for len(decisionBody(t, sig, big)) <= responseQueueCap {
+		big *= 2
+	}
+	// An empty payload is answered with an error envelope, the rest with decisions.
+	payloads := [][]byte{nil, decisionBody(t, sig, 1), decisionBody(t, sig, 16), nil, decisionBody(t, sig, 16), decisionBody(t, sig, big)}
+	const requests = 300
+	for _, depth := range []int{1, 8, 64} {
+		nc, st := dialStream(t, addr)
+		nc.SetDeadline(time.Now().Add(10 * time.Second))
+		var resp wire.Response
+		for sent, done := 0, 0; done < requests; done++ {
+			for ; sent-done < depth && sent < requests; sent++ {
+				if err := st.WriteEnvelope(uint32(sent), wire.StreamFlagLookup, payloads[sent%len(payloads)]); err != nil {
+					t.Fatalf("depth %d, request %d: %v", depth, sent, err)
+				}
+			}
+			id, flags, body, err := st.ReadEnvelope(1 << 24)
+			if err != nil {
+				t.Fatalf("depth %d, reply %d: %v", depth, done, err)
+			}
+			if id != uint32(done) {
+				t.Fatalf("depth %d: reply id %d, want %d", depth, id, done)
+			}
+			p := payloads[done%len(payloads)]
+			if gotErr := flags&wire.StreamFlagError != 0; gotErr != (len(p) == 0) {
+				t.Fatalf("depth %d, reply %d to a %d-byte request: error flag %v", depth, done, len(p), gotErr)
+			}
+			if len(p) > 0 {
+				if err := resp.DecodeBinary(body); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		nc.Close()
 	}
 }

@@ -318,7 +318,8 @@ func GenerateScenario(cfg ScenarioConfig) ([]VMSpec, error) {
 	// The whole fleet's input lives in a few fleet-wide slices: every
 	// VM's learning day and run window side by side in one sample
 	// arena, its two traces in one slice, its shifts in another, and
-	// its name sliced from one string. One raw-week buffer and one
+	// its name sliced from one string. One raw-week buffer (or, for
+	// trace replay, one recording and one resampled week) and one
 	// stream of each kind are reused from VM to VM.
 	window := (1 + cfg.Days) * 24
 	samples := make([]float64, cfg.VMs*window)
@@ -330,6 +331,8 @@ func GenerateScenario(cfg ScenarioConfig) ([]VMSpec, error) {
 	names := make([]byte, 0, cfg.VMs*len("vm-000-cassandra"))
 	nameEnds := make([]int, cfg.VMs)
 	synth := &trace.Trace{Step: time.Hour}
+	var rec trace.Samples // a trace-replay VM's recording and its resampled week
+	replayed := &trace.Trace{}
 	vmRng, kr := rng.New(0), rng.New(0)
 
 	cassandra, specweb, rubis := services.NewCassandra(), services.NewSPECWeb(), services.NewRUBiS()
@@ -359,13 +362,11 @@ func GenerateScenario(cfg ScenarioConfig) ([]VMSpec, error) {
 			// recording — irregular scrape cadence, outage gaps,
 			// incident bursts — run through the same zero-order hold a
 			// recorded production trace would be.
-			rec := trace.SynthCluster(trace.ClusterConfig{Rng: vmRng, Days: 1 + cfg.Days})
-			var err error
-			week, err = rec.Resample(time.Hour)
-			if err != nil {
+			rec.FillCluster(trace.ClusterConfig{Rng: vmRng, Days: 1 + cfg.Days})
+			if err := rec.ResampleInto(replayed, time.Hour); err != nil {
 				return nil, fmt.Errorf("sim: scenario vm %d replay: %w", i, err)
 			}
-			norm = 1
+			week, norm = replayed, 1
 		} else {
 			kind := trace.MessengerWeek
 			if i%2 == 1 {

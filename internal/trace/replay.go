@@ -16,7 +16,7 @@ import (
 // engine wants a fixed-step Trace. Samples holds the recorded form,
 // Resample turns it into a Trace by zero-order hold — exactly the
 // hold semantics the engine itself applies between samples — and
-// SynthCluster synthesizes a cluster-style recording (irregular
+// FillCluster synthesizes a cluster-style recording (irregular
 // scrape cadence, diurnal swing, gaps, incident bursts) for fleets
 // that have no proprietary recording to replay.
 
@@ -77,17 +77,30 @@ func (s *Samples) Duration() time.Duration {
 // first point's load. The trace covers the recording's full span
 // rounded up to a whole step.
 func (s *Samples) Resample(step time.Duration) (*Trace, error) {
+	t := &Trace{}
+	if err := s.ResampleInto(t, step); err != nil {
+		return nil, err
+	}
+	return t, nil
+}
+
+// ResampleInto is Resample into dst, reusing dst.Loads' backing array.
+func (s *Samples) ResampleInto(dst *Trace, step time.Duration) error {
 	if step <= 0 {
-		return nil, fmt.Errorf("trace: resample step %v must be positive", step)
+		return fmt.Errorf("trace: resample step %v must be positive", step)
 	}
 	if err := s.Validate(); err != nil {
-		return nil, err
+		return err
 	}
 	n := int((s.Duration() + step - 1) / step)
 	if n == 0 {
 		n = 1
 	}
-	loads := make([]float64, n)
+	loads := dst.Loads[:0]
+	if cap(loads) < n {
+		loads = make([]float64, n)
+	}
+	loads = loads[:n]
 	j := 0
 	for i := 0; i < n; i++ {
 		at := time.Duration(i) * step
@@ -96,7 +109,8 @@ func (s *Samples) Resample(step time.Duration) (*Trace, error) {
 		}
 		loads[i] = s.Points[j].Load
 	}
-	return &Trace{Name: s.Name, Step: step, Loads: loads}, nil
+	*dst = Trace{Name: s.Name, Step: step, Loads: loads}
+	return nil
 }
 
 // ReadSamplesCSV parses a recording of "offset_hours,load" rows under
@@ -138,7 +152,7 @@ func ReadSamplesCSV(r io.Reader, name string) (*Samples, error) {
 	return s, nil
 }
 
-// ClusterConfig tunes SynthCluster.
+// ClusterConfig tunes FillCluster.
 type ClusterConfig struct {
 	// Rng drives all randomness; required.
 	Rng *rand.Rand
@@ -159,18 +173,19 @@ const (
 	burstRate = 0.01
 )
 
-// SynthCluster synthesizes a cluster-style recording: a diurnal load
-// envelope sampled at an irregular scrape cadence, with occasional
-// multi-hour outage gaps and short incident bursts. The result is the
-// raw material of the trace-replay scenario kind — it goes through
-// the same Resample path a recorded production trace would.
-func SynthCluster(cfg ClusterConfig) *Samples {
+// FillCluster synthesizes a cluster-style recording into s, reusing
+// s.Points' backing array: a diurnal load envelope sampled at an
+// irregular scrape cadence, with occasional multi-hour outage gaps and
+// short incident bursts. The result is the raw material of the
+// trace-replay scenario kind — it goes through the same Resample path
+// a recorded production trace would.
+func (s *Samples) FillCluster(cfg ClusterConfig) {
 	if cfg.Days <= 0 {
 		cfg.Days = 7
 	}
 	rng := cfg.Rng
 	total := time.Duration(cfg.Days) * 24 * time.Hour
-	s := &Samples{Name: "cluster"}
+	s.Name, s.Points = "cluster", s.Points[:0]
 
 	at := time.Duration(0)
 	for at < total {
@@ -198,5 +213,4 @@ func SynthCluster(cfg ClusterConfig) *Samples {
 	if last := s.Points[len(s.Points)-1].At; last < total-time.Nanosecond {
 		s.Points = append(s.Points, Sample{At: total - time.Nanosecond, Load: s.Points[len(s.Points)-1].Load})
 	}
-	return s
 }

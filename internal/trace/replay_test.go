@@ -72,7 +72,8 @@ func TestSamplesCSVRoundTrip(t *testing.T) {
 // synthesized cluster recording — hundreds of irregular scrape
 // offsets including outage gaps.
 func TestSynthClusterCSVRoundTrip(t *testing.T) {
-	s := SynthCluster(ClusterConfig{Rng: rand.New(rand.NewSource(9)), Days: 3})
+	s := &Samples{}
+	s.FillCluster(ClusterConfig{Rng: rand.New(rand.NewSource(9)), Days: 3})
 	if err := s.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +164,8 @@ func TestResampleValidatesStep(t *testing.T) {
 }
 
 func TestSynthClusterShape(t *testing.T) {
-	s := SynthCluster(ClusterConfig{Rng: rand.New(rand.NewSource(4)), Days: 7})
+	s := &Samples{}
+	s.FillCluster(ClusterConfig{Rng: rand.New(rand.NewSource(4)), Days: 7})
 	if got, want := s.Duration(), 7*24*time.Hour; got < want-time.Hour {
 		t.Fatalf("recording spans %v, want ~%v", got, want)
 	}
@@ -199,7 +201,8 @@ func TestSynthClusterShape(t *testing.T) {
 		t.Error(err)
 	}
 	// Determinism per seed.
-	again := SynthCluster(ClusterConfig{Rng: rand.New(rand.NewSource(4)), Days: 7})
+	again := &Samples{}
+	again.FillCluster(ClusterConfig{Rng: rand.New(rand.NewSource(4)), Days: 7})
 	if len(again.Points) != len(s.Points) {
 		t.Fatalf("same seed produced %d vs %d samples", len(again.Points), len(s.Points))
 	}

@@ -125,6 +125,9 @@ func FuzzStreamReadEnvelope(f *testing.F) {
 			f.Fatal(err)
 		}
 	}
+	if err := ws.Flush(); err != nil {
+		f.Fatal(err)
+	}
 	full := seed.Bytes()
 	f.Add(full)
 	f.Add(full[:20])                                  // mid-frame death
@@ -154,10 +157,90 @@ func FuzzStreamReadEnvelope(f *testing.F) {
 				t.Fatal(err)
 			}
 		}
+		if err := ws.Flush(); err != nil {
+			t.Fatal(err)
+		}
 		// Envelope framing is canonical: what was read re-encodes to
 		// exactly the bytes consumed.
 		if !bytes.HasPrefix(data, rewritten.Bytes()) {
 			t.Fatalf("re-encoded envelopes are not the consumed prefix of the input")
+		}
+	})
+}
+
+// FuzzStreamWritePolicy runs an arbitrary sequence of WriteEnvelope,
+// Flush and ReadEnvelope calls on one Stream whose reads come from
+// fuzzed bytes, and checks the write policy: every queued envelope
+// reaches the writer exactly once and in order, no Write exceeds the
+// cap plus the envelope that reached it, and a Write happens exactly
+// at a Flush or a read with no whole envelope buffered (with something
+// queued), or at the cap.
+func FuzzStreamWritePolicy(f *testing.F) {
+	reply := appendTestEnvelope(nil, 1, 0, []byte("reply"))
+	twoReplies := append(append([]byte(nil), reply...), reply...)
+	f.Add([]byte{0, 1, 1, 2, 3}, twoReplies)            // queue, read with nothing buffered
+	f.Add([]byte{0, 1, 3, 0, 9, 3, 3}, twoReplies)      // a read with a reply buffered, then EOF
+	f.Add(bytes.Repeat([]byte{0, 255}, 10), reply)      // large envelopes past the cap
+	f.Add([]byte{1, 0, 2, 2, 3, 3}, []byte{2, 0, 0, 0}) // a malformed reply
+	f.Fuzz(func(t *testing.T, ops, reads []byte) {
+		if len(ops) > 256 {
+			return // up to 128 envelopes of up to 4 KiB: the cap is reached, memory stays small
+		}
+		c := &policyConn{R: bytes.NewBuffer(reads)}
+		s := NewStream(c)
+		var want []byte
+		queued, last, id := 0, 0, uint32(0)
+		for i := 0; i < len(ops); i++ {
+			before := len(c.writes)
+			var cause string
+			op := ops[i] % 4
+			switch op {
+			case 0, 1: // WriteEnvelope, sized by the next op byte
+				n := 0
+				if i+1 < len(ops) {
+					i++
+					n = int(ops[i]) * 16
+				}
+				p := bytes.Repeat([]byte{byte(id)}, n)
+				want = appendTestEnvelope(want, id, ops[i], p)
+				if err := s.WriteEnvelope(id, ops[i], p); err != nil {
+					t.Fatal(err)
+				}
+				id++
+				last = 4 + envelopeHeaderLen + n
+				if queued += last; queued >= StreamQueueCap {
+					cause = "cap"
+				}
+			case 2:
+				if err := s.Flush(); err != nil {
+					t.Fatal(err)
+				}
+				if queued > 0 {
+					cause = "Flush"
+				}
+			case 3:
+				if queued > 0 && !s.EnvelopeBuffered() {
+					cause = "a read that may block"
+				}
+				_, _, _, _ = s.ReadEnvelope(1 << 16) // reads may fail; writes may not
+			}
+			switch wrote := len(c.writes) - before; {
+			case cause == "" && wrote != 0:
+				t.Fatalf("op %d (%d): %d writes with no flush due", i, op, wrote)
+			case cause != "" && wrote != 1:
+				t.Fatalf("op %d (%d): %d writes at %s, want 1", i, op, wrote, cause)
+			case wrote == 1:
+				if got := len(c.writes[before]); got != queued || got > StreamQueueCap+last {
+					t.Fatalf("op %d: a %d-byte write with %d bytes queued, the last envelope %d bytes", i, got, queued, last)
+				}
+				queued = 0
+			}
+		}
+		if err := s.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if got := bytes.Join(c.writes, nil); !bytes.Equal(got, want) {
+			t.Fatalf("the writes carry %d bytes, not the %d bytes of the %d queued envelopes in order", len(got), len(want), id)
 		}
 	})
 }

@@ -37,14 +37,15 @@ import (
 // envelopes flag bit0 set marks an error reply whose payload is a
 // UTF-8 message instead of a wire frame.
 //
-// A Stream owns one connection's read/write buffers: envelope reads
-// land in a reusable payload scratch, envelope writes are queued in
-// one reusable write buffer and reach the connection on Flush, as one
-// Write (one packet under TCP_NODELAY) however many envelopes are
-// queued. WriteEnvelope is queue-then-flush, so a caller that never
-// queues sees write-through behaviour; a server that answers a
-// pipelined burst queues while EnvelopeBuffered says the next read
-// cannot block and flushes before it can ("flush before block").
+// A Stream owns one connection's read/write buffers and the one write
+// policy both ends share. Envelope reads land in a reusable payload
+// scratch; envelope writes only queue, in one reusable write buffer,
+// which reaches the connection in one Write (one packet under
+// TCP_NODELAY) at the first of: a ReadEnvelope with no whole envelope
+// buffered, which would wait for the peer ("flush before block"); the
+// queue reaching StreamQueueCap; Flush. So a synchronous caller makes
+// one write per request while pipelined envelopes share one. Hellos are
+// written through, and a Stream that only writes must call Flush.
 // Steady-state envelope traffic is allocation-free once the buffers
 // have warmed up to the workload's message sizes.
 
@@ -84,6 +85,12 @@ const (
 	// envelopeHeaderLen is id + flags, the fixed bytes elen counts
 	// beyond the payload.
 	envelopeHeaderLen = 5
+
+	// StreamQueueCap bounds a Stream's write queue: an envelope that
+	// brings it to the cap flushes it, so a peer that pipelines without
+	// pause gets a write at least every 32 KiB, and a queue never holds
+	// more than the cap plus one envelope.
+	StreamQueueCap = 32 << 10
 )
 
 // streamMagic guards against cross-protocol connections (an HTTP
@@ -94,15 +101,20 @@ var streamMagic = [4]byte{'D', 'J', 'V', 'S'}
 var errStreamTruncated = errors.New("wire: stream truncated mid-frame")
 
 // Stream frames wire envelopes over one byte-stream connection,
-// owning the connection's read/write scratch. Not safe for
-// concurrent use: callers serialize, or split reads and writes onto
-// two Streams over the same connection.
+// owning the connection's read/write scratch and write policy (see the
+// package comment). Not safe for concurrent use: callers serialize, or
+// split reads and writes onto two Streams, the writing one flushing.
 type Stream struct {
 	br *bufio.Reader
 	w  io.Writer
 
 	payload []byte // envelope read scratch; aliased by ReadEnvelope results
 	wbuf    []byte // queued envelopes, written and emptied by Flush
+	queued  int    // envelopes in wbuf
+
+	// OnFlush, if set, gets each flush's envelope count just before its
+	// Write, so what it counts is visible to the reading peer.
+	OnFlush func(envelopes int)
 
 	// hdr is the envelope header read scratch. A stack array would
 	// escape through the io.ReadFull interface call and cost one
@@ -164,12 +176,18 @@ func (s *Stream) readHello() (Encoding, error) {
 }
 
 // ReadEnvelope reads one envelope, returning its request id, flags,
-// and payload. The payload aliases the Stream's scratch — valid
-// until the next ReadEnvelope. maxPayload bounds the payload size
-// (defense against hostile or desynchronized peers); io.EOF before
-// the first header byte is returned verbatim so callers can tell a
-// clean close from a truncated frame.
+// and payload, after flushing the write queue if no whole envelope is
+// buffered (a flush error is returned as is). The payload aliases the
+// Stream's scratch — valid until the next ReadEnvelope. maxPayload
+// bounds the payload size (defense against hostile or desynchronized
+// peers); io.EOF before the first header byte is returned verbatim so
+// callers can tell a clean close from a truncated frame.
 func (s *Stream) ReadEnvelope(maxPayload int) (id uint32, flags byte, payload []byte, err error) {
+	if s.queued > 0 && !s.EnvelopeBuffered() {
+		if err := s.Flush(); err != nil {
+			return 0, 0, nil, err
+		}
+	}
 	hdr := s.hdr[:]
 	if _, err := io.ReadFull(s.br, hdr[:1]); err != nil {
 		if err == io.EOF {
@@ -214,48 +232,41 @@ func (s *Stream) EnvelopeBuffered() bool {
 	return uint64(n) >= 4+uint64(binary.LittleEndian.Uint32(hdr))
 }
 
-// QueueEnvelope frames payload under (id, flags) at the end of the
-// write buffer without touching the connection. The payload is copied,
-// so the caller's buffer is free the moment this returns. Nothing is
-// sent until Flush; the caller bounds the queue with Queued.
-func (s *Stream) QueueEnvelope(id uint32, flags byte, payload []byte) {
-	s.queueParts(id, flags, nil, payload)
+// WriteEnvelope queues one envelope; see WriteEnvelopeParts.
+func (s *Stream) WriteEnvelope(id uint32, flags byte, payload []byte) error {
+	return s.WriteEnvelopeParts(id, flags, nil, payload)
 }
 
-func (s *Stream) queueParts(id uint32, flags byte, prefix, payload []byte) {
+// WriteEnvelopeParts queues prefix ++ payload under (id, flags) as one
+// envelope, without requiring the caller to concatenate them first (the
+// trace plane slides a 16-byte trace context ahead of an
+// already-encoded frame this way, allocation-free). Both are copied, so
+// the caller's buffers are free the moment this returns. It writes only
+// when the queue reaches StreamQueueCap, and returns that flush's error.
+func (s *Stream) WriteEnvelopeParts(id uint32, flags byte, prefix, payload []byte) error {
 	b := binary.LittleEndian.AppendUint32(s.wbuf, uint32(envelopeHeaderLen+len(prefix)+len(payload)))
 	b = binary.LittleEndian.AppendUint32(b, id)
 	b = append(b, flags)
 	b = append(b, prefix...)
 	s.wbuf = append(b, payload...)
+	s.queued++
+	if len(s.wbuf) >= StreamQueueCap {
+		return s.Flush()
+	}
+	return nil
 }
-
-// Queued returns the number of bytes waiting for Flush.
-func (s *Stream) Queued() int { return len(s.wbuf) }
 
 // Flush writes every queued envelope in a single Write call and
 // empties the queue (also on error: a failed stream is dead, its
 // queue is not retried). A Flush with nothing queued writes nothing.
 func (s *Stream) Flush() error {
-	if len(s.wbuf) == 0 {
+	if s.queued == 0 {
 		return nil
 	}
+	if s.OnFlush != nil {
+		s.OnFlush(s.queued)
+	}
 	_, err := s.w.Write(s.wbuf)
-	s.wbuf = s.wbuf[:0]
+	s.wbuf, s.queued = s.wbuf[:0], 0
 	return err
-}
-
-// WriteEnvelope is QueueEnvelope followed by Flush: with nothing
-// queued before it, one envelope in one Write call.
-func (s *Stream) WriteEnvelope(id uint32, flags byte, payload []byte) error {
-	return s.WriteEnvelopeParts(id, flags, nil, payload)
-}
-
-// WriteEnvelopeParts frames prefix ++ payload under (id, flags) as one
-// envelope and flushes, without requiring the caller to concatenate
-// them first. The trace plane uses it to slide a 16-byte trace context
-// ahead of an already-encoded frame allocation-free.
-func (s *Stream) WriteEnvelopeParts(id uint32, flags byte, prefix, payload []byte) error {
-	s.queueParts(id, flags, prefix, payload)
-	return s.Flush()
 }

@@ -100,6 +100,9 @@ func TestStreamEnvelopeRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	if err := ws.Flush(); err != nil {
+		t.Fatal(err)
+	}
 	rs := NewStream(&pipeBuf{R: &wireBytes, W: &bytes.Buffer{}})
 	for i, p := range payloads {
 		id, f, got, err := rs.ReadEnvelope(1 << 20)
@@ -132,6 +135,9 @@ func TestStreamEnvelopeCarriesWireFrames(t *testing.T) {
 	if err := ws.WriteEnvelope(7, StreamFlagLookup, frame); err != nil {
 		t.Fatal(err)
 	}
+	if err := ws.Flush(); err != nil {
+		t.Fatal(err)
+	}
 	rs := NewStream(&pipeBuf{R: &wireBytes, W: &bytes.Buffer{}})
 	_, _, payload, err := rs.ReadEnvelope(1 << 20)
 	if err != nil {
@@ -154,6 +160,9 @@ func TestStreamEnvelopeLimits(t *testing.T) {
 	var wireBytes bytes.Buffer
 	ws := NewStream(&pipeBuf{R: &bytes.Buffer{}, W: &wireBytes})
 	if err := ws.WriteEnvelope(1, 0, make([]byte, 100)); err != nil {
+		t.Fatal(err)
+	}
+	if err := ws.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	full := append([]byte(nil), wireBytes.Bytes()...)
@@ -192,8 +201,9 @@ func (w *countingWriter) Write(b []byte) (int, error) {
 
 // TestStreamQueueFlush pins the write side: queued envelopes reach the
 // connection only on Flush, as one Write carrying exactly the bytes the
-// same envelopes produce written through one at a time; an empty Flush
-// writes nothing; WriteEnvelope is one envelope in one Write.
+// same envelopes produce flushed one at a time; an empty Flush writes
+// nothing; WriteEnvelope alone writes nothing, and a Flush after each
+// is one envelope in one Write.
 func TestStreamQueueFlush(t *testing.T) {
 	payloads := [][]byte{[]byte("first"), {}, bytes.Repeat([]byte{0xAB}, 300)}
 	var through countingWriter
@@ -202,9 +212,15 @@ func TestStreamQueueFlush(t *testing.T) {
 		if err := ts.WriteEnvelope(uint32(i), byte(i), p); err != nil {
 			t.Fatal(err)
 		}
+		if through.writes != i {
+			t.Fatalf("WriteEnvelope wrote: %d writes after %d envelopes", through.writes, i+1)
+		}
+		if err := ts.Flush(); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if through.writes != len(payloads) {
-		t.Fatalf("write-through: %d writes for %d envelopes", through.writes, len(payloads))
+		t.Fatalf("flushed one at a time: %d writes for %d envelopes", through.writes, len(payloads))
 	}
 
 	var queued countingWriter
@@ -213,13 +229,15 @@ func TestStreamQueueFlush(t *testing.T) {
 		t.Fatalf("empty flush: err %v, %d writes", err, queued.writes)
 	}
 	for i, p := range payloads {
-		qs.QueueEnvelope(uint32(i), byte(i), p)
+		if err := qs.WriteEnvelope(uint32(i), byte(i), p); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if queued.writes != 0 || queued.Len() != 0 {
 		t.Fatalf("queueing wrote %d bytes in %d writes before Flush", queued.Len(), queued.writes)
 	}
-	if got := qs.Queued(); got != through.Len() {
-		t.Fatalf("Queued() = %d, want %d", got, through.Len())
+	if got := len(qs.wbuf); got != through.Len() {
+		t.Fatalf("queued %d bytes, want %d", got, through.Len())
 	}
 	if err := qs.Flush(); err != nil {
 		t.Fatal(err)
@@ -227,8 +245,8 @@ func TestStreamQueueFlush(t *testing.T) {
 	if queued.writes != 1 || !bytes.Equal(queued.Bytes(), through.Bytes()) {
 		t.Fatalf("flush: %d writes, bytes equal %v", queued.writes, bytes.Equal(queued.Bytes(), through.Bytes()))
 	}
-	if qs.Queued() != 0 {
-		t.Fatalf("Queued() = %d after Flush", qs.Queued())
+	if len(qs.wbuf) != 0 {
+		t.Fatalf("%d bytes queued after Flush", len(qs.wbuf))
 	}
 }
 
@@ -243,6 +261,9 @@ func TestStreamEnvelopeBuffered(t *testing.T) {
 		if err := ws.WriteEnvelope(uint32(i), 0, []byte("payload")); err != nil {
 			t.Fatal(err)
 		}
+	}
+	if err := ws.Flush(); err != nil {
+		t.Fatal(err)
 	}
 	one := enc.Len() / 2
 	for cut, want := range map[int][2]bool{
@@ -297,13 +318,18 @@ func TestStreamZeroAllocSteadyState(t *testing.T) {
 		if err := ws.WriteEnvelope(9, 0, payload); err != nil {
 			t.Fatal(err)
 		}
+		if err := ws.Flush(); err != nil {
+			t.Fatal(err)
+		}
 		if _, _, _, err := rs.ReadEnvelope(1 << 20); err != nil {
 			t.Fatal(err)
 		}
 	}
 	queued := func() {
 		for i := 0; i < 8; i++ {
-			ws.QueueEnvelope(uint32(i), 0, payload)
+			if err := ws.WriteEnvelope(uint32(i), 0, payload); err != nil {
+				t.Fatal(err)
+			}
 		}
 		if err := ws.Flush(); err != nil {
 			t.Fatal(err)
@@ -323,5 +349,115 @@ func TestStreamZeroAllocSteadyState(t *testing.T) {
 			t.Errorf("%s envelope round trip allocates %.1f times, want 0", name, allocs)
 			t.Log(testkit.AllocSites(200, roundTrip))
 		}
+	}
+}
+
+// policyConn is a connection whose reads drain R and whose writes are
+// kept one by one, each failing with err once it is set.
+type policyConn struct {
+	R      *bytes.Buffer
+	writes [][]byte
+	err    error
+}
+
+func (c *policyConn) Read(b []byte) (int, error) { return c.R.Read(b) }
+
+func (c *policyConn) Write(b []byte) (int, error) {
+	if c.err != nil {
+		return 0, c.err
+	}
+	c.writes = append(c.writes, append([]byte(nil), b...))
+	return len(b), nil
+}
+
+// appendTestEnvelope frames one envelope by the spec in the package
+// comment, independently of the Stream's own encoder.
+func appendTestEnvelope(dst []byte, id uint32, flags byte, payload []byte) []byte {
+	n := envelopeHeaderLen + len(payload)
+	dst = append(dst, byte(n), byte(n>>8), byte(n>>16), byte(n>>24))
+	dst = append(dst, byte(id), byte(id>>8), byte(id>>16), byte(id>>24), flags)
+	return append(dst, payload...)
+}
+
+// TestStreamWritePolicy pins the one write policy: writes only queue;
+// the queue goes out in one Write at a ReadEnvelope with no whole
+// envelope buffered, at StreamQueueCap, or on Flush; and a failed flush
+// surfaces from the call that flushed.
+func TestStreamWritePolicy(t *testing.T) {
+	reply := appendTestEnvelope(nil, 1, 0, []byte("reply"))
+	for _, k := range []int{1, 3, 8} {
+		c := &policyConn{R: bytes.NewBuffer(append(append([]byte(nil), reply...), reply...))}
+		s := NewStream(c)
+		var flushed []int
+		s.OnFlush = func(n int) { flushed = append(flushed, n) }
+		var want []byte
+		for i := 0; i < k; i++ {
+			p := bytes.Repeat([]byte{byte(i)}, 10*i)
+			want = appendTestEnvelope(want, uint32(i), byte(i), p)
+			if err := s.WriteEnvelope(uint32(i), byte(i), p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if len(c.writes) != 0 {
+			t.Fatalf("k=%d: %d writes before any read", k, len(c.writes))
+		}
+		if _, _, _, err := s.ReadEnvelope(1 << 10); err != nil {
+			t.Fatal(err)
+		}
+		if len(c.writes) != 1 || !bytes.Equal(c.writes[0], want) {
+			t.Fatalf("k=%d: a read with nothing buffered made %d writes, want one carrying the %d envelopes in order", k, len(c.writes), k)
+		}
+		// The second reply came in with the first, so this read cannot
+		// block and must not write; the read that finds the peer closed can.
+		if err := s.WriteEnvelope(99, 0, nil); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, _, err := s.ReadEnvelope(1 << 10); err != nil {
+			t.Fatal(err)
+		}
+		if len(c.writes) != 1 {
+			t.Fatalf("k=%d: a read with a whole envelope buffered wrote", k)
+		}
+		if _, _, _, err := s.ReadEnvelope(1 << 10); err != io.EOF {
+			t.Fatalf("k=%d: read past the replies: %v, want io.EOF", k, err)
+		}
+		if len(c.writes) != 2 || !bytes.Equal(c.writes[1], appendTestEnvelope(nil, 99, 0, nil)) {
+			t.Fatalf("k=%d: the read that would block made %d writes in all, want 2", k, len(c.writes))
+		}
+		if len(flushed) != 2 || flushed[0] != k || flushed[1] != 1 {
+			t.Fatalf("k=%d: OnFlush saw %v, want [%d 1]", k, flushed, k)
+		}
+	}
+
+	// Reaching the cap writes, with no read, and nothing past one envelope.
+	c := &policyConn{R: &bytes.Buffer{}}
+	s := NewStream(c)
+	p := make([]byte, 1000)
+	one := 4 + envelopeHeaderLen + len(p)
+	for queued := 0; len(c.writes) == 0; queued += one {
+		if queued > StreamQueueCap {
+			t.Fatalf("%d bytes queued and nothing written", queued)
+		}
+		if err := s.WriteEnvelope(1, 0, p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := len(c.writes[0]); len(c.writes) != 1 || n < StreamQueueCap || n > StreamQueueCap+one {
+		t.Fatalf("%d writes, the first %d bytes; want one within [cap %d, cap + one envelope %d]", len(c.writes), n, StreamQueueCap, StreamQueueCap+one)
+	}
+
+	// A failed flush comes back from the call that flushed: the read,
+	// or the write that reached the cap.
+	boom := errors.New("peer gone")
+	c = &policyConn{R: bytes.NewBuffer(reply), err: boom}
+	s = NewStream(c)
+	if err := s.WriteEnvelope(1, 0, []byte("x")); err != nil {
+		t.Fatalf("a queueing write failed: %v", err)
+	}
+	if _, _, _, err := s.ReadEnvelope(1 << 10); !errors.Is(err, boom) {
+		t.Fatalf("read after a failing flush: %v, want %v", err, boom)
+	}
+	if err := s.WriteEnvelope(2, 0, make([]byte, StreamQueueCap)); !errors.Is(err, boom) {
+		t.Fatalf("write reaching the cap over a failing connection: %v, want %v", err, boom)
 	}
 }
