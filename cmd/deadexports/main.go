@@ -14,10 +14,16 @@
 // and tagged fields are exempt, and so are the fields of a struct that
 // production code compares with == or != or uses as a map key.
 //
+// An option, a field of an exported …Config struct, that a live body
+// reads must also be set by one: by an assignment, ++ or --, a
+// composite-literal key or position, or &f. Inside the option's own
+// package only a write of a non-constant value counts, since constant
+// ones are the package's defaults.
+//
 // Tests are no caller, except in a test-support package, which only
 // other packages' tests link. What only a nested module's main reaches
-// (benchmark/) is listed on stdout and does not fail. An allow.txt
-// entry that names no finding is itself a finding.
+// or sets (benchmark/) is listed on stdout and does not fail. An
+// allow.txt entry that names no finding is itself a finding.
 package main
 
 import (
@@ -80,6 +86,7 @@ type graph struct {
 	dirs   map[string]string // import path → directory, for every scanned package
 	edges  map[string][]string
 	writes map[string][]string // the fields a declaration only writes
+	sets   map[string][]string // the fields a declaration sets (see refs)
 	roots  [tests + 1][]string
 	exempt map[string]bool
 }
@@ -115,23 +122,58 @@ func (g *graph) exemptFields(t types.Type) {
 	}
 }
 
-// refs adds an edge from the declaration from to each declaration that
-// n references; a field that n only writes goes to g.writes instead.
-func (g *graph) refs(info *types.Info, from string, n ast.Node, production bool) {
+// refs adds an edge from the declaration from, of package pkg, to each
+// declaration that n references; a field that n only writes goes to
+// g.writes instead. A field n sets goes to g.sets as well: an
+// assignment, ++ or --, a composite-literal key or position, or &f
+// sets it, but in its own package only a write of a non-constant value
+// does: constant ones are its defaults.
+func (g *graph) refs(info *types.Info, pkg, from string, n ast.Node, production bool) {
 	writes := map[*ast.Ident]bool{}
 	write := func(e ast.Expr) {
 		if s, ok := e.(*ast.SelectorExpr); ok {
 			writes[s.Sel] = true
 		}
 	}
+	isConst := func(e ast.Expr) bool { tv := info.Types[e]; return tv.Value != nil || tv.IsNil() }
+	setField := func(f types.Object, constant bool) {
+		if k := g.key(f); k != "" && (!constant || f.Pkg().Path() != pkg) {
+			g.sets[from] = append(g.sets[from], k)
+		}
+	}
+	set := func(e ast.Expr, constant bool) {
+		if s, ok := e.(*ast.SelectorExpr); ok {
+			setField(info.Uses[s.Sel], constant)
+		}
+	}
 	ast.Inspect(n, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.AssignStmt:
-			for _, l := range n.Lhs {
+			for i, l := range n.Lhs {
 				write(l)
+				set(l, n.Tok == token.ASSIGN && len(n.Rhs) == len(n.Lhs) && isConst(n.Rhs[i]))
 			}
 		case *ast.IncDecStmt:
 			write(n.X)
+			set(n.X, false)
+		case *ast.UnaryExpr:
+			if n.Op == token.AND {
+				set(n.X, false)
+			}
+		case *ast.CompositeLit:
+			t := info.TypeOf(n)
+			if p, ok := t.Underlying().(*types.Pointer); ok {
+				t = p.Elem()
+			}
+			if s, ok := t.Underlying().(*types.Struct); ok {
+				for i, e := range n.Elts {
+					if kv, ok := e.(*ast.KeyValueExpr); ok {
+						setField(info.Uses[kv.Key.(*ast.Ident)], isConst(kv.Value))
+					} else {
+						setField(s.Field(i), isConst(e))
+					}
+				}
+			}
 		case *ast.KeyValueExpr:
 			if id, ok := n.Key.(*ast.Ident); ok {
 				writes[id] = true
@@ -169,10 +211,10 @@ func (g *graph) refs(info *types.Info, from string, n ast.Node, production bool)
 // add records the references of files' declarations. A test file's
 // references are roots of the tests; those of main, init and var
 // initialisers, which run at start-up, are roots of the given level.
-func (g *graph) add(info *types.Info, files []*ast.File, level int) {
+func (g *graph) add(info *types.Info, pkg string, files []*ast.File, level int) {
 	for _, f := range files {
 		if strings.HasSuffix(g.fset.Position(f.Pos()).Filename, "_test.go") {
-			g.refs(info, rootKey(tests), f, false)
+			g.refs(info, pkg, rootKey(tests), f, false)
 			continue
 		}
 		for _, d := range f.Decls {
@@ -182,18 +224,18 @@ func (g *graph) add(info *types.Info, files []*ast.File, level int) {
 				if name := d.Name.Name; d.Recv == nil && (name == "init" || name == "main" && f.Name.Name == "main") {
 					g.roots[level] = append(g.roots[level], k)
 				}
-				g.refs(info, k, d, true)
+				g.refs(info, pkg, k, d, true)
 			case *ast.GenDecl:
 				for _, s := range d.Specs {
 					switch s := s.(type) {
 					case *ast.TypeSpec:
-						g.refs(info, g.key(info.Defs[s.Name]), s, true)
+						g.refs(info, pkg, g.key(info.Defs[s.Name]), s, true)
 					case *ast.ValueSpec:
 						for i, name := range s.Names {
 							if d.Tok == token.CONST {
-								g.refs(info, g.key(info.Defs[name]), s, true)
+								g.refs(info, pkg, g.key(info.Defs[name]), s, true)
 							} else if i == 0 {
-								g.refs(info, rootKey(level), s, true)
+								g.refs(info, pkg, rootKey(level), s, true)
 							}
 						}
 					}
@@ -203,10 +245,11 @@ func (g *graph) add(info *types.Info, files []*ast.File, level int) {
 	}
 }
 
-// A candidate is a declaration under internal/ that the gate judges.
+// A candidate is a declaration under internal/ that the gate judges;
+// an option is a field of an exported …Config struct.
 type candidate struct {
 	pkg, name, key string
-	field          bool
+	field, option  bool
 }
 
 // scan loads every package under root and returns its findings and the
@@ -214,7 +257,7 @@ type candidate struct {
 func scan(root string, allow map[string]string) (findings, nestedOnly []string, err error) {
 	fset := token.NewFileSet()
 	std := importer.ForCompiler(fset, "gc", nil)
-	g := &graph{fset: fset, dirs: map[string]string{}, edges: map[string][]string{}, writes: map[string][]string{}, exempt: map[string]bool{}}
+	g := &graph{fset: fset, dirs: map[string]string{}, edges: map[string][]string{}, writes: map[string][]string{}, sets: map[string][]string{}, exempt: map[string]bool{}}
 	base := map[string]*types.Package{} // the variant without tests, which every other package imports
 	bps := map[string]*build.Package{}  // import path → its files, for every scanned package with Go files
 	pkgLevel := map[string]int{}        // import path → the level of its roots
@@ -233,7 +276,8 @@ func scan(root string, allow map[string]string) (findings, nestedOnly []string, 
 		info := &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}, Types: map[ast.Expr]types.TypeAndValue{}}
 		p, err := conf.Check(path, fset, files, info)
 		if err == nil {
-			g.add(info, files[skip:], pkgLevel[strings.TrimSuffix(path, "_test")])
+			pkg := strings.TrimSuffix(path, "_test")
+			g.add(info, pkg, files[skip:], pkgLevel[pkg])
 		}
 		return p, err
 	}
@@ -336,9 +380,9 @@ func scan(root string, allow map[string]string) (findings, nestedOnly []string, 
 	own := map[string]bool{}      // the declarations of packages under internal/
 	for path, p := range base {
 		judged := strings.Contains(path, "/internal/")
-		judge := func(name string, obj types.Object, field bool) {
+		judge := func(name string, obj types.Object, field, option bool) {
 			if k := g.key(obj); judged && k != "" {
-				cands = append(cands, candidate{path, path + "." + name, k, field})
+				cands = append(cands, candidate{path, path + "." + name, k, field, option})
 				byName[path+"."+name], own[k] = k, true
 				if allow[path+"."+name] != "" {
 					g.roots[allowed] = append(g.roots[allowed], k)
@@ -350,10 +394,10 @@ func scan(root string, allow map[string]string) (findings, nestedOnly []string, 
 			switch obj := p.Scope().Lookup(name).(type) {
 			case *types.Func:
 				if name != "main" {
-					judge(name, obj, false)
+					judge(name, obj, false, false)
 				}
 			case *types.Var, *types.Const:
-				judge(name, obj, false)
+				judge(name, obj, false, false)
 			case *types.TypeName:
 				t, _ := obj.Type().(*types.Named)
 				for i := 0; !obj.IsAlias() && i < t.NumMethods(); i++ {
@@ -364,12 +408,12 @@ func scan(root string, allow map[string]string) (findings, nestedOnly []string, 
 							break
 						}
 					}
-					judge(name+"."+m.Name(), m, false)
+					judge(name+"."+m.Name(), m, false, false)
 				}
 				if s, ok := obj.Type().Underlying().(*types.Struct); ok && !obj.IsAlias() {
 					for i := 0; i < s.NumFields(); i++ {
 						if f := s.Field(i); !f.Anonymous() && f.Name() != "_" && s.Tag(i) == "" {
-							judge(name+"."+f.Name(), f, true)
+							judge(name+"."+f.Name(), f, true, obj.Exported() && strings.HasSuffix(name, "Config"))
 						}
 					}
 				}
@@ -401,12 +445,31 @@ func scan(root string, allow map[string]string) (findings, nestedOnly []string, 
 			direct[to] = direct[to] || level[from] == nested && !own[from]
 		}
 	}
+	// An option a command reads must be set by a command: what only a
+	// nested module's code sets is listed, what nothing live sets fails.
+	setBy := map[string]int{}
+	for from, ks := range g.sets {
+		for _, k := range ks {
+			if l := level[from]; l == command || l == nested && setBy[k] != command {
+				setBy[k] = l
+			}
+		}
+	}
+	unset := map[string]bool{} // the options a command reads and does not set
 	for _, c := range cands {
 		switch l := level[c.key]; {
-		case c.field && g.exempt[c.key], l == command, l == allowed, l == tests && pkgLevel[c.pkg] == tests:
+		case c.field && g.exempt[c.key], l == allowed, l == tests && pkgLevel[c.pkg] == tests:
+		case l == command:
+			if !c.option || setBy[c.key] == command {
+			} else if unset[c.name] = true; allow[c.name] != "" {
+			} else if setBy[c.key] == nested {
+				nestedOnly = append(nestedOnly, "sets "+c.name)
+			} else {
+				findings = append(findings, fmt.Sprintf("%s: %s: no command sets it", c.key, c.name))
+			}
 		case l == nested:
 			if direct[c.key] {
-				nestedOnly = append(nestedOnly, c.name)
+				nestedOnly = append(nestedOnly, "reaches "+c.name)
 			}
 		default:
 			findings = append(findings, fmt.Sprintf("%s: %s: no command %s it", c.key, c.name, map[bool]string{false: "reaches", true: "reads"}[c.field]))
@@ -414,7 +477,7 @@ func scan(root string, allow map[string]string) (findings, nestedOnly []string, 
 	}
 	for name := range allow {
 		slash := strings.LastIndex(name, "/") + 1
-		if pkg, _, _ := strings.Cut(name[slash:], "."); base[name[:slash]+pkg] != nil && (byName[name] == "" || level[byName[name]] == command) {
+		if pkg, _, _ := strings.Cut(name[slash:], "."); base[name[:slash]+pkg] != nil && (byName[name] == "" || level[byName[name]] == command && !unset[name]) {
 			findings = append(findings, fmt.Sprintf("allow.txt: %s is not a finding; remove the entry", name))
 		}
 	}
@@ -434,7 +497,7 @@ func main() {
 		findings = append(findings, err.Error())
 	}
 	for _, n := range nestedOnly {
-		fmt.Println("deadexports: no command reaches, and a nested module's own code uses,", n)
+		fmt.Println("deadexports: only a nested module's own code", n)
 	}
 	for _, f := range findings {
 		fmt.Fprintln(os.Stderr, "deadexports:", f)
@@ -442,5 +505,5 @@ func main() {
 	if len(findings) > 0 {
 		os.Exit(1) // delete each finding, move it into its tests, or allow-list it
 	}
-	fmt.Printf("deadexports: every func, method, var, const and field under internal/ is reached from a command (%d allow-listed)\n", len(allow))
+	fmt.Printf("deadexports: every func, method, var, const and field under internal/ is reached from a command, and every option set by one (%d allow-listed)\n", len(allow))
 }

@@ -18,9 +18,13 @@ import (
 // package it links. Fields: one read, one only assigned and
 // incremented, one only added to through sync/atomic, one added to and
 // loaded, a pointer to a counter added to, a tagged one, and a map
-// key's. Packages: a test-support package's name that a test calls and
-// one nothing calls, and a package nothing imports, whose own test
-// calls its name. A nested module's main and the names it reaches:
+// key's. Options, the fields of a …Config struct, which a command must
+// set as well as read: one set by its own package's non-constant
+// positional element, one written only by its package's constant
+// default, one set only by a test, one only by the nested module, and
+// one through &f from another package. Packages: a test-support
+// package's name that a test calls and one nothing calls, and a package
+// nothing imports, whose own test calls its name. A nested module's main and the names it reaches:
 // listed, not failed, and only the ones it calls, or a var initialiser
 // of a package only it links calls (not a command root).
 func TestScanFixture(t *testing.T) {
@@ -41,6 +45,8 @@ func TestScanFixture(t *testing.T) {
 		"testdata/fixture/internal/a/a.go:46:17: fixture/internal/a.Square.scale: no command reaches it",
 		"testdata/fixture/internal/a/a.go:5:6: fixture/internal/a.Unused: no command reaches it",
 		"testdata/fixture/internal/a/a.go:9:6: fixture/internal/a.TestOnly: no command reaches it",
+		"testdata/fixture/internal/a/config.go:6:2: fixture/internal/a.Config.Depth: no command sets it",
+		"testdata/fixture/internal/a/config.go:7:2: fixture/internal/a.Config.Verbose: no command sets it",
 		"testdata/fixture/internal/a/fields.go:32:6: fixture/internal/a.chainHead: no command reaches it",
 		"testdata/fixture/internal/a/fields.go:35:6: fixture/internal/a.chainTail: no command reaches it",
 		"testdata/fixture/internal/a/fields.go:8:2: fixture/internal/a.Tally.written: no command reads it",
@@ -51,7 +57,12 @@ func TestScanFixture(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("findings:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
-	if want := []string{"fixture/internal/a.BenchOnly", "fixture/internal/f.Value", "fixture/internal/f.start"}; !reflect.DeepEqual(nested, want) {
+	if want := []string{
+		"reaches fixture/internal/a.BenchOnly",
+		"reaches fixture/internal/f.Value",
+		"reaches fixture/internal/f.start",
+		"sets fixture/internal/a.Config.Tuned",
+	}; !reflect.DeepEqual(nested, want) {
 		t.Errorf("reached only from a nested module: %v, want %v", nested, want)
 	}
 }

@@ -7,4 +7,4 @@ import (
 	"fixture/internal/f"
 )
 
-func main() { _ = a.BenchOnly() + f.Value() }
+func main() { _ = a.BenchOnly() + f.Value() + a.Apply(a.Config{Tuned: 1}) }

@@ -16,3 +16,15 @@ func Total(shapes ...Shape) int {
 }
 
 var _ = Total(a.Square{Side: 2})
+
+// options sets a's options the way a command's flags do.
+func options() a.Config {
+	cfg := a.New(2)
+	setAddr(&cfg.Addr)
+	return cfg
+}
+
+// setAddr writes through the pointer it is given.
+func setAddr(p *string) { *p = "localhost" }
+
+var _ = a.Apply(options())

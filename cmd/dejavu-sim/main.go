@@ -108,6 +108,7 @@ func runFleet(w io.Writer, vms, workers, days int, seed int64, scenario string, 
 		Specs:                 specs,
 		Workers:               workers,
 		InterferenceDetection: interference,
+		DiscardRecords:        true, // the report reads only aggregates
 	}
 	if remoteTCP != "" && remoteAddr == "" {
 		return fmt.Errorf("-remote-tcp needs -remote ADDR: repository installs ride the HTTP admin plane")

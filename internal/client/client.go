@@ -37,14 +37,16 @@ import (
 	"repro/internal/wire"
 )
 
-// Transport names the decision-path transport.
 const (
-	// TransportHTTP carries decisions as HTTP/1.1 POSTs (the
-	// compat/admin plane's protocol).
-	TransportHTTP = "http"
-	// TransportTCP carries decisions as wire envelopes over
-	// persistent raw TCP connections.
-	TransportTCP = "tcp"
+	// dialTimeout bounds connection establishment.
+	dialTimeout = 5 * time.Second
+	// requestTimeout bounds one round trip.
+	requestTimeout = 30 * time.Second
+	// firstBackoff is the first retry's delay, doubling per attempt up
+	// to maxBackoff: without a cap a long retry budget sleeps for the
+	// full exponential sum during an outage.
+	firstBackoff = 10 * time.Millisecond
+	maxBackoff   = time.Second
 )
 
 // Config assembles a Client.
@@ -54,13 +56,10 @@ type Config struct {
 	// as "tcp://host:port"); admin calls (install, stats, snapshot)
 	// always use this HTTP plane.
 	Addr string
-	// Transport selects the decision-path transport: TransportHTTP
-	// (the default) or TransportTCP. Setting TCPAddr implies
-	// TransportTCP.
-	Transport string
 	// TCPAddr is the daemon's raw-TCP decision port, host:port with
-	// an optional tcp:// prefix. Decisions use it when Transport is
-	// TransportTCP; the admin plane stays on Addr.
+	// an optional tcp:// prefix. When it is set, decisions travel as
+	// wire envelopes over persistent raw TCP connections; otherwise
+	// they are HTTP/1.1 POSTs to Addr. The admin plane stays on Addr.
 	TCPAddr string
 	// Encoding is the decision codec's protocol tag. There is one
 	// codec: the zero value and wire.EncodingBinary both mean binary,
@@ -77,29 +76,6 @@ type Config struct {
 	// fresh connection (default 2). HTTP-level errors (4xx/5xx) are
 	// never retried.
 	Retries int
-	// Backoff is the first retry's delay, doubling per attempt
-	// (default 10ms).
-	Backoff time.Duration
-	// MaxBackoff caps the doubling (default 1s): without a cap a long
-	// retry budget sleeps for the full exponential sum during an
-	// outage.
-	MaxBackoff time.Duration
-	// RetryJitterSeed seeds the retry jitter stream (default 1).
-	// Fleet harnesses derive distinct seeds per client so coordinated
-	// failures do not retry in lockstep into a recovering daemon.
-	RetryJitterSeed int64
-	// DialTimeout bounds connection establishment (default 5s).
-	DialTimeout time.Duration
-	// RequestTimeout bounds one round trip (default 30s).
-	RequestTimeout time.Duration
-	// TraceEvery samples every Nth Decide with a trace context (0
-	// disables sampling): the sampled request carries a DejaVu-Trace
-	// header (HTTP) or a wire.StreamFlagTrace envelope (TCP), every
-	// hop downstream appends a span to its own ring, and the client
-	// records the root span in Spans(). Sampling draws ids from
-	// obs.NextID, never from seeded simulation streams, so enabling it
-	// cannot perturb a deterministic run's decisions.
-	TraceEvery int
 }
 
 func (c *Config) defaults() error {
@@ -112,24 +88,8 @@ func (c *Config) defaults() error {
 		c.Addr = ""
 	}
 	c.TCPAddr = strings.TrimPrefix(c.TCPAddr, "tcp://")
-	if c.Transport == "" {
-		if c.TCPAddr != "" {
-			c.Transport = TransportTCP
-		} else {
-			c.Transport = TransportHTTP
-		}
-	}
-	switch c.Transport {
-	case TransportHTTP:
-		if c.Addr == "" {
-			return errors.New("client: Config.Addr must be set")
-		}
-	case TransportTCP:
-		if c.TCPAddr == "" {
-			return errors.New("client: TransportTCP needs Config.TCPAddr (or a tcp:// Addr)")
-		}
-	default:
-		return fmt.Errorf("client: unknown transport %q", c.Transport)
+	if c.Addr == "" && c.TCPAddr == "" {
+		return errors.New("client: Config.Addr must be set")
 	}
 	if c.Encoding > wire.EncodingBinary {
 		return fmt.Errorf("client: unknown Config.Encoding %d (the only decision encoding is binary)", c.Encoding)
@@ -141,21 +101,6 @@ func (c *Config) defaults() error {
 		c.Retries = 0
 	} else if c.Retries == 0 {
 		c.Retries = 2
-	}
-	if c.Backoff <= 0 {
-		c.Backoff = 10 * time.Millisecond
-	}
-	if c.MaxBackoff <= 0 {
-		c.MaxBackoff = time.Second
-	}
-	if c.RetryJitterSeed == 0 {
-		c.RetryJitterSeed = 1
-	}
-	if c.DialTimeout <= 0 {
-		c.DialTimeout = 5 * time.Second
-	}
-	if c.RequestTimeout <= 0 {
-		c.RequestTimeout = 30 * time.Second
 	}
 	return nil
 }
@@ -172,7 +117,10 @@ type Client struct {
 	closeCh chan struct{}
 
 	// jitter randomizes retry backoff so coordinated clients do not
-	// retry in lockstep. Guarded by jitterMu: the retry path is cold.
+	// retry in lockstep: each client seeds its own stream from
+	// obs.NextID, never from a seeded simulation stream, so the jitter
+	// cannot perturb a deterministic run's decisions. Guarded by
+	// jitterMu: the retry path is cold.
 	jitterMu sync.Mutex
 	jitter   *rand.Rand
 
@@ -183,8 +131,7 @@ type Client struct {
 	// the zero-alloc decision path stays zero-alloc with them live).
 	reqLat    obs.Histogram // whole Decide: encode, transport (incl. retries), decode
 	retryWait obs.Histogram // time spent sleeping in retry backoff
-	decides   atomic.Int64  // Decide calls, drives TraceEvery sampling
-	spans     *obs.SpanRing // root spans of sampled decisions
+	decides   atomic.Int64  // Decide calls
 }
 
 // New validates the configuration and returns a client. No connection
@@ -198,17 +145,10 @@ func New(cfg Config) (*Client, error) {
 		idle:    make(chan *conn, cfg.MaxIdleConns),
 		tcpIdle: make(chan *tcpConn, cfg.MaxIdleConns),
 		closeCh: make(chan struct{}),
-		jitter:  rng.New(cfg.RetryJitterSeed),
-	}
-	if cfg.TraceEvery > 0 {
-		c.spans = obs.NewSpanRing(obs.DefaultSpanRingSize)
+		jitter:  rng.New(int64(obs.NextID())),
 	}
 	return c, nil
 }
-
-// Spans exposes the client's trace ring: the root spans of sampled
-// decisions (nil unless Config.TraceEvery is set).
-func (c *Client) Spans() *obs.SpanRing { return c.spans }
 
 // Close drops the idle pools and wakes any retry sleeping in backoff.
 // In-flight requests finish on their own connections.
@@ -270,7 +210,7 @@ type conn struct {
 }
 
 func (c *Client) dial() (*conn, error) {
-	nc, err := net.DialTimeout("tcp", c.cfg.Addr, c.cfg.DialTimeout)
+	nc, err := net.DialTimeout("tcp", c.cfg.Addr, dialTimeout)
 	if err != nil {
 		return nil, fmt.Errorf("client: dial %s: %w", c.cfg.Addr, err)
 	}
@@ -358,20 +298,25 @@ func (c *Client) roundTrip(method, path, contentType string, payload []byte, tc 
 // errClosed reports a Close arriving while a retry slept in backoff.
 var errClosed = errors.New("client: closed")
 
-// backoffWait sleeps before retry number attempt (1-based), honoring
+// backoff is the delay before retry number attempt (1-based), honoring
 // three policies at once: the delay doubles per attempt, is capped at
-// MaxBackoff, and carries seeded jitter in [½d, d] so coordinated
-// clients spread their retries instead of stampeding a recovering
-// daemon in lockstep. The sleep aborts immediately when Close is
-// called.
+// maxBackoff, and carries jitter in [½d, d] drawn from jitter so
+// coordinated clients spread their retries instead of stampeding a
+// recovering daemon in lockstep.
+func backoff(attempt int, jitter *rand.Rand) time.Duration {
+	d := firstBackoff << (attempt - 1)
+	if d > maxBackoff || d <= 0 { // <=0: shift overflow
+		d = maxBackoff
+	}
+	return d/2 + time.Duration(jitter.Int63n(int64(d/2)+1))
+}
+
+// backoffWait sleeps for backoff(attempt) on the client's jitter
+// stream. The sleep aborts immediately when Close is called.
 func (c *Client) backoffWait(attempt int) error {
 	c.retried.Add(1)
-	d := c.cfg.Backoff << (attempt - 1)
-	if d > c.cfg.MaxBackoff || d <= 0 { // <=0: shift overflow
-		d = c.cfg.MaxBackoff
-	}
 	c.jitterMu.Lock()
-	d = d/2 + time.Duration(c.jitter.Int63n(int64(d/2)+1))
+	d := backoff(attempt, c.jitter)
 	c.jitterMu.Unlock()
 	start := time.Now()
 	defer func() { c.retryWait.Record(time.Since(start)) }()
@@ -389,7 +334,7 @@ func (c *Client) backoffWait(attempt int) error {
 // returned body aliases cn.body; reusable reports whether the
 // connection may go back to the pool (false after Connection: close).
 func (c *Client) exchange(cn *conn, method, path, contentType string, payload []byte, tc obs.TraceContext) (status int, body []byte, reusable bool, err error) {
-	deadline := time.Now().Add(c.cfg.RequestTimeout)
+	deadline := time.Now().Add(requestTimeout)
 	if err := cn.nc.SetDeadline(deadline); err != nil {
 		return 0, nil, false, err
 	}
@@ -645,25 +590,14 @@ func readChunked(br *bufio.Reader, dst []byte) ([]byte, error) {
 // steady-state path performs zero heap allocations once the payload pool and connection scratch have
 // warmed up (pinned by TestClientLookupZeroAlloc).
 func (c *Client) Decide(lookup bool, req *wire.Request, resp *wire.Response) error {
-	return c.DecideTraced(lookup, req, resp, c.sampleTrace())
+	c.decides.Add(1)
+	return c.DecideTraced(lookup, req, resp, obs.TraceContext{})
 }
 
-// sampleTrace decides whether this Decide carries a trace context:
-// every TraceEvery-th call starts a fresh root trace. The untraced
-// path costs one atomic add.
-func (c *Client) sampleTrace() obs.TraceContext {
-	n := c.decides.Add(1)
-	if c.cfg.TraceEvery <= 0 || n%int64(c.cfg.TraceEvery) != 0 {
-		return obs.TraceContext{}
-	}
-	return obs.NewContext()
-}
-
-// DecideTraced is Decide with an explicit trace context: a valid tc
+// DecideTraced is Decide with the caller's trace context: a valid tc
 // rides the wire (DejaVu-Trace header over HTTP, a trace-flagged
-// envelope over TCP) so every hop downstream records a span, and the
-// client records the root span in Spans(). The zero context is an
-// ordinary untraced Decide.
+// envelope over TCP) so every hop downstream records a span under it.
+// The zero context is an ordinary untraced Decide.
 func (c *Client) DecideTraced(lookup bool, req *wire.Request, resp *wire.Response, tc obs.TraceContext) error {
 	start := time.Now()
 	bufp, _ := c.payloads.Get().(*[]byte)
@@ -676,18 +610,13 @@ func (c *Client) DecideTraced(lookup bool, req *wire.Request, resp *wire.Respons
 		c.payloads.Put(bufp)
 		return err // encoding errors are the caller's, never retried
 	}
-	if c.cfg.Transport == TransportTCP {
+	if c.cfg.TCPAddr != "" {
 		err = c.decideTCP(lookup, payload, resp, tc)
 	} else {
 		err = c.decideHTTP(lookup, payload, resp, tc)
 	}
 	c.payloads.Put(bufp) // the transport has fully written (or abandoned) the payload
-	elapsed := time.Since(start)
-	c.reqLat.Record(elapsed)
-	if tc.Valid() {
-		// Root span: parent 0 marks the start of the chain.
-		c.spans.RecordHop(obs.TraceContext{Trace: tc.Trace}, tc, "client", wire.OpName(lookup), start, elapsed)
-	}
+	c.reqLat.Record(time.Since(start))
 	if err != nil {
 		return err
 	}

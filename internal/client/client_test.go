@@ -8,7 +8,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/cloud"
 	"repro/internal/core"
@@ -278,7 +277,7 @@ func TestClientRetryBackoff(t *testing.T) {
 		}
 	}()
 
-	c, err := New(Config{Addr: ln.Addr().String(), Retries: 3, Backoff: time.Millisecond})
+	c, err := New(Config{Addr: ln.Addr().String(), Retries: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

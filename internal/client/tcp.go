@@ -37,14 +37,14 @@ type tcpConn struct {
 
 // dialTCP establishes and handshakes a decision connection.
 func (c *Client) dialTCP() (*tcpConn, error) {
-	nc, err := net.DialTimeout("tcp", c.cfg.TCPAddr, c.cfg.DialTimeout)
+	nc, err := net.DialTimeout("tcp", c.cfg.TCPAddr, dialTimeout)
 	if err != nil {
 		return nil, fmt.Errorf("client: dial tcp %s: %w", c.cfg.TCPAddr, err)
 	}
 	if tc, ok := nc.(*net.TCPConn); ok {
 		_ = tc.SetNoDelay(true)
 	}
-	if err := nc.SetDeadline(time.Now().Add(c.cfg.DialTimeout)); err != nil {
+	if err := nc.SetDeadline(time.Now().Add(dialTimeout)); err != nil {
 		nc.Close()
 		return nil, err
 	}
@@ -135,7 +135,7 @@ func (c *Client) Ping() error {
 	if err != nil {
 		return err
 	}
-	if err := cn.nc.SetDeadline(time.Now().Add(c.cfg.RequestTimeout)); err != nil {
+	if err := cn.nc.SetDeadline(time.Now().Add(requestTimeout)); err != nil {
 		cn.nc.Close()
 		return err
 	}
@@ -163,7 +163,7 @@ func (c *Client) Ping() error {
 // rejection (error envelope); err covers transport and framing
 // failures, after which the caller must close the connection.
 func (c *Client) exchangeTCP(cn *tcpConn, lookup bool, payload []byte, resp *wire.Response, tc obs.TraceContext) (*wire.APIError, error) {
-	if err := cn.nc.SetDeadline(time.Now().Add(c.cfg.RequestTimeout)); err != nil {
+	if err := cn.nc.SetDeadline(time.Now().Add(requestTimeout)); err != nil {
 		return nil, err
 	}
 	cn.nextID++

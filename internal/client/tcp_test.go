@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/rng"
 	"repro/internal/server"
 	"repro/internal/testkit"
 	"repro/internal/wire"
@@ -134,7 +135,7 @@ func TestClientTCPReconnects(t *testing.T) {
 	ts := server.NewTCP(s, server.TCPConfig{})
 	go ts.Serve(ln)
 
-	c, err := New(Config{Addr: httpAddr, TCPAddr: ln.Addr().String(), Backoff: time.Millisecond})
+	c, err := New(Config{Addr: httpAddr, TCPAddr: ln.Addr().String()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,12 +188,13 @@ func TestClientCloseInterruptsRetryBackoff(t *testing.T) {
 	deadAddr := ln.Addr().String()
 	ln.Close()
 
-	for _, transport := range []string{TransportHTTP, TransportTCP} {
-		cfg := Config{Retries: 3, Backoff: 2 * time.Second}
-		if transport == TransportTCP {
+	// Ten retries sleep at least 2.1 s in all (half of 10+20+…+640 ms
+	// and three capped seconds), so a Close that waited for them
+	// would be seen.
+	for _, transport := range []string{"http", "tcp"} {
+		cfg := Config{Addr: deadAddr, Retries: 10}
+		if transport == "tcp" {
 			cfg.Addr = "tcp://" + deadAddr
-		} else {
-			cfg.Addr = deadAddr
 		}
 		c, err := New(cfg)
 		if err != nil {
@@ -223,36 +225,43 @@ func TestClientCloseInterruptsRetryBackoff(t *testing.T) {
 	}
 }
 
-// TestClientBackoffCap pins that the doubling backoff respects
-// MaxBackoff: with a generous retry budget the total stall is
-// bounded by retries×cap, not by the exponential sum.
+// TestClientBackoffCap pins the backoff schedule: the delay before
+// retry a is the doubled first delay, firstBackoff<<(a-1), capped at
+// maxBackoff (also where the shift overflows), and jittered into
+// [½d, d]; so a generous retry budget stalls for at most retries×cap,
+// not the exponential sum.
 func TestClientBackoffCap(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
+	jitter := rng.New(1)
+	for attempt := 1; attempt <= 70; attempt++ {
+		d := maxBackoff
+		if attempt < 30 && firstBackoff<<(attempt-1) < maxBackoff {
+			d = firstBackoff << (attempt - 1)
+		}
+		for i := 0; i < 100; i++ {
+			if got := backoff(attempt, jitter); got < d/2 || got > d {
+				t.Fatalf("attempt %d: backoff %v outside [%v, %v]", attempt, got, d/2, d)
+			}
+		}
 	}
-	deadAddr := ln.Addr().String()
-	ln.Close()
-	c, err := New(Config{Addr: deadAddr, Retries: 6, Backoff: time.Millisecond, MaxBackoff: 4 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
+}
+
+// TestClientJitterDecorrelated: two clients draw their retry jitter
+// from different streams, so after a shared failure they do not
+// retry into the recovering daemon on one schedule.
+func TestClientJitterDecorrelated(t *testing.T) {
+	var schedules [2][8]time.Duration
+	for i := range schedules {
+		c, err := New(Config{Addr: "127.0.0.1:1"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for a := range schedules[i] {
+			schedules[i][a] = backoff(a+1, c.jitter)
+		}
+		c.Close()
 	}
-	defer c.Close()
-	var req wire.Request
-	var resp wire.Response
-	req.AppendRow([]float64{1})
-	start := time.Now()
-	if err := c.Decide(true, &req, &resp); err == nil {
-		t.Fatal("decide against a dead address succeeded")
-	}
-	// Uncapped, attempts 1..6 would sleep 1+2+4+8+16+32 = 63ms
-	// (pre-jitter); capped at 4ms the worst case is 1+2+4+4+4+4 =
-	// 19ms. Allow slack for dial failures and scheduling.
-	if elapsed := time.Since(start); elapsed > 500*time.Millisecond {
-		t.Errorf("6 capped retries took %v", elapsed)
-	}
-	if got := c.retried.Load(); got != 6 {
-		t.Errorf("retried = %d, want 6", got)
+	if schedules[0] == schedules[1] {
+		t.Errorf("two clients back off on one schedule: %v", schedules[0])
 	}
 }
 

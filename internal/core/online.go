@@ -26,8 +26,9 @@ import (
 // otherwise uses Learn's fixed parameters and its default classifier.
 // The zero value of every field except Rng picks the Learn defaults.
 type OnlineRelearnConfig struct {
-	// MinK and MaxK bound the cluster count search (defaults 2, 6).
-	MinK, MaxK int
+	// MaxK bounds the cluster count search from above (default 6);
+	// it starts at Learn's default minimum, 2.
+	MaxK int
 	// Rng drives clustering restarts; required. Only derived per-run
 	// seeds are consumed, so results are Workers-independent.
 	Rng *rand.Rand
@@ -48,17 +49,14 @@ func RelearnFromSignatures(events []metrics.Event, rows [][]float64, cfg OnlineR
 	if cfg.Rng == nil {
 		return nil, errors.New("core: relearn needs a Rng")
 	}
-	if cfg.MinK <= 0 {
-		cfg.MinK = defaultMinK
-	}
 	if cfg.MaxK <= 0 {
 		cfg.MaxK = defaultMaxK
 	}
-	if cfg.MinK > cfg.MaxK {
-		return nil, fmt.Errorf("core: OnlineRelearnConfig.MinK %d exceeds MaxK %d", cfg.MinK, cfg.MaxK)
+	if defaultMinK > cfg.MaxK {
+		return nil, fmt.Errorf("core: OnlineRelearnConfig.MaxK %d is below MinK %d", cfg.MaxK, defaultMinK)
 	}
-	if len(rows) < 2*cfg.MinK {
-		return nil, fmt.Errorf("core: %d signatures are too few to re-cluster (need >= %d)", len(rows), 2*cfg.MinK)
+	if len(rows) < 2*defaultMinK {
+		return nil, fmt.Errorf("core: %d signatures are too few to re-cluster (need >= %d)", len(rows), 2*defaultMinK)
 	}
 
 	// The dataset only reads the caller's rows; the one copy the
@@ -76,7 +74,7 @@ func RelearnFromSignatures(events []metrics.Event, rows [][]float64, cfg OnlineR
 		return nil, err
 	}
 	dsZ := std.TransformDataset(ds)
-	clusters, err := ml.KMeansAuto(dsZ.X, cfg.MinK, cfg.MaxK, ml.KMeansConfig{Rng: cfg.Rng, Workers: cfg.Workers})
+	clusters, err := ml.KMeansAuto(dsZ.X, defaultMinK, cfg.MaxK, ml.KMeansConfig{Rng: cfg.Rng, Workers: cfg.Workers})
 	if err != nil {
 		return nil, fmt.Errorf("core: re-clustering: %w", err)
 	}

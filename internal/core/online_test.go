@@ -78,9 +78,9 @@ func TestRelearnAdaptShapedGolden(t *testing.T) {
 // repository.
 func TestMinKAboveMaxKRejected(t *testing.T) {
 	rows := testkit.LatticeSignatures(1, 60, len(adaptEvents), 3)
-	_, err := RelearnFromSignatures(adaptEvents, rows, OnlineRelearnConfig{MinK: 8, Rng: rng.New(1)})
+	_, err := RelearnFromSignatures(adaptEvents, rows, OnlineRelearnConfig{MaxK: 1, Rng: rng.New(1)})
 	if err == nil || !strings.Contains(err.Error(), "MinK") {
-		t.Errorf("RelearnFromSignatures{MinK: 8} (MaxK defaults to 6): err = %v, want a MinK > MaxK error", err)
+		t.Errorf("RelearnFromSignatures{MaxK: 1} (MinK is 2): err = %v, want a MinK > MaxK error", err)
 	}
 	svc := services.NewCassandra()
 	r := rand.New(rand.NewSource(1))

@@ -30,7 +30,7 @@ func buildTestRepository(t *testing.T) *Repository {
 		t.Fatal(err)
 	}
 	// Centroids in standardized space.
-	km, err := ml.KMeans(z.X, ml.KMeansConfig{K: 2, Rng: rng})
+	km, err := ml.KMeans(z.X, 2, ml.KMeansConfig{Rng: rng})
 	if err != nil {
 		t.Fatal(err)
 	}

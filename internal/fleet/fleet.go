@@ -45,10 +45,6 @@ type Config struct {
 	// OnDemandProfiling lets controllers profile on SLO violations
 	// between periodic rounds.
 	OnDemandProfiling bool
-	// SkipLearning reuses Repositories when set: keys are service
-	// names, values pre-learned repositories (e.g. loaded with
-	// core.LoadRepository). Templates without an entry still learn.
-	SkipLearning map[string]*core.Repository
 	// Remote, when set, drives a live dejavud instead of in-process
 	// repositories: each template's learned repository is installed
 	// into the daemon under the service name and the group statistics
@@ -592,14 +588,9 @@ func (p *runPhase) finish(i int, vr *sim.Result, err error) {
 	}
 }
 
-// learnGroup runs (or skips) the learning phase for one template.
-// workers bounds the group's clustering fan-out inside core.Learn.
+// learnGroup runs the learning phase for one template. workers bounds
+// the group's clustering fan-out inside core.Learn.
 func learnGroup(cfg Config, g *group, workers int) error {
-	if repo, ok := cfg.SkipLearning[g.service.Name()]; ok && repo != nil {
-		g.repo = repo
-		g.classes = repo.Classes()
-		return nil
-	}
 	first := cfg.Specs[g.vms[0]]
 	if first.LearnTrace == nil {
 		return fmt.Errorf("fleet: service %s needs a LearnTrace on its first VM", g.service.Name())

@@ -263,7 +263,6 @@ func TestScenarioShapes(t *testing.T) {
 		Rng:          rand.New(rand.NewSource(3)),
 		VMs:          8,
 		Days:         2,
-		VMsPerHost:   4,
 		Interference: true,
 	})
 	if err != nil {

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -43,16 +44,14 @@ func TestVMKitMatchesFreshKit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.SkipLearning = make(map[string]*core.Repository, len(groups))
 	for _, g := range groups {
 		if len(g.vms) < 2 {
 			t.Fatalf("template %s has %d VM: no kit reuse to check", g.service.Name(), len(g.vms))
 		}
-		cfg.SkipLearning[g.service.Name()] = g.repo
 	}
 	entries := func() (n int) {
-		for _, repo := range cfg.SkipLearning {
-			n += repo.Len()
+		for _, g := range groups {
+			n += g.repo.Len()
 		}
 		return n
 	}
@@ -62,7 +61,7 @@ func TestVMKitMatchesFreshKit(t *testing.T) {
 			t.Fatal("the repositories still grow after 10 warming runs")
 		}
 		before := entries()
-		if fleet, err = Run(cfg); err != nil {
+		if fleet, err = runLearned(cfg, groups); err != nil {
 			t.Fatal(err)
 		}
 		if entries() == before {
@@ -73,7 +72,7 @@ func TestVMKitMatchesFreshKit(t *testing.T) {
 	for i := range specs {
 		solo := cfg
 		solo.Specs = specs[i : i+1]
-		res, err := Run(solo)
+		res, err := runLearned(solo, groups)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -81,6 +80,28 @@ func TestVMKitMatchesFreshKit(t *testing.T) {
 			t.Errorf("vm %d (%s): result on the worker's kit differs from its solo run on a fresh kit", i, specs[i].Name)
 		}
 	}
+}
+
+// runLearned is Run with its learning phase replaced by the
+// repositories learned holds: each template starts on an empty tuning
+// cache, and the run phase steps cfg's VMs on fresh kits.
+func runLearned(cfg Config, learned []*group) (*Result, error) {
+	var groups []*group
+	for _, l := range learned {
+		g := &group{service: l.service, repo: l.repo, cache: core.NewSharedTuningCache(), classes: l.classes}
+		for i, spec := range cfg.Specs {
+			if spec.Service.Name() == g.service.Name() {
+				g.vms = append(g.vms, i)
+			}
+		}
+		groups = append(groups, g)
+	}
+	p, err := newRunPhase(cfg, groups)
+	if err != nil {
+		return nil, err
+	}
+	p.run()
+	return p.res, errors.Join(p.errs...)
 }
 
 // TestVMKitReadyIsFresh checks ready's contract piece by piece: a kit

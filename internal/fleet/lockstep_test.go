@@ -45,7 +45,7 @@ func startLiveDaemon(t testing.TB) *liveDaemon {
 	cl, err := client.New(client.Config{
 		Addr:    strings.TrimPrefix(hs.URL, "http://"),
 		TCPAddr: ln.Addr().String(),
-		Retries: 1, Backoff: time.Millisecond, // a killed daemon fails the run fast
+		Retries: 1, // a killed daemon fails the run fast
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -87,11 +87,8 @@ func TestFleetRemoteEquivalence(t *testing.T) {
 	relearnCalls := atomic.Int64{}
 	srvCfg := server.Config{
 		Drift: server.DriftConfig{
-			Window:         64,
-			Threshold:      0.5,
-			SampleStride:   2,
-			MinRelearnRows: 32,
-			RecentCapacity: 512,
+			Window:    64,
+			Threshold: 0.5,
 		},
 		Relearn: func(template string, events []metrics.Event, rows [][]float64) (*core.Repository, error) {
 			if template != driftTemplateName {

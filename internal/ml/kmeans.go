@@ -27,12 +27,6 @@ type KMeansResult struct {
 
 // KMeansConfig controls the clustering run.
 type KMeansConfig struct {
-	// K is the number of clusters; required by KMeans, ignored by
-	// KMeansAuto.
-	K int
-	// Restarts is the number of random restarts; the best (lowest
-	// inertia) run wins (default 5).
-	Restarts int
 	// Rng supplies randomness; required. It is consumed only to derive
 	// one seed per clustering run (plus one for the silhouette sampler
 	// in KMeansAuto), so results are deterministic for a given Rng
@@ -54,6 +48,9 @@ type KMeansConfig struct {
 const (
 	// maxIterations bounds Lloyd iterations.
 	maxIterations = 100
+	// restarts is the number of random restarts per k; the best
+	// (lowest inertia) run wins.
+	restarts = 5
 	// silhouetteSample is the sample size of the silhouette estimator
 	// KMeansAuto scores candidate k with on large datasets.
 	silhouetteSample = 256
@@ -67,9 +64,6 @@ const (
 func (c *KMeansConfig) defaults() error {
 	if c.Rng == nil {
 		return errors.New("ml: KMeansConfig.Rng must be set")
-	}
-	if c.Restarts <= 0 {
-		c.Restarts = 5
 	}
 	return nil
 }
@@ -89,7 +83,7 @@ func resolveWorkers(workers, items int) int {
 	return workers
 }
 
-// KMeans clusters the rows of X into cfg.K clusters using Lloyd's
+// KMeans clusters the rows of X into k clusters using Lloyd's
 // algorithm with k-means++ seeding and several random restarts. The
 // paper's "simple k means" corresponds to a single run; restarts only
 // improve stability.
@@ -99,32 +93,32 @@ func resolveWorkers(workers, items int) int {
 // row-major copy of X with Hamerly-style distance-bound pruning (see
 // kmEngine). The best (lowest-inertia) restart wins, with ties broken
 // by restart index so the outcome is independent of scheduling.
-func KMeans(X [][]float64, cfg KMeansConfig) (*KMeansResult, error) {
+func KMeans(X [][]float64, k int, cfg KMeansConfig) (*KMeansResult, error) {
 	if err := cfg.defaults(); err != nil {
 		return nil, err
 	}
-	if cfg.K <= 0 {
+	if k <= 0 {
 		return nil, errors.New("ml: K must be positive")
 	}
 	if len(X) == 0 {
 		return nil, errors.New("ml: no rows to cluster")
 	}
-	if cfg.K > len(X) {
-		return nil, fmt.Errorf("ml: K=%d exceeds %d rows", cfg.K, len(X))
+	if k > len(X) {
+		return nil, fmt.Errorf("ml: K=%d exceeds %d rows", k, len(X))
 	}
 	m, err := NewMatrix(X)
 	if err != nil {
 		return nil, err
 	}
-	results := runGrid(m, []int{cfg.K}, cfg)
+	results := runGrid(m, []int{k}, cfg)
 	return results[0], nil
 }
 
-// runGrid executes Restarts clustering runs for every k in ks on the
+// runGrid executes restarts clustering runs for every k in ks on the
 // worker pool and returns the best run per k. Seeds are drawn from
 // cfg.Rng in (k, restart) order before any run starts.
 func runGrid(m *Matrix, ks []int, cfg KMeansConfig) []*KMeansResult {
-	runs := len(ks) * cfg.Restarts
+	runs := len(ks) * restarts
 	seeds := make([]int64, runs)
 	for i := range seeds {
 		seeds[i] = cfg.Rng.Int63()
@@ -138,13 +132,13 @@ func runGrid(m *Matrix, ks []int, cfg KMeansConfig) []*KMeansResult {
 			e = newKMEngine(m)
 			engines[w] = e
 		}
-		k := ks[i/cfg.Restarts]
+		k := ks[i/restarts]
 		rng := rand.New(rand.NewSource(seeds[i]))
 		results[i] = e.run(k, maxIterations, rng, !cfg.Naive)
 	})
 	best := make([]*KMeansResult, len(ks))
 	for i, res := range results {
-		ki := i / cfg.Restarts
+		ki := i / restarts
 		if best[ki] == nil || res.Inertia < best[ki].Inertia {
 			best[ki] = res
 		}
@@ -181,9 +175,7 @@ func KMeansAuto(X [][]float64, minK, maxK int, cfg KMeansConfig) (*KMeansResult,
 	maxK = distinctRows(X, maxK) // ≤ len(X)
 	if maxK < minK {
 		// Degenerate data: fewer than minK distinct rows. One cluster.
-		one := cfg
-		one.K = 1
-		return KMeans(X, one)
+		return KMeans(X, 1, cfg)
 	}
 	m, err := NewMatrix(X)
 	if err != nil {
@@ -197,7 +189,7 @@ func KMeansAuto(X [][]float64, minK, maxK int, cfg KMeansConfig) (*KMeansResult,
 	perK := runGrid(m, ks, cfg)
 
 	// Draw the sampler seed after the run seeds so the cfg.Rng stream
-	// consumed by a given (minK, maxK, Restarts) sweep is fixed.
+	// consumed by a given (minK, maxK) sweep is fixed.
 	exact := m.Rows <= silhouetteExactThreshold
 	var sampleRng *rand.Rand
 	if !exact {

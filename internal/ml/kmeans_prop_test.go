@@ -79,8 +79,7 @@ func TestPrunedMatchesNaive(t *testing.T) {
 		}
 		seed := meta.Int63()
 		run := func(naive bool, workers int) *KMeansResult {
-			res, err := KMeans(X, KMeansConfig{
-				K:       k,
+			res, err := KMeans(X, k, KMeansConfig{
 				Rng:     rand.New(rand.NewSource(seed)),
 				Naive:   naive,
 				Workers: workers,

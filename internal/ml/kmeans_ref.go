@@ -20,18 +20,18 @@ import (
 // Lloyd's algorithm with k-means++ seeding, restarts drawn one after
 // another from cfg.Rng, best inertia wins. Parallelism and pruning
 // options in cfg are ignored.
-func KMeansReference(X [][]float64, cfg KMeansConfig) (*KMeansResult, error) {
+func KMeansReference(X [][]float64, k int, cfg KMeansConfig) (*KMeansResult, error) {
 	if err := cfg.defaults(); err != nil {
 		return nil, err
 	}
-	if cfg.K <= 0 {
+	if k <= 0 {
 		return nil, errors.New("ml: K must be positive")
 	}
 	if len(X) == 0 {
 		return nil, errors.New("ml: no rows to cluster")
 	}
-	if cfg.K > len(X) {
-		return nil, fmt.Errorf("ml: K=%d exceeds %d rows", cfg.K, len(X))
+	if k > len(X) {
+		return nil, fmt.Errorf("ml: K=%d exceeds %d rows", k, len(X))
 	}
 	width := len(X[0])
 	for _, row := range X {
@@ -41,8 +41,8 @@ func KMeansReference(X [][]float64, cfg KMeansConfig) (*KMeansResult, error) {
 	}
 
 	var best *KMeansResult
-	for r := 0; r < cfg.Restarts; r++ {
-		res := kmeansOnceRef(X, cfg.K, maxIterations, cfg.Rng)
+	for r := 0; r < restarts; r++ {
+		res := kmeansOnceRef(X, k, maxIterations, cfg.Rng)
 		if best == nil || res.Inertia < best.Inertia {
 			best = res
 		}
@@ -192,17 +192,13 @@ func KMeansAutoReference(X [][]float64, minK, maxK int, cfg KMeansConfig) (*KMea
 	}
 	if maxK < minK {
 		// Degenerate data: everything identical. One cluster.
-		one := cfg
-		one.K = 1
-		return KMeansReference(X, one)
+		return KMeansReference(X, 1, cfg)
 	}
 
 	var best *KMeansResult
 	bestScore := math.Inf(-1)
 	for k := minK; k <= maxK; k++ {
-		runCfg := cfg
-		runCfg.K = k
-		res, err := KMeansReference(X, runCfg)
+		res, err := KMeansReference(X, k, cfg)
 		if err != nil {
 			return nil, err
 		}

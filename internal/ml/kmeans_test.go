@@ -27,7 +27,7 @@ func threeBlobs(rng *rand.Rand, perBlob int) ([][]float64, []int) {
 func TestKMeansRecoversBlobs(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	X, truth := threeBlobs(rng, 30)
-	res, err := KMeans(X, KMeansConfig{K: 3, Rng: rng})
+	res, err := KMeans(X, 3, KMeansConfig{Rng: rng})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,20 +53,20 @@ func TestKMeansRecoversBlobs(t *testing.T) {
 func TestKMeansValidation(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	X := [][]float64{{1, 2}, {3, 4}}
-	if _, err := KMeans(X, KMeansConfig{K: 0, Rng: rng}); err == nil {
+	if _, err := KMeans(X, 0, KMeansConfig{Rng: rng}); err == nil {
 		t.Error("K=0 should error")
 	}
-	if _, err := KMeans(X, KMeansConfig{K: 3, Rng: rng}); err == nil {
+	if _, err := KMeans(X, 3, KMeansConfig{Rng: rng}); err == nil {
 		t.Error("K>n should error")
 	}
-	if _, err := KMeans(nil, KMeansConfig{K: 1, Rng: rng}); err == nil {
+	if _, err := KMeans(nil, 1, KMeansConfig{Rng: rng}); err == nil {
 		t.Error("empty X should error")
 	}
-	if _, err := KMeans(X, KMeansConfig{K: 1}); err == nil {
+	if _, err := KMeans(X, 1, KMeansConfig{}); err == nil {
 		t.Error("nil Rng should error")
 	}
 	ragged := [][]float64{{1, 2}, {3}}
-	if _, err := KMeans(ragged, KMeansConfig{K: 1, Rng: rng}); err == nil {
+	if _, err := KMeans(ragged, 1, KMeansConfig{Rng: rng}); err == nil {
 		t.Error("ragged matrix should error")
 	}
 }
@@ -74,7 +74,7 @@ func TestKMeansValidation(t *testing.T) {
 func TestKMeansK1(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	X := [][]float64{{0, 0}, {2, 0}, {0, 2}, {2, 2}}
-	res, err := KMeans(X, KMeansConfig{K: 1, Rng: rng})
+	res, err := KMeans(X, 1, KMeansConfig{Rng: rng})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestKMeansInertiaDecreasesWithK(t *testing.T) {
 	X, _ := threeBlobs(rng, 20)
 	var prev float64 = math.Inf(1)
 	for k := 1; k <= 4; k++ {
-		res, err := KMeans(X, KMeansConfig{K: k, Rng: rng, Restarts: 8})
+		res, err := KMeans(X, k, KMeansConfig{Rng: rng})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -108,7 +108,7 @@ func TestKMeansAssignmentsAreNearest(t *testing.T) {
 		for i := range X {
 			X[i] = []float64{rng.Float64() * 10, rng.Float64() * 10}
 		}
-		res, err := KMeans(X, KMeansConfig{K: 3, Rng: rng})
+		res, err := KMeans(X, 3, KMeansConfig{Rng: rng})
 		if err != nil {
 			return false
 		}
@@ -157,7 +157,7 @@ func TestSilhouetteEdgeCases(t *testing.T) {
 func TestKMeansAutoFindsThree(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	X, _ := threeBlobs(rng, 25)
-	res, err := KMeansAuto(X, 2, 8, KMeansConfig{Rng: rng, Restarts: 6})
+	res, err := KMeansAuto(X, 2, 8, KMeansConfig{Rng: rng})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +192,7 @@ func TestKMeansAutoEmpty(t *testing.T) {
 func TestNearestRowToCentroid(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	X := [][]float64{{0, 0}, {0.1, 0}, {10, 10}, {10.2, 10}}
-	res, err := KMeans(X, KMeansConfig{K: 2, Rng: rng})
+	res, err := KMeans(X, 2, KMeansConfig{Rng: rng})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +223,7 @@ func TestKMeansDeterministicWithSameSeed(t *testing.T) {
 	X, _ := threeBlobs(rand.New(rand.NewSource(9)), 15)
 	run := func() *KMeansResult {
 		rng := rand.New(rand.NewSource(42))
-		res, err := KMeans(X, KMeansConfig{K: 3, Rng: rng})
+		res, err := KMeans(X, 3, KMeansConfig{Rng: rng})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -224,9 +224,9 @@ func TestEscapeLabel(t *testing.T) {
 }
 
 func TestTraceContextCodecs(t *testing.T) {
-	tc := NewContext()
+	tc := TraceContext{Trace: NextID(), Span: NextID()}
 	if !tc.Valid() {
-		t.Fatal("NewContext must be valid")
+		t.Fatal("a context with a trace id must be valid")
 	}
 	wire := tc.AppendWire(nil)
 	if len(wire) != WireContextLen {

@@ -35,11 +35,6 @@ type TraceContext struct {
 // Valid reports whether the context marks a sampled request.
 func (tc TraceContext) Valid() bool { return tc.Trace != 0 }
 
-// NewContext starts a fresh sampled trace at its root span.
-func NewContext() TraceContext {
-	return TraceContext{Trace: NextID(), Span: NextID()}
-}
-
 // Child allocates the receiving hop's own span id under the same
 // trace: record the hop's Span with ID child.Span / Parent tc.Span,
 // and propagate child downstream.

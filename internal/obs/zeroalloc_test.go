@@ -34,7 +34,7 @@ func TestHistogramRecordZeroAlloc(t *testing.T) {
 	}
 	_ = snap
 
-	tc := NewContext()
+	tc := TraceContext{Trace: NextID(), Span: NextID()}
 	buf := make([]byte, 0, HeaderContextLen)
 	wbuf := make([]byte, 0, WireContextLen)
 	context := func() {

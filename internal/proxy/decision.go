@@ -47,12 +47,12 @@ type DecisionFrontConfig struct {
 	Clone *client.Client
 	// SampleEvery mirrors one in every N batches (default 1).
 	SampleEvery int
-	// CloneQueue bounds the mirror backlog in batches before drops
-	// (default 256).
-	CloneQueue int
 	// Logf receives operational log lines; nil means silent.
 	Logf func(format string, args ...any)
 }
+
+// cloneQueue bounds the mirror backlog, in batches, before drops.
+const cloneQueue = 256
 
 // DecisionFrontStats reports front activity. All counters cumulative.
 type DecisionFrontStats struct {
@@ -114,9 +114,6 @@ func NewDecisionFront(cfg DecisionFrontConfig) (*DecisionFront, error) {
 	if cfg.SampleEvery <= 0 {
 		cfg.SampleEvery = 1
 	}
-	if cfg.CloneQueue <= 0 {
-		cfg.CloneQueue = 256
-	}
 	f := &DecisionFront{cfg: cfg}
 	f.pool.New = func() any { return &frontScratch{} }
 	// The front forwards: an error without a status means the tier
@@ -142,7 +139,7 @@ func NewDecisionFront(cfg DecisionFrontConfig) (*DecisionFront, error) {
 		})
 	}
 	if cfg.Clone != nil {
-		f.mirrorCh = make(chan mirrorJob, cfg.CloneQueue)
+		f.mirrorCh = make(chan mirrorJob, cloneQueue)
 		f.mirrorWg.Add(1)
 		go f.drainMirror()
 	}

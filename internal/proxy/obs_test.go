@@ -11,6 +11,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/client"
 	"repro/internal/core"
@@ -144,11 +145,11 @@ func TestDecisionFrontMetrics(t *testing.T) {
 	}
 }
 
-// TestTraceStitchedAcrossTiers is the ISSUE's integration criterion:
-// one sampled decision from a tracing client, through the decision
-// front, the replica registry, and a dejavud replica — with the
+// TestTraceStitchedAcrossTiers: one decision that a caller traces
+// under its own context, sent through the client, the decision front,
+// the replica registry, and a dejavud replica — with the
 // registry→replica hop riding the raw-TCP trace envelope — leaves a
-// parent-linked span chain client → front → registry → dejavud, each
+// parent-linked span chain caller → front → registry → dejavud, each
 // hop retrievable from its process's /v1/trace surface.
 func TestTraceStitchedAcrossTiers(t *testing.T) {
 	repo := learnFrontRepo(t, 71)
@@ -173,10 +174,7 @@ func TestTraceStitchedAcrossTiers(t *testing.T) {
 	fts := httptest.NewServer(front.Handler())
 	defer fts.Close()
 
-	cl, err := client.New(client.Config{
-		Addr:       strings.TrimPrefix(fts.URL, "http://"),
-		TraceEvery: 1,
-	})
+	cl, err := client.New(client.Config{Addr: strings.TrimPrefix(fts.URL, "http://")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,23 +185,17 @@ func TestTraceStitchedAcrossTiers(t *testing.T) {
 	req.SetTemplate("cassandra")
 	req.AppendRow(vals)
 	var resp wire.Response
-	if err := cl.Decide(true, &req, &resp); err != nil {
+	// The caller's own root: the context it traces the decision under,
+	// and when it started.
+	tc := obs.TraceContext{Trace: obs.NextID(), Span: obs.NextID()}
+	callerStart := time.Now().UnixNano()
+	if err := cl.DecideTraced(true, &req, &resp, tc); err != nil {
 		t.Fatal(err)
 	}
 	if len(resp.Results) != 1 {
 		t.Fatalf("results: %+v", resp.Results)
 	}
-
-	// Client hop: the sampled root span.
-	clientSpans := cl.Spans().Spans()
-	if len(clientSpans) != 1 {
-		t.Fatalf("client recorded %d spans, want 1", len(clientSpans))
-	}
-	root := clientSpans[0]
-	if root.Component != "client" || root.Op != "lookup" || root.Parent != 0 || root.Trace == 0 {
-		t.Fatalf("client root span: %+v", root)
-	}
-	trace := root.Trace
+	trace := obs.HexID(tc.Trace)
 
 	// Front ring: the front hop and (same ring) the registry hop.
 	byComponent := map[string]obs.Span{}
@@ -220,8 +212,8 @@ func TestTraceStitchedAcrossTiers(t *testing.T) {
 	if !ok {
 		t.Fatalf("front ring has no registry span for trace %v", trace)
 	}
-	if frontSpan.Parent != root.ID {
-		t.Errorf("front span parent %v, want client span %v", frontSpan.Parent, root.ID)
+	if frontSpan.Parent != obs.HexID(tc.Span) {
+		t.Errorf("front span parent %v, want the caller's span %v", frontSpan.Parent, obs.HexID(tc.Span))
 	}
 	if regSpan.Parent != frontSpan.ID {
 		t.Errorf("registry span parent %v, want front span %v", regSpan.Parent, frontSpan.ID)
@@ -265,15 +257,15 @@ func TestTraceStitchedAcrossTiers(t *testing.T) {
 	}
 
 	// Spans measure real time: every hop's duration is positive and no
-	// child started before its parent.
-	for _, sp := range []obs.Span{root, frontSpan, regSpan, *leaf} {
+	// hop started before its parent, the caller first.
+	for _, sp := range []obs.Span{frontSpan, regSpan, *leaf} {
 		if sp.DurationNS <= 0 {
 			t.Errorf("%s span has non-positive duration %d", sp.Component, sp.DurationNS)
 		}
 	}
-	if frontSpan.Start < root.Start || regSpan.Start < frontSpan.Start || leaf.Start < regSpan.Start {
-		t.Errorf("span starts out of order: client %d front %d registry %d dejavud %d",
-			root.Start, frontSpan.Start, regSpan.Start, leaf.Start)
+	if frontSpan.Start < callerStart || regSpan.Start < frontSpan.Start || leaf.Start < regSpan.Start {
+		t.Errorf("span starts out of order: caller %d front %d registry %d dejavud %d",
+			callerStart, frontSpan.Start, regSpan.Start, leaf.Start)
 	}
 }
 

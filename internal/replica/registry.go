@@ -111,6 +111,12 @@ func (p *ProbeConfig) defaults() {
 	}
 }
 
+// replicaRetries is the per-replica transport retry budget before the
+// registry fails the attempt over to another replica. Kept small
+// because the registry owns cross-replica failover: deep per-replica
+// retries would just delay it.
+const replicaRetries = 1
+
 // Config assembles a Registry.
 type Config struct {
 	// Replicas is the initial membership; at least one.
@@ -124,15 +130,6 @@ type Config struct {
 	Encoding wire.Encoding
 	// Probe tunes health checking.
 	Probe ProbeConfig
-	// Retries is the per-replica transport retry budget before the
-	// registry fails the attempt over to another replica (default 1;
-	// -1 disables in-place retries entirely). Kept small because the
-	// registry owns cross-replica failover — deep per-replica retries
-	// would just delay it.
-	Retries int
-	// RequestTimeout bounds one round trip to a replica (default 30s,
-	// the client library's own default).
-	RequestTimeout time.Duration
 	// Logf receives operational log lines; nil means silent.
 	Logf func(format string, args ...any)
 }
@@ -228,11 +225,6 @@ func New(cfg Config) (*Registry, error) {
 		return nil, errors.New("replica: Config.Replicas must name at least one replica")
 	}
 	cfg.Probe.defaults()
-	if cfg.Retries == 0 {
-		cfg.Retries = 1
-	} else if cfg.Retries < 0 {
-		cfg.Retries = -1
-	}
 	r := &Registry{
 		cfg:     cfg,
 		desired: map[string]uint64{},
@@ -272,11 +264,10 @@ func (r *Registry) newReplica(spec Spec) (*replica, error) {
 		return nil, errors.New("replica: spec needs an HTTP address (the admin/install plane)")
 	}
 	cl, err := client.New(client.Config{
-		Addr:           spec.Addr,
-		TCPAddr:        spec.TCPAddr,
-		Encoding:       r.cfg.Encoding,
-		Retries:        r.cfg.Retries,
-		RequestTimeout: r.cfg.RequestTimeout,
+		Addr:     spec.Addr,
+		TCPAddr:  spec.TCPAddr,
+		Encoding: r.cfg.Encoding,
+		Retries:  replicaRetries,
 	})
 	if err != nil {
 		return nil, err

@@ -17,19 +17,22 @@ type DriftConfig struct {
 	// window triggers re-learning (default 0.5 — half the window's
 	// workloads look unlike every learned class).
 	Threshold float64
-	// RecentCapacity bounds the recent-signature ring the relearn
-	// corpus is drawn from (default 2048 rows).
-	RecentCapacity int
-	// SampleStride records every stride-th foreseen signature into
-	// the ring (unforeseen ones are always recorded); default 16.
-	// The relearn corpus therefore mixes the novel workloads that
-	// caused the drift with a sample of the still-live old ones, so
-	// the rebuilt clustering covers both.
-	SampleStride int
-	// MinRelearnRows is the smallest ring population worth
-	// re-clustering (default 64).
-	MinRelearnRows int
 }
+
+const (
+	// recentCapacity bounds the recent-signature ring the relearn
+	// corpus is drawn from, in rows.
+	recentCapacity = 2048
+	// sampleStride: the ring records every sampleStride-th foreseen
+	// signature (unforeseen ones are always recorded). The relearn
+	// corpus therefore mixes the novel workloads that caused the drift
+	// with a sample of the still-live old ones, so the rebuilt
+	// clustering covers both.
+	sampleStride = 16
+	// minRelearnRows is the smallest ring population worth
+	// re-clustering.
+	minRelearnRows = 64
+)
 
 func (c *DriftConfig) defaults() {
 	if c.Window <= 0 {
@@ -37,15 +40,6 @@ func (c *DriftConfig) defaults() {
 	}
 	if c.Threshold <= 0 {
 		c.Threshold = 0.5
-	}
-	if c.RecentCapacity <= 0 {
-		c.RecentCapacity = 2048
-	}
-	if c.SampleStride <= 0 {
-		c.SampleStride = 16
-	}
-	if c.MinRelearnRows <= 0 {
-		c.MinRelearnRows = 64
 	}
 }
 

@@ -103,11 +103,8 @@ func TestDriftRelearnUnderLiveLoad(t *testing.T) {
 	}
 	s, ts := newTestServer(t, repo, Config{
 		Drift: DriftConfig{
-			Window:         64,
-			Threshold:      0.5,
-			SampleStride:   2,
-			MinRelearnRows: 32,
-			RecentCapacity: 512,
+			Window:    64,
+			Threshold: 0.5,
 		},
 		Relearn: relearn,
 	})

@@ -106,9 +106,6 @@ type Config struct {
 	// derives "<base>-<template><ext>" (the sole template of a
 	// single-template server uses the path verbatim).
 	SnapshotPath string
-	// MaxBodyBytes bounds a decision or install request body (default
-	// wire.DefaultMaxBody, 8 MiB); a larger one is answered 413.
-	MaxBodyBytes int64
 	// Logf receives operational log lines; nil means silent.
 	Logf func(format string, args ...any)
 }
@@ -210,9 +207,6 @@ type Server struct {
 // New validates the configuration and assembles the service.
 func New(cfg Config) (*Server, error) {
 	cfg.Drift.defaults()
-	if cfg.MaxBodyBytes <= 0 {
-		cfg.MaxBodyBytes = wire.DefaultMaxBody
-	}
 	s := &Server{cfg: cfg, start: time.Now()}
 	set := &templateSet{byName: map[string]*template{}}
 	if cfg.Handle != nil {
@@ -238,7 +232,7 @@ func New(cfg Config) (*Server, error) {
 	s.templates.Store(set.finish())
 	s.pool.New = func() any { return &scratch{} }
 	// An error from the template table means the request was bad: 400.
-	p := wire.NewPlane("dejavud", cfg.MaxBodyBytes, http.StatusBadRequest, &s.badRequests, s.metricFamilies)
+	p := wire.NewPlane("dejavud", wire.DefaultMaxBody, http.StatusBadRequest, &s.badRequests, s.metricFamilies)
 	s.plane = p
 	p.Decision(s.handleDecision)
 	p.Admin(s, nil)
@@ -260,7 +254,7 @@ func (s *Server) newTemplate(name string, h *core.Handle) *template {
 		name:   name,
 		handle: h,
 		drift:  newDriftMonitor(s.cfg.Drift),
-		ring:   newSignatureRing(s.cfg.Drift.RecentCapacity, width, s.cfg.Drift.SampleStride),
+		ring:   newSignatureRing(recentCapacity, width, sampleStride),
 	}
 }
 
@@ -405,7 +399,7 @@ func (s *Server) triggerRelearn(tpl *template) {
 	}
 	tpl.flight.TryGo(func() {
 		rows := tpl.ring.snapshot()
-		if len(rows) < s.cfg.Drift.MinRelearnRows {
+		if len(rows) < minRelearnRows {
 			return
 		}
 		relearnStart := time.Now()
@@ -538,7 +532,7 @@ func (s *Server) install(name string, repo *core.Repository, at uint64) (uint64,
 			name:   name,
 			handle: existing.handle,
 			drift:  newDriftMonitor(s.cfg.Drift),
-			ring:   newSignatureRing(s.cfg.Drift.RecentCapacity, len(repo.EventsRef()), s.cfg.Drift.SampleStride),
+			ring:   newSignatureRing(recentCapacity, len(repo.EventsRef()), sampleStride),
 		}
 		next.byName[name].relearns.Store(existing.relearns.Load())
 		next.byName[name].relearnFails.Store(existing.relearnFails.Load())

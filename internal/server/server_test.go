@@ -454,20 +454,19 @@ func TestObserveBatchMatchesRowAtATime(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	for trial := 0; trial < 200; trial++ {
 		cfg := DriftConfig{
-			Window:         1 + rng.Intn(40),
-			Threshold:      0.1 + 0.8*rng.Float64(),
-			RecentCapacity: 1 + rng.Intn(64),
-			SampleStride:   1 + rng.Intn(9),
+			Window:    1 + rng.Intn(40),
+			Threshold: 0.1 + 0.8*rng.Float64(),
 		}
+		capacity, stride := 1+rng.Intn(64), 1+rng.Intn(9)
 		aligned := trial%2 == 0
 		n := 1 + rng.Intn(400)
 		pUnforeseen := rng.Float64()
 		maxBatch := 1 + rng.Intn(3*cfg.Window)
 
-		ref := &rowAtATime{window: int64(cfg.Window), stride: int64(cfg.SampleStride),
-			threshold: cfg.Threshold, capacity: cfg.RecentCapacity}
+		ref := &rowAtATime{window: int64(cfg.Window), stride: int64(stride),
+			threshold: cfg.Threshold, capacity: capacity}
 		d := newDriftMonitor(cfg)
-		r := newSignatureRing(cfg.RecentCapacity, 2, cfg.SampleStride)
+		r := newSignatureRing(capacity, 2, stride)
 		for done := 0; done < n; {
 			size := 1 + rng.Intn(maxBatch)
 			if size > n-done {

@@ -255,7 +255,6 @@ func (t *TCPServer) serveConn(nc net.Conn) {
 	}
 	sc := t.s.pool.Get().(*scratch)
 	defer t.s.pool.Put(sc)
-	maxPayload := int(t.s.cfg.MaxBodyBytes)
 	st.OnFlush = func(replies int) {
 		t.s.tcpEnvelopes.Add(int64(replies))
 		t.s.tcpFlushes.Add(1)
@@ -267,7 +266,7 @@ func (t *TCPServer) serveConn(nc net.Conn) {
 		if t.cfg.IdleTimeout > 0 && !st.EnvelopeBuffered() {
 			_ = nc.SetReadDeadline(time.Now().Add(t.cfg.IdleTimeout))
 		}
-		id, flags, payload, err := st.ReadEnvelope(maxPayload)
+		id, flags, payload, err := st.ReadEnvelope(wire.DefaultMaxBody)
 		if err != nil {
 			// Clean close (io.EOF), peer death, idle-deadline expiry, or
 			// framing corruption: either way the session is over. A

@@ -125,6 +125,10 @@ type VMSpec struct {
 // spread over the fleet instead of in lockstep.
 const maxStaggerHours = 6
 
+// vmsPerHost is the consolidation ratio: VMs on the same host see the
+// same interference schedule.
+const vmsPerHost = 4
+
 // ScenarioConfig parameterizes the fleet scenario generator.
 type ScenarioConfig struct {
 	// Rng drives all scenario randomness; required.
@@ -139,9 +143,6 @@ type ScenarioConfig struct {
 	// Days is the evaluated window per VM, after the learning day
 	// (default 1, so two trace days are consumed in total).
 	Days int
-	// VMsPerHost sets the consolidation ratio: VMs on the same host
-	// see the same interference schedule (default 4).
-	VMsPerHost int
 	// Interference enables the per-host contention schedules.
 	Interference bool
 	// Homogeneous pins every VM to Cassandra (the paper's scale-out
@@ -267,11 +268,7 @@ func GenerateScenario(cfg ScenarioConfig) ([]VMSpec, error) {
 	if cfg.Days > 6 {
 		return nil, fmt.Errorf("sim: %d run days exceed the 7-day traces (1 learning day + 6)", cfg.Days)
 	}
-	if cfg.VMsPerHost <= 0 {
-		cfg.VMsPerHost = 4
-	}
-
-	hosts := (cfg.VMs + cfg.VMsPerHost - 1) / cfg.VMsPerHost
+	hosts := (cfg.VMs + vmsPerHost - 1) / vmsPerHost
 	schedules := make([]func(time.Duration) float64, hosts)
 	if cfg.Interference {
 		for h := range schedules {
@@ -397,7 +394,7 @@ func GenerateScenario(cfg ScenarioConfig) ([]VMSpec, error) {
 		names = append(append(names, '-'), svc.Name()...)
 		nameEnds[i] = len(names)
 
-		host := i / cfg.VMsPerHost
+		host := i / vmsPerHost
 		spec := &specs[i]
 		*spec = VMSpec{
 			Service:      svc,

@@ -86,6 +86,11 @@ type Controller interface {
 	Step(obs *Observation) (Action, error)
 }
 
+// stabilizationPenalty is the extra relative latency right after an
+// allocation change completes, decaying over the service's
+// stabilization period: +30 %.
+const stabilizationPenalty = 0.3
+
 // Config describes one simulation run.
 type Config struct {
 	// Service is the simulated service.
@@ -116,10 +121,6 @@ type Config struct {
 	// fraction over time; nil means no interference. Like MixFn, a
 	// closure makes Run step, and call the controller, every minute.
 	Interference func(now time.Duration) float64
-	// StabilizationPenalty is the extra relative latency right after
-	// an allocation change completes, decaying over the service's
-	// stabilization period (default 0.3 = +30%).
-	StabilizationPenalty float64
 	// Records optionally provides a preallocated backing buffer for
 	// the step records (used from length 0). The fleet control plane
 	// carves per-VM buffers out of one arena slab so a whole fleet
@@ -340,9 +341,6 @@ func (r *Runner) Reset(cfg Config) error {
 	if cfg.Step <= 0 {
 		cfg.Step = time.Minute
 	}
-	if cfg.StabilizationPenalty == 0 {
-		cfg.StabilizationPenalty = 0.3
-	}
 	if cfg.Mix.Name == "" && cfg.MixFn == nil {
 		cfg.Mix = cfg.Service.DefaultMix()
 	}
@@ -531,7 +529,7 @@ func (r *Runner) Advance() (parked bool, err error) {
 			stabilising = stab > 0 && now >= lastChangeEffective && now < lastChangeEffective+stab
 			if stabilising {
 				frac := 1 - float64(now-lastChangeEffective)/float64(stab)
-				perf.LatencyMs *= 1 + cfg.StabilizationPenalty*frac
+				perf.LatencyMs *= 1 + stabilizationPenalty*frac
 			}
 
 			violated = !slo.Met(perf)

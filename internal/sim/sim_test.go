@@ -258,8 +258,7 @@ func TestRunStabilizationTransient(t *testing.T) {
 	ctl := &oracleController{svc: svc, typ: cloud.Large, max: 10, min: 2}
 	res, err := Run(Config{
 		Service: svc, Trace: tr, Controller: ctl,
-		Initial:              cloud.Allocation{Type: cloud.Large, Count: 3},
-		StabilizationPenalty: 0.5,
+		Initial: cloud.Allocation{Type: cloud.Large, Count: 3},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -80,7 +80,7 @@ func TestSineBoundsProperty(t *testing.T) {
 func TestCSVRoundTripProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		tr := Messenger(SynthConfig{Days: 2, Rng: rng})
+		tr := Messenger(SynthConfig{Rng: rng})
 		var buf bytes.Buffer
 		if err := tr.writeCSV(&buf); err != nil {
 			return false

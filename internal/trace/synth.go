@@ -57,11 +57,12 @@ var hotmailWeekendShape = [24]float64{
 	49, 48, 47, 48, 46, 45, 47, 46, 44, 45, 46, // 13-23 plateau
 }
 
+// synthDays is the synthetic traces' length in days: one learning day
+// and six evaluation days, like the paper's.
+const synthDays = 7
+
 // SynthConfig tunes the synthetic MSN-style generators.
 type SynthConfig struct {
-	// Days is the trace length in days (default 7: one learning day +
-	// six evaluation days, like the paper).
-	Days int
 	// DailyPhaseShift shifts each day's shape circularly by a random
 	// -2..+2 hours (day 0, the learning day, is never shifted). Real
 	// traces drift like this day to day, which is exactly what makes
@@ -104,18 +105,15 @@ func (w Week) Name() string {
 // synthesizes many weeks passes the previous result back in and
 // allocates once.
 func (w Week) Fill(buf []float64, cfg SynthConfig) []float64 {
-	if cfg.Days <= 0 {
-		cfg.Days = 7
-	}
 	weekday, weekend := &messengerDayShape, &messengerWeekendShape
 	if w == HotMailWeek {
 		weekday, weekend = &hotmailDayShape, &hotmailWeekendShape
 	}
 	loads := buf[:0]
-	if cap(loads) < cfg.Days*24 {
-		loads = make([]float64, 0, cfg.Days*24)
+	if cap(loads) < synthDays*24 {
+		loads = make([]float64, 0, synthDays*24)
 	}
-	for day := 0; day < cfg.Days; day++ {
+	for day := 0; day < synthDays; day++ {
 		shape := weekday
 		if dow := day % 7; dow == 5 || dow == 6 {
 			shape = weekend

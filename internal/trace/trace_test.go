@@ -69,7 +69,7 @@ func TestTraceScaleTo(t *testing.T) {
 }
 
 func TestTraceSliceAndDay(t *testing.T) {
-	tr := Messenger(SynthConfig{Days: 3})
+	tr := Messenger(SynthConfig{})
 	day1, err := tr.Day(1)
 	if err != nil {
 		t.Fatal(err)
@@ -230,7 +230,7 @@ func TestSine(t *testing.T) {
 }
 
 func TestCSVRoundTrip(t *testing.T) {
-	tr := Messenger(SynthConfig{Days: 2, Rng: rand.New(rand.NewSource(3))})
+	tr := Messenger(SynthConfig{Rng: rand.New(rand.NewSource(3))})
 	var buf bytes.Buffer
 	if err := tr.writeCSV(&buf); err != nil {
 		t.Fatal(err)

@@ -14,8 +14,8 @@ import (
 	"repro/internal/obs"
 )
 
-// DefaultMaxBody bounds a decision or install body unless the daemon
-// configures its own: what a default dejavud, and so the front, accepts.
+// DefaultMaxBody bounds a decision or install body: what dejavud, and
+// so the front, accepts.
 const DefaultMaxBody = 8 << 20
 
 // maxDocBody bounds the small JSON request documents (put, get).
